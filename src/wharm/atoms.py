@@ -214,12 +214,6 @@ def atomic_decompose(
     N = g.points_per_axis
     h_n = g.cell_volume
 
-    def block_sums(arr, k):
-        m = N >> k
-        if n == 1:
-            return arr.reshape(1 << k, m).sum(axis=1)
-        return arr.reshape(1 << k, m, 1 << k, m).sum(axis=(1, 3))
-
     warr = w.array
     omega_masks = {k: S.values > 2.0 ** k for k in ks}
     omega_masks[kmax + 1] = np.zeros(g.shape, dtype=bool)
@@ -228,10 +222,10 @@ def atomic_decompose(
     # per-generation assignment: the unique k with the B_k sandwich property
     assignment = {}
     for k_gen in gens:
-        wq = block_sums(warr, k_gen)
+        wq = lat.blocks(warr, k_gen).sum(axis=-1)
         conds = []
         for k in ks + [kmax + 1]:
-            wo = block_sums(warr * omega_masks[k], k_gen)
+            wo = lat.blocks(warr * omega_masks[k], k_gen).sum(axis=-1)
             conds.append(wo > wq / 2.0)
         conds = np.array(conds[:-1])  # condition at kmax+1 is identically false
         count = conds.sum(axis=0)

@@ -7,17 +7,19 @@ boxes of the dyadic cubes below a top cube P tile P x (0, l(P)] exactly.
 Suprema over P run over every cube of the supplied lattice family with
 l(P) >= 4h (each such P holds a full Whitney slab above the time grid);
 inner sums always run over the unshifted dyadic cubes contained in P.
+
+Every scan works on the lattice block view (dyadic.DyadicLattice.blocks),
+one generation at a time: a generation's cubes are reduced together and
+only lattices and generations are looped over.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
-from .dyadic import BoxSums, DyadicLattice, haar_coefficients
+from .dyadic import DyadicLattice, haar_generation, split_blocks
 from .errors import DomainError, ParameterError
-from .grid import FULL, Grid, GridFunction, extend_even, extend_odd, restrict
+from .grid import FULL, GridFunction, extend_even, extend_odd, sided_even_extensions
 from .operators import apply, qt_op
 from .squarefn import TimeGrid, _sided_fields
 from .weights import Weight, as_weight
@@ -33,6 +35,15 @@ def _iter_lattices(lattices):
     return list(lattices)
 
 
+def _mean_deviation(v: np.ndarray, wv, r=None) -> np.ndarray:
+    """The (weighted) mean-deviation functional of each block of a block view."""
+    dev = np.abs(v - v.mean(axis=-1, keepdims=True))
+    if r is None:
+        den = v.shape[-1] if wv is None else wv.sum(axis=-1)
+        return dev.sum(axis=-1) / den
+    return ((dev ** r * wv ** (1.0 - r)).sum(axis=-1) / wv.sum(axis=-1)) ** (1.0 / r)
+
+
 def _classical_sup(values: np.ndarray, warr, lattices, r=None) -> float:
     """sup over cubes of the (weighted) mean-deviation functional.
 
@@ -41,85 +52,51 @@ def _classical_sup(values: np.ndarray, warr, lattices, r=None) -> float:
     """
     best = 0.0
     for lat in _iter_lattices(lattices):
-        for cube in lat.cubes:
-            v = values[np.ix_(*lat.cell_indices(cube))]
-            if np.isnan(v).any():
-                continue
-            m = v.mean()
-            if r is None:
-                num = np.sum(np.abs(v - m))
-                den = v.size if warr is None else np.sum(warr[np.ix_(*lat.cell_indices(cube))])
-                best = max(best, num / den)
-            else:
-                wv = warr[np.ix_(*lat.cell_indices(cube))]
-                num = np.sum(np.abs(v - m) ** r * wv ** (1.0 - r))
-                best = max(best, (num / np.sum(wv)) ** (1.0 / r))
+        for k in range(lat.max_generation + 1):
+            wv = None if warr is None else lat.blocks(warr, k)
+            q = _mean_deviation(lat.blocks(values, k), wv, r)
+            best = float(np.max(q, where=~np.isnan(q), initial=best))
     return best
 
 
 def _carleson_haar(f: GridFunction, w: Weight, lattices) -> float:
     best = 0.0
-    warr = w.array
-    h_n = f.grid.cell_volume
+    g = f.grid
     for lat in _iter_lattices(lattices):
-        coeffs = haar_coefficients(f, lat)
-        per_cube = {}
-        for (cube, sig), c in coeffs.items():
-            per_cube[cube] = per_cube.get(cube, 0.0) + c * c
-        wsums = BoxSums(warr)
-        subtree = {}
-        for cube in sorted(lat.cubes, key=lambda q: -q.generation):
-            s = per_cube.get(cube, 0.0) * lat.cell_measure(cube) / (lat.cube_sum(wsums, cube) * h_n)
-            for ch in lat.children(cube):
-                s += subtree[ch]
-            subtree[cube] = s
-        for cube in lat.cubes:
-            val = subtree[cube] / (lat.cube_sum(wsums, cube) * h_n)
-            best = max(best, val)
+        # subtree[Q] = sum over Q' <= Q of the Haar energy of Q' |Q'| / w(Q'),
+        # built from the finest generation (no Haar functions) up by summing
+        # child blocks
+        subtree = np.zeros((1 << lat.max_generation,) * g.dim)
+        for k in range(lat.max_generation - 1, -1, -1):
+            wmass = lat.blocks(w.array, k).sum(axis=-1) * g.cell_volume
+            energy = (haar_generation(f.values, lat, k) ** 2).sum(axis=-1)
+            measure = (lat.cells_per_axis(k) * g.h) ** g.dim
+            subtree = energy * measure / wmass + split_blocks(subtree, 1 << k).sum(axis=-1)
+            best = max(best, float((subtree / wmass).max()))
     return float(np.sqrt(best))
 
 
-class _GenerationTables:
-    """Per-generation prefix sums of per-cube Carleson contributions."""
+def _sums_inside(table: np.ndarray, lat: DyadicLattice, j: int) -> np.ndarray:
+    """Sum of a per-cube table of one unshifted generation over the unshifted
+    cubes inside each generation-j cube P of lat; shape (2^j,)*n.
 
-    def __init__(self, lat: DyadicLattice, values_by_gen: dict):
-        self.lat = lat
-        self.prefix = {}
-        for k, arr in values_by_gen.items():
-            acc = arr
-            for ax in range(arr.ndim):
-                acc = np.cumsum(acc, axis=ax)
-                pad = [(0, 0)] * arr.ndim
-                pad[ax] = (1, 0)
-                acc = np.pad(acc, pad)
-            self.prefix[k] = acc
-
-    def sum_inside(self, seglists) -> float:
-        """Sum over dyadic cubes (all generations) inside the cell segments."""
-        N = self.lat.grid.points_per_axis
-        total = 0.0
-        for k, P in self.prefix.items():
-            m = N >> k
-            ranges_per_axis = []
-            for segs in seglists:
-                rr = []
-                for (a, b) in segs:
-                    lo = (a + m - 1) // m
-                    hi = b // m
-                    if hi > lo:
-                        rr.append((lo, hi))
-                ranges_per_axis.append(rr)
-            if any(not rr for rr in ranges_per_axis):
-                continue
-            for combo in product(*ranges_per_axis):
-                idx_lo = tuple(c[0] for c in combo)
-                idx_hi = tuple(c[1] for c in combo)
-                nd = len(combo)
-                for corner in product((0, 1), repeat=nd):
-                    idx = tuple(hi if bit else lo for lo, hi, bit in zip(idx_lo, idx_hi, corner))
-                    sign = (-1) ** (nd - sum(corner))
-                    total += sign * P[idx]
-        return total
+    Axis by axis, the cubes inside P form the periodic index range
+    [ceil(s/m), floor((s+M)/m)) for P's first cell s, P's side M and the
+    table's cube side m (all in cells); it is read off a prefix sum over two
+    periods of the table.
+    """
+    N = lat.grid.points_per_axis
+    M = lat.cells_per_axis(j)
+    m = N // table.shape[0]
+    out = table
+    for axis, shift in enumerate(lat.shift_cells):
+        start = (shift + M * np.arange(1 << j)) % N
+        lo = -(-start // m)
+        hi = np.maximum((start + M) // m, lo)
+        zero = np.zeros_like(np.take(out, [0], axis=axis))
+        prefix = np.cumsum(np.concatenate([zero, out, out], axis=axis), axis=axis)
+        out = np.take(prefix, hi, axis=axis) - np.take(prefix, lo, axis=axis)
+    return out
 
 
 def _slab_times(tg: TimeGrid, ell: float):
@@ -139,18 +116,10 @@ def _carleson_heat(f: GridFunction, w: Weight, lattices, tg: TimeGrid, neumann: 
         raise ParameterError("semigroup Carleson norms need the unshifted lattice in the family")
     lw = tg.log_weight
     h_n = g.cell_volume
-    wsums = w.power_sums()
-
-    def _block_sums(arr: np.ndarray, k: int) -> np.ndarray:
-        """Sums of a cell array over the unshifted generation-k cubes."""
-        m = g.points_per_axis >> k
-        if n == 1:
-            return arr.reshape(1 << k, m).sum(axis=1)
-        return arr.reshape(1 << k, m, 1 << k, m).sum(axis=(1, 3))
+    warr = w.array
 
     # per-generation cube contributions c_Q = int_{Q^} |G_t f|^2 t^n/w(Q) dy dt/t
-    values_by_gen = {}
-    warr = w.array
+    tables = []
     for k in range(dyadic.max_generation + 1):
         ell = 2.0 * g.halfwidth * 2.0 ** (-k)
         ts = _slab_times(tg, ell)
@@ -162,19 +131,18 @@ def _carleson_heat(f: GridFunction, w: Weight, lattices, tg: TimeGrid, neumann: 
                 field = _sided_fields(f, "qt", t) ** 2
             else:
                 field = apply(qt_op("free", t), f).values ** 2
-            acc += lw * t ** n * _block_sums(field, k) * h_n
-        values_by_gen[k] = acc / (_block_sums(warr, k) * h_n)
-    tables = _GenerationTables(dyadic, values_by_gen)
+            acc += lw * t ** n * dyadic.blocks(field, k).sum(axis=-1) * h_n
+        tables.append(acc / (dyadic.blocks(warr, k).sum(axis=-1) * h_n))
 
     best = 0.0
-    min_len = 4.0 * g.h
     for lat in lats:
-        for cube in lat.cubes:
-            if lat.sidelength(cube) < min_len - 1e-12:
+        for j in range(lat.max_generation + 1):
+            if lat.cells_per_axis(j) < 4:
                 continue
-            inner = tables.sum_inside(lat.axis_segments(cube))
-            wmass = lat.cube_sum(wsums, cube) * h_n
-            best = max(best, inner / wmass)
+            # cubes coarser than P never fit inside it
+            inner = sum(_sums_inside(table, lat, j) for table in tables if len(table) >= 1 << j)
+            wmass = lat.blocks(warr, j).sum(axis=-1) * h_n
+            best = max(best, float((inner / wmass).max()))
     return float(np.sqrt(max(best, 0.0)))
 
 
@@ -239,20 +207,16 @@ def bmo_deltaN_norm(f: GridFunction, w, lattices, tg: TimeGrid = None) -> float:
 def bmo_deltaN_sides(f: GridFunction, w, lattices, tg: TimeGrid = None):
     """(||f_{+,e}||, ||f_{-,e}||) in the free-Laplacian Carleson norm with the
     matching even-extended weights; their sum is equivalent to bmo_deltaN_norm."""
-    w = as_weight(w)
-    fp = extend_even(restrict(f, "upper"))
-    fm = extend_even(restrict(f, "lower"))
-    wp = Weight(extend_even(restrict(w.values, "upper")))
-    wm = Weight(extend_even(restrict(w.values, "lower")))
-    np_ = bmo_norm(fp, wp, "carleson-heat-free", lattices, tg=tg)
-    nm = bmo_norm(fm, wm, "carleson-heat-free", lattices, tg=tg)
+    fp, fm = sided_even_extensions(f)
+    wp, wm = sided_even_extensions(as_weight(w).values)
+    np_ = bmo_norm(fp, Weight(wp), "carleson-heat-free", lattices, tg=tg)
+    nm = bmo_norm(fm, Weight(wm), "carleson-heat-free", lattices, tg=tg)
     return np_, nm
 
 
 def bmo_deltaN_classical_norm(f: GridFunction, lattices) -> float:
     """Unweighted BMO_{Delta_N}: classical BMO of both even extensions, summed."""
-    fp = extend_even(restrict(f, "upper"))
-    fm = extend_even(restrict(f, "lower"))
+    fp, fm = sided_even_extensions(f)
     return float(_classical_sup(fp.values, None, lattices) + _classical_sup(fm.values, None, lattices))
 
 
@@ -260,14 +224,11 @@ def dyadic_local_bmo(f: GridFunction, lat: DyadicLattice, q0, w=None) -> float:
     """sup over lattice cubes Q contained in q0 of the mean-deviation functional."""
     warr = None if w is None else as_weight(w).array
     best = 0.0
-    for cube in lat.cubes:
-        if not lat.contains(q0, cube):
-            continue
-        v = f.values[np.ix_(*lat.cell_indices(cube))]
-        m = v.mean()
-        num = np.sum(np.abs(v - m))
-        den = v.size if warr is None else np.sum(warr[np.ix_(*lat.cell_indices(cube))])
-        best = max(best, num / den)
+    for k in range(q0.generation, lat.max_generation + 1):
+        depth = k - q0.generation
+        inside = tuple(slice(i << depth, (i + 1) << depth) for i in q0.index)
+        wv = None if warr is None else lat.blocks(warr, k)[inside]
+        best = max(best, float(_mean_deviation(lat.blocks(f.values, k)[inside], wv).max()))
     return float(best)
 
 

@@ -6,6 +6,13 @@ axis (the grid-aligned stand-in for the 1/3-trick).  Translated cubes wrap
 around the box periodically, matching the periodic convention of the Fourier
 backend; as cell sets they keep the dyadic nesting property.
 
+Every sum over lattice cubes goes through one block view.  A cell array
+rolled by -shift_cells and cut along each axis into 2^k runs of N/2^k cells
+holds the generation-k cubes as blocks: ``lat.blocks(arr, k)[index]`` lists
+the cells of the cube with that index.  Reducing over the last axis gives
+the sum, mean or minimum of every cube of a generation at once, and
+``lat.spread`` puts per-cube values back on the cells.
+
 All integrals are exact cell sums (midpoint rule), so cube masses and Haar
 coefficients are bit-reproducible.
 """
@@ -34,35 +41,15 @@ class DyadicCube:
         return f"Q(g{self.generation},{list(self.index)})"
 
 
-class BoxSums:
-    """Integral image over a cell array; O(1) sums over wrapped index boxes."""
+def split_blocks(arr: np.ndarray, count: int) -> np.ndarray:
+    """Cut every axis of arr into `count` equal runs: shape (count,)*n + (cells,).
 
-    def __init__(self, values: np.ndarray):
-        self.shape = values.shape
-        acc = values
-        for ax in range(values.ndim):
-            acc = np.cumsum(acc, axis=ax)
-            pad = [(0, 0)] * values.ndim
-            pad[ax] = (1, 0)
-            acc = np.pad(acc, pad)
-        self.I = acc
-
-    def box(self, ranges) -> float:
-        """Sum over the index box prod_a [start_a, stop_a); no wrapping here."""
-        total = 0.0
-        nd = len(ranges)
-        for corner in product((0, 1), repeat=nd):
-            idx = tuple(r[c] for r, c in zip(ranges, corner))
-            sign = (-1) ** (nd - sum(corner))
-            total += sign * self.I[idx]
-        return float(total)
-
-    def segments(self, seglists) -> float:
-        """Sum over a product of per-axis unions of [start, stop) segments."""
-        total = 0.0
-        for combo in product(*seglists):
-            total += self.box(combo)
-        return total
+    Entry [i] lists the cells of block i in C order (a copy when n > 1).
+    """
+    n = arr.ndim
+    runs = arr.reshape([d for size in arr.shape for d in (count, size // count)])
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return runs.transpose(order).reshape((count,) * n + (-1,))
 
 
 def split_range(start: int, length: int, n: int):
@@ -71,11 +58,6 @@ def split_range(start: int, length: int, n: int):
     if start + length <= n:
         return [(start, start + length)]
     return [(start, n), (0, start + length - n)]
-
-
-def segments_subset(inner, outer) -> bool:
-    """Is a union of index segments contained in another union?"""
-    return all(any(a >= c and b <= d for (c, d) in outer) for (a, b) in inner)
 
 
 class DyadicLattice:
@@ -175,9 +157,17 @@ class DyadicLattice:
         shift = inner.generation - outer.generation
         return all(i >> shift == o for i, o in zip(inner.index, outer.index))
 
-    # -- sums --------------------------------------------------------------
-    def cube_sum(self, box: BoxSums, cube: DyadicCube) -> float:
-        return box.segments(self.axis_segments(cube))
+    # -- block view --------------------------------------------------------
+    def blocks(self, arr: np.ndarray, k: int) -> np.ndarray:
+        """Generation-k cubes of a cell array: entry [index] lists the cube's cells."""
+        rolled = np.roll(arr, [-s for s in self.shift_cells], axis=tuple(range(arr.ndim)))
+        return split_blocks(rolled, 1 << k)
+
+    def spread(self, per_cube: np.ndarray, k: int) -> np.ndarray:
+        """Cell array holding each generation-k cube's value on the cube's cells."""
+        N = self.grid.points_per_axis
+        m = self.cells_per_axis(k)
+        return per_cube[np.ix_(*(((np.arange(N) - s) % N) // m for s in self.shift_cells))]
 
     def to_json(self):
         """Lattice dump: per cube generation, index and cell extents."""
@@ -247,6 +237,26 @@ def haar_function(lat: DyadicLattice, cube: DyadicCube, sig) -> GridFunction:
     return GridFunction(g, vals)
 
 
+def _haar_signs(dim: int) -> np.ndarray:
+    """Sign of each child (C order of its offsets) in h_Q^eps, one row per signature."""
+    return np.array([
+        [(-1.0) ** sum(o for o, s in zip(off, sig) if s == 0) for off in product((0, 1), repeat=dim)]
+        for sig in signatures(dim)
+    ])
+
+
+def haar_generation(values: np.ndarray, lat: DyadicLattice, k: int) -> np.ndarray:
+    """<f, h_Q^eps> for every generation-k cube Q (k < max_generation).
+
+    Shape (2^k,)*n + (number of signatures,); the half-cube sums of Q are
+    the sums over its generation-(k+1) children.
+    """
+    g = lat.grid
+    children = split_blocks(lat.blocks(values, k + 1).sum(axis=-1), 1 << k)
+    scale = (lat.cells_per_axis(k) * g.h) ** (-g.dim / 2.0) * g.cell_volume
+    return children @ _haar_signs(g.dim).T * scale
+
+
 def haar_coefficients(f: GridFunction, lat: DyadicLattice) -> dict:
     """All <f, h_Q^eps> by exact cell sums; keys (cube, signature)."""
     g = f.grid
@@ -254,35 +264,13 @@ def haar_coefficients(f: GridFunction, lat: DyadicLattice) -> dict:
         raise GridAlignmentError("grid function and lattice live on different grids")
     if g.domain != FULL:
         raise GridAlignmentError("Haar coefficients need a full-space function")
-    box = BoxSums(f.values)
-    N = g.points_per_axis
     sigs = signatures(g.dim)
     coeffs = {}
-    for cube in lat.cubes:
-        m = lat.cells_per_axis(cube.generation)
-        if cube.generation >= lat.max_generation or m < 2:
-            continue
-        half = m // 2
-        # per-axis (left-half, right-half) cell sums are combined per signature
-        axis_segs = []
-        for a in range(g.dim):
-            s0 = lat.shift_cells[a] + cube.index[a] * m
-            axis_segs.append(
-                (split_range(s0, half, N), split_range(s0 + half, half, N))
-            )
-        part = {}
-        for halves in product((0, 1), repeat=g.dim):
-            part[halves] = box.segments([axis_segs[a][hl] for a, hl in enumerate(halves)])
-        scale = (m * g.h) ** (-g.dim / 2.0) * g.cell_volume
-        for sig in sigs:
-            acc = 0.0
-            for halves, s in part.items():
-                sign = 1.0
-                for a, hlf in enumerate(halves):
-                    if sig[a] == 0 and hlf == 1:
-                        sign = -sign
-                acc += sign * s
-            coeffs[(cube, sig)] = scale * acc
+    for k in range(lat.max_generation):
+        c = haar_generation(f.values, lat, k)
+        for idx in np.ndindex(c.shape[:-1]):
+            for sig, val in zip(sigs, c[idx].tolist()):
+                coeffs[(DyadicCube(k, idx), sig)] = val
     return coeffs
 
 
@@ -333,11 +321,9 @@ def weighted_maximal(g: GridFunction, w, lat: DyadicLattice) -> GridFunction:
     wv = wv.values if isinstance(wv, GridFunction) else wv
     if np.min(wv) <= 0:
         raise WeightError("maximal function needs a strictly positive weight")
-    num = BoxSums(np.abs(g.values) * wv)
-    den = BoxSums(wv)
+    num = np.abs(g.values) * wv
     out = np.zeros(g.grid.shape)
-    for cube in lat.cubes:
-        avg = lat.cube_sum(num, cube) / lat.cube_sum(den, cube)
-        idx = np.ix_(*lat.cell_indices(cube))
-        out[idx] = np.maximum(out[idx], avg)
+    for k in range(lat.max_generation + 1):
+        avg = lat.blocks(num, k).sum(axis=-1) / lat.blocks(wv, k).sum(axis=-1)
+        out = np.maximum(out, lat.spread(avg, k))
     return GridFunction(g.grid, out)

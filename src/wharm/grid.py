@@ -194,9 +194,19 @@ def load_csv(path: str) -> GridFunction:
         fh.readline()  # column header
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     grid = Grid(int(kv["dim"]), float(kv["halfwidth"]), int(kv["points_per_axis"]), kv["domain"])
+    if data.shape[1] != grid.dim + 1:
+        raise DomainError(f"CSV rows need {grid.dim} index columns and one value column")
+    idx = data[:, : grid.dim].astype(int)
+    if np.any(idx != data[:, : grid.dim]) or np.any((idx < 0) | (idx >= np.array(grid.shape))):
+        raise DomainError("CSV row with a non-integer or out-of-range cell index")
+    counts = np.zeros(grid.shape, dtype=int)
+    np.add.at(counts, tuple(idx.T), 1)
+    if np.any(counts > 1):
+        raise DomainError(f"CSV lists {int(np.sum(counts > 1))} cells more than once")
+    if np.any(counts == 0):
+        raise DomainError(f"CSV misses {int(np.sum(counts == 0))} of {counts.size} cells")
     vals = np.empty(grid.shape)
-    idx = tuple(data[:, a].astype(int) for a in range(grid.dim))
-    vals[idx] = data[:, grid.dim]
+    vals[tuple(idx.T)] = data[:, grid.dim]
     return GridFunction(grid, vals)
 
 

@@ -23,7 +23,7 @@ from . import bmo as bmo_mod
 from .dyadic import lattice_family, random_haar_sum
 from .errors import ParameterError
 from .grid import Grid, GridFunction, restrict
-from .operators import assemble_matrix, riesz, weighted_operator_norm
+from .operators import assemble_matrix, commutator_matrix, riesz, weighted_operator_norm
 from .squarefn import TimeGrid
 from .weights import (
     Weight,
@@ -178,14 +178,12 @@ def run_two_weight_commutator(cfg: dict) -> dict:
             total = 0.0
             for M in matrices:
                 if half_space:
-                    bv = restrict(b, "upper").values.reshape(-1)
                     muv = restrict(mu.values, "upper").values.reshape(-1)
                     lamv = restrict(lam.values, "upper").values.reshape(-1)
-                    Mb = bv[:, None] * M - M * bv[None, :]
+                    Mb = commutator_matrix(restrict(b, "upper").values, M)
                     val, _ = weighted_operator_norm(Mb, grid, muv, lamv, p=p, method=method, seed=seed)
                 else:
-                    bv = b.values.reshape(-1)
-                    Mb = bv[:, None] * M - M * bv[None, :]
+                    Mb = commutator_matrix(b.values, M)
                     val, _ = weighted_operator_norm(Mb, grid, mu, lam, p=p, method=method, seed=seed)
                 total += val
             ratios.append(total)
@@ -283,8 +281,7 @@ def run_dirichlet_counterexample(cfg: dict) -> dict:
         ones_half = Weight(GridFunction(gu, np.ones(gu.shape)))
         even_norm = bmo_mod.bmo_norm(b0, ones_half, "even-ext-half", lattices)
         M = assemble_matrix(riesz("dirichlet", 1, backend="fourier"), gu)
-        bv = b0.values.reshape(-1)
-        Mb = bv[:, None] * M - M * bv[None, :]
+        Mb = commutator_matrix(b0.values, M)
         val, _ = weighted_operator_norm(Mb, gu, None, None, p=2.0, method="svd")
         rows.append(
             {
@@ -315,8 +312,7 @@ def run_dirichlet_counterexample(cfg: dict) -> dict:
     gridc = Grid(1, L, Ns[0]).with_domain("upper")
     control = GridFunction(gridc, np.ones(gridc.shape))
     Mc = assemble_matrix(riesz("dirichlet", 1, backend="fourier"), gridc)
-    cb = control.values.reshape(-1)
-    Mbc = cb[:, None] * Mc - Mc * cb[None, :]
+    Mbc = commutator_matrix(control.values, Mc)
     ctrl_val, _ = weighted_operator_norm(Mbc, gridc, None, None, p=2.0, method="svd")
     checks["constant_control_commutator"] = ctrl_val
     ok = checks["odd_growth_ok"] and checks["half_bmo_stable"] and checks["commutator_ok"]

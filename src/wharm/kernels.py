@@ -51,13 +51,6 @@ class KernelSpec:
             raise ParameterError(f"unknown kernel family {self.family!r}")
 
 
-def _split(pts, n):
-    pts = np.asarray(pts, dtype=float)
-    if pts.shape[-1] != n:
-        raise ParameterError(f"points must have last dimension {n}")
-    return pts[..., :-1], pts[..., -1]
-
-
 def reflect_point(pts):
     out = np.array(pts, dtype=float, copy=True)
     out[..., -1] = -out[..., -1]

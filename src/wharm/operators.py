@@ -310,9 +310,7 @@ def assemble_matrix(op: OperatorHandle, grid: Grid) -> np.ndarray:
     if op.kind == "identity":
         return np.eye(npts)
     if op.kind == "commutator":
-        M = assemble_matrix(op.inner, grid)
-        bv = op.b.values.reshape(-1)
-        return bv[:, None] * M - M * bv[None, :]
+        return commutator_matrix(op.b.values, assemble_matrix(op.inner, grid))
     cols = np.empty((npts, npts))
     basis = np.zeros(grid.shape)
     flat = basis.reshape(-1)
@@ -321,6 +319,12 @@ def assemble_matrix(op: OperatorHandle, grid: Grid) -> np.ndarray:
         cols[:, j] = apply(op, GridFunction(grid, basis)).values.reshape(-1)
         flat[j] = 0.0
     return cols
+
+
+def commutator_matrix(b: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Dense matrix of [b, M] = b M - M b for the cell values b of a symbol."""
+    bv = b.reshape(-1)
+    return bv[:, None] * M - M * bv[None, :]
 
 
 def _as_weight_array(w, shape):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .dyadic import BoxSums, DyadicCube, DyadicLattice
+from .dyadic import DyadicCube, DyadicLattice
 from .errors import ParameterError, SparsityError
 from .grid import GridFunction
 
@@ -47,15 +47,19 @@ def _density_array(dens) -> np.ndarray:
     return np.abs(np.asarray(dens, dtype=float))
 
 
+def _generation_means(arr: np.ndarray, lat: DyadicLattice) -> list:
+    """Cube averages of a cell array, one array per generation of the lattice."""
+    return [lat.blocks(arr, k).mean(axis=-1) for k in range(lat.max_generation + 1)]
+
+
 def cz_stopping(dens, lat: DyadicLattice, q0: DyadicCube, alpha: float) -> StoppingFamily:
     """Calderon-Zygmund selection at level alpha over the subtree of q0."""
     if alpha <= 1.0:
         raise ParameterError("cz_stopping needs alpha > 1")
-    arr = _density_array(dens)
-    sums = BoxSums(arr)
+    means = _generation_means(_density_array(dens), lat)
 
     def avg(cube):
-        return lat.cube_sum(sums, cube) / (lat.cells_per_axis(cube.generation) ** lat.grid.dim)
+        return float(means[cube.generation][cube.index])
 
     base = avg(q0)
     selected = []
@@ -169,11 +173,10 @@ def build_sparse_from_recursion(children_rule, lat: DyadicLattice, q0: DyadicCub
 def sparse_operator_apply(coll: SparseCollection, f: GridFunction) -> GridFunction:
     """A_S f = sum over members of <f>_Q 1_Q."""
     lat = coll.lattice
-    sums = BoxSums(f.values)
+    means = _generation_means(f.values, lat)
     out = np.zeros(f.grid.shape)
     for q in coll.cubes:
-        avg = lat.cube_sum(sums, q) / (lat.cells_per_axis(q.generation) ** lat.grid.dim)
-        out[np.ix_(*lat.cell_indices(q))] += avg
+        out[np.ix_(*lat.cell_indices(q))] += means[q.generation][q.index]
     return GridFunction(f.grid, out)
 
 
@@ -254,12 +257,10 @@ def bmo_good_function(b: GridFunction, w, lat: DyadicLattice, q0: DyadicCube, al
     2 alpha <w>_{Q0} ||b||_{BMO_D(w), D(Q0)}.
     """
     fam = cz_stopping(w, lat, q0, alpha)
-    sums = BoxSums(b.values)
+    means = _generation_means(b.values, lat)
     vals = np.zeros(b.grid.shape)
     mask0 = lat.mask(q0)
     vals[mask0] = b.values[mask0]
     for R in fam.selected:
-        idx = np.ix_(*lat.cell_indices(R))
-        avg = lat.cube_sum(sums, R) / (lat.cells_per_axis(R.generation) ** lat.grid.dim)
-        vals[idx] = avg
+        vals[np.ix_(*lat.cell_indices(R))] = means[R.generation][R.index]
     return GridFunction(b.grid, vals), fam

@@ -23,7 +23,7 @@ from scipy.signal import fftconvolve
 
 from .dyadic import DyadicLattice, haar_coefficients
 from .errors import BackendError, ParameterError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, extend_even, restrict
+from .grid import FULL, Grid, GridFunction, sided_even_extensions
 from .operators import OperatorHandle, apply, phi_op, qt_op
 
 
@@ -61,6 +61,8 @@ class TimeGrid:
             raise ParameterError(f"t_min={t_min} below the cell width {h}")
         if t_max > 2.0 * L:
             raise ParameterError(f"t_max={t_max} above the box size {2 * L}")
+        if t_min >= t_max:
+            raise ParameterError(f"t_min={t_min} must lie below t_max={t_max}")
         M = steps_per_octave
         m_max = int(np.floor(M * np.log2(t_max / t_min) + 1e-12))
         ts = t_min * 2.0 ** (np.arange(m_max + 1) / M)
@@ -113,8 +115,7 @@ def _generator_handle(generator, t: float) -> OperatorHandle:
 
 def _sided_fields(f: GridFunction, generator, t: float):
     """|t^2 L_N e^{-t^2 L_N} f|^2 over the full grid, computed side-wise."""
-    up = apply(_generator_handle(generator, t), extend_even(restrict(f, UPPER))).values
-    lo = apply(_generator_handle(generator, t), extend_even(restrict(f, LOWER))).values
+    up, lo = (apply(_generator_handle(generator, t), side).values for side in sided_even_extensions(f))
     half = f.grid.points_per_axis // 2
     out = np.empty(f.grid.shape)
     out[..., half:] = up[..., half:]
@@ -201,7 +202,11 @@ def hardy_norm(f: GridFunction, flavor, w, tg: TimeGrid = None, lattice: DyadicL
 
     flavor: "heat-free" | "heat-neumann" | ("classical", beta) | "haar".
     """
+    if w is None:
+        raise ParameterError("hardy_norm needs a weight")
     warr = w.array if hasattr(w, "array") else np.asarray(w, dtype=float)
+    if warr.shape != f.grid.shape:
+        raise ParameterError(f"weight shape {warr.shape} does not match grid shape {f.grid.shape}")
     if np.min(warr) <= 0:
         raise ParameterError("hardy_norm needs a strictly positive weight")
     if flavor == "haar":

@@ -1,9 +1,10 @@
 """Muckenhoupt weight classes: classical A^p, the reflection-Neumann class,
 Bloom triples, conjugate weights, doubling diagnostics, exp/log bridge.
 
-Cube masses w(Q) are exact cell sums served from cached integral images, one
-per exponent of the weight, which is the O(1)-per-cube equivalent of a full
-mass table.  Analytic 1D profiles (power weights and the one-sided power
+Cube masses w(Q) are exact cell sums.  The lattice scans take them one
+generation at a time from the block view of the lattice (every cube's sum
+or minimum in one reduction), and masses of coordinate boxes are plain
+slice sums.  Analytic 1D profiles (power weights and the one-sided power
 weight) are sampled as exact cell averages via their antiderivatives, so
 masses over cell-aligned boxes coincide with the continuum integrals.
 """
@@ -15,19 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import BoxSums, DyadicLattice
+from .dyadic import DyadicLattice
 from .errors import DomainError, ParameterError, RangeError, WeightError
-from .grid import FULL, Grid, GridFunction, extend_even, load_binary, load_csv, restrict
+from .grid import FULL, Grid, GridFunction, load_binary, load_csv, sided_even_extensions
 
 
 class Weight:
-    """Strictly positive grid function with cached cube-mass machinery."""
+    """Strictly positive grid function with cube and box masses."""
 
     def __init__(self, values: GridFunction):
         if np.min(values.values) <= 0.0:
             raise WeightError("weight must be strictly positive")
         self.values = values
-        self._sums = {}
 
     @property
     def grid(self) -> Grid:
@@ -37,24 +37,25 @@ class Weight:
     def array(self) -> np.ndarray:
         return self.values.values
 
-    def power_sums(self, s: float = 1.0) -> BoxSums:
-        if s not in self._sums:
-            arr = self.array if s == 1.0 else self.array ** s
-            if not np.all(np.isfinite(arr)):
-                raise RangeError(f"w^{s} overflows on this grid")
-            self._sums[s] = BoxSums(arr)
-        return self._sums[s]
+    def power(self, s: float = 1.0) -> np.ndarray:
+        """The cell array w^s."""
+        arr = self.array if s == 1.0 else self.array ** s
+        if not np.all(np.isfinite(arr)):
+            raise RangeError(f"w^{s} overflows on this grid")
+        return arr
 
     def cube_mass(self, lat: DyadicLattice, cube, s: float = 1.0) -> float:
         """w^s(Q) = sum over Q of w^s * h^n."""
-        return lat.cube_sum(self.power_sums(s), cube) * self.grid.cell_volume
+        cells = lat.blocks(self.power(s), cube.generation)[cube.index]
+        return float(cells.sum()) * self.grid.cell_volume
 
     def cube_average(self, lat: DyadicLattice, cube, s: float = 1.0) -> float:
         return self.cube_mass(lat, cube, s) / lat.cell_measure(cube)
 
     def box_mass(self, ranges, s: float = 1.0) -> float:
         """w^s over a non-wrapped cell-index box, as a measure."""
-        return self.power_sums(s).box(ranges) * self.grid.cell_volume
+        box = tuple(slice(start, stop) for start, stop in ranges)
+        return float(self.power(s)[box].sum()) * self.grid.cell_volume
 
 
 def as_weight(w) -> Weight:
@@ -120,12 +121,12 @@ def ap_constant(w, p: float, lattices) -> float:
     if p <= 1.0:
         raise ParameterError("ap_constant needs p > 1; use a1_constant for p = 1")
     w = as_weight(w)
+    w1, w2 = w.power(), w.power(-1.0 / (p - 1.0))
     best = 0.0
     for lat in _iter_lattices(lattices):
-        for cube in lat.cubes:
-            q = ap_cube_quotient(w, p, lat, cube)
-            if q > best:
-                best = q
+        for k in range(lat.max_generation + 1):
+            q = lat.blocks(w1, k).mean(axis=-1) * lat.blocks(w2, k).mean(axis=-1) ** (p - 1.0)
+            best = max(best, float(q.max()))
     return best
 
 
@@ -142,10 +143,9 @@ def a1_constant(w, lattices) -> float:
     w = as_weight(w)
     best = 0.0
     for lat in _iter_lattices(lattices):
-        for cube in lat.cubes:
-            avg = w.cube_average(lat, cube)
-            mn = float(np.min(w.array[np.ix_(*lat.cell_indices(cube))]))
-            best = max(best, avg / mn)
+        for k in range(lat.max_generation + 1):
+            cells = lat.blocks(w.array, k)
+            best = max(best, float((cells.mean(axis=-1) / cells.min(axis=-1)).max()))
     return best
 
 
@@ -154,9 +154,7 @@ def ap_deltaN_constant(w, p: float, lattices) -> float:
     w = as_weight(w)
     if w.grid.domain != FULL:
         raise DomainError("the Neumann A^p class is defined for full-space weights")
-    up = Weight(extend_even(restrict(w.values, "upper")))
-    lo = Weight(extend_even(restrict(w.values, "lower")))
-    return ap_constant(up, p, lattices) + ap_constant(lo, p, lattices)
+    return sum(ap_constant(Weight(side), p, lattices) for side in sided_even_extensions(w.values))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wharm.dyadic import (
-    BoxSums,
     DyadicCube,
     build_lattice,
     haar_coefficients,
@@ -14,7 +13,7 @@ from wharm.dyadic import (
 )
 from wharm.errors import GridAlignmentError, WeightError
 from wharm.grid import Grid, GridFunction, constant
-from wharm.weights import Weight
+from wharm.weights import Weight, one_sided_power_weight
 
 
 def test_lattice_counts():
@@ -161,6 +160,19 @@ def test_maximal_dominates_cube_averages(rng):
         assert np.all(m.values[cells] >= abs(avg) - 1e-12)
 
 
+def test_maximal_half_mass_tie_is_exact():
+    # w depends on x_2 only and Omega is the half x_1 < 0, so every cell of
+    # x_1 > 0 sees the base cube's average w(Omega)/w(Q) = 1/2 exactly; the
+    # threshold M_w 1_Omega > 1/2 (atoms' Omega~) must not catch these cells
+    for N in (16, 32, 64):
+        g = Grid(2, 1.0, N)
+        ind = np.zeros(g.shape)
+        ind[: N // 2] = 1.0
+        m = weighted_maximal(GridFunction(g, ind), one_sided_power_weight(g, 0.5), build_lattice(g, 3))
+        assert np.all(m.values[N // 2:] == 0.5)
+        assert np.all(m.values[: N // 2] == 1.0)
+
+
 def test_maximal_rejects_nonpositive_weight(grid64, lat64):
     with pytest.raises(WeightError):
         weighted_maximal(constant(grid64, 1.0), constant(grid64, 0.0), lat64)
@@ -184,14 +196,15 @@ def test_weighted_bmo_coefficient_bound(rng):
             assert abs(c) <= bound * (1 + 1e-9)
 
 
-def test_boxsums_wrapped_segments(rng):
+def test_blocks_wrapped_cube(rng):
     arr = rng.standard_normal((8, 8))
-    bs = BoxSums(arr)
-    # wrapped range [6, 6+4) mod 8 = rows {6,7,0,1}
-    segs = [[(6, 8), (0, 2)], [(3, 5)]]
-    total = bs.segments(segs)
-    expect = arr[[6, 7, 0, 1]][:, 3:5].sum()
-    assert abs(total - expect) <= 1e-12
+    lat = build_lattice(Grid(2, 1.0, 8), 2, ("third", "none"))
+    # shift 8 // 3 = 2 cells: generation-1 cube (1, 0) covers rows
+    # [6, 6+4) mod 8 = {6,7,0,1} and columns {0,1,2,3}
+    cells = lat.blocks(arr, 1)[1, 0]
+    expect = arr[np.ix_([6, 7, 0, 1], [0, 1, 2, 3])]
+    assert np.array_equal(cells, expect.reshape(-1))
+    assert abs(cells.sum() - expect.sum()) <= 1e-12
 
 
 def test_coefficient_csv_export(tmp_path, rng, grid64, lat64):

@@ -153,3 +153,25 @@ def test_csv_load_rejects_missing_metadata(tmp_path):
         fh.write("i0,value\n0,1.0\n")
     with pytest.raises(DomainError):
         load_csv(path)
+
+
+def test_csv_load_rejects_bad_indices(tmp_path, rng):
+    g = Grid(1, 1.0, 8)
+    path = str(tmp_path / "f.csv")
+    save_csv(GridFunction(g, rng.standard_normal(g.shape)), path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    head, rows = lines[:2], lines[2:]
+    cases = {
+        "missing": rows[:3] + rows[4:],
+        "duplicate": rows[:3] + [rows[2]] + rows[4:],
+        "out-of-range": rows[:7] + ["8,1.0"],
+        "negative": ["-1,1.0"] + rows[1:],
+        "non-integer": ["0.5,1.0"] + rows[1:],
+    }
+    for name, body in cases.items():
+        bad = str(tmp_path / f"{name}.csv")
+        with open(bad, "w") as fh:
+            fh.write("\n".join(head + body) + "\n")
+        with pytest.raises(DomainError):
+            load_csv(bad)

@@ -125,6 +125,15 @@ def test_hardy_norm_zero(tg256):
     assert hardy_norm(constant(g, 0.0), "heat-free", w, tg=tg) == 0.0
 
 
+def test_hardy_norm_rejects_missing_or_misshaped_weight(tg256):
+    g, tg = tg256
+    f = constant(g, 1.0)
+    with pytest.raises(ParameterError):
+        hardy_norm(f, "heat-free", None, tg=tg)
+    with pytest.raises(ParameterError):
+        hardy_norm(f, "heat-free", np.ones(g.points_per_axis // 2), tg=tg)
+
+
 def test_hardy_flavor_band(rng):
     # HeatFree vs Classical(LoG) on random Haar sums: one fitted band, C/c <= 20
     g = Grid(1, 1.0, 256)
@@ -178,6 +187,9 @@ def test_time_grid_validation(grid64):
         TimeGrid.geometric(grid64, t_min=grid64.h / 4)
     with pytest.raises(ParameterError):
         TimeGrid.geometric(grid64, t_max=5.0 * grid64.halfwidth)
+    for t_min, t_max in ((0.5, 0.1), (0.5, 0.5)):
+        with pytest.raises(ParameterError):
+            TimeGrid.geometric(grid64, t_min=t_min, t_max=t_max)
     tg = TimeGrid.geometric(grid64, t_min=2 * grid64.h, t_max=1.0, steps_per_octave=4)
     # geometric spacing with log-weight ln2/M
     assert abs(tg.t_values[4] / tg.t_values[0] - 2.0) <= 1e-12
