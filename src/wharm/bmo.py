@@ -19,7 +19,7 @@ import numpy as np
 
 from .dyadic import DyadicLattice, haar_generation, split_blocks
 from .errors import DomainError, ParameterError
-from .grid import FULL, GridFunction, extend_even, extend_odd, sided_even_extensions
+from .grid import FULL, GridFunction, extend_even, extend_odd, join_sides, sided_even_extensions
 from .operators import apply, qt_op
 from .squarefn import TimeGrid, _sided_fields
 from .weights import Weight, as_weight
@@ -119,6 +119,7 @@ def _carleson_heat(f: GridFunction, w: Weight, lattices, tg: TimeGrid, neumann: 
     warr = w.array
 
     # per-generation cube contributions c_Q = int_{Q^} |G_t f|^2 t^n/w(Q) dy dt/t
+    sides = sided_even_extensions(f) if neumann else None
     tables = []
     for k in range(dyadic.max_generation + 1):
         ell = 2.0 * g.halfwidth * 2.0 ** (-k)
@@ -128,7 +129,7 @@ def _carleson_heat(f: GridFunction, w: Weight, lattices, tg: TimeGrid, neumann: 
         acc = np.zeros((1 << k,) * n)
         for t in ts:
             if neumann:
-                field = _sided_fields(f, "qt", t) ** 2
+                field = _sided_fields(sides, "qt", t) ** 2
             else:
                 field = apply(qt_op("free", t), f).values ** 2
             acc += lw * t ** n * dyadic.blocks(field, k).sum(axis=-1) * h_n
@@ -179,13 +180,11 @@ def _half_flavor_norm(f: GridFunction, w, flavor: str, lattices) -> float:
     if flavor == "unweighted-half":
         if g.domain == FULL:
             raise DomainError("unweighted-half expects a half-space function")
-        N = g.points_per_axis
-        full = np.full(g.with_domain(FULL).shape, np.nan)
-        half = N // 2
+        ext, full_grid = extend_even(f).values, g.with_domain(FULL)
         if g.domain == "upper":
-            full[..., half:] = f.values
+            full = join_sides(ext, np.nan, full_grid)
         else:
-            full[..., :half] = f.values
+            full = join_sides(np.nan, ext, full_grid)
         return float(_classical_sup(full, None, lattices))
     if flavor == "odd-ext-half":
         if g.domain == FULL:

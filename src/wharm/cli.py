@@ -2,7 +2,8 @@
 
 Subcommands: apply (kernel actions on grid functions), opnorm (weighted
 operator norms), bmo (BMO-type norms), squarefn (Hardy norms via square
-functions), harness (experiment runner with JSON/CSV reports).
+functions), harness (experiment runner with JSON/CSV reports).  A toolkit
+error ends a command with one line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from . import bmo as bmo_mod
 from . import harness as harness_mod
 from .dyadic import lattice_family
+from .errors import WharmError
 from .grid import GridFunction, load_binary, load_csv, save_csv
 from .operators import OperatorHandle, apply as op_apply, assemble_matrix, commutator, riesz, weighted_operator_norm
 from .squarefn import TimeGrid, hardy_norm
@@ -182,7 +184,11 @@ def main(argv=None) -> int:
     pr.set_defaults(fn=cmd_harness)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except WharmError as exc:
+        print(f"wharm: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -167,6 +167,14 @@ def sided_even_extensions(f: GridFunction) -> tuple:
     return extend_even(restrict(f, UPPER)), extend_even(restrict(f, LOWER))
 
 
+def join_sides(upper, lower, grid: Grid) -> np.ndarray:
+    """Full-grid array equal to `upper` on x_n > 0 and to `lower` on x_n < 0.
+
+    Each side is a scalar or a full-grid array of which only its own half is read.
+    """
+    return np.where(grid.axis_coords(grid.dim - 1) > 0, upper, lower)
+
+
 # ---------------------------------------------------------------------------
 # serialization: flat CSV (index coordinates then value) and JSON header +
 # raw float64 binary column.
@@ -229,7 +237,15 @@ def save_binary(f: GridFunction, path: str) -> None:
 def load_binary(path: str) -> GridFunction:
     with open(path) as fh:
         header = json.load(fh)
+    keys = ("dim", "halfwidth", "points_per_axis", "domain", "dtype", "count")
+    missing = [key for key in keys if key not in header]
+    if missing:
+        raise DomainError(f"binary header misses {', '.join(missing)}")
+    if header["dtype"] != "float64":
+        raise DomainError(f"binary column dtype {header['dtype']!r} is not float64")
     grid = Grid(header["dim"], header["halfwidth"], header["points_per_axis"], header["domain"])
+    if header["count"] != int(np.prod(grid.shape)):
+        raise DomainError(f"header count {header['count']} does not match the {grid.shape} grid")
     vals = np.fromfile(path + ".bin", dtype="<f8")
     if vals.size != header["count"]:
         raise DomainError("binary column length does not match header count")

@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -67,7 +68,7 @@ def content_hash(cfg: dict) -> str:
             for key in sorted(obj):
                 if key == "file" and isinstance(obj[key], str):
                     try:
-                        h.update(open(obj[key], "rb").read())
+                        h.update(Path(obj[key]).read_bytes())
                     except OSError:
                         h.update(b"<missing>")
                 walk(obj[key])

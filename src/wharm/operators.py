@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BackendError, DomainError, ParameterError, SizeError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, extend_even, extend_odd, restrict
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, extend_even, extend_odd, join_sides, restrict
 from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil, riesz_normalization
 
 DENSE_POINT_CAP = 4096
@@ -205,31 +205,28 @@ def _quad_sided_apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
     g = f.grid
     sign = 1.0 if op.family == "neumann" else -1.0
     if g.domain == FULL:
-        up = _quad_sided_apply(op, restrict(f, UPPER))
-        lo = _quad_sided_apply(op, restrict(f, LOWER))
-        out = np.empty(g.shape)
-        half = g.points_per_axis // 2
-        out[..., half:] = up.values
-        out[..., :half] = lo.values
-        return GridFunction(g, out)
+        # each side's sums, extended to the full grid so join_sides can read its half
+        up, lo = (extend_even(_quad_sided_apply(op, restrict(f, side))).values for side in (UPPER, LOWER))
+        return GridFunction(g, join_sides(up, lo, g))
     pts = _grid_points_flat(g)
     refl = pts.copy()
     refl[:, -1] = -refl[:, -1]
+    yr = refl[None, :, :]
     n = g.dim
     if op.kind == "semigroup":
         spec = KernelSpec("heat-free", n, t=op.t)
 
-        def kf(x, y, yr):
+        def kf(x, y):
             return eval_kernel(spec, x, y) + sign * eval_kernel(spec, x, yr)
     elif op.kind == "qt":
         spec = KernelSpec("qt", n, t=op.t)
 
-        def kf(x, y, yr):
+        def kf(x, y):
             return eval_kernel(spec, x, y) + sign * eval_kernel(spec, x, yr)
     elif op.kind == "riesz":
         cn = riesz_normalization(n)
 
-        def kf(x, y, yr):
+        def kf(x, y):
             d = x - y
             d2 = np.sum(d ** 2, axis=-1)
             safe = np.where(d2 == 0, 1.0, d2)
@@ -240,13 +237,7 @@ def _quad_sided_apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
             return free + sign * reflected
     else:
         raise BackendError(f"no sided quadrature for kind {op.kind!r}")
-    vals = f.values.reshape(-1)
-    out = np.empty(len(pts))
-    weighted = vals * g.cell_volume
-    chunk = 1024
-    for start in range(0, len(pts), chunk):
-        block = kf(pts[start:start + chunk, None, :], pts[None, :, :], refl[None, :, :])
-        out[start:start + chunk] = block @ weighted
+    out = _chunked_kernel_apply(kf, pts, pts, f.values.reshape(-1), g.cell_volume)
     return GridFunction(g, out.reshape(g.shape))
 
 
@@ -260,13 +251,8 @@ def _extended_apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
     g = f.grid
     if g.domain != FULL:
         return restrict(apply(free, ext(f)), g.domain)
-    up = restrict(apply(free, ext(restrict(f, UPPER))), UPPER)
-    lo = restrict(apply(free, ext(restrict(f, LOWER))), LOWER)
-    out = np.empty(g.shape)
-    half = g.points_per_axis // 2
-    out[..., half:] = up.values
-    out[..., :half] = lo.values
-    return GridFunction(g, out)
+    up, lo = (apply(free, ext(restrict(f, side))).values for side in (UPPER, LOWER))
+    return GridFunction(g, join_sides(up, lo, g))
 
 
 def apply(op: OperatorHandle, f: GridFunction) -> GridFunction:

@@ -4,21 +4,26 @@ carriers, sparse operators, and the weighted-BMO good-function decomposition.
 A collection is eta-sparse when each cube Q owns a carrier E_Q inside Q with
 |E_Q| >= eta |Q| and the carriers are pairwise disjoint; it is Lambda-Carleson
 when the cubes below any member pack at most Lambda times its measure.  The
-two notions are equivalent with eta = 1/Lambda; the constructive direction
-(Carleson -> carriers) is solved here by a max-flow assignment of grid cells
-at desk scale rather than assumed.
+two notions are equivalent with eta = 1/Lambda (Lerner-Nazarov, "Intuitive
+dyadic calculus").  The constructive direction (Carleson -> carriers) is
+built here rather than assumed: a greedy fill over the cubes of one lattice,
+finest generation first, hands each cube eta |Q| of the cell mass still free
+inside it.  Carriers are cell masses in [0, 1]; those of a stopping-time
+recursion are whole cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .dyadic import DyadicCube, DyadicLattice
 from .errors import ParameterError, SparsityError
 from .grid import GridFunction
+
+# relative tolerance of carrier masses against eta |Q| and of cell totals against 1
+TOL = 1e-9
 
 
 @dataclass
@@ -88,7 +93,11 @@ def cz_stopping(dens, lat: DyadicLattice, q0: DyadicCube, alpha: float) -> Stopp
 
 @dataclass
 class SparseCollection:
-    """Dyadic cubes with pairwise-disjoint carriers E_Q and certified eta."""
+    """Dyadic cubes with pairwise-disjoint carriers E_Q and certified eta.
+
+    A carrier is a cell-mass array in [0, 1], the share of each cell that
+    E_Q claims; whole-cell carriers are the 0/1 case.
+    """
 
     lattice: DyadicLattice
     cubes: list
@@ -96,16 +105,17 @@ class SparseCollection:
     eta: float
 
     def verify(self) -> bool:
-        total = np.zeros(self.lattice.grid.shape, dtype=int)
+        """|E_Q| >= eta |Q|, E_Q inside Q, and no cell claimed more than once."""
+        total = np.zeros(self.lattice.grid.shape)
         for q in self.cubes:
-            mask = self.carriers[q]
-            total += mask.astype(int)
+            mass = self.carriers[q]
+            total += mass
             cells = self.lattice.cells_per_axis(q.generation) ** self.lattice.grid.dim
-            if mask.sum() < self.eta * cells * (1 - 1e-12):
+            if mass.sum() < self.eta * cells * (1 - TOL):
                 return False
-            if not np.all(mask <= self.lattice.mask(q)):
+            if np.any(mass < 0) or np.any(mass[~self.lattice.mask(q)]):
                 return False
-        return bool(np.max(total, initial=0) <= 1)
+        return bool(np.max(total, initial=0.0) <= 1.0 + TOL)
 
     def carleson_constant(self) -> float:
         """max over members Q of sum_{P in S, P below Q} |P| / |Q| (exact cell counts)."""
@@ -122,22 +132,14 @@ class SparseCollection:
         return worst
 
     def to_json(self) -> dict:
+        """Per cube: the [start, stop) runs of flat cells its carrier touches, and its mass."""
         out = []
         for q in self.cubes:
-            mask = self.carriers[q].reshape(-1)
-            # run-length encode the flat carrier bitmap
-            runs = []
-            i = 0
-            while i < len(mask):
-                if mask[i]:
-                    j = i
-                    while j < len(mask) and mask[j]:
-                        j += 1
-                    runs.append([int(i), int(j)])
-                    i = j
-                else:
-                    i += 1
-            out.append({"generation": q.generation, "index": list(q.index), "carrier_runs": runs})
+            mass = self.carriers[q]
+            touched = np.concatenate(([False], mass.reshape(-1) != 0, [False]))
+            runs = np.flatnonzero(touched[1:] != touched[:-1]).reshape(-1, 2).tolist()
+            out.append({"generation": q.generation, "index": list(q.index),
+                        "carrier_runs": runs, "carrier_mass": float(mass.sum())})
         return {"eta": self.eta, "cubes": out}
 
 
@@ -164,7 +166,7 @@ def build_sparse_from_recursion(children_rule, lat: DyadicLattice, q0: DyadicCub
         mask = lat.mask(cube)
         for c in kids:
             mask &= ~lat.mask(c)
-        carriers[cube] = mask
+        carriers[cube] = mask.astype(float)
         stack.extend(kids)
     cubes.sort(key=lambda c: (c.generation, c.index))
     return SparseCollection(lat, cubes, carriers, 1.0 - 1.0 / alpha)
@@ -193,60 +195,29 @@ def sparse_operator_matrix(coll: SparseCollection, grid) -> np.ndarray:
 
 
 def carleson_to_sparse(lat: DyadicLattice, cubes, eta: float):
-    """Find carriers with |E_Q| >= eta |Q| by max-flow; None when infeasible.
+    """Carriers with |E_Q| >= eta |Q| by a greedy fill; None when infeasible.
 
-    Carriers are fractional cell masks: a measurable subset of a cell
-    corresponds to claiming a fraction of its measure, which is exactly the
-    granularity the sparse/Carleson equivalence needs (whole-cell carriers
-    need not exist at eta = 1/Lambda because of integrality).
+    Cubes take their turn finest generation first, and each claims eta |Q|
+    of the cell mass still free inside Q, in proportion to what each cell
+    has left.  Cubes of one lattice are nested or disjoint, so at Q's
+    turn the free mass inside Q is |Q| - sum_{P in S, P strictly below Q}
+    eta |P|: the fill succeeds exactly when the family is (1/eta)-Carleson.
+    Carriers are fractional cell masses, the granularity the equivalence
+    needs (whole-cell carriers need not exist at eta = 1/Lambda).
     """
-    dim = lat.grid.dim
-    G = nx.DiGraph()
-    total = 0.0
-    for i, q in enumerate(cubes):
-        cells = lat.cells_per_axis(q.generation) ** dim
-        d = eta * cells
-        total += d
-        G.add_edge("s", ("q", i), capacity=d)
-        flat = np.nonzero(lat.mask(q).reshape(-1))[0]
-        for cell in flat:
-            G.add_edge(("q", i), ("c", int(cell)), capacity=1.0)
-    for node in list(G.nodes):
-        if isinstance(node, tuple) and node[0] == "c":
-            G.add_edge(node, "t", capacity=1.0)
-    value, flow = nx.maximum_flow(G, "s", "t")
-    if value < total * (1.0 - 1e-9):
-        return None
+    free = np.ones(lat.grid.shape)
     carriers = {}
-    for i, q in enumerate(cubes):
-        mask = np.zeros(int(np.prod(lat.grid.shape)))
-        for dst, used in flow[("q", i)].items():
-            if used > 0:
-                mask[dst[1]] = used
-        carriers[q] = mask.reshape(lat.grid.shape)
-    return FractionalSparseCollection(lat, list(cubes), carriers, eta)
-
-
-@dataclass
-class FractionalSparseCollection:
-    """Sparse carriers with fractional cell ownership (cell masses in [0,1])."""
-
-    lattice: DyadicLattice
-    cubes: list
-    carriers: dict
-    eta: float
-
-    def verify(self) -> bool:
-        total = np.zeros(self.lattice.grid.shape)
-        for q in self.cubes:
-            mask = self.carriers[q]
-            total += mask
-            cells = self.lattice.cells_per_axis(q.generation) ** self.lattice.grid.dim
-            if mask.sum() < self.eta * cells * (1 - 1e-9):
-                return False
-            if np.any((mask > 0) & ~self.lattice.mask(q)):
-                return False
-        return bool(np.max(total, initial=0.0) <= 1.0 + 1e-9)
+    for q in sorted(cubes, key=lambda c: c.generation, reverse=True):
+        cells = np.ix_(*lat.cell_indices(q))
+        left = free[cells]
+        need, have = eta * left.size, left.sum()
+        if need > have * (1 + TOL):
+            return None
+        take = left * (min(1.0, need / have) if have > 0 else 0.0)
+        free[cells] = left - take
+        carriers[q] = np.zeros(lat.grid.shape)
+        carriers[q][cells] = take
+    return SparseCollection(lat, list(cubes), carriers, eta)
 
 
 def bmo_good_function(b: GridFunction, w, lat: DyadicLattice, q0: DyadicCube, alpha: float):

@@ -23,7 +23,7 @@ from scipy.signal import fftconvolve
 
 from .dyadic import DyadicLattice, haar_coefficients
 from .errors import BackendError, ParameterError
-from .grid import FULL, Grid, GridFunction, sided_even_extensions
+from .grid import FULL, Grid, GridFunction, join_sides, sided_even_extensions
 from .operators import OperatorHandle, apply, phi_op, qt_op
 
 
@@ -113,14 +113,13 @@ def _generator_handle(generator, t: float) -> OperatorHandle:
     raise ParameterError(f"unknown square-function generator {generator!r}")
 
 
-def _sided_fields(f: GridFunction, generator, t: float):
-    """|t^2 L_N e^{-t^2 L_N} f|^2 over the full grid, computed side-wise."""
-    up, lo = (apply(_generator_handle(generator, t), side).values for side in sided_even_extensions(f))
-    half = f.grid.points_per_axis // 2
-    out = np.empty(f.grid.shape)
-    out[..., half:] = up[..., half:]
-    out[..., :half] = lo[..., :half]
-    return out
+def _sided_fields(sides, generator, t: float) -> np.ndarray:
+    """The generator at scale t applied to f on each side (t^2 L_N e^{-t^2 L_N} f for "qt").
+
+    sides is the pair sided_even_extensions(f), built once per f.
+    """
+    up, lo = (apply(_generator_handle(generator, t), side).values for side in sides)
+    return join_sides(up, lo, sides[0].grid)
 
 
 def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> GridFunction:
@@ -132,23 +131,17 @@ def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> G
         raise ParameterError("the Neumann cone is wired for the heat generator only")
     n = g.dim
     acc = np.zeros(g.shape)
-    half = g.points_per_axis // 2
+    sides = sided_even_extensions(f) if cone.kind == "neumann" else None
     for t in tg.t_values:
         if cone.kind == "free":
             field = apply(_generator_handle(generator, t), f).values ** 2
             acc += _ball_sums(field, g, t) / t ** n
         else:
-            field = _sided_fields(f, generator, t) ** 2
-            up = np.zeros(g.shape)
-            up[..., half:] = field[..., half:]
-            lo = np.zeros(g.shape)
-            lo[..., :half] = field[..., :half]
-            sums_up = _ball_sums(up, g, t)
-            sums_lo = _ball_sums(lo, g, t)
-            both = np.empty(g.shape)
-            both[..., half:] = sums_up[..., half:]
-            both[..., :half] = sums_lo[..., :half]
-            acc += both / t ** n
+            # a Neumann cone at x keeps only the cells on x's side
+            field = _sided_fields(sides, generator, t) ** 2
+            sums_up = _ball_sums(join_sides(field, 0.0, g), g, t)
+            sums_lo = _ball_sums(join_sides(0.0, field, g), g, t)
+            acc += join_sides(sums_up, sums_lo, g) / t ** n
     acc *= tg.log_weight * g.cell_volume
     return GridFunction(g, np.sqrt(np.maximum(acc, 0.0)))
 

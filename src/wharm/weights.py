@@ -39,15 +39,14 @@ class Weight:
 
     def power(self, s: float = 1.0) -> np.ndarray:
         """The cell array w^s."""
-        arr = self.array if s == 1.0 else self.array ** s
-        if not np.all(np.isfinite(arr)):
-            raise RangeError(f"w^{s} overflows on this grid")
-        return arr
+        return _finite_power(self.array, s)
 
     def cube_mass(self, lat: DyadicLattice, cube, s: float = 1.0) -> float:
-        """w^s(Q) = sum over Q of w^s * h^n."""
-        cells = lat.blocks(self.power(s), cube.generation)[cube.index]
-        return float(cells.sum()) * self.grid.cell_volume
+        """w^s(Q) = sum over Q of w^s * h^n, read from the cells of Q only."""
+        cells = self.array
+        for axis, idx in enumerate(lat.cell_indices(cube)):
+            cells = cells.take(idx, axis=axis)
+        return float(_finite_power(cells, s).sum()) * self.grid.cell_volume
 
     def cube_average(self, lat: DyadicLattice, cube, s: float = 1.0) -> float:
         return self.cube_mass(lat, cube, s) / lat.cell_measure(cube)
@@ -56,6 +55,13 @@ class Weight:
         """w^s over a non-wrapped cell-index box, as a measure."""
         box = tuple(slice(start, stop) for start, stop in ranges)
         return float(self.power(s)[box].sum()) * self.grid.cell_volume
+
+
+def _finite_power(arr: np.ndarray, s: float) -> np.ndarray:
+    out = arr if s == 1.0 else arr ** s
+    if not np.all(np.isfinite(out)):
+        raise RangeError(f"w^{s} overflows on this grid")
+    return out
 
 
 def as_weight(w) -> Weight:

@@ -54,6 +54,16 @@ def test_cli_opnorm(tmp_path, capsys):
     assert out["certificate"]["method"] == "svd"
 
 
+def test_cli_toolkit_error_exits_2(tmp_path, capsys):
+    # the Dirichlet heat semigroup lives on a half-space; the input is full-space
+    fpath, _ = _write_inputs(tmp_path)
+    rc = main(["apply", "--kernel", "heat-dirichlet", "--input", fpath, "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("wharm: DomainError: ")
+
+
 def test_cli_harness(tmp_path, capsys):
     cfg = {"points_per_axis": 64, "instances": 4, "max_generation": 4, "seed": 0}
     cpath = str(tmp_path / "cfg.json")

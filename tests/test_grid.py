@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,23 @@ def test_binary_round_trip(tmp_path, rng):
     back = load_binary(path)
     assert back.grid == f.grid
     assert np.array_equal(back.values, f.values)
+
+
+def test_binary_load_rejects_bad_header(tmp_path, rng):
+    g = Grid(1, 1.0, 8)
+    path = tmp_path / "f.json"
+    save_binary(GridFunction(g, rng.standard_normal(g.shape)), str(path))
+    header = json.loads(path.read_text())
+    for key, value in [("dtype", None), ("count", None), ("dtype", "float32"), ("count", 16)]:
+        bad = {k: v for k, v in header.items() if k != key}
+        if value is not None:
+            bad[key] = value
+        path.write_text(json.dumps(bad))
+        if key == "count" and value is not None:
+            # a column that matches the header but not the grid
+            rng.standard_normal(value).astype("<f8").tofile(str(path) + ".bin")
+        with pytest.raises(DomainError):
+            load_binary(str(path))
 
 
 def test_csv_round_trip_half_domain(tmp_path, rng):

@@ -1,8 +1,19 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wharm.bmo import dyadic_local_bmo
-from wharm.dyadic import DyadicCube, build_lattice, haar_coefficients, haar_function, random_haar_sum
+from wharm.dyadic import (
+    DyadicCube,
+    build_lattice,
+    haar_coefficients,
+    haar_function,
+    lattice_family,
+    random_haar_sum,
+)
 from wharm.errors import ParameterError, SparsityError
 from wharm.grid import Grid, GridFunction, constant
 from wharm.operators import weighted_operator_norm
@@ -107,6 +118,39 @@ def test_carleson_to_sparse_infeasible():
     lat = build_lattice(g, 2)
     assert carleson_to_sparse(lat, list(lat.cubes), 0.5) is None
     assert carleson_to_sparse(lat, list(lat.cubes), 1.0 / 3.0) is not None
+
+
+FAMILIES = {
+    "1d": lattice_family(Grid(1, 1.0, 32), 5),
+    "2d": lattice_family(Grid(2, 1.0, 16), 4),
+}
+
+
+def packing_constant(lat, cubes):
+    """max over members Q of sum |P| / |Q| over members P whose cells lie in Q's, exactly."""
+    cells = {q: set(np.flatnonzero(lat.mask(q))) for q in cubes}
+    return max(
+        Fraction(sum(len(cells[p]) for p in cubes if cells[p] <= cells[q]), len(cells[q]))
+        for q in cubes
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_carleson_to_sparse_iff_packing(data):
+    # random subfamilies of a shifted lattice; eta = 1/Lambda exactly or random
+    lat = data.draw(st.sampled_from(FAMILIES[data.draw(st.sampled_from(sorted(FAMILIES)))]))
+    depth = data.draw(st.integers(0, lat.max_generation))
+    pool = [q for q in lat.cubes if q.generation <= depth]
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40, unique=True))
+    lam = packing_constant(lat, picks)
+    exact = float(1 / lam)
+    eta = data.draw(st.one_of(st.just(exact), st.floats(0.01, 1.0)))
+    assume(eta == exact or abs(Fraction(eta) * lam - 1) > 1e-6)
+    coll = carleson_to_sparse(lat, picks, eta)
+    assert (coll is not None) == (eta == exact or Fraction(eta) * lam <= 1)
+    if coll is not None:
+        assert coll.verify()
 
 
 def test_sparse_operator_basic(grid64, lat64, rng):
@@ -250,6 +294,25 @@ def test_collection_serialization(grid64, rng):
     assert len(blob["cubes"]) == len(coll.cubes)
     total = sum(b - a for cube in blob["cubes"] for a, b in cube["carrier_runs"])
     assert total == sum(c.sum() for c in coll.carriers.values())
+
+
+def test_collection_serialization_fractional():
+    # the full depth-2 tree at eta = 1/3 owns every cell in thirds
+    g = Grid(1, 1.0, 16)
+    lat = build_lattice(g, 2)
+    coll = carleson_to_sparse(lat, list(lat.cubes), 1.0 / 3.0)
+    assert coll.verify()
+    blob = coll.to_json()
+    assert blob["eta"] == 1.0 / 3.0
+    for cube, q in zip(blob["cubes"], coll.cubes):
+        mass = coll.carriers[q].reshape(-1)
+        assert 0 < mass.max() < 1
+        assert cube["carrier_mass"] == pytest.approx(lat.cells_per_axis(q.generation) / 3.0, rel=1e-12)
+        touched = np.zeros(mass.size, dtype=bool)
+        for a, b in cube["carrier_runs"]:
+            touched[a:b] = True
+        assert np.array_equal(touched, mass != 0)
+    assert sum(c["carrier_mass"] for c in blob["cubes"]) == pytest.approx(16.0, rel=1e-12)
 
 
 def test_stopping_alpha_validation(grid64, lat64):
