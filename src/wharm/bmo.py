@@ -21,7 +21,7 @@ from .dyadic import DyadicLattice, haar_generation, split_blocks
 from .errors import DomainError, ParameterError
 from .grid import FULL, GridFunction, extend_even, extend_odd, join_sides, sided_even_extensions
 from .operators import apply, qt_op
-from .squarefn import TimeGrid, _sided_fields
+from .squarefn import TimeGrid
 from .weights import Weight, as_weight
 
 CLASSICAL_FLAVORS = ("classical-w", "classical-wr")
@@ -119,7 +119,7 @@ def _carleson_heat(f: GridFunction, w: Weight, lattices, tg: TimeGrid, neumann: 
     warr = w.array
 
     # per-generation cube contributions c_Q = int_{Q^} |G_t f|^2 t^n/w(Q) dy dt/t
-    sides = sided_even_extensions(f) if neumann else None
+    family = "neumann" if neumann else "free"
     tables = []
     for k in range(dyadic.max_generation + 1):
         ell = 2.0 * g.halfwidth * 2.0 ** (-k)
@@ -128,10 +128,7 @@ def _carleson_heat(f: GridFunction, w: Weight, lattices, tg: TimeGrid, neumann: 
             continue
         acc = np.zeros((1 << k,) * n)
         for t in ts:
-            if neumann:
-                field = _sided_fields(sides, "qt", t) ** 2
-            else:
-                field = apply(qt_op("free", t), f).values ** 2
+            field = apply(qt_op(family, t), f).values ** 2
             acc += lw * t ** n * dyadic.blocks(field, k).sum(axis=-1) * h_n
         tables.append(acc / (dyadic.blocks(warr, k).sum(axis=-1) * h_n))
 

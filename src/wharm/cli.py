@@ -91,7 +91,7 @@ def cmd_bmo(args) -> int:
     f = _load_function(args.input)
     base = f.grid if f.grid.domain == "full" else f.grid.with_domain("full")
     lattices = lattice_family(base, args.max_generation or int(np.log2(base.points_per_axis)) - 1)
-    w = _load_weight(args.weight, base) if args.weight else None
+    w = _load_weight(args.weight, f.grid) if args.weight else None
     flavor = args.flavor
     if flavor == "odd-ext":
         flavor = "odd-ext-half"

@@ -156,8 +156,6 @@ def run_two_weight_commutator(cfg: dict) -> dict:
     matrices = [_dense_neumann_riesz(grid, j + 1) for j in range(grid.dim)]
     if half_space:
         # half-space variant: everything restricted to the upper half-space
-        half = grid.points_per_axis // 2
-        npts = int(np.prod(grid.shape))
         upper_idx = np.nonzero(grid.points().reshape(-1, grid.dim)[:, -1] > 0)[0]
         matrices = [M[np.ix_(upper_idx, upper_idx)] for M in matrices]
 
@@ -168,6 +166,8 @@ def run_two_weight_commutator(cfg: dict) -> dict:
         lam = weight_from_spec(pair["lambda"], grid)
         triple = WeightTriple(mu, lam, p)
         nu = triple.nu
+        # the weights the norms read: their upper halves in the half-space variant
+        muv, lamv = (restrict(v.values, "upper").values.reshape(-1) if half_space else v for v in (mu, lam))
 
         def bmo_nu(b):
             return bmo_mod.bmo_deltaN_norm(b, nu, lattices, tg=tg)
@@ -178,14 +178,10 @@ def run_two_weight_commutator(cfg: dict) -> dict:
         for b in symbols:
             total = 0.0
             for M in matrices:
-                if half_space:
-                    muv = restrict(mu.values, "upper").values.reshape(-1)
-                    lamv = restrict(lam.values, "upper").values.reshape(-1)
-                    Mb = commutator_matrix(restrict(b, "upper").values, M)
-                    val, _ = weighted_operator_norm(Mb, grid, muv, lamv, p=p, method=method, seed=seed)
-                else:
-                    Mb = commutator_matrix(b.values, M)
-                    val, _ = weighted_operator_norm(Mb, grid, mu, lam, p=p, method=method, seed=seed)
+                bv = restrict(b, "upper").values if half_space else b.values
+                val, _ = weighted_operator_norm(
+                    commutator_matrix(bv, M), grid, muv, lamv, p=p, method=method, seed=seed
+                )
                 total += val
             ratios.append(total)
         lo, hi = (min(ratios), max(ratios)) if ratios else (0.0, 0.0)

@@ -2,16 +2,26 @@
 generator t^2 L e^{-t^2 L}, the reproducing multiplier psi(t sqrt(L)),
 Riesz transforms, commutators, and weighted operator norms.
 
-Two backends:
+Every free-Laplacian operator is one map on full-grid value arrays
+(_free_operator), in one of two backends:
 
-* "fourier": the box is treated as a torus and free-Laplacian operators act
-  as diagonal Fourier multipliers (exp(-t|xi|^2), t^2|xi|^2 exp(-t^2|xi|^2),
-  psi(t|xi|), i xi_j/|xi|).  Half-space families route through the canonical
-  even/odd extension of the data and a free core.
-* "quadrature": plain midpoint-rule kernel sums over the box.  The singular
-  diagonal cell of a Riesz kernel is omitted (its principal-value
-  contribution vanishes at leading order by odd symmetry); the finite
-  reflected summand of a Neumann/Dirichlet kernel at the diagonal is kept.
+* "fourier": the box is treated as a torus and the operator is a diagonal
+  Fourier multiplier (exp(-t|xi|^2), t^2|xi|^2 exp(-t^2|xi|^2), psi(t|xi|),
+  i xi_j/|xi|).
+* "quadrature": plain midpoint-rule kernel sums over the box, a direct
+  convolution with the free kernel of kernels.py tabulated at every cell
+  offset.  The singular diagonal cell of a Riesz kernel is 0 in the table
+  (its principal-value contribution vanishes at leading order by odd
+  symmetry).  psi is the periodized cell-averaged stencil instead.
+
+The Neumann and Dirichlet families take one path on both backends
+(_reflected_apply): each side's values are extended evenly (Neumann) or
+oddly (Dirichlet) across x_n = 0, the free map is applied once, and the
+result is read back on that side.  For the midpoint rule this is exactly
+the same-side kernel sum
+    sum_{y on x's side} [K(x - y) +- K(x - y~)] f(y),
+with the finite reflected summand at y = x kept: it is the x~ cell of the
+extension, and only the free diagonal cell is dropped.
 
 The Riesz sign follows the kernel convention in kernels.py: in n = 1 the
 free transform has kernel -(1/pi)/(x - y), i.e. multiplier +i sign(xi), the
@@ -23,10 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import convolve
 
 from .errors import BackendError, DomainError, ParameterError, SizeError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, extend_even, extend_odd, join_sides, restrict
-from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil, riesz_normalization
+from .grid import FULL, UPPER, Grid, GridFunction
+from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil
 
 DENSE_POINT_CAP = 4096
 
@@ -93,7 +104,7 @@ def commutator(b: GridFunction, inner: OperatorHandle):
 
 
 # ---------------------------------------------------------------------------
-# Fourier-multiplier backend (periodic box)
+# free operators and the reflection path
 
 def _xi_grids(grid: Grid):
     N, h = grid.points_per_axis, grid.h
@@ -129,130 +140,69 @@ def _free_multiplier(op: OperatorHandle, grid: Grid):
     raise BackendError(f"no multiplier for kind {op.kind!r}")
 
 
-def _fourier_free_apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
-    if f.grid.domain != FULL:
-        raise BackendError("the Fourier backend acts on full-space data")
-    m = _free_multiplier(op, f.grid)
-    out = np.fft.ifftn(np.fft.fftn(f.values) * m)
-    return GridFunction(f.grid, out.real)
+def _kernel_table(op: OperatorHandle, grid: Grid) -> np.ndarray:
+    """Free kernel at every cell offset of the box, shape (2N-1,)*n.
+
+    The diagonal cell of a Riesz kernel stays 0, its principal value.
+    """
+    family = {"semigroup": "heat-free", "qt": "qt", "riesz": "riesz-free"}.get(op.kind)
+    if family is None:
+        raise BackendError(f"no quadrature rule for kind {op.kind!r}")
+    N, n = grid.points_per_axis, grid.dim
+    axis = np.arange(-(N - 1), N) * grid.h
+    offsets = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1)
+    table = np.zeros(offsets.shape[:-1])
+    # every cell but the singular diagonal one of a Riesz kernel
+    finite = np.any(offsets != 0, axis=-1) | (op.kind != "riesz")
+    spec = KernelSpec(family, n, t=op.t, j=op.j)
+    table[finite] = eval_kernel(spec, offsets[finite], np.zeros(n))
+    return table
 
 
-# ---------------------------------------------------------------------------
-# quadrature backend
+def _free_operator(op: OperatorHandle, grid: Grid):
+    """The free-Laplacian operator of op's kind as a map on full-grid value arrays.
 
-def _chunked_kernel_apply(kfunc, xs, ys, vals, cellvol, chunk=1024):
-    out = np.empty(xs.shape[0])
-    weighted = vals * cellvol
-    for start in range(0, xs.shape[0], chunk):
-        block = kfunc(xs[start:start + chunk, None, :], ys[None, :, :])
-        out[start:start + chunk] = block @ weighted
-    return out
-
-
-def _grid_points_flat(grid: Grid):
-    return grid.points().reshape(-1, grid.dim)
-
-
-def _quad_free_apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
-    g = f.grid
-    if g.domain != FULL:
-        raise DomainError("free-Laplacian quadrature expects full-space data")
-    pts = _grid_points_flat(g)
-    n = g.dim
-    if op.kind == "semigroup":
-        spec = KernelSpec("heat-free", n, t=op.t)
-
-        def kf(x, y):
-            return eval_kernel(spec, x, y)
-    elif op.kind == "qt":
-        spec = KernelSpec("qt", n, t=op.t)
-
-        def kf(x, y):
-            return eval_kernel(spec, x, y)
-    elif op.kind == "psi":
-        if n != 1:
+    The multiplier or kernel table is built once, here.
+    """
+    if op.backend == FOURIER:
+        m = _free_multiplier(op, grid)
+        return lambda v: np.fft.ifftn(np.fft.fftn(v) * m).real
+    if op.kind == "psi":
+        if grid.dim != 1:
             raise BackendError("the psi quadrature stencil is implemented in n = 1 only")
+        h = grid.h
         # circular convolution with the periodized cell-averaged kernel: keeps
         # the compact support (mod the box) and the exact zero total mass,
         # and stays consistent with the periodic Fourier model
-        st = psi_stencil(op.t, g.h)
+        st = psi_stencil(op.t, h)
         r = (len(st) - 1) // 2
-        N = g.points_per_axis
+        N = grid.points_per_axis
         kper = np.zeros(N)
         np.add.at(kper, np.arange(-r, r + 1) % N, st)
-        out = np.real(np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(kper))) * g.h
-        return GridFunction(g, out)
-    elif op.kind == "riesz":
-        cn = riesz_normalization(n)
-
-        def kf(x, y):
-            d2 = np.sum((x - y) ** 2, axis=-1)
-            safe = np.where(d2 == 0, 1.0, d2)
-            val = -cn * (x[..., op.j - 1] - y[..., op.j - 1]) * safe ** (-(n + 1) / 2.0)
-            return np.where(d2 == 0, 0.0, val)
-    else:
-        raise BackendError(f"no quadrature rule for kind {op.kind!r}")
-    out = _chunked_kernel_apply(kf, pts, pts, f.values.reshape(-1), g.cell_volume)
-    return GridFunction(g, out.reshape(g.shape))
+        kf = np.fft.fft(kper)
+        return lambda v: np.real(np.fft.ifft(np.fft.fft(v) * kf)) * h
+    # box-clipped midpoint sums, kept direct as an independent slow reference
+    table = _kernel_table(op, grid)
+    return lambda v: convolve(v, table, mode="same", method="direct") * grid.cell_volume
 
 
-def _quad_sided_apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
-    """Direct same-side kernel sums for the Neumann/Dirichlet families.
-
-    The reflected summand is kept at the diagonal; only the singular free
-    part of a Riesz kernel is omitted there.
-    """
+def _reflected_apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
+    """Neumann/Dirichlet action: on each side, the free operator applied to the
+    even/odd extension of that side's values, read back on that side."""
     g = f.grid
     sign = 1.0 if op.family == "neumann" else -1.0
-    if g.domain == FULL:
-        # each side's sums, extended to the full grid so join_sides can read its half
-        up, lo = (extend_even(_quad_sided_apply(op, restrict(f, side))).values for side in (UPPER, LOWER))
-        return GridFunction(g, join_sides(up, lo, g))
-    pts = _grid_points_flat(g)
-    refl = pts.copy()
-    refl[:, -1] = -refl[:, -1]
-    yr = refl[None, :, :]
-    n = g.dim
-    if op.kind == "semigroup":
-        spec = KernelSpec("heat-free", n, t=op.t)
+    free = _free_operator(op, g.with_domain(FULL))
+    half = g.points_per_axis // 2
 
-        def kf(x, y):
-            return eval_kernel(spec, x, y) + sign * eval_kernel(spec, x, yr)
-    elif op.kind == "qt":
-        spec = KernelSpec("qt", n, t=op.t)
+    def one_side(v, upper):
+        mirror = sign * np.flip(v, axis=-1)
+        out = free(np.concatenate([mirror, v] if upper else [v, mirror], axis=-1))
+        return out[..., half:] if upper else out[..., :half]
 
-        def kf(x, y):
-            return eval_kernel(spec, x, y) + sign * eval_kernel(spec, x, yr)
-    elif op.kind == "riesz":
-        cn = riesz_normalization(n)
-
-        def kf(x, y):
-            d = x - y
-            d2 = np.sum(d ** 2, axis=-1)
-            safe = np.where(d2 == 0, 1.0, d2)
-            free = np.where(d2 == 0, 0.0, -cn * d[..., op.j - 1] * safe ** (-(n + 1) / 2.0))
-            dr = x - yr
-            dr2 = np.sum(dr ** 2, axis=-1)
-            reflected = -cn * dr[..., op.j - 1] * dr2 ** (-(n + 1) / 2.0)
-            return free + sign * reflected
-    else:
-        raise BackendError(f"no sided quadrature for kind {op.kind!r}")
-    out = _chunked_kernel_apply(kf, pts, pts, f.values.reshape(-1), g.cell_volume)
-    return GridFunction(g, out.reshape(g.shape))
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-def _extended_apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
-    """Neumann/Dirichlet action through the reflection identities."""
-    ext = extend_even if op.family == "neumann" else extend_odd
-    free = OperatorHandle(op.kind, "free", t=op.t, j=op.j, beta=op.beta, backend=op.backend)
-    g = f.grid
     if g.domain != FULL:
-        return restrict(apply(free, ext(f)), g.domain)
-    up, lo = (apply(free, ext(restrict(f, side))).values for side in (UPPER, LOWER))
-    return GridFunction(g, join_sides(up, lo, g))
+        return GridFunction(g, one_side(f.values, g.domain == UPPER))
+    lower, upper = f.values[..., :half], f.values[..., half:]
+    return GridFunction(g, np.concatenate([one_side(lower, False), one_side(upper, True)], axis=-1))
 
 
 def apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
@@ -268,15 +218,13 @@ def apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
             f.grid, b.values * apply(op.inner, f).values - apply(op.inner, bf).values
         )
     if op.family == "free":
-        if op.backend == FOURIER:
-            return _fourier_free_apply(op, f)
-        return _quad_free_apply(op, f)
+        if f.grid.domain != FULL:
+            raise BackendError("free-Laplacian operators act on full-space data")
+        return GridFunction(f.grid, _free_operator(op, f.grid)(f.values))
     if op.family in ("neumann", "dirichlet"):
         if op.family == "dirichlet" and f.grid.domain == FULL:
             raise DomainError("the Dirichlet Laplacian lives on a half-space")
-        if op.backend == QUADRATURE:
-            return _quad_sided_apply(op, f)
-        return _extended_apply(op, f)
+        return _reflected_apply(op, f)
     raise BackendError(f"cannot dispatch {op}")
 
 

@@ -16,14 +16,14 @@ for its reflection, so equality is generally false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from .dyadic import DyadicLattice, haar_coefficients
 from .errors import BackendError, ParameterError
-from .grid import FULL, Grid, GridFunction, join_sides, sided_even_extensions
+from .grid import FULL, Grid, GridFunction, join_sides
 from .operators import OperatorHandle, apply, phi_op, qt_op
 
 
@@ -113,15 +113,6 @@ def _generator_handle(generator, t: float) -> OperatorHandle:
     raise ParameterError(f"unknown square-function generator {generator!r}")
 
 
-def _sided_fields(sides, generator, t: float) -> np.ndarray:
-    """The generator at scale t applied to f on each side (t^2 L_N e^{-t^2 L_N} f for "qt").
-
-    sides is the pair sided_even_extensions(f), built once per f.
-    """
-    up, lo = (apply(_generator_handle(generator, t), side).values for side in sides)
-    return join_sides(up, lo, sides[0].grid)
-
-
 def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> GridFunction:
     """S(f)(x) = (sum_m ln2/M t_m^{-n} int_{|x-y|<t_m, cone} |G_{t_m} f|^2 dy)^{1/2}."""
     g = f.grid
@@ -131,14 +122,13 @@ def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> G
         raise ParameterError("the Neumann cone is wired for the heat generator only")
     n = g.dim
     acc = np.zeros(g.shape)
-    sides = sided_even_extensions(f) if cone.kind == "neumann" else None
     for t in tg.t_values:
         if cone.kind == "free":
             field = apply(_generator_handle(generator, t), f).values ** 2
             acc += _ball_sums(field, g, t) / t ** n
         else:
             # a Neumann cone at x keeps only the cells on x's side
-            field = _sided_fields(sides, generator, t) ** 2
+            field = apply(qt_op("neumann", t), f).values ** 2
             sums_up = _ball_sums(join_sides(field, 0.0, g), g, t)
             sums_lo = _ball_sums(join_sides(0.0, field, g), g, t)
             acc += join_sides(sums_up, sums_lo, g) / t ** n

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from wharm import harness as harness_mod
 from wharm.cli import main
 from wharm.grid import Grid, GridFunction, load_csv, save_csv
 
@@ -123,3 +124,17 @@ def test_shipped_configs_parse_and_run_small(tmp_path):
 
         rep = H.run(name, cfg)
         assert "pass" in rep
+
+
+def test_cli_bmo_even_extension_half_weight(tmp_path, capsys):
+    # the weight is read on the input's half grid, as the harness builds it
+    gu = Grid(1, 1.0, 64).with_domain("upper")
+    fpath, wpath = str(tmp_path / "b0.csv"), str(tmp_path / "one.json")
+    save_csv(GridFunction(gu, np.log(gu.axis_coords(0))), fpath)
+    with open(wpath, "w") as fh:
+        json.dump({"kind": "one"}, fh)
+    rc = main(["bmo", "--flavor", "even-ext-half", "--input", fpath, "--weight", wpath])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    report = harness_mod.run("dirichlet-counterexample", {"refinements": [64]})
+    assert out["norm"] == report["rows"][0]["even_extension_bmo"]

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wharm.errors import DomainError
 from wharm.grid import (
@@ -194,3 +197,23 @@ def test_csv_load_rejects_bad_indices(tmp_path, rng):
             fh.write("\n".join(head + body) + "\n")
         with pytest.raises(DomainError):
             load_csv(bad)
+
+
+@st.composite
+def half_functions(draw):
+    """Random finite data on a random 1D or 2D half grid."""
+    dim = draw(st.sampled_from([1, 2]))
+    g = Grid(dim, 1.0, draw(st.sampled_from([2, 4, 8, 16])), draw(st.sampled_from(["upper", "lower"])))
+    return GridFunction(g, draw(arrays(np.float64, g.shape, elements=st.floats(-1e6, 1e6))))
+
+
+def same_bits(a, b):
+    return a.grid == b.grid and a.values.tobytes() == b.values.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=half_functions())
+def test_restrict_extend_and_reflect_twice_are_exact(f):
+    assert same_bits(restrict(extend_even(f), f.grid.domain), f)
+    assert same_bits(restrict(extend_odd(f), f.grid.domain), f)
+    assert same_bits(reflect(reflect(f)), f)

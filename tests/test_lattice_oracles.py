@@ -12,10 +12,10 @@ import pytest
 
 from wharm.bmo import _slab_times, bmo_norm, dyadic_local_bmo
 from wharm.dyadic import DyadicCube, haar_function, lattice_family, signatures, weighted_maximal
-from wharm.grid import Grid, GridFunction, sided_even_extensions
+from wharm.grid import Grid, GridFunction
 from wharm.operators import apply, qt_op
 from wharm.sparse import cz_stopping
-from wharm.squarefn import TimeGrid, _sided_fields
+from wharm.squarefn import TimeGrid
 from wharm.weights import Weight, a1_constant, ap_constant
 
 REL = 1e-12
@@ -131,12 +131,11 @@ def test_carleson_heat_matches_oracle(setting, neumann):
     assert all(s == 0 for s in dyadic.shift_cells)
     # c_Q over the unshifted cubes, then for each P of each lattice the sum
     # over the unshifted Q whose cells lie inside P's (possibly wrapped) cells
-    sides = sided_even_extensions(f)
     contrib = {}
     for q in dyadic.cubes:
         total = 0.0
         for t in _slab_times(tg, dyadic.sidelength(q)):
-            field = _sided_fields(sides, "qt", t) if neumann else apply(qt_op("free", t), f).values
+            field = apply(qt_op("neumann" if neumann else "free", t), f).values
             total += tg.log_weight * t ** n * np.sum(field[cells(dyadic, q)] ** 2) * h_n
         contrib[q] = total / (w.array[cells(dyadic, q)].sum() * h_n)
     masks = {q: dyadic.mask(q) for q in dyadic.cubes}

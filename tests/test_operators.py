@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wharm.errors import BackendError, DomainError, ParameterError, SizeError
 from wharm.grid import Grid, GridFunction, constant, extend_even, extend_odd, restrict
+from wharm.kernels import KernelSpec, eval_kernel, heaviside_same_side, qt_free, qt_neumann, reflect_point, riesz_free
 from wharm.operators import (
+    FOURIER,
+    QUADRATURE,
     OperatorHandle,
     apply,
     assemble_matrix,
@@ -56,6 +62,71 @@ def test_riesz_reductions_quadrature(rng):
             lhs = apply(riesz("dirichlet", j, backend="quadrature"), f)
             rhs = restrict(apply(riesz("free", j, backend="quadrature"), extend_odd(f)), "upper")
             assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-10
+
+
+def sided_kernel_row(kind, family, x, ys, t=None, j=None):
+    """Same-side kernel K_N or K_D of one row x against the points ys, built
+    from the kernel formulas alone: the free summand plus or minus the
+    reflected one, the free Riesz diagonal left out (its principal value)."""
+    n = ys.shape[-1]
+    sign = 1.0 if family == "neumann" else -1.0
+    if kind == "semigroup":
+        return eval_kernel(KernelSpec(f"heat-{family}", n, t=t), x, ys)
+    if kind == "qt":
+        if family == "neumann":
+            return qt_neumann(x, ys, t, n)
+        return heaviside_same_side(x, ys) * (qt_free(x, ys, t, n) - qt_free(x, reflect_point(ys), t, n))
+    row = np.zeros(len(ys))
+    same = heaviside_same_side(x, ys) > 0
+    off = same & np.any(ys != x, axis=-1)
+    row[off] = riesz_free(x, ys[off], j, n)
+    row[same] += sign * riesz_free(x, reflect_point(ys[same]), j, n)
+    return row
+
+
+SIDED_CASES = [
+    pytest.param(dim, N, kind, family, domain, j, id=f"{dim}d-{kind}{j or ''}-{family}-{domain}")
+    for dim, N in ((1, 32), (2, 12))
+    for kind in ("semigroup", "qt", "riesz")
+    for family, domains in (("neumann", ("upper", "lower", "full")), ("dirichlet", ("upper", "lower")))
+    for domain in domains
+    for j in (range(1, dim + 1) if kind == "riesz" else (None,))
+]
+
+
+@pytest.mark.parametrize("dim,N,kind,family,domain,j", SIDED_CASES)
+def test_sided_quadrature_matches_direct_kernel_sums(dim, N, kind, family, domain, j):
+    # independent oracle for the reflection path: the midpoint-rule sum of
+    # the same-side kernel, one row at a time
+    g = Grid(dim, 1.0, N, domain)
+    f = GridFunction(g, np.random.default_rng(5).standard_normal(g.shape))
+    t = {"semigroup": 0.02, "qt": 0.15, "riesz": None}[kind]
+    ys = g.points().reshape(-1, dim)
+    weighted = f.values.reshape(-1) * g.cell_volume
+    want = np.array([sided_kernel_row(kind, family, x, ys, t, j) @ weighted for x in ys]).reshape(g.shape)
+    op = OperatorHandle(kind, family, t=t, j=j, backend=QUADRATURE)
+    got = apply(op, f).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_neumann_apply_reads_only_its_own_side(data):
+    # each side of a Neumann operator is computed from that side's values
+    # alone, so restricting before or after the apply is the same bit for bit
+    backend = data.draw(st.sampled_from([FOURIER, QUADRATURE]))
+    dim = data.draw(st.sampled_from([1, 2]))
+    N = data.draw(st.sampled_from([4, 8, 16, 32] if backend == QUADRATURE else [4, 8, 16, 32, 64]))
+    kind = data.draw(st.sampled_from(["semigroup", "qt", "riesz"]))
+    t = data.draw(st.floats(1e-3, 0.5)) if kind != "riesz" else None
+    j = data.draw(st.integers(1, dim)) if kind == "riesz" else None
+    op = OperatorHandle(kind, "neumann", t=t, j=j, backend=backend)
+    g = Grid(dim, 1.0, N)
+    f = GridFunction(g, data.draw(arrays(np.float64, g.shape, elements=st.floats(-1e6, 1e6))))
+    for side in ("upper", "lower"):
+        whole = restrict(apply(op, f), side).values
+        alone = apply(op, restrict(f, side)).values
+        assert whole.shape == alone.shape and whole.tobytes() == alone.tobytes()
 
 
 def test_commutator_with_constant_vanishes(grid64, rng):
