@@ -20,7 +20,7 @@ from . import harness as harness_mod
 from .dyadic import lattice_family
 from .errors import WharmError
 from .grid import GridFunction, load_binary, load_csv, save_csv
-from .operators import OperatorHandle, apply as op_apply, assemble_matrix, commutator, riesz, weighted_operator_norm
+from .operators import OperatorHandle, apply as op_apply, commutator, riesz, weighted_operator_norm
 from .squarefn import TimeGrid, hardy_norm
 from .weights import weight_from_spec
 
@@ -81,8 +81,7 @@ def cmd_opnorm(args) -> int:
     mu = _load_weight(args.mu, grid) if args.mu else None
     lam = _load_weight(getattr(args, "lambda"), grid) if getattr(args, "lambda") else None
     method = "svd" if args.method == "svd" else "ascent"
-    M = assemble_matrix(handle, grid)
-    value, cert = weighted_operator_norm(M, grid, mu, lam, p=args.p, method=method, seed=args.seed)
+    value, cert = weighted_operator_norm(handle, grid, mu, lam, p=args.p, method=method, seed=args.seed)
     print(json.dumps({"norm": value, "certificate": cert}, sort_keys=True))
     return 0
 

@@ -120,9 +120,6 @@ class DyadicLattice:
         out[np.ix_(*self.cell_indices(cube))] = True
         return out
 
-    def is_wrapped(self, cube: DyadicCube) -> bool:
-        return any(len(segs) > 1 for segs in self.axis_segments(cube))
-
     def extent(self, cube: DyadicCube):
         """(lo, hi) coordinate arrays for a non-wrapped cube, else None."""
         segs = self.axis_segments(cube)
@@ -146,9 +143,6 @@ class DyadicLattice:
         if cube.generation == 0:
             return None
         return DyadicCube(cube.generation - 1, tuple(i // 2 for i in cube.index))
-
-    def generation_cubes(self, k: int):
-        return [c for c in self.cubes if c.generation == k]
 
     def contains(self, outer: DyadicCube, inner: DyadicCube) -> bool:
         """Tree containment inner <= outer (same lattice)."""

@@ -99,10 +99,6 @@ class GridFunction:
         """Exact cell sum: the midpoint-rule integral over the domain."""
         return float(self.values.sum()) * self.grid.cell_volume
 
-    def lp_norm(self, p: float, weight=None) -> float:
-        w = 1.0 if weight is None else weight
-        return float(np.sum(np.abs(self.values) ** p * w) * self.grid.cell_volume) ** (1.0 / p)
-
 
 def constant(grid: Grid, c: float) -> GridFunction:
     return GridFunction(grid, np.full(grid.shape, float(c)))

@@ -24,7 +24,7 @@ from . import bmo as bmo_mod
 from .dyadic import lattice_family, random_haar_sum
 from .errors import ParameterError
 from .grid import Grid, GridFunction, restrict
-from .operators import assemble_matrix, commutator_matrix, riesz, weighted_operator_norm
+from .operators import commutator, riesz, weighted_operator_norm
 from .squarefn import TimeGrid
 from .weights import (
     Weight,
@@ -126,10 +126,6 @@ def _normalized_symbols(grid, lattices, nu, count, seed, norm_fn, max_generation
     return out, skipped
 
 
-def _dense_neumann_riesz(grid: Grid, j: int) -> np.ndarray:
-    return assemble_matrix(riesz("neumann", j, backend="fourier"), grid)
-
-
 @experiment("two-weight-commutator")
 def run_two_weight_commutator(cfg: dict) -> dict:
     """Theorem-level band: ||[b, R_{N,l}]||_{mu->lambda} against ||b||_{BMO_{Delta_N, nu}}."""
@@ -137,8 +133,8 @@ def run_two_weight_commutator(cfg: dict) -> dict:
     lattices = _lattices(grid, cfg)
     tg = TimeGrid.geometric(grid)
     p = float(cfg.get("p", 2.0))
-    # p = 2 gets the exact SVD; other p are opt-in ascent runs whose norms are
-    # certified lower bounds only, and the report says so
+    # p = 2 gets the top singular value; other p are opt-in ascent runs whose
+    # norms are certified lower bounds only, and the report says so
     method = "svd" if p == 2.0 else "ascent"
     pairs = cfg.get(
         "weight_pairs",
@@ -153,11 +149,9 @@ def run_two_weight_commutator(cfg: dict) -> dict:
     band_cap = float(cfg.get("band_cap", 50.0))
     half_space = bool(cfg.get("half_space", False))
 
-    matrices = [_dense_neumann_riesz(grid, j + 1) for j in range(grid.dim)]
-    if half_space:
-        # half-space variant: everything restricted to the upper half-space
-        upper_idx = np.nonzero(grid.points().reshape(-1, grid.dim)[:, -1] > 0)[0]
-        matrices = [M[np.ix_(upper_idx, upper_idx)] for M in matrices]
+    # half-space variant: the operators act on the upper half grid directly
+    base = grid.with_domain("upper") if half_space else grid
+    transforms = [riesz("neumann", j + 1) for j in range(grid.dim)]
 
     rows = []
     bands = []
@@ -167,7 +161,7 @@ def run_two_weight_commutator(cfg: dict) -> dict:
         triple = WeightTriple(mu, lam, p)
         nu = triple.nu
         # the weights the norms read: their upper halves in the half-space variant
-        muv, lamv = (restrict(v.values, "upper").values.reshape(-1) if half_space else v for v in (mu, lam))
+        muv, lamv = (restrict(v.values, "upper") if half_space else v for v in (mu, lam))
 
         def bmo_nu(b):
             return bmo_mod.bmo_deltaN_norm(b, nu, lattices, tg=tg)
@@ -177,10 +171,10 @@ def run_two_weight_commutator(cfg: dict) -> dict:
         ratios = []
         for b in symbols:
             total = 0.0
-            for M in matrices:
-                bv = restrict(b, "upper").values if half_space else b.values
+            bv = restrict(b, "upper") if half_space else b
+            for R in transforms:
                 val, _ = weighted_operator_norm(
-                    commutator_matrix(bv, M), grid, muv, lamv, p=p, method=method, seed=seed
+                    commutator(bv, R), base, muv, lamv, p=p, method=method, seed=seed
                 )
                 total += val
             ratios.append(total)
@@ -210,12 +204,12 @@ def run_riesz_ap_characterization(cfg: dict) -> dict:
     lattices = _lattices(grid, cfg)
     p = float(cfg.get("p", 2.0))
     alphas = cfg.get("alphas", [0.2, 0.5, 0.8, 0.9, 0.95])
-    M = _dense_neumann_riesz(grid, grid.dim)
+    R = riesz("neumann", grid.dim)
     rows = []
     for alpha in alphas:
         w = weight_from_spec({"kind": "power", "alpha": alpha}, grid)
         apn = ap_deltaN_constant(w, p, lattices)
-        val, _ = weighted_operator_norm(M, grid, w, w, p=2.0, method="svd")
+        val, _ = weighted_operator_norm(R, grid, w, w, p=2.0, method="svd")
         rows.append(
             {
                 "alpha": alpha,
@@ -236,7 +230,7 @@ def run_riesz_ap_characterization(cfg: dict) -> dict:
     boxes = [8.0, 16.0, 32.0, 64.0]
     quotients = [ap_quotient_on_box(w_os_wide, p, [-a] * wide.dim, [a] * wide.dim) for a in boxes]
     ap_os = ap_deltaN_constant(w_os, p, lattices)
-    norm_os, _ = weighted_operator_norm(M, grid, w_os, w_os, p=2.0, method="svd")
+    norm_os, _ = weighted_operator_norm(R, grid, w_os, w_os, p=2.0, method="svd")
     contrast = {
         "boxes": boxes,
         "classical_quotients": quotients,
@@ -277,9 +271,8 @@ def run_dirichlet_counterexample(cfg: dict) -> dict:
         odd_norm = bmo_mod.bmo_norm(b0, None, "odd-ext-half", lattices)
         ones_half = Weight(GridFunction(gu, np.ones(gu.shape)))
         even_norm = bmo_mod.bmo_norm(b0, ones_half, "even-ext-half", lattices)
-        M = assemble_matrix(riesz("dirichlet", 1, backend="fourier"), gu)
-        Mb = commutator_matrix(b0.values, M)
-        val, _ = weighted_operator_norm(Mb, gu, None, None, p=2.0, method="svd")
+        R = riesz("dirichlet", 1)
+        val, _ = weighted_operator_norm(commutator(b0, R), gu, None, None, p=2.0, method="svd")
         rows.append(
             {
                 "N": N,
@@ -308,9 +301,7 @@ def run_dirichlet_counterexample(cfg: dict) -> dict:
     # flat control symbol
     gridc = Grid(1, L, Ns[0]).with_domain("upper")
     control = GridFunction(gridc, np.ones(gridc.shape))
-    Mc = assemble_matrix(riesz("dirichlet", 1, backend="fourier"), gridc)
-    Mbc = commutator_matrix(control.values, Mc)
-    ctrl_val, _ = weighted_operator_norm(Mbc, gridc, None, None, p=2.0, method="svd")
+    ctrl_val, _ = weighted_operator_norm(commutator(control, R), gridc, None, None, p=2.0, method="svd")
     checks["constant_control_commutator"] = ctrl_val
     ok = checks["odd_growth_ok"] and checks["half_bmo_stable"] and checks["commutator_ok"]
     return {

@@ -15,13 +15,25 @@ Every free-Laplacian operator is one map on full-grid value arrays
   symmetry).  psi is the periodized cell-averaged stencil instead.
 
 The Neumann and Dirichlet families take one path on both backends
-(_reflected_apply): each side's values are extended evenly (Neumann) or
+(_operator_maps): each side's values are extended evenly (Neumann) or
 oddly (Dirichlet) across x_n = 0, the free map is applied once, and the
 result is read back on that side.  For the midpoint rule this is exactly
 the same-side kernel sum
     sum_{y on x's side} [K(x - y) +- K(x - y~)] f(y),
 with the finite reflected summand at y = x kept: it is the x~ cell of the
 extension, and only the free diagonal cell is dropped.
+
+Every operator also has an exact transpose without a matrix.  The free
+Riesz map is antisymmetric (odd multiplier, odd kernel table) and the other
+free maps are symmetric, so a side's transpose zero-pads the side to the
+full grid, applies -+(free map) and folds the result back: the side's own
+half plus +-flip of the other half.  T^T = -T holds for the tangential Riesz
+components only, not for j = n.  linear_operator wraps both maps as a
+scipy LinearOperator, and weighted_operator_norm takes its top singular
+value by Lanczos (ARPACK svds) or its p-ascent from products alone, so no
+norm assembles a matrix and none has a size cap.  assemble_matrix and
+commutator_matrix (capped at DENSE_POINT_CAP points) are the dense oracle of
+the tests.
 
 The Riesz sign follows the kernel convention in kernels.py: in n = 1 the
 free transform has kernel -(1/pi)/(x - y), i.e. multiplier +i sign(xi), the
@@ -34,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import convolve
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, svds
 
 from .errors import BackendError, DomainError, ParameterError, SizeError
 from .grid import FULL, UPPER, Grid, GridFunction
@@ -162,11 +175,16 @@ def _kernel_table(op: OperatorHandle, grid: Grid) -> np.ndarray:
 def _free_operator(op: OperatorHandle, grid: Grid):
     """The free-Laplacian operator of op's kind as a map on full-grid value arrays.
 
+    The map acts on the last grid.dim axes, so leading batch axes ride along.
     The multiplier or kernel table is built once, here.
     """
+    if op.kind == "riesz" and not 1 <= op.j <= grid.dim:
+        raise ParameterError(f"Riesz component j = {op.j} outside 1..{grid.dim}")
     if op.backend == FOURIER:
         m = _free_multiplier(op, grid)
-        return lambda v: np.fft.ifftn(np.fft.fftn(v) * m).real
+        if grid.dim == 1:
+            return lambda v: np.fft.ifft(np.fft.fft(v) * m).real
+        return lambda v: np.fft.ifft2(np.fft.fft2(v) * m).real
     if op.kind == "psi":
         if grid.dim != 1:
             raise BackendError("the psi quadrature stencil is implemented in n = 1 only")
@@ -183,49 +201,97 @@ def _free_operator(op: OperatorHandle, grid: Grid):
         return lambda v: np.real(np.fft.ifft(np.fft.fft(v) * kf)) * h
     # box-clipped midpoint sums, kept direct as an independent slow reference
     table = _kernel_table(op, grid)
-    return lambda v: convolve(v, table, mode="same", method="direct") * grid.cell_volume
+
+    def convolved(v):
+        batched = table.reshape((1,) * (v.ndim - grid.dim) + table.shape)
+        return convolve(v, batched, mode="same", method="direct") * grid.cell_volume
+
+    return convolved
 
 
-def _reflected_apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
-    """Neumann/Dirichlet action: on each side, the free operator applied to the
-    even/odd extension of that side's values, read back on that side."""
-    g = f.grid
+def _operator_maps(op: OperatorHandle, grid: Grid):
+    """(forward, transpose): op and its exact transpose on grid's value arrays,
+    both with leading batch axes allowed.
+
+    The free Riesz map is antisymmetric and every other free map symmetric.
+    A Neumann/Dirichlet side extends its values evenly/oddly, applies the free
+    map and reads its own half back; its transpose zero-pads the side to the
+    full grid, applies the transposed free map and folds: own half plus
+    sign * flip of the other half.  On a full grid both sides share one free
+    call.  [b, T] stacks v and b v through T, and [b, T]^T u = T^T(b u) - b T^T u.
+    """
+    if op.kind == "identity":
+        return np.copy, np.copy
+    if op.kind == "commutator":
+        b = op.b.values
+        if b.shape != grid.shape:
+            raise DomainError("commutator symbol and argument live on different grids")
+        inner, inner_t = _operator_maps(op.inner, grid)
+
+        def forward(v):
+            tv, tbv = inner(np.stack([v, b * v]))
+            return b * tv - tbv
+
+        def transpose(u):
+            tu, tbu = inner_t(np.stack([u, b * u]))
+            return tbu - b * tu
+
+        return forward, transpose
+    parity = -1.0 if op.kind == "riesz" else 1.0
+    if op.family == "free":
+        if grid.domain != FULL:
+            raise BackendError("free-Laplacian operators act on full-space data")
+        free = _free_operator(op, grid)
+        return free, lambda u: parity * free(u)
+    if op.family not in ("neumann", "dirichlet"):
+        raise BackendError(f"cannot dispatch {op}")
+    if op.family == "dirichlet" and grid.domain == FULL:
+        raise DomainError("the Dirichlet Laplacian lives on a half-space")
+    free = _free_operator(op, grid.with_domain(FULL))
     sign = 1.0 if op.family == "neumann" else -1.0
-    free = _free_operator(op, g.with_domain(FULL))
-    half = g.points_per_axis // 2
+    half = grid.points_per_axis // 2
 
-    def one_side(v, upper):
+    def own(w, upper):
+        return w[..., half:] if upper else w[..., :half]
+
+    def extend(v, upper):
         mirror = sign * np.flip(v, axis=-1)
-        out = free(np.concatenate([mirror, v] if upper else [v, mirror], axis=-1))
-        return out[..., half:] if upper else out[..., :half]
+        return np.concatenate([mirror, v] if upper else [v, mirror], axis=-1)
 
-    if g.domain != FULL:
-        return GridFunction(g, one_side(f.values, g.domain == UPPER))
-    lower, upper = f.values[..., :half], f.values[..., half:]
-    return GridFunction(g, np.concatenate([one_side(lower, False), one_side(upper, True)], axis=-1))
+    def pad(u, upper):
+        zero = np.zeros_like(u)
+        return np.concatenate([zero, u] if upper else [u, zero], axis=-1)
+
+    def fold(w, upper):
+        return own(w, upper) + sign * np.flip(own(w, not upper), axis=-1)
+
+    def sided(pre, free_map, post):
+        if grid.domain != FULL:
+            upper = grid.domain == UPPER
+            return lambda v: post(free_map(pre(v, upper)), upper)
+
+        def both(v):
+            lower, upper = free_map(np.stack([pre(v[..., :half], False), pre(v[..., half:], True)]))
+            return np.concatenate([post(lower, False), post(upper, True)], axis=-1)
+
+        return both
+
+    return sided(extend, free, own), sided(pad, lambda w: parity * free(w), fold)
 
 
 def apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
-    """Apply a discretized operator to a grid function."""
-    if op.kind == "identity":
-        return f.copy()
+    """Apply a discretized operator to a grid function.
+
+    A commutator is spelled out as b (T f) - T (b f), two applies of its inner
+    operator; linear_operator sends both through one free map instead.
+    """
     if op.kind == "commutator":
-        b = op.b
-        if b.grid.shape != f.grid.shape:
+        b = op.b.values
+        if b.shape != f.grid.shape:
             raise DomainError("commutator symbol and argument live on different grids")
-        bf = GridFunction(f.grid, b.values * f.values)
-        return GridFunction(
-            f.grid, b.values * apply(op.inner, f).values - apply(op.inner, bf).values
-        )
-    if op.family == "free":
-        if f.grid.domain != FULL:
-            raise BackendError("free-Laplacian operators act on full-space data")
-        return GridFunction(f.grid, _free_operator(op, f.grid)(f.values))
-    if op.family in ("neumann", "dirichlet"):
-        if op.family == "dirichlet" and f.grid.domain == FULL:
-            raise DomainError("the Dirichlet Laplacian lives on a half-space")
-        return _reflected_apply(op, f)
-    raise BackendError(f"cannot dispatch {op}")
+        bf = GridFunction(f.grid, b * f.values)
+        return GridFunction(f.grid, b * apply(op.inner, f).values - apply(op.inner, bf).values)
+    return GridFunction(f.grid, _operator_maps(op, f.grid)[0](f.values))
 
 
 def commutator_apply(b: GridFunction, op: OperatorHandle, f: GridFunction) -> GridFunction:
@@ -233,8 +299,24 @@ def commutator_apply(b: GridFunction, op: OperatorHandle, f: GridFunction) -> Gr
     return apply(commutator(b, op), f)
 
 
+def linear_operator(op: OperatorHandle, grid: Grid) -> LinearOperator:
+    """op on flattened value vectors of grid, with the exact transpose as rmatvec.
+
+    The free multiplier or kernel table is built once, here; each product is
+    one call of the free map.
+    """
+    forward, transpose = _operator_maps(op, grid)
+    shape = grid.shape
+    npts = int(np.prod(shape))
+
+    def product(fn):
+        return lambda x: fn(np.reshape(x, shape)).reshape(-1)
+
+    return LinearOperator((npts, npts), matvec=product(forward), rmatvec=product(transpose), dtype=float)
+
+
 # ---------------------------------------------------------------------------
-# dense matrices and weighted operator norms
+# dense matrices (test oracle) and weighted operator norms
 
 def assemble_matrix(op: OperatorHandle, grid: Grid) -> np.ndarray:
     """Dense matrix of the operator on value vectors (quadrature weights included)."""
@@ -274,6 +356,54 @@ def weighted_norm(values: np.ndarray, w: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(values) ** p * w) ** (1.0 / p))
 
 
+def _vanishes(op) -> bool:
+    """True for an exactly zero operator: a zero matrix, or a commutator whose
+    symbol is constant.  ARPACK cannot start on the zero operator."""
+    if isinstance(op, np.ndarray):
+        return not np.any(op)
+    if op.kind != "commutator":
+        return False
+    b = op.b.values
+    return bool(np.all(b == b.flat[0]))
+
+
+def _top_singular_value(M: LinearOperator, mu: np.ndarray, lam: np.ndarray, seed: int):
+    """Largest singular value of A = diag(lam)^{1/2} M diag(mu)^{-1/2} by
+    Lanczos on A^T A (ARPACK, tol 0) from a start vector seeded by seed; the
+    certificate holds the residuals ||A v - sigma u|| and ||A^T u - sigma v||
+    and the number of products with A and A^T that svds made."""
+    sqrt_lam, inv_sqrt_mu = np.sqrt(lam), 1.0 / np.sqrt(mu)
+    products = 0
+
+    def weighted(product, left, right):
+        def run(x):
+            nonlocal products
+            products += 1
+            return left * product(right * x.reshape(-1))
+
+        return run
+
+    A = LinearOperator(
+        M.shape,
+        matvec=weighted(M.matvec, sqrt_lam, inv_sqrt_mu),
+        rmatvec=weighted(M.rmatvec, inv_sqrt_mu, sqrt_lam),
+        dtype=float,
+    )
+    if M.shape[1] == 1:
+        # ARPACK needs two unknowns at least; a 1 x 1 operator is its entry
+        v = np.ones(1)
+        entry = A.matvec(v)
+        sigma, u = float(abs(entry[0])), np.sign(entry)
+    else:
+        v0 = np.random.default_rng(seed).standard_normal(M.shape[1])
+        u, s, vt = svds(A, k=1, tol=0, v0=v0)
+        sigma, u, v = float(s[0]), u[:, 0], vt[0]
+    cert = {"method": "svd", "size": M.shape[0], "seed": seed, "products": products}
+    cert["residual_left"] = float(np.linalg.norm(A.matvec(v) - sigma * u))
+    cert["residual_right"] = float(np.linalg.norm(A.rmatvec(u) - sigma * v))
+    return sigma, cert
+
+
 def weighted_operator_norm(
     op,
     grid: Grid,
@@ -288,22 +418,25 @@ def weighted_operator_norm(
 ):
     """Discrete L^p_mu -> L^p_lam operator norm with a certificate.
 
-    method "svd" (p = 2 only): exact largest singular value of
-    diag(lam)^{1/2} M diag(mu)^{-1/2}.  method "ascent": normalized
-    fixed-point iteration on the p-duality map with random restarts; the
-    value returned is a certified lower bound on the discrete norm.
+    op is an operator handle on grid's value vectors (applied matrix-free
+    through linear_operator) or a dense matrix.  method "svd" (p = 2 only):
+    the largest singular value of diag(lam)^{1/2} M diag(mu)^{-1/2}, by
+    Lanczos to machine precision.  method "ascent": normalized fixed-point
+    iteration on the p-duality map with random restarts; the value returned
+    is a certified lower bound on the discrete norm.  Both use only products
+    with M and M^T.  An exactly zero operator has norm 0.0.
     """
-    M = op if isinstance(op, np.ndarray) else assemble_matrix(op, grid)
+    M = aslinearoperator(op) if isinstance(op, np.ndarray) else linear_operator(op, grid)
     mu = _as_weight_array(mu, grid.shape)
     lam = _as_weight_array(lam, grid.shape)
-    if method == "svd":
-        if p != 2.0:
-            raise ParameterError("SvdExact requires p = 2")
-        A = np.sqrt(lam)[:, None] * M * (1.0 / np.sqrt(mu))[None, :]
-        sigma = float(np.linalg.svd(A, compute_uv=False)[0])
-        return sigma, {"method": "svd", "size": M.shape[0]}
-    if method != "ascent":
+    if method == "svd" and p != 2.0:
+        raise ParameterError("SvdExact requires p = 2")
+    if method not in ("svd", "ascent"):
         raise ParameterError(f"unknown method {method!r}")
+    if _vanishes(op):
+        return 0.0, {"method": method, "size": M.shape[0], "zero_operator": True}
+    if method == "svd":
+        return _top_singular_value(M, mu, lam, seed)
     rng = np.random.default_rng(seed)
     q = 1.0 / (p - 1.0)
     best = 0.0
@@ -315,13 +448,13 @@ def weighted_operator_norm(
         converged = False
         it = 0
         for it in range(max_iter):
-            g = M @ f
+            g = M.matvec(f)
             ratio = weighted_norm(g, lam, p)
             if prev >= 0 and abs(ratio - prev) <= tol * max(ratio, 1e-300):
                 converged = True
                 break
             prev = ratio
-            z = M.T @ (lam * np.abs(g) ** (p - 1.0) * np.sign(g))
+            z = M.rmatvec(lam * np.abs(g) ** (p - 1.0) * np.sign(g))
             if not np.any(z):
                 break
             f = np.sign(z) * (np.abs(z) / mu) ** q

@@ -90,16 +90,9 @@ class WeightTriple:
             )
         )
 
-    @property
-    def p_prime(self) -> float:
-        return self.p / (self.p - 1.0)
-
     def lam_conjugate(self) -> Weight:
         """lambda' = lambda^{-1/(p-1)}."""
         return Weight(GridFunction(self.lam.grid, self.lam.array ** (-1.0 / (self.p - 1.0))))
-
-    def mu_conjugate(self) -> Weight:
-        return Weight(GridFunction(self.mu.grid, self.mu.array ** (-1.0 / (self.p - 1.0))))
 
 
 def conjugate_weight(w: Weight, p: float) -> Weight:

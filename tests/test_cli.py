@@ -65,6 +65,18 @@ def test_cli_toolkit_error_exits_2(tmp_path, capsys):
     assert err.strip().splitlines()[-1].startswith("wharm: DomainError: ")
 
 
+def test_cli_riesz_component_outside_dimension_exits_2(tmp_path, capsys):
+    # R_2 does not exist on 1D data
+    fpath, _ = _write_inputs(tmp_path)
+    for backend in ("fourier", "quadrature"):
+        rc = main(["apply", "--kernel", "riesz-free-2", "--backend", backend, "--input", fpath,
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("wharm: ParameterError: ")
+
+
 def test_cli_harness(tmp_path, capsys):
     cfg = {"points_per_axis": 64, "instances": 4, "max_generation": 4, "seed": 0}
     cpath = str(tmp_path / "cfg.json")
@@ -113,6 +125,7 @@ def test_shipped_configs_parse_and_run_small(tmp_path):
         ("dirichlet-counterexample", "configs/dirichlet.json"),
         ("bmo-coincidence", "configs/bmo_coincidence.json"),
         ("riesz-ap", "configs/riesz_ap.json"),
+        ("two-weight-commutator", "configs/two_weight_2d.json"),
     ]:
         cfg = json.loads(pathlib.Path(path).read_text())
         cfg["points_per_axis"] = 32

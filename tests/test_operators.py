@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.fft import dct, dst, idct, idst
 
 from wharm.errors import BackendError, DomainError, ParameterError, SizeError
 from wharm.grid import Grid, GridFunction, constant, extend_even, extend_odd, restrict
@@ -13,7 +16,10 @@ from wharm.operators import (
     OperatorHandle,
     apply,
     assemble_matrix,
+    commutator,
     commutator_apply,
+    commutator_matrix,
+    linear_operator,
     phi_op,
     psi_op,
     qt_op,
@@ -21,7 +27,7 @@ from wharm.operators import (
     semigroup,
     weighted_operator_norm,
 )
-from wharm.weights import Weight
+from wharm.weights import Weight, weight_from_spec
 
 
 def test_semigroup_preserves_constants(grid64):
@@ -306,3 +312,208 @@ def test_dirichlet_semigroup_absorbs_at_boundary():
     # boundary layer of width ~ sqrt(t): first cell well below 1, interior at 1
     assert out.values[0] < 0.7
     assert abs(out.values[40] - 1.0) <= 1e-10
+
+
+def test_riesz_component_outside_the_dimension_is_rejected(rng):
+    # j indexes an axis: 1 <= j <= n on both backends, for apply and for the
+    # matrix-free operator alike
+    for dim, j in ((2, 0), (2, 3), (1, 2), (1, 0)):
+        g = Grid(dim, 1.0, 16)
+        f = GridFunction(g, rng.standard_normal(g.shape))
+        for backend in (FOURIER, QUADRATURE):
+            for family in ("free", "neumann"):
+                with pytest.raises(ParameterError):
+                    apply(riesz(family, j, backend=backend), f)
+                with pytest.raises(ParameterError):
+                    linear_operator(commutator(f, riesz(family, j, backend=backend)), g)
+
+
+# ---------------------------------------------------------------------------
+# matrix-free operators: the exact transpose against the dense oracle
+
+TRANSPOSE_CASES = [
+    pytest.param(dim, N, backend, family, domain, j, id=f"{dim}d-{backend}-{family}-{domain}-R{j}")
+    for dim, N in ((1, 32), (2, 12))
+    for backend in (FOURIER, QUADRATURE)
+    for family, domains in (("neumann", ("full", "upper", "lower")), ("dirichlet", ("upper", "lower")))
+    for domain in domains
+    for j in range(1, dim + 1)
+]
+
+
+@pytest.mark.parametrize("dim,N,backend,family,domain,j", TRANSPOSE_CASES)
+def test_rmatvec_is_the_dense_transpose(dim, N, backend, family, domain, j):
+    g = Grid(dim, 1.0, N, domain)
+    rng = np.random.default_rng(11)
+    b = GridFunction(g, rng.standard_normal(g.shape))
+    R = riesz(family, j, backend=backend)
+    for op in (R, commutator(b, R)):
+        M = assemble_matrix(op, g)
+        A = linear_operator(op, g)
+        u = rng.standard_normal(M.shape[0])
+        for got, want in ((A.matvec(u), M @ u), (A.rmatvec(u), M.T @ u)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_transpose_adjoint_identity(data):
+    # <A x, y> = <x, A^T y> for Riesz transforms and commutators with random
+    # symbols, on every family/domain pair, both backends, every j
+    backend = data.draw(st.sampled_from([FOURIER, QUADRATURE]))
+    dim = data.draw(st.sampled_from([1, 2]))
+    sizes = [4, 8, 16, 32] if backend == QUADRATURE or dim == 2 else [4, 8, 16, 32, 64, 128]
+    N = data.draw(st.sampled_from(sizes))
+    family, domain = data.draw(st.sampled_from([
+        ("neumann", "full"), ("neumann", "upper"), ("neumann", "lower"),
+        ("dirichlet", "upper"), ("dirichlet", "lower"),
+    ]))
+    j = data.draw(st.integers(1, dim))
+    g = Grid(dim, 1.0, N, domain)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    op = riesz(family, j, backend=backend)
+    if data.draw(st.booleans()):
+        op = commutator(GridFunction(g, rng.standard_normal(g.shape)), op)
+    A = linear_operator(op, g)
+    x, y = rng.standard_normal((2, A.shape[0]))
+    Ax, Aty = A.matvec(x), A.rmatvec(y)
+    scale = np.linalg.norm(Ax) * np.linalg.norm(y) + np.linalg.norm(x) * np.linalg.norm(Aty)
+    assert abs(Ax @ y - x @ Aty) <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# matrix-free norms against the dense SVD
+
+SHIPPED_PAIRS = (
+    ({"kind": "one"}, {"kind": "one"}),
+    ({"kind": "one-sided-power", "alpha": 0.5}, {"kind": "one"}),
+    ({"kind": "power", "alpha": 0.25}, {"kind": "one-sided-power", "alpha": 0.5}),
+)
+
+
+@lru_cache(maxsize=None)
+def _dense_neumann_riesz(dim, N, j):
+    return assemble_matrix(riesz("neumann", j), Grid(dim, 1.0, N))
+
+
+@pytest.mark.parametrize("dim,N", [(1, 64), (1, 256), (2, 16), (2, 32)])
+@pytest.mark.parametrize("pair", range(len(SHIPPED_PAIRS)))
+def test_svds_norm_matches_dense_svd(dim, N, pair):
+    g = Grid(dim, 1.0, N)
+    b = GridFunction(g, np.random.default_rng(dim * N + pair).standard_normal(g.shape))
+    mu, lam = (weight_from_spec(spec, g) for spec in SHIPPED_PAIRS[pair])
+    sqrt_lam, inv_sqrt_mu = np.sqrt(lam.array.reshape(-1)), 1.0 / np.sqrt(mu.array.reshape(-1))
+    for j in range(1, dim + 1):
+        M = commutator_matrix(b.values, _dense_neumann_riesz(dim, N, j))
+        dense = sqrt_lam[:, None] * M * inv_sqrt_mu[None, :]
+        want = np.linalg.svd(dense, compute_uv=False)[0]
+        got, cert = weighted_operator_norm(commutator(b, riesz("neumann", j)), g, mu, lam, seed=pair)
+        assert abs(got - want) <= 1e-12 * want
+        assert cert["method"] == "svd" and cert["products"] > 0
+        assert max(cert["residual_left"], cert["residual_right"]) <= 1e-10 * got
+
+
+def test_svds_norm_is_seeded_and_reproducible(rng):
+    g = Grid(1, 1.0, 64)
+    op = commutator(GridFunction(g, rng.standard_normal(g.shape)), riesz("neumann", 1))
+    w = weight_from_spec({"kind": "power", "alpha": 0.25}, g)
+    first = weighted_operator_norm(op, g, w, w, seed=3)
+    assert weighted_operator_norm(op, g, w, w, seed=3) == first
+
+
+def test_constant_symbol_norm_is_exactly_zero():
+    for g in (Grid(1, 1.0, 64), Grid(1, 1.0, 64, "upper"), Grid(2, 1.0, 16)):
+        family = "dirichlet" if g.domain == "upper" else "neumann"
+        op = commutator(constant(g, 2.5), riesz(family, g.dim))
+        for method in ("svd", "ascent"):
+            val, cert = weighted_operator_norm(op, g, method=method)
+            assert val == 0.0 and cert["zero_operator"] is True
+
+
+def test_ascent_on_a_handle_matches_the_dense_matrix(rng):
+    g = Grid(1, 1.0, 32)
+    op = commutator(GridFunction(g, rng.standard_normal(g.shape)), riesz("neumann", 1))
+    mu = np.exp(0.3 * rng.standard_normal(32))
+    free_val, _ = weighted_operator_norm(op, g, mu, None, p=3.0, method="ascent", restarts=2)
+    M = assemble_matrix(op, g)
+    dense_val, _ = weighted_operator_norm(M, g, mu, None, p=3.0, method="ascent", restarts=2)
+    assert abs(free_val - dense_val) <= 1e-9 * dense_val
+
+
+def test_one_point_norm_is_its_entry():
+    # a 1D half grid with N = 2 has one cell, below what ARPACK accepts
+    g = Grid(1, 1.0, 2, "upper")
+    b = GridFunction(g, np.array([3.0]))
+    for op in (riesz("neumann", 1), semigroup("dirichlet", 0.1), commutator(b, riesz("dirichlet", 1))):
+        val, cert = weighted_operator_norm(op, g, 4.0, 9.0)
+        assert val == abs(1.5 * assemble_matrix(op, g)[0, 0]) and cert["size"] == 1
+
+
+def test_matrix_free_norm_has_no_dense_cap():
+    g = Grid(2, 1.0, 128)
+    op = commutator(GridFunction(g, g.points()[..., 0] ** 2), riesz("neumann", 2))
+    val, cert = weighted_operator_norm(op, g)
+    assert np.isfinite(val) and val > 0 and cert["size"] == 128 * 128
+
+
+# ---------------------------------------------------------------------------
+# an independent spectral oracle for the Fourier backend's reflection path:
+# on the upper half grid the even (odd) extension across x_n = 0 is
+# diagonalized by the DCT-II (DST-II) along x_n, with frequencies
+# pi k / (M h), k = 0..M-1 (k = 1..M); tangential axes keep the FFT.
+
+
+def reflected_spectral_oracle(kind, family, f, t=None, j=None):
+    g = f.grid
+    N, M, h = g.points_per_axis, g.shape[-1], g.h
+    neumann = family == "neumann"
+    forward, inverse, inverse_normal = (dct, idct, idst) if neumann else (dst, idst, idct)
+    k = np.arange(M) if neumann else np.arange(1, M + 1)
+    xi_n = np.pi * k / (M * h)
+    coef = forward(f.values, type=2, axis=-1)
+    xi_t = None
+    if g.dim == 2:
+        coef = np.fft.fft(coef, axis=0)
+        xi_t = (2.0 * np.pi * np.fft.fftfreq(N, d=h))[:, None]
+        xi2 = xi_t ** 2 + xi_n[None, :] ** 2
+    else:
+        xi2 = xi_n ** 2
+    mag = np.sqrt(np.where(xi2 > 0, xi2, 1.0))
+    if kind == "semigroup":
+        m = np.exp(-t * xi2)
+    elif kind == "qt":
+        m = t ** 2 * xi2 * np.exp(-(t ** 2) * xi2)
+    elif j < g.dim:
+        # tangential Riesz: multiplier i xi_j/|xi|, its Nyquist row zeroed
+        m = np.where(xi2 > 0, 1j * xi_t / mag, 0.0)
+        m[N // 2] = 0.0
+    else:
+        # normal Riesz: i xi_n/|xi| takes cos(xi_n x_n) to -sin and sin to
+        # cos, so the DCT coefficient of frequency k becomes a DST one and
+        # back; the Nyquist frequency pi/h is dropped
+        ratio = np.where(xi2 > 0, xi_n / mag, 0.0)
+        out = np.zeros_like(coef)
+        if neumann:
+            out[..., :-1] = -(ratio * coef)[..., 1:]
+        else:
+            out[..., 1:] = (ratio * coef)[..., :-1]
+        if g.dim == 2:
+            out = np.fft.ifft(out, axis=0).real
+        return inverse_normal(out, type=2, axis=-1)
+    coef = coef * m
+    if g.dim == 2:
+        coef = np.fft.ifft(coef, axis=0).real
+    return inverse(coef, type=2, axis=-1)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 128), (2, 32)])
+@pytest.mark.parametrize("family", ["neumann", "dirichlet"])
+def test_fourier_reflection_path_matches_dct_dst_oracle(dim, N, family):
+    g = Grid(dim, 1.0, N, "upper")
+    f = GridFunction(g, np.random.default_rng(N + dim).standard_normal(g.shape))
+    cases = [("semigroup", t, None) for t in (0.001, 0.01, 0.1)] + [("qt", t, None) for t in (0.03, 0.1, 0.5)]
+    cases += [("riesz", None, j) for j in range(1, dim + 1)]
+    for kind, t, j in cases:
+        got = apply(OperatorHandle(kind, family, t=t, j=j), f).values
+        want = reflected_spectral_oracle(kind, family, f, t=t, j=j)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (kind, t, j)
