@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 from scipy.integrate import quad
@@ -26,9 +27,13 @@ from .dyadic import DyadicCube, DyadicLattice, weighted_maximal
 from .errors import DecompositionError, ParameterError
 from .grid import FULL, Grid, GridFunction
 from .kernels import psi_multiplier
-from .operators import apply, psi_op, qt_op
+from .operators import apply_scales, operator_map, psi_op
 from .squarefn import ConeSpec, TimeGrid, area_function
 from .weights import as_weight
+
+
+_UNASSIGNED = -(10 ** 6)  # assignment level of a cube in no B_k
+_BUCKET_SLICE = 8  # bucket masks per batched psi map
 
 
 def calderon_constant() -> float:
@@ -178,6 +183,55 @@ def _support_mask(lat: DyadicLattice, cube: DyadicCube) -> np.ndarray:
     return mask
 
 
+def _bucket_labels(lat: DyadicLattice, k_gen: int, levels: np.ndarray, cube_bucket: dict):
+    """(keys, labels): the buckets (k, Qbar) of one generation's cubes in order
+    of first appearance, None for the unassigned cubes, and the cell array of
+    each cell's index into keys."""
+    keys, index = [], {}
+    per_cube = np.empty(levels.shape, dtype=int)
+    for idx in np.ndindex(levels.shape):
+        k = int(levels[idx])
+        key = None if k <= _UNASSIGNED else (k, cube_bucket[(k, DyadicCube(k_gen, idx))])
+        if key not in index:
+            index[key] = len(keys)
+            keys.append(key)
+        per_cube[idx] = index[key]
+    return keys, lat.spread(per_cube, k_gen)
+
+
+def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignment, cube_bucket, psi_backend):
+    """Whitney pieces of the reproducing formula, bucketed under (k, Qbar), and
+    the unassigned remainder.
+
+    The scales of one Whitney slab share one generation's buckets: their qt
+    fields come from one apply_scales, and at each scale one psi map takes
+    _BUCKET_SLICE masked copies of the field per batch.  Each batch is added
+    to its pieces as it comes, so the stacked temporaries stay bounded.
+    """
+    g = f.grid
+    cpsi = calderon_constant()
+    lw = tg.log_weight
+    pieces = {}
+    unassigned = np.zeros(g.shape)
+    gen_of = [_generation_of_scale(g, t, lat.max_generation) for t in tg.t_values]
+    for k_gen, group in groupby(zip(gen_of, tg.t_values), key=lambda pair: pair[0]):
+        if k_gen is None:
+            continue
+        ts = np.array([t for _, t in group])
+        keys, labels = _bucket_labels(lat, k_gen, assignment[k_gen], cube_bucket)
+        for t, u in zip(ts, apply_scales("qt", "free", ts, f)):
+            psi = operator_map(psi_op(t, backend=psi_backend), g)
+            for lo in range(0, len(keys), _BUCKET_SLICE):
+                ids = np.arange(lo, min(lo + _BUCKET_SLICE, len(keys))).reshape((-1,) + (1,) * g.dim)
+                for key, piece in zip(keys[lo:], psi(np.where(labels == ids, u, 0.0))):
+                    if key is None:
+                        unassigned += lw * cpsi * piece
+                    else:
+                        pieces.setdefault(key, np.zeros(g.shape))
+                        pieces[key] += lw * cpsi * piece
+    return pieces, unassigned
+
+
 def atomic_decompose(
     f: GridFunction,
     w,
@@ -210,8 +264,6 @@ def atomic_decompose(
     kmax = int(np.ceil(np.log2(smax)))
     ks = list(range(kmin, kmax + 1))
 
-    n = g.dim
-    N = g.points_per_axis
     h_n = g.cell_volume
 
     warr = w.array
@@ -229,7 +281,7 @@ def atomic_decompose(
             conds.append(wo > wq / 2.0)
         conds = np.array(conds[:-1])  # condition at kmax+1 is identically false
         count = conds.sum(axis=0)
-        assignment[k_gen] = np.where(count > 0, kmin - 1 + count, -(10 ** 6))
+        assignment[k_gen] = np.where(count > 0, kmin - 1 + count, _UNASSIGNED)
 
     # B_k cube lists and their maximal elements
     members = {}
@@ -237,8 +289,8 @@ def atomic_decompose(
         arr = assignment[k_gen]
         for idx in np.ndindex(arr.shape):
             k = int(arr[idx])
-            if k > -(10 ** 6):
-                members.setdefault(k, []).append(DyadicCube(k_gen, idx if n > 1 else (idx[0],)))
+            if k > _UNASSIGNED:
+                members.setdefault(k, []).append(DyadicCube(k_gen, idx))
     maximal = {}
     cube_bucket = {}
     for k, lst in members.items():
@@ -256,8 +308,9 @@ def atomic_decompose(
                 tops.append(q)
         tops.sort(key=lambda c: (c.generation, c.index))
         maximal[k] = tops
+        top_set = set(tops)
         for q in lst:
-            owner = q if q in set(tops) else None
+            owner = q if q in top_set else None
             if owner is None:
                 for t_ in tops:
                     if lat.contains(t_, q):
@@ -265,37 +318,7 @@ def atomic_decompose(
                         break
             cube_bucket[(k, q)] = owner
 
-    # Whitney pieces of the reproducing formula, bucketed under (k, Qbar)
-    cpsi = calderon_constant()
-    lw = tg.log_weight
-    pieces = {}
-    unassigned = np.zeros(g.shape)
-    for t in tg.t_values:
-        k_gen = _generation_of_scale(g, t, lat.max_generation)
-        if k_gen is None:
-            continue
-        u = apply(qt_op("free", t), f).values
-        arr = assignment[k_gen]
-        buckets = {}
-        none_mask = np.zeros(g.shape, dtype=bool)
-        m = N >> k_gen
-        for idx in np.ndindex(arr.shape):
-            k = int(arr[idx])
-            sl = tuple(slice(i * m, (i + 1) * m) for i in (idx if n > 1 else (idx[0],)))
-            if k <= -(10 ** 6):
-                none_mask[sl] = True
-                continue
-            q = DyadicCube(k_gen, idx if n > 1 else (idx[0],))
-            key = (k, cube_bucket[(k, q)])
-            buckets.setdefault(key, np.zeros(g.shape, dtype=bool))[sl] = True
-        handle = psi_op(t, backend=psi_backend)
-        for key, mask in buckets.items():
-            masked = GridFunction(g, np.where(mask, u, 0.0))
-            pieces.setdefault(key, np.zeros(g.shape))
-            pieces[key] += lw * cpsi * apply(handle, masked).values
-        if none_mask.any():
-            masked = GridFunction(g, np.where(none_mask, u, 0.0))
-            unassigned += lw * cpsi * apply(handle, masked).values
+    pieces, unassigned = _whitney_pieces(f, lat, tg, assignment, cube_bucket, psi_backend)
 
     atoms = []
     lams = []

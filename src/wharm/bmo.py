@@ -15,12 +15,14 @@ only lattices and generations are looped over.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .dyadic import DyadicLattice, haar_generation, split_blocks
 from .errors import DomainError, ParameterError
 from .grid import FULL, GridFunction, extend_even, extend_odd, join_sides, sided_even_extensions
-from .operators import apply, qt_op
+from .operators import apply_scales
 from .squarefn import TimeGrid
 from .weights import Weight, as_weight
 
@@ -76,27 +78,45 @@ def _carleson_haar(f: GridFunction, w: Weight, lattices) -> float:
     return float(np.sqrt(best))
 
 
-def _sums_inside(table: np.ndarray, lat: DyadicLattice, j: int) -> np.ndarray:
-    """Sum of a per-cube table of one unshifted generation over the unshifted
-    cubes inside each generation-j cube P of lat; shape (2^j,)*n.
+def _two_period_prefix(table: np.ndarray) -> np.ndarray:
+    """Prefix sums of a per-cube table tiled twice along every axis, shape (2m+1,)*n:
+    entry [i] is the sum over the tiled cells below i on every axis."""
+    prefix = np.pad(np.tile(table, (2,) * table.ndim), [(1, 0)] * table.ndim)
+    for axis in range(table.ndim):
+        np.cumsum(prefix, axis=axis, out=prefix)
+    return prefix
+
+
+def _sums_inside(prefix: np.ndarray, lat: DyadicLattice, js) -> list:
+    """For each generation j of js, the sum of a per-cube table of one
+    unshifted generation over the unshifted cubes inside each generation-j
+    cube P of lat, shape (2^j,)*n.  prefix is the table's _two_period_prefix.
 
     Axis by axis, the cubes inside P form the periodic index range
     [ceil(s/m), floor((s+M)/m)) for P's first cell s, P's side M and the
-    table's cube side m (all in cells); it is read off a prefix sum over two
-    periods of the table.
+    table's cube side m (all in cells).  The ranges of every P of every j
+    are read at once: each box is summed from the prefix table's 2^n corners,
+    over the outer product of the per-axis ranges, and each j's diagonal
+    block is kept.
     """
     N = lat.grid.points_per_axis
-    M = lat.cells_per_axis(j)
-    m = N // table.shape[0]
-    out = table
-    for axis, shift in enumerate(lat.shift_cells):
-        start = (shift + M * np.arange(1 << j)) % N
+    m = 2 * N // (prefix.shape[0] - 1)
+    counts = [1 << j for j in js]
+    sides = [lat.cells_per_axis(j) for j in js]
+    ranges = []
+    for shift in lat.shift_cells:
+        start = np.concatenate([(shift + M * np.arange(c)) % N for M, c in zip(sides, counts)])
         lo = -(-start // m)
-        hi = np.maximum((start + M) // m, lo)
-        zero = np.zeros_like(np.take(out, [0], axis=axis))
-        prefix = np.cumsum(np.concatenate([zero, out, out], axis=axis), axis=axis)
-        out = np.take(prefix, hi, axis=axis) - np.take(prefix, lo, axis=axis)
-    return out
+        hi = np.maximum((start + np.repeat(sides, counts)) // m, lo)
+        ranges.append((hi, lo))
+    n = len(ranges)
+    out = 0.0
+    for corner in product((0, 1), repeat=n):
+        # corner[a] = 1 takes the low end on axis a, with sign -1
+        index = tuple(r[c].reshape((-1,) + (1,) * (n - 1 - a)) for a, (r, c) in enumerate(zip(ranges, corner)))
+        out = out - prefix[index] if sum(corner) % 2 else out + prefix[index]
+    ends = np.cumsum(counts)
+    return [out[(slice(e - c, e),) * n] for e, c in zip(ends, counts)]
 
 
 def _slab_times(tg: TimeGrid, ell: float):
@@ -120,27 +140,31 @@ def _carleson_heat(f: GridFunction, w: Weight, lattices, tg: TimeGrid, neumann: 
 
     # per-generation cube contributions c_Q = int_{Q^} |G_t f|^2 t^n/w(Q) dy dt/t
     family = "neumann" if neumann else "free"
-    tables = []
+    prefixes = []
     for k in range(dyadic.max_generation + 1):
         ell = 2.0 * g.halfwidth * 2.0 ** (-k)
         ts = _slab_times(tg, ell)
         if len(ts) == 0:
             continue
         acc = np.zeros((1 << k,) * n)
-        for t in ts:
-            field = apply(qt_op(family, t), f).values ** 2
-            acc += lw * t ** n * dyadic.blocks(field, k).sum(axis=-1) * h_n
-        tables.append(acc / (dyadic.blocks(warr, k).sum(axis=-1) * h_n))
+        # one Whitney slab, one octave of scales: one batched apply
+        for t, field in zip(ts, apply_scales("qt", family, ts, f)):
+            acc += lw * t ** n * dyadic.blocks(field ** 2, k).sum(axis=-1) * h_n
+        prefixes.append(_two_period_prefix(acc / (dyadic.blocks(warr, k).sum(axis=-1) * h_n)))
 
     best = 0.0
     for lat in lats:
-        for j in range(lat.max_generation + 1):
-            if lat.cells_per_axis(j) < 4:
-                continue
+        js = [j for j in range(lat.max_generation + 1) if lat.cells_per_axis(j) >= 4]
+        inner = dict.fromkeys(js, 0.0)
+        for prefix in prefixes:
             # cubes coarser than P never fit inside it
-            inner = sum(_sums_inside(table, lat, j) for table in tables if len(table) >= 1 << j)
+            fits = [j for j in js if len(prefix) > 2 << j]
+            if fits:
+                for j, sums in zip(fits, _sums_inside(prefix, lat, fits)):
+                    inner[j] = inner[j] + sums
+        for j, total in inner.items():
             wmass = lat.blocks(warr, j).sum(axis=-1) * h_n
-            best = max(best, float((inner / wmass).max()))
+            best = max(best, float((total / wmass).max()))
     return float(np.sqrt(max(best, 0.0)))
 
 

@@ -153,9 +153,13 @@ class DyadicLattice:
 
     # -- block view --------------------------------------------------------
     def blocks(self, arr: np.ndarray, k: int) -> np.ndarray:
-        """Generation-k cubes of a cell array: entry [index] lists the cube's cells."""
-        rolled = np.roll(arr, [-s for s in self.shift_cells], axis=tuple(range(arr.ndim)))
-        return split_blocks(rolled, 1 << k)
+        """Generation-k cubes of a cell array: entry [index] lists the cube's cells.
+
+        On the unshifted lattice the result may be a view of arr; read it only.
+        """
+        if any(self.shift_cells):
+            arr = np.roll(arr, [-s for s in self.shift_cells], axis=tuple(range(arr.ndim)))
+        return split_blocks(arr, 1 << k)
 
     def spread(self, per_cube: np.ndarray, k: int) -> np.ndarray:
         """Cell array holding each generation-k cube's value on the cube's cells."""

@@ -23,6 +23,18 @@ the same-side kernel sum
 with the finite reflected summand at y = x kept: it is the x~ cell of the
 extension, and only the free diagonal cell is dropped.
 
+apply_scales gives the fields G_t f of one scale kind (semigroup, qt, psi,
+phi) at many scales t as one (T, *grid) array.  On the Fourier backend f, or
+its two sided extensions through the same reflection path, takes one forward
+FFT, the multipliers of every t are one stack built from one frequency grid,
+and one batched inverse FFT returns all fields; each row equals the
+one-scale apply bit for bit (apply is the stack of one).  It is Fourier
+only: no caller batches quadrature scales, and the per-t apply stays the
+quadrature path.  The stack holds T complex fields, so callers pass one
+octave of scales at a time: bmo one Whitney slab, squarefn one
+TimeGrid.octaves() run, atoms one slab, with its psi maps (operator_map)
+taking at most atoms._BUCKET_SLICE bucket masks per FFT.
+
 Every operator also has an exact transpose without a matrix.  The free
 Riesz map is antisymmetric (odd multiplier, odd kernel table) and the other
 free maps are symmetric, so a side's transpose zero-pads the side to the
@@ -126,18 +138,11 @@ def _xi_grids(grid: Grid):
     return mesh
 
 
-def _free_multiplier(op: OperatorHandle, grid: Grid):
+def _free_multiplier(op: OperatorHandle, grid: Grid, ts=None):
+    """op's free Fourier multiplier on grid.  With ts (the scale kinds only),
+    the multipliers at every t of ts, stacked along a new leading axis."""
     mesh = _xi_grids(grid)
     xi2 = sum(m ** 2 for m in mesh)
-    if op.kind == "semigroup":
-        return np.exp(-op.t * xi2)
-    if op.kind == "qt":
-        return op.t ** 2 * xi2 * np.exp(-op.t ** 2 * xi2)
-    if op.kind == "psi":
-        return psi_multiplier(op.t * np.sqrt(xi2))
-    if op.kind == "phi":
-        s = op.t * np.sqrt(xi2)
-        return s ** (1 + op.beta) * np.exp(-(s ** 2) / 2.0)
     if op.kind == "riesz":
         mag = np.sqrt(xi2)
         mag[mag == 0] = 1.0
@@ -150,7 +155,21 @@ def _free_multiplier(op: OperatorHandle, grid: Grid):
         idx[op.j - 1] = N // 2
         m[tuple(idx)] = 0.0
         return m
-    raise BackendError(f"no multiplier for kind {op.kind!r}")
+    # one scale is a stack of one, so apply and apply_scales share the arithmetic
+    t = np.reshape([op.t] if ts is None else ts, (-1,) + (1,) * grid.dim)
+    if op.kind == "semigroup":
+        m = np.exp(-t * xi2)
+    elif op.kind == "qt":
+        t2 = t ** 2
+        m = t2 * xi2 * np.exp(-t2 * xi2)
+    elif op.kind == "psi":
+        m = psi_multiplier(t * np.sqrt(xi2))
+    elif op.kind == "phi":
+        s = t * np.sqrt(xi2)
+        m = s ** (1 + op.beta) * np.exp(-(s ** 2) / 2.0)
+    else:
+        raise BackendError(f"no multiplier for kind {op.kind!r}")
+    return m[0] if ts is None else m
 
 
 def _kernel_table(op: OperatorHandle, grid: Grid) -> np.ndarray:
@@ -172,19 +191,30 @@ def _kernel_table(op: OperatorHandle, grid: Grid) -> np.ndarray:
     return table
 
 
-def _free_operator(op: OperatorHandle, grid: Grid):
+def _free_operator(op: OperatorHandle, grid: Grid, ts=None):
     """The free-Laplacian operator of op's kind as a map on full-grid value arrays.
 
     The map acts on the last grid.dim axes, so leading batch axes ride along.
-    The multiplier or kernel table is built once, here.
+    The multiplier or kernel table is built once, here.  With ts (Fourier
+    backend only) the map returns the field at every t of ts along a new
+    leading axis: one forward transform meets the multiplier stack under one
+    batched inverse transform.
     """
     if op.kind == "riesz" and not 1 <= op.j <= grid.dim:
         raise ParameterError(f"Riesz component j = {op.j} outside 1..{grid.dim}")
     if op.backend == FOURIER:
-        m = _free_multiplier(op, grid)
-        if grid.dim == 1:
-            return lambda v: np.fft.ifft(np.fft.fft(v) * m).real
-        return lambda v: np.fft.ifft2(np.fft.fft2(v) * m).real
+        m = _free_multiplier(op, grid, ts)
+        fft, ifft = (np.fft.fft, np.fft.ifft) if grid.dim == 1 else (np.fft.fft2, np.fft.ifft2)
+
+        def fourier(v):
+            if ts is None:
+                return ifft(fft(v) * m).real
+            stack = m.reshape(m.shape[:1] + (1,) * (v.ndim - grid.dim) + grid.shape)
+            return ifft(fft(v) * stack).real
+
+        return fourier
+    if ts is not None:
+        raise BackendError("a stack of scales needs the Fourier backend")
     if op.kind == "psi":
         if grid.dim != 1:
             raise BackendError("the psi quadrature stencil is implemented in n = 1 only")
@@ -209,9 +239,10 @@ def _free_operator(op: OperatorHandle, grid: Grid):
     return convolved
 
 
-def _operator_maps(op: OperatorHandle, grid: Grid):
+def _operator_maps(op: OperatorHandle, grid: Grid, ts=None):
     """(forward, transpose): op and its exact transpose on grid's value arrays,
-    both with leading batch axes allowed.
+    both with leading batch axes allowed.  With ts (the scale kinds only) both
+    return op's field at every t of ts along a new leading axis.
 
     The free Riesz map is antisymmetric and every other free map symmetric.
     A Neumann/Dirichlet side extends its values evenly/oddly, applies the free
@@ -241,13 +272,13 @@ def _operator_maps(op: OperatorHandle, grid: Grid):
     if op.family == "free":
         if grid.domain != FULL:
             raise BackendError("free-Laplacian operators act on full-space data")
-        free = _free_operator(op, grid)
+        free = _free_operator(op, grid, ts)
         return free, lambda u: parity * free(u)
     if op.family not in ("neumann", "dirichlet"):
         raise BackendError(f"cannot dispatch {op}")
     if op.family == "dirichlet" and grid.domain == FULL:
         raise DomainError("the Dirichlet Laplacian lives on a half-space")
-    free = _free_operator(op, grid.with_domain(FULL))
+    free = _free_operator(op, grid.with_domain(FULL), ts)
     sign = 1.0 if op.family == "neumann" else -1.0
     half = grid.points_per_axis // 2
 
@@ -270,8 +301,13 @@ def _operator_maps(op: OperatorHandle, grid: Grid):
             upper = grid.domain == UPPER
             return lambda v: post(free_map(pre(v, upper)), upper)
 
+        # the two sides ride as one batch axis just before the grid axes, so
+        # a scale axis that free_map puts in front passes through
+        side_axis = -grid.dim - 1
+
         def both(v):
-            lower, upper = free_map(np.stack([pre(v[..., :half], False), pre(v[..., half:], True)]))
+            sides = np.stack([pre(v[..., :half], False), pre(v[..., half:], True)], axis=side_axis)
+            lower, upper = np.moveaxis(free_map(sides), side_axis, 0)
             return np.concatenate([post(lower, False), post(upper, True)], axis=-1)
 
         return both
@@ -292,6 +328,41 @@ def apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
         bf = GridFunction(f.grid, b * f.values)
         return GridFunction(f.grid, b * apply(op.inner, f).values - apply(op.inner, bf).values)
     return GridFunction(f.grid, _operator_maps(op, f.grid)[0](f.values))
+
+
+SCALE_KINDS = ("semigroup", "qt", "psi", "phi")
+
+
+def apply_scales(kind: str, family: str, ts, f: GridFunction, beta: int = 0) -> np.ndarray:
+    """G_t f at every scale t of ts, as one array of shape (len(ts), *f.grid.shape).
+
+    kind is a scale kind (semigroup, qt, psi, phi) and row i equals
+    apply(OperatorHandle(kind, family, t=ts[i], beta=beta), f) on the
+    Fourier backend: f, or its two sided extensions, is transformed once and
+    every t's multiplier is one stack under one batched inverse transform.
+    The stack holds len(ts) complex fields, so callers pass one octave of
+    scales at a time.
+    """
+    if kind not in SCALE_KINDS:
+        raise ParameterError(f"apply_scales takes a scale kind {SCALE_KINDS}, not {kind!r}")
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts) & (ts > 0)):
+        raise ParameterError(f"{kind} needs a nonempty 1D list of finite scales t > 0")
+    # the handle checks the family; the scales themselves come from ts
+    op = OperatorHandle(kind, family, t=float(ts[0]), beta=beta)
+    return _operator_maps(op, f.grid, ts)[0](f.values)
+
+
+def operator_map(op: OperatorHandle, grid: Grid):
+    """op as a map on grid's value arrays, leading batch axes allowed.
+
+    Its multiplier or kernel table is built once, so a stack of inputs (the
+    masked copies of one field that atoms.atomic_decompose pushes through
+    one psi operator) costs one batched transform where one apply per input
+    would rebuild it.  linear_operator serves flattened single vectors to
+    scipy and cannot batch; apply_scales batches scales, not inputs.
+    """
+    return _operator_maps(op, grid)[0]
 
 
 def commutator_apply(b: GridFunction, op: OperatorHandle, f: GridFunction) -> GridFunction:

@@ -24,7 +24,7 @@ from scipy.signal import fftconvolve
 from .dyadic import DyadicLattice, haar_coefficients
 from .errors import BackendError, ParameterError
 from .grid import FULL, Grid, GridFunction, join_sides
-from .operators import OperatorHandle, apply, phi_op, qt_op
+from .operators import apply_scales
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,36 @@ class ConeSpec:
 
 @dataclass
 class TimeGrid:
-    """Geometric scales t_m = t_min 2^{m/M}; dt/t weight is ln(2)/M."""
+    """Geometric scales t_m = t_min 2^{m/M}; dt/t weight is ln(2)/M.
+
+    t_values must be finite, strictly positive and strictly increasing, and
+    M = steps_per_octave a whole number >= 1.
+    """
 
     t_values: np.ndarray
     steps_per_octave: int
 
+    def __post_init__(self):
+        ts = np.asarray(self.t_values, dtype=float)
+        if ts.ndim != 1 or ts.size == 0:
+            raise ParameterError("a time grid needs a nonempty 1D array of scales")
+        if not np.all(np.isfinite(ts) & (ts > 0)):
+            raise ParameterError("time-grid scales must be finite and strictly positive")
+        if np.any(np.diff(ts) <= 0):
+            raise ParameterError("time-grid scales must be strictly increasing")
+        M = self.steps_per_octave
+        if M != int(M) or M < 1:
+            raise ParameterError(f"steps_per_octave={M} must be a whole number >= 1")
+        self.t_values, self.steps_per_octave = ts, int(M)
+
     @property
     def log_weight(self) -> float:
         return np.log(2.0) / self.steps_per_octave
+
+    def octaves(self):
+        """The scales in consecutive runs of steps_per_octave: the batches of apply_scales."""
+        M = self.steps_per_octave
+        return [self.t_values[i:i + M] for i in range(0, len(self.t_values), M)]
 
     @classmethod
     def geometric(cls, grid: Grid, t_min=None, t_max=None, steps_per_octave: int = 8):
@@ -105,11 +127,12 @@ def _ball_sums(field: np.ndarray, grid: Grid, t: float) -> np.ndarray:
     return fftconvolve(field, k, mode="same")
 
 
-def _generator_handle(generator, t: float) -> OperatorHandle:
+def _generator(generator):
+    """(kind, beta) of a square-function generator: "qt" or ("phi", beta)."""
     if generator == "qt":
-        return qt_op("free", t)
+        return "qt", 0
     if isinstance(generator, tuple) and generator[0] == "phi":
-        return phi_op(t, beta=int(generator[1]))
+        return "phi", int(generator[1])
     raise ParameterError(f"unknown square-function generator {generator!r}")
 
 
@@ -120,18 +143,20 @@ def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> G
         raise BackendError("area functions are evaluated on full-space data")
     if cone.kind == "neumann" and not (generator == "qt"):
         raise ParameterError("the Neumann cone is wired for the heat generator only")
+    kind, beta = _generator(generator)
     n = g.dim
     acc = np.zeros(g.shape)
-    for t in tg.t_values:
-        if cone.kind == "free":
-            field = apply(_generator_handle(generator, t), f).values ** 2
-            acc += _ball_sums(field, g, t) / t ** n
-        else:
-            # a Neumann cone at x keeps only the cells on x's side
-            field = apply(qt_op("neumann", t), f).values ** 2
-            sums_up = _ball_sums(join_sides(field, 0.0, g), g, t)
-            sums_lo = _ball_sums(join_sides(0.0, field, g), g, t)
-            acc += join_sides(sums_up, sums_lo, g) / t ** n
+    for ts in tg.octaves():
+        # a Neumann cone takes the Neumann generator
+        for t, field in zip(ts, apply_scales(kind, cone.kind, ts, f, beta=beta)):
+            field = field ** 2
+            if cone.kind == "free":
+                acc += _ball_sums(field, g, t) / t ** n
+            else:
+                # a Neumann cone at x keeps only the cells on x's side
+                sums_up = _ball_sums(join_sides(field, 0.0, g), g, t)
+                sums_lo = _ball_sums(join_sides(0.0, field, g), g, t)
+                acc += join_sides(sums_up, sums_lo, g) / t ** n
     acc *= tg.log_weight * g.cell_volume
     return GridFunction(g, np.sqrt(np.maximum(acc, 0.0)))
 
@@ -141,13 +166,14 @@ def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) ->
     g = h_fn.grid
     if g.domain != FULL:
         raise BackendError("g* is evaluated on full-space data")
+    kind, beta = _generator(generator)
     n = g.dim
     lam = int(lambda_exponent)
     acc = np.zeros(g.shape)
-    for t in tg.t_values:
-        field = apply(_generator_handle(generator, t), h_fn).values ** 2
-        kern = _radial_kernel(g, t, lambda d: (t / (t + d)) ** lam)
-        acc += fftconvolve(field, kern, mode="same") / t ** n
+    for ts in tg.octaves():
+        for t, field in zip(ts, apply_scales(kind, "free", ts, h_fn, beta=beta)):
+            kern = _radial_kernel(g, t, lambda d: (t / (t + d)) ** lam)
+            acc += fftconvolve(field ** 2, kern, mode="same") / t ** n
     acc *= tg.log_weight * g.cell_volume
     return GridFunction(g, np.sqrt(np.maximum(acc, 0.0)))
 

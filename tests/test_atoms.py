@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from wharm import atoms
 from wharm.atoms import Atom, atomic_decompose, calderon_constant, check_atom
 from wharm.dyadic import DyadicCube, build_lattice, haar_function
 from wharm.errors import DecompositionError
 from wharm.grid import Grid, GridFunction, constant
 from wharm.kernels import psi_multiplier
-from wharm.operators import apply, psi_op
+from wharm.operators import apply, psi_op, qt_op
 from wharm.squarefn import TimeGrid
 from wharm.weights import Weight
 
@@ -226,3 +227,108 @@ def test_decompose_2d_smoke(rng):
     rec = dec.reconstruction()
     assert np.max(np.abs(rec.values - f.values)) <= 1e-12 * max(1.0, np.max(np.abs(f.values)))
     assert np.isfinite(rep["residual_l1w"])
+
+
+def _per_bucket_pieces(f, lat, tg, assignment, cube_bucket, psi_backend):
+    """Oracle for atoms._whitney_pieces: one qt apply per scale and one psi
+    apply per (scale, bucket), the masks built cube by cube."""
+    g = f.grid
+    N = g.points_per_axis
+    cpsi = calderon_constant()
+    lw = tg.log_weight
+    pieces = {}
+    unassigned = np.zeros(g.shape)
+    for t in tg.t_values:
+        k_gen = atoms._generation_of_scale(g, t, lat.max_generation)
+        if k_gen is None:
+            continue
+        u = apply(qt_op("free", t), f).values
+        arr = assignment[k_gen]
+        buckets = {}
+        none_mask = np.zeros(g.shape, dtype=bool)
+        m = N >> k_gen
+        for idx in np.ndindex(arr.shape):
+            k = int(arr[idx])
+            sl = tuple(slice(i * m, (i + 1) * m) for i in idx)
+            if k <= atoms._UNASSIGNED:
+                none_mask[sl] = True
+                continue
+            key = (k, cube_bucket[(k, DyadicCube(k_gen, idx))])
+            buckets.setdefault(key, np.zeros(g.shape, dtype=bool))[sl] = True
+        handle = psi_op(t, backend=psi_backend)
+        for key, mask in buckets.items():
+            pieces.setdefault(key, np.zeros(g.shape))
+            pieces[key] += lw * cpsi * apply(handle, GridFunction(g, np.where(mask, u, 0.0))).values
+        if none_mask.any():
+            unassigned += lw * cpsi * apply(handle, GridFunction(g, np.where(none_mask, u, 0.0))).values
+    return pieces, unassigned
+
+
+def _assert_close(a, b, where):
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_close(a[key], b[key], f"{where}/{key}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_close(x, y, f"{where}[{i}]")
+    elif isinstance(a, (bool, str, np.bool_)) or a is None:
+        assert a == b, where
+    else:
+        x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(np.abs(x), np.abs(y)) + 1e-300), where
+
+
+@pytest.mark.parametrize("dim,N,max_gen,psi_backend", [(1, 128, 7, "quadrature"), (2, 32, 5, "fourier")])
+def test_batched_pieces_match_the_per_bucket_oracle(dim, N, max_gen, psi_backend, monkeypatch):
+    g = Grid(dim, 1.0, N)
+    lat = build_lattice(g, max_gen)
+    rng = np.random.default_rng(41 + dim)
+    v = rng.standard_normal(g.shape) * np.exp(-np.sum(g.points() ** 2, axis=-1) / 0.2)
+    f = GridFunction(g, v - v.mean())
+    w = Weight(GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape))))
+    tg = TimeGrid.geometric(g, t_min=g.h, t_max=2.0 if dim == 1 else 1.0, steps_per_octave=6)
+    keys = []
+    labels = atoms._bucket_labels
+
+    def recorded(*args):
+        keys.append(labels(*args)[0])
+        return labels(*args)
+
+    monkeypatch.setattr(atoms, "_bucket_labels", recorded)
+    got = atomic_decompose(f, w, lat, tg, psi_backend=psi_backend)
+    # a generation with more buckets than one psi batch holds, so the slicing is run
+    assert max(map(len, keys)) > atoms._BUCKET_SLICE
+    monkeypatch.setattr(atoms, "_whitney_pieces", _per_bucket_pieces)
+    want = atomic_decompose(f, w, lat, tg, psi_backend=psi_backend)
+    _assert_close(got.coefficients, want.coefficients, "coefficients")
+    _assert_close(got.residual.values, want.residual.values, "residual")
+    _assert_close(got.report, want.report, "report")
+    assert [(a.cube, a.level) for a in got.atoms] == [(a.cube, a.level) for a in want.atoms]
+    for a, b in zip(got.atoms, want.atoms):
+        assert np.array_equal(a.support, b.support)
+        _assert_close(a.values.values, b.values.values, f"atom {a.cube}")
+
+
+@pytest.mark.parametrize("dim,N,max_gen,psi_backend", [(1, 64, 6, "quadrature"), (2, 16, 4, "fourier")])
+def test_unassigned_cubes_ride_in_the_psi_batches(dim, N, max_gen, psi_backend):
+    # a planted assignment: cubes of even index sum are their own B_0 tops,
+    # the others are in no B_k
+    g = Grid(dim, 1.0, N)
+    lat = build_lattice(g, max_gen)
+    f = GridFunction(g, np.random.default_rng(43).standard_normal(g.shape))
+    tg = TimeGrid.geometric(g, t_min=g.h, t_max=1.0, steps_per_octave=4)
+    gens = {atoms._generation_of_scale(g, t, max_gen) for t in tg.t_values} - {None}
+    assignment, cube_bucket = {}, {}
+    for k in gens:
+        even = np.indices((1 << k,) * dim).sum(axis=0) % 2 == 0
+        assignment[k] = np.where(even, 0, atoms._UNASSIGNED)
+        for idx in zip(*np.nonzero(even)):
+            cube = DyadicCube(k, tuple(int(i) for i in idx))
+            cube_bucket[(0, cube)] = cube
+    got_pieces, got_rest = atoms._whitney_pieces(f, lat, tg, assignment, cube_bucket, psi_backend)
+    want_pieces, want_rest = _per_bucket_pieces(f, lat, tg, assignment, cube_bucket, psi_backend)
+    assert np.any(want_rest)
+    _assert_close(got_rest, want_rest, "unassigned")
+    _assert_close(got_pieces, want_pieces, "pieces")

@@ -10,7 +10,8 @@ agree to a relative 1e-12, not bit for bit.
 import numpy as np
 import pytest
 
-from wharm.bmo import _slab_times, bmo_norm, dyadic_local_bmo
+from wharm.atoms import atomic_decompose
+from wharm.bmo import CARLESON_FLAVORS, CLASSICAL_FLAVORS, HALF_FLAVORS, _slab_times, bmo_norm, dyadic_local_bmo
 from wharm.dyadic import DyadicCube, haar_function, lattice_family, signatures, weighted_maximal
 from wharm.grid import Grid, GridFunction
 from wharm.operators import apply, qt_op
@@ -190,3 +191,33 @@ def test_cz_stopping_matches_oracle(setting):
                     assert close(fam_q0.averages[cube], w.array[cells(lat, cube)].mean())
                 selected += len(expect)
     assert selected > 0
+
+
+def _read_only(arr):
+    out = np.array(arr, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def test_lattice_scans_accept_read_only_inputs(setting):
+    # on the unshifted lattice in 1D the block view is a view of the input
+    # itself; a scan that wrote through it would raise here
+    g, fam, f, w = setting
+    fro = GridFunction(g, _read_only(f.values))
+    wro = Weight(GridFunction(g, _read_only(w.array)))
+    half = g.points_per_axis // 2
+    gu = g.with_domain("upper")
+    f_up, w_up = GridFunction(gu, f.values[..., half:]), Weight(GridFunction(gu, w.array[..., half:]))
+    fro_up, wro_up = GridFunction(gu, _read_only(f_up.values)), Weight(GridFunction(gu, _read_only(w_up.array)))
+    assert ap_constant(wro, 2.0, fam) == ap_constant(w, 2.0, fam)
+    for flavor in CLASSICAL_FLAVORS + CARLESON_FLAVORS:
+        assert bmo_norm(fro, wro, flavor, fam) == bmo_norm(f, w, flavor, fam), flavor
+    for flavor in HALF_FLAVORS:
+        assert bmo_norm(fro_up, wro_up, flavor, fam) == bmo_norm(f_up, w_up, flavor, fam), flavor
+    for lat in fam:
+        assert np.array_equal(weighted_maximal(fro, wro, lat).values, weighted_maximal(f, w, lat).values)
+        q0 = DyadicCube(0, (0,) * g.dim)
+        assert cz_stopping(wro, lat, q0, 2.0).selected == cz_stopping(w, lat, q0, 2.0).selected
+    got, want = atomic_decompose(fro, wro, fam[0]), atomic_decompose(f, w, fam[0])
+    assert got.coefficients == want.coefficients
+    assert np.array_equal(got.residual.values, want.residual.values)

@@ -14,7 +14,9 @@ from wharm.operators import (
     FOURIER,
     QUADRATURE,
     OperatorHandle,
+    _operator_maps,
     apply,
+    apply_scales,
     assemble_matrix,
     commutator,
     commutator_apply,
@@ -517,3 +519,67 @@ def test_fourier_reflection_path_matches_dct_dst_oracle(dim, N, family):
         got = apply(OperatorHandle(kind, family, t=t, j=j), f).values
         want = reflected_spectral_oracle(kind, family, f, t=t, j=j)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (kind, t, j)
+
+
+# ---------------------------------------------------------------------------
+# every scale at once: apply_scales against a stack of per-scale applies
+
+def _scale_cases():
+    families = [("free", ("full",)), ("neumann", ("full", "upper", "lower")), ("dirichlet", ("upper", "lower"))]
+    for dim, N in ((1, 64), (2, 16)):
+        for kind in ("semigroup", "qt", "psi", "phi"):
+            for family, domains in families:
+                if kind in ("psi", "phi") and family != "free":
+                    continue
+                for domain in domains:
+                    for beta in ((0, 1) if kind == "phi" else (0,)):
+                        yield pytest.param(dim, N, kind, family, domain, beta, id=f"{dim}d-{kind}{beta}-{family}-{domain}")
+
+
+def _per_scale_stack(kind, family, ts, f, beta):
+    return np.stack([apply(OperatorHandle(kind, family, t=t, beta=beta), f).values for t in ts])
+
+
+@pytest.mark.parametrize("dim,N,kind,family,domain,beta", list(_scale_cases()))
+def test_apply_scales_is_the_per_scale_stack_fourier(dim, N, kind, family, domain, beta):
+    g = Grid(dim, 1.0, N, domain)
+    f = GridFunction(g, np.random.default_rng(17).standard_normal(g.shape))
+    ts = 2 * g.h * 2.0 ** (np.arange(9) / 8)
+    got = apply_scales(kind, family, ts, f, beta=beta)
+    assert got.shape == (len(ts),) + g.shape
+    assert got.tobytes() == _per_scale_stack(kind, family, ts, f, beta).tobytes()
+
+
+def test_scale_stack_needs_the_fourier_backend(grid64):
+    # apply_scales is Fourier only; the per-t apply is the quadrature path
+    with pytest.raises(BackendError):
+        _operator_maps(qt_op("free", 0.1, backend=QUADRATURE), grid64, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("ts", [[], [0.0], [0.1, -0.2], [0.1, np.nan], [np.inf], [[0.1, 0.2]]])
+def test_apply_scales_rejects_bad_scales(grid64, ts):
+    with pytest.raises(ParameterError):
+        apply_scales("qt", "free", ts, constant(grid64, 1.0))
+
+
+def test_apply_scales_takes_scale_kinds_only(grid64):
+    with pytest.raises(ParameterError):
+        apply_scales("riesz", "free", [0.1], constant(grid64, 1.0))
+    with pytest.raises(BackendError):
+        apply_scales("psi", "neumann", [0.1], constant(grid64, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_apply_scales_property_random_scales(data):
+    # any scales, in any order and with repeats: row i is the apply at ts[i]
+    dim = data.draw(st.sampled_from([1, 2]))
+    g = Grid(dim, 1.0, data.draw(st.sampled_from([8, 16, 32])))
+    kind, family = data.draw(st.sampled_from([
+        ("semigroup", "free"), ("qt", "free"), ("psi", "free"), ("phi", "free"),
+        ("semigroup", "neumann"), ("qt", "neumann"),
+    ]))
+    ts = data.draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=10))
+    f = GridFunction(g, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(g.shape))
+    got = apply_scales(kind, family, ts, f)
+    assert got.tobytes() == _per_scale_stack(kind, family, ts, f, 0).tobytes()

@@ -196,6 +196,66 @@ def test_time_grid_validation(grid64):
     assert abs(tg.log_weight - np.log(2) / 4) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "t_values,steps",
+    [
+        pytest.param([], 8, id="empty"),
+        pytest.param([0.1, np.nan], 8, id="nan"),
+        pytest.param([0.1, np.inf], 8, id="inf"),
+        pytest.param([0.0, 0.1], 8, id="zero"),
+        pytest.param([-0.1, 0.1], 8, id="negative"),
+        pytest.param([0.2, 0.1], 8, id="decreasing"),
+        pytest.param([0.1, 0.1], 8, id="repeated"),
+        pytest.param([[0.1, 0.2]], 8, id="not-1d"),
+        pytest.param([0.1, 0.2], 0, id="no-steps"),
+        pytest.param([0.1, 0.2], -2, id="negative-steps"),
+        pytest.param([0.1, 0.2], 2.5, id="fractional-steps"),
+    ],
+)
+def test_time_grid_rejects_bad_scales(t_values, steps):
+    with pytest.raises(ParameterError):
+        TimeGrid(np.array(t_values, dtype=float), steps)
+
+
+def test_empty_time_grid_no_longer_gives_zero_square_function(grid64):
+    # an empty grid used to return S = 0 without an error
+    with pytest.raises(ParameterError):
+        area_function(constant(grid64, 1.0), "qt", ConeSpec("free"), TimeGrid(np.array([]), 8))
+
+
+def test_time_grid_octaves_cover_the_scales_in_order(grid64):
+    tg = TimeGrid.geometric(grid64, t_min=2 * grid64.h, t_max=1.0, steps_per_octave=3)
+    runs = tg.octaves()
+    assert all(len(r) == 3 for r in runs[:-1]) and 1 <= len(runs[-1]) <= 3
+    assert np.array_equal(np.concatenate(runs), tg.t_values)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 128), (2, 16)])
+@pytest.mark.parametrize("generator,cone", [("qt", "free"), ("qt", "neumann"), (("phi", 1), "free")])
+def test_area_function_matches_the_per_scale_loop(dim, N, generator, cone, rng):
+    # the batched fields against one apply per scale, summed in the same order
+    from wharm.grid import join_sides
+    from wharm.operators import apply, phi_op, qt_op
+    from wharm.squarefn import _ball_sums
+
+    g = Grid(dim, 1.0, N)
+    tg = TimeGrid.geometric(g, t_min=2 * g.h, t_max=1.0, steps_per_octave=4)
+    f = GridFunction(g, rng.standard_normal(g.shape))
+    acc = np.zeros(g.shape)
+    for t in tg.t_values:
+        op = phi_op(t, beta=1) if generator != "qt" else qt_op(cone, t)
+        field = apply(op, f).values ** 2
+        if cone == "free":
+            acc += _ball_sums(field, g, t) / t ** dim
+        else:
+            up = _ball_sums(join_sides(field, 0.0, g), g, t)
+            lo = _ball_sums(join_sides(0.0, field, g), g, t)
+            acc += join_sides(up, lo, g) / t ** dim
+    acc *= tg.log_weight * g.cell_volume
+    want = np.sqrt(np.maximum(acc, 0.0))
+    assert np.array_equal(area_function(f, generator, ConeSpec(cone), tg).values, want)
+
+
 def test_norm_converges_in_time_resolution(rng):
     # doubling the per-octave resolution moves the Hardy norm only slightly
     g = Grid(1, 1.0, 128)
