@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .dyadic import DyadicLattice, haar_generation, split_blocks
+from .dyadic import DyadicLattice, _iter_lattices, haar_generation, split_blocks
 from .errors import DomainError, ParameterError
 from .grid import FULL, GridFunction, extend_even, extend_odd, join_sides, sided_even_extensions
 from .operators import apply_scales
@@ -29,12 +29,6 @@ from .weights import Weight, as_weight
 CLASSICAL_FLAVORS = ("classical-w", "classical-wr")
 CARLESON_FLAVORS = ("carleson-haar", "carleson-heat-free", "carleson-heat-neumann")
 HALF_FLAVORS = ("unweighted-half", "odd-ext-half", "even-ext-half")
-
-
-def _iter_lattices(lattices):
-    if isinstance(lattices, DyadicLattice):
-        return [lattices]
-    return list(lattices)
 
 
 def _mean_deviation(v: np.ndarray, wv, r=None) -> np.ndarray:

@@ -13,6 +13,12 @@ the cells of the cube with that index.  Reducing over the last axis gives
 the sum, mean or minimum of every cube of a generation at once, and
 ``lat.spread`` puts per-cube values back on the cells.
 
+The Haar system runs on the same view, one generation at a time:
+haar_generation takes every <f, h_Q^eps> of a generation from the sums over
+the children, and haar_synthesis, its transpose, puts a generation's
+coefficients back on the cells.  haar_function builds one h_Q^eps on the
+full grid and is the per-cube reference of the tests.
+
 All integrals are exact cell sums (midpoint rule), so cube masses and Haar
 coefficients are bit-reproducible.
 """
@@ -52,14 +58,6 @@ def split_blocks(arr: np.ndarray, count: int) -> np.ndarray:
     return runs.transpose(order).reshape((count,) * n + (-1,))
 
 
-def split_range(start: int, length: int, n: int):
-    """[start, start+length) mod n as a list of non-wrapping segments."""
-    start %= n
-    if start + length <= n:
-        return [(start, start + length)]
-    return [(start, n), (0, start + length - n)]
-
-
 class DyadicLattice:
     """Complete dyadic tree of cubes over a full-space grid."""
 
@@ -94,17 +92,12 @@ class DyadicLattice:
     def sidelength(self, cube: DyadicCube) -> float:
         return 2.0 * self.grid.halfwidth * 2.0 ** (-cube.generation)
 
-    def cell_measure(self, cube: DyadicCube) -> float:
-        return self.sidelength(cube) ** self.grid.dim
+    def measure(self, generation: int) -> float:
+        """|Q| of every cube of a generation."""
+        return (2.0 * self.grid.halfwidth * 2.0 ** (-generation)) ** self.grid.dim
 
-    def axis_segments(self, cube: DyadicCube):
-        """Per-axis unions of cell-index segments covered by the cube."""
-        N = self.grid.points_per_axis
-        m = self.cells_per_axis(cube.generation)
-        return [
-            split_range(self.shift_cells[a] + cube.index[a] * m, m, N)
-            for a in range(self.grid.dim)
-        ]
+    def cell_measure(self, cube: DyadicCube) -> float:
+        return self.measure(cube.generation)
 
     def cell_indices(self, cube: DyadicCube):
         """Per-axis integer index arrays (for np.ix_); wrapped order."""
@@ -122,12 +115,14 @@ class DyadicLattice:
 
     def extent(self, cube: DyadicCube):
         """(lo, hi) coordinate arrays for a non-wrapped cube, else None."""
-        segs = self.axis_segments(cube)
-        if any(len(s) > 1 for s in segs):
+        N = self.grid.points_per_axis
+        m = self.cells_per_axis(cube.generation)
+        starts = [(s + i * m) % N for s, i in zip(self.shift_cells, cube.index)]
+        if any(start + m > N for start in starts):
             return None
         L, h = self.grid.halfwidth, self.grid.h
-        lo = np.array([-L + s[0][0] * h for s in segs])
-        hi = np.array([-L + s[0][1] * h for s in segs])
+        lo = np.array([-L + start * h for start in starts])
+        hi = np.array([-L + (start + m) * h for start in starts])
         return lo, hi
 
     # -- tree --------------------------------------------------------------
@@ -167,25 +162,17 @@ class DyadicLattice:
         m = self.cells_per_axis(k)
         return per_cube[np.ix_(*(((np.arange(N) - s) % N) // m for s in self.shift_cells))]
 
-    def to_json(self):
-        """Lattice dump: per cube generation, index and cell extents."""
-        out = []
-        for c in self.cubes:
-            ext = self.extent(c)
-            out.append(
-                {
-                    "generation": c.generation,
-                    "index": list(c.index),
-                    "segments": [[list(s) for s in segs] for segs in self.axis_segments(c)],
-                    "extent": None if ext is None else [ext[0].tolist(), ext[1].tolist()],
-                }
-            )
-        return {"max_generation": self.max_generation, "shift": list(self.shift_labels), "cubes": out}
-
 
 def build_lattice(grid: Grid, max_generation: int, shift=None) -> DyadicLattice:
     """Build the complete dyadic tree; shift in {none, third, two_thirds} per axis."""
     return DyadicLattice(grid, max_generation, shift)
+
+
+def _iter_lattices(lattices) -> list:
+    """One lattice or an iterable of lattices, as a list."""
+    if isinstance(lattices, DyadicLattice):
+        return [lattices]
+    return list(lattices)
 
 
 def lattice_family(grid: Grid, max_generation: int):
@@ -285,29 +272,70 @@ def coefficients_to_csv(coeffs: dict, path: str) -> None:
             )
 
 
+def haar_synthesis(coeffs: np.ndarray, lat: DyadicLattice, k: int, out: np.ndarray = None) -> np.ndarray:
+    """Add sum_Q sum_eps c[Q, eps] h_Q^eps over the generation-k cubes into out.
+
+    The transpose of haar_generation: coeffs has its shape (2^k,)*n + (number
+    of signatures,).  Each signature's coefficients times its _haar_signs row
+    and the cube scale land on the generation-(k+1) children, which lat.spread
+    puts on the cells.  Signatures are added one at a time, so a caller going
+    generation by generation adds each cell's terms in the order of a loop
+    over lat.cubes and signatures.  out defaults to zeros and is returned.
+    """
+    g = lat.grid
+    m = lat.cells_per_axis(k)
+    if m < 2:
+        raise GridAlignmentError("cube has a single cell per axis; no Haar function")
+    if out is None:
+        out = np.zeros(g.shape)
+    n, count = g.dim, 1 << k
+    scale = (m * g.h) ** (-n / 2.0)
+    # axes (cube index per axis, child offset per axis) interleaved per axis
+    # give the child's generation-(k+1) index 2 i + o
+    order = [a for axis in range(n) for a in (axis, n + axis)]
+    for c, signs in zip(np.moveaxis(coeffs, -1, 0), _haar_signs(n)):
+        children = (c[..., None] * (signs * scale)).reshape((count,) * n + (2,) * n)
+        out += lat.spread(children.transpose(order).reshape((2 * count,) * n), k + 1)
+    return out
+
+
 def haar_reconstruct(coeffs: dict, lat: DyadicLattice, base_mean: float) -> GridFunction:
-    """Sum of coeff * h_Q^eps plus the base-cube mean."""
-    vals = np.full(lat.grid.shape, float(base_mean))
+    """Sum of coeff * h_Q^eps plus the base-cube mean, one synthesis per generation."""
+    n = lat.grid.dim
+    column = {sig: e for e, sig in enumerate(signatures(n))}
+    generations = {}
     for (cube, sig), c in coeffs.items():
-        if c == 0.0:
-            continue
-        vals += c * haar_function(lat, cube, sig).values
+        k = cube.generation
+        if k not in generations:
+            generations[k] = np.zeros((1 << k,) * n + (len(column),))
+        generations[k][cube.index + (column[sig],)] = c
+    vals = np.full(lat.grid.shape, float(base_mean))
+    for k in sorted(generations):
+        haar_synthesis(generations[k], lat, k, vals)
     return GridFunction(lat.grid, vals)
 
 
-def random_haar_sum(lat: DyadicLattice, rng, scale_fn=None, max_generation=None) -> GridFunction:
-    """Random finite Haar sum; coefficient std per cube is scale_fn(cube) (default sqrt|Q|)."""
-    vals = np.zeros(lat.grid.shape)
-    for cube in lat.cubes:
-        if cube.generation >= lat.max_generation:
-            continue
-        if max_generation is not None and cube.generation >= max_generation:
-            continue
-        for sig in signatures(lat.grid.dim):
-            s = np.sqrt(lat.cell_measure(cube)) if scale_fn is None else scale_fn(cube)
-            c = rng.standard_normal() * s
-            vals += c * haar_function(lat, cube, sig).values
-    return GridFunction(lat.grid, vals)
+def random_haar_sum(lat: DyadicLattice, rng, weight=None, max_generation=None) -> GridFunction:
+    """Random finite Haar sum over the generations below max_generation.
+
+    Each coefficient is a standard normal times sqrt|Q| <weight>_Q (times
+    sqrt|Q| without a weight); weight is a Weight or anything else with a
+    cell array .array.  A generation's coefficients are one draw in the
+    order (cube index, signature), the stream of one scalar draw per
+    coefficient.
+    """
+    g = lat.grid
+    top = lat.max_generation if max_generation is None else min(max_generation, lat.max_generation)
+    vals = np.zeros(g.shape)
+    for k in range(top):
+        measure = lat.measure(k)
+        std = np.sqrt(measure)
+        if weight is not None:
+            # <weight>_Q as Weight.cube_average computes it
+            std = std * (lat.blocks(weight.array, k).sum(axis=-1) * g.cell_volume / measure)[..., None]
+        c = rng.standard_normal((1 << k,) * g.dim + (len(signatures(g.dim)),)) * std
+        haar_synthesis(c, lat, k, vals)
+    return GridFunction(g, vals)
 
 
 def weighted_maximal(g: GridFunction, w, lat: DyadicLattice) -> GridFunction:

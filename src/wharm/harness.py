@@ -114,10 +114,7 @@ def _normalized_symbols(grid, lattices, nu, count, seed, norm_fn, max_generation
     out = []
     skipped = 0
     for _ in range(count):
-        def scale(cube):
-            return np.sqrt(lat.cell_measure(cube)) * nu.cube_average(lat, cube)
-
-        b = random_haar_sum(lat, rng, scale_fn=scale, max_generation=max_generation)
+        b = random_haar_sum(lat, rng, weight=nu, max_generation=max_generation)
         norm = norm_fn(b)
         if norm <= 0:
             skipped += 1
@@ -185,9 +182,6 @@ def run_two_weight_commutator(cfg: dict) -> dict:
             rows.append({"pair": canonical_json(pair), "symbol": i, "ratio": r})
     ok = all(b["spread"] is not None and b["spread"] <= band_cap for b in bands)
     return {
-        "experiment": "two-weight-commutator",
-        "config": cfg,
-        "input_hash": content_hash(cfg),
         "norm_method": method,
         "norms_are_lower_bounds": method == "ascent",
         "tolerances": {"band_cap": band_cap},
@@ -240,9 +234,6 @@ def run_riesz_ap_characterization(cfg: dict) -> dict:
     }
     ok = mono_ap and mono_norm and quotients[-1] > quotients[0]
     return {
-        "experiment": "riesz-ap",
-        "config": cfg,
-        "input_hash": content_hash(cfg),
         "tolerances": {"monotone_slack": 1e-9},
         "rows": rows,
         "contrast": contrast,
@@ -305,9 +296,6 @@ def run_dirichlet_counterexample(cfg: dict) -> dict:
     checks["constant_control_commutator"] = ctrl_val
     ok = checks["odd_growth_ok"] and checks["half_bmo_stable"] and checks["commutator_ok"]
     return {
-        "experiment": "dirichlet-counterexample",
-        "config": cfg,
-        "input_hash": content_hash(cfg),
         "tolerances": {"growth_floor": growth_floor, "commutator_variation_cap": comm_cap},
         "rows": rows,
         "checks": checks,
@@ -366,9 +354,6 @@ def run_bmo_coincidence(cfg: dict) -> dict:
         bands[name] = {"c": lo, "C": hi, "spread": hi / lo}
         ok &= hi / lo <= band_cap
     return {
-        "experiment": "bmo-coincidence",
-        "config": cfg,
-        "input_hash": content_hash(cfg),
         "tolerances": {"band_cap": band_cap},
         "bands": bands,
         "rows": rows,
@@ -398,9 +383,6 @@ def run_john_nirenberg(cfg: dict) -> dict:
     rep = bmo_mod.john_nirenberg_report(suite, lattices)
     rhos = [row["rho"] for row in rep["rows"] if "rho" in row]
     return {
-        "experiment": "john-nirenberg",
-        "config": cfg,
-        "input_hash": content_hash(cfg),
         "tolerances": {"rho_floor": 1.0},
         "rows": rep["rows"],
         "fitted_C": rep["fitted_C"],
@@ -415,6 +397,7 @@ def run(name: str, cfg: dict) -> dict:
         raise ParameterError(f"unknown experiment {name!r}; have {sorted(EXPERIMENTS)}")
     t0 = time.perf_counter()
     report = EXPERIMENTS[name](cfg)
+    report.update(experiment=name, config=cfg, input_hash=content_hash(cfg))
     report.setdefault("schema_version", 1)
     # wall-clock stays in the log so identical config + seed reproduces the
     # report file byte for byte

@@ -318,15 +318,9 @@ def _operator_maps(op: OperatorHandle, grid: Grid, ts=None):
 def apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
     """Apply a discretized operator to a grid function.
 
-    A commutator is spelled out as b (T f) - T (b f), two applies of its inner
-    operator; linear_operator sends both through one free map instead.
+    A commutator [b, T] f = b (T f) - T (b f) sends f and b f through one
+    batched map of T.
     """
-    if op.kind == "commutator":
-        b = op.b.values
-        if b.shape != f.grid.shape:
-            raise DomainError("commutator symbol and argument live on different grids")
-        bf = GridFunction(f.grid, b * f.values)
-        return GridFunction(f.grid, b * apply(op.inner, f).values - apply(op.inner, bf).values)
     return GridFunction(f.grid, _operator_maps(op, f.grid)[0](f.values))
 
 
@@ -363,11 +357,6 @@ def operator_map(op: OperatorHandle, grid: Grid):
     scipy and cannot batch; apply_scales batches scales, not inputs.
     """
     return _operator_maps(op, grid)[0]
-
-
-def commutator_apply(b: GridFunction, op: OperatorHandle, f: GridFunction) -> GridFunction:
-    """b (op f) - op (b f)."""
-    return apply(commutator(b, op), f)
 
 
 def linear_operator(op: OperatorHandle, grid: Grid) -> LinearOperator:

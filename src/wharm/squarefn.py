@@ -5,7 +5,8 @@ The time integral over (0, infinity) dt/t is truncated to a geometric grid
 t_m = t_min 2^{m/M} with log-weight ln(2)/M per step; the cone integral at
 scale t is the plain cell sum over {y : |x - y| < t} (clipped at the box,
 not periodized), optionally restricted to the same side as x for the
-Neumann cone.
+Neumann cone.  The dyadic square function S_psi takes one generation of
+Haar coefficients at a time and spreads each cube's energy over its 2Q.
 
 Discrete fact worth knowing: for x in the upper half-space,
     (sqrt(2)/2) S_free(f_{+,e})(x) <= S_neumann(f)(x) <= S_free(f_{+,e})(x)
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .dyadic import DyadicLattice, haar_coefficients
-from .errors import BackendError, ParameterError
+from .dyadic import DyadicLattice, haar_generation
+from .errors import BackendError, GridAlignmentError, ParameterError
 from .grid import FULL, Grid, GridFunction, join_sides
 from .operators import apply_scales
 
@@ -179,30 +180,31 @@ def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) ->
 
 
 def haar_square_function(f: GridFunction, lat: DyadicLattice) -> GridFunction:
-    """S_psi(f) = (sum_Q |<f, h_Q^eps>|^2 1_{2Q} / |Q|)^{1/2}, 2Q clipped to the box."""
+    """S_psi(f) = (sum_Q |<f, h_Q^eps>|^2 1_{2Q} / |Q|)^{1/2}, 2Q clipped to the box.
+
+    One pass per generation: haar_generation gives every cube's energy, and
+    per-axis 0/1 matrices (cell, cube) spread it over the clipped 2Q.  A
+    shifted cube that wraps around the box along any axis spreads over
+    itself instead.
+    """
     g = f.grid
-    coeffs = haar_coefficients(f, lat)
-    acc = np.zeros(g.shape)
+    if g != lat.grid:
+        raise GridAlignmentError("grid function and lattice live on different grids")
     N = g.points_per_axis
-    per_cube = {}
-    for (cube, sig), c in coeffs.items():
-        per_cube[cube] = per_cube.get(cube, 0.0) + c * c
-    for cube, c2 in per_cube.items():
-        m = lat.cells_per_axis(cube.generation)
-        sl = []
-        wrapped = False
-        for a in range(g.dim):
-            s0 = lat.shift_cells[a] + cube.index[a] * m
-            if s0 + m > N:
-                wrapped = True
-                break
-            sl.append(slice(max(s0 - m // 2, 0), min(s0 + m + m // 2, N)))
-        if wrapped:
-            # 2Q of a wrapped shifted cube: fall back to the cube itself
-            idx = np.ix_(*lat.cell_indices(cube))
-            acc[idx] += c2 / lat.cell_measure(cube)
-            continue
-        acc[tuple(sl)] += c2 / lat.cell_measure(cube)
+    cells = np.arange(N)[:, None]
+    acc = np.zeros(g.shape)
+    for k in range(lat.max_generation):
+        m = lat.cells_per_axis(k)
+        density = (haar_generation(f.values, lat, k) ** 2).sum(axis=-1) / lat.measure(k)
+        starts = [s + m * np.arange(1 << k) for s in lat.shift_cells]
+        wrapped = np.zeros(density.shape, dtype=bool)
+        for a, start in enumerate(starts):
+            wrapped |= np.expand_dims(start + m > N, tuple(b for b in range(g.dim) if b != a))
+        doubled = np.where(wrapped, 0.0, density)
+        for a, start in enumerate(starts):
+            cover = ((cells >= start - m // 2) & (cells < start + m + m // 2)).astype(float)
+            doubled = np.moveaxis(np.tensordot(cover, doubled, axes=(1, a)), 0, a)
+        acc += doubled + lat.spread(np.where(wrapped, density, 0.0), k)
     return GridFunction(g, np.sqrt(acc))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicLattice
+from .dyadic import DyadicLattice, _iter_lattices
 from .errors import DomainError, ParameterError, RangeError, WeightError
 from .grid import FULL, Grid, GridFunction, load_binary, load_csv, sided_even_extensions
 
@@ -100,12 +100,6 @@ def conjugate_weight(w: Weight, p: float) -> Weight:
     if p <= 1:
         raise ParameterError("conjugate weight needs p > 1")
     return Weight(GridFunction(w.grid, w.array ** (-1.0 / (p - 1.0))))
-
-
-def _iter_lattices(lattices):
-    if isinstance(lattices, DyadicLattice):
-        return [lattices]
-    return list(lattices)
 
 
 def ap_cube_quotient(w: Weight, p: float, lat: DyadicLattice, cube) -> float:

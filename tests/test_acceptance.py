@@ -15,7 +15,7 @@ from wharm import harness
 from wharm.dyadic import DyadicCube, build_lattice, haar_coefficients, haar_reconstruct, lattice_family, random_haar_sum
 from wharm.grid import Grid, GridFunction, constant, extend_even, extend_odd, restrict
 from wharm.kernels import heat_free, qt_free
-from wharm.operators import apply, commutator_apply, riesz, semigroup, weighted_operator_norm
+from wharm.operators import apply, commutator, riesz, semigroup, weighted_operator_norm
 from wharm.sparse import bmo_good_function, build_sparse_from_recursion, carleson_to_sparse, cz_stopping, sparse_operator_matrix
 from wharm.squarefn import ConeSpec, TimeGrid, area_function
 from wharm.weights import Weight, ap_constant, ap_quotient_on_box, doubling_ratio, one_sided_power_weight, power_weight
@@ -59,8 +59,8 @@ def test_criterion_1_structural_identities(rng):
         bpe = extend_even(restrict(b, "upper"))
         fpe = extend_even(restrict(ff, "upper"))
         for j in range(1, n + 1):
-            lhs = restrict(commutator_apply(b, riesz("neumann", j, backend="quadrature"), ff), "upper")
-            rhs = restrict(commutator_apply(bpe, riesz("free", j, backend="quadrature"), fpe), "upper")
+            lhs = restrict(apply(commutator(b, riesz("neumann", j, backend="quadrature")), ff), "upper")
+            rhs = restrict(apply(commutator(bpe, riesz("free", j, backend="quadrature")), fpe), "upper")
             err = np.max(np.abs(lhs.values - rhs.values))
             _report(failures, f"1.3 commutator reduction n={n} j={j}", err <= 1e-10, f"max err {err:.2e}")
 

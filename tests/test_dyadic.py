@@ -207,6 +207,21 @@ def test_blocks_wrapped_cube(rng):
     assert abs(cells.sum() - expect.sum()) <= 1e-12
 
 
+def test_extent_is_the_cube_box_or_none_when_wrapped():
+    for dim, N, shift in ((1, 24, "third"), (1, 24, "two_thirds"), (2, 12, ("third", "none"))):
+        g = Grid(dim, 1.0, N)
+        lat = build_lattice(g, 2, shift)
+        for cube in lat.cubes:
+            idx = lat.cell_indices(cube)
+            ext = lat.extent(cube)
+            if any(np.any(np.diff(i) != 1) for i in idx):
+                assert ext is None
+                continue
+            lo, hi = ext
+            assert np.allclose(lo, [-1.0 + i[0] * g.h for i in idx], rtol=0, atol=1e-15)
+            assert np.allclose(hi, [-1.0 + (i[-1] + 1) * g.h for i in idx], rtol=0, atol=1e-15)
+
+
 def test_coefficient_csv_export(tmp_path, rng, grid64, lat64):
     from wharm.dyadic import coefficients_to_csv
 

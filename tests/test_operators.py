@@ -19,7 +19,6 @@ from wharm.operators import (
     apply_scales,
     assemble_matrix,
     commutator,
-    commutator_apply,
     commutator_matrix,
     linear_operator,
     phi_op,
@@ -140,7 +139,7 @@ def test_neumann_apply_reads_only_its_own_side(data):
 def test_commutator_with_constant_vanishes(grid64, rng):
     b = constant(grid64, 4.0)
     f = GridFunction(grid64, rng.standard_normal(grid64.shape))
-    out = commutator_apply(b, riesz("free", 1), f)
+    out = apply(commutator(b, riesz("free", 1)), f)
     assert np.max(np.abs(out.values)) <= 1e-12
 
 
@@ -153,8 +152,8 @@ def test_commutator_reduction(rng):
         bpe = extend_even(restrict(b, "upper"))
         fpe = extend_even(restrict(f, "upper"))
         for j in range(1, n + 1):
-            lhs = commutator_apply(b, riesz("neumann", j, backend="quadrature"), f)
-            rhs = commutator_apply(bpe, riesz("free", j, backend="quadrature"), fpe)
+            lhs = apply(commutator(b, riesz("neumann", j, backend="quadrature")), f)
+            rhs = apply(commutator(bpe, riesz("free", j, backend="quadrature")), fpe)
             diff = restrict(lhs, "upper").values - restrict(rhs, "upper").values
             assert np.max(np.abs(diff)) <= 1e-10
 
@@ -165,7 +164,7 @@ def test_commutator_parity(rng):
     bu = GridFunction(g.with_domain("upper"), rng.standard_normal((32,)))
     fu = GridFunction(g.with_domain("upper"), rng.standard_normal((32,)))
     b, f = extend_even(bu), extend_even(fu)
-    out = commutator_apply(b, riesz("free", 1), f)
+    out = apply(commutator(b, riesz("free", 1)), f)
     assert np.max(np.abs(out.values + np.flip(out.values))) <= 1e-10
 
 
@@ -174,10 +173,43 @@ def test_commutator_reflection_equivariance(rng):
     g = Grid(2, 1.0, 16)
     b = extend_even(GridFunction(g.with_domain("upper"), rng.standard_normal((16, 8))))
     f = extend_even(GridFunction(g.with_domain("upper"), rng.standard_normal((16, 8))))
-    out1 = commutator_apply(b, riesz("free", 1), f).values
-    out2 = commutator_apply(b, riesz("free", 2), f).values
+    out1 = apply(commutator(b, riesz("free", 1)), f).values
+    out2 = apply(commutator(b, riesz("free", 2)), f).values
     assert np.max(np.abs(out1 - np.flip(out1, -1))) <= 1e-10
     assert np.max(np.abs(out2 + np.flip(out2, -1))) <= 1e-10
+
+
+COMMUTATOR_CASES = [
+    pytest.param(dim, N, backend, family, domain, j, id=f"{dim}d-{backend}-{family}-{domain}-R{j}")
+    for dim, N in ((1, 32), (2, 12))
+    for backend in (FOURIER, QUADRATURE)
+    for family, domains in (
+        ("free", ("full",)),
+        ("neumann", ("full", "upper", "lower")),
+        ("dirichlet", ("upper", "lower")),
+    )
+    for domain in domains
+    for j in range(1, dim + 1)
+]
+
+
+@pytest.mark.parametrize("dim,N,backend,family,domain,j", COMMUTATOR_CASES)
+def test_commutator_apply_is_b_Tf_minus_T_bf(dim, N, backend, family, domain, j):
+    # apply sends f and b f through one batched map of T; the two spelled-out
+    # applies of T give the same bits
+    g = Grid(dim, 1.0, N, domain)
+    rng = np.random.default_rng(17)
+    b = GridFunction(g, rng.standard_normal(g.shape))
+    f = GridFunction(g, rng.standard_normal(g.shape))
+    T = riesz(family, j, backend=backend)
+    want = b.values * apply(T, f).values - apply(T, GridFunction(g, b.values * f.values)).values
+    assert apply(commutator(b, T), f).values.tobytes() == want.tobytes()
+
+
+def test_commutator_symbol_on_another_grid_is_rejected(grid64):
+    b = constant(Grid(1, 1.0, 32), 1.0)
+    with pytest.raises(DomainError):
+        apply(commutator(b, riesz("free", 1)), constant(grid64, 1.0))
 
 
 def test_backend_agreement_halves_under_refinement():
