@@ -26,6 +26,7 @@ coefficients are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -79,10 +80,14 @@ class DyadicLattice:
         self.shift_cells = tuple(
             SHIFT_NAMES[s] * (N // 3) for s in self.shift_labels
         )
-        self.cubes = [
+
+    @cached_property
+    def cubes(self) -> list:
+        """Every cube, coarsest generation first, built on first use."""
+        return [
             DyadicCube(k, idx)
-            for k in range(max_generation + 1)
-            for idx in product(range(1 << k), repeat=grid.dim)
+            for k in range(self.max_generation + 1)
+            for idx in product(range(1 << k), repeat=self.grid.dim)
         ]
 
     # -- geometry ----------------------------------------------------------

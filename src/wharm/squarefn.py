@@ -4,9 +4,14 @@ weighted Hardy norms built from them.
 The time integral over (0, infinity) dt/t is truncated to a geometric grid
 t_m = t_min 2^{m/M} with log-weight ln(2)/M per step; the cone integral at
 scale t is the plain cell sum over {y : |x - y| < t} (clipped at the box,
-not periodized), optionally restricted to the same side as x for the
-Neumann cone.  The dyadic square function S_psi takes one generation of
-Haar coefficients at a time and spreads each cube's energy over its 2Q.
+not periodized), restricted to x's side for the Neumann cone.  One octave
+at a time, these sums and the g* sums are one real FFT convolution of the
+field stack with kernels wrapped around offset 0 (even, so their spectra
+are real), on axes padded to N + r_max cells (r_max the widest kernel
+radius) so the circular wrap lands in zeros; the spectra sit in a bounded,
+read-only cache, and a Neumann cone sums one side at a time.  The dyadic
+square function S_psi takes one generation of Haar coefficients at a time
+and spreads each cube's energy over its 2Q.
 
 Discrete fact worth knowing: for x in the upper half-space,
     (sqrt(2)/2) S_free(f_{+,e})(x) <= S_neumann(f)(x) <= S_free(f_{+,e})(x)
@@ -18,9 +23,10 @@ for its reflection, so equality is generally false.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .dyadic import DyadicLattice, haar_generation
 from .errors import BackendError, GridAlignmentError, ParameterError
@@ -92,40 +98,47 @@ class TimeGrid:
         return cls(ts, M)
 
 
-def _ball_kernel_1d(npts: int, t: float, h: float) -> np.ndarray:
-    r = int(np.ceil(t / h)) - 1  # strict |x-y| < t on cell centers
-    r = max(min(r, npts - 1), 0)
-    return np.ones(2 * r + 1)
+@lru_cache(maxsize=32)
+def _radial_spectra(n: int, h: float, ts: tuple, P: int, lam) -> np.ndarray:
+    """Real DFTs (T, P, ..., P//2 + 1) of the wrapped kernels of _radial_sums;
+    the offsets that no two box cells span are never read, so none is cut."""
+    o = np.minimum(np.arange(P), P - np.arange(P))
+    mesh = np.meshgrid(*[o] * n, indexing="ij", sparse=True)
+    d = o * h if n == 1 else np.sqrt(sum((m * h) ** 2 for m in mesh))
+    kern = np.zeros((len(ts),) + (P,) * n)
+    for k, t in zip(kern, ts):
+        if lam is not None:
+            k[...] = (t / (t + d)) ** lam
+        elif n == 1:  # strict |x-y| < t on cell centers
+            k[o < np.ceil(t / h)] = 1.0
+        else:
+            k[sum(m ** 2 for m in mesh) * h ** 2 < t * t] = 1.0
+    spectra = np.ascontiguousarray(rfftn(kern, axes=tuple(range(1, n + 1))).real)
+    spectra.flags.writeable = False
+    return spectra
 
 
-def _radial_kernel(grid: Grid, t: float, profile) -> np.ndarray:
-    """Kernel K[dz] = profile(|dz| h) over all cell offsets (linear conv)."""
-    N = grid.points_per_axis
-    off = np.arange(-(N - 1), N) * grid.h
-    if grid.dim == 1:
-        return profile(np.abs(off))
-    dx, dy = np.meshgrid(off, off, indexing="ij")
-    return profile(np.sqrt(dx ** 2 + dy ** 2))
+def _radial_sums(fields: np.ndarray, grid: Grid, ts, lam=None) -> np.ndarray:
+    """sum_y K_t(x - y) fields[m, y] per x for t = ts[m], box-clipped: K_t is the
+    strict ball |x - y| < t, or with lam the g* profile (t/(t+|x-y|))^lam."""
+    n, N = grid.dim, grid.points_per_axis
+    # ceil(t/h), not ceil(t/h) - 1: a spare cell covers the rounding of |d|^2 h^2 < t^2
+    r_max = N - 1 if lam is not None else min(int(np.ceil(ts[-1] / grid.h)), N - 1)
+    P = next_fast_len(N + r_max, real=True)
+    axes = tuple(range(-n, 0))
+    F = rfftn(fields, s=(P,) * n, axes=axes)
+    F *= _radial_spectra(n, grid.h, tuple(ts), P, lam)
+    return irfftn(F, s=(P,) * n, axes=axes)[(...,) + (slice(N),) * n]
 
 
-def _conv_same(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    if field.ndim == 1 and kernel.size <= 3:
-        # tiny kernels: direct is cheaper and exact
-        return np.convolve(field, kernel, mode="same")
-    out = fftconvolve(field, kernel, mode="same")
-    return out
-
-
-def _ball_sums(field: np.ndarray, grid: Grid, t: float) -> np.ndarray:
-    """sum_{|x-y| < t} field(y) per x (box-clipped, cell centers)."""
-    if grid.dim == 1:
-        k = _ball_kernel_1d(field.shape[0], t, grid.h)
-        return _conv_same(field, k)
-    N = grid.points_per_axis
-    off = np.arange(-(N - 1), N)
-    dx, dy = np.meshgrid(off, off, indexing="ij")
-    k = ((dx ** 2 + dy ** 2) * grid.h ** 2 < t * t).astype(float)
-    return fftconvolve(field, k, mode="same")
+def _cone_integral(g: Grid, tg: TimeGrid, sums) -> GridFunction:
+    """(sum_m ln2/M t_m^{-n} h^n sums(ts)[m])^{1/2}, sums taking one octave ts at a time."""
+    acc = np.zeros(g.shape)
+    for ts in tg.octaves():
+        for t, s in zip(ts, sums(ts)):
+            acc += s / t ** g.dim
+    acc *= tg.log_weight * g.cell_volume
+    return GridFunction(g, np.sqrt(np.maximum(acc, 0.0)))
 
 
 def _generator(generator):
@@ -145,21 +158,17 @@ def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> G
     if cone.kind == "neumann" and not (generator == "qt"):
         raise ParameterError("the Neumann cone is wired for the heat generator only")
     kind, beta = _generator(generator)
-    n = g.dim
-    acc = np.zeros(g.shape)
-    for ts in tg.octaves():
+
+    def sums(ts):
         # a Neumann cone takes the Neumann generator
-        for t, field in zip(ts, apply_scales(kind, cone.kind, ts, f, beta=beta)):
-            field = field ** 2
-            if cone.kind == "free":
-                acc += _ball_sums(field, g, t) / t ** n
-            else:
-                # a Neumann cone at x keeps only the cells on x's side
-                sums_up = _ball_sums(join_sides(field, 0.0, g), g, t)
-                sums_lo = _ball_sums(join_sides(0.0, field, g), g, t)
-                acc += join_sides(sums_up, sums_lo, g) / t ** n
-    acc *= tg.log_weight * g.cell_volume
-    return GridFunction(g, np.sqrt(np.maximum(acc, 0.0)))
+        fields = apply_scales(kind, cone.kind, ts, f, beta=beta) ** 2
+        if cone.kind == "free":
+            return _radial_sums(fields, g, ts)
+        # a Neumann cone at x keeps only the cells on x's side; one side at a time
+        upper = _radial_sums(join_sides(fields, 0.0, g), g, ts)
+        return join_sides(upper, _radial_sums(join_sides(0.0, fields, g), g, ts), g)
+
+    return _cone_integral(g, tg, sums)
 
 
 def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) -> GridFunction:
@@ -168,15 +177,11 @@ def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) ->
     if g.domain != FULL:
         raise BackendError("g* is evaluated on full-space data")
     kind, beta = _generator(generator)
-    n = g.dim
-    lam = int(lambda_exponent)
-    acc = np.zeros(g.shape)
-    for ts in tg.octaves():
-        for t, field in zip(ts, apply_scales(kind, "free", ts, h_fn, beta=beta)):
-            kern = _radial_kernel(g, t, lambda d: (t / (t + d)) ** lam)
-            acc += fftconvolve(field ** 2, kern, mode="same") / t ** n
-    acc *= tg.log_weight * g.cell_volume
-    return GridFunction(g, np.sqrt(np.maximum(acc, 0.0)))
+
+    def sums(ts):
+        return _radial_sums(apply_scales(kind, "free", ts, h_fn, beta=beta) ** 2, g, ts, int(lambda_exponent))
+
+    return _cone_integral(g, tg, sums)
 
 
 def haar_square_function(f: GridFunction, lat: DyadicLattice) -> GridFunction:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,14 @@ def test_lattice_counts():
     assert len(build_lattice(g, 3).cubes) == 15  # 1 + 2 + 4 + 8
     g2 = Grid(2, 1.0, 8)
     assert len(build_lattice(g2, 2).cubes) == 21  # 1 + 4 + 16
+
+
+def test_cubes_are_built_on_first_use_in_generation_order():
+    for g, shift in ((Grid(1, 1.0, 16), "third"), (Grid(2, 1.0, 16), ("none", "two_thirds"))):
+        lat = build_lattice(g, 3, shift)
+        assert "cubes" not in vars(lat)
+        want = [DyadicCube(k, idx) for k in range(4) for idx in product(range(1 << k), repeat=g.dim)]
+        assert lat.cubes == want and lat.cubes is lat.cubes
 
 
 def test_shifted_lattice_count_matches():

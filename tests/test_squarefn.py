@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.signal import fftconvolve
 
 from wharm.dyadic import DyadicCube, build_lattice, haar_function, random_haar_sum
 from wharm.errors import ParameterError
 from wharm.grid import Grid, GridFunction, constant, extend_even, restrict
-from wharm.squarefn import ConeSpec, TimeGrid, area_function, g_star, haar_square_function, hardy_norm
+from wharm.squarefn import (
+    ConeSpec,
+    TimeGrid,
+    _radial_spectra,
+    _radial_sums,
+    area_function,
+    g_star,
+    haar_square_function,
+    hardy_norm,
+)
 from wharm.weights import Weight, power_weight
 
 
@@ -230,30 +243,158 @@ def test_time_grid_octaves_cover_the_scales_in_order(grid64):
     assert np.array_equal(np.concatenate(runs), tg.t_values)
 
 
-@pytest.mark.parametrize("dim,N", [(1, 128), (2, 16)])
-@pytest.mark.parametrize("generator,cone", [("qt", "free"), ("qt", "neumann"), (("phi", 1), "free")])
-def test_area_function_matches_the_per_scale_loop(dim, N, generator, cone, rng):
-    # the batched fields against one apply per scale, summed in the same order
+def _per_scale_ball_sums(field, g, t):
+    # the per-scale fftconvolve ball sum that the batched radial sums replaced
+    N = g.points_per_axis
+    if g.dim == 1:
+        r = max(min(int(np.ceil(t / g.h)) - 1, N - 1), 0)
+        k = np.ones(2 * r + 1)
+        return np.convolve(field, k, mode="same") if k.size <= 3 else fftconvolve(field, k, mode="same")
+    off = np.arange(-(N - 1), N)
+    dx, dy = np.meshgrid(off, off, indexing="ij")
+    return fftconvolve(field, ((dx ** 2 + dy ** 2) * g.h ** 2 < t * t).astype(float), mode="same")
+
+
+def _per_scale_gstar_sums(field, g, t, lam):
+    off = np.arange(-(g.points_per_axis - 1), g.points_per_axis) * g.h
+    d = np.abs(off) if g.dim == 1 else np.sqrt(sum(m ** 2 for m in np.meshgrid(off, off, indexing="ij")))
+    return fftconvolve(field, (t / (t + d)) ** lam, mode="same")
+
+
+def _per_scale_square_function(f, generator, cone, tg, lam=None):
     from wharm.grid import join_sides
     from wharm.operators import apply, phi_op, qt_op
-    from wharm.squarefn import _ball_sums
 
-    g = Grid(dim, 1.0, N)
-    tg = TimeGrid.geometric(g, t_min=2 * g.h, t_max=1.0, steps_per_octave=4)
-    f = GridFunction(g, rng.standard_normal(g.shape))
+    g = f.grid
     acc = np.zeros(g.shape)
     for t in tg.t_values:
         op = phi_op(t, beta=1) if generator != "qt" else qt_op(cone, t)
         field = apply(op, f).values ** 2
-        if cone == "free":
-            acc += _ball_sums(field, g, t) / t ** dim
+        if lam is not None:
+            acc += _per_scale_gstar_sums(field, g, t, lam) / t ** g.dim
+        elif cone == "free":
+            acc += _per_scale_ball_sums(field, g, t) / t ** g.dim
         else:
-            up = _ball_sums(join_sides(field, 0.0, g), g, t)
-            lo = _ball_sums(join_sides(0.0, field, g), g, t)
-            acc += join_sides(up, lo, g) / t ** dim
+            up = _per_scale_ball_sums(join_sides(field, 0.0, g), g, t)
+            lo = _per_scale_ball_sums(join_sides(0.0, field, g), g, t)
+            acc += join_sides(up, lo, g) / t ** g.dim
     acc *= tg.log_weight * g.cell_volume
-    want = np.sqrt(np.maximum(acc, 0.0))
-    assert np.array_equal(area_function(f, generator, ConeSpec(cone), tg).values, want)
+    return np.sqrt(np.maximum(acc, 0.0))
+
+
+@pytest.mark.parametrize("dim,N", [(1, 128), (1, 256), (2, 16), (2, 32), (2, 64)])
+@pytest.mark.parametrize("generator,cone", [("qt", "free"), ("qt", "neumann"), (("phi", 1), "free")])
+def test_area_function_matches_the_per_scale_loop(dim, N, generator, cone, rng):
+    # the batched radial sums against one apply and one fftconvolve per scale;
+    # the FFT lengths differ, so agreement is to rounding, not bit for bit
+    g = Grid(dim, 1.0, N)
+    tg = TimeGrid.geometric(g, t_min=2 * g.h, t_max=1.0, steps_per_octave=4)
+    f = GridFunction(g, rng.standard_normal(g.shape))
+    want = _per_scale_square_function(f, generator, cone, tg)
+    got = area_function(f, generator, ConeSpec(cone), tg).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 256), (2, 32), (2, 64)])
+def test_gstar_matches_the_per_scale_loop(dim, N, rng):
+    g = Grid(dim, 1.0, N)
+    tg = TimeGrid.geometric(g, t_min=2 * g.h, t_max=1.0, steps_per_octave=4)
+    f = GridFunction(g, rng.standard_normal(g.shape))
+    want = _per_scale_square_function(f, "qt", "free", tg, lam=3 * dim)
+    got = g_star(f, "qt", 3 * dim, tg).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 96), (2, 16), (2, 24)])
+@pytest.mark.parametrize("cone", ["free", "neumann"])
+def test_area_function_matches_direct_cone_sums(dim, N, cone, rng):
+    # brute force: at every vertex, sum the squared field over the cells whose
+    # centres lie strictly inside the disk of radius t (on the vertex's side
+    # for the Neumann cone), one vertex and one scale at a time
+    from wharm.operators import apply, qt_op
+
+    g = Grid(dim, 1.0, N)
+    tg = TimeGrid.geometric(g, t_min=2 * g.h, t_max=1.0, steps_per_octave=4)
+    f = GridFunction(g, rng.standard_normal(g.shape))
+    cells = np.indices(g.shape).reshape(dim, -1).T
+    upper = (g.points()[..., -1] > 0).ravel()
+    fields = [apply(qt_op(cone, t), f).values.ravel() ** 2 for t in tg.t_values]
+    acc = np.zeros(len(cells))
+    for i, c in enumerate(cells):
+        d = cells - c
+        side = upper == upper[i] if cone == "neumann" else True
+        for t, field in zip(tg.t_values, fields):
+            disk = np.abs(d[:, 0]) < t / g.h if dim == 1 else (d ** 2).sum(axis=1) * g.h ** 2 < t * t
+            acc[i] += field[disk & side].sum() / t ** dim
+    want = np.sqrt(acc * tg.log_weight * g.cell_volume).reshape(g.shape)
+    got = area_function(f, "qt", ConeSpec(cone), tg).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 64), (2, 32), (2, 24)])
+@pytest.mark.parametrize("cells_per_t", [2, 4])
+def test_radial_sums_of_a_delta_is_the_old_ball(dim, N, cells_per_t):
+    # a unit mass at a corner, an edge or the centre spreads over exactly the
+    # per-scale ball: nothing wraps around through the circular padding
+    g = Grid(dim, 1.0, N)
+    t = cells_per_t * g.h
+    for cell in ((0,) * dim, (N - 1,) * dim, (N // 2,) * dim, (0,) + (N // 3,) * (dim - 1)):
+        delta = np.zeros(g.shape)
+        delta[cell] = 1.0
+        want = np.round(_per_scale_ball_sums(delta, g, t))
+        got = _radial_sums(delta[None], g, np.array([t]))[0]
+        assert np.array_equal(np.round(got), want) and np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [48, 64, 96, 256])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ball_supports_match_the_old_rule_at_every_geometric_scale(dim, N):
+    # unit masses at opposite corners read the kernel at every offset that two
+    # box cells span, positive and negative; the old rule, per dimension:
+    # |d| <= ceil(t/h) - 1 in 1D and |d|^2 h^2 < t^2 in 2D
+    g = Grid(dim, 1.0, N)
+    d = np.indices(g.shape)
+    for ts in TimeGrid.geometric(g).octaves():
+        for corner in (0, N - 1):
+            delta = np.zeros(g.shape)
+            delta[(corner,) * dim] = 1.0
+            got = _radial_sums(np.broadcast_to(delta, (len(ts),) + g.shape), g, ts)
+            for t, row in zip(ts, got):
+                if dim == 1:
+                    ball = d[0] <= max(min(int(np.ceil(t / g.h)) - 1, N - 1), 0)
+                else:
+                    ball = (d ** 2).sum(axis=0) * g.h ** 2 < t * t
+                ball = np.flip(ball) if corner else ball
+                assert np.array_equal(np.round(row), ball) and np.max(np.abs(row - ball)) <= 1e-12
+
+
+def test_cached_kernel_spectra_are_read_only():
+    g = Grid(2, 1.0, 16)
+    ts = tuple(TimeGrid.geometric(g).octaves()[0])
+    spectra = _radial_spectra(2, g.h, ts, 24, None)
+    assert spectra is _radial_spectra(2, g.h, ts, 24, None)
+    assert not spectra.flags.writeable
+    with pytest.raises(ValueError):
+        spectra[0] = 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_neumann_band_on_random_data(data):
+    # sqrt(1/2) S_free(f_{+,e}) <= S_N(f) <= S_free(f_{+,e}) on the upper half;
+    # values are 0 or of modulus 1e-3 to 1e3, so no square underflows
+    dim = data.draw(st.sampled_from([1, 2]))
+    N = data.draw(st.sampled_from([8, 16, 32] if dim == 1 else [8, 12, 16]))
+    g = Grid(dim, 1.0, N)
+    value = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    f = GridFunction(g, data.draw(arrays(np.float64, g.shape, elements=value)))
+    tg = TimeGrid.geometric(g, steps_per_octave=data.draw(st.integers(1, 4)))
+    sn = area_function(f, "qt", ConeSpec("neumann"), tg).values
+    sf = area_function(extend_even(restrict(f, "upper")), "qt", ConeSpec("free"), tg).values
+    up = g.points()[..., -1] > 0
+    slack = 1e-12 * max(np.max(sf), np.finfo(float).tiny)
+    assert np.all(sn[up] >= np.sqrt(0.5) * sf[up] - slack)
+    assert np.all(sn[up] <= sf[up] + slack)
 
 
 def test_norm_converges_in_time_resolution(rng):
