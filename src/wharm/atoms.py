@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import groupby
 
 import numpy as np
@@ -27,15 +28,16 @@ from .dyadic import DyadicCube, DyadicLattice, weighted_maximal
 from .errors import DecompositionError, ParameterError
 from .grid import FULL, Grid, GridFunction
 from .kernels import psi_multiplier
-from .operators import apply_scales, operator_map, psi_op
+from .operators import QUADRATURE, apply_scales, free_multipliers, from_spectrum, psi_op, psi_reach, spectrum
 from .squarefn import ConeSpec, TimeGrid, area_function
 from .weights import as_weight
 
 
 _UNASSIGNED = -(10 ** 6)  # assignment level of a cube in no B_k
-_BUCKET_SLICE = 8  # bucket masks per batched psi map
+_BUCKET_SLICE = 8  # bucket masks per batched real transform
 
 
+@cache
 def calderon_constant() -> float:
     """1 / int_0^inf psi(s) s^2 e^{-s^2} ds/s for the qt/psi reproducing pair."""
     val, _ = quad(lambda s: psi_multiplier(s) * s * np.exp(-s * s), 0.0, 40.0, limit=200)
@@ -203,32 +205,46 @@ def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignmen
     """Whitney pieces of the reproducing formula, bucketed under (k, Qbar), and
     the unassigned remainder.
 
-    The scales of one Whitney slab share one generation's buckets: their qt
-    fields come from one apply_scales, and at each scale one psi map takes
-    _BUCKET_SLICE masked copies of the field per batch.  Each batch is added
-    to its pieces as it comes, so the stacked temporaries stay bounded.
+    The scales of one Whitney slab share one generation's buckets, so a piece
+    is summed in the spectral domain: piece = irfft(sum_t m_t rfft(1_key u_t))
+    with u_t the qt fields of one apply_scales and m_t the psi multipliers.
+    At each scale _BUCKET_SLICE masked copies of u_t take one real transform;
+    each key's spectrum is inverted once at the end, _BUCKET_SLICE keys at a
+    time, so the stacked temporaries stay bounded.  The quadrature stencil
+    has compact support, so there each piece is zeroed outside the cells its
+    slabs reach (psi_reach): the clipped mass then holds no round-off.
     """
     g = f.grid
-    cpsi = calderon_constant()
-    lw = tg.log_weight
-    pieces = {}
-    unassigned = np.zeros(g.shape)
+    spectra, reach = {}, {}
     gen_of = [_generation_of_scale(g, t, lat.max_generation) for t in tg.t_values]
     for k_gen, group in groupby(zip(gen_of, tg.t_values), key=lambda pair: pair[0]):
         if k_gen is None:
             continue
         ts = np.array([t for _, t in group])
         keys, labels = _bucket_labels(lat, k_gen, assignment[k_gen], cube_bucket)
-        for t, u in zip(ts, apply_scales("qt", "free", ts, f)):
-            psi = operator_map(psi_op(t, backend=psi_backend), g)
+        psi = free_multipliers(psi_op(ts[0], backend=psi_backend), g, ts)
+        if psi_backend == QUADRATURE:
+            for key, cells in zip(keys, psi_reach(labels == np.arange(len(keys))[:, None], ts, g)):
+                reach[key] = reach.get(key, False) | cells
+        for m, u in zip(psi, apply_scales("qt", "free", ts, f)):
             for lo in range(0, len(keys), _BUCKET_SLICE):
                 ids = np.arange(lo, min(lo + _BUCKET_SLICE, len(keys))).reshape((-1,) + (1,) * g.dim)
-                for key, piece in zip(keys[lo:], psi(np.where(labels == ids, u, 0.0))):
-                    if key is None:
-                        unassigned += lw * cpsi * piece
+                batch = spectrum(np.where(labels == ids, u, 0.0), g)
+                batch *= m
+                for key, F in zip(keys[lo:], batch):
+                    if key in spectra:
+                        spectra[key] += F
                     else:
-                        pieces.setdefault(key, np.zeros(g.shape))
-                        pieces[key] += lw * cpsi * piece
+                        spectra[key] = F.copy()
+    weight = tg.log_weight * calderon_constant()
+    keys = list(spectra)
+    pieces = {}
+    for lo in range(0, len(keys), _BUCKET_SLICE):
+        batch = keys[lo:lo + _BUCKET_SLICE]
+        values = from_spectrum(np.stack([spectra.pop(key) for key in batch]), g)
+        for key, v in zip(batch, values):
+            pieces[key] = weight * (np.where(reach[key], v, 0.0) if reach else v)
+    unassigned = pieces.pop(None, np.zeros(g.shape))
     return pieces, unassigned
 
 

@@ -7,12 +7,23 @@ Every free-Laplacian operator is one map on full-grid value arrays
 
 * "fourier": the box is treated as a torus and the operator is a diagonal
   Fourier multiplier (exp(-t|xi|^2), t^2|xi|^2 exp(-t^2|xi|^2), psi(t|xi|),
-  i xi_j/|xi|).
+  i xi_j/|xi|).  The data are real, so the map is a real transform (rfft in
+  1D, rfft2 in 2D) and the multiplier lives on the half spectrum: the last
+  axis runs from 0 to its Nyquist frequency.
 * "quadrature": plain midpoint-rule kernel sums over the box, a direct
   convolution with the free kernel of kernels.py tabulated at every cell
   offset.  The singular diagonal cell of a Riesz kernel is 0 in the table
   (its principal-value contribution vanishes at leading order by odd
-  symmetry).  psi is the periodized cell-averaged stencil instead.
+  symmetry).  psi is the circular convolution with the periodized
+  cell-averaged stencil instead, which is the half-spectrum multiplier
+  rfft(stencil) h: psi is one multiplier on both backends and takes the
+  Fourier map's transforms.  The stencil has compact support, which the
+  transforms keep only up to round-off, so the map zeroes every cell beyond
+  the input's reach (psi_reach).
+
+The multipliers come from free_multipliers: one read-only stack per (kind,
+j, beta, grid, scales, backend), cached, so repeated applies and the scales
+of one slab never rebuild them.
 
 The Neumann and Dirichlet families take one path on both backends
 (_operator_maps): each side's values are extended evenly (Neumann) or
@@ -26,14 +37,16 @@ extension, and only the free diagonal cell is dropped.
 apply_scales gives the fields G_t f of one scale kind (semigroup, qt, psi,
 phi) at many scales t as one (T, *grid) array.  On the Fourier backend f, or
 its two sided extensions through the same reflection path, takes one forward
-FFT, the multipliers of every t are one stack built from one frequency grid,
-and one batched inverse FFT returns all fields; each row equals the
-one-scale apply bit for bit (apply is the stack of one).  It is Fourier
-only: no caller batches quadrature scales, and the per-t apply stays the
-quadrature path.  The stack holds T complex fields, so callers pass one
-octave of scales at a time: bmo one Whitney slab, squarefn one
-TimeGrid.octaves() run, atoms one slab, with its psi maps (operator_map)
-taking at most atoms._BUCKET_SLICE bucket masks per FFT.
+real transform, the multipliers of every t are one stack on one half
+spectrum, and one batched inverse transform returns all fields; each row
+equals the one-scale apply bit for bit (apply is the stack of one).  It is
+Fourier only: no caller batches quadrature scales, and the per-t apply stays
+the quadrature path.  The stack holds T half spectra of complex numbers and
+T real fields, so callers pass one octave of scales at a time: bmo one
+Whitney slab, squarefn one TimeGrid.octaves() run, atoms one slab.  atoms
+also sums its psi pieces on the half spectrum itself (spectrum,
+free_multipliers, from_spectrum), since a piece's buckets are fixed within a
+slab.
 
 Every operator also has an exact transpose without a matrix.  The free
 Riesz map is antisymmetric (odd multiplier, odd kernel table) and the other
@@ -55,9 +68,9 @@ negative of the textbook Hilbert transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import convolve
 from scipy.sparse.linalg import LinearOperator, aslinearoperator, svds
 
 from .errors import BackendError, DomainError, ParameterError, SizeError
@@ -131,45 +144,107 @@ def commutator(b: GridFunction, inner: OperatorHandle):
 # ---------------------------------------------------------------------------
 # free operators and the reflection path
 
+def spectrum(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectrum of real values on the last grid.dim axes of v (rfft on
+    the last axis); leading batch axes ride along."""
+    return np.fft.rfft(v) if grid.dim == 1 else np.fft.rfft2(v)
+
+
+def from_spectrum(F: np.ndarray, grid: Grid) -> np.ndarray:
+    """The real values on full grid of a half spectrum: spectrum's inverse."""
+    N = grid.points_per_axis
+    return np.fft.irfft(F, n=N) if grid.dim == 1 else np.fft.irfft2(F, s=(N, N))
+
+
 def _xi_grids(grid: Grid):
+    """Angular frequencies of the half spectrum: the full axes, then the last
+    axis up to its Nyquist frequency."""
     N, h = grid.points_per_axis, grid.h
-    xi = 2.0 * np.pi * np.fft.fftfreq(N, d=h)
-    mesh = np.meshgrid(*([xi] * grid.dim), indexing="ij")
-    return mesh
+    axes = [2.0 * np.pi * np.fft.fftfreq(N, d=h)] * (grid.dim - 1) + [2.0 * np.pi * np.fft.rfftfreq(N, d=h)]
+    return np.meshgrid(*axes, indexing="ij")
 
 
-def _free_multiplier(op: OperatorHandle, grid: Grid, ts=None):
-    """op's free Fourier multiplier on grid.  With ts (the scale kinds only),
-    the multipliers at every t of ts, stacked along a new leading axis."""
-    mesh = _xi_grids(grid)
-    xi2 = sum(m ** 2 for m in mesh)
-    if op.kind == "riesz":
+def _psi_stencil_spectrum(t: float, grid: Grid) -> np.ndarray:
+    """Half-spectrum multiplier of the circular convolution with the
+    periodized cell-averaged psi stencil (n = 1)."""
+    h, N = grid.h, grid.points_per_axis
+    st = psi_stencil(t, h)
+    r = (len(st) - 1) // 2
+    kper = np.zeros(N)
+    np.add.at(kper, np.arange(-r, r + 1) % N, st)
+    return np.fft.rfft(kper) * h
+
+
+def psi_reach(mask: np.ndarray, ts, grid: Grid) -> np.ndarray:
+    """The cells that the quadrature psi at the scales ts reaches from the
+    cells of mask (n = 1, last axis, mod the box): mask dilated by the largest
+    stencil radius.  The exact psi fields vanish outside it; the transforms
+    leave round-off there, which the callers zero."""
+    st = psi_stencil(max(ts), grid.h)
+    r = int(np.max(np.abs(np.flatnonzero(st) - (len(st) - 1) // 2)))
+    N = grid.points_per_axis
+    if 2 * r + 1 >= N:
+        return np.repeat(mask.any(axis=-1, keepdims=True), N, axis=-1)
+    # window sums of the circularly padded mask, as differences of its running count
+    ext = np.concatenate([mask[..., N - r:], mask, mask[..., :r]], axis=-1)
+    counts = np.cumsum(ext, axis=-1)
+    counts = np.concatenate([np.zeros(mask.shape[:-1] + (1,), dtype=counts.dtype), counts], axis=-1)
+    return counts[..., 2 * r + 1:] > counts[..., :N]
+
+
+@lru_cache(maxsize=64)
+def _multiplier_stack(kind: str, j, beta: int, grid: Grid, ts, backend: str) -> np.ndarray:
+    """Read-only half-spectrum multipliers of kind's free operator on grid, one
+    per t of ts along a leading axis (a stack of one for Riesz, ts None)."""
+    if kind == "psi" and backend == QUADRATURE:
+        # circular convolution with the periodized stencil: keeps the compact
+        # support (mod the box) and the exact zero total mass, and stays
+        # consistent with the periodic Fourier model
+        if grid.dim != 1:
+            raise BackendError("the psi quadrature stencil is implemented in n = 1 only")
+        m = np.stack([_psi_stencil_spectrum(t, grid) for t in ts])
+    elif kind == "riesz":
+        mesh = _xi_grids(grid)
+        xi2 = sum(x ** 2 for x in mesh)
         mag = np.sqrt(xi2)
         mag[mag == 0] = 1.0
-        m = 1j * mesh[op.j - 1] / mag
+        m = 1j * mesh[j - 1] / mag
         m[xi2 == 0] = 0.0
         # zero the Nyquist plane of the active axis so the odd multiplier
-        # keeps real data real
-        N = grid.points_per_axis
+        # keeps real data real (on the last axis it is the last bin)
         idx = [slice(None)] * grid.dim
-        idx[op.j - 1] = N // 2
+        idx[j - 1] = grid.points_per_axis // 2
         m[tuple(idx)] = 0.0
-        return m
-    # one scale is a stack of one, so apply and apply_scales share the arithmetic
-    t = np.reshape([op.t] if ts is None else ts, (-1,) + (1,) * grid.dim)
-    if op.kind == "semigroup":
-        m = np.exp(-t * xi2)
-    elif op.kind == "qt":
-        t2 = t ** 2
-        m = t2 * xi2 * np.exp(-t2 * xi2)
-    elif op.kind == "psi":
-        m = psi_multiplier(t * np.sqrt(xi2))
-    elif op.kind == "phi":
-        s = t * np.sqrt(xi2)
-        m = s ** (1 + op.beta) * np.exp(-(s ** 2) / 2.0)
+        m = m[None]
     else:
-        raise BackendError(f"no multiplier for kind {op.kind!r}")
-    return m[0] if ts is None else m
+        xi2 = sum(x ** 2 for x in _xi_grids(grid))
+        # one scale is a stack of one, so apply and apply_scales share the arithmetic
+        t = np.reshape(ts, (-1,) + (1,) * grid.dim)
+        if kind == "semigroup":
+            m = np.exp(-t * xi2)
+        elif kind == "qt":
+            t2 = t ** 2
+            m = t2 * xi2 * np.exp(-t2 * xi2)
+        elif kind == "psi":
+            m = psi_multiplier(t * np.sqrt(xi2))
+        elif kind == "phi":
+            s = t * np.sqrt(xi2)
+            m = s ** (1 + beta) * np.exp(-(s ** 2) / 2.0)
+        else:
+            raise BackendError(f"no multiplier for kind {kind!r}")
+    m.flags.writeable = False
+    return m
+
+
+def free_multipliers(op: OperatorHandle, grid: Grid, ts=None) -> np.ndarray:
+    """op's free multipliers on grid's half spectrum, shape (len(ts), *half):
+    one per t of ts (default op.t alone; Riesz has no scale).  psi takes its
+    backend's multiplier, the quadrature stencil's included.  The stacks are
+    cached and read-only, so one slab's scales never rebuild them."""
+    if op.kind == "riesz" and not 1 <= op.j <= grid.dim:
+        raise ParameterError(f"Riesz component j = {op.j} outside 1..{grid.dim}")
+    scales = None if op.kind == "riesz" else tuple(float(t) for t in ([op.t] if ts is None else ts))
+    return _multiplier_stack(op.kind, op.j, op.beta, grid, scales, op.backend)
 
 
 def _kernel_table(op: OperatorHandle, grid: Grid) -> np.ndarray:
@@ -195,40 +270,34 @@ def _free_operator(op: OperatorHandle, grid: Grid, ts=None):
     """The free-Laplacian operator of op's kind as a map on full-grid value arrays.
 
     The map acts on the last grid.dim axes, so leading batch axes ride along.
-    The multiplier or kernel table is built once, here.  With ts (Fourier
-    backend only) the map returns the field at every t of ts along a new
-    leading axis: one forward transform meets the multiplier stack under one
-    batched inverse transform.
+    The multiplier or kernel table is built (or fetched) once, here.  With ts
+    (the multiplier kinds only) the map returns the field at every t of ts
+    along a new leading axis: one forward real transform meets the multiplier
+    stack under one batched inverse transform.
     """
-    if op.kind == "riesz" and not 1 <= op.j <= grid.dim:
-        raise ParameterError(f"Riesz component j = {op.j} outside 1..{grid.dim}")
-    if op.backend == FOURIER:
-        m = _free_multiplier(op, grid, ts)
-        fft, ifft = (np.fft.fft, np.fft.ifft) if grid.dim == 1 else (np.fft.fft2, np.fft.ifft2)
+    if op.backend == FOURIER or op.kind == "psi":
+        m = free_multipliers(op, grid, ts)
+        if ts is None:
+            m = m[0]
 
         def fourier(v):
-            if ts is None:
-                return ifft(fft(v) * m).real
-            stack = m.reshape(m.shape[:1] + (1,) * (v.ndim - grid.dim) + grid.shape)
-            return ifft(fft(v) * stack).real
+            stack = m if ts is None else m.reshape(m.shape[:1] + (1,) * (v.ndim - grid.dim) + m.shape[1:])
+            return from_spectrum(spectrum(v, grid) * stack, grid)
 
+        if op.backend == QUADRATURE:
+            scales = [op.t] if ts is None else ts
+
+            def stencil(v):
+                # the stencil's compact support, kept exactly
+                return np.where(psi_reach(v != 0, scales, grid), fourier(v), 0.0)
+
+            return stencil
         return fourier
     if ts is not None:
         raise BackendError("a stack of scales needs the Fourier backend")
-    if op.kind == "psi":
-        if grid.dim != 1:
-            raise BackendError("the psi quadrature stencil is implemented in n = 1 only")
-        h = grid.h
-        # circular convolution with the periodized cell-averaged kernel: keeps
-        # the compact support (mod the box) and the exact zero total mass,
-        # and stays consistent with the periodic Fourier model
-        st = psi_stencil(op.t, h)
-        r = (len(st) - 1) // 2
-        N = grid.points_per_axis
-        kper = np.zeros(N)
-        np.add.at(kper, np.arange(-r, r + 1) % N, st)
-        kf = np.fft.fft(kper)
-        return lambda v: np.real(np.fft.ifft(np.fft.fft(v) * kf)) * h
+    # only the quadrature reference needs scipy.signal, and its import is slow
+    from scipy.signal import convolve
+
     # box-clipped midpoint sums, kept direct as an independent slow reference
     table = _kernel_table(op, grid)
 
@@ -334,8 +403,8 @@ def apply_scales(kind: str, family: str, ts, f: GridFunction, beta: int = 0) -> 
     apply(OperatorHandle(kind, family, t=ts[i], beta=beta), f) on the
     Fourier backend: f, or its two sided extensions, is transformed once and
     every t's multiplier is one stack under one batched inverse transform.
-    The stack holds len(ts) complex fields, so callers pass one octave of
-    scales at a time.
+    The stack holds len(ts) complex half spectra and real fields, so callers
+    pass one octave of scales at a time.
     """
     if kind not in SCALE_KINDS:
         raise ParameterError(f"apply_scales takes a scale kind {SCALE_KINDS}, not {kind!r}")
@@ -345,18 +414,6 @@ def apply_scales(kind: str, family: str, ts, f: GridFunction, beta: int = 0) -> 
     # the handle checks the family; the scales themselves come from ts
     op = OperatorHandle(kind, family, t=float(ts[0]), beta=beta)
     return _operator_maps(op, f.grid, ts)[0](f.values)
-
-
-def operator_map(op: OperatorHandle, grid: Grid):
-    """op as a map on grid's value arrays, leading batch axes allowed.
-
-    Its multiplier or kernel table is built once, so a stack of inputs (the
-    masked copies of one field that atoms.atomic_decompose pushes through
-    one psi operator) costs one batched transform where one apply per input
-    would rebuild it.  linear_operator serves flattened single vectors to
-    scipy and cannot batch; apply_scales batches scales, not inputs.
-    """
-    return _operator_maps(op, grid)[0]
 
 
 def linear_operator(op: OperatorHandle, grid: Grid) -> LinearOperator:

@@ -9,9 +9,12 @@ at a time, these sums and the g* sums are one real FFT convolution of the
 field stack with kernels wrapped around offset 0 (even, so their spectra
 are real), on axes padded to N + r_max cells (r_max the widest kernel
 radius) so the circular wrap lands in zeros; the spectra sit in a bounded,
-read-only cache, and a Neumann cone sums one side at a time.  The dyadic
-square function S_psi takes one generation of Haar coefficients at a time
-and spreads each cube's energy over its 2Q.
+read-only cache, and a Neumann cone sums one side at a time.  S is
+1-homogeneous, so it runs on f divided by a power of two just above max|f|
+(per side for the Neumann cone): squares of tiny data stay normal numbers,
+and the scaling rounds nothing.  The dyadic square function S_psi takes one
+generation of Haar coefficients at a time and spreads each cube's energy
+over its 2Q.
 
 Discrete fact worth knowing: for x in the upper half-space,
     (sqrt(2)/2) S_free(f_{+,e})(x) <= S_neumann(f)(x) <= S_free(f_{+,e})(x)
@@ -30,7 +33,7 @@ from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .dyadic import DyadicLattice, haar_generation
 from .errors import BackendError, GridAlignmentError, ParameterError
-from .grid import FULL, Grid, GridFunction, join_sides
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, join_sides, restrict
 from .operators import apply_scales
 
 
@@ -131,14 +134,24 @@ def _radial_sums(fields: np.ndarray, grid: Grid, ts, lam=None) -> np.ndarray:
     return irfftn(F, s=(P,) * n, axes=axes)[(...,) + (slice(N),) * n]
 
 
-def _cone_integral(g: Grid, tg: TimeGrid, sums) -> GridFunction:
-    """(sum_m ln2/M t_m^{-n} h^n sums(ts)[m])^{1/2}, sums taking one octave ts at a time."""
+def _exponent(values) -> int:
+    """e with max|values| in [2^(e-1), 2^e), 0 for zero data."""
+    return int(np.frexp(np.max(np.abs(values)))[1])
+
+
+def _cone_integral(f: GridFunction, e, tg: TimeGrid, sums) -> GridFunction:
+    """(sum_m ln2/M t_m^{-n} h^n sums(u, ts)[m])^{1/2}, sums taking one octave ts
+    at a time of u = f 2^-e.  S is 1-homogeneous, so it runs on u, whose
+    squares stay normal numbers, and scales back by 2^e; powers of two scale
+    without rounding."""
+    g = f.grid
+    u = GridFunction(g, np.ldexp(f.values, -e))
     acc = np.zeros(g.shape)
     for ts in tg.octaves():
-        for t, s in zip(ts, sums(ts)):
+        for t, s in zip(ts, sums(u, ts)):
             acc += s / t ** g.dim
     acc *= tg.log_weight * g.cell_volume
-    return GridFunction(g, np.sqrt(np.maximum(acc, 0.0)))
+    return GridFunction(g, np.ldexp(np.sqrt(np.maximum(acc, 0.0)), e))
 
 
 def _generator(generator):
@@ -158,17 +171,23 @@ def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> G
     if cone.kind == "neumann" and not (generator == "qt"):
         raise ParameterError("the Neumann cone is wired for the heat generator only")
     kind, beta = _generator(generator)
+    if cone.kind == "free":
+        e = _exponent(f.values)
+    else:
+        # the Neumann field and cone on one side read only that side's values,
+        # so each side takes its own scale
+        e = join_sides(_exponent(restrict(f, UPPER).values), _exponent(restrict(f, LOWER).values), g)
 
-    def sums(ts):
+    def sums(u, ts):
         # a Neumann cone takes the Neumann generator
-        fields = apply_scales(kind, cone.kind, ts, f, beta=beta) ** 2
+        fields = apply_scales(kind, cone.kind, ts, u, beta=beta) ** 2
         if cone.kind == "free":
             return _radial_sums(fields, g, ts)
         # a Neumann cone at x keeps only the cells on x's side; one side at a time
         upper = _radial_sums(join_sides(fields, 0.0, g), g, ts)
         return join_sides(upper, _radial_sums(join_sides(0.0, fields, g), g, ts), g)
 
-    return _cone_integral(g, tg, sums)
+    return _cone_integral(f, e, tg, sums)
 
 
 def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) -> GridFunction:
@@ -178,10 +197,10 @@ def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) ->
         raise BackendError("g* is evaluated on full-space data")
     kind, beta = _generator(generator)
 
-    def sums(ts):
-        return _radial_sums(apply_scales(kind, "free", ts, h_fn, beta=beta) ** 2, g, ts, int(lambda_exponent))
+    def sums(u, ts):
+        return _radial_sums(apply_scales(kind, "free", ts, u, beta=beta) ** 2, g, ts, int(lambda_exponent))
 
-    return _cone_integral(g, tg, sums)
+    return _cone_integral(h_fn, _exponent(h_fn.values), tg, sums)
 
 
 def haar_square_function(f: GridFunction, lat: DyadicLattice) -> GridFunction:

@@ -169,7 +169,8 @@ def test_psi_compact_support_verification():
     x = g.points()[..., 0]
     outside = np.abs(x - x[128]) > t + g.h
     total = np.sum(np.abs(imp_quad)) * g.h
-    assert np.sum(np.abs(imp_quad[outside])) * g.h <= 1e-15 * total
+    assert np.all(imp_quad[outside] == 0.0)
+    assert total > 0
     leak = np.sum(np.abs(imp_four[outside])) * g.h / total
     assert leak < 0.05  # measured Gibbs leakage, documented in the ledger
 
@@ -280,6 +281,30 @@ def _assert_close(a, b, where):
         assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(np.abs(x), np.abs(y)) + 1e-300), where
 
 
+def _assert_field_close(a, b, where):
+    # the sum over a slab's scales runs in the spectral domain, so a cell where
+    # the pieces nearly cancel keeps an error relative to the field's maximum,
+    # not to its own value
+    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), where
+
+
+def _assert_report_close(got, want):
+    """The report within 1e-12 relative, but for the atoms' moment values:
+    each vanishes up to round-off, which moves with the order of summation,
+    so it is held within 1e-5 of its tolerance (worst measured 1.7e-6)."""
+
+    def moments(report):
+        return [m for c in report["atom_checks"] for m in c["moments"]]
+
+    def without_moment_values(report):
+        checks = [{**c, "moments": [{**m, "value": 0.0} for m in c["moments"]]} for c in report["atom_checks"]]
+        return {**report, "atom_checks": checks}
+
+    for m, n in zip(moments(got), moments(want), strict=True):
+        assert abs(m["value"] - n["value"]) <= 1e-5 * n["tolerance"], "moment"
+    _assert_close(without_moment_values(got), without_moment_values(want), "report")
+
+
 @pytest.mark.parametrize("dim,N,max_gen,psi_backend", [(1, 128, 7, "quadrature"), (2, 32, 5, "fourier")])
 def test_batched_pieces_match_the_per_bucket_oracle(dim, N, max_gen, psi_backend, monkeypatch):
     g = Grid(dim, 1.0, N)
@@ -303,12 +328,15 @@ def test_batched_pieces_match_the_per_bucket_oracle(dim, N, max_gen, psi_backend
     monkeypatch.setattr(atoms, "_whitney_pieces", _per_bucket_pieces)
     want = atomic_decompose(f, w, lat, tg, psi_backend=psi_backend)
     _assert_close(got.coefficients, want.coefficients, "coefficients")
-    _assert_close(got.residual.values, want.residual.values, "residual")
-    _assert_close(got.report, want.report, "report")
+    _assert_field_close(got.residual.values, want.residual.values, "residual")
+    _assert_report_close(got.report, want.report)
+    if psi_backend == "quadrature":
+        # the stencil's pieces stay inside 3Qbar, round-off included
+        assert got.report["clipped_mass"] == 0.0
     assert [(a.cube, a.level) for a in got.atoms] == [(a.cube, a.level) for a in want.atoms]
     for a, b in zip(got.atoms, want.atoms):
         assert np.array_equal(a.support, b.support)
-        _assert_close(a.values.values, b.values.values, f"atom {a.cube}")
+        _assert_field_close(a.values.values, b.values.values, f"atom {a.cube}")
 
 
 @pytest.mark.parametrize("dim,N,max_gen,psi_backend", [(1, 64, 6, "quadrature"), (2, 16, 4, "fourier")])
@@ -330,5 +358,7 @@ def test_unassigned_cubes_ride_in_the_psi_batches(dim, N, max_gen, psi_backend):
     got_pieces, got_rest = atoms._whitney_pieces(f, lat, tg, assignment, cube_bucket, psi_backend)
     want_pieces, want_rest = _per_bucket_pieces(f, lat, tg, assignment, cube_bucket, psi_backend)
     assert np.any(want_rest)
-    _assert_close(got_rest, want_rest, "unassigned")
-    _assert_close(got_pieces, want_pieces, "pieces")
+    _assert_field_close(got_rest, want_rest, "unassigned")
+    assert got_pieces.keys() == want_pieces.keys()
+    for key, piece in want_pieces.items():
+        _assert_field_close(got_pieces[key], piece, f"piece {key}")

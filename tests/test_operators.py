@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,17 @@ from scipy.fft import dct, dst, idct, idst
 
 from wharm.errors import BackendError, DomainError, ParameterError, SizeError
 from wharm.grid import Grid, GridFunction, constant, extend_even, extend_odd, restrict
-from wharm.kernels import KernelSpec, eval_kernel, heaviside_same_side, qt_free, qt_neumann, reflect_point, riesz_free
+from wharm.kernels import (
+    KernelSpec,
+    eval_kernel,
+    heaviside_same_side,
+    psi_multiplier,
+    psi_stencil,
+    qt_free,
+    qt_neumann,
+    reflect_point,
+    riesz_free,
+)
 from wharm.operators import (
     FOURIER,
     QUADRATURE,
@@ -20,9 +34,11 @@ from wharm.operators import (
     assemble_matrix,
     commutator,
     commutator_matrix,
+    free_multipliers,
     linear_operator,
     phi_op,
     psi_op,
+    psi_reach,
     qt_op,
     riesz,
     semigroup,
@@ -615,3 +631,140 @@ def test_apply_scales_property_random_scales(data):
     f = GridFunction(g, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(g.shape))
     got = apply_scales(kind, family, ts, f)
     assert got.tobytes() == _per_scale_stack(kind, family, ts, f, 0).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the half-spectrum maps against complex transforms with the full multiplier
+
+def full_spectrum_oracle(kind, g, v, t=None, j=None, beta=0):
+    """ifftn(fftn(v) M).real with M the multiplier on every complex-FFT frequency."""
+    N, h = g.points_per_axis, g.h
+    xi = 2.0 * np.pi * np.fft.fftfreq(N, d=h)
+    mesh = np.meshgrid(*[xi] * g.dim, indexing="ij")
+    xi2 = sum(m ** 2 for m in mesh)
+    s = (t or 0.0) * np.sqrt(xi2)
+    if kind == "riesz":
+        M = np.where(xi2 > 0, 1j * mesh[j - 1] / np.sqrt(np.where(xi2 > 0, xi2, 1.0)), 0.0)
+        nyquist = [slice(None)] * g.dim
+        nyquist[j - 1] = N // 2
+        M[tuple(nyquist)] = 0.0
+    else:
+        M = {
+            "semigroup": lambda: np.exp(-t * xi2),
+            "qt": lambda: s ** 2 * np.exp(-(s ** 2)),
+            "psi": lambda: psi_multiplier(s),
+            "phi": lambda: s ** (1 + beta) * np.exp(-(s ** 2) / 2.0),
+        }[kind]()
+    axes = tuple(range(-g.dim, 0))
+    return np.fft.ifftn(np.fft.fftn(v, axes=axes) * M, axes=axes).real
+
+
+def _real_spectrum_cases():
+    for dim, N in ((1, 64), (2, 16)):
+        for kind, t, beta in (("semigroup", 0.01, 0), ("qt", 0.1, 0), ("psi", 0.2, 0), ("phi", 0.1, 0), ("phi", 0.1, 1)):
+            yield pytest.param(dim, N, kind, t, None, beta, "free", id=f"{dim}d-{kind}{beta}-free")
+            if kind in ("semigroup", "qt"):
+                for family in ("neumann", "dirichlet"):
+                    yield pytest.param(dim, N, kind, t, None, 0, family, id=f"{dim}d-{kind}-{family}")
+        for j in range(1, dim + 1):
+            for family in ("free", "neumann", "dirichlet"):
+                yield pytest.param(dim, N, "riesz", None, j, 0, family, id=f"{dim}d-R{j}-{family}")
+
+
+@pytest.mark.parametrize("dim,N,kind,t,j,beta,family", list(_real_spectrum_cases()))
+def test_real_spectrum_maps_match_the_full_complex_transform(dim, N, kind, t, j, beta, family):
+    rng = np.random.default_rng(N + dim)
+    op = OperatorHandle(kind, family, t=t, j=j, beta=beta)
+    if family == "free":
+        f = GridFunction(Grid(dim, 1.0, N), rng.standard_normal((N,) * dim))
+        got = apply(op, f).values
+        want = full_spectrum_oracle(kind, f.grid, f.values, t=t, j=j, beta=beta)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        return
+    # a sided operator is the free one on the side's even (Neumann) or odd
+    # (Dirichlet) extension, read back on that side
+    extend = extend_even if family == "neumann" else extend_odd
+    for side in ("upper", "lower"):
+        f = GridFunction(Grid(dim, 1.0, N, side), rng.standard_normal(Grid(dim, 1.0, N, side).shape))
+        ext = extend(f)
+        got = apply(op, f).values
+        want = restrict(GridFunction(ext.grid, full_spectrum_oracle(kind, ext.grid, ext.values, t=t, j=j)), side).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), side
+
+
+@pytest.mark.parametrize("t", [0.03, 0.1, 0.5, 1.7])
+def test_psi_stencil_multiplier_matches_the_complex_circular_convolution(grid64, rng, t):
+    # the quadrature psi is a half-spectrum multiplier rfft(kper) h of the
+    # periodized stencil; the oracle is the complex circular convolution
+    N, h = grid64.points_per_axis, grid64.h
+    st = psi_stencil(t, h)
+    r = (len(st) - 1) // 2
+    kper = np.zeros(N)
+    np.add.at(kper, np.arange(-r, r + 1) % N, st)
+    v = rng.standard_normal((3, N))
+    want = np.real(np.fft.ifft(np.fft.fft(v) * np.fft.fft(kper))) * h
+    got = _operator_maps(psi_op(t, backend=QUADRATURE), grid64)[0](v)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("t", [0.03, 0.1, 0.5, 1.7])
+def test_psi_reach_is_the_stencil_dilation(grid64, rng, t):
+    # brute force: the union of the mask's cells shifted by every offset up to
+    # the stencil's outermost nonzero entry, mod the box
+    N = grid64.points_per_axis
+    st = psi_stencil(t, grid64.h)
+    outer = np.max(np.abs(np.flatnonzero(st) - (len(st) - 1) // 2))
+    mask = rng.random((5, N)) < 0.08
+    mask[0] = False
+    mask[1, -1] = True
+    want = np.zeros(mask.shape, dtype=bool)
+    for o in range(-outer, outer + 1):
+        want |= np.roll(mask, o, axis=-1)
+    got = psi_reach(mask, [t / 2, t], grid64)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("t", [0.03, 0.1, 0.5])
+def test_quadrature_psi_vanishes_exactly_beyond_its_stencil(grid64, rng, t):
+    # the transforms leave round-off in every cell; the map keeps the exact zeros
+    v = np.zeros((2, grid64.points_per_axis))
+    v[0, 10:14] = rng.standard_normal(4)
+    v[1, [0, 40]] = 1.0
+    got = _operator_maps(psi_op(t, backend=QUADRATURE), grid64)[0](v)
+    st = psi_stencil(t, grid64.h)
+    r = (len(st) - 1) // 2
+    kper = np.zeros(grid64.points_per_axis)
+    np.add.at(kper, np.arange(-r, r + 1) % grid64.points_per_axis, st)
+    want = np.real(np.fft.ifft(np.fft.fft(v) * np.fft.fft(kper))) * grid64.h
+    reach = psi_reach(v != 0, [t], grid64)
+    assert not np.all(reach)
+    assert np.all(got[~reach] == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_cached_multipliers_are_read_only():
+    g = Grid(2, 1.0, 16)
+    ts = [0.1, 0.2, 0.4]
+    for op in (psi_op(0.1), qt_op("free", 0.1), riesz("free", 2), psi_op(0.1, backend=QUADRATURE)):
+        grid = Grid(1, 1.0, 16) if op.backend == QUADRATURE else g
+        stack = free_multipliers(op, grid, None if op.kind == "riesz" else ts)
+        assert stack is free_multipliers(op, grid, None if op.kind == "riesz" else ts)
+        assert stack.shape[0] == (1 if op.kind == "riesz" else len(ts))
+        assert stack.shape[1:] == grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0] = 0.0
+
+
+def test_wharm_imports_leave_scipy_signal_unloaded():
+    # only the quadrature kernel sums need scipy.signal, and it takes most of
+    # the import time, so it is imported where it is used
+    code = (
+        "import sys\n"
+        "import wharm.harness, wharm.atoms, wharm.squarefn, wharm.sparse\n"
+        "sys.exit('scipy.signal' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr or "scipy.signal was imported"

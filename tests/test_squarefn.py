@@ -382,11 +382,12 @@ def test_cached_kernel_spectra_are_read_only():
 @given(data=st.data())
 def test_neumann_band_on_random_data(data):
     # sqrt(1/2) S_free(f_{+,e}) <= S_N(f) <= S_free(f_{+,e}) on the upper half;
-    # values are 0 or of modulus 1e-3 to 1e3, so no square underflows
+    # values are 0 or of modulus 1e-300 to 1e3: each side is scaled by a power
+    # of two near its maximum before squaring, so no square goes subnormal
     dim = data.draw(st.sampled_from([1, 2]))
     N = data.draw(st.sampled_from([8, 16, 32] if dim == 1 else [8, 12, 16]))
     g = Grid(dim, 1.0, N)
-    value = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    value = st.one_of(st.just(0.0), st.floats(1e-300, 1e3), st.floats(-1e3, -1e-300))
     f = GridFunction(g, data.draw(arrays(np.float64, g.shape, elements=value)))
     tg = TimeGrid.geometric(g, steps_per_octave=data.draw(st.integers(1, 4)))
     sn = area_function(f, "qt", ConeSpec("neumann"), tg).values
@@ -395,6 +396,38 @@ def test_neumann_band_on_random_data(data):
     slack = 1e-12 * max(np.max(sf), np.finfo(float).tiny)
     assert np.all(sn[up] >= np.sqrt(0.5) * sf[up] - slack)
     assert np.all(sn[up] <= sf[up] + slack)
+
+
+def test_neumann_band_holds_for_a_tiny_single_cell():
+    # one cell of 2.18e-156 on 8^2 with one step per octave: unscaled, its
+    # fields square to subnormal numbers and S_N exceeded S_free(f_{+,e}) by
+    # 4.1e-9 of the maximum
+    g = Grid(2, 1.0, 8)
+    v = np.zeros(g.shape)
+    v[2, 5] = 2.18e-156
+    f = GridFunction(g, v)
+    tg = TimeGrid.geometric(g, steps_per_octave=1)
+    sn = area_function(f, "qt", ConeSpec("neumann"), tg).values
+    sf = area_function(extend_even(restrict(f, "upper")), "qt", ConeSpec("free"), tg).values
+    up = g.points()[..., -1] > 0
+    slack = 1e-12 * np.max(sf)
+    assert np.all(sn[up] >= np.sqrt(0.5) * sf[up] - slack)
+    assert np.all(sn[up] <= sf[up] + slack)
+
+
+def test_square_functions_scale_by_powers_of_two_exactly(rng):
+    # S is 1-homogeneous and runs on f scaled near unit size by a power of
+    # two, so scaling f by 2^k scales S by 2^k bit for bit, tiny data included
+    g = Grid(2, 1.0, 16)
+    f = rng.standard_normal(g.shape)
+    tg = TimeGrid.geometric(g, steps_per_octave=2)
+    for k in (-520, -60, 40):
+        scaled = GridFunction(g, np.ldexp(f, k))
+        for cone in ("free", "neumann"):
+            want = np.ldexp(area_function(GridFunction(g, f), "qt", ConeSpec(cone), tg).values, k)
+            assert np.array_equal(area_function(scaled, "qt", ConeSpec(cone), tg).values, want)
+        want = np.ldexp(g_star(GridFunction(g, f), "qt", 2, tg).values, k)
+        assert np.array_equal(g_star(scaled, "qt", 2, tg).values, want)
 
 
 def test_norm_converges_in_time_resolution(rng):
