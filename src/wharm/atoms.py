@@ -22,12 +22,10 @@ from functools import cache
 from itertools import groupby
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dyadic import DyadicCube, DyadicLattice, weighted_maximal
 from .errors import DecompositionError, ParameterError
 from .grid import FULL, Grid, GridFunction
-from .kernels import psi_multiplier
 from .operators import QUADRATURE, apply_scales, free_multipliers, from_spectrum, psi_op, psi_reach, spectrum
 from .squarefn import ConeSpec, TimeGrid, area_function
 from .weights import as_weight
@@ -37,11 +35,24 @@ _UNASSIGNED = -(10 ** 6)  # assignment level of a cube in no B_k
 _BUCKET_SLICE = 8  # bucket masks per batched real transform
 
 
+def _dawson(x: float, terms: int = 60) -> float:
+    """Dawson's integral F(x) = int_0^inf e^{-s^2} sin(2 x s) ds by its series
+    sum_k (-1)^k 2^k x^{2k+1} / (1 3 ... (2k+1)) (Abramowitz & Stegun, ch. 7)."""
+    total, term = 0.0, x
+    for k in range(terms):
+        total += term
+        term *= -2.0 * x * x / (2 * k + 3)
+    return total
+
+
 @cache
 def calderon_constant() -> float:
-    """1 / int_0^inf psi(s) s^2 e^{-s^2} ds/s for the qt/psi reproducing pair."""
-    val, _ = quad(lambda s: psi_multiplier(s) * s * np.exp(-s * s), 0.0, 40.0, limit=200)
-    return 1.0 / val
+    """1 / int_0^inf psi(s) s^2 e^{-s^2} ds/s for the qt/psi reproducing pair.
+
+    With psi(s) = (2 sin(s/2) - sin s) / s the integral is 2 F(1/4) - F(1/2)
+    for Dawson's integral F.
+    """
+    return 1.0 / (2.0 * _dawson(0.25) - _dawson(0.5))
 
 
 @dataclass

@@ -11,7 +11,10 @@ rolled by -shift_cells and cut along each axis into 2^k runs of N/2^k cells
 holds the generation-k cubes as blocks: ``lat.blocks(arr, k)[index]`` lists
 the cells of the cube with that index.  Reducing over the last axis gives
 the sum, mean or minimum of every cube of a generation at once, and
-``lat.spread`` puts per-cube values back on the cells.
+``lat.spread`` puts per-cube values back on the cells.  The view acts on the
+last grid.dim axes of an array, so a stack of functions (S, *grid.shape)
+is cut row by row in one call, and ``lat.generations`` rolls a shifted
+lattice's array once for all of its generations.
 
 The Haar system runs on the same view, one generation at a time:
 haar_generation takes every <f, h_Q^eps> of a generation from the sums over
@@ -25,6 +28,7 @@ coefficients are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -48,15 +52,17 @@ class DyadicCube:
         return f"Q(g{self.generation},{list(self.index)})"
 
 
-def split_blocks(arr: np.ndarray, count: int) -> np.ndarray:
-    """Cut every axis of arr into `count` equal runs: shape (count,)*n + (cells,).
+def split_blocks(arr: np.ndarray, count: int, dim: int) -> np.ndarray:
+    """Cut each of the last dim axes of arr into `count` equal runs: shape
+    lead + (count,)*dim + (cells,) for the leading axes lead.
 
-    Entry [i] lists the cells of block i in C order (a copy when n > 1).
+    Entry [..., i] lists the cells of block i in C order (a copy when dim > 1).
     """
-    n = arr.ndim
-    runs = arr.reshape([d for size in arr.shape for d in (count, size // count)])
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return runs.transpose(order).reshape((count,) * n + (-1,))
+    b = arr.ndim - dim
+    lead, runs = arr.shape[:b], [size // count for size in arr.shape[b:]]
+    split = arr.reshape(lead + tuple(d for run in runs for d in (count, run)))
+    order = list(range(b)) + list(range(b, b + 2 * dim, 2)) + list(range(b + 1, b + 2 * dim, 2))
+    return split.transpose(order).reshape(lead + (count,) * dim + (math.prod(runs),))
 
 
 class DyadicLattice:
@@ -152,20 +158,38 @@ class DyadicLattice:
         return all(i >> shift == o for i, o in zip(inner.index, outer.index))
 
     # -- block view --------------------------------------------------------
-    def blocks(self, arr: np.ndarray, k: int) -> np.ndarray:
-        """Generation-k cubes of a cell array: entry [index] lists the cube's cells.
+    def _rolled(self, arr: np.ndarray) -> np.ndarray:
+        """arr with the lattice's shift undone on its last grid.dim axes."""
+        if not any(self.shift_cells):
+            return arr
+        n = self.grid.dim
+        return np.roll(arr, [-s for s in self.shift_cells], axis=tuple(range(-n, 0)))
 
-        On the unshifted lattice the result may be a view of arr; read it only.
+    def blocks(self, arr: np.ndarray, k: int) -> np.ndarray:
+        """Generation-k cubes of a cell array: entry [..., index] lists the cube's cells.
+
+        The cube index and the cells are the last grid.dim axes of arr; leading
+        axes (a stack of functions) ride along, and each row is cut exactly as
+        it would be alone.  On the unshifted lattice the result may be a view
+        of arr; read it only.
         """
-        if any(self.shift_cells):
-            arr = np.roll(arr, [-s for s in self.shift_cells], axis=tuple(range(arr.ndim)))
-        return split_blocks(arr, 1 << k)
+        return split_blocks(self._rolled(arr), 1 << k, self.grid.dim)
+
+    def generations(self, arr: np.ndarray):
+        """blocks(arr, k) for k = 0..max_generation, from one roll of arr."""
+        rolled = self._rolled(arr)
+        for k in range(self.max_generation + 1):
+            yield split_blocks(rolled, 1 << k, self.grid.dim)
 
     def spread(self, per_cube: np.ndarray, k: int) -> np.ndarray:
-        """Cell array holding each generation-k cube's value on the cube's cells."""
+        """Cell array holding each generation-k cube's value on the cube's cells.
+
+        per_cube holds the cube index on its last grid.dim axes; leading axes
+        ride along.
+        """
         N = self.grid.points_per_axis
         m = self.cells_per_axis(k)
-        return per_cube[np.ix_(*(((np.arange(N) - s) % N) // m for s in self.shift_cells))]
+        return per_cube[(...,) + np.ix_(*(((np.arange(N) - s) % N) // m for s in self.shift_cells))]
 
 
 def build_lattice(grid: Grid, max_generation: int, shift=None) -> DyadicLattice:
@@ -238,11 +262,12 @@ def _haar_signs(dim: int) -> np.ndarray:
 def haar_generation(values: np.ndarray, lat: DyadicLattice, k: int) -> np.ndarray:
     """<f, h_Q^eps> for every generation-k cube Q (k < max_generation).
 
-    Shape (2^k,)*n + (number of signatures,); the half-cube sums of Q are
-    the sums over its generation-(k+1) children.
+    Shape lead + (2^k,)*n + (number of signatures,) for values of shape
+    lead + grid shape; the half-cube sums of Q are the sums over its
+    generation-(k+1) children.
     """
     g = lat.grid
-    children = split_blocks(lat.blocks(values, k + 1).sum(axis=-1), 1 << k)
+    children = split_blocks(lat.blocks(values, k + 1).sum(axis=-1), 1 << k, g.dim)
     scale = (lat.cells_per_axis(k) * g.h) ** (-g.dim / 2.0) * g.cell_volume
     return children @ _haar_signs(g.dim).T * scale
 
@@ -262,19 +287,6 @@ def haar_coefficients(f: GridFunction, lat: DyadicLattice) -> dict:
             for sig, val in zip(sigs, c[idx].tolist()):
                 coeffs[(DyadicCube(k, idx), sig)] = val
     return coeffs
-
-
-def coefficients_to_csv(coeffs: dict, path: str) -> None:
-    """Export a Haar coefficient map keyed by (generation, index, signature)."""
-    rows = sorted(
-        (cube.generation, cube.index, sig, val) for (cube, sig), val in coeffs.items()
-    )
-    with open(path, "w") as fh:
-        fh.write("generation,index,signature,coefficient\n")
-        for gen, idx, sig, val in rows:
-            fh.write(
-                f"{gen},{'|'.join(map(str, idx))},{'|'.join(map(str, sig))},{val!r}\n"
-            )
 
 
 def haar_synthesis(coeffs: np.ndarray, lat: DyadicLattice, k: int, out: np.ndarray = None) -> np.ndarray:
@@ -354,7 +366,6 @@ def weighted_maximal(g: GridFunction, w, lat: DyadicLattice) -> GridFunction:
         raise WeightError("maximal function needs a strictly positive weight")
     num = np.abs(g.values) * wv
     out = np.zeros(g.grid.shape)
-    for k in range(lat.max_generation + 1):
-        avg = lat.blocks(num, k).sum(axis=-1) / lat.blocks(wv, k).sum(axis=-1)
-        out = np.maximum(out, lat.spread(avg, k))
+    for k, (nums, ws) in enumerate(zip(lat.generations(num), lat.generations(wv))):
+        out = np.maximum(out, lat.spread(nums.sum(axis=-1) / ws.sum(axis=-1), k))
     return GridFunction(g.grid, out)

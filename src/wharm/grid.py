@@ -136,16 +136,14 @@ def _extend(f: GridFunction, sign: float) -> GridFunction:
     g = f.grid
     if g.domain == FULL:
         raise DomainError("extension expects a half-space grid function")
-    N = g.points_per_axis
-    out = np.empty(g.with_domain(FULL).shape)
-    half = N // 2
-    if g.domain == UPPER:
-        out[..., half:] = f.values
-        out[..., :half] = sign * np.flip(f.values, axis=-1)
-    else:
-        out[..., :half] = f.values
-        out[..., half:] = sign * np.flip(f.values, axis=-1)
-    return GridFunction(g.with_domain(FULL), out)
+    return GridFunction(g.with_domain(FULL), extended_values(f.values, g.domain, sign))
+
+
+def extended_values(values: np.ndarray, domain: str, sign: float) -> np.ndarray:
+    """Full-grid values of the even (sign 1) or odd (sign -1) extension of
+    half-space values on the side `domain`; leading axes ride along."""
+    mirror = sign * np.flip(values, axis=-1)
+    return np.concatenate([mirror, values] if domain == UPPER else [values, mirror], axis=-1)
 
 
 def extend_even(f: GridFunction) -> GridFunction:
@@ -160,7 +158,16 @@ def extend_odd(f: GridFunction) -> GridFunction:
 
 def sided_even_extensions(f: GridFunction) -> tuple:
     """(f_{+,e}, f_{-,e}) for a full-space function: even extensions of the two restrictions."""
-    return extend_even(restrict(f, UPPER)), extend_even(restrict(f, LOWER))
+    if f.grid.domain != FULL:
+        raise DomainError("restrict expects a full-space grid function")
+    return tuple(GridFunction(f.grid, side) for side in sided_even_values(f.values))
+
+
+def sided_even_values(values: np.ndarray) -> tuple:
+    """The values of (f_{+,e}, f_{-,e}) from full-grid values of f; leading
+    axes ride along."""
+    half = values.shape[-1] // 2
+    return extended_values(values[..., half:], UPPER, 1.0), extended_values(values[..., :half], LOWER, 1.0)
 
 
 def join_sides(upper, lower, grid: Grid) -> np.ndarray:

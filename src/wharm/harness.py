@@ -24,7 +24,7 @@ from . import bmo as bmo_mod
 from .dyadic import lattice_family, random_haar_sum
 from .errors import ParameterError
 from .grid import Grid, GridFunction, restrict
-from .operators import commutator, riesz, weighted_operator_norm
+from .operators import commutator, commutator_norms, riesz, weighted_operator_norm
 from .squarefn import TimeGrid
 from .weights import (
     Weight,
@@ -108,19 +108,17 @@ def _lattices(grid: Grid, cfg) -> list:
 
 
 def _normalized_symbols(grid, lattices, nu, count, seed, norm_fn, max_generation=4):
-    """Random Haar sums with coefficients scaled by sqrt|Q| <nu>_Q, normalized."""
+    """Random Haar sums with coefficients scaled by sqrt|Q| <nu>_Q, normalized:
+    (stack of the symbols of nonzero norm, number skipped).  Every symbol is
+    drawn first, in the order of the rng stream; norm_fn takes the whole
+    stack and returns one norm per row."""
     rng = np.random.default_rng(seed)
     lat = lattices[0]
-    out = []
-    skipped = 0
-    for _ in range(count):
-        b = random_haar_sum(lat, rng, weight=nu, max_generation=max_generation)
-        norm = norm_fn(b)
-        if norm <= 0:
-            skipped += 1
-            continue
-        out.append(GridFunction(grid, b.values / norm))
-    return out, skipped
+    drawn = np.array([random_haar_sum(lat, rng, weight=nu, max_generation=max_generation).values for _ in range(count)])
+    drawn = drawn.reshape((count,) + grid.shape)
+    norms = norm_fn(drawn)
+    kept = norms > 0
+    return drawn[kept] / norms[kept].reshape((-1,) + (1,) * grid.dim), int(np.sum(~kept))
 
 
 @experiment("two-weight-commutator")
@@ -160,21 +158,21 @@ def run_two_weight_commutator(cfg: dict) -> dict:
         # the weights the norms read: their upper halves in the half-space variant
         muv, lamv = (restrict(v.values, "upper") if half_space else v for v in (mu, lam))
 
-        def bmo_nu(b):
-            return bmo_mod.bmo_deltaN_norm(b, nu, lattices, tg=tg)
+        def bmo_nu(stack):
+            return bmo_mod.bmo_norms(stack, grid, nu, "carleson-heat-neumann", lattices, tg=tg)
 
         symbols, skipped = _normalized_symbols(grid, lattices, nu, count, seed, bmo_nu)
         # symbols carry unit BMO norm, so the measured norm is the ratio itself
-        ratios = []
-        for b in symbols:
-            total = 0.0
-            bv = restrict(b, "upper") if half_space else b
-            for R in transforms:
-                val, _ = weighted_operator_norm(
-                    commutator(bv, R), base, muv, lamv, p=p, method=method, seed=seed
-                )
-                total += val
-            ratios.append(total)
+        bv = symbols[..., grid.points_per_axis // 2:] if half_space else symbols
+        totals = np.zeros(len(symbols))
+        for R in transforms:
+            if method == "svd":
+                norms, _ = commutator_norms(bv, R, base, muv, lamv, seed=seed)
+            else:
+                norms = [weighted_operator_norm(commutator(GridFunction(base, b), R), base, muv, lamv,
+                                                p=p, method=method, seed=seed)[0] for b in bv]
+            totals += norms
+        ratios = [float(t) for t in totals]
         lo, hi = (min(ratios), max(ratios)) if ratios else (0.0, 0.0)
         bands.append({"pair": pair, "c": lo, "C": hi, "spread": hi / lo if lo > 0 else None,
                       "skipped_constant_symbols": skipped})
@@ -322,29 +320,32 @@ def run_bmo_coincidence(cfg: dict) -> dict:
     rows = []
     for wspec in weights:
         w = weight_from_spec(wspec, grid)
-        for i in range(count):
-            b = random_haar_sum(dyadic, rng, max_generation=4)
-            n_cl = bmo_mod.bmo_norm(b, w, "classical-w", lattices)
-            if n_cl == 0.0:
-                continue
-            n_heat = bmo_mod.bmo_norm(b, w, "carleson-heat-free", lattices, tg=tg)
-            n_haar = bmo_mod.bmo_norm(b, w, "carleson-haar", dyadic)
-            n_wr2 = bmo_mod.bmo_norm(b, w, "classical-wr", lattices, r=2.0)
-            n_neu = bmo_mod.bmo_deltaN_norm(b, w, lattices, tg=tg)
-            s_p, s_m = bmo_mod.bmo_deltaN_sides(b, w, lattices, tg=tg)
-            pair_ratios["classical_vs_heat"].append(n_heat / n_cl)
-            pair_ratios["haar_vs_wr2"].append(n_haar / n_wr2)
-            pair_ratios["neumann_vs_sides"].append(n_neu / (s_p + s_m))
+        drawn = np.stack([random_haar_sum(dyadic, rng, max_generation=4).values for _ in range(count)])
+        n_cl = bmo_mod.bmo_norms(drawn, grid, w, "classical-w", lattices)
+        kept = np.flatnonzero(n_cl != 0.0)
+        stack = drawn[kept]
+        n_heat = bmo_mod.bmo_norms(stack, grid, w, "carleson-heat-free", lattices, tg=tg)
+        n_haar = bmo_mod.bmo_norms(stack, grid, w, "carleson-haar", dyadic)
+        n_wr2 = bmo_mod.bmo_norms(stack, grid, w, "classical-wr", lattices, r=2.0)
+        n_neu = bmo_mod.bmo_norms(stack, grid, w, "carleson-heat-neumann", lattices, tg=tg)
+        s_p, s_m = bmo_mod.bmo_deltaN_sides_norms(stack, grid, w, lattices, tg=tg)
+        for j, i in enumerate(kept):
+            heat, haar, wr2, neu = float(n_heat[j]), float(n_haar[j]), float(n_wr2[j]), float(n_neu[j])
+            sides = float(s_p[j]) + float(s_m[j])
+            classical = float(n_cl[i])
+            pair_ratios["classical_vs_heat"].append(heat / classical)
+            pair_ratios["haar_vs_wr2"].append(haar / wr2)
+            pair_ratios["neumann_vs_sides"].append(neu / sides)
             rows.append(
                 {
                     "weight": canonical_json(wspec),
-                    "symbol": i,
-                    "classical": n_cl,
-                    "heat": n_heat,
-                    "haar": n_haar,
-                    "wr2": n_wr2,
-                    "neumann": n_neu,
-                    "sides_sum": s_p + s_m,
+                    "symbol": int(i),
+                    "classical": classical,
+                    "heat": heat,
+                    "haar": haar,
+                    "wr2": wr2,
+                    "neumann": neu,
+                    "sides_sum": sides,
                 }
             )
     bands = {}
@@ -375,11 +376,9 @@ def run_john_nirenberg(cfg: dict) -> dict:
     weights = cfg.get(
         "weights", [{"kind": "one"}, {"kind": "power", "alpha": 0.3}, {"kind": "one-sided-power", "alpha": 0.4}]
     )
-    suite = []
-    for i in range(count):
-        w = weight_from_spec(weights[i % len(weights)], grid)
-        b = random_haar_sum(dyadic, rng, max_generation=3)
-        suite.append((b, w, p, r))
+    # one Weight per spec: the report batches the instances that share one
+    ws = [weight_from_spec(spec, grid) for spec in weights]
+    suite = [(random_haar_sum(dyadic, rng, max_generation=3), ws[i % len(ws)], p, r) for i in range(count)]
     rep = bmo_mod.john_nirenberg_report(suite, lattices)
     rhos = [row["rho"] for row in rep["rows"] if "rho" in row]
     return {

@@ -39,26 +39,40 @@ phi) at many scales t as one (T, *grid) array.  On the Fourier backend f, or
 its two sided extensions through the same reflection path, takes one forward
 real transform, the multipliers of every t are one stack on one half
 spectrum, and one batched inverse transform returns all fields; each row
-equals the one-scale apply bit for bit (apply is the stack of one).  It is
-Fourier only: no caller batches quadrature scales, and the per-t apply stays
-the quadrature path.  The stack holds T half spectra of complex numbers and
-T real fields, so callers pass one octave of scales at a time: bmo one
-Whitney slab, squarefn one TimeGrid.octaves() run, atoms one slab.  atoms
-also sums its psi pieces on the half spectrum itself (spectrum,
-free_multipliers, from_spectrum), since a piece's buckets are fixed within a
-slab.
+equals the one-scale apply bit for bit (apply is the stack of one).  A
+stack of functions (S, *grid) rides along behind the scale axis, each row as
+it would alone, so bmo's Carleson heat norms take every symbol of a weight
+in one call.  It is Fourier only: no caller batches quadrature scales, and
+the per-t apply stays the quadrature path.  The stack holds T half spectra
+of complex numbers and T real fields, so callers pass one octave of scales
+at a time: bmo one Whitney slab, squarefn one TimeGrid.octaves() run, atoms
+one slab.  atoms also sums its psi pieces on the half spectrum itself
+(spectrum, free_multipliers, from_spectrum), since a piece's buckets are
+fixed within a slab.
 
 Every operator also has an exact transpose without a matrix.  The free
 Riesz map is antisymmetric (odd multiplier, odd kernel table) and the other
 free maps are symmetric, so a side's transpose zero-pads the side to the
 full grid, applies -+(free map) and folds the result back: the side's own
 half plus +-flip of the other half.  T^T = -T holds for the tangential Riesz
-components only, not for j = n.  linear_operator wraps both maps as a
-scipy LinearOperator, and weighted_operator_norm takes its top singular
-value by Lanczos (ARPACK svds) or its p-ascent from products alone, so no
-norm assembles a matrix and none has a size cap.  assemble_matrix and
-commutator_matrix (capped at DENSE_POINT_CAP points) are the dense oracle of
-the tests.
+components only, not for j = n.
+
+The p = 2 norms are top singular values by Golub-Kahan-Lanczos
+bidiagonalization (Golub & Kahan, 1965), run in lockstep over a stack of
+rows: commutator_norms takes S symbols of one Riesz transform, and each step
+makes one batched product with every row's [b, T] and one with its
+transpose.  Both new basis vectors are reorthogonalized in full (two passes
+of batched matmul), and a row stops on its own Ritz residual,
+beta_k |e_k^T p_1| <= 1e-13 sigma, or when its Krylov space is the whole
+space; stopped rows leave the batch.  The bases grow by doubling, and a
+block holds at most 4096 cells of rows (4096 // points rows).  The
+certificate of each row keeps the explicit residuals ||A v - sigma u|| and
+||A^T u - sigma v|| and the number of products.  weighted_operator_norm's
+"svd" method is the same run on one row, and its p-ascent uses the same
+maps, so no norm assembles a matrix and none has a size cap.
+assemble_matrix and commutator_matrix (capped at DENSE_POINT_CAP points) are
+the dense oracle of the tests, and the tests also keep scipy's ARPACK svds
+as an independent iterative oracle.
 
 The Riesz sign follows the kernel convention in kernels.py: in n = 1 the
 free transform has kernel -(1/pi)/(x - y), i.e. multiplier +i sign(xi), the
@@ -71,13 +85,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, aslinearoperator, svds
 
 from .errors import BackendError, DomainError, ParameterError, SizeError
-from .grid import FULL, UPPER, Grid, GridFunction
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, extended_values
 from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil
 
 DENSE_POINT_CAP = 4096
+# a lockstep block of rows holds at most this many cells (rows times points)
+_BLOCK_CELLS = 4096
+# a row's Golub-Kahan run stops once its Ritz residual is this small against sigma
+_RITZ_TOL = 1e-13
 
 FOURIER = "fourier"
 QUADRATURE = "quadrature"
@@ -326,17 +343,7 @@ def _operator_maps(op: OperatorHandle, grid: Grid, ts=None):
         b = op.b.values
         if b.shape != grid.shape:
             raise DomainError("commutator symbol and argument live on different grids")
-        inner, inner_t = _operator_maps(op.inner, grid)
-
-        def forward(v):
-            tv, tbv = inner(np.stack([v, b * v]))
-            return b * tv - tbv
-
-        def transpose(u):
-            tu, tbu = inner_t(np.stack([u, b * u]))
-            return tbu - b * tu
-
-        return forward, transpose
+        return _commutator_maps(b, *_operator_maps(op.inner, grid))
     parity = -1.0 if op.kind == "riesz" else 1.0
     if op.family == "free":
         if grid.domain != FULL:
@@ -355,8 +362,7 @@ def _operator_maps(op: OperatorHandle, grid: Grid, ts=None):
         return w[..., half:] if upper else w[..., :half]
 
     def extend(v, upper):
-        mirror = sign * np.flip(v, axis=-1)
-        return np.concatenate([mirror, v] if upper else [v, mirror], axis=-1)
+        return extended_values(v, UPPER if upper else LOWER, sign)
 
     def pad(u, upper):
         zero = np.zeros_like(u)
@@ -384,6 +390,22 @@ def _operator_maps(op: OperatorHandle, grid: Grid, ts=None):
     return sided(extend, free, own), sided(pad, lambda w: parity * free(w), fold)
 
 
+def _commutator_maps(b: np.ndarray, inner, inner_t):
+    """([b, T], [b, T]^T) from T's maps: [b, T] v stacks v and b v through T,
+    and [b, T]^T u = T^T(b u) - b T^T u.  b is one symbol's values, or a stack
+    of them that meets a stack of arguments row by row."""
+
+    def forward(v):
+        tv, tbv = inner(np.stack([v, b * v]))
+        return b * tv - tbv
+
+    def transpose(u):
+        tu, tbu = inner_t(np.stack([u, b * u]))
+        return tbu - b * tu
+
+    return forward, transpose
+
+
 def apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
     """Apply a discretized operator to a grid function.
 
@@ -396,13 +418,15 @@ def apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
 SCALE_KINDS = ("semigroup", "qt", "psi", "phi")
 
 
-def apply_scales(kind: str, family: str, ts, f: GridFunction, beta: int = 0) -> np.ndarray:
+def apply_scales(kind: str, family: str, ts, f, beta: int = 0, grid: Grid = None) -> np.ndarray:
     """G_t f at every scale t of ts, as one array of shape (len(ts), *f.grid.shape).
 
     kind is a scale kind (semigroup, qt, psi, phi) and row i equals
     apply(OperatorHandle(kind, family, t=ts[i], beta=beta), f) on the
     Fourier backend: f, or its two sided extensions, is transformed once and
     every t's multiplier is one stack under one batched inverse transform.
+    With grid, f is a stack of values (S, *grid.shape) and the fields have
+    shape (len(ts), S, *grid.shape); each row equals its own call bit for bit.
     The stack holds len(ts) complex half spectra and real fields, so callers
     pass one octave of scales at a time.
     """
@@ -413,23 +437,8 @@ def apply_scales(kind: str, family: str, ts, f: GridFunction, beta: int = 0) -> 
         raise ParameterError(f"{kind} needs a nonempty 1D list of finite scales t > 0")
     # the handle checks the family; the scales themselves come from ts
     op = OperatorHandle(kind, family, t=float(ts[0]), beta=beta)
-    return _operator_maps(op, f.grid, ts)[0](f.values)
-
-
-def linear_operator(op: OperatorHandle, grid: Grid) -> LinearOperator:
-    """op on flattened value vectors of grid, with the exact transpose as rmatvec.
-
-    The free multiplier or kernel table is built once, here; each product is
-    one call of the free map.
-    """
-    forward, transpose = _operator_maps(op, grid)
-    shape = grid.shape
-    npts = int(np.prod(shape))
-
-    def product(fn):
-        return lambda x: fn(np.reshape(x, shape)).reshape(-1)
-
-    return LinearOperator((npts, npts), matvec=product(forward), rmatvec=product(transpose), dtype=float)
+    values, grid = (f.values, f.grid) if grid is None else (f, grid)
+    return _operator_maps(op, grid, ts)[0](values)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +484,7 @@ def weighted_norm(values: np.ndarray, w: np.ndarray, p: float) -> float:
 
 def _vanishes(op) -> bool:
     """True for an exactly zero operator: a zero matrix, or a commutator whose
-    symbol is constant.  ARPACK cannot start on the zero operator."""
+    symbol is constant.  Its norm is 0.0, with no iteration."""
     if isinstance(op, np.ndarray):
         return not np.any(op)
     if op.kind != "commutator":
@@ -484,41 +493,155 @@ def _vanishes(op) -> bool:
     return bool(np.all(b == b.flat[0]))
 
 
-def _top_singular_value(M: LinearOperator, mu: np.ndarray, lam: np.ndarray, seed: int):
-    """Largest singular value of A = diag(lam)^{1/2} M diag(mu)^{-1/2} by
-    Lanczos on A^T A (ARPACK, tol 0) from a start vector seeded by seed; the
-    certificate holds the residuals ||A v - sigma u|| and ||A^T u - sigma v||
-    and the number of products with A and A^T that svds made."""
-    sqrt_lam, inv_sqrt_mu = np.sqrt(lam), 1.0 / np.sqrt(mu)
-    products = 0
+def _normalized(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Each row of x over its norm; a zero row stays zero."""
+    return x / np.where(norms > 0, norms, 1.0)[:, None]
 
-    def weighted(product, left, right):
-        def run(x):
-            nonlocal products
-            products += 1
-            return left * product(right * x.reshape(-1))
 
-        return run
+def _reorthogonalized(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Each row of x (R, n) minus its projection on the span of its row's
+    orthonormal basis (R, k, n): classical Gram-Schmidt, twice."""
+    for _ in range(2 if basis.shape[1] else 0):
+        x = x - np.matmul(basis.transpose(0, 2, 1), np.matmul(basis, x[..., None]))[..., 0]
+    return x
 
-    A = LinearOperator(
-        M.shape,
-        matvec=weighted(M.matvec, sqrt_lam, inv_sqrt_mu),
-        rmatvec=weighted(M.rmatvec, inv_sqrt_mu, sqrt_lam),
-        dtype=float,
+
+def _golub_kahan_block(weighted, count: int, start: np.ndarray):
+    """Top singular triples (sigma, u, v) of count operators A_i at once, and
+    each row's number of steps, by Golub-Kahan-Lanczos bidiagonalization in
+    lockstep (Golub & Kahan, 1965).
+
+    weighted(rows) gives (A, A^T) of the rows `rows` (an index array) as maps
+    on stacks of flat vectors (len(rows), n).  Every row starts from the unit
+    vector start.  Step k gives A V_k = U_k B_k and A^T U_k = V_k B_k^T +
+    beta_k v_{k+1} e_k^T with B_k upper bidiagonal (alpha on the diagonal,
+    beta above it); both new vectors are reorthogonalized against the whole
+    basis.  For B_k's top triple (sigma, p, q), u = U_k p and v = V_k q have
+    A v = sigma u and ||A^T u - sigma v|| = beta_k |e_k^T p|, so a row stops
+    once that is at most _RITZ_TOL sigma, or when its Krylov space is the
+    whole space (k = n).  Stopped rows leave the batch.  The bases (and the
+    alpha, beta of B_k) grow by doubling and shrink to the rows left, copying
+    only the steps made.
+    """
+    n = start.size
+    sigma, steps = np.zeros(count), np.zeros(count, dtype=int)
+    u_out, v_out = np.zeros((count, n)), np.zeros((count, n))
+    active = np.arange(count)
+    A, At = weighted(active)
+    cap = min(n, 16)
+    U, V = np.empty((2, count, cap + 1, n))
+    alpha, beta = np.empty((2, count, cap + 1))
+    V[:, 0] = start
+    k = 0
+    while active.size:
+        if k == cap:
+            cap = min(n, 2 * cap)
+            U, V, alpha, beta = (_resized(a, cap + 1, k + 1) for a in (U, V, alpha, beta))
+        p = A(V[:, k])
+        if k:
+            p -= beta[:, k - 1, None] * U[:, k - 1]
+        p = _reorthogonalized(p, U[:, :k])
+        alpha[:, k] = np.linalg.norm(p, axis=1)
+        U[:, k] = _normalized(p, alpha[:, k])
+        q = _reorthogonalized(At(U[:, k]) - alpha[:, k, None] * V[:, k], V[:, : k + 1])
+        beta[:, k] = np.linalg.norm(q, axis=1)
+        V[:, k + 1] = _normalized(q, beta[:, k])
+        k += 1
+        bidiagonal = np.zeros((len(active), k, k))
+        diag = np.arange(k)
+        bidiagonal[:, diag, diag] = alpha[:, :k]
+        bidiagonal[:, diag[:-1], diag[1:]] = beta[:, : k - 1]
+        P, s, Qt = np.linalg.svd(bidiagonal)
+        done = (beta[:, k - 1] * np.abs(P[:, k - 1, 0]) <= _RITZ_TOL * s[:, 0]) | (k == n)
+        if done.any():
+            rows = active[done]
+            sigma[rows], steps[rows] = s[done, 0], k
+            u_out[rows] = np.matmul(P[done, None, :, 0], U[done, :k])[:, 0]
+            v_out[rows] = np.matmul(Qt[done, None, 0, :], V[done, :k])[:, 0]
+            active = active[~done]
+            U, V, alpha, beta = (_resized(a, cap + 1, k + 1, ~done) for a in (U, V, alpha, beta))
+            A, At = weighted(active)
+    return sigma, u_out, v_out, steps
+
+
+def _resized(a: np.ndarray, size: int, used: int, rows=slice(None)) -> np.ndarray:
+    """A new array of a's rows `rows` with `size` slots along axis 1, holding
+    the first `used` of them."""
+    prefix = a[rows, :used]
+    out = np.empty(prefix.shape[:1] + (size,) + a.shape[2:])
+    out[:, :used] = prefix
+    return out
+
+
+def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, seed: int):
+    """Largest singular value of A_i = diag(lam)^{1/2} M_i diag(mu)^{-1/2} for
+    each of count operators M_i, with a certificate each.
+
+    maps(rows) gives (M, M^T) of the rows `rows` (an index array) as maps on
+    stacks (len(rows), *shape).  Rows run in blocks of at most _BLOCK_CELLS
+    cells through _golub_kahan_block, from one start vector seeded by seed.
+    The certificate holds the residuals ||A v - sigma u|| and
+    ||A^T u - sigma v|| (one more batched product each) and the number of
+    products with A and A^T that the iteration made.
+    """
+    npts = int(np.prod(shape))
+    left, right = np.sqrt(lam).reshape(shape), (1.0 / np.sqrt(mu)).reshape(shape)
+    start = np.random.default_rng(seed).standard_normal(npts)
+    start /= np.linalg.norm(start)
+    block = max(1, _BLOCK_CELLS // npts)
+    sigmas, certs = np.zeros(count), []
+    for lo in range(0, count, block):
+        rows = np.arange(lo, min(lo + block, count))
+
+        def weighted(active, rows=rows):
+            forward, transpose = maps(rows[active])
+            return (
+                lambda x: (left * forward(right * x.reshape((-1,) + shape))).reshape(len(x), npts),
+                lambda y: (right * transpose(left * y.reshape((-1,) + shape))).reshape(len(y), npts),
+            )
+
+        sigma, u, v, steps = _golub_kahan_block(weighted, len(rows), start)
+        A, At = weighted(np.arange(len(rows)))
+        res_left = np.linalg.norm(A(v) - sigma[:, None] * u, axis=1)
+        res_right = np.linalg.norm(At(u) - sigma[:, None] * v, axis=1)
+        sigmas[rows] = sigma
+        certs += [
+            {"method": "svd", "size": npts, "seed": seed, "products": 2 * int(k),
+             "residual_left": float(rl), "residual_right": float(rr)}
+            for k, rl, rr in zip(steps, res_left, res_right)
+        ]
+    return sigmas, certs
+
+
+def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=None, seed: int = 0):
+    """||[b, T]||_{L^2_mu -> L^2_lam} for every row b of symbols, a stack of
+    shape (S, *grid.shape), and the Riesz handle T = inner: (array of S norms,
+    list of S certificates).
+
+    The norms are top singular values by lockstep Golub-Kahan-Lanczos
+    bidiagonalization (_lockstep_norms): one batched commutator product per
+    step serves every row of a block.  A constant symbol gives the zero
+    operator, whose norm is exactly 0.0 with no iteration.
+    """
+    symbols = np.asarray(symbols, dtype=float)
+    if symbols.shape[1:] != grid.shape:
+        raise DomainError("commutator symbols and argument live on different grids")
+    if inner.kind != "riesz":
+        raise ParameterError("commutator inner handle must be a Riesz transform")
+    npts = int(np.prod(grid.shape))
+    flat = symbols.reshape(len(symbols), npts)
+    moving = np.flatnonzero(np.any(flat != flat[:, :1], axis=1))
+    maps = _operator_maps(inner, grid)
+    norms, certs = _lockstep_norms(
+        lambda rows: _commutator_maps(symbols[moving[rows]], *maps),
+        len(moving), grid.shape, _as_weight_array(mu, grid.shape), _as_weight_array(lam, grid.shape), seed,
     )
-    if M.shape[1] == 1:
-        # ARPACK needs two unknowns at least; a 1 x 1 operator is its entry
-        v = np.ones(1)
-        entry = A.matvec(v)
-        sigma, u = float(abs(entry[0])), np.sign(entry)
-    else:
-        v0 = np.random.default_rng(seed).standard_normal(M.shape[1])
-        u, s, vt = svds(A, k=1, tol=0, v0=v0)
-        sigma, u, v = float(s[0]), u[:, 0], vt[0]
-    cert = {"method": "svd", "size": M.shape[0], "seed": seed, "products": products}
-    cert["residual_left"] = float(np.linalg.norm(A.matvec(v) - sigma * u))
-    cert["residual_right"] = float(np.linalg.norm(A.rmatvec(u) - sigma * v))
-    return sigma, cert
+    out = np.zeros(len(symbols))
+    out[moving] = norms
+    everyone = [{"method": "svd", "size": npts, "zero_operator": True} for _ in symbols]
+    for i, cert in zip(moving, certs):
+        everyone[i] = cert
+    return out, everyone
 
 
 def weighted_operator_norm(
@@ -535,43 +658,57 @@ def weighted_operator_norm(
 ):
     """Discrete L^p_mu -> L^p_lam operator norm with a certificate.
 
-    op is an operator handle on grid's value vectors (applied matrix-free
-    through linear_operator) or a dense matrix.  method "svd" (p = 2 only):
-    the largest singular value of diag(lam)^{1/2} M diag(mu)^{-1/2}, by
-    Lanczos to machine precision.  method "ascent": normalized fixed-point
-    iteration on the p-duality map with random restarts; the value returned
-    is a certified lower bound on the discrete norm.  Both use only products
-    with M and M^T.  An exactly zero operator has norm 0.0.
+    op is an operator handle on grid's value arrays (applied matrix-free
+    through _operator_maps) or a dense matrix on flattened values.  method
+    "svd" (p = 2 only): the largest singular value of
+    diag(lam)^{1/2} M diag(mu)^{-1/2} to machine precision, by the
+    Golub-Kahan-Lanczos run behind commutator_norms on one row.  method
+    "ascent": normalized fixed-point iteration on the p-duality map with
+    random restarts; the value returned is a certified lower bound on the
+    discrete norm.  Both use only products with M and M^T.  An exactly zero
+    operator has norm 0.0.
     """
-    M = aslinearoperator(op) if isinstance(op, np.ndarray) else linear_operator(op, grid)
-    mu = _as_weight_array(mu, grid.shape)
-    lam = _as_weight_array(lam, grid.shape)
+    if isinstance(op, np.ndarray):
+        shape = (op.shape[1],)
+        forward, transpose = (lambda x: x @ op.T), (lambda y: y @ op)
+    else:
+        shape = grid.shape
+        forward, transpose = _operator_maps(op, grid)
+    npts = int(np.prod(shape))
+    mu = _as_weight_array(mu, shape)
+    lam = _as_weight_array(lam, shape)
     if method == "svd" and p != 2.0:
         raise ParameterError("SvdExact requires p = 2")
     if method not in ("svd", "ascent"):
         raise ParameterError(f"unknown method {method!r}")
     if _vanishes(op):
-        return 0.0, {"method": method, "size": M.shape[0], "zero_operator": True}
+        return 0.0, {"method": method, "size": npts, "zero_operator": True}
     if method == "svd":
-        return _top_singular_value(M, mu, lam, seed)
+        norms, certs = _lockstep_norms(lambda rows: (forward, transpose), 1, shape, mu, lam, seed)
+        return float(norms[0]), certs[0]
+
+    def flat(fn):
+        return lambda x: fn(x.reshape(shape)).reshape(-1)
+
+    matvec, rmatvec = flat(forward), flat(transpose)
     rng = np.random.default_rng(seed)
     q = 1.0 / (p - 1.0)
     best = 0.0
     best_info = None
     for r in range(restarts):
-        f = rng.standard_normal(M.shape[1])
+        f = rng.standard_normal(npts)
         f /= weighted_norm(f, mu, p)
         prev = -1.0
         converged = False
         it = 0
         for it in range(max_iter):
-            g = M.matvec(f)
+            g = matvec(f)
             ratio = weighted_norm(g, lam, p)
             if prev >= 0 and abs(ratio - prev) <= tol * max(ratio, 1e-300):
                 converged = True
                 break
             prev = ratio
-            z = M.rmatvec(lam * np.abs(g) ** (p - 1.0) * np.sign(g))
+            z = rmatvec(lam * np.abs(g) ** (p - 1.0) * np.sign(g))
             if not np.any(z):
                 break
             f = np.sign(z) * (np.abs(z) / mu) ** q

@@ -54,7 +54,7 @@ def _density_array(dens) -> np.ndarray:
 
 def _generation_means(arr: np.ndarray, lat: DyadicLattice) -> list:
     """Cube averages of a cell array, one array per generation of the lattice."""
-    return [lat.blocks(arr, k).mean(axis=-1) for k in range(lat.max_generation + 1)]
+    return [cells.mean(axis=-1) for cells in lat.generations(arr)]
 
 
 def cz_stopping(dens, lat: DyadicLattice, q0: DyadicCube, alpha: float) -> StoppingFamily:

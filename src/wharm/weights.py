@@ -117,8 +117,8 @@ def ap_constant(w, p: float, lattices) -> float:
     w1, w2 = w.power(), w.power(-1.0 / (p - 1.0))
     best = 0.0
     for lat in _iter_lattices(lattices):
-        for k in range(lat.max_generation + 1):
-            q = lat.blocks(w1, k).mean(axis=-1) * lat.blocks(w2, k).mean(axis=-1) ** (p - 1.0)
+        for b1, b2 in zip(lat.generations(w1), lat.generations(w2)):
+            q = b1.mean(axis=-1) * b2.mean(axis=-1) ** (p - 1.0)
             best = max(best, float(q.max()))
     return best
 
@@ -136,8 +136,7 @@ def a1_constant(w, lattices) -> float:
     w = as_weight(w)
     best = 0.0
     for lat in _iter_lattices(lattices):
-        for k in range(lat.max_generation + 1):
-            cells = lat.blocks(w.array, k)
+        for cells in lat.generations(w.array):
             best = max(best, float((cells.mean(axis=-1) / cells.min(axis=-1)).max()))
     return best
 

@@ -182,6 +182,14 @@ def test_calderon_constant_value():
     assert abs(1.0 / calderon_constant() - val) <= 1e-8
 
 
+def test_calderon_constant_matches_quadrature():
+    # the Dawson series against adaptive quadrature of the same integral
+    from scipy.integrate import quad
+
+    val, _ = quad(lambda s: psi_multiplier(s) * s * np.exp(-s * s), 0.0, 40.0, limit=200)
+    assert abs(1.0 / calderon_constant() - val) <= 1e-15 * val
+
+
 def test_atoms_have_unit_normalization_convention(rng):
     # lambda_{k,Q} = 2^k w(Q): spot-check against the report levels
     g = Grid(1, 1.0, 128)

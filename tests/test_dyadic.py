@@ -230,15 +230,3 @@ def test_extent_is_the_cube_box_or_none_when_wrapped():
             lo, hi = ext
             assert np.allclose(lo, [-1.0 + i[0] * g.h for i in idx], rtol=0, atol=1e-15)
             assert np.allclose(hi, [-1.0 + (i[-1] + 1) * g.h for i in idx], rtol=0, atol=1e-15)
-
-
-def test_coefficient_csv_export(tmp_path, rng, grid64, lat64):
-    from wharm.dyadic import coefficients_to_csv
-
-    f = GridFunction(grid64, rng.standard_normal(grid64.shape))
-    co = haar_coefficients(f, lat64)
-    path = str(tmp_path / "co.csv")
-    coefficients_to_csv(co, path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "generation,index,signature,coefficient"
-    assert len(lines) == len(co) + 1
