@@ -8,6 +8,12 @@ B_k = {Q : w(Q cap Omega_k) > w(Q)/2 >= w(Q cap Omega_{k+1})}; atoms are the
 Whitney-box pieces of the reproducing formula grouped under the maximal
 cubes of each B_k with coefficients 2^k w(Qbar).
 
+Cubes are held in per-generation arrays, never walked one by one: a cube's
+level k, and its owner, the coarsest ancestor-or-self in its B_k (a cube
+whose parent is outside B_k may still have a higher ancestor inside it).
+The maximal cubes own themselves; bucket labels and the coefficients (block
+sums of w) come from the same arrays.
+
 The time integral is truncated to the supplied TimeGrid, so the multiplier
 sum reconstructs only the frequency band the grid resolves; the residual
 field carries everything else explicitly (the mean, the unresolved band,
@@ -18,8 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import groupby
+from functools import cache, reduce
+from itertools import groupby, product
 
 import numpy as np
 
@@ -87,56 +93,59 @@ def check_atom(atom: Atom, p: float = None, beta: int = None, w=None) -> dict:
         tolerance 1e-10 ||a||_1 l^|alpha|;
     (3) ||a||_{L^p_w} <= w(box)^{1/p - 1} (1 + 1e-9).
     """
-    p = atom.p if p is None else p
-    beta = atom.order if beta is None else beta
-    w = atom.weight if w is None else w
-    g = atom.values.grid
-    vals = atom.values.values
-    mask = atom.support_mask()
-    support_ok = bool(np.all(vals[~mask] == 0.0))
+    return _atom_checker(atom.values.grid, atom.weight if w is None else w)(atom, p, beta)
 
+
+def _atom_checker(g: Grid, w):
+    """check_atom for atoms on the grid g against the weight w (None: unit
+    weight): the grid points and the weight array are read once, for every
+    atom the returned check(atom, p=None, beta=None) takes."""
     pts = g.points()
-    center = atom.center
-    ell = atom.sidelength
-    l1 = float(np.sum(np.abs(vals)) * g.cell_volume)
-    moments = []
-    moments_ok = True
-    for alphas in _multi_indices(g.dim, beta):
-        mono = np.ones(g.shape)
-        for a, e in enumerate(alphas):
-            if e:
-                mono *= (pts[..., a] - center[a]) ** e
-        mval = float(np.sum(vals * mono) * g.cell_volume)
-        tol = 1e-10 * max(l1, 1e-300) * ell ** sum(alphas)
-        ok = abs(mval) <= tol
-        moments_ok &= ok
-        moments.append({"alpha": list(alphas), "value": mval, "tolerance": tol, "ok": ok})
-
     warr = as_weight(w).array if w is not None else np.ones(g.shape)
-    norm = float(np.sum(np.abs(vals) ** p * warr) * g.cell_volume) ** (1.0 / p)
-    wq = float(np.sum(warr[mask]) * g.cell_volume)
-    bound = wq ** (1.0 / p - 1.0)
-    norm_ok = norm <= bound * (1.0 + 1e-9)
-    return {
-        "support_ok": support_ok,
-        "moments": moments,
-        "moments_ok": bool(moments_ok),
-        "norm": norm,
-        "bound": bound,
-        "norm_ok": bool(norm_ok),
-        "rescale": bound / norm if norm > 0 else math.inf,
-        "ok": bool(support_ok and moments_ok and norm_ok),
-    }
+
+    def check(atom: Atom, p: float = None, beta: int = None) -> dict:
+        p = atom.p if p is None else p
+        beta = atom.order if beta is None else beta
+        vals = atom.values.values
+        mask = atom.support_mask()
+        support_ok = bool(np.all(vals[~mask] == 0.0))
+
+        center = atom.center
+        ell = atom.sidelength
+        l1 = float(np.sum(np.abs(vals)) * g.cell_volume)
+        moments = []
+        moments_ok = True
+        for alphas in _multi_indices(g.dim, beta):
+            # the monomial has a factor per nonzero exponent only: a factor 1
+            # changes no product
+            factors = [(pts[..., a] - center[a]) ** e for a, e in enumerate(alphas) if e]
+            weighted = vals * reduce(np.multiply, factors) if factors else vals
+            mval = float(np.sum(weighted) * g.cell_volume)
+            tol = 1e-10 * max(l1, 1e-300) * ell ** sum(alphas)
+            ok = abs(mval) <= tol
+            moments_ok &= ok
+            moments.append({"alpha": list(alphas), "value": mval, "tolerance": tol, "ok": ok})
+
+        norm = float(np.sum(np.abs(vals) ** p * warr) * g.cell_volume) ** (1.0 / p)
+        wq = float(np.sum(warr[mask]) * g.cell_volume)
+        bound = wq ** (1.0 / p - 1.0)
+        norm_ok = norm <= bound * (1.0 + 1e-9)
+        return {
+            "support_ok": support_ok,
+            "moments": moments,
+            "moments_ok": bool(moments_ok),
+            "norm": norm,
+            "bound": bound,
+            "norm_ok": bool(norm_ok),
+            "rescale": bound / norm if norm > 0 else math.inf,
+            "ok": bool(support_ok and moments_ok and norm_ok),
+        }
+
+    return check
 
 
 def _multi_indices(dim: int, beta: int):
-    if dim == 1:
-        return [(e,) for e in range(beta + 1)]
-    out = []
-    for e1 in range(beta + 1):
-        for e2 in range(beta + 1 - e1):
-            out.append((e1, e2))
-    return out
+    return [alpha for alpha in product(range(beta + 1), repeat=dim) if sum(alpha) <= beta]
 
 
 @dataclass
@@ -181,80 +190,125 @@ def _generation_of_scale(grid: Grid, t: float, max_generation: int):
 
 
 def _support_mask(lat: DyadicLattice, cube: DyadicCube) -> np.ndarray:
-    """3Qbar taken modulo the periodic box (unshifted lattice cubes)."""
+    """3Qbar taken modulo the periodic box (unshifted lattice cubes): the outer
+    product of one cell mask per axis."""
     N = lat.grid.points_per_axis
     m = lat.cells_per_axis(cube.generation)
-    axes = []
-    for a in range(lat.grid.dim):
-        s0 = cube.index[a] * m
-        if 3 * m >= N:
-            axes.append(np.arange(N))
-        else:
-            axes.append(np.unique((s0 - m + np.arange(3 * m)) % N))
-    mask = np.zeros(lat.grid.shape, dtype=bool)
-    mask[np.ix_(*axes)] = True
+    mask = None
+    for i in cube.index:
+        axis = np.zeros(N, dtype=bool)
+        axis[(i * m - m + np.arange(3 * m)) % N] = True
+        mask = axis if mask is None else np.logical_and.outer(mask, axis)
     return mask
 
 
-def _bucket_labels(lat: DyadicLattice, k_gen: int, levels: np.ndarray, cube_bucket: dict):
-    """(keys, labels): the buckets (k, Qbar) of one generation's cubes in order
-    of first appearance, None for the unassigned cubes, and the cell array of
-    each cell's index into keys."""
-    keys, index = [], {}
-    per_cube = np.empty(levels.shape, dtype=int)
-    for idx in np.ndindex(levels.shape):
-        k = int(levels[idx])
-        key = None if k <= _UNASSIGNED else (k, cube_bucket[(k, DyadicCube(k_gen, idx))])
-        if key not in index:
-            index[key] = len(keys)
-            keys.append(key)
-        per_cube[idx] = index[key]
-    return keys, lat.spread(per_cube, k_gen)
+def _cube_ids(lat: DyadicLattice, k: int) -> np.ndarray:
+    """Ids of the generation-k cubes, on the cube index axes: 2^(n k) plus the
+    C-order position, so ids sort as (generation, index) do."""
+    n = lat.grid.dim
+    return (1 << (n * k)) + np.arange(1 << (n * k)).reshape((1 << k,) * n)
 
 
-def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignment, cube_bucket, psi_backend):
-    """Whitney pieces of the reproducing formula, bucketed under (k, Qbar), and
-    the unassigned remainder.
+def _cube_of(lat: DyadicLattice, cube_id: int) -> DyadicCube:
+    """The cube of a _cube_ids id."""
+    n = lat.grid.dim
+    k = (cube_id.bit_length() - 1) // n
+    return DyadicCube(k, tuple(int(i) for i in np.unravel_index(cube_id - (1 << (n * k)), (1 << k,) * n)))
+
+
+def _owners(lat: DyadicLattice, assignment: dict) -> dict:
+    """Each cube's owner, its coarsest ancestor-or-self in its own B_k, as a
+    _cube_ids id (-1 for a cube in no B_k), one array per generation.
+
+    The generations go coarsest first, with one array per level k holding
+    every cube's coarsest ancestor-or-self in B_k, or -1: a cube inherits the
+    entry of its ancestor in the previous generation of assignment (index
+    >> gap), and where that is -1 it takes its own id if it is in B_k itself.
+    """
+    levels = np.unique(np.concatenate([a.ravel() for a in assignment.values()]))
+    levels = levels[levels > _UNASSIGNED]
+    n = lat.grid.dim
+    owners, above, prev = {}, None, None
+    for k_gen in sorted(assignment):
+        ids, level = _cube_ids(lat, k_gen), assignment[k_gen]
+        if above is None:
+            inherited = np.full((len(levels),) + ids.shape, -1)
+        else:
+            up = np.arange(1 << k_gen) >> (k_gen - prev)
+            inherited = above[(slice(None),) + np.ix_(*(up,) * n)]
+        inside = level == levels.reshape((-1,) + (1,) * n)
+        above, prev = np.where(inside & (inherited < 0), ids, inherited), k_gen
+        # a cube in B_k has an entry >= 0 at level k, and it is in no other level
+        owners[k_gen] = np.where(inside, above, -1).max(axis=0, initial=-1)
+    return owners
+
+
+def _maximal_counts(lat: DyadicLattice, assignment: dict, owners: dict) -> dict:
+    """{k: number of maximal cubes of B_k}, the levels in order of first
+    appearance (generations coarsest first, cubes in C order)."""
+    gens = sorted(assignment)
+    level = np.concatenate([assignment[k].ravel() for k in gens])
+    tops = np.concatenate([(owners[k] == _cube_ids(lat, k)).ravel() for k in gens])
+    found, first = np.unique(level[level > _UNASSIGNED], return_index=True)
+    return {int(k): int(np.count_nonzero(tops & (level == k))) for k in found[np.argsort(first)]}
+
+
+def _bucket_labels(lat: DyadicLattice, k_gen: int, levels: np.ndarray, owners: np.ndarray):
+    """(keys, labels): the buckets (k, id of Qbar) of one generation's cubes in
+    order of first appearance (C order of the cubes), None for the cubes in no
+    B_k, and the cell array of each cell's index into keys."""
+    found, first, inverse = np.unique(owners.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    level = levels.ravel()
+    keys = [None if q < 0 else (int(level[i]), q) for q, i in zip(found[order].tolist(), first[order].tolist())]
+    return keys, lat.spread(rank[inverse].reshape(owners.shape), k_gen)
+
+
+def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignment, owners, psi_backend):
+    """Whitney pieces of the reproducing formula, bucketed under (k, id of
+    Qbar), and the unassigned remainder.
 
     The scales of one Whitney slab share one generation's buckets, so a piece
     is summed in the spectral domain: piece = irfft(sum_t m_t rfft(1_key u_t))
     with u_t the qt fields of one apply_scales and m_t the psi multipliers.
-    At each scale _BUCKET_SLICE masked copies of u_t take one real transform;
-    each key's spectrum is inverted once at the end, _BUCKET_SLICE keys at a
-    time, so the stacked temporaries stay bounded.  The quadrature stencil
-    has compact support, so there each piece is zeroed outside the cells its
-    slabs reach (psi_reach): the clipped mass then holds no round-off.
+    Every bucket owns one row of a spectrum array, numbered in order of first
+    appearance; at each scale _BUCKET_SLICE masked copies of u_t take one
+    real transform and are added onto their rows, and the rows are inverted
+    _BUCKET_SLICE at a time at the end, so the stacked temporaries stay
+    bounded.  The quadrature stencil has compact support, so there each piece
+    is zeroed outside the cells its slabs reach (psi_reach): the clipped mass
+    then holds no round-off.
     """
     g = f.grid
-    spectra, reach = {}, {}
     gen_of = [_generation_of_scale(g, t, lat.max_generation) for t in tg.t_values]
+    slabs, row = [], {}
     for k_gen, group in groupby(zip(gen_of, tg.t_values), key=lambda pair: pair[0]):
-        if k_gen is None:
-            continue
-        ts = np.array([t for _, t in group])
-        keys, labels = _bucket_labels(lat, k_gen, assignment[k_gen], cube_bucket)
+        if k_gen is not None:
+            keys, labels = _bucket_labels(lat, k_gen, assignment[k_gen], owners[k_gen])
+            slabs.append((np.array([t for _, t in group]), [row.setdefault(key, len(row)) for key in keys], labels))
+    half = g.shape[:-1] + (g.points_per_axis // 2 + 1,)
+    # -0.0 + x is x bit for bit, so a row's first term lands unchanged
+    spectra = np.full((len(row),) + half, complex(-0.0, -0.0))
+    reach = np.zeros((len(row),) + g.shape, dtype=bool) if psi_backend == QUADRATURE else None
+    for ts, rows, labels in slabs:
+        masks = labels == np.arange(len(rows)).reshape((-1,) + (1,) * g.dim)
         psi = free_multipliers(psi_op(ts[0], backend=psi_backend), g, ts)
-        if psi_backend == QUADRATURE:
-            for key, cells in zip(keys, psi_reach(labels == np.arange(len(keys))[:, None], ts, g)):
-                reach[key] = reach.get(key, False) | cells
+        if reach is not None:
+            reach[rows] |= psi_reach(masks, ts, g)
         for m, u in zip(psi, apply_scales("qt", "free", ts, f)):
-            for lo in range(0, len(keys), _BUCKET_SLICE):
-                ids = np.arange(lo, min(lo + _BUCKET_SLICE, len(keys))).reshape((-1,) + (1,) * g.dim)
-                batch = spectrum(np.where(labels == ids, u, 0.0), g)
+            for lo in range(0, len(rows), _BUCKET_SLICE):
+                batch = spectrum(np.where(masks[lo:lo + _BUCKET_SLICE], u, 0.0), g)
                 batch *= m
-                for key, F in zip(keys[lo:], batch):
-                    if key in spectra:
-                        spectra[key] += F
-                    else:
-                        spectra[key] = F.copy()
+                spectra[rows[lo:lo + _BUCKET_SLICE]] += batch
     weight = tg.log_weight * calderon_constant()
-    keys = list(spectra)
     pieces = {}
+    keys = list(row)
     for lo in range(0, len(keys), _BUCKET_SLICE):
-        batch = keys[lo:lo + _BUCKET_SLICE]
-        values = from_spectrum(np.stack([spectra.pop(key) for key in batch]), g)
-        for key, v in zip(batch, values):
-            pieces[key] = weight * (np.where(reach[key], v, 0.0) if reach else v)
+        values = from_spectrum(spectra[lo:lo + _BUCKET_SLICE], g)
+        for i, (key, v) in enumerate(zip(keys[lo:], values), lo):
+            pieces[key] = weight * (np.where(reach[i], v, 0.0) if reach is not None else v)
     unassigned = pieces.pop(None, np.zeros(g.shape))
     return pieces, unassigned
 
@@ -299,7 +353,7 @@ def atomic_decompose(
     gens = sorted({_generation_of_scale(g, t, lat.max_generation) for t in tg.t_values} - {None})
 
     # per-generation assignment: the unique k with the B_k sandwich property
-    assignment = {}
+    assignment, masses = {}, {}
     for k_gen in gens:
         wq = lat.blocks(warr, k_gen).sum(axis=-1)
         conds = []
@@ -309,67 +363,25 @@ def atomic_decompose(
         conds = np.array(conds[:-1])  # condition at kmax+1 is identically false
         count = conds.sum(axis=0)
         assignment[k_gen] = np.where(count > 0, kmin - 1 + count, _UNASSIGNED)
+        masses[k_gen] = wq
 
-    # B_k cube lists and their maximal elements
-    members = {}
-    for k_gen in gens:
-        arr = assignment[k_gen]
-        for idx in np.ndindex(arr.shape):
-            k = int(arr[idx])
-            if k > _UNASSIGNED:
-                members.setdefault(k, []).append(DyadicCube(k_gen, idx))
-    maximal = {}
-    cube_bucket = {}
-    for k, lst in members.items():
-        byset = set(lst)
-        tops = []
-        for q in lst:
-            anc = lat.parent(q)
-            is_max = True
-            while anc is not None:
-                if anc in byset:
-                    is_max = False
-                    break
-                anc = lat.parent(anc)
-            if is_max:
-                tops.append(q)
-        tops.sort(key=lambda c: (c.generation, c.index))
-        maximal[k] = tops
-        top_set = set(tops)
-        for q in lst:
-            owner = q if q in top_set else None
-            if owner is None:
-                for t_ in tops:
-                    if lat.contains(t_, q):
-                        owner = t_
-                        break
-            cube_bucket[(k, q)] = owner
-
-    pieces, unassigned = _whitney_pieces(f, lat, tg, assignment, cube_bucket, psi_backend)
+    owners = _owners(lat, assignment)
+    maximal = _maximal_counts(lat, assignment, owners)
+    pieces, unassigned = _whitney_pieces(f, lat, tg, assignment, owners, psi_backend)
 
     atoms = []
     lams = []
     clipped = 0.0
-    for (k, qbar), raw in sorted(pieces.items(), key=lambda kv: (kv[0][0], kv[0][1].generation, kv[0][1].index)):
-        lam = 2.0 ** k * w.cube_mass(lat, qbar)
+    for k, owner in sorted(pieces):
+        qbar, raw = _cube_of(lat, owner), pieces[(k, owner)]
+        lam = 2.0 ** k * (float(masses[qbar.generation][qbar.index]) * h_n)
         mask = _support_mask(lat, qbar)
         vals = np.where(mask, raw, 0.0)
         clipped += float(np.sum(np.abs(raw - vals)) * h_n)
         ext = lat.extent(qbar)
         center = (ext[0] + ext[1]) / 2.0 if ext is not None else np.zeros(g.dim)
-        atoms.append(
-            Atom(
-                qbar,
-                mask,
-                GridFunction(g, vals / lam),
-                center=center,
-                sidelength=3.0 * lat.sidelength(qbar),
-                order=0,
-                p=p,
-                weight=w,
-                level=k,
-            )
-        )
+        atoms.append(Atom(qbar, mask, GridFunction(g, vals / lam), center=center,
+                          sidelength=3.0 * lat.sidelength(qbar), order=0, p=p, weight=w, level=k))
         lams.append(lam)
 
     recon = np.zeros(g.shape)
@@ -390,8 +402,9 @@ def atomic_decompose(
         omega_mass += 2.0 ** k * float(np.sum(warr[om]) * h_n)
         mt = weighted_maximal(GridFunction(g, om.astype(float)), w.values, lat)
         omega_tilde_mass += 2.0 ** k * float(np.sum(warr[mt.values > 0.5]) * h_n)
+    check = _atom_checker(g, w)
     report = {
-        "levels": {int(k): len(v) for k, v in maximal.items()},
+        "levels": maximal,
         "n_atoms": len(atoms),
         "coefficient_sum": float(np.sum(np.abs(lams))),
         "omega_mass_sum": omega_mass,
@@ -402,6 +415,6 @@ def atomic_decompose(
         "input_l1w": f_l1w,
         "clipped_mass": clipped,
         "unassigned_l1": float(np.sum(np.abs(unassigned)) * h_n),
-        "atom_checks": [check_atom(a) for a in atoms],
+        "atom_checks": [check(a) for a in atoms],
     }
     return AtomicDecomposition(atoms, lams, residual, report)

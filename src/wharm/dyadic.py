@@ -348,7 +348,7 @@ def random_haar_sum(lat: DyadicLattice, rng, weight=None, max_generation=None) -
         measure = lat.measure(k)
         std = np.sqrt(measure)
         if weight is not None:
-            # <weight>_Q as Weight.cube_average computes it
+            # <weight>_Q = weight(Q) / |Q| from the block sums
             std = std * (lat.blocks(weight.array, k).sum(axis=-1) * g.cell_volume / measure)[..., None]
         c = rng.standard_normal((1 << k,) * g.dim + (len(signatures(g.dim)),)) * std
         haar_synthesis(c, lat, k, vals)

@@ -58,27 +58,33 @@ def _generation_means(arr: np.ndarray, lat: DyadicLattice) -> list:
 
 
 def cz_stopping(dens, lat: DyadicLattice, q0: DyadicCube, alpha: float) -> StoppingFamily:
-    """Calderon-Zygmund selection at level alpha over the subtree of q0."""
+    """Calderon-Zygmund selection at level alpha over the subtree of q0.
+
+    A cube strictly below q0 is selected when its average exceeds alpha times
+    q0's and no cube strictly between it and q0 passes that test.  The subtree
+    is read from the generation means, coarsest generation first, with a mask
+    of the cubes that have a passing ancestor below q0; each generation's
+    passing cubes outside the mask are selected, in (generation, index) order.
+    """
     if alpha <= 1.0:
         raise ParameterError("cz_stopping needs alpha > 1")
+    dim = lat.grid.dim
     means = _generation_means(_density_array(dens), lat)
-
-    def avg(cube):
-        return float(means[cube.generation][cube.index])
-
-    base = avg(q0)
-    selected = []
-    averages = {}
-    stack = list(lat.children(q0))
-    while stack:
-        cube = stack.pop()
-        a = avg(cube)
-        if base > 0 and a > alpha * base:
-            selected.append(cube)
-            averages[cube] = a
-        else:
-            stack.extend(lat.children(cube))
-    selected.sort(key=lambda c: (c.generation, c.index))
+    base = float(means[q0.generation][q0.index])
+    selected, averages = [], {}
+    covered = np.full((1,) * dim, not base > 0)
+    for k in range(q0.generation + 1, lat.max_generation + 1):
+        if covered.all():
+            break
+        for axis in range(dim):
+            covered = covered.repeat(2, axis=axis)
+        corner = np.array(q0.index) * covered.shape[0]
+        sub = means[k][tuple(slice(c, c + covered.shape[0]) for c in corner)]
+        passing = sub > alpha * base
+        for idx in np.argwhere(passing & ~covered):
+            selected.append(DyadicCube(k, tuple((idx + corner).tolist())))
+            averages[selected[-1]] = float(sub[tuple(idx)])
+        covered |= passing
     fam = StoppingFamily(q0, alpha, selected, base, averages)
     # invariants are structural for exact cell sums; treat as internal checks
     dimfac = 2 ** lat.grid.dim

@@ -1,5 +1,5 @@
 """Muckenhoupt weight classes: classical A^p, the reflection-Neumann class,
-Bloom triples, conjugate weights, doubling diagnostics, exp/log bridge.
+Bloom triples, doubling diagnostics, exp/log bridge.
 
 Cube masses w(Q) are exact cell sums.  The lattice scans take them one
 generation at a time from the block view of the lattice (every cube's sum
@@ -48,9 +48,6 @@ class Weight:
             cells = cells.take(idx, axis=axis)
         return float(_finite_power(cells, s).sum()) * self.grid.cell_volume
 
-    def cube_average(self, lat: DyadicLattice, cube, s: float = 1.0) -> float:
-        return self.cube_mass(lat, cube, s) / lat.cell_measure(cube)
-
     def box_mass(self, ranges, s: float = 1.0) -> float:
         """w^s over a non-wrapped cell-index box, as a measure."""
         box = tuple(slice(start, stop) for start, stop in ranges)
@@ -89,24 +86,6 @@ class WeightTriple:
                 self.mu.array ** (1.0 / self.p) * self.lam.array ** (-1.0 / self.p),
             )
         )
-
-    def lam_conjugate(self) -> Weight:
-        """lambda' = lambda^{-1/(p-1)}."""
-        return Weight(GridFunction(self.lam.grid, self.lam.array ** (-1.0 / (self.p - 1.0))))
-
-
-def conjugate_weight(w: Weight, p: float) -> Weight:
-    """w' = w^{1-p'} = w^{-1/(p-1)}."""
-    if p <= 1:
-        raise ParameterError("conjugate weight needs p > 1")
-    return Weight(GridFunction(w.grid, w.array ** (-1.0 / (p - 1.0))))
-
-
-def ap_cube_quotient(w: Weight, p: float, lat: DyadicLattice, cube) -> float:
-    """<w>_Q <w^{-1/(p-1)}>_Q^{p-1} for one cube."""
-    a = w.cube_average(lat, cube)
-    b = w.cube_average(lat, cube, -1.0 / (p - 1.0))
-    return a * b ** (p - 1.0)
 
 
 def ap_constant(w, p: float, lattices) -> float:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wharm import atoms
 from wharm.atoms import Atom, atomic_decompose, calderon_constant, check_atom
@@ -238,7 +240,7 @@ def test_decompose_2d_smoke(rng):
     assert np.isfinite(rep["residual_l1w"])
 
 
-def _per_bucket_pieces(f, lat, tg, assignment, cube_bucket, psi_backend):
+def _per_bucket_pieces(f, lat, tg, assignment, owners, psi_backend):
     """Oracle for atoms._whitney_pieces: one qt apply per scale and one psi
     apply per (scale, bucket), the masks built cube by cube."""
     g = f.grid
@@ -262,7 +264,7 @@ def _per_bucket_pieces(f, lat, tg, assignment, cube_bucket, psi_backend):
             if k <= atoms._UNASSIGNED:
                 none_mask[sl] = True
                 continue
-            key = (k, cube_bucket[(k, DyadicCube(k_gen, idx))])
+            key = (k, int(owners[k_gen][idx]))
             buckets.setdefault(key, np.zeros(g.shape, dtype=bool))[sl] = True
         handle = psi_op(t, backend=psi_backend)
         for key, mask in buckets.items():
@@ -356,17 +358,117 @@ def test_unassigned_cubes_ride_in_the_psi_batches(dim, N, max_gen, psi_backend):
     f = GridFunction(g, np.random.default_rng(43).standard_normal(g.shape))
     tg = TimeGrid.geometric(g, t_min=g.h, t_max=1.0, steps_per_octave=4)
     gens = {atoms._generation_of_scale(g, t, max_gen) for t in tg.t_values} - {None}
-    assignment, cube_bucket = {}, {}
+    assignment, owners = {}, {}
     for k in gens:
         even = np.indices((1 << k,) * dim).sum(axis=0) % 2 == 0
         assignment[k] = np.where(even, 0, atoms._UNASSIGNED)
-        for idx in zip(*np.nonzero(even)):
-            cube = DyadicCube(k, tuple(int(i) for i in idx))
-            cube_bucket[(0, cube)] = cube
-    got_pieces, got_rest = atoms._whitney_pieces(f, lat, tg, assignment, cube_bucket, psi_backend)
-    want_pieces, want_rest = _per_bucket_pieces(f, lat, tg, assignment, cube_bucket, psi_backend)
+        owners[k] = np.where(even, atoms._cube_ids(lat, k), -1)
+    got_pieces, got_rest = atoms._whitney_pieces(f, lat, tg, assignment, owners, psi_backend)
+    want_pieces, want_rest = _per_bucket_pieces(f, lat, tg, assignment, owners, psi_backend)
     assert np.any(want_rest)
     _assert_field_close(got_rest, want_rest, "unassigned")
     assert got_pieces.keys() == want_pieces.keys()
     for key, piece in want_pieces.items():
         _assert_field_close(got_pieces[key], piece, f"piece {key}")
+
+
+def _climb_owners(lat, assignment):
+    """Oracle for atoms._owners and atoms._maximal_counts: B_k as lists of
+    DyadicCube, a cube maximal when no ancestor is in B_k (climbing every
+    parent), and each member's owner the maximal cube that contains it.
+    Returns ({k: sorted maximal cubes}, {(k, cube): owner})."""
+    members = {}
+    for k_gen in sorted(assignment):
+        arr = assignment[k_gen]
+        for idx in np.ndindex(arr.shape):
+            k = int(arr[idx])
+            if k > atoms._UNASSIGNED:
+                members.setdefault(k, []).append(DyadicCube(k_gen, idx))
+    maximal, cube_bucket = {}, {}
+    for k, lst in members.items():
+        byset = set(lst)
+        tops = []
+        for q in lst:
+            anc = lat.parent(q)
+            while anc is not None and anc not in byset:
+                anc = lat.parent(anc)
+            if anc is None:
+                tops.append(q)
+        tops.sort(key=lambda c: (c.generation, c.index))
+        maximal[k] = tops
+        for q in lst:
+            cube_bucket[(k, q)] = next(t for t in tops if lat.contains(t, q))
+    return maximal, cube_bucket
+
+
+def _climb_bucket_keys(levels, k_gen, cube_bucket):
+    """Oracle for the keys of atoms._bucket_labels: one generation's buckets
+    (k, owner) in order of first appearance over np.ndindex, None for no B_k."""
+    keys = []
+    for idx in np.ndindex(levels.shape):
+        k = int(levels[idx])
+        key = None if k <= atoms._UNASSIGNED else (k, cube_bucket[(k, DyadicCube(k_gen, idx))])
+        if key not in keys:
+            keys.append(key)
+    return keys
+
+
+def _assert_owners_match_the_climb(lat, assignment):
+    owners = atoms._owners(lat, assignment)
+    maximal, cube_bucket = _climb_owners(lat, assignment)
+    assert sorted(owners) == sorted(assignment)
+    for k_gen, levels in assignment.items():
+        ids = atoms._cube_ids(lat, k_gen)
+        for idx in np.ndindex(levels.shape):
+            cube, k = DyadicCube(k_gen, idx), int(levels[idx])
+            assert atoms._cube_of(lat, int(ids[idx])) == cube
+            if k <= atoms._UNASSIGNED:
+                assert owners[k_gen][idx] == -1
+                continue
+            owner = atoms._cube_of(lat, int(owners[k_gen][idx]))
+            assert owner == cube_bucket[(k, cube)]
+            assert (owner == cube) == (cube in maximal[k])
+        keys, labels = atoms._bucket_labels(lat, k_gen, levels, owners[k_gen])
+        want = _climb_bucket_keys(levels, k_gen, cube_bucket)
+        assert [None if key is None else (key[0], atoms._cube_of(lat, key[1])) for key in keys] == want
+        # every cell carries its cube's bucket
+        for idx in np.ndindex(levels.shape):
+            cell = tuple(i * lat.cells_per_axis(k_gen) for i in idx)
+            k = int(levels[idx])
+            key = None if k <= atoms._UNASSIGNED else (k, int(owners[k_gen][idx]))
+            assert keys[labels[cell]] == key
+    counts = atoms._maximal_counts(lat, assignment, owners)
+    assert list(counts.items()) == [(k, len(tops)) for k, tops in maximal.items()]
+    return owners, counts
+
+
+@st.composite
+def _assignments(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    max_gen = draw(st.integers(1, 5 if dim == 1 else 3))
+    gens = sorted(draw(st.sets(st.integers(0, max_gen), min_size=1)))
+    choices = st.sampled_from([atoms._UNASSIGNED, -2, -1, 0, 1])
+    assignment = {
+        k: np.array(draw(st.lists(choices, min_size=1 << (dim * k), max_size=1 << (dim * k)))).reshape((1 << k,) * dim)
+        for k in gens
+    }
+    return build_lattice(Grid(dim, 1.0, 1 << max_gen), max_gen), assignment
+
+
+@settings(max_examples=150, deadline=None)
+@given(_assignments())
+def test_owner_arrays_match_the_per_cube_climb(case):
+    lat, assignment = case
+    _assert_owners_match_the_climb(lat, assignment)
+
+
+def test_owner_skips_a_parent_outside_the_level():
+    # the generation-2 cube Q(g2,[0]) is in B_0 and its parent is not, but its
+    # grandparent, the base cube, is: the base cube owns it and is the one
+    # maximal cube of B_0 (Q(g1,[0]) and Q(g2,[2]) are the maximal cubes of B_1)
+    U = atoms._UNASSIGNED
+    lat = build_lattice(Grid(1, 1.0, 8), 3)
+    assignment = {0: np.array([0]), 1: np.array([1, U]), 2: np.array([0, U, 1, U])}
+    owners, counts = _assert_owners_match_the_climb(lat, assignment)
+    assert atoms._cube_of(lat, int(owners[2][0])) == DyadicCube(0, (0,))
+    assert counts == {0: 1, 1: 2}

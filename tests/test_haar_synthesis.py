@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from weight_oracles import cube_average
 
 from wharm.dyadic import (
     build_lattice,
@@ -41,7 +42,7 @@ def oracle_random_haar_sum(lat, rng, weight=None, max_generation=None):
         for sig in signatures(lat.grid.dim):
             s = np.sqrt(lat.cell_measure(cube))
             if weight is not None:
-                s = s * weight.cube_average(lat, cube)
+                s = s * cube_average(weight, lat, cube)
             c = rng.standard_normal() * s
             vals += c * haar_function(lat, cube, sig).values
     return vals

@@ -71,11 +71,11 @@ def test_unknown_experiment():
 
 def test_determinism_byte_identical(tmp_path):
     cfg = {"points_per_axis": 64, "instances": 6, "max_generation": 5, "seed": 11}
-    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    harness.write_report(harness.run("john-nirenberg", cfg), p1, str(tmp_path / "a.csv"))
-    harness.write_report(harness.run("john-nirenberg", cfg), p2, str(tmp_path / "b.csv"))
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-    assert open(str(tmp_path / "a.csv"), "rb").read() == open(str(tmp_path / "b.csv"), "rb").read()
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    harness.write_report(harness.run("john-nirenberg", cfg), str(p1), str(tmp_path / "a.csv"))
+    harness.write_report(harness.run("john-nirenberg", cfg), str(p2), str(tmp_path / "b.csv"))
+    assert p1.read_bytes() == p2.read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_report_embeds_hash_and_tolerances():

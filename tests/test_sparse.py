@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from weight_oracles import cube_average
 
+from wharm import sparse
 from wharm.bmo import dyadic_local_bmo
 from wharm.dyadic import (
     DyadicCube,
@@ -21,13 +23,59 @@ from wharm.sparse import (
     bmo_good_function,
     build_sparse_from_recursion,
     carleson_to_sparse,
-    cz_stopping,
     sparse_operator_apply,
     sparse_operator_matrix,
 )
 from wharm.weights import Weight, ap_constant
 
 Q0 = DyadicCube(0, (0,))
+
+
+def _cz_stopping_walk(dens, lat, q0, alpha):
+    """Oracle for cz_stopping: a stack walk over lat.children from q0 that
+    selects a passing cube and descends below the others.  Returns the
+    selected cubes in (generation, index) order, their averages and q0's."""
+    means = sparse._generation_means(sparse._density_array(dens), lat)
+
+    def avg(cube):
+        return float(means[cube.generation][cube.index])
+
+    base = avg(q0)
+    selected, averages = [], {}
+    stack = list(lat.children(q0))
+    while stack:
+        cube = stack.pop()
+        a = avg(cube)
+        if base > 0 and a > alpha * base:
+            selected.append(cube)
+            averages[cube] = a
+        else:
+            stack.extend(lat.children(cube))
+    selected.sort(key=lambda c: (c.generation, c.index))
+    return selected, averages, base
+
+
+def cz_stopping(dens, lat, q0, alpha):
+    """wharm.sparse.cz_stopping, checked against the stack walk: every test of
+    this module that selects stopping cubes runs through this check."""
+    fam = sparse.cz_stopping(dens, lat, q0, alpha)
+    assert (fam.selected, fam.averages, fam.parent_average) == _cz_stopping_walk(dens, lat, q0, alpha)
+    return fam
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_stopping_matches_the_walk_on_2d_haar_symbols(seed):
+    # the 2D Haar sums of the hardy-atoms-2d benchmark workload at this seed,
+    # through the same recursion: every cube of the collection is checked
+    g = Grid(2, 1.0, 64)
+    lat = build_lattice(g, 5)
+    rng = np.random.default_rng(seed)
+    checked = 0
+    for _ in range(6):
+        dens = np.abs(random_haar_sum(lat, rng, max_generation=4).values)
+        coll = build_sparse_from_recursion(lambda c: cz_stopping(dens, lat, c, 2.0).selected, lat, lat.cubes[0], 2.0)
+        checked += len(coll.cubes)
+    assert checked > 60
 
 
 def test_stopping_on_constant_is_empty(grid64, lat64):
@@ -234,7 +282,7 @@ def test_good_function_bmo_bound(rng):
         a, fam = bmo_good_function(b, w, lat, Q0, 2.0)
         na = dyadic_local_bmo(a, lat, Q0)
         nb = dyadic_local_bmo(b, lat, Q0, w=w)
-        bound = 2.0 * 2.0 * w.cube_average(lat, Q0) * nb
+        bound = 2.0 * 2.0 * cube_average(w, lat, Q0) * nb
         assert na <= bound * (1 + 1e-9)
 
 
