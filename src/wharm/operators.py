@@ -11,15 +11,15 @@ Every free-Laplacian operator is one map on full-grid value arrays
   1D, rfft2 in 2D) and the multiplier lives on the half spectrum: the last
   axis runs from 0 to its Nyquist frequency.
 * "quadrature": plain midpoint-rule kernel sums over the box, a direct
-  convolution with the free kernel of kernels.py tabulated at every cell
-  offset.  The singular diagonal cell of a Riesz kernel is 0 in the table
-  (its principal-value contribution vanishes at leading order by odd
-  symmetry).  psi is the circular convolution with the periodized
-  cell-averaged stencil instead, which is the half-spectrum multiplier
-  rfft(stencil) h: psi is one multiplier on both backends and takes the
-  Fourier map's transforms.  The stencil has compact support, which the
-  transforms keep only up to round-off, so the map zeroes every cell beyond
-  the input's reach (psi_reach).
+  convolution (scipy.signal, imported on first use) with the free kernel of
+  kernels.py tabulated at every cell offset.  The singular diagonal cell of
+  a Riesz kernel is 0 in the table (its principal-value contribution
+  vanishes at leading order by odd symmetry).  psi is the circular
+  convolution with the periodized cell-averaged stencil instead, which is
+  the half-spectrum multiplier rfft(stencil) h: psi is one multiplier on
+  both backends and takes the Fourier map's transforms.  The stencil has
+  compact support, which the transforms keep only up to round-off, so the
+  map zeroes every cell beyond the input's reach (psi_reach).
 
 The multipliers come from free_multipliers: one read-only stack per (kind,
 j, beta, grid, scales, backend), cached, so repeated applies and the scales
@@ -67,12 +67,12 @@ beta_k |e_k^T p_1| <= 1e-13 sigma, or when its Krylov space is the whole
 space; stopped rows leave the batch.  The bases grow by doubling, and a
 block holds at most 4096 cells of rows (4096 // points rows).  The
 certificate of each row keeps the explicit residuals ||A v - sigma u|| and
-||A^T u - sigma v|| and the number of products.  weighted_operator_norm's
-"svd" method is the same run on one row, and its p-ascent uses the same
-maps, so no norm assembles a matrix and none has a size cap.
-assemble_matrix and commutator_matrix (capped at DENSE_POINT_CAP points) are
-the dense oracle of the tests, and the tests also keep scipy's ARPACK svds
-as an independent iterative oracle.
+||A^T u - sigma v|| and the number of products.  weighted_operator_norm
+takes an operator handle, never a matrix: its "svd" method is the same run
+on one row and its p-ascent uses the same maps, so no norm assembles a
+matrix and none has a size cap.  assemble_matrix and commutator_matrix
+(capped at DENSE_POINT_CAP points) are the dense reference of the tests,
+which also keep scipy's ARPACK svds as an independent iterative oracle.
 
 The Riesz sign follows the kernel convention in kernels.py: in n = 1 the
 free transform has kernel -(1/pi)/(x - y), i.e. multiplier +i sign(xi), the
@@ -482,15 +482,9 @@ def weighted_norm(values: np.ndarray, w: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(values) ** p * w) ** (1.0 / p))
 
 
-def _vanishes(op) -> bool:
-    """True for an exactly zero operator: a zero matrix, or a commutator whose
-    symbol is constant.  Its norm is 0.0, with no iteration."""
-    if isinstance(op, np.ndarray):
-        return not np.any(op)
-    if op.kind != "commutator":
-        return False
-    b = op.b.values
-    return bool(np.all(b == b.flat[0]))
+def _vanishes(op: OperatorHandle) -> bool:
+    """A commutator with a constant symbol is exactly zero: norm 0.0, no iteration."""
+    return op.kind == "commutator" and bool(np.all(op.b.values == op.b.values.flat[0]))
 
 
 def _normalized(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -645,7 +639,7 @@ def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=No
 
 
 def weighted_operator_norm(
-    op,
+    op: OperatorHandle,
     grid: Grid,
     mu=None,
     lam=None,
@@ -658,22 +652,17 @@ def weighted_operator_norm(
 ):
     """Discrete L^p_mu -> L^p_lam operator norm with a certificate.
 
-    op is an operator handle on grid's value arrays (applied matrix-free
-    through _operator_maps) or a dense matrix on flattened values.  method
-    "svd" (p = 2 only): the largest singular value of
-    diag(lam)^{1/2} M diag(mu)^{-1/2} to machine precision, by the
+    op is an operator handle M on grid's value arrays, applied matrix-free
+    through _operator_maps.  method "svd" (p = 2 only): the largest singular
+    value of diag(lam)^{1/2} M diag(mu)^{-1/2} to machine precision, by the
     Golub-Kahan-Lanczos run behind commutator_norms on one row.  method
     "ascent": normalized fixed-point iteration on the p-duality map with
     random restarts; the value returned is a certified lower bound on the
     discrete norm.  Both use only products with M and M^T.  An exactly zero
     operator has norm 0.0.
     """
-    if isinstance(op, np.ndarray):
-        shape = (op.shape[1],)
-        forward, transpose = (lambda x: x @ op.T), (lambda y: y @ op)
-    else:
-        shape = grid.shape
-        forward, transpose = _operator_maps(op, grid)
+    shape = grid.shape
+    forward, transpose = _operator_maps(op, grid)
     npts = int(np.prod(shape))
     mu = _as_weight_array(mu, shape)
     lam = _as_weight_array(lam, shape)

@@ -5,16 +5,16 @@ The time integral over (0, infinity) dt/t is truncated to a geometric grid
 t_m = t_min 2^{m/M} with log-weight ln(2)/M per step; the cone integral at
 scale t is the plain cell sum over {y : |x - y| < t} (clipped at the box,
 not periodized), restricted to x's side for the Neumann cone.  One octave
-at a time, these sums and the g* sums are one real FFT convolution of the
-field stack with kernels wrapped around offset 0 (even, so their spectra
-are real), on axes padded to N + r_max cells (r_max the widest kernel
-radius) so the circular wrap lands in zeros; the spectra sit in a bounded,
-read-only cache, and a Neumann cone sums one side at a time.  S is
-1-homogeneous, so it runs on f divided by a power of two just above max|f|
-(per side for the Neumann cone): squares of tiny data stay normal numbers,
-and the scaling rounds nothing.  The dyadic square function S_psi takes one
-generation of Haar coefficients at a time and spreads each cube's energy
-over its 2Q.
+at a time, these sums and the g* sums are one numpy.fft real convolution
+of the field stack with kernels wrapped around offset 0 (even, so their
+spectra are real), on axes padded to the least 5-smooth length >= N + r_max
+(r_max the widest kernel radius) so the circular wrap lands in zeros; the
+spectra sit in a bounded, read-only cache, and a Neumann cone sums one side
+at a time.  S is 1-homogeneous, so it runs on f divided by a power of two
+just above max|f| (per side for the Neumann cone): squares of tiny data
+stay normal numbers, and the scaling rounds nothing.  The dyadic square
+function S_psi takes one generation of Haar coefficients at a time and
+spreads each cube's energy over its 2Q.
 
 Discrete fact worth knowing: for x in the upper half-space,
     (sqrt(2)/2) S_free(f_{+,e})(x) <= S_neumann(f)(x) <= S_free(f_{+,e})(x)
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .dyadic import DyadicLattice, haar_generation
 from .errors import BackendError, GridAlignmentError, ParameterError
@@ -116,9 +115,21 @@ def _radial_spectra(n: int, h: float, ts: tuple, P: int, lam) -> np.ndarray:
             k[o < np.ceil(t / h)] = 1.0
         else:
             k[sum(m ** 2 for m in mesh) * h ** 2 < t * t] = 1.0
-    spectra = np.ascontiguousarray(rfftn(kern, axes=tuple(range(1, n + 1))).real)
+    spectra = np.ascontiguousarray(np.fft.rfftn(kern, axes=tuple(range(1, n + 1))).real)
     spectra.flags.writeable = False
     return spectra
+
+
+def _fast_length(n: int) -> int:
+    """The least 5-smooth integer >= n: a length the real transforms take fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _radial_sums(fields: np.ndarray, grid: Grid, ts, lam=None) -> np.ndarray:
@@ -127,11 +138,11 @@ def _radial_sums(fields: np.ndarray, grid: Grid, ts, lam=None) -> np.ndarray:
     n, N = grid.dim, grid.points_per_axis
     # ceil(t/h), not ceil(t/h) - 1: a spare cell covers the rounding of |d|^2 h^2 < t^2
     r_max = N - 1 if lam is not None else min(int(np.ceil(ts[-1] / grid.h)), N - 1)
-    P = next_fast_len(N + r_max, real=True)
+    P = _fast_length(N + r_max)
     axes = tuple(range(-n, 0))
-    F = rfftn(fields, s=(P,) * n, axes=axes)
+    F = np.fft.rfftn(fields, s=(P,) * n, axes=axes)
     F *= _radial_spectra(n, grid.h, tuple(ts), P, lam)
-    return irfftn(F, s=(P,) * n, axes=axes)[(...,) + (slice(N),) * n]
+    return np.fft.irfftn(F, s=(P,) * n, axes=axes)[(...,) + (slice(N),) * n]
 
 
 def _exponent(values) -> int:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -86,9 +87,9 @@ def test_cli_harness(tmp_path, capsys):
     csvp = str(tmp_path / "report.csv")
     rc = main(["harness", "run", "john-nirenberg", "--config", cpath, "--out", out, "--csv", csvp])
     assert rc == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["experiment"] == "john-nirenberg"
-    assert open(csvp).readline().strip() != ""
+    assert Path(csvp).read_text().partition("\n")[0].strip() != ""
 
 
 def test_cli_apply_neumann_quadrature(tmp_path, capsys):
@@ -110,15 +111,13 @@ def test_cli_harness_riesz_ap(tmp_path):
     out = str(tmp_path / "r.json")
     rc = main(["harness", "run", "riesz-ap", "--config", cpath, "--out", out])
     assert rc == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["pass"] is True
     assert rep["rows"][0]["ap_per_lattice"]
 
 
 def test_shipped_configs_parse_and_run_small(tmp_path):
     # every shipped config is valid JSON for its experiment (sizes trimmed)
-    import pathlib
-
     for name, path in [
         ("two-weight-commutator", "configs/two_weight.json"),
         ("john-nirenberg", "configs/john_nirenberg.json"),
@@ -127,7 +126,7 @@ def test_shipped_configs_parse_and_run_small(tmp_path):
         ("riesz-ap", "configs/riesz_ap.json"),
         ("two-weight-commutator", "configs/two_weight_2d.json"),
     ]:
-        cfg = json.loads(pathlib.Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
         cfg["points_per_axis"] = 32
         cfg["max_generation"] = 4
         cfg["symbols"] = 2

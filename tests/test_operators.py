@@ -46,7 +46,7 @@ from wharm.operators import (
 )
 from wharm.weights import Weight, weight_from_spec
 
-from operator_oracles import linear_operator, svds_norm
+from operator_oracles import dense_weighted_norm, linear_operator, svds_norm
 
 
 def test_semigroup_preserves_constants(grid64):
@@ -266,9 +266,9 @@ def test_heaviside_locality_of_sided_operators(rng):
 
 def test_identity_norm_both_methods(grid64):
     w = Weight(constant(grid64, 1.3))
-    M = assemble_matrix(OperatorHandle("identity"), grid64)
-    v1, _ = weighted_operator_norm(M, grid64, w, w, p=2.0, method="svd")
-    v2, cert = weighted_operator_norm(M, grid64, w, w, p=2.0, method="ascent", restarts=3)
+    op = OperatorHandle("identity")
+    v1, _ = weighted_operator_norm(op, grid64, w, w, p=2.0, method="svd")
+    v2, cert = weighted_operator_norm(op, grid64, w, w, p=2.0, method="ascent", restarts=3)
     assert abs(v1 - 1.0) <= 1e-12
     assert abs(v2 - 1.0) <= 1e-9
     assert cert["method"] == "ascent"
@@ -276,31 +276,28 @@ def test_identity_norm_both_methods(grid64):
 
 def test_hilbert_norm_is_one():
     g = Grid(1, 1.0, 256)
-    M = assemble_matrix(riesz("free", 1), g)
-    val, _ = weighted_operator_norm(M, g, None, None, p=2.0, method="svd")
+    val, _ = weighted_operator_norm(riesz("free", 1), g, None, None, p=2.0, method="svd")
     assert abs(val - 1.0) <= 1e-6
 
 
 def test_ascent_vs_svd_on_commutators(rng):
     g = Grid(1, 1.0, 64)
-    R = assemble_matrix(riesz("free", 1), g)
     for i in range(50):
-        b = rng.standard_normal(int(np.prod(g.shape)))
-        M = b[:, None] * R - R * b[None, :]
-        mu = np.exp(0.3 * rng.standard_normal(M.shape[0]))
-        lam = np.exp(0.3 * rng.standard_normal(M.shape[0]))
-        sv, _ = weighted_operator_norm(M, g, mu, lam, p=2.0, method="svd")
-        av, _ = weighted_operator_norm(M, g, mu, lam, p=2.0, method="ascent", seed=i, restarts=10)
+        op = commutator(GridFunction(g, rng.standard_normal(g.shape)), riesz("free", 1))
+        mu = np.exp(0.3 * rng.standard_normal(g.shape))
+        lam = np.exp(0.3 * rng.standard_normal(g.shape))
+        sv, _ = weighted_operator_norm(op, g, mu, lam, p=2.0, method="svd")
+        av, _ = weighted_operator_norm(op, g, mu, lam, p=2.0, method="ascent", seed=i, restarts=10)
         assert av <= sv + 1e-9
         assert av >= 0.95 * sv
 
 
 def test_ascent_general_p_runs(grid64, rng):
-    M = assemble_matrix(riesz("free", 1), grid64)
-    val, cert = weighted_operator_norm(M, grid64, None, None, p=3.0, method="ascent", restarts=3)
+    op = riesz("free", 1)
+    val, cert = weighted_operator_norm(op, grid64, None, None, p=3.0, method="ascent", restarts=3)
     assert val > 0
     with pytest.raises(ParameterError):
-        weighted_operator_norm(M, grid64, None, None, p=3.0, method="svd")
+        weighted_operator_norm(op, grid64, None, None, p=3.0, method="svd")
 
 
 def test_phi_and_psi_ops_run(grid64, rng):
@@ -339,9 +336,9 @@ def test_quadrature_free_semigroup_matches_fourier_interior():
 
 def test_weighted_norm_2d_dense(rng):
     g = Grid(2, 1.0, 16)
-    M = assemble_matrix(riesz("neumann", 2, backend="fourier"), g)
+    op = riesz("neumann", 2, backend="fourier")
     w = Weight(constant(g, 1.0))
-    val, _ = weighted_operator_norm(M, g, w, w, p=2.0, method="svd")
+    val, _ = weighted_operator_norm(op, g, w, w, p=2.0, method="svd")
     assert 0 < val <= 1.5  # contraction up to reflection bookkeeping
 
 
@@ -482,16 +479,6 @@ def test_constant_symbol_norm_is_exactly_zero():
             assert val == 0.0 and cert["zero_operator"] is True
 
 
-def test_ascent_on_a_handle_matches_the_dense_matrix(rng):
-    g = Grid(1, 1.0, 32)
-    op = commutator(GridFunction(g, rng.standard_normal(g.shape)), riesz("neumann", 1))
-    mu = np.exp(0.3 * rng.standard_normal(32))
-    free_val, _ = weighted_operator_norm(op, g, mu, None, p=3.0, method="ascent", restarts=2)
-    M = assemble_matrix(op, g)
-    dense_val, _ = weighted_operator_norm(M, g, mu, None, p=3.0, method="ascent", restarts=2)
-    assert abs(free_val - dense_val) <= 1e-9 * dense_val
-
-
 def test_one_point_norm_is_its_entry():
     # a 1D half grid with N = 2 has one cell, below what ARPACK accepts
     g = Grid(1, 1.0, 2, "upper")
@@ -511,11 +498,6 @@ def test_matrix_free_norm_has_no_dense_cap():
 # ---------------------------------------------------------------------------
 # lockstep Golub-Kahan norms of a stack of symbols against ARPACK and the dense SVD
 
-def _dense_weighted_norm(M, mu, lam):
-    dense = np.sqrt(lam).reshape(-1)[:, None] * M / np.sqrt(mu).reshape(-1)[None, :]
-    return np.linalg.svd(dense, compute_uv=False)[0]
-
-
 @pytest.mark.parametrize(
     "dim,N,domain", [(1, 64, "full"), (1, 256, "full"), (2, 16, "full"), (1, 64, "upper"), (2, 16, "upper")]
 )
@@ -531,7 +513,7 @@ def test_commutator_norms_match_svds_and_the_dense_svd(dim, N, domain):
             got, certs = commutator_norms(symbols, R, g, mu, lam, seed=5)
             M = assemble_matrix(R, g)
             for b, val, cert in zip(symbols, got, certs):
-                want = _dense_weighted_norm(commutator_matrix(b, M), mu, lam)
+                want = dense_weighted_norm(commutator_matrix(b, M), mu, lam)
                 oracle = svds_norm(commutator(GridFunction(g, b), R), g, mu, lam, seed=5)
                 assert abs(val - want) <= 1e-12 * want
                 assert abs(val - oracle) <= 1e-12 * oracle
@@ -570,7 +552,7 @@ def test_commutator_norms_on_one_cell_and_on_an_exhausted_krylov_space():
     vals, certs = commutator_norms(symbols, R, g, mu, lam)
     assert all(c["products"] == 2 * 4 for c in certs)
     for b, val in zip(symbols, vals):
-        want = _dense_weighted_norm(commutator_matrix(b, assemble_matrix(R, g)), mu, lam)
+        want = dense_weighted_norm(commutator_matrix(b, assemble_matrix(R, g)), mu, lam)
         assert abs(val - want) <= 1e-12 * want
 
 
@@ -834,14 +816,14 @@ def test_cached_multipliers_are_read_only():
             stack[0] = 0.0
 
 
-def test_wharm_imports_leave_scipy_signal_unloaded():
-    # only the quadrature kernel sums need scipy.signal, and it takes most of
-    # the import time, so it is imported where it is used; the norms and the
-    # Calderon constant need neither scipy.sparse nor scipy.integrate
+def test_wharm_imports_load_no_scipy_module():
+    # every transform is numpy.fft; only the quadrature kernel sums need
+    # scipy.signal, imported where they run, so no wharm module loads scipy
+    modules = "cli harness atoms squarefn sparse bmo operators weights dyadic grid kernels".split()
     code = (
         "import sys\n"
-        "import wharm.harness, wharm.atoms, wharm.squarefn, wharm.sparse\n"
-        "sys.exit(' '.join(m for m in ('scipy.signal', 'scipy.sparse', 'scipy.integrate') if m in sys.modules) or None)\n"
+        f"import {', '.join('wharm.' + m for m in modules)}\n"
+        "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.signal import fftconvolve
 
 from wharm.dyadic import DyadicCube, build_lattice, haar_function, random_haar_sum
@@ -11,6 +12,7 @@ from wharm.grid import Grid, GridFunction, constant, extend_even, restrict
 from wharm.squarefn import (
     ConeSpec,
     TimeGrid,
+    _fast_length,
     _radial_spectra,
     _radial_sums,
     area_function,
@@ -366,6 +368,47 @@ def test_ball_supports_match_the_old_rule_at_every_geometric_scale(dim, N):
                     ball = (d ** 2).sum(axis=0) * g.h ** 2 < t * t
                 ball = np.flip(ball) if corner else ball
                 assert np.array_equal(np.round(row), ball) and np.max(np.abs(row - ball)) <= 1e-12
+
+
+def _scipy_radial_sums(fields, g, ts, lam=None):
+    # the scipy.fft radial sums that numpy.fft replaced: the same wrapped
+    # kernels on the same padded length, transformed by scipy.fft
+    n, N, h = g.dim, g.points_per_axis, g.h
+    r_max = N - 1 if lam is not None else min(int(np.ceil(ts[-1] / h)), N - 1)
+    P = next_fast_len(N + r_max, real=True)
+    o = np.minimum(np.arange(P), P - np.arange(P))
+    mesh = np.meshgrid(*[o] * n, indexing="ij", sparse=True)
+    d = o * h if n == 1 else np.sqrt(sum((m * h) ** 2 for m in mesh))
+    kern = np.zeros((len(ts),) + (P,) * n)
+    for k, t in zip(kern, ts):
+        if lam is not None:
+            k[...] = (t / (t + d)) ** lam
+        elif n == 1:
+            k[o < np.ceil(t / h)] = 1.0
+        else:
+            k[sum(m ** 2 for m in mesh) * h ** 2 < t * t] = 1.0
+    axes = tuple(range(-n, 0))
+    F = rfftn(fields, s=(P,) * n, axes=axes) * rfftn(kern, axes=axes).real
+    return irfftn(F, s=(P,) * n, axes=axes)[(...,) + (slice(N),) * n]
+
+
+def test_fast_length_is_the_real_next_fast_len():
+    # the least 5-smooth integer >= n, as scipy.fft picks real transform lengths
+    assert [_fast_length(n) for n in range(1, 4097)] == [next_fast_len(n, real=True) for n in range(1, 4097)]
+
+
+@pytest.mark.parametrize("dim,N", [(1, 96), (1, 256), (2, 16), (2, 24), (2, 64)])
+@pytest.mark.parametrize("gstar", [False, True])
+def test_radial_sums_match_the_scipy_fft_copy(dim, N, gstar, rng):
+    # every octave of a geometric time grid, ball kernels and the g* profile
+    g = Grid(dim, 1.0, N)
+    lam = 3 * dim if gstar else None
+    for ts in TimeGrid.geometric(g, steps_per_octave=4).octaves():
+        fields = rng.standard_normal((len(ts),) + g.shape) ** 2
+        want = _scipy_radial_sums(fields, g, ts, lam)
+        got = _radial_sums(fields, g, ts, lam)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_cached_kernel_spectra_are_read_only():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from weight_oracles import ap_cube_quotient, conjugate_weight, cube_average, lam_conjugate
 
 from wharm.dyadic import build_lattice, lattice_family
@@ -51,6 +54,24 @@ def test_ap_always_at_least_one(rng, family64, grid64):
         w = Weight(GridFunction(grid64, np.exp(rng.standard_normal(grid64.shape))))
         for p in (1.5, 2.0):
             assert ap_constant(w, p, family64) >= 1.0 - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ap_and_a1_constants_are_at_least_one(data):
+    # on every cube <w> <w^{-1/(p-1)}>^{p-1} >= 1 (Jensen) and <w> >= min w,
+    # for random strictly positive weights, lattice families and p in (1, 4]
+    dim = data.draw(st.sampled_from([1, 2]))
+    N = data.draw(st.sampled_from([4, 8, 16, 32, 64] if dim == 1 else [4, 8, 16]))
+    g = Grid(dim, 1.0, N)
+    lats = lattice_family(g, data.draw(st.integers(1, int(np.log2(N)) - 1)))
+    p = data.draw(st.floats(1.0, 4.0, exclude_min=True))
+    # |log w| <= 200 (p - 1) keeps w^{-1/(p-1)} and its cube sums finite
+    spread = min(3.0, 200.0 * (p - 1.0))
+    logs = data.draw(arrays(np.float64, g.shape, elements=st.floats(-1.0, 1.0)))
+    w = Weight(GridFunction(g, np.exp(spread * logs)))
+    assert ap_constant(w, p, lats) >= 1.0 - 1e-12
+    assert a1_constant(w, lats) >= 1.0 - 1e-12
 
 
 def test_one_sided_power_quotient_growth():
