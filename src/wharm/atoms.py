@@ -266,6 +266,21 @@ def _bucket_labels(lat: DyadicLattice, k_gen: int, levels: np.ndarray, owners: n
     return keys, lat.spread(rank[inverse].reshape(owners.shape), k_gen)
 
 
+def _masked_transform(masks: np.ndarray, g: Grid):
+    """u -> spectrum(np.where(masks, u, 0.0), g), bit for bit: in 2D (rfft on the
+    last axis, then fft on the other) only the rows holding a mask cell take the rfft."""
+    if g.dim == 1:
+        return lambda u: spectrum(np.where(masks, u, 0.0), g)
+    b, i = np.nonzero(masks.any(axis=-1))
+    held, half = masks[b, i], np.zeros(masks.shape[:-1] + (g.points_per_axis // 2 + 1,), dtype=complex)
+
+    def transform(u):
+        half[b, i] = np.fft.rfft(np.where(held, u[i], 0.0))
+        return np.fft.fft(half, axis=-2)
+
+    return transform
+
+
 def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignment, owners, psi_backend):
     """Whitney pieces of the reproducing formula, bucketed under (k, id of
     Qbar), and the unassigned remainder.
@@ -275,11 +290,11 @@ def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignmen
     with u_t the qt fields of one apply_scales and m_t the psi multipliers.
     Every bucket owns one row of a spectrum array, numbered in order of first
     appearance; at each scale _BUCKET_SLICE masked copies of u_t take one
-    real transform and are added onto their rows, and the rows are inverted
-    _BUCKET_SLICE at a time at the end, so the stacked temporaries stay
-    bounded.  The quadrature stencil has compact support, so there each piece
-    is zeroed outside the cells its slabs reach (psi_reach): the clipped mass
-    then holds no round-off.
+    real transform (_masked_transform, on the grid rows they hold) and are
+    added onto their rows, and the rows are inverted _BUCKET_SLICE at a time
+    at the end, so the stacked temporaries stay bounded.  The quadrature
+    stencil has compact support, so there each piece is zeroed outside the
+    cells its slabs reach (psi_reach): the clipped mass holds no round-off.
     """
     g = f.grid
     gen_of = [_generation_of_scale(g, t, lat.max_generation) for t in tg.t_values]
@@ -297,11 +312,13 @@ def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignmen
         psi = free_multipliers(psi_op(ts[0], backend=psi_backend), g, ts)
         if reach is not None:
             reach[rows] |= psi_reach(masks, ts, g)
+        batches = [(rows[lo:lo + _BUCKET_SLICE], _masked_transform(masks[lo:lo + _BUCKET_SLICE], g))
+                   for lo in range(0, len(rows), _BUCKET_SLICE)]
         for m, u in zip(psi, apply_scales("qt", "free", ts, f)):
-            for lo in range(0, len(rows), _BUCKET_SLICE):
-                batch = spectrum(np.where(masks[lo:lo + _BUCKET_SLICE], u, 0.0), g)
+            for batch_rows, transform in batches:
+                batch = transform(u)
                 batch *= m
-                spectra[rows[lo:lo + _BUCKET_SLICE]] += batch
+                spectra[batch_rows] += batch
     weight = tg.log_weight * calderon_constant()
     pieces = {}
     keys = list(row)

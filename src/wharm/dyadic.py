@@ -137,19 +137,6 @@ class DyadicLattice:
         return lo, hi
 
     # -- tree --------------------------------------------------------------
-    def children(self, cube: DyadicCube):
-        if cube.generation >= self.max_generation:
-            return []
-        return [
-            DyadicCube(cube.generation + 1, tuple(2 * i + o for i, o in zip(cube.index, off)))
-            for off in product((0, 1), repeat=self.grid.dim)
-        ]
-
-    def parent(self, cube: DyadicCube):
-        if cube.generation == 0:
-            return None
-        return DyadicCube(cube.generation - 1, tuple(i // 2 for i in cube.index))
-
     def contains(self, outer: DyadicCube, inner: DyadicCube) -> bool:
         """Tree containment inner <= outer (same lattice)."""
         if inner.generation < outer.generation:

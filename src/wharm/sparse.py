@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCube, DyadicLattice
+from .dyadic import DyadicCube, DyadicLattice, split_blocks
 from .errors import ParameterError, SparsityError
 from .grid import GridFunction
 
@@ -61,16 +61,17 @@ def cz_stopping(dens, lat: DyadicLattice, q0: DyadicCube, alpha: float) -> Stopp
     """Calderon-Zygmund selection at level alpha over the subtree of q0.
 
     A cube strictly below q0 is selected when its average exceeds alpha times
-    q0's and no cube strictly between it and q0 passes that test.  The subtree
-    is read from the generation means, coarsest generation first, with a mask
-    of the cubes that have a passing ancestor below q0; each generation's
+    q0's and no cube strictly between it and q0 passes that test.  Only q0's
+    cells are read, cut into each deeper generation's cubes as blocks cuts
+    them (means equal _generation_means bit for bit), coarsest first, with a
+    mask of the cubes with a passing ancestor below q0; each generation's
     passing cubes outside the mask are selected, in (generation, index) order.
     """
     if alpha <= 1.0:
         raise ParameterError("cz_stopping needs alpha > 1")
     dim = lat.grid.dim
-    means = _generation_means(_density_array(dens), lat)
-    base = float(means[q0.generation][q0.index])
+    block = _density_array(dens)[np.ix_(*lat.cell_indices(q0))]
+    base = float(split_blocks(block, 1, dim).mean(axis=-1)[(0,) * dim])
     selected, averages = [], {}
     covered = np.full((1,) * dim, not base > 0)
     for k in range(q0.generation + 1, lat.max_generation + 1):
@@ -79,7 +80,7 @@ def cz_stopping(dens, lat: DyadicLattice, q0: DyadicCube, alpha: float) -> Stopp
         for axis in range(dim):
             covered = covered.repeat(2, axis=axis)
         corner = np.array(q0.index) * covered.shape[0]
-        sub = means[k][tuple(slice(c, c + covered.shape[0]) for c in corner)]
+        sub = split_blocks(block, covered.shape[0], dim).mean(axis=-1)
         passing = sub > alpha * base
         for idx in np.argwhere(passing & ~covered):
             selected.append(DyadicCube(k, tuple((idx + corner).tolist())))

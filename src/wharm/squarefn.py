@@ -7,14 +7,15 @@ scale t is the plain cell sum over {y : |x - y| < t} (clipped at the box,
 not periodized), restricted to x's side for the Neumann cone.  One octave
 at a time, these sums and the g* sums are one numpy.fft real convolution
 of the field stack with kernels wrapped around offset 0 (even, so their
-spectra are real), on axes padded to the least 5-smooth length >= N + r_max
-(r_max the widest kernel radius) so the circular wrap lands in zeros; the
-spectra sit in a bounded, read-only cache, and a Neumann cone sums one side
-at a time.  S is 1-homogeneous, so it runs on f divided by a power of two
-just above max|f| (per side for the Neumann cone): squares of tiny data
-stay normal numbers, and the scaling rounds nothing.  The dyadic square
-function S_psi takes one generation of Haar coefficients at a time and
-spreads each cube's energy over its 2Q.
+spectra are real), weighted by t_m^{-n} and added over the scales on the
+half spectrum under one inverse transform (one per side for a Neumann
+cone); axes are padded to the least 5-smooth length >= N + r_max (r_max
+the widest kernel radius) so the circular wrap lands in zeros, and the
+spectra sit in a bounded, read-only cache.  S is 1-homogeneous, so it runs
+on f divided by a power of two just above max|f| (per side for the Neumann
+cone): squares of tiny data stay normal numbers, and the scaling rounds
+nothing.  The dyadic square function S_psi takes one generation of Haar
+coefficients at a time and spreads each cube's energy over its 2Q.
 
 Discrete fact worth knowing: for x in the upper half-space,
     (sqrt(2)/2) S_free(f_{+,e})(x) <= S_neumann(f)(x) <= S_free(f_{+,e})(x)
@@ -132,17 +133,19 @@ def _fast_length(n: int) -> int:
         n += 1
 
 
-def _radial_sums(fields: np.ndarray, grid: Grid, ts, lam=None) -> np.ndarray:
-    """sum_y K_t(x - y) fields[m, y] per x for t = ts[m], box-clipped: K_t is the
-    strict ball |x - y| < t, or with lam the g* profile (t/(t+|x-y|))^lam."""
+def _radial_sums(fields: np.ndarray, grid: Grid, ts, weights, lam=None) -> np.ndarray:
+    """sum_m weights[m] sum_y K_t(x - y) fields[m, y] per x, t = ts[m], box-clipped:
+    K_t is the strict ball |x - y| < t, or with lam the g* profile
+    (t/(t+|x-y|))^lam.  One inverse transform: the weighted products are
+    added over m on the half spectrum, elementwise (a BLAS sum adds threads)."""
     n, N = grid.dim, grid.points_per_axis
     # ceil(t/h), not ceil(t/h) - 1: a spare cell covers the rounding of |d|^2 h^2 < t^2
     r_max = N - 1 if lam is not None else min(int(np.ceil(ts[-1] / grid.h)), N - 1)
     P = _fast_length(N + r_max)
     axes = tuple(range(-n, 0))
     F = np.fft.rfftn(fields, s=(P,) * n, axes=axes)
-    F *= _radial_spectra(n, grid.h, tuple(ts), P, lam)
-    return np.fft.irfftn(F, s=(P,) * n, axes=axes)[(...,) + (slice(N),) * n]
+    F *= _radial_spectra(n, grid.h, tuple(ts), P, lam) * np.reshape(weights, (-1,) + (1,) * n)
+    return np.fft.irfftn(F.sum(axis=0), s=(P,) * n, axes=axes)[(slice(N),) * n]
 
 
 def _exponent(values) -> int:
@@ -151,16 +154,15 @@ def _exponent(values) -> int:
 
 
 def _cone_integral(f: GridFunction, e, tg: TimeGrid, sums) -> GridFunction:
-    """(sum_m ln2/M t_m^{-n} h^n sums(u, ts)[m])^{1/2}, sums taking one octave ts
-    at a time of u = f 2^-e.  S is 1-homogeneous, so it runs on u, whose
-    squares stay normal numbers, and scales back by 2^e; powers of two scale
-    without rounding."""
+    """(ln2/M h^n sum over octaves ts of sums(u, ts, ts^{-n}))^{1/2}, sums giving
+    one octave's cone sums of u = f 2^-e weighted and added over its scales.
+    S is 1-homogeneous, so it runs on u, whose squares stay normal numbers,
+    and scales back by 2^e; powers of two scale without rounding."""
     g = f.grid
     u = GridFunction(g, np.ldexp(f.values, -e))
     acc = np.zeros(g.shape)
     for ts in tg.octaves():
-        for t, s in zip(ts, sums(u, ts)):
-            acc += s / t ** g.dim
+        acc += sums(u, ts, 1.0 / ts ** g.dim)
     acc *= tg.log_weight * g.cell_volume
     return GridFunction(g, np.ldexp(np.sqrt(np.maximum(acc, 0.0)), e))
 
@@ -189,14 +191,14 @@ def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> G
         # so each side takes its own scale
         e = join_sides(_exponent(restrict(f, UPPER).values), _exponent(restrict(f, LOWER).values), g)
 
-    def sums(u, ts):
+    def sums(u, ts, weights):
         # a Neumann cone takes the Neumann generator
         fields = apply_scales(kind, cone.kind, ts, u, beta=beta) ** 2
         if cone.kind == "free":
-            return _radial_sums(fields, g, ts)
+            return _radial_sums(fields, g, ts, weights)
         # a Neumann cone at x keeps only the cells on x's side; one side at a time
-        upper = _radial_sums(join_sides(fields, 0.0, g), g, ts)
-        return join_sides(upper, _radial_sums(join_sides(0.0, fields, g), g, ts), g)
+        upper = _radial_sums(join_sides(fields, 0.0, g), g, ts, weights)
+        return join_sides(upper, _radial_sums(join_sides(0.0, fields, g), g, ts, weights), g)
 
     return _cone_integral(f, e, tg, sums)
 
@@ -208,8 +210,8 @@ def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) ->
         raise BackendError("g* is evaluated on full-space data")
     kind, beta = _generator(generator)
 
-    def sums(u, ts):
-        return _radial_sums(apply_scales(kind, "free", ts, u, beta=beta) ** 2, g, ts, int(lambda_exponent))
+    def sums(u, ts, weights):
+        return _radial_sums(apply_scales(kind, "free", ts, u, beta=beta) ** 2, g, ts, weights, int(lambda_exponent))
 
     return _cone_integral(h_fn, _exponent(h_fn.values), tg, sums)
 

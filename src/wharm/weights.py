@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicLattice, _iter_lattices
+from .dyadic import _iter_lattices
 from .errors import DomainError, ParameterError, RangeError, WeightError
 from .grid import FULL, Grid, GridFunction, load_binary, load_csv, sided_even_extensions
 
 
 class Weight:
-    """Strictly positive grid function with cube and box masses."""
+    """Strictly positive grid function with box masses."""
 
     def __init__(self, values: GridFunction):
         if np.min(values.values) <= 0.0:
@@ -40,13 +40,6 @@ class Weight:
     def power(self, s: float = 1.0) -> np.ndarray:
         """The cell array w^s."""
         return _finite_power(self.array, s)
-
-    def cube_mass(self, lat: DyadicLattice, cube, s: float = 1.0) -> float:
-        """w^s(Q) = sum over Q of w^s * h^n, read from the cells of Q only."""
-        cells = self.array
-        for axis, idx in enumerate(lat.cell_indices(cube)):
-            cells = cells.take(idx, axis=axis)
-        return float(_finite_power(cells, s).sum()) * self.grid.cell_volume
 
     def box_mass(self, ranges, s: float = 1.0) -> float:
         """w^s over a non-wrapped cell-index box, as a measure."""

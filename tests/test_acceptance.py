@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 from operator_oracles import dense_weighted_norm
+from tree_oracles import parent
 from weight_oracles import cube_average
 
 from wharm import bmo as bmo_mod
@@ -152,12 +153,12 @@ def test_criterion_2_oracles(rng):
             if cube.generation == 0:
                 continue
             avg = dens.values[np.ix_(*lat.cell_indices(cube))].mean()
-            anc, anc_hit = lat.parent(cube), False
+            anc, anc_hit = parent(cube), False
             while anc is not None and anc.generation > 0:
                 if dens.values[np.ix_(*lat.cell_indices(anc))].mean() > alpha * base:
                     anc_hit = True
                     break
-                anc = lat.parent(anc)
+                anc = parent(anc)
             if (cube in sel) != (avg > alpha * base and not anc_hit):
                 ok = False
     _report(failures, "2.2 CZ stopping vs brute-force rescan", ok)

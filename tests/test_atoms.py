@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tree_oracles import parent
+from weight_oracles import cube_mass
 
 from wharm import atoms
 from wharm.atoms import Atom, atomic_decompose, calderon_constant, check_atom
@@ -9,8 +11,8 @@ from wharm.dyadic import DyadicCube, build_lattice, haar_function
 from wharm.errors import DecompositionError
 from wharm.grid import Grid, GridFunction, constant
 from wharm.kernels import psi_multiplier
-from wharm.operators import apply, psi_op, qt_op
-from wharm.squarefn import TimeGrid
+from wharm.operators import apply, psi_op, qt_op, spectrum
+from wharm.squarefn import ConeSpec, TimeGrid, area_function
 from wharm.weights import Weight
 
 
@@ -201,7 +203,7 @@ def test_atoms_have_unit_normalization_convention(rng):
     tg = TimeGrid.geometric(g, t_min=g.h, t_max=2.0, steps_per_octave=8)
     dec = atomic_decompose(f, w, lat, tg)
     for lam, atom in zip(dec.coefficients, dec.atoms):
-        expect = 2.0 ** atom.level * w.cube_mass(lat, atom.cube)
+        expect = 2.0 ** atom.level * cube_mass(w, lat, atom.cube)
         assert abs(lam - expect) <= 1e-12 * abs(expect)
 
 
@@ -372,6 +374,47 @@ def test_unassigned_cubes_ride_in_the_psi_batches(dim, N, max_gen, psi_backend):
         _assert_field_close(got_pieces[key], piece, f"piece {key}")
 
 
+@pytest.mark.parametrize("dim,N", [(1, 64), (2, 16), (2, 64)])
+@pytest.mark.parametrize("count", [0, 1, 3, 8])
+def test_row_pruned_transform_is_the_real_transform_bit_for_bit(dim, N, count):
+    # bucket slices of count masks, among them the empty slice, masks that
+    # hold no cell and masks on a few grid rows; one transform serves
+    # several fields, as it serves the scales of a slab
+    g = Grid(dim, 1.0, N)
+    rng = np.random.default_rng(count)
+    few_rows = np.where(np.arange(N) % 7 == 2, 1, 11).reshape((N,) + (1,) * (dim - 1))
+    for labels in (rng.integers(0, 12, size=g.shape), few_rows):
+        masks = np.broadcast_to(labels, g.shape) == np.arange(count).reshape((-1,) + (1,) * dim)
+        transform = atoms._masked_transform(masks, g)
+        for u in rng.standard_normal((3,) + g.shape):
+            got, want = transform(u), spectrum(np.where(masks, u, 0.0), g)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_whitney_pieces_are_bit_identical_to_the_full_transform(monkeypatch):
+    # 64^2 pieces under levels log2 of the cube means of S, the cubes below
+    # the median in no B_k: they equal those of spectrum(np.where(mask, u,
+    # 0.0)) on every row, bit for bit
+    g = Grid(2, 1.0, 64)
+    lat = build_lattice(g, 5)
+    v = np.random.default_rng(17).standard_normal(g.shape) * np.exp(-np.sum(g.points() ** 2, axis=-1) / 0.2)
+    f = GridFunction(g, v - v.mean())
+    tg = TimeGrid.geometric(g)
+    S = area_function(f, "qt", ConeSpec("free"), tg).values
+    gens = {atoms._generation_of_scale(g, t, lat.max_generation) for t in tg.t_values} - {None}
+    assignment = {}
+    for k in gens:
+        means = lat.blocks(S, k).mean(axis=-1)
+        assignment[k] = np.where(means >= np.median(means), np.floor(np.log2(means)).astype(int), atoms._UNASSIGNED)
+    owners = atoms._owners(lat, assignment)
+    got, got_rest = atoms._whitney_pieces(f, lat, tg, assignment, owners, "fourier")
+    monkeypatch.setattr(atoms, "_masked_transform", lambda masks, g: lambda u: spectrum(np.where(masks, u, 0.0), g))
+    want, want_rest = atoms._whitney_pieces(f, lat, tg, assignment, owners, "fourier")
+    assert len(want) > atoms._BUCKET_SLICE and got.keys() == want.keys()
+    assert np.any(want_rest) and np.array_equal(got_rest, want_rest)
+    assert all(np.array_equal(got[key], want[key]) for key in want)
+
+
 def _climb_owners(lat, assignment):
     """Oracle for atoms._owners and atoms._maximal_counts: B_k as lists of
     DyadicCube, a cube maximal when no ancestor is in B_k (climbing every
@@ -389,9 +432,9 @@ def _climb_owners(lat, assignment):
         byset = set(lst)
         tops = []
         for q in lst:
-            anc = lat.parent(q)
+            anc = parent(q)
             while anc is not None and anc not in byset:
-                anc = lat.parent(anc)
+                anc = parent(anc)
             if anc is None:
                 tops.append(q)
         tops.sort(key=lambda c: (c.generation, c.index))

@@ -9,6 +9,7 @@ agree to a relative 1e-12, not bit for bit.
 
 import numpy as np
 import pytest
+from tree_oracles import parent
 
 from wharm.atoms import atomic_decompose
 from wharm.bmo import CARLESON_FLAVORS, CLASSICAL_FLAVORS, HALF_FLAVORS, _slab_times, bmo_norm, dyadic_local_bmo
@@ -179,11 +180,11 @@ def test_cz_stopping_matches_oracle(setting):
                 for cube in lat.cubes:
                     if cube == q0 or not lat.contains(q0, cube):
                         continue
-                    anc = lat.parent(cube)
+                    anc = parent(cube)
                     hit = False
                     while anc != q0:
                         hit = hit or w.array[cells(lat, anc)].mean() > alpha * base
-                        anc = lat.parent(anc)
+                        anc = parent(anc)
                     if not hit and w.array[cells(lat, cube)].mean() > alpha * base:
                         expect.append(cube)
                 assert fam_q0.selected == expect  # both in (generation, index) order

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from operator_oracles import dense_weighted_norm
-from weight_oracles import cube_average
+from tree_oracles import children, parent
+from weight_oracles import cube_average, cube_mass
 
 from wharm import sparse
 from wharm.bmo import dyadic_local_bmo
@@ -32,7 +33,7 @@ Q0 = DyadicCube(0, (0,))
 
 
 def _cz_stopping_walk(dens, lat, q0, alpha):
-    """Oracle for cz_stopping: a stack walk over lat.children from q0 that
+    """Oracle for cz_stopping: a stack walk over the children from q0 that
     selects a passing cube and descends below the others.  Returns the
     selected cubes in (generation, index) order, their averages and q0's."""
     means = sparse._generation_means(sparse._density_array(dens), lat)
@@ -42,7 +43,7 @@ def _cz_stopping_walk(dens, lat, q0, alpha):
 
     base = avg(q0)
     selected, averages = [], {}
-    stack = list(lat.children(q0))
+    stack = children(lat, q0)
     while stack:
         cube = stack.pop()
         a = avg(cube)
@@ -50,7 +51,7 @@ def _cz_stopping_walk(dens, lat, q0, alpha):
             selected.append(cube)
             averages[cube] = a
         else:
-            stack.extend(lat.children(cube))
+            stack.extend(children(lat, cube))
     selected.sort(key=lambda c: (c.generation, c.index))
     return selected, averages, base
 
@@ -76,6 +77,23 @@ def test_stopping_matches_the_walk_on_2d_haar_symbols(seed):
         coll = build_sparse_from_recursion(lambda c: cz_stopping(dens, lat, c, 2.0).selected, lat, lat.cubes[0], 2.0)
         checked += len(coll.cubes)
     assert checked > 60
+
+
+@pytest.mark.parametrize("dim,N", [(1, 64), (2, 64)])
+def test_stopping_below_deeper_cubes_of_shifted_lattices(dim, N):
+    # cz_stopping reads only q0's cells; from q0 at generations 0-3 of every
+    # shifted lattice (cubes that wrap around the box included), the
+    # selections, their averages and q0's equal the walk on the
+    # _generation_means of the whole density, bit for bit
+    g = Grid(dim, 1.0, N)
+    rng = np.random.default_rng(23)
+    dens = GridFunction(g, np.exp(1.5 * rng.standard_normal(g.shape)))
+    selected = 0
+    for lat in lattice_family(g, 5):
+        for k in range(4):
+            for index in {(0,) * dim, ((1 << k) - 1,) * dim, tuple(rng.integers(0, 1 << k, size=dim).tolist())}:
+                selected += len(cz_stopping(dens, lat, DyadicCube(k, index), 1.5).selected)
+    assert selected > 0
 
 
 def test_stopping_on_constant_is_empty(grid64, lat64):
@@ -107,13 +125,13 @@ def test_stopping_brute_force_rescan(rng):
             if cube.generation == 0:
                 continue
             avg = dens.values[np.ix_(*lat.cell_indices(cube))].mean()
-            anc = lat.parent(cube)
+            anc = parent(cube)
             anc_hit = False
             while anc is not None and anc.generation > 0:
                 if dens.values[np.ix_(*lat.cell_indices(anc))].mean() > alpha * base:
                     anc_hit = True
                     break
-                anc = lat.parent(anc)
+                anc = parent(anc)
             expect = avg > alpha * base and not anc_hit
             assert (cube in sel) == expect
         # mass bound is exact in cell counts
@@ -142,7 +160,7 @@ def test_sparse_from_cz_recursion(rng):
 def test_sparsity_error_on_bad_rule(grid64, lat64):
     # emitting both generation-1 children violates the alpha = 2 mass budget
     def rule(cube):
-        return lat64.children(cube) if cube.generation == 0 else []
+        return children(lat64, cube) if cube.generation == 0 else []
 
     with pytest.raises(SparsityError):
         build_sparse_from_recursion(rule, lat64, Q0, 2.0)
@@ -326,7 +344,7 @@ def test_pairing_bound(rng):
         if nb == 0:
             continue
         rhs = sum(
-            np.abs(f.values[np.ix_(*lat.cell_indices(q))]).mean() * w.cube_mass(lat, q)
+            np.abs(f.values[np.ix_(*lat.cell_indices(q))]).mean() * cube_mass(w, lat, q)
             for q in coll.cubes
         )
         fitted = max(fitted, lhs / (nb * rhs))

@@ -8,7 +8,7 @@ from scipy.signal import fftconvolve
 
 from wharm.dyadic import DyadicCube, build_lattice, haar_function, random_haar_sum
 from wharm.errors import ParameterError
-from wharm.grid import Grid, GridFunction, constant, extend_even, restrict
+from wharm.grid import Grid, GridFunction, constant, extend_even, join_sides, restrict
 from wharm.squarefn import (
     ConeSpec,
     TimeGrid,
@@ -264,7 +264,6 @@ def _per_scale_gstar_sums(field, g, t, lam):
 
 
 def _per_scale_square_function(f, generator, cone, tg, lam=None):
-    from wharm.grid import join_sides
     from wharm.operators import apply, phi_op, qt_op
 
     g = f.grid
@@ -344,7 +343,7 @@ def test_radial_sums_of_a_delta_is_the_old_ball(dim, N, cells_per_t):
         delta = np.zeros(g.shape)
         delta[cell] = 1.0
         want = np.round(_per_scale_ball_sums(delta, g, t))
-        got = _radial_sums(delta[None], g, np.array([t]))[0]
+        got = _radial_sums(delta[None], g, np.array([t]), [1.0])
         assert np.array_equal(np.round(got), want) and np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -360,8 +359,9 @@ def test_ball_supports_match_the_old_rule_at_every_geometric_scale(dim, N):
         for corner in (0, N - 1):
             delta = np.zeros(g.shape)
             delta[(corner,) * dim] = 1.0
-            got = _radial_sums(np.broadcast_to(delta, (len(ts),) + g.shape), g, ts)
-            for t, row in zip(ts, got):
+            stack = np.broadcast_to(delta, (len(ts),) + g.shape)
+            for t, onehot in zip(ts, np.eye(len(ts))):
+                row = _radial_sums(stack, g, ts, onehot)
                 if dim == 1:
                     ball = d[0] <= max(min(int(np.ceil(t / g.h)) - 1, N - 1), 0)
                 else:
@@ -406,9 +406,55 @@ def test_radial_sums_match_the_scipy_fft_copy(dim, N, gstar, rng):
     for ts in TimeGrid.geometric(g, steps_per_octave=4).octaves():
         fields = rng.standard_normal((len(ts),) + g.shape) ** 2
         want = _scipy_radial_sums(fields, g, ts, lam)
-        got = _radial_sums(fields, g, ts, lam)
+        got = np.array([_radial_sums(fields, g, ts, onehot, lam) for onehot in np.eye(len(ts))])
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _per_scale_radial_sums(fields, g, ts, lam=None):
+    # the radial sums before the octave's scales were added on the half
+    # spectrum: the same forward transform and kernel spectra, one inverse
+    # transform per scale
+    n, N = g.dim, g.points_per_axis
+    r_max = N - 1 if lam is not None else min(int(np.ceil(ts[-1] / g.h)), N - 1)
+    P = _fast_length(N + r_max)
+    axes = tuple(range(-n, 0))
+    F = np.fft.rfftn(fields, s=(P,) * n, axes=axes)
+    F *= _radial_spectra(n, g.h, tuple(ts), P, lam)
+    return np.fft.irfftn(F, s=(P,) * n, axes=axes)[(...,) + (slice(N),) * n]
+
+
+@pytest.mark.parametrize("dim,N", [(1, 128), (1, 256), (2, 32), (2, 64)])
+@pytest.mark.parametrize("gstar", [False, True])
+def test_one_hot_weights_give_the_per_scale_sums_bit_for_bit(dim, N, gstar, rng):
+    # a zero weight adds zeros on the half spectrum, so one octave's sum with
+    # a one-hot weight is that scale's own inverse transform
+    g = Grid(dim, 1.0, N)
+    lam = 3 * dim if gstar else None
+    for ts in TimeGrid.geometric(g).octaves():
+        fields = rng.standard_normal((len(ts),) + g.shape) ** 2
+        want = _per_scale_radial_sums(fields, g, ts, lam)
+        for onehot, row in zip(np.eye(len(ts)), want):
+            assert np.array_equal(_radial_sums(fields, g, ts, onehot, lam), row)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 128), (1, 256), (2, 32), (2, 64)])
+@pytest.mark.parametrize("kernel,side", [("ball", "free"), ("ball", "upper"), ("ball", "lower"), ("gstar", "free")])
+def test_weighted_octave_sums_match_the_per_scale_loop(dim, N, kernel, side, rng):
+    # the t^-n weighted octave sums of the free cone, of the two one-sided
+    # stacks a Neumann cone sums, and of g*, against one fftconvolve per scale
+    g = Grid(dim, 1.0, N)
+    lam = 3 * dim if kernel == "gstar" else None
+    for ts in TimeGrid.geometric(g).octaves():
+        fields = rng.standard_normal((len(ts),) + g.shape) ** 2
+        if side != "free":
+            fields = join_sides(fields, 0.0, g) if side == "upper" else join_sides(0.0, fields, g)
+        want = np.zeros(g.shape)
+        for t, field in zip(ts, fields):
+            per_scale = _per_scale_ball_sums(field, g, t) if lam is None else _per_scale_gstar_sums(field, g, t, lam)
+            want += per_scale / t ** dim
+        got = _radial_sums(fields, g, ts, 1.0 / ts ** dim, lam)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
 
 def test_cached_kernel_spectra_are_read_only():
