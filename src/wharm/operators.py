@@ -91,8 +91,13 @@ from .grid import FULL, LOWER, UPPER, Grid, GridFunction, extended_values
 from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil
 
 DENSE_POINT_CAP = 4096
-# a lockstep block of rows holds at most this many cells (rows times points)
-_BLOCK_CELLS = 4096
+# a lockstep block of rows holds at most this many cells (rows times points),
+# which bounds its bases at 2 (cap + 1) _BLOCK_CELLS floats and the stacks of
+# one batched product.  8192 runs the 50 symbols of a 256-point config as
+# 25 + 25 rows; one block per call was faster still in 1D but raised the
+# shipped-1d benchmark's peak RSS from 46.7 to 50.4 MB (58.4 MB with the
+# bases reallocated at every stop)
+_BLOCK_CELLS = 8192
 # a row's Golub-Kahan run stops once its Ritz residual is this small against sigma
 _RITZ_TOL = 1e-13
 
@@ -514,15 +519,17 @@ def _golub_kahan_block(weighted, count: int, start: np.ndarray):
     A v = sigma u and ||A^T u - sigma v|| = beta_k |e_k^T p|, so a row stops
     once that is at most _RITZ_TOL sigma, or when its Krylov space is the
     whole space (k = n).  Stopped rows leave the batch.  The bases (and the
-    alpha, beta of B_k) grow by doubling and shrink to the rows left, copying
-    only the steps made.
+    alpha, beta of B_k) start with 32 steps and grow by doubling, copying
+    only the steps made; when rows stop, each remaining row's steps move
+    down into the freed slots in place and the iteration goes on in the
+    first rows of the same arrays.
     """
     n = start.size
     sigma, steps = np.zeros(count), np.zeros(count, dtype=int)
     u_out, v_out = np.zeros((count, n)), np.zeros((count, n))
     active = np.arange(count)
     A, At = weighted(active)
-    cap = min(n, 16)
+    cap = min(n, 32)
     U, V = np.empty((2, count, cap + 1, n))
     alpha, beta = np.empty((2, count, cap + 1))
     V[:, 0] = start
@@ -552,19 +559,31 @@ def _golub_kahan_block(weighted, count: int, start: np.ndarray):
             sigma[rows], steps[rows] = s[done, 0], k
             u_out[rows] = np.matmul(P[done, None, :, 0], U[done, :k])[:, 0]
             v_out[rows] = np.matmul(Qt[done, None, 0, :], V[done, :k])[:, 0]
-            active = active[~done]
-            U, V, alpha, beta = (_resized(a, cap + 1, k + 1, ~done) for a in (U, V, alpha, beta))
+            keep = np.flatnonzero(~done)
+            for to, row in enumerate(keep):
+                if to < row:
+                    for a in (U, V, alpha, beta):
+                        a[to, : k + 1] = a[row, : k + 1]
+            U, V, alpha, beta = (a[: keep.size] for a in (U, V, alpha, beta))
+            active = active[keep]
             A, At = weighted(active)
     return sigma, u_out, v_out, steps
 
 
-def _resized(a: np.ndarray, size: int, used: int, rows=slice(None)) -> np.ndarray:
-    """A new array of a's rows `rows` with `size` slots along axis 1, holding
-    the first `used` of them."""
-    prefix = a[rows, :used]
-    out = np.empty(prefix.shape[:1] + (size,) + a.shape[2:])
-    out[:, :used] = prefix
+def _resized(a: np.ndarray, size: int, used: int) -> np.ndarray:
+    """A new array of a's rows with `size` slots along axis 1, holding the
+    first `used` of them."""
+    out = np.empty(a.shape[:1] + (size,) + a.shape[2:])
+    out[:, :used] = a[:, :used]
     return out
+
+
+def _row_blocks(count: int, npts: int) -> list:
+    """The rows 0..count-1 in near-equal consecutive blocks of at most
+    _BLOCK_CELLS cells (rows times npts), or of one row where a row alone
+    holds more; no rows give no block."""
+    per_block = max(1, _BLOCK_CELLS // npts)
+    return np.array_split(np.arange(count), -(-count // per_block)) if count else []
 
 
 def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, seed: int):
@@ -572,8 +591,9 @@ def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, se
     each of count operators M_i, with a certificate each.
 
     maps(rows) gives (M, M^T) of the rows `rows` (an index array) as maps on
-    stacks (len(rows), *shape).  Rows run in blocks of at most _BLOCK_CELLS
-    cells through _golub_kahan_block, from one start vector seeded by seed.
+    stacks (len(rows), *shape).  Rows run through _golub_kahan_block in the
+    near-equal blocks of _row_blocks, of at most _BLOCK_CELLS cells each (or
+    one row), from one start vector seeded by seed.
     The certificate holds the residuals ||A v - sigma u|| and
     ||A^T u - sigma v|| (one more batched product each) and the number of
     products with A and A^T that the iteration made.
@@ -582,10 +602,8 @@ def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, se
     left, right = np.sqrt(lam).reshape(shape), (1.0 / np.sqrt(mu)).reshape(shape)
     start = np.random.default_rng(seed).standard_normal(npts)
     start /= np.linalg.norm(start)
-    block = max(1, _BLOCK_CELLS // npts)
     sigmas, certs = np.zeros(count), []
-    for lo in range(0, count, block):
-        rows = np.arange(lo, min(lo + block, count))
+    for rows in _row_blocks(count, npts):
 
         def weighted(active, rows=rows):
             forward, transpose = maps(rows[active])

@@ -27,8 +27,10 @@ from wharm.kernels import (
 from wharm.operators import (
     FOURIER,
     QUADRATURE,
+    _BLOCK_CELLS,
     OperatorHandle,
     _operator_maps,
+    _row_blocks,
     apply,
     apply_scales,
     assemble_matrix,
@@ -159,21 +161,6 @@ def test_commutator_with_constant_vanishes(grid64, rng):
     f = GridFunction(grid64, rng.standard_normal(grid64.shape))
     out = apply(commutator(b, riesz("free", 1)), f)
     assert np.max(np.abs(out.values)) <= 1e-12
-
-
-def test_commutator_reduction(rng):
-    # [b, R_{N,l}] f = [b_{+,e}, R_l] f_{+,e} on the upper half-space
-    for n in (1, 2):
-        g = Grid(n, 1.0, 24 if n == 2 else 64)
-        b = GridFunction(g, rng.standard_normal(g.shape))
-        f = GridFunction(g, rng.standard_normal(g.shape))
-        bpe = extend_even(restrict(b, "upper"))
-        fpe = extend_even(restrict(f, "upper"))
-        for j in range(1, n + 1):
-            lhs = apply(commutator(b, riesz("neumann", j, backend="quadrature")), f)
-            rhs = apply(commutator(bpe, riesz("free", j, backend="quadrature")), fpe)
-            diff = restrict(lhs, "upper").values - restrict(rhs, "upper").values
-            assert np.max(np.abs(diff)) <= 1e-10
 
 
 def test_commutator_parity(rng):
@@ -522,6 +509,42 @@ def test_commutator_norms_match_svds_and_the_dense_svd(dim, N, domain):
                 assert max(cert["residual_left"], cert["residual_right"]) <= 1e-10 * val
 
 
+@pytest.mark.parametrize("dim,N,domain", [(1, 256, "full"), (1, 512, "upper"), (2, 16, "full")])
+def test_commutator_norms_do_not_depend_on_the_block(dim, N, domain):
+    # 40 symbols on 256 points run as two lockstep blocks whose rows stop at
+    # different steps, so the remaining rows' bases move down in place; every
+    # row still gives the norm and the certificate of a run on its own
+    g = Grid(dim, 1.0, N, domain)
+    rng = np.random.default_rng(N)
+    symbols = rng.standard_normal((40,) + g.shape)
+    # smooth and rough symbols need different numbers of steps
+    symbols[::2] = np.cumsum(symbols[::2], axis=-1)
+    mu, lam = np.exp(0.3 * rng.standard_normal((2,) + g.shape))
+    assert len(_row_blocks(len(symbols), symbols[0].size)) == 2
+    for j in range(1, dim + 1):
+        R = riesz("neumann", j)
+        vals, certs = commutator_norms(symbols, R, g, mu, lam, seed=3)
+        assert len({c["products"] for c in certs}) > 1
+        for i, b in enumerate(symbols):
+            alone, alone_certs = commutator_norms(symbols[i : i + 1], R, g, mu, lam, seed=3)
+            svd, svd_cert = weighted_operator_norm(commutator(GridFunction(g, b), R), g, mu, lam, seed=3)
+            assert vals[i] == alone[0] == svd
+            assert certs[i] == alone_certs[0] == svd_cert
+
+
+@pytest.mark.parametrize("npts", [1, 3, 256, 1000, 3000, 5000, _BLOCK_CELLS, 2 * _BLOCK_CELLS])
+def test_row_blocks_are_balanced_and_within_the_budget(npts):
+    assert _row_blocks(0, npts) == []
+    for count in range(1, 70):
+        blocks = _row_blocks(count, npts)
+        sizes = [len(rows) for rows in blocks]
+        assert max(sizes) - min(sizes) <= 1
+        assert all(size * npts <= _BLOCK_CELLS or size == 1 for size in sizes)
+        assert np.concatenate(blocks).tolist() == list(range(count))
+        # no more blocks than the budget needs
+        assert len(blocks) == -(-count // max(1, _BLOCK_CELLS // npts))
+
+
 def test_commutator_norms_give_a_constant_row_exactly_zero():
     g = Grid(1, 1.0, 64)
     rng = np.random.default_rng(8)
@@ -627,6 +650,21 @@ def test_fourier_reflection_path_matches_dct_dst_oracle(dim, N, family):
         got = apply(OperatorHandle(kind, family, t=t, j=j), f).values
         want = reflected_spectral_oracle(kind, family, f, t=t, j=j)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (kind, t, j)
+
+
+def test_commutator_reduction():
+    # [b, R_{N,l}] f = b O(f) - O(b f) on the upper half grid, with O the
+    # DCT/DST oracle of R_{N,l} (the Riesz transform of the even extension)
+    for dim, N in ((1, 128), (2, 32)):
+        g = Grid(dim, 1.0, N, "upper")
+        rng = np.random.default_rng(dim)
+        b, f = (GridFunction(g, v) for v in rng.standard_normal((2,) + g.shape))
+        bf = GridFunction(g, b.values * f.values)
+        for j in range(1, dim + 1):
+            got = apply(commutator(b, riesz("neumann", j)), f).values
+            want = b.values * reflected_spectral_oracle("riesz", "neumann", f, j=j)
+            want -= reflected_spectral_oracle("riesz", "neumann", bf, j=j)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (dim, j)
 
 
 # ---------------------------------------------------------------------------

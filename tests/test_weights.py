@@ -274,13 +274,18 @@ def test_weight_from_spec(grid64, tmp_path, rng):
         weight_from_spec({"kind": "nope"}, grid64)
 
 
-def test_mass_table_consistency(rng, grid64):
-    lat = build_lattice(grid64, 4)
-    w = Weight(GridFunction(grid64, np.exp(rng.standard_normal(grid64.shape))))
-    for cube in rng.choice(len(lat.cubes), size=8, replace=False):
-        c = lat.cubes[int(cube)]
-        direct = np.sum(w.array[np.ix_(*lat.cell_indices(c))]) * grid64.cell_volume
-        assert abs(cube_mass(w, lat, c) - direct) <= 1e-12 * direct
+def test_mass_table_consistency(rng):
+    # the per-generation block sums that ap_constant reads, times the cell
+    # volume, are the oracle's cube-by-cube masses on every lattice of the
+    # family, the shifted ones wrapping around the grid
+    for dim, N, depth in ((1, 64, 4), (2, 16, 3)):
+        grid = Grid(dim, 1.0, N)
+        w = Weight(GridFunction(grid, np.exp(rng.standard_normal(grid.shape))))
+        for lat in lattice_family(grid, depth):
+            masses = [cells.sum(axis=-1) * grid.cell_volume for cells in lat.generations(w.power())]
+            for c in lat.cubes:
+                want = cube_mass(w, lat, c)
+                assert abs(masses[c.generation][c.index] - want) <= 1e-12 * want
 
 
 def test_exp_bmo_weight_kind(tmp_path, rng, grid64):
