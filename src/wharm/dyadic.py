@@ -19,8 +19,11 @@ lattice's array once for all of its generations.
 The Haar system runs on the same view, one generation at a time:
 haar_generation takes every <f, h_Q^eps> of a generation from the sums over
 the children, and haar_synthesis, its transpose, puts a generation's
-coefficients back on the cells.  haar_function builds one h_Q^eps on the
-full grid and is the per-cube reference of the tests.
+coefficients back on the cells.  Both take leading axes, so a stack of
+functions is one call per generation.  random_haar_sums draws a stack of
+random Haar sums with one normal draw for the whole stack and one synthesis
+per generation; random_haar_sum is its stack of one.  haar_function builds
+one h_Q^eps on the full grid and is the per-cube reference of the tests.
 
 All integrals are exact cell sums (midpoint rule), so cube masses and Haar
 coefficients are bit-reproducible.
@@ -279,10 +282,12 @@ def haar_coefficients(f: GridFunction, lat: DyadicLattice) -> dict:
 def haar_synthesis(coeffs: np.ndarray, lat: DyadicLattice, k: int, out: np.ndarray = None) -> np.ndarray:
     """Add sum_Q sum_eps c[Q, eps] h_Q^eps over the generation-k cubes into out.
 
-    The transpose of haar_generation: coeffs has its shape (2^k,)*n + (number
-    of signatures,).  Each signature's coefficients times its _haar_signs row
-    and the cube scale land on the generation-(k+1) children, which lat.spread
-    puts on the cells.  Signatures are added one at a time, so a caller going
+    The transpose of haar_generation: coeffs has the shape lead + (2^k,)*n +
+    (number of signatures,), and out the shape lead + grid shape; leading
+    axes (a stack of functions) ride along, each row as it would alone.
+    Each signature's coefficients times its _haar_signs row and the cube
+    scale land on the generation-(k+1) children, which lat.spread puts on
+    the cells.  Signatures are added one at a time, so a caller going
     generation by generation adds each cell's terms in the order of a loop
     over lat.cubes and signatures.  out defaults to zeros and is returned.
     """
@@ -290,16 +295,18 @@ def haar_synthesis(coeffs: np.ndarray, lat: DyadicLattice, k: int, out: np.ndarr
     m = lat.cells_per_axis(k)
     if m < 2:
         raise GridAlignmentError("cube has a single cell per axis; no Haar function")
-    if out is None:
-        out = np.zeros(g.shape)
     n, count = g.dim, 1 << k
+    lead = coeffs.shape[: coeffs.ndim - n - 1]
+    if out is None:
+        out = np.zeros(lead + g.shape)
     scale = (m * g.h) ** (-n / 2.0)
     # axes (cube index per axis, child offset per axis) interleaved per axis
     # give the child's generation-(k+1) index 2 i + o
-    order = [a for axis in range(n) for a in (axis, n + axis)]
+    b = len(lead)
+    order = list(range(b)) + [b + a for axis in range(n) for a in (axis, n + axis)]
     for c, signs in zip(np.moveaxis(coeffs, -1, 0), _haar_signs(n)):
-        children = (c[..., None] * (signs * scale)).reshape((count,) * n + (2,) * n)
-        out += lat.spread(children.transpose(order).reshape((2 * count,) * n), k + 1)
+        children = (c[..., None] * (signs * scale)).reshape(lead + (count,) * n + (2,) * n)
+        out += lat.spread(children.transpose(order).reshape(lead + (2 * count,) * n), k + 1)
     return out
 
 
@@ -319,27 +326,42 @@ def haar_reconstruct(coeffs: dict, lat: DyadicLattice, base_mean: float) -> Grid
     return GridFunction(lat.grid, vals)
 
 
-def random_haar_sum(lat: DyadicLattice, rng, weight=None, max_generation=None) -> GridFunction:
-    """Random finite Haar sum over the generations below max_generation.
+def random_haar_sums(lat: DyadicLattice, rng, count: int, weight=None, max_generation=None) -> np.ndarray:
+    """count random finite Haar sums over the generations below
+    max_generation, as a stack of shape (count, *grid.shape).
 
     Each coefficient is a standard normal times sqrt|Q| <weight>_Q (times
     sqrt|Q| without a weight); weight is a Weight or anything else with a
-    cell array .array.  A generation's coefficients are one draw in the
-    order (cube index, signature), the stream of one scalar draw per
-    coefficient.
+    cell array .array.  All coefficients are one draw with a row per sum,
+    in the order (generation, cube index, signature): the stream of count
+    successive random_haar_sum calls, which leaves rng in the same state.
+    Each generation's std is computed once, and one haar_synthesis call per
+    generation serves the whole stack.
     """
     g = lat.grid
     top = lat.max_generation if max_generation is None else min(max_generation, lat.max_generation)
-    vals = np.zeros(g.shape)
-    for k in range(top):
+    shapes = [(1 << k,) * g.dim + (len(signatures(g.dim)),) for k in range(top)]
+    sizes = [math.prod(shape) for shape in shapes]
+    draws = np.split(rng.standard_normal((count, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    vals = np.zeros((count,) + g.shape)
+    for k, (shape, drawn) in enumerate(zip(shapes, draws)):
         measure = lat.measure(k)
         std = np.sqrt(measure)
         if weight is not None:
             # <weight>_Q = weight(Q) / |Q| from the block sums
             std = std * (lat.blocks(weight.array, k).sum(axis=-1) * g.cell_volume / measure)[..., None]
-        c = rng.standard_normal((1 << k,) * g.dim + (len(signatures(g.dim)),)) * std
-        haar_synthesis(c, lat, k, vals)
-    return GridFunction(g, vals)
+        haar_synthesis(drawn.reshape((count,) + shape) * std, lat, k, vals)
+    return vals
+
+
+def random_haar_sum(lat: DyadicLattice, rng, weight=None, max_generation=None) -> GridFunction:
+    """One random finite Haar sum: the stack of one of random_haar_sums.
+
+    Its coefficients are one standard normal each, in the order
+    (generation, cube index, signature), the stream of one scalar draw per
+    coefficient.
+    """
+    return GridFunction(lat.grid, random_haar_sums(lat, rng, 1, weight, max_generation)[0])
 
 
 def weighted_maximal(g: GridFunction, w, lat: DyadicLattice) -> GridFunction:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bmo as bmo_mod
-from .dyadic import lattice_family, random_haar_sum
+from .dyadic import lattice_family, random_haar_sums
 from .errors import ParameterError
 from .grid import Grid, GridFunction, restrict
 from .operators import commutator, commutator_norms, riesz, weighted_operator_norm
@@ -109,13 +109,12 @@ def _lattices(grid: Grid, cfg) -> list:
 
 def _normalized_symbols(grid, lattices, nu, count, seed, norm_fn, max_generation=4):
     """Random Haar sums with coefficients scaled by sqrt|Q| <nu>_Q, normalized:
-    (stack of the symbols of nonzero norm, number skipped).  Every symbol is
-    drawn first, in the order of the rng stream; norm_fn takes the whole
-    stack and returns one norm per row."""
+    (stack of the symbols of nonzero norm, number skipped).  The symbols are
+    one random_haar_sums stack on lattices[0], the stream of one
+    random_haar_sum call per symbol; norm_fn takes the whole stack and
+    returns one norm per row."""
     rng = np.random.default_rng(seed)
-    lat = lattices[0]
-    drawn = np.array([random_haar_sum(lat, rng, weight=nu, max_generation=max_generation).values for _ in range(count)])
-    drawn = drawn.reshape((count,) + grid.shape)
+    drawn = random_haar_sums(lattices[0], rng, count, weight=nu, max_generation=max_generation)
     norms = norm_fn(drawn)
     kept = norms > 0
     return drawn[kept] / norms[kept].reshape((-1,) + (1,) * grid.dim), int(np.sum(~kept))
@@ -320,7 +319,7 @@ def run_bmo_coincidence(cfg: dict) -> dict:
     rows = []
     for wspec in weights:
         w = weight_from_spec(wspec, grid)
-        drawn = np.stack([random_haar_sum(dyadic, rng, max_generation=4).values for _ in range(count)])
+        drawn = random_haar_sums(dyadic, rng, count, max_generation=4)
         n_cl = bmo_mod.bmo_norms(drawn, grid, w, "classical-w", lattices)
         kept = np.flatnonzero(n_cl != 0.0)
         stack = drawn[kept]
@@ -378,7 +377,8 @@ def run_john_nirenberg(cfg: dict) -> dict:
     )
     # one Weight per spec: the report batches the instances that share one
     ws = [weight_from_spec(spec, grid) for spec in weights]
-    suite = [(random_haar_sum(dyadic, rng, max_generation=3), ws[i % len(ws)], p, r) for i in range(count)]
+    symbols = random_haar_sums(dyadic, rng, count, max_generation=3)
+    suite = [(GridFunction(grid, b), ws[i % len(ws)], p, r) for i, b in enumerate(symbols)]
     rep = bmo_mod.john_nirenberg_report(suite, lattices)
     rhos = [row["rho"] for row in rep["rows"] if "rho" in row]
     return {

@@ -64,8 +64,9 @@ makes one batched product with every row's [b, T] and one with its
 transpose.  Both new basis vectors are reorthogonalized in full (two passes
 of batched matmul), and a row stops on its own Ritz residual,
 beta_k |e_k^T p_1| <= 1e-13 sigma, or when its Krylov space is the whole
-space; stopped rows leave the batch.  The bases grow by doubling, and a
-block holds at most 4096 cells of rows (4096 // points rows).  The
+space; stopped rows leave the batch.  The rows run in near-equal blocks
+of at most _BLOCK_CELLS = 8192 cells (rows times points) from _row_blocks,
+and one set of bases at 32 steps serves every block of a call.  The
 certificate of each row keeps the explicit residuals ||A v - sigma u|| and
 ||A^T u - sigma v|| and the number of products.  weighted_operator_norm
 takes an operator handle, never a matrix: its "svd" method is the same run
@@ -505,7 +506,7 @@ def _reorthogonalized(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x
 
 
-def _golub_kahan_block(weighted, count: int, start: np.ndarray):
+def _golub_kahan_block(weighted, count: int, start: np.ndarray, bases: tuple):
     """Top singular triples (sigma, u, v) of count operators A_i at once, and
     each row's number of steps, by Golub-Kahan-Lanczos bidiagonalization in
     lockstep (Golub & Kahan, 1965).
@@ -518,20 +519,27 @@ def _golub_kahan_block(weighted, count: int, start: np.ndarray):
     basis.  For B_k's top triple (sigma, p, q), u = U_k p and v = V_k q have
     A v = sigma u and ||A^T u - sigma v|| = beta_k |e_k^T p|, so a row stops
     once that is at most _RITZ_TOL sigma, or when its Krylov space is the
-    whole space (k = n).  Stopped rows leave the batch.  The bases (and the
-    alpha, beta of B_k) start with 32 steps and grow by doubling, copying
-    only the steps made; when rows stop, each remaining row's steps move
-    down into the freed slots in place and the iteration goes on in the
-    first rows of the same arrays.
+    whole space (k = n).  Stopped rows leave the batch.
+
+    bases = (U, V, alpha, beta) is the caller's storage, U and V of shape
+    (R, cap + 1, n) and the alpha, beta of B_k of shape (R, cap + 1) for
+    R >= count rows; the run works in their first count rows and reads only
+    what it wrote, so the caller passes the same set to every block.  When
+    rows stop, each remaining row's steps move down into the freed slots in
+    place and the iteration goes on in the first rows of the same arrays.
+    A row that outlasts cap steps goes on in new arrays of the rows still
+    running, grown by doubling and holding only the steps made; these stay
+    with the run.  Growing every row of the set instead passes the 4 MB
+    above which numpy advises huge pages sooner, and made the 32^2 norms
+    slower.
     """
     n = start.size
     sigma, steps = np.zeros(count), np.zeros(count, dtype=int)
     u_out, v_out = np.zeros((count, n)), np.zeros((count, n))
     active = np.arange(count)
     A, At = weighted(active)
-    cap = min(n, 32)
-    U, V = np.empty((2, count, cap + 1, n))
-    alpha, beta = np.empty((2, count, cap + 1))
+    cap = bases[0].shape[1] - 1
+    U, V, alpha, beta = (a[:count] for a in bases)
     V[:, 0] = start
     k = 0
     while active.size:
@@ -593,7 +601,8 @@ def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, se
     maps(rows) gives (M, M^T) of the rows `rows` (an index array) as maps on
     stacks (len(rows), *shape).  Rows run through _golub_kahan_block in the
     near-equal blocks of _row_blocks, of at most _BLOCK_CELLS cells each (or
-    one row), from one start vector seeded by seed.
+    one row), from one start vector seeded by seed.  One set of bases at 32
+    steps, sized for the largest block, serves every block in turn.
     The certificate holds the residuals ||A v - sigma u|| and
     ||A^T u - sigma v|| (one more batched product each) and the number of
     products with A and A^T that the iteration made.
@@ -603,7 +612,10 @@ def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, se
     start = np.random.default_rng(seed).standard_normal(npts)
     start /= np.linalg.norm(start)
     sigmas, certs = np.zeros(count), []
-    for rows in _row_blocks(count, npts):
+    blocks = _row_blocks(count, npts)
+    size, cap = max((len(rows) for rows in blocks), default=0), min(npts, 32)
+    bases = (*np.empty((2, size, cap + 1, npts)), *np.empty((2, size, cap + 1)))
+    for rows in blocks:
 
         def weighted(active, rows=rows):
             forward, transpose = maps(rows[active])
@@ -612,7 +624,7 @@ def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, se
                 lambda y: (right * transpose(left * y.reshape((-1,) + shape))).reshape(len(y), npts),
             )
 
-        sigma, u, v, steps = _golub_kahan_block(weighted, len(rows), start)
+        sigma, u, v, steps = _golub_kahan_block(weighted, len(rows), start, bases)
         A, At = weighted(np.arange(len(rows)))
         res_left = np.linalg.norm(A(v) - sigma[:, None] * u, axis=1)
         res_right = np.linalg.norm(At(u) - sigma[:, None] * v, axis=1)

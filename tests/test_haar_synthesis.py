@@ -5,7 +5,8 @@ Each oracle walks lat.cubes and builds one full-grid haar_function per
 through haar_synthesis or haar_generation.  random_haar_sum adds every
 cell's terms in the oracle's order and matches it bit for bit;
 reconstruction and the square function sum in other orders and match to a
-relative 1e-12.
+relative 1e-12.  A stack (random_haar_sums, haar_synthesis with leading
+axes) matches its rows drawn or synthesized one at a time bit for bit.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from wharm.dyadic import (
     haar_reconstruct,
     haar_synthesis,
     random_haar_sum,
+    random_haar_sums,
     signatures,
 )
 from wharm.errors import GridAlignmentError
@@ -110,6 +112,45 @@ def test_random_haar_sum_matches_the_per_cube_loop_bit_for_bit(dim, N, gen, symb
         assert got.values.tobytes() == want.tobytes()
         # the harness draws symbol after symbol from one stream
         assert rng_got.standard_normal() == rng_want.standard_normal()
+
+
+STACK_CASES = [
+    # dim, points per axis, lattice generations, shift
+    (1, 64, 5, "none"),
+    (1, 48, 4, "third"),
+    (2, 16, 4, "none"),
+    (2, 24, 3, ("two_thirds", "third")),
+]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("symbol_gen", [None, 2, 9], ids=["all", "below", "past"])
+@pytest.mark.parametrize("dim,N,gen,shift", STACK_CASES)
+def test_random_haar_sums_are_successive_random_haar_sums(dim, N, gen, shift, symbol_gen, weighted):
+    g = Grid(dim, 1.0, N)
+    lat = build_lattice(g, gen, shift)
+    w = weight_on(g, 4) if weighted else None
+    for count in (0, 1, 7):
+        rng_stack, rng_rows = np.random.default_rng(count), np.random.default_rng(count)
+        stack = random_haar_sums(lat, rng_stack, count, weight=w, max_generation=symbol_gen)
+        rows = [random_haar_sum(lat, rng_rows, weight=w, max_generation=symbol_gen).values for _ in range(count)]
+        assert stack.shape == (count,) + g.shape
+        assert np.array_equal(stack, np.array(rows).reshape(stack.shape))
+        # callers that draw more from the same rng see the same stream
+        assert rng_stack.bit_generator.state == rng_rows.bit_generator.state
+
+
+@pytest.mark.parametrize("dim,N,gen,shift", STACK_CASES)
+def test_haar_synthesis_with_leading_axes_is_the_per_row_call(dim, N, gen, shift):
+    g = Grid(dim, 1.0, N)
+    lat = build_lattice(g, gen, shift)
+    rng = np.random.default_rng(9)
+    for k in range(gen):
+        c = rng.standard_normal((2, 3) + (1 << k,) * dim + (len(signatures(dim)),))
+        out = rng.standard_normal((2, 3) + g.shape)
+        rows = [[haar_synthesis(c[a, b], lat, k, out[a, b].copy()) for b in range(3)] for a in range(2)]
+        assert np.array_equal(haar_synthesis(c, lat, k, out), np.array(rows))
+        assert np.array_equal(haar_synthesis(c[0], lat, k), np.array([haar_synthesis(r, lat, k) for r in c[0]]))
 
 
 LATTICES = [

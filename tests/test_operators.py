@@ -68,29 +68,6 @@ def test_hilbert_transform_of_cosine():
     assert np.max(np.abs(out.values + np.sin(np.pi * x))) <= 1e-8
 
 
-def test_neumann_semigroup_reflection_identity(rng):
-    for n in (1, 2):
-        g = Grid(n, 1.0, 32)
-        f = GridFunction(g.with_domain("upper"), rng.standard_normal(g.with_domain("upper").shape))
-        lhs = apply(semigroup("neumann", 0.02, backend="quadrature"), f)
-        rhs = restrict(apply(semigroup("free", 0.02, backend="quadrature"), extend_even(f)), "upper")
-        assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-10
-
-
-def test_riesz_reductions_quadrature(rng):
-    for n in (1, 2):
-        g = Grid(n, 1.0, 24 if n == 2 else 64)
-        gu = g.with_domain("upper")
-        f = GridFunction(gu, rng.standard_normal(gu.shape))
-        for j in range(1, n + 1):
-            lhs = apply(riesz("neumann", j, backend="quadrature"), f)
-            rhs = restrict(apply(riesz("free", j, backend="quadrature"), extend_even(f)), "upper")
-            assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-10
-            lhs = apply(riesz("dirichlet", j, backend="quadrature"), f)
-            rhs = restrict(apply(riesz("free", j, backend="quadrature"), extend_odd(f)), "upper")
-            assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-10
-
-
 def sided_kernel_row(kind, family, x, ys, t=None, j=None):
     """Same-side kernel K_N or K_D of one row x against the points ys, built
     from the kernel formulas alone: the free summand plus or minus the
@@ -111,6 +88,21 @@ def sided_kernel_row(kind, family, x, ys, t=None, j=None):
     return row
 
 
+def sided_kernel_sums(kind, family, f, t=None, j=None):
+    """The midpoint-rule sums of the same-side kernel over f's cells, one
+    row x at a time: the independent oracle of the reflection path."""
+    g = f.grid
+    ys = g.points().reshape(-1, g.dim)
+    weighted = f.values.reshape(-1) * g.cell_volume
+    return np.array([sided_kernel_row(kind, family, x, ys, t, j) @ weighted for x in ys]).reshape(g.shape)
+
+
+def assert_matches_kernel_sums(kind, family, f, t=None, j=None):
+    got = apply(OperatorHandle(kind, family, t=t, j=j, backend=QUADRATURE), f).values
+    want = sided_kernel_sums(kind, family, f, t, j)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 SIDED_CASES = [
     pytest.param(dim, N, kind, family, domain, j, id=f"{dim}d-{kind}{j or ''}-{family}-{domain}")
     for dim, N in ((1, 32), (2, 12))
@@ -123,17 +115,27 @@ SIDED_CASES = [
 
 @pytest.mark.parametrize("dim,N,kind,family,domain,j", SIDED_CASES)
 def test_sided_quadrature_matches_direct_kernel_sums(dim, N, kind, family, domain, j):
-    # independent oracle for the reflection path: the midpoint-rule sum of
-    # the same-side kernel, one row at a time
     g = Grid(dim, 1.0, N, domain)
     f = GridFunction(g, np.random.default_rng(5).standard_normal(g.shape))
     t = {"semigroup": 0.02, "qt": 0.15, "riesz": None}[kind]
-    ys = g.points().reshape(-1, dim)
-    weighted = f.values.reshape(-1) * g.cell_volume
-    want = np.array([sided_kernel_row(kind, family, x, ys, t, j) @ weighted for x in ys]).reshape(g.shape)
-    op = OperatorHandle(kind, family, t=t, j=j, backend=QUADRATURE)
-    got = apply(op, f).values
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert_matches_kernel_sums(kind, family, f, t, j)
+
+
+def test_neumann_semigroup_reflection_identity(rng):
+    # the 2D semigroup on a finer grid than SIDED_CASES (32^2 against 12^2)
+    gu = Grid(2, 1.0, 32, "upper")
+    assert_matches_kernel_sums("semigroup", "neumann", GridFunction(gu, rng.standard_normal(gu.shape)), t=0.02)
+
+
+def test_riesz_reductions_quadrature(rng):
+    # the Neumann and Dirichlet Riesz transforms on finer grids than
+    # SIDED_CASES (64 points in 1D against 32, 24^2 in 2D against 12^2)
+    for n, N in ((1, 64), (2, 24)):
+        gu = Grid(n, 1.0, N, "upper")
+        f = GridFunction(gu, rng.standard_normal(gu.shape))
+        for j in range(1, n + 1):
+            for family in ("neumann", "dirichlet"):
+                assert_matches_kernel_sums("riesz", family, f, j=j)
 
 
 @settings(max_examples=60, deadline=None)
@@ -511,9 +513,12 @@ def test_commutator_norms_match_svds_and_the_dense_svd(dim, N, domain):
 
 @pytest.mark.parametrize("dim,N,domain", [(1, 256, "full"), (1, 512, "upper"), (2, 16, "full")])
 def test_commutator_norms_do_not_depend_on_the_block(dim, N, domain):
-    # 40 symbols on 256 points run as two lockstep blocks whose rows stop at
-    # different steps, so the remaining rows' bases move down in place; every
-    # row still gives the norm and the certificate of a run on its own
+    # 40 symbols on 256 points run as two lockstep blocks in one set of
+    # bases, and their rows stop at different steps, so the remaining rows'
+    # bases move down in place; a row of the first block outlasts the set's
+    # 32 steps and goes on in grown bases, and the second block runs in the
+    # set the first one wrote; every row still gives the norm and the
+    # certificate of a run on its own
     g = Grid(dim, 1.0, N, domain)
     rng = np.random.default_rng(N)
     symbols = rng.standard_normal((40,) + g.shape)
@@ -525,6 +530,7 @@ def test_commutator_norms_do_not_depend_on_the_block(dim, N, domain):
         R = riesz("neumann", j)
         vals, certs = commutator_norms(symbols, R, g, mu, lam, seed=3)
         assert len({c["products"] for c in certs}) > 1
+        assert max(c["products"] for c in certs[:20]) > 2 * 32
         for i, b in enumerate(symbols):
             alone, alone_certs = commutator_norms(symbols[i : i + 1], R, g, mu, lam, seed=3)
             svd, svd_cert = weighted_operator_norm(commutator(GridFunction(g, b), R), g, mu, lam, seed=3)
