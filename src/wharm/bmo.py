@@ -227,11 +227,6 @@ def _half_flavor_norms(values: np.ndarray, grid, w, flavor: str, lattices) -> np
     return _classical_sup(extended_values(values, grid.domain, 1.0), we, lattices)
 
 
-def bmo_deltaN_norm(f: GridFunction, w, lattices, tg: TimeGrid = None) -> float:
-    """The reflection-Neumann semigroup Carleson norm (full-space data)."""
-    return bmo_norm(f, w, "carleson-heat-neumann", lattices, tg=tg)
-
-
 def bmo_deltaN_sides_norms(values: np.ndarray, grid, w, lattices, tg: TimeGrid = None):
     """For each row of a stack of full-space functions, ||f_{+,e}|| and
     ||f_{-,e}|| in the free-Laplacian Carleson norm with the matching
@@ -243,12 +238,6 @@ def bmo_deltaN_sides_norms(values: np.ndarray, grid, w, lattices, tg: TimeGrid =
         bmo_norms(fp, grid, wp, "carleson-heat-free", lattices, tg=tg),
         bmo_norms(fm, grid, wm, "carleson-heat-free", lattices, tg=tg),
     )
-
-
-def bmo_deltaN_sides(f: GridFunction, w, lattices, tg: TimeGrid = None):
-    """(||f_{+,e}||, ||f_{-,e}||) of one function: bmo_deltaN_sides_norms' stack of one."""
-    np_, nm = bmo_deltaN_sides_norms(f.values[None], f.grid, w, lattices, tg=tg)
-    return float(np_[0]), float(nm[0])
 
 
 def bmo_deltaN_classical_norm(f: GridFunction, lattices) -> float:

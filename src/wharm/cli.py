@@ -80,8 +80,7 @@ def cmd_opnorm(args) -> int:
         raise SystemExit(f"unsupported op {args.op}")
     mu = _load_weight(args.mu, grid) if args.mu else None
     lam = _load_weight(getattr(args, "lambda"), grid) if getattr(args, "lambda") else None
-    method = "svd" if args.method == "svd" else "ascent"
-    value, cert = weighted_operator_norm(handle, grid, mu, lam, p=args.p, method=method, seed=args.seed)
+    value, cert = weighted_operator_norm(handle, grid, mu, lam, p=args.p, method=args.method, seed=args.seed)
     print(json.dumps({"norm": value, "certificate": cert}, sort_keys=True))
     return 0
 

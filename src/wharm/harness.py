@@ -165,12 +165,7 @@ def run_two_weight_commutator(cfg: dict) -> dict:
         bv = symbols[..., grid.points_per_axis // 2:] if half_space else symbols
         totals = np.zeros(len(symbols))
         for R in transforms:
-            if method == "svd":
-                norms, _ = commutator_norms(bv, R, base, muv, lamv, seed=seed)
-            else:
-                norms = [weighted_operator_norm(commutator(GridFunction(base, b), R), base, muv, lamv,
-                                                p=p, method=method, seed=seed)[0] for b in bv]
-            totals += norms
+            totals += commutator_norms(bv, R, base, muv, lamv, seed=seed, p=p)[0]
         ratios = [float(t) for t in totals]
         lo, hi = (min(ratios), max(ratios)) if ratios else (0.0, 0.0)
         bands.append({"pair": pair, "c": lo, "C": hi, "spread": hi / lo if lo > 0 else None,

@@ -68,12 +68,16 @@ space; stopped rows leave the batch.  The rows run in near-equal blocks
 of at most _BLOCK_CELLS = 8192 cells (rows times points) from _row_blocks,
 and one set of bases at 32 steps serves every block of a call.  The
 certificate of each row keeps the explicit residuals ||A v - sigma u|| and
-||A^T u - sigma v|| and the number of products.  weighted_operator_norm
-takes an operator handle, never a matrix: its "svd" method is the same run
-on one row and its p-ascent uses the same maps, so no norm assembles a
-matrix and none has a size cap.  assemble_matrix and commutator_matrix
+||A^T u - sigma v|| and the number of products.  Other p take Boyd's power
+method for l^p norms (Boyd, 1974), whose ratios are certified lower bounds,
+in the same lockstep over operators times random restarts (_lockstep_ascent),
+and commutator_norms runs either over a stack of symbols.
+weighted_operator_norm takes an operator handle, never a matrix: its "svd"
+and "ascent" methods are the two runs on one operator, so no norm assembles
+a matrix and none has a size cap.  assemble_matrix and commutator_matrix
 (capped at DENSE_POINT_CAP points) are the dense reference of the tests,
-which also keep scipy's ARPACK svds as an independent iterative oracle.
+which also keep scipy's ARPACK svds and the per-restart ascent as
+independent iterative oracles.
 
 The Riesz sign follows the kernel convention in kernels.py: in n = 1 the
 free transform has kernel -(1/pi)/(x - y), i.e. multiplier +i sign(xi), the
@@ -101,6 +105,9 @@ DENSE_POINT_CAP = 4096
 _BLOCK_CELLS = 8192
 # a row's Golub-Kahan run stops once its Ritz residual is this small against sigma
 _RITZ_TOL = 1e-13
+# the p-ascent's random restarts per operator, its steps per restart, and the
+# relative change of the ratio at which a restart has converged
+_RESTARTS, _MAX_ITER, _ASCENT_TOL = 10, 500, 1e-8
 
 FOURIER = "fourier"
 QUADRATURE = "quadrature"
@@ -144,16 +151,8 @@ def semigroup(family, t, backend=FOURIER):
     return OperatorHandle("semigroup", family, t=t, backend=backend)
 
 
-def qt_op(family, t, backend=FOURIER):
-    return OperatorHandle("qt", family, t=t, backend=backend)
-
-
 def psi_op(t, backend=FOURIER):
     return OperatorHandle("psi", t=t, backend=backend)
-
-
-def phi_op(t, beta=0):
-    return OperatorHandle("phi", t=t, beta=beta)
 
 
 def riesz(family, j, backend=FOURIER):
@@ -484,10 +483,6 @@ def _as_weight_array(w, shape):
     return np.asarray(arr, dtype=float).reshape(-1)
 
 
-def weighted_norm(values: np.ndarray, w: np.ndarray, p: float) -> float:
-    return float(np.sum(np.abs(values) ** p * w) ** (1.0 / p))
-
-
 def _vanishes(op: OperatorHandle) -> bool:
     """A commutator with a constant symbol is exactly zero: norm 0.0, no iteration."""
     return op.kind == "commutator" and bool(np.all(op.b.values == op.b.values.flat[0]))
@@ -637,15 +632,72 @@ def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, se
     return sigmas, certs
 
 
-def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=None, seed: int = 0):
-    """||[b, T]||_{L^2_mu -> L^2_lam} for every row b of symbols, a stack of
+def _lockstep_ascent(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, p: float, seed: int,
+                     restarts: int, max_iter: int, tol: float):
+    """Lower bounds on ||M_i||_{L^p_mu -> L^p_lam} for count operators M_i,
+    with a certificate each, by Boyd's power method for l^p norms (1974).
+
+    maps(ops) gives (M, M^T) of the operators ops (an index array, one per
+    row) as maps on stacks (len(ops), *shape).  Row r, in the blocks of
+    _row_blocks, is restart r % restarts of operator r // restarts and starts
+    from row r % restarts of one standard_normal((restarts, n)) draw seeded
+    by seed.  A step takes the ratio ||g||_lam of g = M f (||f||_mu = 1) and
+    moves f to the normalized sign(z) (|z| / mu)^{1/(p-1)}, z = M^T(lam
+    |g|^{p-1} sign g).  A row leaves the batch once its ratio changes by at
+    most tol relative (converged; it keeps the earlier ratio), when z vanishes,
+    or after max_iter steps.  Each operator keeps the first largest ratio of
+    its restarts; its certificate names that restart, its steps and whether
+    it converged.
+    """
+    npts, total = int(np.prod(shape)), count * restarts
+    q, per_row = 1.0 / (p - 1.0), (-1,) + (1,) * len(shape)
+    mu, lam = mu.reshape(shape), lam.reshape(shape)
+    starts = np.random.default_rng(seed).standard_normal((restarts, npts)).reshape((restarts,) + shape)
+    ratios, steps = np.full(total, -1.0), np.full(total, max_iter)
+    converged = np.zeros(total, dtype=bool)
+
+    def norm(x, w):
+        return np.sum((np.abs(x) ** p * w).reshape(len(x), npts), axis=1) ** (1.0 / p)
+
+    for active in _row_blocks(total, npts):
+        f = starts[active % restarts]
+        f /= norm(f, mu).reshape(per_row)
+        M, Mt = maps(active // restarts)
+        for it in range(max_iter):
+            g = M(f)
+            ratio, prev = norm(g, lam), ratios[active]
+            done = (prev >= 0) & (np.abs(ratio - prev) <= tol * np.maximum(ratio, 1e-300))
+            ratios[active[~done]] = ratio[~done]
+            # a converged row's dual step is wasted, one product per row in all
+            z = Mt(lam * np.abs(g) ** (p - 1.0) * np.sign(g))
+            stop = done | ~np.any(z.reshape(len(z), npts), axis=1)
+            steps[active[stop]], converged[active[done]] = it + 1, True
+            if stop.any():
+                active, z = active[~stop], z[~stop]
+                if not active.size:
+                    break
+                M, Mt = maps(active // restarts)
+            f = np.sign(z) * (np.abs(z) / mu) ** q
+            f /= norm(f, mu).reshape(per_row)
+    best = restarts * np.arange(count) + np.argmax(ratios.reshape(count, restarts), axis=1)
+    certs = [{"method": "ascent", "restarts": restarts, "tol": tol, "seed": seed} for _ in best]
+    for cert, row in zip(certs, best):
+        if ratios[row] > 0:
+            cert.update(restart=int(row % restarts), iterations=int(steps[row]), converged=bool(converged[row]))
+    return np.maximum(ratios[best], 0.0), certs
+
+
+def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=None, seed: int = 0, p: float = 2.0):
+    """||[b, T]||_{L^p_mu -> L^p_lam} for every row b of symbols, a stack of
     shape (S, *grid.shape), and the Riesz handle T = inner: (array of S norms,
     list of S certificates).
 
-    The norms are top singular values by lockstep Golub-Kahan-Lanczos
-    bidiagonalization (_lockstep_norms): one batched commutator product per
-    step serves every row of a block.  A constant symbol gives the zero
-    operator, whose norm is exactly 0.0 with no iteration.
+    At p = 2 the norms are top singular values by lockstep Golub-Kahan-Lanczos
+    bidiagonalization (_lockstep_norms), at any other p certified lower bounds
+    by the lockstep p-ascent over symbols times restarts (_lockstep_ascent),
+    with weighted_operator_norm's default restarts, max_iter and tol; one
+    batched commutator product per step serves every row of a block.  A
+    constant symbol gives the zero operator: norm exactly 0.0, no iteration.
     """
     symbols = np.asarray(symbols, dtype=float)
     if symbols.shape[1:] != grid.shape:
@@ -656,13 +708,18 @@ def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=No
     flat = symbols.reshape(len(symbols), npts)
     moving = np.flatnonzero(np.any(flat != flat[:, :1], axis=1))
     maps = _operator_maps(inner, grid)
-    norms, certs = _lockstep_norms(
+    args = (
         lambda rows: _commutator_maps(symbols[moving[rows]], *maps),
-        len(moving), grid.shape, _as_weight_array(mu, grid.shape), _as_weight_array(lam, grid.shape), seed,
+        len(moving), grid.shape, _as_weight_array(mu, grid.shape), _as_weight_array(lam, grid.shape),
     )
+    method = "svd" if p == 2.0 else "ascent"
+    if method == "svd":
+        norms, certs = _lockstep_norms(*args, seed)
+    else:
+        norms, certs = _lockstep_ascent(*args, p, seed, _RESTARTS, _MAX_ITER, _ASCENT_TOL)
     out = np.zeros(len(symbols))
     out[moving] = norms
-    everyone = [{"method": "svd", "size": npts, "zero_operator": True} for _ in symbols]
+    everyone = [{"method": method, "size": npts, "zero_operator": True} for _ in symbols]
     for i, cert in zip(moving, certs):
         everyone[i] = cert
     return out, everyone
@@ -676,9 +733,9 @@ def weighted_operator_norm(
     p: float = 2.0,
     method: str = "svd",
     seed: int = 0,
-    restarts: int = 10,
-    max_iter: int = 500,
-    tol: float = 1e-8,
+    restarts: int = _RESTARTS,
+    max_iter: int = _MAX_ITER,
+    tol: float = _ASCENT_TOL,
 ):
     """Discrete L^p_mu -> L^p_lam operator norm with a certificate.
 
@@ -686,13 +743,14 @@ def weighted_operator_norm(
     through _operator_maps.  method "svd" (p = 2 only): the largest singular
     value of diag(lam)^{1/2} M diag(mu)^{-1/2} to machine precision, by the
     Golub-Kahan-Lanczos run behind commutator_norms on one row.  method
-    "ascent": normalized fixed-point iteration on the p-duality map with
-    random restarts; the value returned is a certified lower bound on the
-    discrete norm.  Both use only products with M and M^T.  An exactly zero
-    operator has norm 0.0.
+    "ascent": Boyd's power method on the p-duality map from restarts random
+    starts, the lockstep ascent behind commutator_norms at p != 2 on one
+    operator; the value returned is a certified lower bound on the discrete
+    norm.  Both use only products with M and M^T.  An exactly zero operator
+    has norm 0.0.
     """
     shape = grid.shape
-    forward, transpose = _operator_maps(op, grid)
+    maps = _operator_maps(op, grid)
     npts = int(np.prod(shape))
     mu = _as_weight_array(mu, shape)
     lam = _as_weight_array(lam, shape)
@@ -700,41 +758,12 @@ def weighted_operator_norm(
         raise ParameterError("SvdExact requires p = 2")
     if method not in ("svd", "ascent"):
         raise ParameterError(f"unknown method {method!r}")
+    if method == "ascent" and restarts < 1:
+        raise ParameterError("the ascent needs at least one restart")
     if _vanishes(op):
         return 0.0, {"method": method, "size": npts, "zero_operator": True}
     if method == "svd":
-        norms, certs = _lockstep_norms(lambda rows: (forward, transpose), 1, shape, mu, lam, seed)
-        return float(norms[0]), certs[0]
-
-    def flat(fn):
-        return lambda x: fn(x.reshape(shape)).reshape(-1)
-
-    matvec, rmatvec = flat(forward), flat(transpose)
-    rng = np.random.default_rng(seed)
-    q = 1.0 / (p - 1.0)
-    best = 0.0
-    best_info = None
-    for r in range(restarts):
-        f = rng.standard_normal(npts)
-        f /= weighted_norm(f, mu, p)
-        prev = -1.0
-        converged = False
-        it = 0
-        for it in range(max_iter):
-            g = matvec(f)
-            ratio = weighted_norm(g, lam, p)
-            if prev >= 0 and abs(ratio - prev) <= tol * max(ratio, 1e-300):
-                converged = True
-                break
-            prev = ratio
-            z = rmatvec(lam * np.abs(g) ** (p - 1.0) * np.sign(g))
-            if not np.any(z):
-                break
-            f = np.sign(z) * (np.abs(z) / mu) ** q
-            f /= weighted_norm(f, mu, p)
-        if prev > best:
-            best = prev
-            best_info = {"restart": r, "iterations": it + 1, "converged": converged}
-    cert = {"method": "ascent", "restarts": restarts, "tol": tol, "seed": seed}
-    cert.update(best_info or {})
-    return best, cert
+        norms, certs = _lockstep_norms(lambda rows: maps, 1, shape, mu, lam, seed)
+    else:
+        norms, certs = _lockstep_ascent(lambda rows: maps, 1, shape, mu, lam, p, seed, restarts, max_iter, tol)
+    return float(norms[0]), certs[0]

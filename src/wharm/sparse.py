@@ -189,18 +189,6 @@ def sparse_operator_apply(coll: SparseCollection, f: GridFunction) -> GridFuncti
     return GridFunction(f.grid, out)
 
 
-def sparse_operator_matrix(coll: SparseCollection, grid) -> np.ndarray:
-    """Dense matrix of A_S on value vectors."""
-    lat = coll.lattice
-    npts = int(np.prod(grid.shape))
-    M = np.zeros((npts, npts))
-    for q in coll.cubes:
-        mask = lat.mask(q).reshape(-1)
-        idx = np.nonzero(mask)[0]
-        M[np.ix_(idx, idx)] += 1.0 / len(idx)
-    return M
-
-
 def carleson_to_sparse(lat: DyadicLattice, cubes, eta: float):
     """Carriers with |E_Q| >= eta |Q| by a greedy fill; None when infeasible.
 

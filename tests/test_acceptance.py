@@ -11,7 +11,7 @@ rather than the test being loosened; the README carries the analysis.
 from pathlib import Path
 
 import numpy as np
-from operator_oracles import dense_weighted_norm
+from operator_oracles import dense_weighted_norm, sparse_operator_matrix
 from tree_oracles import parent
 from weight_oracles import cube_average
 
@@ -21,7 +21,7 @@ from wharm.dyadic import DyadicCube, build_lattice, haar_coefficients, haar_reco
 from wharm.grid import Grid, GridFunction, constant, extend_even, extend_odd, restrict
 from wharm.kernels import heat_free, qt_free
 from wharm.operators import apply, commutator, riesz, semigroup
-from wharm.sparse import bmo_good_function, build_sparse_from_recursion, carleson_to_sparse, cz_stopping, sparse_operator_matrix
+from wharm.sparse import bmo_good_function, build_sparse_from_recursion, carleson_to_sparse, cz_stopping
 from wharm.squarefn import ConeSpec, TimeGrid, area_function
 from wharm.weights import Weight, ap_constant, ap_quotient_on_box, doubling_ratio, one_sided_power_weight, power_weight
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from operator_oracles import qt_op
 from tree_oracles import parent
 from weight_oracles import cube_mass
 
@@ -11,7 +12,7 @@ from wharm.dyadic import DyadicCube, build_lattice, haar_function
 from wharm.errors import DecompositionError
 from wharm.grid import Grid, GridFunction, constant
 from wharm.kernels import psi_multiplier
-from wharm.operators import apply, psi_op, qt_op, spectrum
+from wharm.operators import apply, psi_op, spectrum
 from wharm.squarefn import ConeSpec, TimeGrid, area_function
 from wharm.weights import Weight
 

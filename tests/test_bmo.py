@@ -8,8 +8,7 @@ from wharm.bmo import (
     CLASSICAL_FLAVORS,
     HALF_FLAVORS,
     bmo_deltaN_classical_norm,
-    bmo_deltaN_norm,
-    bmo_deltaN_sides,
+    bmo_deltaN_sides_norms,
     bmo_norm,
     bmo_norms,
     dyadic_local_bmo,
@@ -106,7 +105,7 @@ def test_deltaN_of_sidewise_constant(grid64, family64):
     w = _w_one(grid64)
     sgn = from_callable(grid64, lambda x: np.sign(x[..., -1]))
     tg = TimeGrid.geometric(grid64)
-    assert bmo_deltaN_norm(sgn, w, family64, tg=tg) == 0.0
+    assert bmo_norm(sgn, w, "carleson-heat-neumann", family64, tg=tg) == 0.0
     # contrast: the odd-extension-style classical BMO of sign is positive
     half = restrict(sgn, "upper")
     assert bmo_norm(half, None, "odd-ext-half", family64) > 0.4
@@ -119,8 +118,8 @@ def test_deltaN_comparable_to_sides(rng, grid64, family64):
     ratios = []
     for _ in range(8):
         b = random_haar_sum(lat, rng, max_generation=3)
-        n = bmo_deltaN_norm(b, w, family64, tg=tg)
-        sp, sm = bmo_deltaN_sides(b, w, family64, tg=tg)
+        n = bmo_norm(b, w, "carleson-heat-neumann", family64, tg=tg)
+        (sp,), (sm,) = bmo_deltaN_sides_norms(b.values[None], grid64, w, family64, tg=tg)
         if sp + sm > 0:
             ratios.append(n / (sp + sm))
     assert max(ratios) / min(ratios) <= 10.0
@@ -210,7 +209,7 @@ def test_carleson_heat_2d_smoke(rng):
     tg = TimeGrid.geometric(g, t_min=2 * g.h, t_max=1.0, steps_per_octave=4)
     b = random_haar_sum(lat, rng, max_generation=2)
     n_free = bmo_norm(b, w, "carleson-heat-free", lats, tg=tg)
-    n_neu = bmo_deltaN_norm(b, w, lats, tg=tg)
+    n_neu = bmo_norm(b, w, "carleson-heat-neumann", lats, tg=tg)
     n_cl = bmo_norm(b, w, "classical-w", lats)
     assert n_free > 0 and n_neu > 0 and n_cl > 0
     assert n_free / n_cl < 10.0

@@ -125,6 +125,7 @@ def test_shipped_configs_parse_and_run_small(tmp_path):
         ("bmo-coincidence", "configs/bmo_coincidence.json"),
         ("riesz-ap", "configs/riesz_ap.json"),
         ("two-weight-commutator", "configs/two_weight_2d.json"),
+        ("two-weight-commutator", "configs/two_weight_p3.json"),
     ]:
         cfg = json.loads(Path(path).read_text())
         cfg["points_per_axis"] = 32

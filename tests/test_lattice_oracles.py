@@ -9,13 +9,14 @@ agree to a relative 1e-12, not bit for bit.
 
 import numpy as np
 import pytest
+from operator_oracles import qt_op
 from tree_oracles import parent
 
 from wharm.atoms import atomic_decompose
 from wharm.bmo import CARLESON_FLAVORS, CLASSICAL_FLAVORS, HALF_FLAVORS, _slab_times, bmo_norm, dyadic_local_bmo
 from wharm.dyadic import DyadicCube, haar_function, lattice_family, signatures, weighted_maximal
 from wharm.grid import Grid, GridFunction
-from wharm.operators import apply, qt_op
+from wharm.operators import apply
 from wharm.sparse import cz_stopping
 from wharm.squarefn import TimeGrid
 from wharm.weights import Weight, a1_constant, ap_constant

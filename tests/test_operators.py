@@ -24,6 +24,7 @@ from wharm.kernels import (
     reflect_point,
     riesz_free,
 )
+from wharm import operators
 from wharm.operators import (
     FOURIER,
     QUADRATURE,
@@ -38,17 +39,15 @@ from wharm.operators import (
     commutator_matrix,
     commutator_norms,
     free_multipliers,
-    phi_op,
     psi_op,
     psi_reach,
-    qt_op,
     riesz,
     semigroup,
     weighted_operator_norm,
 )
 from wharm.weights import Weight, weight_from_spec
 
-from operator_oracles import dense_weighted_norm, linear_operator, svds_norm
+from operator_oracles import ascent_norm, dense_weighted_norm, linear_operator, phi_op, qt_op, svds_norm
 
 
 def test_semigroup_preserves_constants(grid64):
@@ -593,6 +592,63 @@ def test_commutator_norms_are_reproducible():
     first = commutator_norms(symbols, riesz("neumann", 2), g, mu, None, seed=7)
     second = commutator_norms(symbols, riesz("neumann", 2), g, mu, None, seed=7)
     assert first[0].tolist() == second[0].tolist() and first[1] == second[1]
+
+
+# ---------------------------------------------------------------------------
+# the lockstep p-ascent against the per-restart oracle
+
+def _ascent_case(dim, N, domain):
+    g = Grid(dim, 1.0, N, domain)
+    rng = np.random.default_rng(dim * N + (domain == "upper"))
+    symbols = rng.standard_normal((3,) + g.shape)
+    symbols[1] = -1.5
+    mu, lam = np.exp(0.3 * rng.standard_normal((2,) + g.shape))
+    return g, symbols, mu, lam, riesz("neumann", dim)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("dim,N,domain", [(1, 64, "full"), (1, 64, "upper"), (2, 16, "full")])
+def test_ascent_matches_the_per_restart_oracle(dim, N, domain, p):
+    g, symbols, mu, lam, R = _ascent_case(dim, N, domain)
+    vals, certs = commutator_norms(symbols, R, g, mu, lam, seed=4, p=p)
+    assert vals[1] == 0.0 and certs[1] == {"method": "ascent", "size": symbols[0].size, "zero_operator": True}
+    for i in (0, 2):
+        op = commutator(GridFunction(g, symbols[i]), R)
+        want, want_cert = ascent_norm(op, g, mu, lam, p=p, seed=4)
+        alone, alone_cert = weighted_operator_norm(op, g, mu, lam, p=p, method="ascent", seed=4)
+        assert want > 0 and want_cert["converged"]
+        assert abs(vals[i] - want) <= 1e-12 * want and abs(alone - want) <= 1e-12 * want
+        assert certs[i] == alone_cert == want_cert
+
+
+def test_ascent_cut_off_and_zero_operator_match_the_oracle():
+    g, symbols, mu, lam, R = _ascent_case(1, 64, "full")
+    for b in symbols:
+        op = commutator(GridFunction(g, b), R)
+        for restarts, max_iter in ((3, 3), (10, 1), (2, 0)):
+            got = weighted_operator_norm(op, g, mu, lam, p=3.0, method="ascent", seed=1, restarts=restarts,
+                                         max_iter=max_iter)
+            want = ascent_norm(op, g, mu, lam, p=3.0, seed=1, restarts=restarts, max_iter=max_iter)
+            if b[0] == b[1]:
+                assert got == (0.0, {"method": "ascent", "size": 64, "zero_operator": True})
+            else:
+                assert abs(got[0] - want[0]) <= 1e-12 * max(want[0], 1e-300) and got[1] == want[1]
+                assert not got[1].get("converged", False)
+    with pytest.raises(ParameterError):
+        weighted_operator_norm(R, g, p=3.0, method="ascent", restarts=0)
+
+
+@pytest.mark.parametrize("cells", [64, 3 * 64, 7 * 64])
+def test_ascent_does_not_depend_on_the_block(monkeypatch, cells):
+    # with fewer rows per block the restarts of one symbol straddle blocks,
+    # and rows leave their blocks at different steps; every norm and
+    # certificate stays that of the default blocks
+    g, symbols, mu, lam, R = _ascent_case(1, 64, "full")
+    want = commutator_norms(symbols, R, g, mu, lam, seed=2, p=1.5)
+    monkeypatch.setattr(operators, "_BLOCK_CELLS", cells)
+    assert len(_row_blocks(2 * 10, 64)) > 1
+    got = commutator_norms(symbols, R, g, mu, lam, seed=2, p=1.5)
+    assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
 
 
 # ---------------------------------------------------------------------------

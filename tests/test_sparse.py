@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from operator_oracles import dense_weighted_norm
+from operator_oracles import dense_weighted_norm, sparse_operator_matrix
 from tree_oracles import children, parent
 from weight_oracles import cube_average, cube_mass
 
@@ -25,7 +25,6 @@ from wharm.sparse import (
     build_sparse_from_recursion,
     carleson_to_sparse,
     sparse_operator_apply,
-    sparse_operator_matrix,
 )
 from wharm.weights import Weight, ap_constant
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.fft import irfftn, next_fast_len, rfftn
+from operator_oracles import phi_op, qt_op
 from scipy.signal import fftconvolve
 
 from wharm.dyadic import DyadicCube, build_lattice, haar_function, random_haar_sum
@@ -73,7 +74,7 @@ def test_neumann_cone_oracle_and_split_identity(rng):
     # brute-force oracle for the Neumann cone plus the exact bookkeeping
     # S_free(f_{+,e})(x)^2 = U(x) + U(x~) with U(z) the upper-restricted cone
     # integral at vertex z (the Neumann square function is U on the upper side)
-    from wharm.operators import apply, qt_op
+    from wharm.operators import apply
 
     g = Grid(1, 1.0, 64)
     tg = TimeGrid.geometric(g, t_min=2 * g.h, t_max=1.0, steps_per_octave=4)
@@ -264,7 +265,7 @@ def _per_scale_gstar_sums(field, g, t, lam):
 
 
 def _per_scale_square_function(f, generator, cone, tg, lam=None):
-    from wharm.operators import apply, phi_op, qt_op
+    from wharm.operators import apply
 
     g = f.grid
     acc = np.zeros(g.shape)
@@ -312,7 +313,7 @@ def test_area_function_matches_direct_cone_sums(dim, N, cone, rng):
     # brute force: at every vertex, sum the squared field over the cells whose
     # centres lie strictly inside the disk of radius t (on the vertex's side
     # for the Neumann cone), one vertex and one scale at a time
-    from wharm.operators import apply, qt_op
+    from wharm.operators import apply
 
     g = Grid(dim, 1.0, N)
     tg = TimeGrid.geometric(g, t_min=2 * g.h, t_max=1.0, steps_per_octave=4)
