@@ -25,14 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
 from .dyadic import DyadicCube, DyadicLattice, weighted_maximal
 from .errors import DecompositionError, ParameterError
 from .grid import FULL, Grid, GridFunction
-from .operators import QUADRATURE, apply_scales, free_multipliers, from_spectrum, psi_op, psi_reach, spectrum
+from .operators import FOURIER, QUADRATURE, apply_scales, free_multipliers, from_spectrum, psi_op, psi_reach, spectrum
 from .squarefn import ConeSpec, TimeGrid, area_function
 from .weights import as_weight
 
@@ -81,9 +81,6 @@ class Atom:
     weight: object
     level: int = 0
 
-    def support_mask(self) -> np.ndarray:
-        return self.support
-
 
 def check_atom(atom: Atom, p: float = None, beta: int = None, w=None) -> dict:
     """Pass/fail per atom condition with measured slack.
@@ -107,7 +104,7 @@ def _atom_checker(g: Grid, w):
         p = atom.p if p is None else p
         beta = atom.order if beta is None else beta
         vals = atom.values.values
-        mask = atom.support_mask()
+        mask = atom.support
         support_ok = bool(np.all(vals[~mask] == 0.0))
 
         center = atom.center
@@ -178,15 +175,6 @@ class AtomicDecomposition:
             )
         summary = {k: v for k, v in self.report.items() if k != "atom_checks"}
         return {"atoms": atoms, "summary": summary}
-
-
-def _generation_of_scale(grid: Grid, t: float, max_generation: int):
-    """Whitney slab owner: the generation k with l_k/2 < t <= l_k."""
-    ell0 = 2.0 * grid.halfwidth
-    k = int(np.floor(np.log2(ell0 / t) + 1e-9))
-    if k < 0 or k > max_generation:
-        return None
-    return k
 
 
 def _support_mask(lat: DyadicLattice, cube: DyadicCube) -> np.ndarray:
@@ -281,7 +269,7 @@ def _masked_transform(masks: np.ndarray, g: Grid):
     return transform
 
 
-def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignment, owners, psi_backend):
+def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignment, owners):
     """Whitney pieces of the reproducing formula, bucketed under (k, id of
     Qbar), and the unassigned remainder.
 
@@ -292,17 +280,18 @@ def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignmen
     appearance; at each scale _BUCKET_SLICE masked copies of u_t take one
     real transform (_masked_transform, on the grid rows they hold) and are
     added onto their rows, and the rows are inverted _BUCKET_SLICE at a time
-    at the end, so the stacked temporaries stay bounded.  The quadrature
-    stencil has compact support, so there each piece is zeroed outside the
-    cells its slabs reach (psi_reach): the clipped mass holds no round-off.
+    at the end, so the stacked temporaries stay bounded.  psi is the
+    quadrature stencil in 1D and the Fourier multiplier in 2D.  The stencil
+    has compact support, so there each piece is zeroed outside the cells its
+    slabs reach (psi_reach): the clipped mass holds no round-off.
     """
     g = f.grid
-    gen_of = [_generation_of_scale(g, t, lat.max_generation) for t in tg.t_values]
+    psi_backend = QUADRATURE if g.dim == 1 else FOURIER
     slabs, row = [], {}
-    for k_gen, group in groupby(zip(gen_of, tg.t_values), key=lambda pair: pair[0]):
-        if k_gen is not None:
-            keys, labels = _bucket_labels(lat, k_gen, assignment[k_gen], owners[k_gen])
-            slabs.append((np.array([t for _, t in group]), [row.setdefault(key, len(row)) for key in keys], labels))
+    # finest slab first: every piece's spectrum sums its scales in increasing order
+    for k_gen, ts in reversed(tg.slabs(g, lat.max_generation)):
+        keys, labels = _bucket_labels(lat, k_gen, assignment[k_gen], owners[k_gen])
+        slabs.append((ts, [row.setdefault(key, len(row)) for key in keys], labels))
     half = g.shape[:-1] + (g.points_per_axis // 2 + 1,)
     # -0.0 + x is x bit for bit, so a row's first term lands unchanged
     spectra = np.full((len(row),) + half, complex(-0.0, -0.0))
@@ -336,7 +325,6 @@ def atomic_decompose(
     lat: DyadicLattice,
     tg: TimeGrid = None,
     p: float = 2.0,
-    psi_backend: str = "auto",
 ) -> AtomicDecomposition:
     """Level-set atomic decomposition of f against the weight w.
 
@@ -350,8 +338,6 @@ def atomic_decompose(
         raise ParameterError("use the unshifted lattice for the decomposition")
     w = as_weight(w)
     tg = tg or TimeGrid.geometric(g)
-    if psi_backend == "auto":
-        psi_backend = "quadrature" if g.dim == 1 else "fourier"
 
     S = area_function(f, "qt", ConeSpec("free"), tg)
     smax = float(np.max(S.values))
@@ -366,25 +352,19 @@ def atomic_decompose(
 
     warr = w.array
     omega_masks = {k: S.values > 2.0 ** k for k in ks}
-    omega_masks[kmax + 1] = np.zeros(g.shape, dtype=bool)
-    gens = sorted({_generation_of_scale(g, t, lat.max_generation) for t in tg.t_values} - {None})
 
-    # per-generation assignment: the unique k with the B_k sandwich property
+    # per-generation assignment: the unique k with the B_k sandwich property,
+    # the number of levels whose Omega_k holds more than half of w(Q)
     assignment, masses = {}, {}
-    for k_gen in gens:
+    for k_gen, _ in tg.slabs(g, lat.max_generation):
         wq = lat.blocks(warr, k_gen).sum(axis=-1)
-        conds = []
-        for k in ks + [kmax + 1]:
-            wo = lat.blocks(warr * omega_masks[k], k_gen).sum(axis=-1)
-            conds.append(wo > wq / 2.0)
-        conds = np.array(conds[:-1])  # condition at kmax+1 is identically false
-        count = conds.sum(axis=0)
+        count = sum(lat.blocks(warr * omega_masks[k], k_gen).sum(axis=-1) > wq / 2.0 for k in ks)
         assignment[k_gen] = np.where(count > 0, kmin - 1 + count, _UNASSIGNED)
         masses[k_gen] = wq
 
     owners = _owners(lat, assignment)
     maximal = _maximal_counts(lat, assignment, owners)
-    pieces, unassigned = _whitney_pieces(f, lat, tg, assignment, owners, psi_backend)
+    pieces, unassigned = _whitney_pieces(f, lat, tg, assignment, owners)
 
     atoms = []
     lams = []
@@ -413,9 +393,7 @@ def atomic_decompose(
     omega_mass = 0.0
     omega_tilde_mass = 0.0
     for k in sorted(maximal):
-        om = omega_masks.get(k)
-        if om is None:
-            continue
+        om = omega_masks[k]
         omega_mass += 2.0 ** k * float(np.sum(warr[om]) * h_n)
         mt = weighted_maximal(GridFunction(g, om.astype(float)), w.values, lat)
         omega_tilde_mass += 2.0 ** k * float(np.sum(warr[mt.values > 0.5]) * h_n)

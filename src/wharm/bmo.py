@@ -126,11 +126,6 @@ def _sums_inside(prefix: np.ndarray, lat: DyadicLattice, js) -> list:
     return [out[(...,) + (slice(e - c, e),) * n] for e, c in zip(ends, counts)]
 
 
-def _slab_times(tg: TimeGrid, ell: float):
-    ts = tg.t_values
-    return ts[(ts > ell / 2.0 + 1e-12 * ell) & (ts <= ell * (1.0 + 1e-12))]
-
-
 def _carleson_heat(values: np.ndarray, grid, warr: np.ndarray, lattices, tg: TimeGrid, neumann: bool) -> np.ndarray:
     if grid.domain != FULL:
         raise DomainError("semigroup Carleson norms are evaluated on full-space data")
@@ -146,16 +141,12 @@ def _carleson_heat(values: np.ndarray, grid, warr: np.ndarray, lattices, tg: Tim
     # per-generation cube contributions c_Q = int_{Q^} |G_t f|^2 t^n/w(Q) dy dt/t
     family = "neumann" if neumann else "free"
     prefixes = []
-    for k, wcells in enumerate(dyadic.generations(warr)):
-        ell = 2.0 * grid.halfwidth * 2.0 ** (-k)
-        ts = _slab_times(tg, ell)
-        if len(ts) == 0:
-            continue
+    for k, ts in tg.slabs(grid, dyadic.max_generation):
         acc = np.zeros((len(values),) + (1 << k,) * n)
         # one Whitney slab, one octave of scales, every row: one batched apply
         for t, fields in zip(ts, apply_scales("qt", family, ts, values, grid=grid)):
             acc += lw * t ** n * dyadic.blocks(fields ** 2, k).sum(axis=-1) * h_n
-        prefixes.append(_two_period_prefix(acc / (wcells.sum(axis=-1) * h_n), n))
+        prefixes.append(_two_period_prefix(acc / (dyadic.blocks(warr, k).sum(axis=-1) * h_n), n))
 
     best = np.zeros(len(values))
     for lat in lats:

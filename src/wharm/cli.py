@@ -19,7 +19,7 @@ from . import bmo as bmo_mod
 from . import harness as harness_mod
 from .dyadic import lattice_family
 from .errors import WharmError
-from .grid import GridFunction, load_binary, load_csv, save_csv
+from .grid import load, save_csv
 from .operators import OperatorHandle, apply as op_apply, commutator, riesz, weighted_operator_norm
 from .squarefn import TimeGrid, hardy_norm
 from .weights import weight_from_spec
@@ -29,10 +29,6 @@ KERNEL_CHOICES = [
     "riesz-free-1", "riesz-free-2", "riesz-neumann-1", "riesz-neumann-2",
     "riesz-dirichlet-1", "riesz-dirichlet-2", "qt", "psi",
 ]
-
-
-def _load_function(path: str) -> GridFunction:
-    return load_csv(path) if path.endswith(".csv") else load_binary(path)
 
 
 def _load_weight(path: str, grid):
@@ -57,7 +53,7 @@ def _handle_from_kernel(name: str, t, backend: str) -> OperatorHandle:
 
 
 def cmd_apply(args) -> int:
-    f = _load_function(args.input)
+    f = load(args.input)
     handle = _handle_from_kernel(args.kernel, args.t, args.backend)
     out = op_apply(handle, f)
     save_csv(out, args.out)
@@ -67,12 +63,12 @@ def cmd_apply(args) -> int:
 
 def cmd_opnorm(args) -> int:
     if args.op == "commutator":
-        b = _load_function(args.b)
+        b = load(args.b)
         grid = b.grid
         inner = riesz(args.family, args.j, backend=args.backend)
         handle = commutator(b, inner)
     elif args.op == "riesz":
-        grid = _load_function(args.b).grid if args.b else None
+        grid = load(args.b).grid if args.b else None
         if grid is None:
             raise SystemExit("opnorm needs --b to fix the grid")
         handle = riesz(args.family, args.j, backend=args.backend)
@@ -86,7 +82,7 @@ def cmd_opnorm(args) -> int:
 
 
 def cmd_bmo(args) -> int:
-    f = _load_function(args.input)
+    f = load(args.input)
     base = f.grid if f.grid.domain == "full" else f.grid.with_domain("full")
     lattices = lattice_family(base, args.max_generation or int(np.log2(base.points_per_axis)) - 1)
     w = _load_weight(args.weight, f.grid) if args.weight else None
@@ -99,7 +95,7 @@ def cmd_bmo(args) -> int:
 
 
 def cmd_squarefn(args) -> int:
-    f = _load_function(args.input)
+    f = load(args.input)
     w = _load_weight(args.weight, f.grid)
     tg = TimeGrid.geometric(f.grid, t_min=args.tmin, t_max=args.tmax)
     flavor = args.flavor if not args.flavor.startswith("classical") else ("classical", int(args.flavor[-1]))

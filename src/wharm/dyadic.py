@@ -39,7 +39,7 @@ from itertools import product
 import numpy as np
 
 from .errors import GridAlignmentError, WeightError
-from .grid import FULL, Grid, GridFunction
+from .grid import FULL, Grid, GridFunction, cell_values
 
 SHIFT_NAMES = {"none": 0, "third": 1, "two_thirds": 2}
 
@@ -369,8 +369,7 @@ def weighted_maximal(g: GridFunction, w, lat: DyadicLattice) -> GridFunction:
 
     (M_w g)(x) = max over cubes Q containing x of w(Q)^{-1} sum_Q |g| w h^n.
     """
-    wv = w.values if hasattr(w, "values") else np.asarray(w, dtype=float)
-    wv = wv.values if isinstance(wv, GridFunction) else wv
+    wv = cell_values(w)
     if np.min(wv) <= 0:
         raise WeightError("maximal function needs a strictly positive weight")
     num = np.abs(g.values) * wv

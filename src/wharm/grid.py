@@ -104,19 +104,14 @@ def constant(grid: Grid, c: float) -> GridFunction:
     return GridFunction(grid, np.full(grid.shape, float(c)))
 
 
-def from_callable(grid: Grid, fn) -> GridFunction:
-    """Sample a callable f(x) (x an array of shape (..., dim)) at cell centers."""
-    pts = grid.points()
-    return GridFunction(grid, np.asarray(fn(pts), dtype=float).reshape(grid.shape))
-
-
-def reflect(f: GridFunction) -> GridFunction:
-    """x -> (x', -x_n): flip the last axis; maps upper <-> lower grids."""
-    g = f.grid
-    if g.domain == FULL:
-        return GridFunction(g, np.flip(f.values, axis=-1))
-    other = UPPER if g.domain == LOWER else LOWER
-    return GridFunction(g.with_domain(other), np.flip(f.values, axis=-1))
+def cell_values(x) -> np.ndarray:
+    """The cell array of a weight-like argument: a Weight's .array, a
+    GridFunction's .values, anything else as a float array."""
+    if hasattr(x, "array"):
+        return x.array
+    if isinstance(x, GridFunction):
+        return x.values
+    return np.asarray(x, dtype=float)
 
 
 def restrict(f: GridFunction, side: str) -> GridFunction:
@@ -253,3 +248,8 @@ def load_binary(path: str) -> GridFunction:
     if vals.size != header["count"]:
         raise DomainError("binary column length does not match header count")
     return GridFunction(grid, vals.reshape(grid.shape))
+
+
+def load(path: str) -> GridFunction:
+    """A grid function from a .csv file (load_csv) or a binary header (load_binary)."""
+    return load_csv(path) if path.endswith(".csv") else load_binary(path)

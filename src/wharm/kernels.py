@@ -111,13 +111,6 @@ def eval_kernel(spec: KernelSpec, x, y):
     raise ParameterError(spec.family)
 
 
-def qt_neumann(x, y, t, n):
-    """Kernel of t^2 L e^{-t^2 L} for the reflection Neumann Laplacian."""
-    return heaviside_same_side(x, y) * (
-        qt_free(x, y, t, n) + qt_free(x, reflect_point(y), t, n)
-    )
-
-
 def psi_multiplier(s):
     """psi(s) = (2 sin(s/2) - sin s) / s with the removable zero at s = 0.
 

@@ -70,14 +70,16 @@ and one set of bases at 32 steps serves every block of a call.  The
 certificate of each row keeps the explicit residuals ||A v - sigma u|| and
 ||A^T u - sigma v|| and the number of products.  Other p take Boyd's power
 method for l^p norms (Boyd, 1974), whose ratios are certified lower bounds,
-in the same lockstep over operators times random restarts (_lockstep_ascent),
-and commutator_norms runs either over a stack of symbols.
-weighted_operator_norm takes an operator handle, never a matrix: its "svd"
-and "ascent" methods are the two runs on one operator, so no norm assembles
-a matrix and none has a size cap.  assemble_matrix and commutator_matrix
-(capped at DENSE_POINT_CAP points) are the dense reference of the tests,
-which also keep scipy's ARPACK svds and the per-restart ascent as
-independent iterative oracles.
+in the same lockstep over operators times _RESTARTS random restarts
+(_lockstep_ascent).  Both norm entries go through _norms, which gives each
+exactly zero operator (a commutator with a constant symbol) norm 0.0
+without iteration and runs the others in lockstep: commutator_norms over a
+stack of symbols, svd at p = 2 and ascent otherwise, and
+weighted_operator_norm on one operator handle, never a matrix, by its
+"svd" or "ascent" method.  So no norm assembles a matrix and none has a
+size cap.  assemble_matrix and commutator_matrix (capped at DENSE_POINT_CAP
+points) are the dense reference of the tests, which also keep scipy's
+ARPACK svds and the per-restart ascent as independent iterative oracles.
 
 The Riesz sign follows the kernel convention in kernels.py: in n = 1 the
 free transform has kernel -(1/pi)/(x - y), i.e. multiplier +i sign(xi), the
@@ -92,7 +94,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BackendError, DomainError, ParameterError, SizeError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, extended_values
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, cell_values, extended_values
 from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil
 
 DENSE_POINT_CAP = 4096
@@ -475,17 +477,8 @@ def commutator_matrix(b: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _as_weight_array(w, shape):
-    if w is None:
-        return np.ones(int(np.prod(shape)))
-    arr = getattr(w, "array", None)
-    if arr is None:
-        arr = w.values if isinstance(w, GridFunction) else np.asarray(w, dtype=float)
-    return np.asarray(arr, dtype=float).reshape(-1)
-
-
-def _vanishes(op: OperatorHandle) -> bool:
-    """A commutator with a constant symbol is exactly zero: norm 0.0, no iteration."""
-    return op.kind == "commutator" and bool(np.all(op.b.values == op.b.values.flat[0]))
+    """The flat cell array of a weight-like argument; None is the unit weight."""
+    return np.ones(int(np.prod(shape))) if w is None else cell_values(w).reshape(-1)
 
 
 def _normalized(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -632,23 +625,25 @@ def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, se
     return sigmas, certs
 
 
-def _lockstep_ascent(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, p: float, seed: int,
-                     restarts: int, max_iter: int, tol: float):
+def _lockstep_ascent(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, p: float, seed: int):
     """Lower bounds on ||M_i||_{L^p_mu -> L^p_lam} for count operators M_i,
     with a certificate each, by Boyd's power method for l^p norms (1974).
 
     maps(ops) gives (M, M^T) of the operators ops (an index array, one per
-    row) as maps on stacks (len(ops), *shape).  Row r, in the blocks of
-    _row_blocks, is restart r % restarts of operator r // restarts and starts
-    from row r % restarts of one standard_normal((restarts, n)) draw seeded
-    by seed.  A step takes the ratio ||g||_lam of g = M f (||f||_mu = 1) and
-    moves f to the normalized sign(z) (|z| / mu)^{1/(p-1)}, z = M^T(lam
-    |g|^{p-1} sign g).  A row leaves the batch once its ratio changes by at
-    most tol relative (converged; it keeps the earlier ratio), when z vanishes,
-    or after max_iter steps.  Each operator keeps the first largest ratio of
+    row) as maps on stacks (len(ops), *shape).  With restarts = _RESTARTS,
+    max_iter = _MAX_ITER and tol = _ASCENT_TOL, read at call time, row r, in
+    the blocks of _row_blocks, is restart r % restarts of operator
+    r // restarts and starts from row r % restarts of one
+    standard_normal((restarts, n)) draw seeded by seed.  A step takes the
+    ratio ||g||_lam of g = M f (||f||_mu = 1) and moves f to the normalized
+    sign(z) (|z| / mu)^{1/(p-1)}, z = M^T(lam |g|^{p-1} sign g).  A row
+    leaves the batch once its ratio changes by at most tol relative
+    (converged; it keeps the earlier ratio), when z vanishes, or after
+    max_iter steps.  Each operator keeps the first largest ratio of
     its restarts; its certificate names that restart, its steps and whether
     it converged.
     """
+    restarts, max_iter, tol = _RESTARTS, _MAX_ITER, _ASCENT_TOL
     npts, total = int(np.prod(shape)), count * restarts
     q, per_row = 1.0 / (p - 1.0), (-1,) + (1,) * len(shape)
     mu, lam = mu.reshape(shape), lam.reshape(shape)
@@ -687,6 +682,37 @@ def _lockstep_ascent(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, p
     return np.maximum(ratios[best], 0.0), certs
 
 
+def _norms(maps, zero: np.ndarray, shape, mu, lam, p: float, method: str, seed: int):
+    """||M_i||_{L^p_mu -> L^p_lam} for the operators M_i, i < len(zero), with
+    a certificate each: (array of norms, list of certificates).
+
+    maps(ops) gives (M, M^T) of the operators ops (an index array) as maps on
+    stacks (len(ops), *shape).  The operators flagged in zero are exactly
+    zero: norm 0.0 and the zero-operator certificate, no iteration.  The
+    others run in lockstep, method "svd" through _lockstep_norms, "ascent"
+    through _lockstep_ascent.
+    """
+    live = np.flatnonzero(~zero)
+    args = (lambda rows: maps(live[rows]), len(live), shape, _as_weight_array(mu, shape), _as_weight_array(lam, shape))
+    if method == "svd":
+        norms, certs = _lockstep_norms(*args, seed)
+    else:
+        norms, certs = _lockstep_ascent(*args, p, seed)
+    out = np.zeros(len(zero))
+    out[live] = norms
+    everyone = [{"method": method, "size": int(np.prod(shape)), "zero_operator": True} for _ in zero]
+    for i, cert in zip(live, certs):
+        everyone[i] = cert
+    return out, everyone
+
+
+def _constant(symbols: np.ndarray) -> np.ndarray:
+    """Which rows of a stack of symbols are constant, so that their
+    commutators are exactly zero."""
+    flat = symbols.reshape(len(symbols), -1)
+    return np.all(flat == flat[:, :1], axis=1)
+
+
 def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=None, seed: int = 0, p: float = 2.0):
     """||[b, T]||_{L^p_mu -> L^p_lam} for every row b of symbols, a stack of
     shape (S, *grid.shape), and the Riesz handle T = inner: (array of S norms,
@@ -694,9 +720,8 @@ def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=No
 
     At p = 2 the norms are top singular values by lockstep Golub-Kahan-Lanczos
     bidiagonalization (_lockstep_norms), at any other p certified lower bounds
-    by the lockstep p-ascent over symbols times restarts (_lockstep_ascent),
-    with weighted_operator_norm's default restarts, max_iter and tol; one
-    batched commutator product per step serves every row of a block.  A
+    by the lockstep p-ascent over symbols times restarts (_lockstep_ascent);
+    one batched commutator product per step serves every row of a block.  A
     constant symbol gives the zero operator: norm exactly 0.0, no iteration.
     """
     symbols = np.asarray(symbols, dtype=float)
@@ -704,66 +729,30 @@ def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=No
         raise DomainError("commutator symbols and argument live on different grids")
     if inner.kind != "riesz":
         raise ParameterError("commutator inner handle must be a Riesz transform")
-    npts = int(np.prod(grid.shape))
-    flat = symbols.reshape(len(symbols), npts)
-    moving = np.flatnonzero(np.any(flat != flat[:, :1], axis=1))
     maps = _operator_maps(inner, grid)
-    args = (
-        lambda rows: _commutator_maps(symbols[moving[rows]], *maps),
-        len(moving), grid.shape, _as_weight_array(mu, grid.shape), _as_weight_array(lam, grid.shape),
-    )
-    method = "svd" if p == 2.0 else "ascent"
-    if method == "svd":
-        norms, certs = _lockstep_norms(*args, seed)
-    else:
-        norms, certs = _lockstep_ascent(*args, p, seed, _RESTARTS, _MAX_ITER, _ASCENT_TOL)
-    out = np.zeros(len(symbols))
-    out[moving] = norms
-    everyone = [{"method": method, "size": npts, "zero_operator": True} for _ in symbols]
-    for i, cert in zip(moving, certs):
-        everyone[i] = cert
-    return out, everyone
+    return _norms(lambda ops: _commutator_maps(symbols[ops], *maps), _constant(symbols), grid.shape, mu, lam, p,
+                  "svd" if p == 2.0 else "ascent", seed)
 
 
-def weighted_operator_norm(
-    op: OperatorHandle,
-    grid: Grid,
-    mu=None,
-    lam=None,
-    p: float = 2.0,
-    method: str = "svd",
-    seed: int = 0,
-    restarts: int = _RESTARTS,
-    max_iter: int = _MAX_ITER,
-    tol: float = _ASCENT_TOL,
-):
+def weighted_operator_norm(op: OperatorHandle, grid: Grid, mu=None, lam=None, p: float = 2.0, method: str = "svd",
+                           seed: int = 0):
     """Discrete L^p_mu -> L^p_lam operator norm with a certificate.
 
     op is an operator handle M on grid's value arrays, applied matrix-free
     through _operator_maps.  method "svd" (p = 2 only): the largest singular
     value of diag(lam)^{1/2} M diag(mu)^{-1/2} to machine precision, by the
     Golub-Kahan-Lanczos run behind commutator_norms on one row.  method
-    "ascent": Boyd's power method on the p-duality map from restarts random
+    "ascent": Boyd's power method on the p-duality map from _RESTARTS random
     starts, the lockstep ascent behind commutator_norms at p != 2 on one
     operator; the value returned is a certified lower bound on the discrete
-    norm.  Both use only products with M and M^T.  An exactly zero operator
-    has norm 0.0.
+    norm.  Both use only products with M and M^T.  A commutator with a
+    constant symbol is exactly zero and has norm 0.0.
     """
-    shape = grid.shape
     maps = _operator_maps(op, grid)
-    npts = int(np.prod(shape))
-    mu = _as_weight_array(mu, shape)
-    lam = _as_weight_array(lam, shape)
     if method == "svd" and p != 2.0:
         raise ParameterError("SvdExact requires p = 2")
     if method not in ("svd", "ascent"):
         raise ParameterError(f"unknown method {method!r}")
-    if method == "ascent" and restarts < 1:
-        raise ParameterError("the ascent needs at least one restart")
-    if _vanishes(op):
-        return 0.0, {"method": method, "size": npts, "zero_operator": True}
-    if method == "svd":
-        norms, certs = _lockstep_norms(lambda rows: maps, 1, shape, mu, lam, seed)
-    else:
-        norms, certs = _lockstep_ascent(lambda rows: maps, 1, shape, mu, lam, p, seed, restarts, max_iter, tol)
+    zero = _constant(op.b.values[None]) if op.kind == "commutator" else np.zeros(1, dtype=bool)
+    norms, certs = _norms(lambda ops: maps, zero, grid.shape, mu, lam, p, method, seed)
     return float(norms[0]), certs[0]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dyadic import DyadicCube, DyadicLattice, split_blocks
 from .errors import ParameterError, SparsityError
-from .grid import GridFunction
+from .grid import GridFunction, cell_values
 
 # relative tolerance of carrier masses against eta |Q| and of cell totals against 1
 TOL = 1e-9
@@ -43,15 +43,6 @@ class StoppingFamily:
         return m
 
 
-def _density_array(dens) -> np.ndarray:
-    if isinstance(dens, GridFunction):
-        return np.abs(dens.values)
-    arr = getattr(dens, "array", None)
-    if arr is not None:
-        return np.asarray(arr, dtype=float)
-    return np.abs(np.asarray(dens, dtype=float))
-
-
 def _generation_means(arr: np.ndarray, lat: DyadicLattice) -> list:
     """Cube averages of a cell array, one array per generation of the lattice."""
     return [cells.mean(axis=-1) for cells in lat.generations(arr)]
@@ -70,7 +61,7 @@ def cz_stopping(dens, lat: DyadicLattice, q0: DyadicCube, alpha: float) -> Stopp
     if alpha <= 1.0:
         raise ParameterError("cz_stopping needs alpha > 1")
     dim = lat.grid.dim
-    block = _density_array(dens)[np.ix_(*lat.cell_indices(q0))]
+    block = np.abs(cell_values(dens))[np.ix_(*lat.cell_indices(q0))]
     base = float(split_blocks(block, 1, dim).mean(axis=-1)[(0,) * dim])
     selected, averages = [], {}
     covered = np.full((1,) * dim, not base > 0)

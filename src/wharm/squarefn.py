@@ -33,7 +33,7 @@ import numpy as np
 
 from .dyadic import DyadicLattice, haar_generation
 from .errors import BackendError, GridAlignmentError, ParameterError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, join_sides, restrict
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, cell_values, join_sides, restrict
 from .operators import apply_scales
 
 
@@ -83,6 +83,20 @@ class TimeGrid:
         """The scales in consecutive runs of steps_per_octave: the batches of apply_scales."""
         M = self.steps_per_octave
         return [self.t_values[i:i + M] for i in range(0, len(self.t_values), M)]
+
+    def slabs(self, grid: Grid, max_generation: int) -> list:
+        """[(k, scales)]: the scales in the Whitney slab (l/2, l] of the
+        generation-k cubes, l = 2L 2^-k, for each k <= max_generation whose
+        slab holds any, coarsest first.  Both bounds take 1e-12 l of slack
+        upward, so a scale at a slab edge up to rounding goes to the finer
+        cubes, whose upper edge it is."""
+        ts, out = self.t_values, []
+        for k in range(max_generation + 1):
+            ell = 2.0 * grid.halfwidth * 2.0 ** (-k)
+            scales = ts[(ts > ell / 2.0 + 1e-12 * ell) & (ts <= ell * (1.0 + 1e-12))]
+            if scales.size:
+                out.append((k, scales))
+        return out
 
     @classmethod
     def geometric(cls, grid: Grid, t_min=None, t_max=None, steps_per_octave: int = 8):
@@ -249,10 +263,11 @@ def hardy_norm(f: GridFunction, flavor, w, tg: TimeGrid = None, lattice: DyadicL
     """||S(f)||_{L^1_w} for the selected square-function flavor.
 
     flavor: "heat-free" | "heat-neumann" | ("classical", beta) | "haar".
+    w: a Weight, a GridFunction or a cell array (grid.cell_values).
     """
     if w is None:
         raise ParameterError("hardy_norm needs a weight")
-    warr = w.array if hasattr(w, "array") else np.asarray(w, dtype=float)
+    warr = cell_values(w)
     if warr.shape != f.grid.shape:
         raise ParameterError(f"weight shape {warr.shape} does not match grid shape {f.grid.shape}")
     if np.min(warr) <= 0:

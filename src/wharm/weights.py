@@ -18,7 +18,7 @@ import numpy as np
 
 from .dyadic import _iter_lattices
 from .errors import DomainError, ParameterError, RangeError, WeightError
-from .grid import FULL, Grid, GridFunction, load_binary, load_csv, sided_even_extensions
+from .grid import FULL, Grid, GridFunction, load, sided_even_extensions
 
 
 class Weight:
@@ -245,11 +245,7 @@ def weight_from_spec(spec: dict, grid: Grid) -> Weight:
     if kind in ("one-sided-power", "prop33"):
         return one_sided_power_weight(grid, float(spec["alpha"]))
     if kind == "grid":
-        path = spec["file"]
-        f = load_csv(path) if path.endswith(".csv") else load_binary(path)
-        return Weight(f)
+        return Weight(load(spec["file"]))
     if kind == "exp_bmo":
-        path = spec["file"]
-        b = load_csv(path) if path.endswith(".csv") else load_binary(path)
-        return exp_log_bridge(b, float(spec.get("delta", 1.0)))
+        return exp_log_bridge(load(spec["file"]), float(spec.get("delta", 1.0)))
     raise ParameterError(f"unknown weight kind {kind!r}")

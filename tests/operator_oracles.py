@@ -9,12 +9,14 @@ the operators that have no handle (the sparse operators A_S, whose dense
 matrix is sparse_operator_matrix).
 ascent_norm is the p-ascent one restart and one vector at a time, the
 reference of the lockstep ascent behind weighted_operator_norm's "ascent"
-method and commutator_norms at p != 2.
+method and commutator_norms at p != 2.  qt_neumann is the closed-form
+kernel of the Neumann qt operator, from the free kernel by reflection.
 """
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, svds
 
+from wharm.kernels import heaviside_same_side, qt_free, reflect_point
 from wharm.operators import FOURIER, OperatorHandle, _as_weight_array, _operator_maps
 
 
@@ -26,6 +28,13 @@ def qt_op(family, t, backend=FOURIER):
 def phi_op(t, beta=0):
     """The handle of the free phi multiplier s^{1+beta} e^{-s^2/2}, s = t |xi|."""
     return OperatorHandle("phi", t=t, beta=beta)
+
+
+def qt_neumann(x, y, t, n):
+    """Kernel of t^2 L e^{-t^2 L} for the reflection Neumann Laplacian."""
+    return heaviside_same_side(x, y) * (
+        qt_free(x, y, t, n) + qt_free(x, reflect_point(y), t, n)
+    )
 
 
 def linear_operator(op, grid) -> LinearOperator:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from operator_oracles import qt_op
-from tree_oracles import parent
+from tree_oracles import generation_of_scale, parent
 from weight_oracles import cube_mass
 
 from wharm import atoms
@@ -234,7 +234,7 @@ def test_decompose_2d_smoke(rng):
     v = (pts[..., 0] - 0.1) * np.exp(-np.sum(pts ** 2, axis=-1) / (2 * 0.15 ** 2))
     f = GridFunction(g, v - v.mean())
     tg = TimeGrid.geometric(g, t_min=g.h, t_max=1.0, steps_per_octave=6)
-    dec = atomic_decompose(f, w, lat, tg, psi_backend="fourier")
+    dec = atomic_decompose(f, w, lat, tg)
     rep = dec.report
     assert rep["n_atoms"] >= 1
     assert all(c["support_ok"] for c in rep["atom_checks"])
@@ -243,9 +243,10 @@ def test_decompose_2d_smoke(rng):
     assert np.isfinite(rep["residual_l1w"])
 
 
-def _per_bucket_pieces(f, lat, tg, assignment, owners, psi_backend):
+def _per_bucket_pieces(f, lat, tg, assignment, owners):
     """Oracle for atoms._whitney_pieces: one qt apply per scale and one psi
-    apply per (scale, bucket), the masks built cube by cube."""
+    apply per (scale, bucket), the masks built cube by cube; psi is the
+    quadrature stencil in 1D and the Fourier multiplier in 2D."""
     g = f.grid
     N = g.points_per_axis
     cpsi = calderon_constant()
@@ -253,7 +254,7 @@ def _per_bucket_pieces(f, lat, tg, assignment, owners, psi_backend):
     pieces = {}
     unassigned = np.zeros(g.shape)
     for t in tg.t_values:
-        k_gen = atoms._generation_of_scale(g, t, lat.max_generation)
+        k_gen = generation_of_scale(g, t, lat.max_generation)
         if k_gen is None:
             continue
         u = apply(qt_op("free", t), f).values
@@ -269,7 +270,7 @@ def _per_bucket_pieces(f, lat, tg, assignment, owners, psi_backend):
                 continue
             key = (k, int(owners[k_gen][idx]))
             buckets.setdefault(key, np.zeros(g.shape, dtype=bool))[sl] = True
-        handle = psi_op(t, backend=psi_backend)
+        handle = psi_op(t, backend="quadrature" if g.dim == 1 else "fourier")
         for key, mask in buckets.items():
             pieces.setdefault(key, np.zeros(g.shape))
             pieces[key] += lw * cpsi * apply(handle, GridFunction(g, np.where(mask, u, 0.0))).values
@@ -335,11 +336,11 @@ def test_batched_pieces_match_the_per_bucket_oracle(dim, N, max_gen, psi_backend
         return labels(*args)
 
     monkeypatch.setattr(atoms, "_bucket_labels", recorded)
-    got = atomic_decompose(f, w, lat, tg, psi_backend=psi_backend)
+    got = atomic_decompose(f, w, lat, tg)
     # a generation with more buckets than one psi batch holds, so the slicing is run
     assert max(map(len, keys)) > atoms._BUCKET_SLICE
     monkeypatch.setattr(atoms, "_whitney_pieces", _per_bucket_pieces)
-    want = atomic_decompose(f, w, lat, tg, psi_backend=psi_backend)
+    want = atomic_decompose(f, w, lat, tg)
     _assert_close(got.coefficients, want.coefficients, "coefficients")
     _assert_field_close(got.residual.values, want.residual.values, "residual")
     _assert_report_close(got.report, want.report)
@@ -352,6 +353,7 @@ def test_batched_pieces_match_the_per_bucket_oracle(dim, N, max_gen, psi_backend
         _assert_field_close(a.values.values, b.values.values, f"atom {a.cube}")
 
 
+# psi_backend names the backend that the dimension selects
 @pytest.mark.parametrize("dim,N,max_gen,psi_backend", [(1, 64, 6, "quadrature"), (2, 16, 4, "fourier")])
 def test_unassigned_cubes_ride_in_the_psi_batches(dim, N, max_gen, psi_backend):
     # a planted assignment: cubes of even index sum are their own B_0 tops,
@@ -360,14 +362,14 @@ def test_unassigned_cubes_ride_in_the_psi_batches(dim, N, max_gen, psi_backend):
     lat = build_lattice(g, max_gen)
     f = GridFunction(g, np.random.default_rng(43).standard_normal(g.shape))
     tg = TimeGrid.geometric(g, t_min=g.h, t_max=1.0, steps_per_octave=4)
-    gens = {atoms._generation_of_scale(g, t, max_gen) for t in tg.t_values} - {None}
+    gens = {generation_of_scale(g, t, max_gen) for t in tg.t_values} - {None}
     assignment, owners = {}, {}
     for k in gens:
         even = np.indices((1 << k,) * dim).sum(axis=0) % 2 == 0
         assignment[k] = np.where(even, 0, atoms._UNASSIGNED)
         owners[k] = np.where(even, atoms._cube_ids(lat, k), -1)
-    got_pieces, got_rest = atoms._whitney_pieces(f, lat, tg, assignment, owners, psi_backend)
-    want_pieces, want_rest = _per_bucket_pieces(f, lat, tg, assignment, owners, psi_backend)
+    got_pieces, got_rest = atoms._whitney_pieces(f, lat, tg, assignment, owners)
+    want_pieces, want_rest = _per_bucket_pieces(f, lat, tg, assignment, owners)
     assert np.any(want_rest)
     _assert_field_close(got_rest, want_rest, "unassigned")
     assert got_pieces.keys() == want_pieces.keys()
@@ -402,15 +404,15 @@ def test_whitney_pieces_are_bit_identical_to_the_full_transform(monkeypatch):
     f = GridFunction(g, v - v.mean())
     tg = TimeGrid.geometric(g)
     S = area_function(f, "qt", ConeSpec("free"), tg).values
-    gens = {atoms._generation_of_scale(g, t, lat.max_generation) for t in tg.t_values} - {None}
+    gens = {generation_of_scale(g, t, lat.max_generation) for t in tg.t_values} - {None}
     assignment = {}
     for k in gens:
         means = lat.blocks(S, k).mean(axis=-1)
         assignment[k] = np.where(means >= np.median(means), np.floor(np.log2(means)).astype(int), atoms._UNASSIGNED)
     owners = atoms._owners(lat, assignment)
-    got, got_rest = atoms._whitney_pieces(f, lat, tg, assignment, owners, "fourier")
+    got, got_rest = atoms._whitney_pieces(f, lat, tg, assignment, owners)
     monkeypatch.setattr(atoms, "_masked_transform", lambda masks, g: lambda u: spectrum(np.where(masks, u, 0.0), g))
-    want, want_rest = atoms._whitney_pieces(f, lat, tg, assignment, owners, "fourier")
+    want, want_rest = atoms._whitney_pieces(f, lat, tg, assignment, owners)
     assert len(want) > atoms._BUCKET_SLICE and got.keys() == want.keys()
     assert np.any(want_rest) and np.array_equal(got_rest, want_rest)
     assert all(np.array_equal(got[key], want[key]) for key in want)

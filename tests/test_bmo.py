@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from weight_oracles import from_callable
 
 from wharm.bmo import (
     CARLESON_FLAVORS,
@@ -16,7 +17,7 @@ from wharm.bmo import (
 )
 from wharm.dyadic import DyadicCube, haar_function, lattice_family, random_haar_sum
 from wharm.errors import DomainError, ParameterError
-from wharm.grid import Grid, GridFunction, constant, from_callable, restrict
+from wharm.grid import Grid, GridFunction, constant, restrict
 from wharm.squarefn import TimeGrid
 from wharm.weights import Weight, ap_constant, power_weight
 

@@ -13,10 +13,11 @@ from wharm.kernels import (
     psi_multiplier,
     psi_stencil,
     qt_free,
-    qt_neumann,
     reflect_point,
     riesz_normalization,
 )
+
+from operator_oracles import qt_neumann
 
 
 def test_heat_free_peak_value():

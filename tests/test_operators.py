@@ -20,7 +20,6 @@ from wharm.kernels import (
     psi_multiplier,
     psi_stencil,
     qt_free,
-    qt_neumann,
     reflect_point,
     riesz_free,
 )
@@ -47,7 +46,7 @@ from wharm.operators import (
 )
 from wharm.weights import Weight, weight_from_spec
 
-from operator_oracles import ascent_norm, dense_weighted_norm, linear_operator, phi_op, qt_op, svds_norm
+from operator_oracles import ascent_norm, dense_weighted_norm, linear_operator, phi_op, qt_neumann, qt_op, svds_norm
 
 
 def test_semigroup_preserves_constants(grid64):
@@ -252,11 +251,12 @@ def test_heaviside_locality_of_sided_operators(rng):
         assert np.max(np.abs(o1.values - o2.values)) <= 1e-12
 
 
-def test_identity_norm_both_methods(grid64):
+def test_identity_norm_both_methods(grid64, monkeypatch):
     w = Weight(constant(grid64, 1.3))
     op = OperatorHandle("identity")
     v1, _ = weighted_operator_norm(op, grid64, w, w, p=2.0, method="svd")
-    v2, cert = weighted_operator_norm(op, grid64, w, w, p=2.0, method="ascent", restarts=3)
+    monkeypatch.setattr(operators, "_RESTARTS", 3)
+    v2, cert = weighted_operator_norm(op, grid64, w, w, p=2.0, method="ascent")
     assert abs(v1 - 1.0) <= 1e-12
     assert abs(v2 - 1.0) <= 1e-9
     assert cert["method"] == "ascent"
@@ -275,14 +275,15 @@ def test_ascent_vs_svd_on_commutators(rng):
         mu = np.exp(0.3 * rng.standard_normal(g.shape))
         lam = np.exp(0.3 * rng.standard_normal(g.shape))
         sv, _ = weighted_operator_norm(op, g, mu, lam, p=2.0, method="svd")
-        av, _ = weighted_operator_norm(op, g, mu, lam, p=2.0, method="ascent", seed=i, restarts=10)
+        av, _ = weighted_operator_norm(op, g, mu, lam, p=2.0, method="ascent", seed=i)
         assert av <= sv + 1e-9
         assert av >= 0.95 * sv
 
 
-def test_ascent_general_p_runs(grid64, rng):
+def test_ascent_general_p_runs(grid64, rng, monkeypatch):
     op = riesz("free", 1)
-    val, cert = weighted_operator_norm(op, grid64, None, None, p=3.0, method="ascent", restarts=3)
+    monkeypatch.setattr(operators, "_RESTARTS", 3)
+    val, cert = weighted_operator_norm(op, grid64, None, None, p=3.0, method="ascent")
     assert val > 0
     with pytest.raises(ParameterError):
         weighted_operator_norm(op, grid64, None, None, p=3.0, method="svd")
@@ -621,21 +622,20 @@ def test_ascent_matches_the_per_restart_oracle(dim, N, domain, p):
         assert certs[i] == alone_cert == want_cert
 
 
-def test_ascent_cut_off_and_zero_operator_match_the_oracle():
+def test_ascent_cut_off_and_zero_operator_match_the_oracle(monkeypatch):
     g, symbols, mu, lam, R = _ascent_case(1, 64, "full")
     for b in symbols:
         op = commutator(GridFunction(g, b), R)
         for restarts, max_iter in ((3, 3), (10, 1), (2, 0)):
-            got = weighted_operator_norm(op, g, mu, lam, p=3.0, method="ascent", seed=1, restarts=restarts,
-                                         max_iter=max_iter)
+            monkeypatch.setattr(operators, "_RESTARTS", restarts)
+            monkeypatch.setattr(operators, "_MAX_ITER", max_iter)
+            got = weighted_operator_norm(op, g, mu, lam, p=3.0, method="ascent", seed=1)
             want = ascent_norm(op, g, mu, lam, p=3.0, seed=1, restarts=restarts, max_iter=max_iter)
             if b[0] == b[1]:
                 assert got == (0.0, {"method": "ascent", "size": 64, "zero_operator": True})
             else:
                 assert abs(got[0] - want[0]) <= 1e-12 * max(want[0], 1e-300) and got[1] == want[1]
                 assert not got[1].get("converged", False)
-    with pytest.raises(ParameterError):
-        weighted_operator_norm(R, g, p=3.0, method="ascent", restarts=0)
 
 
 @pytest.mark.parametrize("cells", [64, 3 * 64, 7 * 64])

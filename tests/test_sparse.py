@@ -19,7 +19,7 @@ from wharm.dyadic import (
     random_haar_sum,
 )
 from wharm.errors import ParameterError, SparsityError
-from wharm.grid import Grid, GridFunction, constant
+from wharm.grid import Grid, GridFunction, cell_values, constant
 from wharm.sparse import (
     bmo_good_function,
     build_sparse_from_recursion,
@@ -35,7 +35,7 @@ def _cz_stopping_walk(dens, lat, q0, alpha):
     """Oracle for cz_stopping: a stack walk over the children from q0 that
     selects a passing cube and descends below the others.  Returns the
     selected cubes in (generation, index) order, their averages and q0's."""
-    means = sparse._generation_means(sparse._density_array(dens), lat)
+    means = sparse._generation_means(np.abs(cell_values(dens)), lat)
 
     def avg(cube):
         return float(means[cube.generation][cube.index])

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.fft import irfftn, next_fast_len, rfftn
 from operator_oracles import phi_op, qt_op
+from tree_oracles import generation_of_scale, slab_times
 from scipy.signal import fftconvolve
 
 from wharm.dyadic import DyadicCube, build_lattice, haar_function, random_haar_sum
@@ -141,6 +144,14 @@ def test_hardy_norm_zero(tg256):
     assert hardy_norm(constant(g, 0.0), "heat-free", w, tg=tg) == 0.0
 
 
+def test_hardy_norm_takes_a_grid_function_weight(tg256, rng):
+    g, tg = tg256
+    f = GridFunction(g, rng.standard_normal(g.shape))
+    w = power_weight(g, 0.5)
+    for flavor in ("heat-free", "heat-neumann", ("classical", 1)):
+        assert hardy_norm(f, flavor, w.values, tg=tg) == hardy_norm(f, flavor, w, tg=tg)
+
+
 def test_hardy_norm_rejects_missing_or_misshaped_weight(tg256):
     g, tg = tg256
     f = constant(g, 1.0)
@@ -244,6 +255,25 @@ def test_time_grid_octaves_cover_the_scales_in_order(grid64):
     runs = tg.octaves()
     assert all(len(r) == 3 for r in runs[:-1]) and 1 <= len(runs[-1]) <= 3
     assert np.array_equal(np.concatenate(runs), tg.t_values)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 8, 16])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_slabs_match_both_per_scale_rules(dim, steps):
+    # the scales of each cube's slab (ell/2, ell] and the generation whose
+    # slab holds each scale give the same slabs, on grids of every size
+    for N, L, cells in product([8 << i for i in range(10)], [0.5, 1.0, 2.0, 3.0, 64.0], [1.0, 2.0, 3.0]):
+        g = Grid(dim, L, N)
+        top = int(np.log2(N))
+        tg = TimeGrid.geometric(g, t_min=cells * g.h, t_max=2.0 * L, steps_per_octave=steps)
+        slabs = tg.slabs(g, top)
+        per_cube = [(k, slab_times(tg, 2.0 * L * 2.0 ** -k)) for k in range(top + 1)]
+        assert [k for k, _ in slabs] == [k for k, ts in per_cube if ts.size]
+        assert all(np.array_equal(ts, dict(per_cube)[k]) for k, ts in slabs)
+        owner = [generation_of_scale(g, t, top) for t in tg.t_values]
+        assert [(k, ts.tolist()) for k, ts in slabs] == [
+            (k, [t for t, o in zip(tg.t_values, owner) if o == k]) for k in sorted(set(owner) - {None})
+        ]
 
 
 def _per_scale_ball_sums(field, g, t):

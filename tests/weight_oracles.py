@@ -3,6 +3,8 @@
 cube_mass reads one cube's cells, cube_average divides by |Q|, and the A^p
 quotient, the conjugate weight and the Bloom lambda' are built from it cube
 by cube; the library itself scans whole generations of the block view.
+from_callable samples a closed-form test function or weight at the cell
+centers.
 """
 
 import numpy as np
@@ -10,6 +12,11 @@ import numpy as np
 from wharm.errors import ParameterError
 from wharm.grid import GridFunction
 from wharm.weights import Weight
+
+
+def from_callable(grid, fn) -> GridFunction:
+    """Sample a callable f(x) (x an array of shape (..., dim)) at cell centers."""
+    return GridFunction(grid, np.asarray(fn(grid.points()), dtype=float).reshape(grid.shape))
 
 
 def cube_mass(w: Weight, lat, cube, s: float = 1.0) -> float:
