@@ -9,6 +9,8 @@ x -> (x', -x_n) are exact index operations (the last axis is x_n).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,10 @@ from .errors import DomainError, ParameterError
 FULL = "full"
 UPPER = "upper"
 LOWER = "lower"
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -34,12 +40,13 @@ class Grid:
     domain: str = FULL
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
-        if self.points_per_axis % 2 != 0 or self.points_per_axis <= 0:
-            raise ParameterError("points_per_axis must be a positive even integer")
-        if self.halfwidth <= 0:
-            raise ParameterError("halfwidth must be positive")
+        # the sizes may come from a file: a float 8.0 or a nan must not pass
+        if not _is_int(self.dim) or self.dim not in (1, 2):
+            raise ParameterError(f"dim must be 1 or 2, got {self.dim!r}")
+        if not _is_int(self.points_per_axis) or self.points_per_axis % 2 != 0 or self.points_per_axis <= 0:
+            raise ParameterError(f"points_per_axis must be a positive even integer, got {self.points_per_axis!r}")
+        if not isinstance(self.halfwidth, numbers.Real) or not math.isfinite(self.halfwidth) or self.halfwidth <= 0:
+            raise ParameterError(f"halfwidth must be finite and positive, got {self.halfwidth!r}")
         if self.domain not in (FULL, UPPER, LOWER):
             raise ParameterError(f"unknown domain {self.domain!r}")
 
@@ -199,7 +206,16 @@ def load_csv(path: str) -> GridFunction:
         kv = dict(tok.split("=", 1) for tok in meta[1:].split())
         fh.readline()  # column header
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    grid = Grid(int(kv["dim"]), float(kv["halfwidth"]), int(kv["points_per_axis"]), kv["domain"])
+    missing = [key for key in ("dim", "halfwidth", "points_per_axis", "domain") if key not in kv]
+    if missing:
+        raise DomainError(f"CSV metadata misses {', '.join(missing)}")
+    try:
+        # an integer where it spells one, so that Grid rejects a dim of 1.5
+        dim, points = (int(kv[key]) if kv[key].lstrip("+-").isdigit() else float(kv[key])
+                       for key in ("dim", "points_per_axis"))
+        grid = Grid(dim, float(kv["halfwidth"]), points, kv["domain"])
+    except ValueError:
+        raise DomainError(f"CSV metadata {meta!r} holds a value that is not a number") from None
     if data.shape[1] != grid.dim + 1:
         raise DomainError(f"CSV rows need {grid.dim} index columns and one value column")
     idx = data[:, : grid.dim].astype(int)

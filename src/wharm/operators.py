@@ -26,11 +26,11 @@ j, beta, grid, scales, backend), cached, so repeated applies and the scales
 of one slab never rebuild them.
 
 The Neumann and Dirichlet families take one path on both backends
-(_operator_maps): each side's values are extended evenly (Neumann) or
-oddly (Dirichlet) across x_n = 0, the free map is applied once, and the
-result is read back on that side.  For the midpoint rule this is exactly
-the same-side kernel sum
-    sum_{y on x's side} [K(x - y) +- K(x - y~)] f(y),
+(_sided_map): each side's values are extended evenly (sign s = 1, Neumann)
+or oddly (s = -1, Dirichlet) across x_n = 0, the free map is applied once,
+and the result is read back on that side.  For the midpoint rule this is
+exactly the same-side kernel sum
+    sum_{y on x's side} [K(x - y) + s K(x - y~)] f(y),
 with the finite reflected summand at y = x kept: it is the x~ cell of the
 extension, and only the free diagonal cell is dropped.
 
@@ -50,12 +50,14 @@ one slab.  atoms also sums its psi pieces on the half spectrum itself
 (spectrum, free_multipliers, from_spectrum), since a piece's buckets are
 fixed within a slab.
 
-Every operator also has an exact transpose without a matrix.  The free
-Riesz map is antisymmetric (odd multiplier, odd kernel table) and the other
-free maps are symmetric, so a side's transpose zero-pads the side to the
-full grid, applies -+(free map) and folds the result back: the side's own
-half plus +-flip of the other half.  T^T = -T holds for the tangential Riesz
-components only, not for j = n.
+Every operator also has an exact transpose without a matrix: parity times
+the forward map of its adjoint (_maps).  The free Riesz kernel is odd
+(parity -1) and the other free kernels even (parity 1).  Swapping x and y in
+K(x - y) + s K(x - y~) keeps s, except for the normal component R_n, whose
+kernel is odd in z_n: there it flips s, so R_{N,n}^T = -R_{D,n} and
+R_{D,n}^T = -R_{N,n}, while the tangential components have T^T = -T.  A
+commutator's transpose is [b, T]^T = [b, -T^T], the same commutator map
+(_commutator_map) of the reflection -T^T, with no negation pass.
 
 The p = 2 norms are top singular values by Golub-Kahan-Lanczos
 bidiagonalization (Golub & Kahan, 1965), run in lockstep over a stack of
@@ -66,7 +68,7 @@ of batched matmul), and a row stops on its own Ritz residual,
 beta_k |e_k^T p_1| <= 1e-13 sigma, or when its Krylov space is the whole
 space; stopped rows leave the batch.  The rows run in near-equal blocks
 of at most _BLOCK_CELLS = 8192 cells (rows times points) from _row_blocks,
-and one set of bases at 32 steps serves every block of a call.  The
+each block in bases of its own that start at 32 steps.  The
 certificate of each row keeps the explicit residuals ||A v - sigma u|| and
 ||A^T u - sigma v|| and the number of products.  Other p take Boyd's power
 method for l^p norms (Boyd, 1974), whose ratios are certified lower bounds,
@@ -332,17 +334,57 @@ def _free_operator(op: OperatorHandle, grid: Grid, ts=None):
     return convolved
 
 
+def _sided_map(free, sign: float, grid: Grid):
+    """The reflection of the full-grid map free onto grid's value arrays: each
+    side's values are extended evenly (sign 1) or oddly (sign -1) across
+    x_n = 0, one free call maps them and each side reads its own half back.
+    On a full grid both sides ride as one batch axis just before the grid
+    axes, so a scale axis that free puts in front passes through."""
+    half = grid.points_per_axis // 2
+    if grid.domain != FULL:
+        own = slice(half, None) if grid.domain == UPPER else slice(None, half)
+        return lambda v: free(extended_values(v, grid.domain, sign))[..., own]
+    side_axis = -grid.dim - 1
+
+    def both(v):
+        lower, upper = extended_values(v[..., :half], LOWER, sign), extended_values(v[..., half:], UPPER, sign)
+        lower, upper = np.moveaxis(free(np.stack([lower, upper], axis=side_axis)), side_axis, 0)
+        return np.concatenate([lower[..., :half], upper[..., half:]], axis=-1)
+
+    return both
+
+
+def _maps(op: OperatorHandle, grid: Grid, ts=None):
+    """(M, M*, parity) of a semigroup, qt, psi, phi or Riesz handle: op = M
+    and op^T = parity M* as maps on grid's value arrays, leading batch axes
+    allowed (with ts, op's field at every t of ts along a new leading axis).
+    A free map is its own M*.  A Neumann/Dirichlet map reflects the free map
+    with sign s, and its M* is the same map, but for R_n, whose M* reflects
+    with -s (the module docstring gives the kernel identity)."""
+    parity = -1.0 if op.kind == "riesz" else 1.0
+    if op.family == "free":
+        if grid.domain != FULL:
+            raise BackendError("free-Laplacian operators act on full-space data")
+        free = _free_operator(op, grid, ts)
+        return free, free, parity
+    if op.family not in ("neumann", "dirichlet"):
+        raise BackendError(f"cannot dispatch {op}")
+    if op.family == "dirichlet" and grid.domain == FULL:
+        raise DomainError("the Dirichlet Laplacian lives on a half-space")
+    free = _free_operator(op, grid.with_domain(FULL), ts)
+    sign = 1.0 if op.family == "neumann" else -1.0
+    forward = _sided_map(free, sign, grid)
+    if op.kind == "riesz" and op.j == grid.dim:
+        return forward, _sided_map(free, -sign, grid), parity
+    return forward, forward, parity
+
+
 def _operator_maps(op: OperatorHandle, grid: Grid, ts=None):
     """(forward, transpose): op and its exact transpose on grid's value arrays,
     both with leading batch axes allowed.  With ts (the scale kinds only) both
-    return op's field at every t of ts along a new leading axis.
-
-    The free Riesz map is antisymmetric and every other free map symmetric.
-    A Neumann/Dirichlet side extends its values evenly/oddly, applies the free
-    map and reads its own half back; its transpose zero-pads the side to the
-    full grid, applies the transposed free map and folds: own half plus
-    sign * flip of the other half.  On a full grid both sides share one free
-    call.  [b, T] stacks v and b v through T, and [b, T]^T u = T^T(b u) - b T^T u.
+    return op's field at every t of ts along a new leading axis.  The inner
+    T of a commutator is a Riesz transform (parity -1), so [b, T]^T =
+    [b, -T^T] is the commutator map of T's M* and makes no negation pass.
     """
     if op.kind == "identity":
         return np.copy, np.copy
@@ -350,67 +392,22 @@ def _operator_maps(op: OperatorHandle, grid: Grid, ts=None):
         b = op.b.values
         if b.shape != grid.shape:
             raise DomainError("commutator symbol and argument live on different grids")
-        return _commutator_maps(b, *_operator_maps(op.inner, grid))
-    parity = -1.0 if op.kind == "riesz" else 1.0
-    if op.family == "free":
-        if grid.domain != FULL:
-            raise BackendError("free-Laplacian operators act on full-space data")
-        free = _free_operator(op, grid, ts)
-        return free, lambda u: parity * free(u)
-    if op.family not in ("neumann", "dirichlet"):
-        raise BackendError(f"cannot dispatch {op}")
-    if op.family == "dirichlet" and grid.domain == FULL:
-        raise DomainError("the Dirichlet Laplacian lives on a half-space")
-    free = _free_operator(op, grid.with_domain(FULL), ts)
-    sign = 1.0 if op.family == "neumann" else -1.0
-    half = grid.points_per_axis // 2
-
-    def own(w, upper):
-        return w[..., half:] if upper else w[..., :half]
-
-    def extend(v, upper):
-        return extended_values(v, UPPER if upper else LOWER, sign)
-
-    def pad(u, upper):
-        zero = np.zeros_like(u)
-        return np.concatenate([zero, u] if upper else [u, zero], axis=-1)
-
-    def fold(w, upper):
-        return own(w, upper) + sign * np.flip(own(w, not upper), axis=-1)
-
-    def sided(pre, free_map, post):
-        if grid.domain != FULL:
-            upper = grid.domain == UPPER
-            return lambda v: post(free_map(pre(v, upper)), upper)
-
-        # the two sides ride as one batch axis just before the grid axes, so
-        # a scale axis that free_map puts in front passes through
-        side_axis = -grid.dim - 1
-
-        def both(v):
-            sides = np.stack([pre(v[..., :half], False), pre(v[..., half:], True)], axis=side_axis)
-            lower, upper = np.moveaxis(free_map(sides), side_axis, 0)
-            return np.concatenate([post(lower, False), post(upper, True)], axis=-1)
-
-        return both
-
-    return sided(extend, free, own), sided(pad, lambda w: parity * free(w), fold)
+        forward, adjoint, _ = _maps(op.inner, grid)
+        return _commutator_map(b, forward), _commutator_map(b, adjoint)
+    forward, adjoint, parity = _maps(op, grid, ts)
+    return forward, (adjoint if parity > 0 else lambda u: -adjoint(u))
 
 
-def _commutator_maps(b: np.ndarray, inner, inner_t):
-    """([b, T], [b, T]^T) from T's maps: [b, T] v stacks v and b v through T,
-    and [b, T]^T u = T^T(b u) - b T^T u.  b is one symbol's values, or a stack
-    of them that meets a stack of arguments row by row."""
+def _commutator_map(b: np.ndarray, inner):
+    """[b, T] from a map of T: [b, T] v = b T v - T(b v), with v and b v
+    stacked through one call of T.  b is one symbol's values, or a stack of
+    them that meets a stack of arguments row by row."""
 
     def forward(v):
         tv, tbv = inner(np.stack([v, b * v]))
         return b * tv - tbv
 
-    def transpose(u):
-        tu, tbu = inner_t(np.stack([u, b * u]))
-        return tbu - b * tu
-
-    return forward, transpose
+    return forward
 
 
 def apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
@@ -494,7 +491,7 @@ def _reorthogonalized(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x
 
 
-def _golub_kahan_block(weighted, count: int, start: np.ndarray, bases: tuple):
+def _golub_kahan_block(weighted, count: int, start: np.ndarray):
     """Top singular triples (sigma, u, v) of count operators A_i at once, and
     each row's number of steps, by Golub-Kahan-Lanczos bidiagonalization in
     lockstep (Golub & Kahan, 1965).
@@ -507,27 +504,20 @@ def _golub_kahan_block(weighted, count: int, start: np.ndarray, bases: tuple):
     basis.  For B_k's top triple (sigma, p, q), u = U_k p and v = V_k q have
     A v = sigma u and ||A^T u - sigma v|| = beta_k |e_k^T p|, so a row stops
     once that is at most _RITZ_TOL sigma, or when its Krylov space is the
-    whole space (k = n).  Stopped rows leave the batch.
-
-    bases = (U, V, alpha, beta) is the caller's storage, U and V of shape
-    (R, cap + 1, n) and the alpha, beta of B_k of shape (R, cap + 1) for
-    R >= count rows; the run works in their first count rows and reads only
-    what it wrote, so the caller passes the same set to every block.  When
-    rows stop, each remaining row's steps move down into the freed slots in
-    place and the iteration goes on in the first rows of the same arrays.
-    A row that outlasts cap steps goes on in new arrays of the rows still
-    running, grown by doubling and holding only the steps made; these stay
-    with the run.  Growing every row of the set instead passes the 4 MB
-    above which numpy advises huge pages sooner, and made the 32^2 norms
-    slower.
+    whole space (k = n).  Stopped rows leave the batch.  The bases (and the
+    alpha, beta of B_k) start with 32 steps and grow by doubling, copying
+    only the steps made; when rows stop, each remaining row's steps move
+    down into the freed slots in place and the iteration goes on in the
+    first rows of the same arrays.
     """
     n = start.size
     sigma, steps = np.zeros(count), np.zeros(count, dtype=int)
     u_out, v_out = np.zeros((count, n)), np.zeros((count, n))
     active = np.arange(count)
     A, At = weighted(active)
-    cap = bases[0].shape[1] - 1
-    U, V, alpha, beta = (a[:count] for a in bases)
+    cap = min(n, 32)
+    U, V = np.empty((2, count, cap + 1, n))
+    alpha, beta = np.empty((2, count, cap + 1))
     V[:, 0] = start
     k = 0
     while active.size:
@@ -589,8 +579,7 @@ def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, se
     maps(rows) gives (M, M^T) of the rows `rows` (an index array) as maps on
     stacks (len(rows), *shape).  Rows run through _golub_kahan_block in the
     near-equal blocks of _row_blocks, of at most _BLOCK_CELLS cells each (or
-    one row), from one start vector seeded by seed.  One set of bases at 32
-    steps, sized for the largest block, serves every block in turn.
+    one row), from one start vector seeded by seed.
     The certificate holds the residuals ||A v - sigma u|| and
     ||A^T u - sigma v|| (one more batched product each) and the number of
     products with A and A^T that the iteration made.
@@ -600,10 +589,7 @@ def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, se
     start = np.random.default_rng(seed).standard_normal(npts)
     start /= np.linalg.norm(start)
     sigmas, certs = np.zeros(count), []
-    blocks = _row_blocks(count, npts)
-    size, cap = max((len(rows) for rows in blocks), default=0), min(npts, 32)
-    bases = (*np.empty((2, size, cap + 1, npts)), *np.empty((2, size, cap + 1)))
-    for rows in blocks:
+    for rows in _row_blocks(count, npts):
 
         def weighted(active, rows=rows):
             forward, transpose = maps(rows[active])
@@ -612,7 +598,7 @@ def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, se
                 lambda y: (right * transpose(left * y.reshape((-1,) + shape))).reshape(len(y), npts),
             )
 
-        sigma, u, v, steps = _golub_kahan_block(weighted, len(rows), start, bases)
+        sigma, u, v, steps = _golub_kahan_block(weighted, len(rows), start)
         A, At = weighted(np.arange(len(rows)))
         res_left = np.linalg.norm(A(v) - sigma[:, None] * u, axis=1)
         res_right = np.linalg.norm(At(u) - sigma[:, None] * v, axis=1)
@@ -729,9 +715,12 @@ def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=No
         raise DomainError("commutator symbols and argument live on different grids")
     if inner.kind != "riesz":
         raise ParameterError("commutator inner handle must be a Riesz transform")
-    maps = _operator_maps(inner, grid)
-    return _norms(lambda ops: _commutator_maps(symbols[ops], *maps), _constant(symbols), grid.shape, mu, lam, p,
-                  "svd" if p == 2.0 else "ascent", seed)
+    forward, adjoint, _ = _maps(inner, grid)
+
+    def maps(ops):
+        return _commutator_map(symbols[ops], forward), _commutator_map(symbols[ops], adjoint)
+
+    return _norms(maps, _constant(symbols), grid.shape, mu, lam, p, "svd" if p == 2.0 else "ascent", seed)
 
 
 def weighted_operator_norm(op: OperatorHandle, grid: Grid, mu=None, lam=None, p: float = 2.0, method: str = "svd",
@@ -750,7 +739,7 @@ def weighted_operator_norm(op: OperatorHandle, grid: Grid, mu=None, lam=None, p:
     """
     maps = _operator_maps(op, grid)
     if method == "svd" and p != 2.0:
-        raise ParameterError("SvdExact requires p = 2")
+        raise ParameterError('method "svd" needs p = 2')
     if method not in ("svd", "ascent"):
         raise ParameterError(f"unknown method {method!r}")
     zero = _constant(op.b.values[None]) if op.kind == "commutator" else np.zeros(1, dtype=bool)

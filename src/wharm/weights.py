@@ -236,16 +236,30 @@ def one_sided_power_weight(grid: Grid, alpha: float) -> Weight:
 
 
 def weight_from_spec(spec: dict, grid: Grid) -> Weight:
-    """Config-driven weights: {kind: one|power|one-sided-power|grid|exp_bmo, ...}."""
+    """Config-driven weights: {kind: one|power|one-sided-power|grid|exp_bmo, ...}.
+
+    A grid or exp_bmo file must hold a function on grid itself."""
     kind = spec.get("kind", "one")
+
+    def value(key):
+        if key not in spec:
+            raise ParameterError(f"weight kind {kind!r} needs {key!r}")
+        return spec[key]
+
+    def loaded():
+        f = load(value("file"))
+        if f.grid != grid:
+            raise DomainError(f"weight file {spec['file']} lives on {f.grid}, not on {grid}")
+        return f
+
     if kind == "one":
         return Weight(GridFunction(grid, np.ones(grid.shape)))
     if kind == "power":
-        return power_weight(grid, float(spec["alpha"]))
+        return power_weight(grid, float(value("alpha")))
     if kind in ("one-sided-power", "prop33"):
-        return one_sided_power_weight(grid, float(spec["alpha"]))
+        return one_sided_power_weight(grid, float(value("alpha")))
     if kind == "grid":
-        return Weight(load(spec["file"]))
+        return Weight(loaded())
     if kind == "exp_bmo":
-        return exp_log_bridge(load(spec["file"]), float(spec.get("delta", 1.0)))
+        return exp_log_bridge(loaded(), float(spec.get("delta", 1.0)))
     raise ParameterError(f"unknown weight kind {kind!r}")

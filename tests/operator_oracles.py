@@ -11,12 +11,19 @@ ascent_norm is the p-ascent one restart and one vector at a time, the
 reference of the lockstep ascent behind weighted_operator_norm's "ascent"
 method and commutator_norms at p != 2.  qt_neumann is the closed-form
 kernel of the Neumann qt operator, from the free kernel by reflection.
+
+Two independent oracles of the Neumann/Dirichlet reflection path:
+sided_kernel_sums, the midpoint-rule sums of the same-side kernel built from
+the kernel formulas one row at a time (the quadrature backend), and
+reflected_spectral_oracle, the DCT/DST diagonalization of the even or odd
+extension (the Fourier backend).
 """
 
 import numpy as np
+from scipy.fft import dct, dst, idct, idst
 from scipy.sparse.linalg import LinearOperator, svds
 
-from wharm.kernels import heaviside_same_side, qt_free, reflect_point
+from wharm.kernels import KernelSpec, eval_kernel, heaviside_same_side, qt_free, reflect_point, riesz_free
 from wharm.operators import FOURIER, OperatorHandle, _as_weight_array, _operator_maps
 
 
@@ -35,6 +42,83 @@ def qt_neumann(x, y, t, n):
     return heaviside_same_side(x, y) * (
         qt_free(x, y, t, n) + qt_free(x, reflect_point(y), t, n)
     )
+
+
+def sided_kernel_row(kind, family, x, ys, t=None, j=None):
+    """Same-side kernel K_N or K_D of one row x against the points ys, built
+    from the kernel formulas alone: the free summand plus or minus the
+    reflected one, the free Riesz diagonal left out (its principal value)."""
+    n = ys.shape[-1]
+    sign = 1.0 if family == "neumann" else -1.0
+    if kind == "semigroup":
+        return eval_kernel(KernelSpec(f"heat-{family}", n, t=t), x, ys)
+    if kind == "qt":
+        if family == "neumann":
+            return qt_neumann(x, ys, t, n)
+        return heaviside_same_side(x, ys) * (qt_free(x, ys, t, n) - qt_free(x, reflect_point(ys), t, n))
+    row = np.zeros(len(ys))
+    same = heaviside_same_side(x, ys) > 0
+    off = same & np.any(ys != x, axis=-1)
+    row[off] = riesz_free(x, ys[off], j, n)
+    row[same] += sign * riesz_free(x, reflect_point(ys[same]), j, n)
+    return row
+
+
+def sided_kernel_sums(kind, family, f, t=None, j=None):
+    """The midpoint-rule sums of the same-side kernel over f's cells, one
+    row x at a time: the independent oracle of the reflection path."""
+    g = f.grid
+    ys = g.points().reshape(-1, g.dim)
+    weighted = f.values.reshape(-1) * g.cell_volume
+    return np.array([sided_kernel_row(kind, family, x, ys, t, j) @ weighted for x in ys]).reshape(g.shape)
+
+
+def reflected_spectral_oracle(kind, family, f, t=None, j=None):
+    """The Fourier backend's Neumann/Dirichlet operator on an upper half grid
+    by an independent spectral route: the even (odd) extension across
+    x_n = 0 is diagonalized by the DCT-II (DST-II) along x_n, with
+    frequencies pi k / (M h), k = 0..M-1 (k = 1..M); tangential axes keep
+    the FFT."""
+    g = f.grid
+    N, M, h = g.points_per_axis, g.shape[-1], g.h
+    neumann = family == "neumann"
+    forward, inverse, inverse_normal = (dct, idct, idst) if neumann else (dst, idst, idct)
+    k = np.arange(M) if neumann else np.arange(1, M + 1)
+    xi_n = np.pi * k / (M * h)
+    coef = forward(f.values, type=2, axis=-1)
+    xi_t = None
+    if g.dim == 2:
+        coef = np.fft.fft(coef, axis=0)
+        xi_t = (2.0 * np.pi * np.fft.fftfreq(N, d=h))[:, None]
+        xi2 = xi_t ** 2 + xi_n[None, :] ** 2
+    else:
+        xi2 = xi_n ** 2
+    mag = np.sqrt(np.where(xi2 > 0, xi2, 1.0))
+    if kind == "semigroup":
+        m = np.exp(-t * xi2)
+    elif kind == "qt":
+        m = t ** 2 * xi2 * np.exp(-(t ** 2) * xi2)
+    elif j < g.dim:
+        # tangential Riesz: multiplier i xi_j/|xi|, its Nyquist row zeroed
+        m = np.where(xi2 > 0, 1j * xi_t / mag, 0.0)
+        m[N // 2] = 0.0
+    else:
+        # normal Riesz: i xi_n/|xi| takes cos(xi_n x_n) to -sin and sin to
+        # cos, so the DCT coefficient of frequency k becomes a DST one and
+        # back; the Nyquist frequency pi/h is dropped
+        ratio = np.where(xi2 > 0, xi_n / mag, 0.0)
+        out = np.zeros_like(coef)
+        if neumann:
+            out[..., :-1] = -(ratio * coef)[..., 1:]
+        else:
+            out[..., 1:] = (ratio * coef)[..., :-1]
+        if g.dim == 2:
+            out = np.fft.ifft(out, axis=0).real
+        return inverse_normal(out, type=2, axis=-1)
+    coef = coef * m
+    if g.dim == 2:
+        coef = np.fft.ifft(coef, axis=0).real
+    return inverse(coef, type=2, axis=-1)
 
 
 def linear_operator(op, grid) -> LinearOperator:

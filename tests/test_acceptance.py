@@ -11,16 +11,16 @@ rather than the test being loosened; the README carries the analysis.
 from pathlib import Path
 
 import numpy as np
-from operator_oracles import dense_weighted_norm, sparse_operator_matrix
+from operator_oracles import dense_weighted_norm, reflected_spectral_oracle, sided_kernel_sums, sparse_operator_matrix
 from tree_oracles import parent
 from weight_oracles import cube_average
 
 from wharm import bmo as bmo_mod
 from wharm import harness
 from wharm.dyadic import DyadicCube, build_lattice, haar_coefficients, haar_reconstruct, lattice_family, random_haar_sum
-from wharm.grid import Grid, GridFunction, constant, extend_even, extend_odd, restrict
+from wharm.grid import Grid, GridFunction, constant, extend_even, restrict
 from wharm.kernels import heat_free, qt_free
-from wharm.operators import apply, commutator, riesz, semigroup
+from wharm.operators import OperatorHandle, apply, commutator, riesz
 from wharm.sparse import bmo_good_function, build_sparse_from_recursion, carleson_to_sparse, cz_stopping
 from wharm.squarefn import ConeSpec, TimeGrid, area_function
 from wharm.weights import Weight, ap_constant, ap_quotient_on_box, doubling_ratio, one_sided_power_weight, power_weight
@@ -39,35 +39,41 @@ def _report(lines, name, ok, detail=""):
 # Criterion 1: exact structural identities (1e-10 unless noted)
 
 def test_criterion_1_structural_identities(rng):
+    # 1.1-1.3 against independent oracles of the reflection path: the
+    # quadrature backend against the same-side kernel sums built from the
+    # kernel formulas, the Fourier backend against the DCT/DST diagonalization
+    # of the even (odd) extension
     failures = []
+    oracles = {"quadrature": sided_kernel_sums, "fourier": reflected_spectral_oracle}
+
+    def err(kind, family, f, t=None, j=None):
+        """Largest deviation over both backends of the operator from its oracle."""
+        return max(
+            np.max(np.abs(apply(OperatorHandle(kind, family, t=t, j=j, backend=backend), f).values
+                          - oracle(kind, family, f, t=t, j=j)))
+            for backend, oracle in oracles.items()
+        )
+
     for n, N in ((1, 128), (2, 24)):
-        g = Grid(n, 1.0, N)
-        gu = g.with_domain("upper")
+        gu = Grid(n, 1.0, N, "upper")
         f = GridFunction(gu, rng.standard_normal(gu.shape))
-        t = 0.02
-        lhs = apply(semigroup("neumann", t, backend="quadrature"), f)
-        rhs = restrict(apply(semigroup("free", t, backend="quadrature"), extend_even(f)), "upper")
-        err = np.max(np.abs(lhs.values - rhs.values))
-        _report(failures, f"1.1 semigroup reflection identity n={n}", err <= 1e-10, f"max err {err:.2e}")
+        e = err("semigroup", "neumann", f, t=0.02)
+        _report(failures, f"1.1 semigroup reflection identity n={n}", e <= 1e-10, f"max err {e:.2e}")
 
         for j in range(1, n + 1):
-            ln = apply(riesz("neumann", j, backend="quadrature"), f)
-            rn = restrict(apply(riesz("free", j, backend="quadrature"), extend_even(f)), "upper")
-            ld = apply(riesz("dirichlet", j, backend="quadrature"), f)
-            rd = restrict(apply(riesz("free", j, backend="quadrature"), extend_odd(f)), "upper")
-            e1 = np.max(np.abs(ln.values - rn.values))
-            e2 = np.max(np.abs(ld.values - rd.values))
+            e1, e2 = err("riesz", "neumann", f, j=j), err("riesz", "dirichlet", f, j=j)
             _report(failures, f"1.2 Riesz reductions n={n} j={j}", max(e1, e2) <= 1e-10, f"errs {e1:.2e}/{e2:.2e}")
 
-        b = GridFunction(g, rng.standard_normal(g.shape))
-        ff = GridFunction(g, rng.standard_normal(g.shape))
-        bpe = extend_even(restrict(b, "upper"))
-        fpe = extend_even(restrict(ff, "upper"))
+        # [b, R_{N,j}] f = b O(f) - O(b f), O the oracle of R_{N,j}
+        b = GridFunction(gu, rng.standard_normal(gu.shape))
+        bf = GridFunction(gu, b.values * f.values)
         for j in range(1, n + 1):
-            lhs = restrict(apply(commutator(b, riesz("neumann", j, backend="quadrature")), ff), "upper")
-            rhs = restrict(apply(commutator(bpe, riesz("free", j, backend="quadrature")), fpe), "upper")
-            err = np.max(np.abs(lhs.values - rhs.values))
-            _report(failures, f"1.3 commutator reduction n={n} j={j}", err <= 1e-10, f"max err {err:.2e}")
+            e = 0.0
+            for backend, oracle in oracles.items():
+                got = apply(commutator(b, riesz("neumann", j, backend=backend)), f).values
+                want = b.values * oracle("riesz", "neumann", f, j=j) - oracle("riesz", "neumann", bf, j=j)
+                e = max(e, np.max(np.abs(got - want)))
+            _report(failures, f"1.3 commutator reduction n={n} j={j}", e <= 1e-10, f"max err {e:.2e}")
 
     # 1.5 Heaviside locality at 1e-12
     g = Grid(1, 1.0, 128)

@@ -151,3 +151,33 @@ def test_cli_bmo_even_extension_half_weight(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     report = harness_mod.run("dirichlet-counterexample", {"refinements": [64]})
     assert out["norm"] == report["rows"][0]["even_extension_bmo"]
+
+
+def test_cli_bmo_weight_file_on_another_grid_exits_2(tmp_path, capsys):
+    # a 64-point weight file under a 256-point input
+    fpath, _ = _write_inputs(tmp_path, N=256)
+    g64 = Grid(1, 1.0, 64)
+    grid_weight, wpath = str(tmp_path / "w64.csv"), str(tmp_path / "w.json")
+    save_csv(GridFunction(g64, np.full(g64.shape, 2.0)), grid_weight)
+    with open(wpath, "w") as fh:
+        json.dump({"kind": "grid", "file": grid_weight}, fh)
+    rc = main(["bmo", "--flavor", "classical-w", "--input", fpath, "--weight", wpath])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("wharm: DomainError: ")
+
+
+def test_cli_harness_weight_spec_without_alpha_exits_2(tmp_path, capsys):
+    cfg = {
+        "points_per_axis": 64, "symbols": 2, "seed": 0, "max_generation": 4,
+        "weight_pairs": [{"mu": {"kind": "power"}, "lambda": {"kind": "one"}}],
+    }
+    cpath = str(tmp_path / "cfg.json")
+    with open(cpath, "w") as fh:
+        json.dump(cfg, fh)
+    rc = main(["harness", "run", "two-weight-commutator", "--config", cpath, "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == "wharm: ParameterError: weight kind 'power' needs 'alpha'"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from weight_oracles import from_callable
 
-from wharm.errors import DomainError
+from wharm.errors import DomainError, ParameterError
 from wharm.grid import (
     Grid,
     GridFunction,
@@ -116,6 +116,56 @@ def test_domain_errors():
         extend_even(f)
     with pytest.raises(DomainError):
         extend_odd(f)
+
+
+@pytest.mark.parametrize("dim,halfwidth,points", [
+    (1, float("nan"), 8),
+    (1, float("inf"), 8),
+    (1, -float("inf"), 8),
+    (1, "1.0", 8),
+    (1, 1.0, 8.0),
+    (1.0, 1.0, 8),
+    (True, 1.0, 8),
+    (1, 1.0, np.float64(8.0)),
+])
+def test_grid_rejects_sizes_that_are_not_finite_or_not_integers(dim, halfwidth, points):
+    with pytest.raises(ParameterError):
+        Grid(dim, halfwidth, points)
+
+
+def test_grid_takes_numpy_integer_sizes():
+    assert Grid(np.int64(2), np.float64(1.0), np.int64(8)).shape == (8, 8)
+
+
+@pytest.mark.parametrize("field,bad,error", [
+    ("halfwidth", "nan", ParameterError),
+    ("halfwidth", "inf", ParameterError),
+    ("points_per_axis", "8.0", ParameterError),
+    ("dim", "1.5", ParameterError),
+    ("halfwidth", "wide", DomainError),
+    ("halfwidth", None, DomainError),
+])
+def test_csv_load_rejects_bad_grid_sizes(tmp_path, rng, field, bad, error):
+    g = Grid(1, 1.0, 8)
+    path = tmp_path / "f.csv"
+    save_csv(GridFunction(g, rng.standard_normal(g.shape)), str(path))
+    meta, rest = path.read_text().split("\n", 1)
+    fields = dict(tok.split("=", 1) for tok in meta[1:].split())
+    fields[field] = bad
+    meta = " ".join(f"{k}={v}" for k, v in fields.items() if v is not None)
+    path.write_text("# " + meta + "\n" + rest)
+    with pytest.raises(error):
+        load_csv(str(path))
+
+
+def test_binary_load_rejects_a_float_size(tmp_path, rng):
+    g = Grid(1, 1.0, 8)
+    path = tmp_path / "f.json"
+    save_binary(GridFunction(g, rng.standard_normal(g.shape)), str(path))
+    header = json.loads(path.read_text())
+    path.write_text(json.dumps({**header, "points_per_axis": 8.0}))
+    with pytest.raises(ParameterError):
+        load_binary(str(path))
 
 
 def test_csv_round_trip(tmp_path, rng):

@@ -9,20 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.fft import dct, dst, idct, idst
 
 from wharm.errors import BackendError, DomainError, ParameterError, SizeError
 from wharm.grid import Grid, GridFunction, constant, extend_even, extend_odd, restrict
-from wharm.kernels import (
-    KernelSpec,
-    eval_kernel,
-    heaviside_same_side,
-    psi_multiplier,
-    psi_stencil,
-    qt_free,
-    reflect_point,
-    riesz_free,
-)
+from wharm.kernels import psi_multiplier, psi_stencil
 from wharm import operators
 from wharm.operators import (
     FOURIER,
@@ -46,7 +36,16 @@ from wharm.operators import (
 )
 from wharm.weights import Weight, weight_from_spec
 
-from operator_oracles import ascent_norm, dense_weighted_norm, linear_operator, phi_op, qt_neumann, qt_op, svds_norm
+from operator_oracles import (
+    ascent_norm,
+    dense_weighted_norm,
+    linear_operator,
+    phi_op,
+    qt_op,
+    reflected_spectral_oracle,
+    sided_kernel_sums,
+    svds_norm,
+)
 
 
 def test_semigroup_preserves_constants(grid64):
@@ -64,35 +63,6 @@ def test_hilbert_transform_of_cosine():
     f = GridFunction(g, np.cos(np.pi * x))
     out = apply(riesz("free", 1), f)
     assert np.max(np.abs(out.values + np.sin(np.pi * x))) <= 1e-8
-
-
-def sided_kernel_row(kind, family, x, ys, t=None, j=None):
-    """Same-side kernel K_N or K_D of one row x against the points ys, built
-    from the kernel formulas alone: the free summand plus or minus the
-    reflected one, the free Riesz diagonal left out (its principal value)."""
-    n = ys.shape[-1]
-    sign = 1.0 if family == "neumann" else -1.0
-    if kind == "semigroup":
-        return eval_kernel(KernelSpec(f"heat-{family}", n, t=t), x, ys)
-    if kind == "qt":
-        if family == "neumann":
-            return qt_neumann(x, ys, t, n)
-        return heaviside_same_side(x, ys) * (qt_free(x, ys, t, n) - qt_free(x, reflect_point(ys), t, n))
-    row = np.zeros(len(ys))
-    same = heaviside_same_side(x, ys) > 0
-    off = same & np.any(ys != x, axis=-1)
-    row[off] = riesz_free(x, ys[off], j, n)
-    row[same] += sign * riesz_free(x, reflect_point(ys[same]), j, n)
-    return row
-
-
-def sided_kernel_sums(kind, family, f, t=None, j=None):
-    """The midpoint-rule sums of the same-side kernel over f's cells, one
-    row x at a time: the independent oracle of the reflection path."""
-    g = f.grid
-    ys = g.points().reshape(-1, g.dim)
-    weighted = f.values.reshape(-1) * g.cell_volume
-    return np.array([sided_kernel_row(kind, family, x, ys, t, j) @ weighted for x in ys]).reshape(g.shape)
 
 
 def assert_matches_kernel_sums(kind, family, f, t=None, j=None):
@@ -285,7 +255,7 @@ def test_ascent_general_p_runs(grid64, rng, monkeypatch):
     monkeypatch.setattr(operators, "_RESTARTS", 3)
     val, cert = weighted_operator_norm(op, grid64, None, None, p=3.0, method="ascent")
     assert val > 0
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="svd"):
         weighted_operator_norm(op, grid64, None, None, p=3.0, method="svd")
 
 
@@ -417,6 +387,32 @@ def test_transpose_adjoint_identity(data):
     Ax, Aty = A.matvec(x), A.rmatvec(y)
     scale = np.linalg.norm(Ax) * np.linalg.norm(y) + np.linalg.norm(x) * np.linalg.norm(Aty)
     assert abs(Ax @ y - x @ Aty) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim,N", [(1, 32), (2, 12)])
+@pytest.mark.parametrize("backend", [FOURIER, QUADRATURE])
+@pytest.mark.parametrize("domain", ["upper", "lower"])
+def test_dense_matrices_satisfy_the_adjoint_identities(dim, N, backend, domain):
+    # from forward applies alone: R_{N,n}^T = -R_{D,n} and back, the
+    # tangential Riesz components are antisymmetric, semigroup and qt symmetric
+    g = Grid(dim, 1.0, N, domain)
+
+    def dense(kind, family, t=None, j=None):
+        return assemble_matrix(OperatorHandle(kind, family, t=t, j=j, backend=backend), g)
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    neumann, dirichlet = dense("riesz", "neumann", j=dim), dense("riesz", "dirichlet", j=dim)
+    assert_close(neumann.T, -dirichlet)
+    assert_close(dirichlet.T, -neumann)
+    for family in ("neumann", "dirichlet"):
+        for j in range(1, dim):
+            M = dense("riesz", family, j=j)
+            assert_close(M.T, -M)
+        for kind, t in (("semigroup", 0.02), ("qt", 0.15)):
+            M = dense(kind, family, t=t)
+            assert_close(M.T, M)
 
 
 # ---------------------------------------------------------------------------
@@ -652,53 +648,7 @@ def test_ascent_does_not_depend_on_the_block(monkeypatch, cells):
 
 
 # ---------------------------------------------------------------------------
-# an independent spectral oracle for the Fourier backend's reflection path:
-# on the upper half grid the even (odd) extension across x_n = 0 is
-# diagonalized by the DCT-II (DST-II) along x_n, with frequencies
-# pi k / (M h), k = 0..M-1 (k = 1..M); tangential axes keep the FFT.
-
-
-def reflected_spectral_oracle(kind, family, f, t=None, j=None):
-    g = f.grid
-    N, M, h = g.points_per_axis, g.shape[-1], g.h
-    neumann = family == "neumann"
-    forward, inverse, inverse_normal = (dct, idct, idst) if neumann else (dst, idst, idct)
-    k = np.arange(M) if neumann else np.arange(1, M + 1)
-    xi_n = np.pi * k / (M * h)
-    coef = forward(f.values, type=2, axis=-1)
-    xi_t = None
-    if g.dim == 2:
-        coef = np.fft.fft(coef, axis=0)
-        xi_t = (2.0 * np.pi * np.fft.fftfreq(N, d=h))[:, None]
-        xi2 = xi_t ** 2 + xi_n[None, :] ** 2
-    else:
-        xi2 = xi_n ** 2
-    mag = np.sqrt(np.where(xi2 > 0, xi2, 1.0))
-    if kind == "semigroup":
-        m = np.exp(-t * xi2)
-    elif kind == "qt":
-        m = t ** 2 * xi2 * np.exp(-(t ** 2) * xi2)
-    elif j < g.dim:
-        # tangential Riesz: multiplier i xi_j/|xi|, its Nyquist row zeroed
-        m = np.where(xi2 > 0, 1j * xi_t / mag, 0.0)
-        m[N // 2] = 0.0
-    else:
-        # normal Riesz: i xi_n/|xi| takes cos(xi_n x_n) to -sin and sin to
-        # cos, so the DCT coefficient of frequency k becomes a DST one and
-        # back; the Nyquist frequency pi/h is dropped
-        ratio = np.where(xi2 > 0, xi_n / mag, 0.0)
-        out = np.zeros_like(coef)
-        if neumann:
-            out[..., :-1] = -(ratio * coef)[..., 1:]
-        else:
-            out[..., 1:] = (ratio * coef)[..., :-1]
-        if g.dim == 2:
-            out = np.fft.ifft(out, axis=0).real
-        return inverse_normal(out, type=2, axis=-1)
-    coef = coef * m
-    if g.dim == 2:
-        coef = np.fft.ifft(coef, axis=0).real
-    return inverse(coef, type=2, axis=-1)
+# the Fourier backend's reflection path against the DCT/DST oracle
 
 
 @pytest.mark.parametrize("dim,N", [(1, 128), (2, 32)])

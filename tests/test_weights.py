@@ -274,6 +274,29 @@ def test_weight_from_spec(grid64, tmp_path, rng):
         weight_from_spec({"kind": "nope"}, grid64)
 
 
+@pytest.mark.parametrize("kind", ["grid", "exp_bmo"])
+def test_weight_file_on_another_grid_is_rejected(tmp_path, rng, kind):
+    from wharm.grid import save_csv
+
+    path = str(tmp_path / "w.csv")
+    save_csv(GridFunction(Grid(1, 1.0, 64), np.exp(rng.standard_normal(64))), path)
+    for grid in (Grid(1, 1.0, 256), Grid(1, 2.0, 64), Grid(1, 1.0, 64, "upper")):
+        with pytest.raises(DomainError, match="lives on"):
+            weight_from_spec({"kind": kind, "file": path}, grid)
+
+
+@pytest.mark.parametrize("spec,key", [
+    ({"kind": "power"}, "alpha"),
+    ({"kind": "one-sided-power"}, "alpha"),
+    ({"kind": "prop33"}, "alpha"),
+    ({"kind": "grid"}, "file"),
+    ({"kind": "exp_bmo", "delta": 0.5}, "file"),
+])
+def test_weight_spec_missing_a_key_names_it(grid64, spec, key):
+    with pytest.raises(ParameterError, match=repr(key)):
+        weight_from_spec(spec, grid64)
+
+
 def test_mass_table_consistency(rng):
     # the per-generation block sums that ap_constant reads, times the cell
     # volume, are the oracle's cube-by-cube masses on every lattice of the
