@@ -152,13 +152,6 @@ class AtomicDecomposition:
     residual: GridFunction
     report: dict = field(default_factory=dict)
 
-    def reconstruction(self) -> GridFunction:
-        g = self.residual.grid
-        vals = self.residual.values.copy()
-        for lam, a in zip(self.coefficients, self.atoms):
-            vals += lam * a.values.values
-        return GridFunction(g, vals)
-
     def to_json(self) -> dict:
         """Coefficients, cube ids, and per-atom validity slack."""
         atoms = []
@@ -277,13 +270,14 @@ def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignmen
     is summed in the spectral domain: piece = irfft(sum_t m_t rfft(1_key u_t))
     with u_t the qt fields of one apply_scales and m_t the psi multipliers.
     Every bucket owns one row of a spectrum array, numbered in order of first
-    appearance; at each scale _BUCKET_SLICE masked copies of u_t take one
-    real transform (_masked_transform, on the grid rows they hold) and are
-    added onto their rows, and the rows are inverted _BUCKET_SLICE at a time
-    at the end, so the stacked temporaries stay bounded.  psi is the
-    quadrature stencil in 1D and the Fourier multiplier in 2D.  The stencil
-    has compact support, so there each piece is zeroed outside the cells its
-    slabs reach (psi_reach): the clipped mass holds no round-off.
+    appearance.  _BUCKET_SLICE buckets at a time, at each scale of the slab
+    their masked copies of u_t take one real transform (_masked_transform,
+    on the grid rows they hold) and are added onto their rows; the rows are
+    inverted _BUCKET_SLICE at a time at the end, so the stacked temporaries
+    stay bounded.  psi is the quadrature stencil in 1D and the Fourier
+    multiplier in 2D.  The stencil has compact support, so there each piece
+    is zeroed outside the cells its slabs reach (psi_reach): the clipped
+    mass holds no round-off.
     """
     g = f.grid
     psi_backend = QUADRATURE if g.dim == 1 else FOURIER
@@ -301,10 +295,12 @@ def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignmen
         psi = free_multipliers(psi_op(ts[0], backend=psi_backend), g, ts)
         if reach is not None:
             reach[rows] |= psi_reach(masks, ts, g)
-        batches = [(rows[lo:lo + _BUCKET_SLICE], _masked_transform(masks[lo:lo + _BUCKET_SLICE], g))
-                   for lo in range(0, len(rows), _BUCKET_SLICE)]
-        for m, u in zip(psi, apply_scales("qt", "free", ts, f)):
-            for batch_rows, transform in batches:
+        fields = apply_scales("qt", "free", ts, f)
+        # a batch's spectrum rows stay in cache over the slab's scales, which
+        # every row still sums in increasing order
+        for lo in range(0, len(rows), _BUCKET_SLICE):
+            batch_rows, transform = rows[lo:lo + _BUCKET_SLICE], _masked_transform(masks[lo:lo + _BUCKET_SLICE], g)
+            for m, u in zip(psi, fields):
                 batch = transform(u)
                 batch *= m
                 spectra[batch_rows] += batch

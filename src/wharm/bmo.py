@@ -231,24 +231,6 @@ def bmo_deltaN_sides_norms(values: np.ndarray, grid, w, lattices, tg: TimeGrid =
     )
 
 
-def bmo_deltaN_classical_norm(f: GridFunction, lattices) -> float:
-    """Unweighted BMO_{Delta_N}: classical BMO of both even extensions, summed."""
-    fp, fm = sided_even_values(f.values[None])
-    return float(_classical_sup(fp, None, lattices)[0] + _classical_sup(fm, None, lattices)[0])
-
-
-def dyadic_local_bmo(f: GridFunction, lat: DyadicLattice, q0, w=None) -> float:
-    """sup over lattice cubes Q contained in q0 of the mean-deviation functional."""
-    warr = None if w is None else as_weight(w).array
-    best = 0.0
-    for k in range(q0.generation, lat.max_generation + 1):
-        depth = k - q0.generation
-        inside = tuple(slice(i << depth, (i + 1) << depth) for i in q0.index)
-        wv = None if warr is None else lat.blocks(warr, k)[inside]
-        best = max(best, float(_mean_deviation(lat.blocks(f.values, k)[inside], wv).max()))
-    return float(best)
-
-
 def john_nirenberg_report(suite, lattices) -> dict:
     """rho = ||b||_{w,r} / ||b||_w per instance plus the A^p-based predictor.
 

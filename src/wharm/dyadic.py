@@ -110,9 +110,6 @@ class DyadicLattice:
         """|Q| of every cube of a generation."""
         return (2.0 * self.grid.halfwidth * 2.0 ** (-generation)) ** self.grid.dim
 
-    def cell_measure(self, cube: DyadicCube) -> float:
-        return self.measure(cube.generation)
-
     def cell_indices(self, cube: DyadicCube):
         """Per-axis integer index arrays (for np.ix_); wrapped order."""
         N = self.grid.points_per_axis
@@ -308,22 +305,6 @@ def haar_synthesis(coeffs: np.ndarray, lat: DyadicLattice, k: int, out: np.ndarr
         children = (c[..., None] * (signs * scale)).reshape(lead + (count,) * n + (2,) * n)
         out += lat.spread(children.transpose(order).reshape(lead + (2 * count,) * n), k + 1)
     return out
-
-
-def haar_reconstruct(coeffs: dict, lat: DyadicLattice, base_mean: float) -> GridFunction:
-    """Sum of coeff * h_Q^eps plus the base-cube mean, one synthesis per generation."""
-    n = lat.grid.dim
-    column = {sig: e for e, sig in enumerate(signatures(n))}
-    generations = {}
-    for (cube, sig), c in coeffs.items():
-        k = cube.generation
-        if k not in generations:
-            generations[k] = np.zeros((1 << k,) * n + (len(column),))
-        generations[k][cube.index + (column[sig],)] = c
-    vals = np.full(lat.grid.shape, float(base_mean))
-    for k in sorted(generations):
-        haar_synthesis(generations[k], lat, k, vals)
-    return GridFunction(lat.grid, vals)
 
 
 def random_haar_sums(lat: DyadicLattice, rng, count: int, weight=None, max_generation=None) -> np.ndarray:

@@ -134,13 +134,6 @@ def restrict(f: GridFunction, side: str) -> GridFunction:
     return GridFunction(f.grid.with_domain(side), vals)
 
 
-def _extend(f: GridFunction, sign: float) -> GridFunction:
-    g = f.grid
-    if g.domain == FULL:
-        raise DomainError("extension expects a half-space grid function")
-    return GridFunction(g.with_domain(FULL), extended_values(f.values, g.domain, sign))
-
-
 def extended_values(values: np.ndarray, domain: str, sign: float) -> np.ndarray:
     """Full-grid values of the even (sign 1) or odd (sign -1) extension of
     half-space values on the side `domain`; leading axes ride along."""
@@ -150,12 +143,9 @@ def extended_values(values: np.ndarray, domain: str, sign: float) -> np.ndarray:
 
 def extend_even(f: GridFunction) -> GridFunction:
     """Even extension g with g(x') = g(x) under the reflection x -> x~."""
-    return _extend(f, 1.0)
-
-
-def extend_odd(f: GridFunction) -> GridFunction:
-    """Odd extension g with g(x~) = -g(x)."""
-    return _extend(f, -1.0)
+    if f.grid.domain == FULL:
+        raise DomainError("extension expects a half-space grid function")
+    return GridFunction(f.grid.with_domain(FULL), extended_values(f.values, f.grid.domain, 1.0))
 
 
 def sided_even_extensions(f: GridFunction) -> tuple:
@@ -230,22 +220,6 @@ def load_csv(path: str) -> GridFunction:
     vals = np.empty(grid.shape)
     vals[tuple(idx.T)] = data[:, grid.dim]
     return GridFunction(grid, vals)
-
-
-def save_binary(f: GridFunction, path: str) -> None:
-    """JSON header at `path`, float64 column (C order) at `path` + '.bin'."""
-    g = f.grid
-    header = {
-        "dim": g.dim,
-        "halfwidth": g.halfwidth,
-        "points_per_axis": g.points_per_axis,
-        "domain": g.domain,
-        "dtype": "float64",
-        "count": int(f.values.size),
-    }
-    with open(path, "w") as fh:
-        json.dump(header, fh, indent=1)
-    f.values.astype("<f8").tofile(path + ".bin")
 
 
 def load_binary(path: str) -> GridFunction:

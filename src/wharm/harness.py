@@ -95,11 +95,8 @@ def write_report(report: dict, out_path: str, csv_path: str = None) -> None:
 
 
 def _grid_from_cfg(cfg) -> Grid:
-    return Grid(
-        int(cfg.get("dim", 1)),
-        float(cfg.get("halfwidth", 1.0)),
-        int(cfg.get("points_per_axis", 256)),
-    )
+    # the sizes reach Grid as given, which rejects a size of 64.9 or "64"
+    return Grid(cfg.get("dim", 1), float(cfg.get("halfwidth", 1.0)), cfg.get("points_per_axis", 256))
 
 
 def _lattices(grid: Grid, cfg) -> list:
@@ -141,7 +138,9 @@ def run_two_weight_commutator(cfg: dict) -> dict:
     count = int(cfg.get("symbols", 50))
     seed = int(cfg.get("seed", 0))
     band_cap = float(cfg.get("band_cap", 50.0))
-    half_space = bool(cfg.get("half_space", False))
+    half_space = cfg.get("half_space", False)
+    if not isinstance(half_space, bool):
+        raise ParameterError(f"half_space must be a JSON boolean, got {half_space!r}")
 
     # half-space variant: the operators act on the upper half grid directly
     base = grid.with_domain("upper") if half_space else grid
@@ -185,10 +184,15 @@ def run_two_weight_commutator(cfg: dict) -> dict:
 
 @experiment("riesz-ap")
 def run_riesz_ap_characterization(cfg: dict) -> dict:
-    """Co-divergence of ||R_{N,l}||_{L^p_w} and the Neumann A^p characteristic."""
+    """Co-divergence of ||R_{N,l}||_{L^2_w} and the Neumann A^2 characteristic.
+
+    The Riesz norms are top singular values, so the experiment runs at p = 2
+    only: any other p would pair A^p constants with L^2 norms."""
+    p = float(cfg.get("p", 2.0))
+    if p != 2.0:
+        raise ParameterError(f"riesz-ap computes its Riesz norms at p = 2 only, got p = {cfg['p']!r}")
     grid = _grid_from_cfg(cfg)
     lattices = _lattices(grid, cfg)
-    p = float(cfg.get("p", 2.0))
     alphas = cfg.get("alphas", [0.2, 0.5, 0.8, 0.9, 0.95])
     R = riesz("neumann", grid.dim)
     rows = []

@@ -144,58 +144,3 @@ def psi_stencil(t: float, h: float) -> np.ndarray:
 
     ints = (ramp(edges, t / 2.0) - 0.5 * ramp(edges, t)) / t
     return (ints[:, 1] - ints[:, 0]) / h
-
-
-def check_kernel_smoothness(spec: KernelSpec, samples: int, rng_seed: int, halfwidth: float = 1.0) -> dict:
-    """Sample-based verification of the size/smoothness bounds.
-
-    Same-side triples x, x', y with |x - x'| <= |x - y|/2; reports the
-    largest constant observed for each bound shape.
-    """
-    if samples <= 0:
-        raise ParameterError("samples must be positive")
-    rng = np.random.default_rng(rng_seed)
-    n = spec.dim
-    L = halfwidth
-
-    def sample_same_side(count):
-        x = rng.uniform(-L, L, size=(count, n))
-        x[:, -1] = rng.uniform(0.05 * L, L, size=count)  # keep off the boundary
-        y = np.array(x)
-        y[:, :] = rng.uniform(-L, L, size=(count, n))
-        y[:, -1] = rng.uniform(0.05 * L, L, size=count)
-        r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
-        step = rng.uniform(0.05, 0.5, size=(count, 1)) * (r / 2.0)[:, None]
-        direction = rng.standard_normal((count, n))
-        direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
-        xp = x + step * direction
-        xp[:, -1] = np.abs(xp[:, -1]) + 1e-12  # stay on the same side
-        return x, xp, y
-
-    report = {"family": spec.family, "dim": n, "samples": samples}
-    if spec.family in HEAT_FAMILIES:
-        ts = rng.uniform(0.01, 1.0, size=samples)
-        x, xp, y = sample_same_side(samples)
-        k1 = np.array([eval_kernel(KernelSpec(spec.family, n, t=t), xi, yi) for t, xi, yi in zip(ts, x, y)])
-        k2 = np.array([eval_kernel(KernelSpec(spec.family, n, t=t), xi, yi) for t, xi, yi in zip(ts, xp, y)])
-        r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
-        dxx = np.sqrt(np.sum((x - xp) ** 2, axis=-1))
-        st = np.sqrt(ts)
-        bound = dxx / (st + r) * st / (st + r) ** (n + 1)
-        report["smoothness_constant"] = float(np.max(np.abs(k1 - k2) / bound))
-        c = 0.2  # any c < 1/4 works for the Gaussian bound
-        size = np.abs(k1) * ts ** (n / 2.0) * np.exp(c * r ** 2 / ts)
-        report["gaussian_size_constant"] = float(np.max(size))
-        report["gaussian_decay_rate"] = c
-    elif spec.family in RIESZ_FAMILIES:
-        x, xp, y = sample_same_side(samples)
-        kj = eval_kernel(spec, x, y)
-        kjp = eval_kernel(spec, xp, y)
-        r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
-        dxx = np.sqrt(np.sum((x - xp) ** 2, axis=-1))
-        report["size_constant"] = float(np.max(np.abs(kj) * r ** n))
-        report["size_constant_over_Cn"] = report["size_constant"] / riesz_normalization(n)
-        report["smoothness_constant"] = float(np.max(np.abs(kj - kjp) / (dxx / r ** (n + 1))))
-    else:
-        raise ParameterError(f"no smoothness scan for family {spec.family!r}")
-    return report

@@ -25,22 +25,56 @@ The multipliers come from free_multipliers: one read-only stack per (kind,
 j, beta, grid, scales, backend), cached, so repeated applies and the scales
 of one slab never rebuild them.
 
-The Neumann and Dirichlet families take one path on both backends
-(_sided_map): each side's values are extended evenly (sign s = 1, Neumann)
-or oddly (s = -1, Dirichlet) across x_n = 0, the free map is applied once,
-and the result is read back on that side.  For the midpoint rule this is
-exactly the same-side kernel sum
+The Neumann and Dirichlet families reflect the free operator across
+x_n = 0: each side's values are extended evenly (sign s = 1, Neumann) or
+oddly (s = -1, Dirichlet), the free map acts on the extension, and each
+side reads its own half back.  For the midpoint rule this is exactly the
+same-side kernel sum
     sum_{y on x's side} [K(x - y) + s K(x - y~)] f(y),
 with the finite reflected summand at y = x kept: it is the x~ cell of the
-extension, and only the free diagonal cell is dropped.
+extension, and only the free diagonal cell is dropped.  The quadrature
+backend builds the extension and convolves it (_sided_map), the slow
+reference.  The Fourier backend never builds it (_reflected_map): the
+extension is half-sample symmetric, so its transform is the DCT-II (s = 1)
+or DST-II (s = -1) of the side's M = N/2 values, which Makhoul's real-FFT
+form ("A fast cosine transform in one and two dimensions", 1980) takes at
+length M.
+
+Let x_d, d = 0..M-1, be one side's values by distance from x_n = 0 (up
+from the interface on the upper side, down on the lower one).  Makhoul's
+order puts the even distances first, then the odd ones reversed, and the
+length-M real transform V_k of that sequence (k = 0..M//2, the tangential
+axis transformed in full) holds the pair
+    a_k = e^{-i pi k / 2M} V_k = c_k - i c_{M-k},
+c_k = sum_d x_d cos(pi (2d + 1) k / 2M) the DCT-II of x.  With the odd
+distances negated first it holds s_{M-k} - i s_k instead, s the DST-II.
+The even (odd) extension has the length-N transform 2 e^{i pi k / 2M} c_k
+(-2i e^{i pi k / 2M} s_k), so the free multiplier's bins k and M - k on the
+normal axis map (c or s)_k and (c or s)_{M-k} to the output's, whose pair
+the inverse transform reads the same way.  The data are real, so
+conj(a_k) read at -xi' on the tangential axis is c_k + i c_{M-k}, and the
+map of pairs is the two-term step
+    V'_k = P_k V_k + Q_k conj(V_k(-xi')),
+    P_k = (m_k + p m_{M-k}) / 2,
+    Q_k = s e^{i pi k / M} (m_k - p m_{M-k}) / 2,
+with p = -1 for R_n, whose multiplier is odd in xi_n and takes an even side
+to an odd one and back, and p = 1 for every other multiplier.  The output
+is odd where s p = -1, and then has its odd distances negated back after
+the inverse transform.  The lower side is the upper one seen through
+x_n -> -x_n, which multiplies P and Q by p.  So one map gathers the sides
+in Makhoul's order into one (..., [N,] sides, M) array by strided slice
+copies, transforms it once at length M, takes the step with P and Q
+(_reflection_stack: cached, read-only, one per t of a scale stack, and for
+R_n one per side) and scatters the inverse transform back; a full grid is
+exactly the two half grids' computations stacked, bit for bit.
 
 apply_scales gives the fields G_t f of one scale kind (semigroup, qt, psi,
 phi) at many scales t as one (T, *grid) array.  On the Fourier backend f, or
-its two sided extensions through the same reflection path, takes one forward
-real transform, the multipliers of every t are one stack on one half
-spectrum, and one batched inverse transform returns all fields; each row
-equals the one-scale apply bit for bit (apply is the stack of one).  A
-stack of functions (S, *grid) rides along behind the scale axis, each row as
+its sides gathered at half length, takes one forward real transform, the
+multipliers (or reflection steps) of every t are one stack, and one
+batched inverse transform returns all fields; each row equals the
+one-scale apply bit for bit (apply is the stack of one).  A stack of
+functions (S, *grid) rides along behind the scale axis, each row as
 it would alone, so bmo's Carleson heat norms take every symbol of a weight
 in one call.  It is Fourier only: no caller batches quadrature scales, and
 the per-t apply stays the quadrature path.  The stack holds T half spectra
@@ -267,10 +301,16 @@ def free_multipliers(op: OperatorHandle, grid: Grid, ts=None) -> np.ndarray:
     one per t of ts (default op.t alone; Riesz has no scale).  psi takes its
     backend's multiplier, the quadrature stencil's included.  The stacks are
     cached and read-only, so one slab's scales never rebuild them."""
+    return _multiplier_stack(op.kind, op.j, op.beta, grid, _scales(op, grid, ts), op.backend)
+
+
+def _scales(op: OperatorHandle, grid: Grid, ts) -> tuple:
+    """The scales of op's multiplier stack as a cache key: the floats of ts
+    (default op.t alone), None for Riesz, whose component must lie in
+    1..grid.dim."""
     if op.kind == "riesz" and not 1 <= op.j <= grid.dim:
         raise ParameterError(f"Riesz component j = {op.j} outside 1..{grid.dim}")
-    scales = None if op.kind == "riesz" else tuple(float(t) for t in ([op.t] if ts is None else ts))
-    return _multiplier_stack(op.kind, op.j, op.beta, grid, scales, op.backend)
+    return None if op.kind == "riesz" else tuple(float(t) for t in ([op.t] if ts is None else ts))
 
 
 def _kernel_table(op: OperatorHandle, grid: Grid) -> np.ndarray:
@@ -335,23 +375,113 @@ def _free_operator(op: OperatorHandle, grid: Grid, ts=None):
 
 
 def _sided_map(free, sign: float, grid: Grid):
-    """The reflection of the full-grid map free onto grid's value arrays: each
-    side's values are extended evenly (sign 1) or oddly (sign -1) across
-    x_n = 0, one free call maps them and each side reads its own half back.
-    On a full grid both sides ride as one batch axis just before the grid
-    axes, so a scale axis that free puts in front passes through."""
+    """The quadrature reflection of the full-grid map free onto grid's value
+    arrays: each side's values are extended evenly (sign 1) or oddly (sign
+    -1) across x_n = 0, one free call maps them and each side reads its own
+    half back.  On a full grid both sides ride as one leading batch axis."""
     half = grid.points_per_axis // 2
     if grid.domain != FULL:
         own = slice(half, None) if grid.domain == UPPER else slice(None, half)
         return lambda v: free(extended_values(v, grid.domain, sign))[..., own]
-    side_axis = -grid.dim - 1
 
     def both(v):
-        lower, upper = extended_values(v[..., :half], LOWER, sign), extended_values(v[..., half:], UPPER, sign)
-        lower, upper = np.moveaxis(free(np.stack([lower, upper], axis=side_axis)), side_axis, 0)
+        lower, upper = free(np.stack([extended_values(v[..., :half], LOWER, sign),
+                                      extended_values(v[..., half:], UPPER, sign)]))
         return np.concatenate([lower[..., :half], upper[..., half:]], axis=-1)
 
     return both
+
+
+def _sides(grid: Grid) -> tuple:
+    """The sides of x_n = 0 that grid holds, in storage order."""
+    return (LOWER, UPPER) if grid.domain == FULL else (grid.domain,)
+
+
+def _normal_parity(kind: str, j, grid: Grid) -> float:
+    """The parity in xi_n of kind's multiplier: -1 for the normal Riesz
+    component R_n, 1 for every other."""
+    return -1.0 if kind == "riesz" and j == grid.dim else 1.0
+
+
+def _makhoul_order(side: str, M: int) -> tuple:
+    """(even, odd): the slices of one side's M values at the even distances
+    0, 2, ... from x_n = 0, in increasing distance, and at the odd distances,
+    in decreasing distance.  Their concatenation is Makhoul's order."""
+    if side == UPPER:
+        return slice(0, None, 2), slice(2 * (M // 2) - 1, 0, -2)
+    return slice(None, None, -2), slice(M % 2, None, 2)
+
+
+@lru_cache(maxsize=64)
+def _reflection_stack(kind: str, j, beta: int, grid: Grid, ts, sign: float) -> tuple:
+    """Read-only (P, Q) of the half-length map of kind's Neumann (sign 1) or
+    Dirichlet (sign -1) operator on grid, shape (len(ts), [N,] sides, M//2 + 1):
+    one side for a half grid, and for a full grid two (lower, upper) where
+    they differ, for R_n, or one that both sides share.  The module docstring
+    derives them."""
+    # the free stack serves only this build, so it stays out of its cache
+    m = _multiplier_stack.__wrapped__(kind, j, beta, grid.with_domain(FULL), ts, FOURIER)
+    M, parity = grid.points_per_axis // 2, _normal_parity(kind, j, grid)
+    low, high = m[..., : M // 2 + 1], m[..., M: M - M // 2 - 1: -1]
+    P = (low + parity * high) / 2.0
+    Q = sign * np.exp(1j * np.pi * np.arange(M // 2 + 1) / M) * (low - parity * high) / 2.0
+    if parity < 0:
+        # the lower side is the upper one seen through x_n -> -x_n, which
+        # multiplies the multiplier by its parity in xi_n
+        P, Q = (np.stack([-a if side == LOWER else a for side in _sides(grid)], axis=-2) for a in (P, Q))
+    else:
+        P, Q = P[..., None, :], Q[..., None, :]
+    P.flags.writeable = Q.flags.writeable = False
+    return P, Q
+
+
+def _reflected_map(op: OperatorHandle, grid: Grid, ts, sign: float):
+    """The Fourier Neumann (sign 1) or Dirichlet (sign -1) map of op on grid's
+    value arrays by half-length transforms, leading batch axes allowed (with
+    ts, the field at every t of ts along a new leading axis).  Each side is
+    gathered in Makhoul order into one (..., [N,] sides, M) array, the odd
+    distances negated for an odd input, transformed at length M, mapped by
+    the two-term step V' = P V + Q conj(V(-xi')), transformed back and
+    scattered, the odd distances negated for an odd output."""
+    P, Q = _reflection_stack(op.kind, op.j, op.beta, grid, _scales(op, grid, ts), sign)
+    if ts is None:
+        P, Q = P[0], Q[0]
+    M, n = grid.points_per_axis // 2, grid.dim
+    h = (M + 1) // 2  # the even distances, which lead Makhoul's order
+    orders = [_makhoul_order(side, M) for side in _sides(grid)]
+    # the output's parity: a product with +-1 copies or negates exactly
+    out_sign = sign * _normal_parity(op.kind, op.j, grid)
+
+    def reflected(v):
+        shape = v.shape[:-1] + (len(orders), M)
+        src, buf = v.reshape(shape), np.empty(shape)
+        for i, (even, odd) in enumerate(orders):
+            buf[..., i, :h] = src[..., i, even]
+            np.multiply(src[..., i, odd], sign, out=buf[..., i, h:])
+        # rfftn over the tangential axis and x_n, without its argument parsing
+        V = np.fft.rfft(buf)
+        if n == 1:
+            W = np.conjugate(V)
+        else:
+            V = np.fft.fft(V, axis=-3)
+            # conj(V(-xi')): the tangential frequencies 0, -1, -2, ... mod N
+            W = np.empty_like(V)
+            np.conjugate(V[..., :1, :, :], out=W[..., :1, :, :])
+            np.conjugate(V[..., :0:-1, :, :], out=W[..., 1:, :, :])
+        # one scale or a stack of them: the same products, so that a stack's
+        # rows equal their one-scale maps bit for bit
+        lead = () if ts is None else (1,) * (v.ndim - n)
+        spec = P.reshape(P.shape[:-n - 1] + lead + P.shape[-n - 1:]) * V
+        spec += Q.reshape(Q.shape[:-n - 1] + lead + Q.shape[-n - 1:]) * W
+        r = np.fft.irfft(spec if n == 1 else np.fft.ifft(spec, axis=-3), n=M)
+        out = np.empty(r.shape[:-2] + (len(orders) * M,))
+        view = out.reshape(r.shape)
+        for i, (even, odd) in enumerate(orders):
+            view[..., i, even] = r[..., i, :h]
+            np.multiply(r[..., i, h:], out_sign, out=view[..., i, odd])
+        return out
+
+    return reflected
 
 
 def _maps(op: OperatorHandle, grid: Grid, ts=None):
@@ -360,7 +490,9 @@ def _maps(op: OperatorHandle, grid: Grid, ts=None):
     allowed (with ts, op's field at every t of ts along a new leading axis).
     A free map is its own M*.  A Neumann/Dirichlet map reflects the free map
     with sign s, and its M* is the same map, but for R_n, whose M* reflects
-    with -s (the module docstring gives the kernel identity)."""
+    with -s (the module docstring gives the kernel identity).  The Fourier
+    backend reflects by half-length transforms (_reflected_map), the
+    quadrature backend by the extension (_sided_map)."""
     parity = -1.0 if op.kind == "riesz" else 1.0
     if op.family == "free":
         if grid.domain != FULL:
@@ -371,11 +503,15 @@ def _maps(op: OperatorHandle, grid: Grid, ts=None):
         raise BackendError(f"cannot dispatch {op}")
     if op.family == "dirichlet" and grid.domain == FULL:
         raise DomainError("the Dirichlet Laplacian lives on a half-space")
-    free = _free_operator(op, grid.with_domain(FULL), ts)
     sign = 1.0 if op.family == "neumann" else -1.0
-    forward = _sided_map(free, sign, grid)
-    if op.kind == "riesz" and op.j == grid.dim:
-        return forward, _sided_map(free, -sign, grid), parity
+    if op.backend == FOURIER:
+        reflect = lambda s: _reflected_map(op, grid, ts, s)
+    else:
+        free = _free_operator(op, grid.with_domain(FULL), ts)
+        reflect = lambda s: _sided_map(free, s, grid)
+    forward = reflect(sign)
+    if _normal_parity(op.kind, op.j, grid) < 0:
+        return forward, reflect(-sign), parity
     return forward, forward, parity
 
 

@@ -204,20 +204,3 @@ def carleson_to_sparse(lat: DyadicLattice, cubes, eta: float):
         carriers[q] = np.zeros(lat.grid.shape)
         carriers[q][cells] = take
     return SparseCollection(lat, list(cubes), carriers, eta)
-
-
-def bmo_good_function(b: GridFunction, w, lat: DyadicLattice, q0: DyadicCube, alpha: float):
-    """a = 1_{Q0} b - sum_R (b - <b>_R) 1_R with R from the w-stopping family.
-
-    a agrees with b outside the selected cubes, is flat on each of them, and
-    lands in unweighted dyadic BMO over Q0 with norm at most
-    2 alpha <w>_{Q0} ||b||_{BMO_D(w), D(Q0)}.
-    """
-    fam = cz_stopping(w, lat, q0, alpha)
-    means = _generation_means(b.values, lat)
-    vals = np.zeros(b.grid.shape)
-    mask0 = lat.mask(q0)
-    vals[mask0] = b.values[mask0]
-    for R in fam.selected:
-        vals[np.ix_(*lat.cell_indices(R))] = means[R.generation][R.index]
-    return GridFunction(b.grid, vals), fam

@@ -1,5 +1,5 @@
 """Muckenhoupt weight classes: classical A^p, the reflection-Neumann class,
-Bloom triples, doubling diagnostics, exp/log bridge.
+Bloom triples, exp/log bridge.
 
 Cube masses w(Q) are exact cell sums.  The lattice scans take them one
 generation at a time from the block view of the lattice (every cube's sum
@@ -152,22 +152,6 @@ def ap_quotient_on_box(w, p: float, lo, hi) -> float:
     m1 = w.box_mass(ranges) / vol
     m2 = w.box_mass(ranges, -1.0 / (p - 1.0)) / vol
     return m1 * m2 ** (p - 1.0)
-
-
-def doubling_ratio(w, lo, hi) -> float:
-    """w(2Q)/w(Q) for the coordinate box Q = prod [lo_a, hi_a], 2Q concentric."""
-    w = as_weight(w)
-    g = w.grid
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    c = (lo + hi) / 2.0
-    lo2, hi2 = c - (hi - lo), c + (hi - lo)
-    L = g.halfwidth
-    if np.any(lo2 < -L - 1e-12) or np.any(hi2 > L + 1e-12):
-        raise DomainError("2Q sticks out of the grid box")
-    mq = w.box_mass(box_cell_ranges(g, lo, hi))
-    m2q = w.box_mass(box_cell_ranges(g, lo2, hi2))
-    return m2q / mq
 
 
 # ---------------------------------------------------------------------------

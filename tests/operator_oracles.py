@@ -12,19 +12,34 @@ reference of the lockstep ascent behind weighted_operator_norm's "ascent"
 method and commutator_norms at p != 2.  qt_neumann is the closed-form
 kernel of the Neumann qt operator, from the free kernel by reflection.
 
-Two independent oracles of the Neumann/Dirichlet reflection path:
+Three independent oracles of the Neumann/Dirichlet reflection path:
 sided_kernel_sums, the midpoint-rule sums of the same-side kernel built from
-the kernel formulas one row at a time (the quadrature backend), and
+the kernel formulas one row at a time (the quadrature backend),
 reflected_spectral_oracle, the DCT/DST diagonalization of the even or odd
-extension (the Fourier backend).
+extension (the Fourier backend), and extension_map, the Fourier free map on
+each side's doubled even or odd extension (extend_odd is the odd one of a
+grid function), the path that the half-length transforms replaced.
+check_kernel_smoothness samples the size and smoothness bounds of a kernel.
 """
 
 import numpy as np
 from scipy.fft import dct, dst, idct, idst
 from scipy.sparse.linalg import LinearOperator, svds
 
-from wharm.kernels import KernelSpec, eval_kernel, heaviside_same_side, qt_free, reflect_point, riesz_free
-from wharm.operators import FOURIER, OperatorHandle, _as_weight_array, _operator_maps
+from wharm.errors import DomainError, ParameterError
+from wharm.grid import FULL, LOWER, UPPER, GridFunction, extended_values
+from wharm.kernels import (
+    HEAT_FAMILIES,
+    RIESZ_FAMILIES,
+    KernelSpec,
+    eval_kernel,
+    heaviside_same_side,
+    qt_free,
+    reflect_point,
+    riesz_free,
+    riesz_normalization,
+)
+from wharm.operators import FOURIER, OperatorHandle, _as_weight_array, _free_operator, _operator_maps
 
 
 def qt_op(family, t, backend=FOURIER):
@@ -207,3 +222,88 @@ def ascent_norm(op, grid, mu=None, lam=None, p: float = 2.0, seed: int = 0, rest
     cert = {"method": "ascent", "restarts": restarts, "tol": tol, "seed": seed}
     cert.update(best_info or {})
     return best, cert
+
+
+def extend_odd(f: GridFunction) -> GridFunction:
+    """Odd extension g of a half-space function, g(x~) = -g(x)."""
+    if f.grid.domain == FULL:
+        raise DomainError("extension expects a half-space grid function")
+    return GridFunction(f.grid.with_domain(FULL), extended_values(f.values, f.grid.domain, -1.0))
+
+
+def extension_map(op, grid, sign: float, ts=None):
+    """The Fourier Neumann (sign 1) or Dirichlet (sign -1) map of op on grid
+    by extension: each side's values are extended evenly or oddly across
+    x_n = 0 to the full grid, the free map of op transforms them at full
+    length, and each side reads its own half back.  On a full grid both
+    sides ride as one batch axis just before the grid axes, so the scale
+    axis that the free map puts in front (with ts) passes through.  For R_n
+    the adjoint map M* is this map with -sign."""
+    free = _free_operator(OperatorHandle(op.kind, "free", t=op.t, j=op.j, beta=op.beta), grid.with_domain(FULL), ts)
+    half = grid.points_per_axis // 2
+    if grid.domain != FULL:
+        own = slice(half, None) if grid.domain == UPPER else slice(None, half)
+        return lambda v: free(extended_values(v, grid.domain, sign))[..., own]
+    side_axis = -grid.dim - 1
+
+    def both(v):
+        lower, upper = extended_values(v[..., :half], LOWER, sign), extended_values(v[..., half:], UPPER, sign)
+        lower, upper = np.moveaxis(free(np.stack([lower, upper], axis=side_axis)), side_axis, 0)
+        return np.concatenate([lower[..., :half], upper[..., half:]], axis=-1)
+
+    return both
+
+
+def check_kernel_smoothness(spec: KernelSpec, samples: int, rng_seed: int, halfwidth: float = 1.0) -> dict:
+    """Sample-based verification of the size/smoothness bounds.
+
+    Same-side triples x, x', y with |x - x'| <= |x - y|/2; reports the
+    largest constant observed for each bound shape.
+    """
+    if samples <= 0:
+        raise ParameterError("samples must be positive")
+    rng = np.random.default_rng(rng_seed)
+    n = spec.dim
+    L = halfwidth
+
+    def sample_same_side(count):
+        x = rng.uniform(-L, L, size=(count, n))
+        x[:, -1] = rng.uniform(0.05 * L, L, size=count)  # keep off the boundary
+        y = np.array(x)
+        y[:, :] = rng.uniform(-L, L, size=(count, n))
+        y[:, -1] = rng.uniform(0.05 * L, L, size=count)
+        r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+        step = rng.uniform(0.05, 0.5, size=(count, 1)) * (r / 2.0)[:, None]
+        direction = rng.standard_normal((count, n))
+        direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+        xp = x + step * direction
+        xp[:, -1] = np.abs(xp[:, -1]) + 1e-12  # stay on the same side
+        return x, xp, y
+
+    report = {"family": spec.family, "dim": n, "samples": samples}
+    if spec.family in HEAT_FAMILIES:
+        ts = rng.uniform(0.01, 1.0, size=samples)
+        x, xp, y = sample_same_side(samples)
+        k1 = np.array([eval_kernel(KernelSpec(spec.family, n, t=t), xi, yi) for t, xi, yi in zip(ts, x, y)])
+        k2 = np.array([eval_kernel(KernelSpec(spec.family, n, t=t), xi, yi) for t, xi, yi in zip(ts, xp, y)])
+        r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+        dxx = np.sqrt(np.sum((x - xp) ** 2, axis=-1))
+        st = np.sqrt(ts)
+        bound = dxx / (st + r) * st / (st + r) ** (n + 1)
+        report["smoothness_constant"] = float(np.max(np.abs(k1 - k2) / bound))
+        c = 0.2  # any c < 1/4 works for the Gaussian bound
+        size = np.abs(k1) * ts ** (n / 2.0) * np.exp(c * r ** 2 / ts)
+        report["gaussian_size_constant"] = float(np.max(size))
+        report["gaussian_decay_rate"] = c
+    elif spec.family in RIESZ_FAMILIES:
+        x, xp, y = sample_same_side(samples)
+        kj = eval_kernel(spec, x, y)
+        kjp = eval_kernel(spec, xp, y)
+        r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+        dxx = np.sqrt(np.sum((x - xp) ** 2, axis=-1))
+        report["size_constant"] = float(np.max(np.abs(kj) * r ** n))
+        report["size_constant_over_Cn"] = report["size_constant"] / riesz_normalization(n)
+        report["smoothness_constant"] = float(np.max(np.abs(kj - kjp) / (dxx / r ** (n + 1))))
+    else:
+        raise ParameterError(f"no smoothness scan for family {spec.family!r}")
+    return report

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from operator_oracles import qt_op
-from tree_oracles import generation_of_scale, parent
+from tree_oracles import generation_of_scale, parent, reconstruction
 from weight_oracles import cube_mass
 
 from wharm import atoms
@@ -106,7 +106,7 @@ def test_decompose_smooth_packets(rng):
             assert abs(chk["moments"][0]["value"]) <= 1e-10 * max(l1, 1e-300)
         fitted = max(fitted, rep["fitted_coefficient_constant"])
         # reconstruction identity is exact by construction
-        rec = dec.reconstruction()
+        rec = reconstruction(dec)
         assert np.max(np.abs(rec.values - f.values)) <= 1e-12 * max(1.0, np.max(np.abs(f.values)))
     assert np.isfinite(fitted) and fitted <= 8.0
 
@@ -238,7 +238,7 @@ def test_decompose_2d_smoke(rng):
     rep = dec.report
     assert rep["n_atoms"] >= 1
     assert all(c["support_ok"] for c in rep["atom_checks"])
-    rec = dec.reconstruction()
+    rec = reconstruction(dec)
     assert np.max(np.abs(rec.values - f.values)) <= 1e-12 * max(1.0, np.max(np.abs(f.values)))
     assert np.isfinite(rep["residual_l1w"])
 

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tree_oracles import bmo_deltaN_classical_norm, dyadic_local_bmo
 from weight_oracles import from_callable
 
 from wharm.bmo import (
     CARLESON_FLAVORS,
     CLASSICAL_FLAVORS,
     HALF_FLAVORS,
-    bmo_deltaN_classical_norm,
     bmo_deltaN_sides_norms,
     bmo_norm,
     bmo_norms,
-    dyadic_local_bmo,
     john_nirenberg_report,
 )
 from wharm.dyadic import DyadicCube, haar_function, lattice_family, random_haar_sum

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from wharm import harness as harness_mod
 from wharm.cli import main
@@ -181,3 +182,21 @@ def test_cli_harness_weight_spec_without_alpha_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1] == "wharm: ParameterError: weight kind 'power' needs 'alpha'"
+
+
+@pytest.mark.parametrize("name,cfg,key", [
+    ("two-weight-commutator", {"points_per_axis": 64.9}, "points_per_axis"),
+    ("two-weight-commutator", {"points_per_axis": 32, "half_space": "false"}, "half_space"),
+    ("riesz-ap", {"points_per_axis": 32, "p": 3.0}, "p ="),
+])
+def test_cli_harness_bad_config_exits_2(tmp_path, capsys, name, cfg, key):
+    cpath = str(tmp_path / "cfg.json")
+    with open(cpath, "w") as fh:
+        json.dump(dict(cfg, symbols=2, max_generation=3), fh)
+    rc = main(["harness", "run", name, "--config", cpath, "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("wharm: ParameterError: ") and key in last
+    assert not (tmp_path / "r.json").exists()

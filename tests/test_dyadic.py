@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from tree_oracles import haar_reconstruct
 from weight_oracles import cube_average
 
 from wharm.dyadic import (
@@ -9,7 +10,6 @@ from wharm.dyadic import (
     build_lattice,
     haar_coefficients,
     haar_function,
-    haar_reconstruct,
     random_haar_sum,
     signatures,
     weighted_maximal,
@@ -203,7 +203,7 @@ def test_weighted_bmo_coefficient_bound(rng):
             continue
         co = haar_coefficients(b, lat)
         for (cube, sig), c in co.items():
-            bound = 4.0 * np.sqrt(lat.cell_measure(cube)) * cube_average(w, lat, cube) * norm
+            bound = 4.0 * np.sqrt(lat.measure(cube.generation)) * cube_average(w, lat, cube) * norm
             assert abs(c) <= bound * (1 + 1e-9)
 
 

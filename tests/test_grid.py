@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from weight_oracles import from_callable
+from operator_oracles import extend_odd
+from weight_oracles import from_callable, save_binary
 
 from wharm.errors import DomainError, ParameterError
 from wharm.grid import (
@@ -13,11 +14,9 @@ from wharm.grid import (
     GridFunction,
     constant,
     extend_even,
-    extend_odd,
     load_binary,
     load_csv,
     restrict,
-    save_binary,
     save_csv,
 )
 

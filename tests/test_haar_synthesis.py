@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tree_oracles import haar_reconstruct
 from weight_oracles import cube_average
 
 from wharm.dyadic import (
     build_lattice,
     haar_function,
     haar_generation,
-    haar_reconstruct,
     haar_synthesis,
     random_haar_sum,
     random_haar_sums,
@@ -42,7 +42,7 @@ def oracle_random_haar_sum(lat, rng, weight=None, max_generation=None):
         if max_generation is not None and cube.generation >= max_generation:
             continue
         for sig in signatures(lat.grid.dim):
-            s = np.sqrt(lat.cell_measure(cube))
+            s = np.sqrt(lat.measure(cube.generation))
             if weight is not None:
                 s = s * cube_average(weight, lat, cube)
             c = rng.standard_normal() * s
@@ -71,10 +71,10 @@ def oracle_square_function(f, lat):
         m = lat.cells_per_axis(cube.generation)
         starts = [s + i * m for s, i in zip(lat.shift_cells, cube.index)]
         if any(s0 + m > N for s0 in starts):
-            acc[np.ix_(*lat.cell_indices(cube))] += e / lat.cell_measure(cube)
+            acc[np.ix_(*lat.cell_indices(cube))] += e / lat.measure(cube.generation)
         else:
             acc[tuple(slice(max(s0 - m // 2, 0), min(s0 + m + m // 2, N)) for s0 in starts)] += (
-                e / lat.cell_measure(cube)
+                e / lat.measure(cube.generation)
             )
     return np.sqrt(acc)
 

@@ -142,3 +142,21 @@ def test_two_weight_golden_band():
     band = rep["bands"][0]
     assert abs(band["c"] - 4.083094776669019) <= 1e-6 * band["c"]
     assert abs(band["C"] - 6.327841800588562) <= 1e-6 * band["C"]
+
+
+BAD_CONFIGS = [
+    pytest.param("two-weight-commutator", {"points_per_axis": 64.9}, "points_per_axis", id="float-size"),
+    pytest.param("two-weight-commutator", {"points_per_axis": 64.0}, "points_per_axis", id="integral-float-size"),
+    pytest.param("john-nirenberg", {"dim": 1.7}, "dim", id="float-dim"),
+    pytest.param("two-weight-commutator", {"points_per_axis": 32, "half_space": "false"}, "half_space", id="string-flag"),
+    pytest.param("two-weight-commutator", {"points_per_axis": 32, "half_space": 1}, "half_space", id="int-flag"),
+    pytest.param("riesz-ap", {"points_per_axis": 32, "p": 3.0}, "p = 3.0", id="riesz-ap-p3"),
+]
+
+
+@pytest.mark.parametrize("name,cfg,key", BAD_CONFIGS)
+def test_harness_rejects_a_config_it_would_misread(name, cfg, key):
+    # a size is never truncated, a flag is a JSON boolean, and riesz-ap never
+    # pairs A^p constants with L^2 norms
+    with pytest.raises(ParameterError, match=key):
+        harness.run(name, dict(cfg, symbols=2, max_generation=3))

@@ -7,7 +7,6 @@ from wharm.errors import ParameterError, SingularityError
 from wharm.grid import Grid
 from wharm.kernels import (
     KernelSpec,
-    check_kernel_smoothness,
     eval_kernel,
     heat_free,
     psi_multiplier,
@@ -17,7 +16,7 @@ from wharm.kernels import (
     riesz_normalization,
 )
 
-from operator_oracles import qt_neumann
+from operator_oracles import check_kernel_smoothness, qt_neumann
 
 
 def test_heat_free_peak_value():

@@ -10,10 +10,10 @@ agree to a relative 1e-12, not bit for bit.
 import numpy as np
 import pytest
 from operator_oracles import qt_op
-from tree_oracles import parent, slab_times
+from tree_oracles import dyadic_local_bmo, parent, slab_times
 
 from wharm.atoms import atomic_decompose
-from wharm.bmo import CARLESON_FLAVORS, CLASSICAL_FLAVORS, HALF_FLAVORS, bmo_norm, dyadic_local_bmo
+from wharm.bmo import CARLESON_FLAVORS, CLASSICAL_FLAVORS, HALF_FLAVORS, bmo_norm
 from wharm.dyadic import DyadicCube, haar_function, lattice_family, signatures, weighted_maximal
 from wharm.grid import Grid, GridFunction
 from wharm.operators import apply
@@ -118,7 +118,7 @@ def test_carleson_haar_matches_oracle(setting):
                 for sig in signatures(g.dim):
                     c = np.sum(f.values * haar_function(lat, cube, sig).values) * h_n
                     energy += c * c
-            contrib[cube] = energy * lat.cell_measure(cube) / (w.array[cells(lat, cube)].sum() * h_n)
+            contrib[cube] = energy * lat.measure(cube.generation) / (w.array[cells(lat, cube)].sum() * h_n)
         for top in lat.cubes:
             inner = sum(v for q, v in contrib.items() if lat.contains(top, q))
             best = max(best, inner / (w.array[cells(lat, top)].sum() * h_n))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wharm.errors import BackendError, DomainError, ParameterError, SizeError
-from wharm.grid import Grid, GridFunction, constant, extend_even, extend_odd, restrict
+from wharm.grid import Grid, GridFunction, constant, extend_even, restrict
 from wharm.kernels import psi_multiplier, psi_stencil
 from wharm import operators
 from wharm.operators import (
@@ -39,6 +39,8 @@ from wharm.weights import Weight, weight_from_spec
 from operator_oracles import (
     ascent_norm,
     dense_weighted_norm,
+    extend_odd,
+    extension_map,
     linear_operator,
     phi_op,
     qt_op,
@@ -677,6 +679,81 @@ def test_commutator_reduction():
             want = b.values * reflected_spectral_oracle("riesz", "neumann", f, j=j)
             want -= reflected_spectral_oracle("riesz", "neumann", bf, j=j)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (dim, j)
+
+
+# ---------------------------------------------------------------------------
+# the half-length reflection maps against the doubled extension they replaced
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_half_length_maps_match_the_extension_path(data):
+    # every parity case: Neumann and Dirichlet, M and M* (R_n's M* reflects
+    # with the other sign), even and odd multipliers, N/2 even and odd, a
+    # batch axis and a scale stack
+    dim = data.draw(st.sampled_from([1, 2]))
+    N = data.draw(st.sampled_from([4, 6, 10, 12, 32, 64]))
+    family = data.draw(st.sampled_from(["neumann", "dirichlet"]))
+    domain = data.draw(st.sampled_from(["full", "upper", "lower"] if family == "neumann" else ["upper", "lower"]))
+    kind = data.draw(st.sampled_from(["semigroup", "qt", "riesz"]))
+    j = data.draw(st.integers(1, dim)) if kind == "riesz" else None
+    ts = None
+    if kind != "riesz" and data.draw(st.booleans()):
+        ts = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4))
+    op = OperatorHandle(kind, family, t=ts[0] if ts else (None if kind == "riesz" else data.draw(st.floats(1e-3, 1.0))), j=j)
+    g = Grid(dim, 1.0, N, domain)
+    v = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((3,) + g.shape)
+    sign = 1.0 if family == "neumann" else -1.0
+    forward, adjoint, _ = operators._maps(op, g, ts)
+    adjoint_sign = -sign if kind == "riesz" and j == dim else sign
+    for got_map, s in ((forward, sign), (adjoint, adjoint_sign)):
+        got, want = got_map(v), extension_map(op, g, s, ts)(v)
+        assert got.shape == want.shape == ((len(ts),) if ts else ()) + v.shape
+        # the round-off of both paths follows the input: where the output is
+        # tiny by cancellation (a Dirichlet heat at t = 1 on 4 points) no
+        # path keeps digits relative to it
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), np.max(np.abs(v))), s
+
+
+@pytest.mark.parametrize("zero", [-0.0, 0.0])
+@pytest.mark.parametrize("dim,N", [(1, 4), (1, 6), (2, 4), (2, 6)])
+def test_half_length_full_grid_is_its_two_half_grids_for_signed_zeros(dim, N, zero):
+    # the full grid runs each side exactly as its half grid does, so even the
+    # sign of a zero agrees
+    g = Grid(dim, 1.0, N)
+    f = GridFunction(g, np.full(g.shape, zero))
+    ops = [riesz("neumann", j) for j in range(1, dim + 1)] + [semigroup("neumann", 0.1), qt_op("neumann", 0.2)]
+    for op in ops:
+        for side in ("upper", "lower"):
+            whole = restrict(apply(op, f), side).values
+            alone = apply(op, restrict(f, side)).values
+            assert whole.tobytes() == alone.tobytes(), (op.kind, op.j, side)
+
+
+def test_fourier_reflection_maps_build_no_extension(monkeypatch):
+    # the Fourier Neumann/Dirichlet maps work on the half grids alone; only
+    # the quadrature reference extends
+    def extension(*args):
+        raise AssertionError("a Fourier reflection map built an extension")
+
+    from wharm import grid as grid_mod
+
+    monkeypatch.setattr(grid_mod, "extended_values", extension)
+    monkeypatch.setattr(operators, "extended_values", extension)
+    rng = np.random.default_rng(3)
+    for dim, N in ((1, 16), (2, 8)):
+        for family, domains in (("neumann", ("full", "upper", "lower")), ("dirichlet", ("upper", "lower"))):
+            for domain in domains:
+                g = Grid(dim, 1.0, N, domain)
+                v = rng.standard_normal((2,) + g.shape)
+                R = [riesz(family, j) for j in range(1, dim + 1)]
+                ops = R + [semigroup(family, 0.1), qt_op(family, 0.2)] + [commutator(GridFunction(g, v[0]), T) for T in R]
+                for op in ops:
+                    for m in _operator_maps(op, g):
+                        m(v)
+                apply_scales("qt", family, [0.1, 0.2], GridFunction(g, v[0]))
+    with pytest.raises(AssertionError):
+        apply(riesz("neumann", 1, backend=QUADRATURE), GridFunction(Grid(1, 1.0, 8, "upper"), np.ones(4)))
 
 
 # ---------------------------------------------------------------------------

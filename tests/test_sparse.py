@@ -5,11 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from operator_oracles import dense_weighted_norm, sparse_operator_matrix
-from tree_oracles import children, parent
+from tree_oracles import bmo_good_function, children, dyadic_local_bmo, parent
 from weight_oracles import cube_average, cube_mass
 
 from wharm import sparse
-from wharm.bmo import dyadic_local_bmo
 from wharm.dyadic import (
     DyadicCube,
     build_lattice,
@@ -21,7 +20,6 @@ from wharm.dyadic import (
 from wharm.errors import ParameterError, SparsityError
 from wharm.grid import Grid, GridFunction, cell_values, constant
 from wharm.sparse import (
-    bmo_good_function,
     build_sparse_from_recursion,
     carleson_to_sparse,
     sparse_operator_apply,

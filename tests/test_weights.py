@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from weight_oracles import ap_cube_quotient, conjugate_weight, cube_average, cube_mass, lam_conjugate
+from tree_oracles import bmo_deltaN_classical_norm
+from weight_oracles import ap_cube_quotient, conjugate_weight, cube_average, cube_mass, doubling_ratio, lam_conjugate
 
 from wharm.dyadic import build_lattice, lattice_family
 from wharm.errors import DomainError, ParameterError, RangeError, WeightError
@@ -15,7 +16,6 @@ from wharm.weights import (
     ap_constant,
     ap_deltaN_constant,
     ap_quotient_on_box,
-    doubling_ratio,
     exp_log_bridge,
     log_weight,
     power_weight,
@@ -219,7 +219,6 @@ def test_exp_log_round_trip(grid64):
 
 def test_exp_log_bisection_curve(rng):
     # largest delta in (0, 2] keeping the Neumann A^p constant under 100
-    from wharm.bmo import bmo_deltaN_classical_norm
 
     g = Grid(1, 1.0, 64)
     lats = lattice_family(g, 5)

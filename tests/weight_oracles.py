@@ -4,14 +4,17 @@ cube_mass reads one cube's cells, cube_average divides by |Q|, and the A^p
 quotient, the conjugate weight and the Bloom lambda' are built from it cube
 by cube; the library itself scans whole generations of the block view.
 from_callable samples a closed-form test function or weight at the cell
-centers.
+centers, doubling_ratio compares a box's mass with its double's, and
+save_binary writes the binary format that grid.load_binary reads.
 """
+
+import json
 
 import numpy as np
 
-from wharm.errors import ParameterError
+from wharm.errors import DomainError, ParameterError
 from wharm.grid import GridFunction
-from wharm.weights import Weight
+from wharm.weights import Weight, as_weight, box_cell_ranges
 
 
 def from_callable(grid, fn) -> GridFunction:
@@ -27,7 +30,7 @@ def cube_mass(w: Weight, lat, cube, s: float = 1.0) -> float:
 
 def cube_average(w: Weight, lat, cube, s: float = 1.0) -> float:
     """<w^s>_Q = w^s(Q) / |Q|."""
-    return cube_mass(w, lat, cube, s) / lat.cell_measure(cube)
+    return cube_mass(w, lat, cube, s) / lat.measure(cube.generation)
 
 
 def ap_cube_quotient(w: Weight, p: float, lat, cube) -> float:
@@ -47,3 +50,35 @@ def conjugate_weight(w: Weight, p: float) -> Weight:
 def lam_conjugate(triple) -> Weight:
     """lambda' = lambda^{-1/(p-1)} of a Bloom WeightTriple."""
     return conjugate_weight(triple.lam, triple.p)
+
+
+def doubling_ratio(w, lo, hi) -> float:
+    """w(2Q)/w(Q) for the coordinate box Q = prod [lo_a, hi_a], 2Q concentric."""
+    w = as_weight(w)
+    g = w.grid
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    c = (lo + hi) / 2.0
+    lo2, hi2 = c - (hi - lo), c + (hi - lo)
+    L = g.halfwidth
+    if np.any(lo2 < -L - 1e-12) or np.any(hi2 > L + 1e-12):
+        raise DomainError("2Q sticks out of the grid box")
+    mq = w.box_mass(box_cell_ranges(g, lo, hi))
+    m2q = w.box_mass(box_cell_ranges(g, lo2, hi2))
+    return m2q / mq
+
+
+def save_binary(f: GridFunction, path: str) -> None:
+    """JSON header at `path`, float64 column (C order) at `path` + '.bin'."""
+    g = f.grid
+    header = {
+        "dim": g.dim,
+        "halfwidth": g.halfwidth,
+        "points_per_axis": g.points_per_axis,
+        "domain": g.domain,
+        "dtype": "float64",
+        "count": int(f.values.size),
+    }
+    with open(path, "w") as fh:
+        json.dump(header, fh, indent=1)
+    f.values.astype("<f8").tofile(path + ".bin")
