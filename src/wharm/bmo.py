@@ -24,7 +24,7 @@ import numpy as np
 
 from .dyadic import DyadicLattice, _iter_lattices, haar_generation, split_blocks
 from .errors import DomainError, ParameterError
-from .grid import FULL, UPPER, GridFunction, extended_values, join_sides, sided_even_values
+from .grid import FULL, GridFunction, extensions
 from .operators import apply_scales
 from .squarefn import TimeGrid
 from .weights import Weight, as_weight
@@ -204,18 +204,13 @@ def bmo_norm(f: GridFunction, w, flavor: str, lattices, r: float = 2.0, tg: Time
 
 
 def _half_flavor_norms(values: np.ndarray, grid, w, flavor: str, lattices) -> np.ndarray:
+    """Classical BMO of each row's own side alone (a NaN mirror) or of its odd or even extension."""
     if grid.domain == FULL:
         raise DomainError(f"{flavor} expects a half-space function")
-    if flavor == "unweighted-half":
-        ext = extended_values(values, grid.domain, 1.0)
-        full_grid = grid.with_domain(FULL)
-        full = join_sides(ext, np.nan, full_grid) if grid.domain == UPPER else join_sides(np.nan, ext, full_grid)
-        return _classical_sup(full, None, lattices)
-    if flavor == "odd-ext-half":
-        return _classical_sup(extended_values(values, grid.domain, -1.0), None, lattices)
-    w = as_weight(w)
-    we = extended_values(w.array, w.grid.domain, 1.0)
-    return _classical_sup(extended_values(values, grid.domain, 1.0), we, lattices)
+    sign = {"unweighted-half": np.nan, "odd-ext-half": -1.0, "even-ext-half": 1.0}[flavor]
+    w = as_weight(w) if flavor == "even-ext-half" else None
+    we = None if w is None else extensions(w.array, w.grid, 1.0)[0]
+    return _classical_sup(extensions(values, grid, sign)[0], we, lattices)
 
 
 def bmo_deltaN_sides_norms(values: np.ndarray, grid, w, lattices, tg: TimeGrid = None):
@@ -223,8 +218,10 @@ def bmo_deltaN_sides_norms(values: np.ndarray, grid, w, lattices, tg: TimeGrid =
     ||f_{-,e}|| in the free-Laplacian Carleson norm with the matching
     even-extended weights, as two arrays; their sum is equivalent to the
     Neumann norm."""
-    wp, wm = (Weight(GridFunction(grid, side)) for side in sided_even_values(as_weight(w).array))
-    fp, fm = sided_even_values(np.asarray(values, dtype=float))
+    if grid.domain != FULL:
+        raise DomainError("the sides' even extensions are taken of a full-space function")
+    wm, wp = (Weight(GridFunction(grid, side)) for side in extensions(as_weight(w).array, grid, 1.0))
+    fm, fp = extensions(np.asarray(values, dtype=float), grid, 1.0)
     return (
         bmo_norms(fp, grid, wp, "carleson-heat-free", lattices, tg=tg),
         bmo_norms(fm, grid, wm, "carleson-heat-free", lattices, tg=tg),

@@ -62,29 +62,23 @@ def cmd_apply(args) -> int:
 
 
 def cmd_opnorm(args) -> int:
+    b = load(args.b)
+    handle = riesz(args.family, args.j, backend=args.backend)
     if args.op == "commutator":
-        b = load(args.b)
-        grid = b.grid
-        inner = riesz(args.family, args.j, backend=args.backend)
-        handle = commutator(b, inner)
-    elif args.op == "riesz":
-        grid = load(args.b).grid if args.b else None
-        if grid is None:
-            raise SystemExit("opnorm needs --b to fix the grid")
-        handle = riesz(args.family, args.j, backend=args.backend)
-    else:
-        raise SystemExit(f"unsupported op {args.op}")
-    mu = _load_weight(args.mu, grid) if args.mu else None
-    lam = _load_weight(getattr(args, "lambda"), grid) if getattr(args, "lambda") else None
-    value, cert = weighted_operator_norm(handle, grid, mu, lam, p=args.p, method=args.method, seed=args.seed)
+        handle = commutator(b, handle)
+    mu = _load_weight(args.mu, b.grid) if args.mu else None
+    lam = _load_weight(getattr(args, "lambda"), b.grid) if getattr(args, "lambda") else None
+    value, cert = weighted_operator_norm(handle, b.grid, mu, lam, p=args.p, method=args.method, seed=args.seed)
     print(json.dumps({"norm": value, "certificate": cert}, sort_keys=True))
     return 0
 
 
 def cmd_bmo(args) -> int:
     f = load(args.input)
-    base = f.grid if f.grid.domain == "full" else f.grid.with_domain("full")
-    lattices = lattice_family(base, args.max_generation or int(np.log2(base.points_per_axis)) - 1)
+    base = f.grid.with_domain("full")
+    # generation 0 is a depth of its own, not the default
+    max_gen = int(np.log2(base.points_per_axis)) - 1 if args.max_generation is None else args.max_generation
+    lattices = lattice_family(base, max_gen)
     w = _load_weight(args.weight, f.grid) if args.weight else None
     flavor = args.flavor
     if flavor == "odd-ext":
@@ -135,7 +129,8 @@ def main(argv=None) -> int:
     p.add_argument("--family", default="neumann", choices=["free", "neumann", "dirichlet"])
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--backend", default="fourier", choices=["fourier", "quadrature"])
-    p.add_argument("--b")
+    # both ops need b: it fixes the grid, and it is the commutator's symbol
+    p.add_argument("--b", required=True)
     p.add_argument("--mu")
     p.add_argument("--lambda", dest="lambda")
     p.add_argument("--p", type=float, default=2.0)

@@ -4,6 +4,9 @@ The computational domain is the box [-L, L]^n sampled at cell centers
 x_k = -L + (k + 1/2) h with h = 2L / N.  No sample ever sits on the
 hyperplane x_n = 0, so restriction to a half-space and the reflection
 x -> (x', -x_n) are exact index operations (the last axis is x_n).
+One primitive, extensions, builds every extension across x_n = 0: those of
+the sides a grid holds, in storage order (Grid.sides), in one buffer, which
+the quadrature reflections and the Delta_N objects of bmo and weights read.
 """
 
 from __future__ import annotations
@@ -79,6 +82,11 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
+    @property
+    def sides(self) -> tuple:
+        """The sides of x_n = 0 that the grid holds, in storage order."""
+        return (LOWER, UPPER) if self.domain == FULL else (self.domain,)
+
     def with_domain(self, domain: str) -> "Grid":
         return Grid(self.dim, self.halfwidth, self.points_per_axis, domain)
 
@@ -134,32 +142,27 @@ def restrict(f: GridFunction, side: str) -> GridFunction:
     return GridFunction(f.grid.with_domain(side), vals)
 
 
-def extended_values(values: np.ndarray, domain: str, sign: float) -> np.ndarray:
-    """Full-grid values of the even (sign 1) or odd (sign -1) extension of
-    half-space values on the side `domain`; leading axes ride along."""
-    mirror = sign * np.flip(values, axis=-1)
-    return np.concatenate([mirror, values] if domain == UPPER else [values, mirror], axis=-1)
+def extensions(values: np.ndarray, grid: Grid, sign: float) -> np.ndarray:
+    """Each side's extension across x_n = 0 of values on grid, one full-grid
+    array per side of grid.sides in a (sides, *lead, *full grid) buffer: the
+    side's own half copied, the mirror half sign times its reflection.  Sign 1
+    gives the even extension, -1 the odd one and nan an all-NaN mirror, cells
+    outside the half-space.  Leading axes ride along."""
+    half = grid.points_per_axis // 2
+    upper, lower = slice(half, None), slice(None, half)
+    buf = np.empty((len(grid.sides),) + values.shape[:-1] + (2 * half,))
+    for ext, side in zip(buf, grid.sides):
+        own, mirror = (upper, lower) if side == UPPER else (lower, upper)
+        ext[..., own] = values[..., own] if grid.domain == FULL else values
+        np.multiply(ext[..., own][..., ::-1], sign, out=ext[..., mirror])
+    return buf
 
 
 def extend_even(f: GridFunction) -> GridFunction:
     """Even extension g with g(x') = g(x) under the reflection x -> x~."""
     if f.grid.domain == FULL:
         raise DomainError("extension expects a half-space grid function")
-    return GridFunction(f.grid.with_domain(FULL), extended_values(f.values, f.grid.domain, 1.0))
-
-
-def sided_even_extensions(f: GridFunction) -> tuple:
-    """(f_{+,e}, f_{-,e}) for a full-space function: even extensions of the two restrictions."""
-    if f.grid.domain != FULL:
-        raise DomainError("restrict expects a full-space grid function")
-    return tuple(GridFunction(f.grid, side) for side in sided_even_values(f.values))
-
-
-def sided_even_values(values: np.ndarray) -> tuple:
-    """The values of (f_{+,e}, f_{-,e}) from full-grid values of f; leading
-    axes ride along."""
-    half = values.shape[-1] // 2
-    return extended_values(values[..., half:], UPPER, 1.0), extended_values(values[..., :half], LOWER, 1.0)
+    return GridFunction(f.grid.with_domain(FULL), extensions(f.values, f.grid, 1.0)[0])
 
 
 def join_sides(upper, lower, grid: Grid) -> np.ndarray:

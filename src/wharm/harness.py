@@ -23,7 +23,7 @@ import numpy as np
 from . import bmo as bmo_mod
 from .dyadic import lattice_family, random_haar_sums
 from .errors import ParameterError
-from .grid import Grid, GridFunction, restrict
+from .grid import Grid, GridFunction, _is_int, restrict
 from .operators import commutator, commutator_norms, riesz, weighted_operator_norm
 from .squarefn import TimeGrid
 from .weights import (
@@ -99,9 +99,16 @@ def _grid_from_cfg(cfg) -> Grid:
     return Grid(cfg.get("dim", 1), float(cfg.get("halfwidth", 1.0)), cfg.get("points_per_axis", 256))
 
 
+def _count(cfg, key: str, default: int) -> int:
+    """cfg[key] (default if absent), a count or seed: never truncated, so 3.7 or true is refused."""
+    value = cfg.get(key, default)
+    if not _is_int(value):
+        raise ParameterError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _lattices(grid: Grid, cfg) -> list:
-    max_gen = int(cfg.get("max_generation", int(np.log2(grid.points_per_axis)) - 1))
-    return lattice_family(grid, max_gen)
+    return lattice_family(grid, _count(cfg, "max_generation", int(np.log2(grid.points_per_axis)) - 1))
 
 
 def _normalized_symbols(grid, lattices, nu, count, seed, norm_fn, max_generation=4):
@@ -135,8 +142,8 @@ def run_two_weight_commutator(cfg: dict) -> dict:
             {"mu": {"kind": "power", "alpha": 0.25}, "lambda": {"kind": "one-sided-power", "alpha": 0.5}},
         ],
     )
-    count = int(cfg.get("symbols", 50))
-    seed = int(cfg.get("seed", 0))
+    count = _count(cfg, "symbols", 50)
+    seed = _count(cfg, "seed", 0)
     band_cap = float(cfg.get("band_cap", 50.0))
     half_space = cfg.get("half_space", False)
     if not isinstance(half_space, bool):
@@ -306,8 +313,8 @@ def run_bmo_coincidence(cfg: dict) -> dict:
     lattices = _lattices(grid, cfg)
     dyadic = lattices[0]
     tg = TimeGrid.geometric(grid)
-    count = int(cfg.get("symbols", 20))
-    seed = int(cfg.get("seed", 0))
+    count = _count(cfg, "symbols", 20)
+    seed = _count(cfg, "seed", 0)
     band_cap = float(cfg.get("band_cap", 50.0))
     weights = cfg.get(
         "weights",
@@ -366,8 +373,8 @@ def run_john_nirenberg(cfg: dict) -> dict:
     grid = _grid_from_cfg(cfg)
     lattices = _lattices(grid, cfg)
     dyadic = lattices[0]
-    count = int(cfg.get("instances", 200))
-    seed = int(cfg.get("seed", 0))
+    count = _count(cfg, "instances", 200)
+    seed = _count(cfg, "seed", 0)
     p = float(cfg.get("p", 2.0))
     r = float(cfg.get("r", 2.0))
     rng = np.random.default_rng(seed)

@@ -33,12 +33,12 @@ same-side kernel sum
     sum_{y on x's side} [K(x - y) + s K(x - y~)] f(y),
 with the finite reflected summand at y = x kept: it is the x~ cell of the
 extension, and only the free diagonal cell is dropped.  The quadrature
-backend builds the extension and convolves it (_sided_map), the slow
-reference.  The Fourier backend never builds it (_reflected_map): the
-extension is half-sample symmetric, so its transform is the DCT-II (s = 1)
-or DST-II (s = -1) of the side's M = N/2 values, which Makhoul's real-FFT
-form ("A fast cosine transform in one and two dimensions", 1980) takes at
-length M.
+backend builds the extensions (grid.extensions) and convolves them
+(_sided_map), the slow reference.  The Fourier backend never builds them
+(_reflected_map): an extension is half-sample symmetric, so its transform
+is the DCT-II (s = 1) or DST-II (s = -1) of the side's M = N/2 values,
+which Makhoul's real-FFT form ("A fast cosine transform in one and two
+dimensions", 1980) takes at length M.
 
 Let x_d, d = 0..M-1, be one side's values by distance from x_n = 0 (up
 from the interface on the upper side, down on the lower one).  Makhoul's
@@ -130,7 +130,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BackendError, DomainError, ParameterError, SizeError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, cell_values, extended_values
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, cell_values, extensions
 from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil
 
 DENSE_POINT_CAP = 4096
@@ -171,8 +171,8 @@ class OperatorHandle:
     inner: object = None
 
     def __post_init__(self):
-        if self.kind in ("semigroup", "qt", "psi", "phi") and (self.t is None or self.t <= 0):
-            raise ParameterError(f"{self.kind} needs t > 0")
+        if self.kind in ("semigroup", "qt", "psi", "phi") and (self.t is None or not 0 < self.t < np.inf):
+            raise ParameterError(f"{self.kind} needs a finite t > 0, got {self.t!r}")
         if self.kind == "riesz" and self.j is None:
             raise ParameterError("riesz needs a component index j")
         if self.kind == "commutator" and (self.b is None or self.inner is None):
@@ -377,24 +377,17 @@ def _free_operator(op: OperatorHandle, grid: Grid, ts=None):
 def _sided_map(free, sign: float, grid: Grid):
     """The quadrature reflection of the full-grid map free onto grid's value
     arrays: each side's values are extended evenly (sign 1) or oddly (sign
-    -1) across x_n = 0, one free call maps them and each side reads its own
-    half back.  On a full grid both sides ride as one leading batch axis."""
-    half = grid.points_per_axis // 2
-    if grid.domain != FULL:
-        own = slice(half, None) if grid.domain == UPPER else slice(None, half)
-        return lambda v: free(extended_values(v, grid.domain, sign))[..., own]
+    -1) across x_n = 0 (extensions), one free call maps the sides as a batch
+    axis just before the grid axes, so that a scale axis that free puts in
+    front passes through, and each side reads its own half back."""
+    half, axis = grid.points_per_axis // 2, -grid.dim - 1
+    owns = [slice(half, None) if side == UPPER else slice(None, half) for side in grid.sides]
 
-    def both(v):
-        lower, upper = free(np.stack([extended_values(v[..., :half], LOWER, sign),
-                                      extended_values(v[..., half:], UPPER, sign)]))
-        return np.concatenate([lower[..., :half], upper[..., half:]], axis=-1)
+    def sided(v):
+        out = np.moveaxis(free(np.moveaxis(extensions(v, grid, sign), 0, axis)), axis, 0)
+        return np.concatenate([side[..., own] for side, own in zip(out, owns)], axis=-1)
 
-    return both
-
-
-def _sides(grid: Grid) -> tuple:
-    """The sides of x_n = 0 that grid holds, in storage order."""
-    return (LOWER, UPPER) if grid.domain == FULL else (grid.domain,)
+    return sided
 
 
 def _normal_parity(kind: str, j, grid: Grid) -> float:
@@ -428,7 +421,7 @@ def _reflection_stack(kind: str, j, beta: int, grid: Grid, ts, sign: float) -> t
     if parity < 0:
         # the lower side is the upper one seen through x_n -> -x_n, which
         # multiplies the multiplier by its parity in xi_n
-        P, Q = (np.stack([-a if side == LOWER else a for side in _sides(grid)], axis=-2) for a in (P, Q))
+        P, Q = (np.stack([-a if side == LOWER else a for side in grid.sides], axis=-2) for a in (P, Q))
     else:
         P, Q = P[..., None, :], Q[..., None, :]
     P.flags.writeable = Q.flags.writeable = False
@@ -448,7 +441,7 @@ def _reflected_map(op: OperatorHandle, grid: Grid, ts, sign: float):
         P, Q = P[0], Q[0]
     M, n = grid.points_per_axis // 2, grid.dim
     h = (M + 1) // 2  # the even distances, which lead Makhoul's order
-    orders = [_makhoul_order(side, M) for side in _sides(grid)]
+    orders = [_makhoul_order(side, M) for side in grid.sides]
     # the output's parity: a product with +-1 copies or negates exactly
     out_sign = sign * _normal_parity(op.kind, op.j, grid)
 
@@ -563,7 +556,7 @@ def apply_scales(kind: str, family: str, ts, f, beta: int = 0, grid: Grid = None
 
     kind is a scale kind (semigroup, qt, psi, phi) and row i equals
     apply(OperatorHandle(kind, family, t=ts[i], beta=beta), f) on the
-    Fourier backend: f, or its two sided extensions, is transformed once and
+    Fourier backend: f, or its sides gathered at half length, is transformed once and
     every t's multiplier is one stack under one batched inverse transform.
     With grid, f is a stack of values (S, *grid.shape) and the fields have
     shape (len(ts), S, *grid.shape); each row equals its own call bit for bit.

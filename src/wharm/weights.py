@@ -18,7 +18,7 @@ import numpy as np
 
 from .dyadic import _iter_lattices
 from .errors import DomainError, ParameterError, RangeError, WeightError
-from .grid import FULL, Grid, GridFunction, load, sided_even_extensions
+from .grid import FULL, Grid, GridFunction, extensions, load
 
 
 class Weight:
@@ -118,7 +118,8 @@ def ap_deltaN_constant(w, p: float, lattices) -> float:
     w = as_weight(w)
     if w.grid.domain != FULL:
         raise DomainError("the Neumann A^p class is defined for full-space weights")
-    return sum(ap_constant(Weight(side), p, lattices) for side in sided_even_extensions(w.values))
+    lower, upper = (Weight(GridFunction(w.grid, side)) for side in extensions(w.array, w.grid, 1.0))
+    return ap_constant(upper, p, lattices) + ap_constant(lower, p, lattices)
 
 
 # ---------------------------------------------------------------------------

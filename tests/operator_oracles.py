@@ -12,13 +12,14 @@ reference of the lockstep ascent behind weighted_operator_norm's "ascent"
 method and commutator_norms at p != 2.  qt_neumann is the closed-form
 kernel of the Neumann qt operator, from the free kernel by reflection.
 
-Three independent oracles of the Neumann/Dirichlet reflection path:
+Two independent oracles of the Neumann/Dirichlet reflection path:
 sided_kernel_sums, the midpoint-rule sums of the same-side kernel built from
-the kernel formulas one row at a time (the quadrature backend),
+the kernel formulas one row at a time (the quadrature backend), and
 reflected_spectral_oracle, the DCT/DST diagonalization of the even or odd
-extension (the Fourier backend), and extension_map, the Fourier free map on
-each side's doubled even or odd extension (extend_odd is the odd one of a
-grid function), the path that the half-length transforms replaced.
+extension (the Fourier backend).  extension_map runs the Fourier free map
+through the quadrature backend's reflection (_sided_map) on each side's
+doubled even or odd extension, the path that the half-length transforms
+replaced; extend_odd is the odd extension of a grid function.
 check_kernel_smoothness samples the size and smoothness bounds of a kernel.
 """
 
@@ -27,7 +28,7 @@ from scipy.fft import dct, dst, idct, idst
 from scipy.sparse.linalg import LinearOperator, svds
 
 from wharm.errors import DomainError, ParameterError
-from wharm.grid import FULL, LOWER, UPPER, GridFunction, extended_values
+from wharm.grid import FULL, GridFunction, extensions
 from wharm.kernels import (
     HEAT_FAMILIES,
     RIESZ_FAMILIES,
@@ -39,7 +40,7 @@ from wharm.kernels import (
     riesz_free,
     riesz_normalization,
 )
-from wharm.operators import FOURIER, OperatorHandle, _as_weight_array, _free_operator, _operator_maps
+from wharm.operators import FOURIER, OperatorHandle, _as_weight_array, _free_operator, _operator_maps, _sided_map
 
 
 def qt_op(family, t, backend=FOURIER):
@@ -228,30 +229,17 @@ def extend_odd(f: GridFunction) -> GridFunction:
     """Odd extension g of a half-space function, g(x~) = -g(x)."""
     if f.grid.domain == FULL:
         raise DomainError("extension expects a half-space grid function")
-    return GridFunction(f.grid.with_domain(FULL), extended_values(f.values, f.grid.domain, -1.0))
+    return GridFunction(f.grid.with_domain(FULL), extensions(f.values, f.grid, -1.0)[0])
 
 
 def extension_map(op, grid, sign: float, ts=None):
     """The Fourier Neumann (sign 1) or Dirichlet (sign -1) map of op on grid
-    by extension: each side's values are extended evenly or oddly across
-    x_n = 0 to the full grid, the free map of op transforms them at full
-    length, and each side reads its own half back.  On a full grid both
-    sides ride as one batch axis just before the grid axes, so the scale
-    axis that the free map puts in front (with ts) passes through.  For R_n
-    the adjoint map M* is this map with -sign."""
+    by extension: the reflection (_sided_map) of op's full-length Fourier free
+    map, which extends each side's values evenly or oddly across x_n = 0,
+    maps them and reads each side's own half back; with ts the scale axis
+    passes through.  For R_n the adjoint map M* is this map with -sign."""
     free = _free_operator(OperatorHandle(op.kind, "free", t=op.t, j=op.j, beta=op.beta), grid.with_domain(FULL), ts)
-    half = grid.points_per_axis // 2
-    if grid.domain != FULL:
-        own = slice(half, None) if grid.domain == UPPER else slice(None, half)
-        return lambda v: free(extended_values(v, grid.domain, sign))[..., own]
-    side_axis = -grid.dim - 1
-
-    def both(v):
-        lower, upper = extended_values(v[..., :half], LOWER, sign), extended_values(v[..., half:], UPPER, sign)
-        lower, upper = np.moveaxis(free(np.stack([lower, upper], axis=side_axis)), side_axis, 0)
-        return np.concatenate([lower[..., :half], upper[..., half:]], axis=-1)
-
-    return both
+    return _sided_map(free, sign, grid)
 
 
 def check_kernel_smoothness(spec: KernelSpec, samples: int, rng_seed: int, halfwidth: float = 1.0) -> dict:

@@ -125,6 +125,14 @@ def test_deltaN_comparable_to_sides(rng, grid64, family64):
     assert max(ratios) / min(ratios) <= 10.0
 
 
+def test_deltaN_sides_norms_need_a_full_space_function(rng, grid64, family64):
+    # the sides' even extensions are taken of a full-space function; a half
+    # grid holds one side only
+    half = grid64.with_domain("upper")
+    with pytest.raises(DomainError, match="full-space"):
+        bmo_deltaN_sides_norms(rng.standard_normal((2,) + half.shape), half, constant(half, 1.0), family64)
+
+
 def test_john_nirenberg_report(rng):
     g = Grid(1, 1.0, 64)
     lats = lattice_family(g, 5)

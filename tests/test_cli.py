@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from wharm import harness as harness_mod
+from wharm.bmo import bmo_norm
 from wharm.cli import main
+from wharm.dyadic import lattice_family
 from wharm.grid import Grid, GridFunction, load_csv, save_csv
+from wharm.weights import weight_from_spec
 
 
 def _write_inputs(tmp_path, N=64):
@@ -55,6 +58,30 @@ def test_cli_opnorm(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["norm"] > 0
     assert out["certificate"]["method"] == "svd"
+
+
+@pytest.mark.parametrize("op", ["riesz", "commutator"])
+def test_cli_opnorm_without_b_exits_2(op, capsys):
+    # b fixes the grid of either op, and is the commutator's symbol
+    with pytest.raises(SystemExit) as exc:
+        main(["opnorm", "--op", op])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "--b" in err.strip().splitlines()[-1]
+
+
+def test_cli_bmo_max_generation_zero_is_honoured(tmp_path, capsys):
+    # generation 0 is a depth of its own, not a request for the default one
+    fpath, wpath = _write_inputs(tmp_path)
+    f = load_csv(fpath)
+    w = weight_from_spec({"kind": "power", "alpha": 0.25}, f.grid)
+    norms = {}
+    for gen in (0, 5):
+        rc = main(["bmo", "--flavor", "classical-w", "--input", fpath, "--weight", wpath, "--max-generation", str(gen)])
+        assert rc == 0
+        norms[gen] = json.loads(capsys.readouterr().out)["norm"]
+        assert norms[gen] == bmo_norm(f, w, "classical-w", lattice_family(f.grid, gen))
+    assert norms[0] != norms[5]
 
 
 def test_cli_toolkit_error_exits_2(tmp_path, capsys):
@@ -188,6 +215,8 @@ def test_cli_harness_weight_spec_without_alpha_exits_2(tmp_path, capsys):
     ("two-weight-commutator", {"points_per_axis": 64.9}, "points_per_axis"),
     ("two-weight-commutator", {"points_per_axis": 32, "half_space": "false"}, "half_space"),
     ("riesz-ap", {"points_per_axis": 32, "p": 3.0}, "p ="),
+    ("john-nirenberg", {"points_per_axis": 32, "instances": 10.9}, "instances"),
+    ("bmo-coincidence", {"points_per_axis": 32, "seed": True}, "seed"),
 ])
 def test_cli_harness_bad_config_exits_2(tmp_path, capsys, name, cfg, key):
     cpath = str(tmp_path / "cfg.json")

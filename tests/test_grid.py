@@ -14,6 +14,7 @@ from wharm.grid import (
     GridFunction,
     constant,
     extend_even,
+    extensions,
     load_binary,
     load_csv,
     restrict,
@@ -262,3 +263,36 @@ def same_bits(a, b):
 def test_restrict_after_extend_is_exact(f):
     assert same_bits(restrict(extend_even(f), f.grid.domain), f)
     assert same_bits(restrict(extend_odd(f), f.grid.domain), f)
+
+
+@st.composite
+def sided_stacks(draw):
+    """Values with 0 to 2 leading axes on a random 1D or 2D full or half grid."""
+    g = Grid(draw(st.sampled_from([1, 2])), 1.0, draw(st.sampled_from([2, 4, 8])),
+             draw(st.sampled_from(["full", "upper", "lower"])))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    return g, draw(arrays(np.float64, lead + g.shape, elements=st.floats(-1e6, 1e6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sided_stacks(), sign=st.sampled_from([1.0, -1.0, float("nan")]))
+def test_extensions_are_each_side_and_its_signed_mirror(case, sign):
+    # each side of g.sides, in storage order, next to sign times its flip on
+    # the other side of x_n = 0; nan marks the mirror as outside the half-space
+    g, v = case
+    half = g.points_per_axis // 2
+    want = []
+    for side in g.sides:
+        own = v if g.domain != "full" else (v[..., half:] if side == "upper" else v[..., :half])
+        mirror = sign * np.flip(own, axis=-1)
+        want.append(np.concatenate([mirror, own] if side == "upper" else [own, mirror], axis=-1))
+    got = extensions(v, g, sign)
+    assert got.shape == (len(g.sides),) + v.shape[:-1] + (2 * half,)
+    assert got.tobytes() == np.stack(want).tobytes()
+
+
+def test_sides_are_in_storage_order():
+    g = Grid(2, 1.0, 8)
+    assert g.sides == ("lower", "upper")
+    assert g.with_domain("upper").sides == ("upper",)
+    assert g.with_domain("lower").sides == ("lower",)

@@ -151,12 +151,19 @@ BAD_CONFIGS = [
     pytest.param("two-weight-commutator", {"points_per_axis": 32, "half_space": "false"}, "half_space", id="string-flag"),
     pytest.param("two-weight-commutator", {"points_per_axis": 32, "half_space": 1}, "half_space", id="int-flag"),
     pytest.param("riesz-ap", {"points_per_axis": 32, "p": 3.0}, "p = 3.0", id="riesz-ap-p3"),
+    pytest.param("john-nirenberg", {"points_per_axis": 32, "max_generation": 3.7}, "max_generation",
+                 id="float-generation"),
+    pytest.param("john-nirenberg", {"points_per_axis": 32, "instances": 10.9}, "instances", id="float-instances"),
+    pytest.param("john-nirenberg", {"points_per_axis": 32, "seed": 1.0}, "seed", id="integral-float-seed"),
+    pytest.param("bmo-coincidence", {"points_per_axis": 32, "symbols": 2.5}, "symbols", id="float-symbols"),
+    pytest.param("two-weight-commutator", {"points_per_axis": 32, "seed": True}, "seed", id="bool-seed"),
+    pytest.param("riesz-ap", {"points_per_axis": 32, "max_generation": "3"}, "max_generation", id="string-generation"),
 ]
 
 
 @pytest.mark.parametrize("name,cfg,key", BAD_CONFIGS)
 def test_harness_rejects_a_config_it_would_misread(name, cfg, key):
-    # a size is never truncated, a flag is a JSON boolean, and riesz-ap never
-    # pairs A^p constants with L^2 norms
+    # a size, count or seed is never truncated, a flag is a JSON boolean, and
+    # riesz-ap never pairs A^p constants with L^2 norms
     with pytest.raises(ParameterError, match=key):
-        harness.run(name, dict(cfg, symbols=2, max_generation=3))
+        harness.run(name, {"symbols": 2, "max_generation": 3, **cfg})

@@ -738,8 +738,8 @@ def test_fourier_reflection_maps_build_no_extension(monkeypatch):
 
     from wharm import grid as grid_mod
 
-    monkeypatch.setattr(grid_mod, "extended_values", extension)
-    monkeypatch.setattr(operators, "extended_values", extension)
+    monkeypatch.setattr(grid_mod, "extensions", extension)
+    monkeypatch.setattr(operators, "extensions", extension)
     rng = np.random.default_rng(3)
     for dim, N in ((1, 16), (2, 8)):
         for family, domains in (("neumann", ("full", "upper", "lower")), ("dirichlet", ("upper", "lower"))):
@@ -795,6 +795,14 @@ def test_scale_stack_needs_the_fourier_backend(grid64):
 def test_apply_scales_rejects_bad_scales(grid64, ts):
     with pytest.raises(ParameterError):
         apply_scales("qt", "free", ts, constant(grid64, 1.0))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+@pytest.mark.parametrize("kind", ["semigroup", "qt", "psi", "phi"])
+def test_handle_rejects_a_scale_that_is_not_finite_and_positive(kind, t):
+    # caught at the handle, not later as a field of non-finite values
+    with pytest.raises(ParameterError, match="finite t > 0"):
+        OperatorHandle(kind, t=t)
 
 
 def test_apply_scales_takes_scale_kinds_only(grid64):

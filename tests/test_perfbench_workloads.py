@@ -1,0 +1,37 @@
+"""Every benchmark workload runs against the library in this tree.
+
+perfbench/ calls the public wharm names (harness.run, grid.extend_even,
+grid.restrict, squarefn.ConeSpec, ...) through module attributes, so a
+library change that drops one fails only when the benchmark runs.  Here each
+workload is built at its tiny size, in this process, runs one pass and its
+once-per-run checks, and nothing may raise or fail a check.
+"""
+
+import signal
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    # the benchmark samples its reference speed from a SIGALRM timer and
+    # leaves its handler installed
+    handler = signal.getsignal(signal.SIGALRM)
+    yield workloads
+    signal.signal(signal.SIGALRM, handler)
+
+
+@pytest.mark.parametrize("name", ["shipped-1d", "two-weight-2d", "hardy-atoms-2d"])
+def test_each_workload_runs_a_tiny_pass(workloads, name, tmp_path):
+    wl = workloads.WORKLOADS[name](3, "tiny")
+    attempts = wl.run_pass(tmp_path)
+    assert attempts.errors == {}
+    assert attempts.attempted >= 1
+    assert wl.check(wl.digest(attempts.results)) == {}
+    assert wl.checks_once().errors == {}

@@ -21,7 +21,7 @@ import numpy as np
 
 from wharm.bmo import _classical_sup, _mean_deviation
 from wharm.dyadic import DyadicCube, haar_synthesis, signatures
-from wharm.grid import GridFunction, sided_even_values
+from wharm.grid import GridFunction, extensions
 from wharm.sparse import _generation_means, cz_stopping
 from wharm.weights import as_weight
 
@@ -85,7 +85,7 @@ def dyadic_local_bmo(f: GridFunction, lat, q0, w=None) -> float:
 
 def bmo_deltaN_classical_norm(f: GridFunction, lattices) -> float:
     """Unweighted BMO_{Delta_N}: classical BMO of both even extensions, summed."""
-    fp, fm = sided_even_values(f.values[None])
+    fm, fp = extensions(f.values[None], f.grid, 1.0)
     return float(_classical_sup(fp, None, lattices)[0] + _classical_sup(fm, None, lattices)[0])
 
 
