@@ -241,6 +241,8 @@ def john_nirenberg_report(suite, lattices) -> dict:
 
     groups = {}
     for i, (b, w, p, r) in enumerate(suite):
+        if not p > 1.0:
+            raise ParameterError(f"John-Nirenberg needs p > 1, got p = {p!r}")
         if r < 1.0 or r > p / (p - 1.0) + 1e-12:
             raise ParameterError("John-Nirenberg needs 1 <= r <= p'")
         groups.setdefault((id(w), b.grid, p, r), []).append(i)

@@ -3,7 +3,8 @@
 Subcommands: apply (kernel actions on grid functions), opnorm (weighted
 operator norms), bmo (BMO-type norms), squarefn (Hardy norms via square
 functions), harness (experiment runner with JSON/CSV reports).  A toolkit
-error ends a command with one line on stderr and exit code 2.
+error, a file that cannot be read and a file that is not JSON each end a
+command with one line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ def cmd_bmo(args) -> int:
     f = load(args.input)
     base = f.grid.with_domain("full")
     # generation 0 is a depth of its own, not the default
-    max_gen = int(np.log2(base.points_per_axis)) - 1 if args.max_generation is None else args.max_generation
-    lattices = lattice_family(base, max_gen)
+    lattices = lattice_family(base, args.max_generation)
     w = _load_weight(args.weight, f.grid) if args.weight else None
     flavor = args.flavor
     if flavor == "odd-ext":
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except WharmError as exc:
+    except (WharmError, OSError, json.JSONDecodeError) as exc:
         print(f"wharm: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

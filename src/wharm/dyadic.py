@@ -191,12 +191,15 @@ def _iter_lattices(lattices) -> list:
     return list(lattices)
 
 
-def lattice_family(grid: Grid, max_generation: int):
-    """Unshifted plus all per-axis 1/3-shifted lattices (3^n in total).
+def lattice_family(grid: Grid, max_generation: int = None):
+    """Unshifted plus all per-axis 1/3-shifted lattices (3^n in total), to
+    max_generation, by default the finest whose cubes hold two cells.
 
     Supremum-type quantities (A^p, BMO) scan this family as the grid-aligned
     proxy for 'all cubes'.
     """
+    if max_generation is None:
+        max_generation = int(np.log2(grid.points_per_axis)) - 1
     fams = []
     for labels in product(("none", "third", "two_thirds"), repeat=grid.dim):
         fams.append(DyadicLattice(grid, max_generation, labels))

@@ -29,6 +29,38 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def checked_config(cfg, defaults: dict, owner: str) -> dict:
+    """The values of a config file's object cfg for owner, whose keys and
+    their defaults are defaults: a key owner does not take is refused, and a
+    value must have its default's type.  An integer (a None default stands
+    for one) is a JSON integer, at least 0 for a seed and 1 for any other; a
+    float is any real number but a bool, and comes back as a float; a list is
+    a nonempty JSON list; a flag is a JSON boolean and a string a string."""
+    if not isinstance(cfg, dict):
+        raise ParameterError(f"{owner} needs a JSON object, got {cfg!r}")
+    unknown = ", ".join(repr(key) for key in sorted(set(cfg) - set(defaults)))
+    if unknown:
+        raise ParameterError(f"{owner} takes no key {unknown}; its keys are {', '.join(defaults)}")
+    checked = {}
+    for key, value in cfg.items():
+        default = defaults[key]
+        if default is None or _is_int(default):
+            low = 0 if key == "seed" else 1
+            kind, ok = f"an integer >= {low}", _is_int(value) and value >= low
+        elif isinstance(default, bool):
+            kind, ok = "a JSON boolean", isinstance(value, bool)
+        elif isinstance(default, float):
+            kind, ok = "a real number", isinstance(value, numbers.Real) and not isinstance(value, bool)
+        elif isinstance(default, (list, tuple)):
+            kind, ok = "a nonempty list", isinstance(value, list) and len(value) > 0
+        else:
+            kind, ok = "a string", isinstance(value, str)
+        if not ok:
+            raise ParameterError(f"{key} must be {kind}, got {value!r}")
+        checked[key] = float(value) if isinstance(default, float) else value
+    return checked
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform cell-centered grid over [-L, L]^n, optionally one half-space.

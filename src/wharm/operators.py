@@ -129,7 +129,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BackendError, DomainError, ParameterError, SizeError
+from .errors import BackendError, DomainError, ParameterError, SizeError, WeightError
 from .grid import FULL, LOWER, UPPER, Grid, GridFunction, cell_values, extensions
 from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil
 
@@ -603,8 +603,18 @@ def commutator_matrix(b: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _as_weight_array(w, shape):
-    """The flat cell array of a weight-like argument; None is the unit weight."""
-    return np.ones(int(np.prod(shape))) if w is None else cell_values(w).reshape(-1)
+    """The flat cell array of a weight-like argument on a grid of this shape;
+    None is the unit weight.  A raw array needs one value per cell, each
+    positive and finite, as a Weight's has."""
+    size = int(np.prod(shape))
+    if w is None:
+        return np.ones(size)
+    arr = cell_values(w)
+    if arr.size != size:
+        raise DomainError(f"weight of shape {arr.shape} on a grid of shape {tuple(shape)}")
+    if not np.all((arr > 0.0) & np.isfinite(arr)):
+        raise WeightError("weight must be strictly positive and finite")
+    return arr.reshape(-1)
 
 
 def _normalized(x: np.ndarray, norms: np.ndarray) -> np.ndarray:

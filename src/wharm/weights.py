@@ -18,7 +18,7 @@ import numpy as np
 
 from .dyadic import _iter_lattices
 from .errors import DomainError, ParameterError, RangeError, WeightError
-from .grid import FULL, Grid, GridFunction, extensions, load
+from .grid import FULL, Grid, GridFunction, checked_config, extensions, load
 
 
 class Weight:
@@ -223,8 +223,17 @@ def one_sided_power_weight(grid: Grid, alpha: float) -> Weight:
 def weight_from_spec(spec: dict, grid: Grid) -> Weight:
     """Config-driven weights: {kind: one|power|one-sided-power|grid|exp_bmo, ...}.
 
-    A grid or exp_bmo file must hold a function on grid itself."""
+    A grid or exp_bmo file must hold a function on grid itself.  A key its
+    kind does not take is refused, and a value needs the type checked_config
+    asks of the example value beside its key."""
+    if not isinstance(spec, dict):
+        raise ParameterError(f"a weight spec is a JSON object, got {spec!r}")
     kind = spec.get("kind", "one")
+    takes = {"one": {}, "power": {"alpha": 0.0}, "one-sided-power": {"alpha": 0.0}, "prop33": {"alpha": 0.0},
+             "grid": {"file": ""}, "exp_bmo": {"file": "", "delta": 1.0}}
+    if not isinstance(kind, str) or kind not in takes:
+        raise ParameterError(f"unknown weight kind {kind!r}")
+    spec = checked_config(spec, {"kind": "", **takes[kind]}, f"weight kind {kind!r}")
 
     def value(key):
         if key not in spec:
@@ -240,11 +249,9 @@ def weight_from_spec(spec: dict, grid: Grid) -> Weight:
     if kind == "one":
         return Weight(GridFunction(grid, np.ones(grid.shape)))
     if kind == "power":
-        return power_weight(grid, float(value("alpha")))
+        return power_weight(grid, value("alpha"))
     if kind in ("one-sided-power", "prop33"):
-        return one_sided_power_weight(grid, float(value("alpha")))
+        return one_sided_power_weight(grid, value("alpha"))
     if kind == "grid":
         return Weight(loaded())
-    if kind == "exp_bmo":
-        return exp_log_bridge(loaded(), float(spec.get("delta", 1.0)))
-    raise ParameterError(f"unknown weight kind {kind!r}")
+    return exp_log_bridge(loaded(), spec.get("delta", 1.0))

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_harness import SMALL_CONFIGS
 from wharm import harness as harness_mod
 from wharm.bmo import bmo_norm
 from wharm.cli import main
@@ -156,14 +157,7 @@ def test_shipped_configs_parse_and_run_small(tmp_path):
         ("two-weight-commutator", "configs/two_weight_p3.json"),
     ]:
         cfg = json.loads(Path(path).read_text())
-        cfg["points_per_axis"] = 32
-        cfg["max_generation"] = 4
-        cfg["symbols"] = 2
-        cfg["instances"] = 2
-        cfg["refinements"] = [32, 128]
-        from wharm import harness as H
-
-        rep = H.run(name, cfg)
+        rep = harness_mod.run(name, {**cfg, **SMALL_CONFIGS[name]})
         assert "pass" in rep
 
 
@@ -213,15 +207,23 @@ def test_cli_harness_weight_spec_without_alpha_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("name,cfg,key", [
     ("two-weight-commutator", {"points_per_axis": 64.9}, "points_per_axis"),
-    ("two-weight-commutator", {"points_per_axis": 32, "half_space": "false"}, "half_space"),
-    ("riesz-ap", {"points_per_axis": 32, "p": 3.0}, "p ="),
-    ("john-nirenberg", {"points_per_axis": 32, "instances": 10.9}, "instances"),
-    ("bmo-coincidence", {"points_per_axis": 32, "seed": True}, "seed"),
+    ("two-weight-commutator", {"half_space": "false"}, "half_space"),
+    ("riesz-ap", {"p": 3.0}, "p ="),
+    ("john-nirenberg", {"instances": 10.9}, "instances"),
+    ("bmo-coincidence", {"seed": True}, "seed"),
+    pytest.param("riesz-ap", {"alphs": [0.5]}, "'alphs'", id="unknown-key"),
+    pytest.param("two-weight-commutator", {"p": "3"}, "p must be a real number", id="string-number"),
+    pytest.param("riesz-ap", {"alphas": []}, "alphas", id="empty-list"),
+    pytest.param("bmo-coincidence", {"symbols": 0}, "symbols", id="zero-count"),
+    pytest.param("john-nirenberg", {"seed": -1}, "seed", id="negative-seed"),
+    pytest.param("john-nirenberg", {"p": 1.0}, "p = 1.0", id="john-nirenberg-p1"),
+    pytest.param("bmo-coincidence", {"weights": [{"kind": "one", "alhpa": 0.5}]}, "'alhpa'",
+                 id="weight-spec-unknown-key"),
 ])
 def test_cli_harness_bad_config_exits_2(tmp_path, capsys, name, cfg, key):
     cpath = str(tmp_path / "cfg.json")
     with open(cpath, "w") as fh:
-        json.dump(dict(cfg, symbols=2, max_generation=3), fh)
+        json.dump({**SMALL_CONFIGS[name], **cfg}, fh)
     rc = main(["harness", "run", name, "--config", cpath, "--out", str(tmp_path / "r.json")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -229,3 +231,34 @@ def test_cli_harness_bad_config_exits_2(tmp_path, capsys, name, cfg, key):
     last = err.strip().splitlines()[-1]
     assert last.startswith("wharm: ParameterError: ") and key in last
     assert not (tmp_path / "r.json").exists()
+
+
+def _not_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{points_per_axis: 32")
+    return str(path)
+
+
+def _missing_weight_file(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"kind": "grid", "file": str(tmp_path / "missing.csv")}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,error", [
+    (lambda t: ["apply", "--kernel", "heat-free", "--input", str(t / "missing.csv"), "--out", str(t / "o.csv")],
+     "FileNotFoundError"),
+    (lambda t: ["harness", "run", "riesz-ap", "--config", str(t / "missing.json"), "--out", str(t / "r.json")],
+     "FileNotFoundError"),
+    (lambda t: ["harness", "run", "riesz-ap", "--config", _not_json(t), "--out", str(t / "r.json")],
+     "JSONDecodeError"),
+    (lambda t: ["bmo", "--flavor", "classical-w", "--input", _write_inputs(t)[0], "--weight", _missing_weight_file(t)],
+     "FileNotFoundError"),
+], ids=["missing-input", "missing-config", "config-not-json", "missing-weight-file"])
+def test_cli_file_error_exits_2(tmp_path, capsys, argv, error):
+    rc = main(argv(tmp_path))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.strip().startswith(f"wharm: {error}: ")

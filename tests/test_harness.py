@@ -144,26 +144,74 @@ def test_two_weight_golden_band():
     assert abs(band["C"] - 6.327841800588562) <= 1e-6 * band["C"]
 
 
+# one small config per experiment, under each case of a bad config
+SMALL_CONFIGS = {
+    "two-weight-commutator": {"points_per_axis": 32, "max_generation": 4, "symbols": 2},
+    "bmo-coincidence": {"points_per_axis": 32, "max_generation": 4, "symbols": 2},
+    "john-nirenberg": {"points_per_axis": 32, "max_generation": 4, "instances": 2},
+    "riesz-ap": {"points_per_axis": 32, "max_generation": 4},
+    "dirichlet-counterexample": {"refinements": [32, 128]},
+}
+
 BAD_CONFIGS = [
     pytest.param("two-weight-commutator", {"points_per_axis": 64.9}, "points_per_axis", id="float-size"),
     pytest.param("two-weight-commutator", {"points_per_axis": 64.0}, "points_per_axis", id="integral-float-size"),
     pytest.param("john-nirenberg", {"dim": 1.7}, "dim", id="float-dim"),
-    pytest.param("two-weight-commutator", {"points_per_axis": 32, "half_space": "false"}, "half_space", id="string-flag"),
-    pytest.param("two-weight-commutator", {"points_per_axis": 32, "half_space": 1}, "half_space", id="int-flag"),
-    pytest.param("riesz-ap", {"points_per_axis": 32, "p": 3.0}, "p = 3.0", id="riesz-ap-p3"),
-    pytest.param("john-nirenberg", {"points_per_axis": 32, "max_generation": 3.7}, "max_generation",
-                 id="float-generation"),
-    pytest.param("john-nirenberg", {"points_per_axis": 32, "instances": 10.9}, "instances", id="float-instances"),
-    pytest.param("john-nirenberg", {"points_per_axis": 32, "seed": 1.0}, "seed", id="integral-float-seed"),
-    pytest.param("bmo-coincidence", {"points_per_axis": 32, "symbols": 2.5}, "symbols", id="float-symbols"),
-    pytest.param("two-weight-commutator", {"points_per_axis": 32, "seed": True}, "seed", id="bool-seed"),
-    pytest.param("riesz-ap", {"points_per_axis": 32, "max_generation": "3"}, "max_generation", id="string-generation"),
+    pytest.param("two-weight-commutator", {"half_space": "false"}, "half_space", id="string-flag"),
+    pytest.param("two-weight-commutator", {"half_space": 1}, "half_space", id="int-flag"),
+    pytest.param("riesz-ap", {"p": 3.0}, "p = 3.0", id="riesz-ap-p3"),
+    pytest.param("john-nirenberg", {"max_generation": 3.7}, "max_generation", id="float-generation"),
+    pytest.param("john-nirenberg", {"instances": 10.9}, "instances", id="float-instances"),
+    pytest.param("john-nirenberg", {"seed": 1.0}, "seed", id="integral-float-seed"),
+    pytest.param("bmo-coincidence", {"symbols": 2.5}, "symbols", id="float-symbols"),
+    pytest.param("two-weight-commutator", {"seed": True}, "seed", id="bool-seed"),
+    pytest.param("riesz-ap", {"max_generation": "3"}, "max_generation", id="string-generation"),
+    pytest.param("riesz-ap", {"alphs": [0.5]}, "'alphs'", id="unknown-key"),
+    pytest.param("john-nirenberg", {"symbols": 2}, "'symbols'", id="another-experiments-key"),
+    pytest.param("two-weight-commutator", {"p": "3"}, "^p must be a real number", id="string-number"),
+    pytest.param("john-nirenberg", {"r": True}, "^r must be a real number", id="bool-number"),
+    pytest.param("riesz-ap", {"alphas": []}, "alphas", id="empty-list"),
+    pytest.param("dirichlet-counterexample", {"refinements": 64}, "refinements", id="number-for-list"),
+    pytest.param("two-weight-commutator", {"symbols": 0}, "symbols", id="zero-symbols"),
+    pytest.param("bmo-coincidence", {"symbols": -3}, "symbols", id="negative-symbols"),
+    pytest.param("john-nirenberg", {"instances": 0}, "instances", id="zero-instances"),
+    pytest.param("john-nirenberg", {"seed": -1}, "seed", id="negative-seed"),
+    pytest.param("bmo-coincidence", {"seed": -2}, "seed", id="negative-seed-bmo"),
+    pytest.param("john-nirenberg", {"p": 1.0}, "p = 1.0", id="john-nirenberg-p1"),
+    pytest.param("two-weight-commutator", {"p": 1}, "p must lie", id="two-weight-p1"),
+    pytest.param("two-weight-commutator", {"weight_pairs": [{"mu": {"kind": "one"}}]}, "mu and lambda",
+                 id="pair-without-lambda"),
+    pytest.param("bmo-coincidence", {"weights": [{"kind": "power", "alpha": "0.5"}]}, "alpha",
+                 id="string-alpha"),
 ]
 
 
 @pytest.mark.parametrize("name,cfg,key", BAD_CONFIGS)
 def test_harness_rejects_a_config_it_would_misread(name, cfg, key):
-    # a size, count or seed is never truncated, a flag is a JSON boolean, and
-    # riesz-ap never pairs A^p constants with L^2 norms
+    # a key is one of the experiment's parameters, a value has its default's
+    # type, a count is >= 1 and a seed >= 0, and riesz-ap never pairs A^p
+    # constants with L^2 norms
     with pytest.raises(ParameterError, match=key):
-        harness.run(name, {"symbols": 2, "max_generation": 3, **cfg})
+        harness.run(name, {**SMALL_CONFIGS[name], **cfg})
+
+
+def test_harness_rejects_a_config_that_is_not_an_object():
+    with pytest.raises(ParameterError, match="JSON object"):
+        harness.run("riesz-ap", [["points_per_axis", 32]])
+
+
+def test_integral_real_runs_as_its_float():
+    # p = 2 and p = 2.0 are one experiment: only the echoed config tells them apart
+    reports = [harness.run("john-nirenberg", dict(SMALL_CONFIGS["john-nirenberg"], p=p, r=r))
+               for p, r in ((2, 2), (2.0, 2.0))]
+    for rep in reports:
+        del rep["config"], rep["input_hash"]
+    assert harness.canonical_json(reports[0]) == harness.canonical_json(reports[1])
+
+
+def test_dirichlet_without_growth_does_not_pass():
+    # one refinement measures no growth, so the growth check has no evidence
+    rep = harness.run("dirichlet-counterexample", {"refinements": [64]})
+    assert rep["checks"]["odd_growth_per_doubling"] == []
+    assert rep["checks"]["odd_growth_ok"] is False
+    assert rep["pass"] is False

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wharm.errors import BackendError, DomainError, ParameterError, SizeError
+from wharm.errors import BackendError, DomainError, ParameterError, SizeError, WeightError
 from wharm.grid import Grid, GridFunction, constant, extend_even, restrict
 from wharm.kernels import psi_multiplier, psi_stencil
 from wharm import operators
@@ -250,6 +250,24 @@ def test_ascent_vs_svd_on_commutators(rng):
         av, _ = weighted_operator_norm(op, g, mu, lam, p=2.0, method="ascent", seed=i)
         assert av <= sv + 1e-9
         assert av >= 0.95 * sv
+
+
+@pytest.mark.parametrize("bad,error", [
+    (lambda g: np.where(g.axis_coords(0) > 0.5, 0.0, 1.0), WeightError),
+    (lambda g: np.where(g.axis_coords(0) > 0.5, -1.0, 1.0), WeightError),
+    (lambda g: np.where(g.axis_coords(0) > 0.5, np.nan, 1.0), WeightError),
+    (lambda g: np.full(g.shape, np.inf), WeightError),
+    (lambda g: np.ones(g.points_per_axis // 2), DomainError),
+    (lambda g: np.ones((g.points_per_axis, 2)), DomainError),
+    (lambda g: np.float64(2.0), DomainError),
+], ids=["zero", "negative", "nan", "inf", "short", "extra-axis", "scalar"])
+@pytest.mark.parametrize("method", ["svd", "ascent"])
+def test_raw_array_weight_is_checked(grid64, bad, error, method):
+    # a raw array reaches the norms unchecked by Weight, so the norms check it
+    mu = bad(grid64)
+    for pair in ((mu, None), (None, mu)):
+        with pytest.raises(error):
+            weighted_operator_norm(riesz("free", 1), grid64, *pair, method=method)
 
 
 def test_ascent_general_p_runs(grid64, rng, monkeypatch):

@@ -296,6 +296,28 @@ def test_weight_spec_missing_a_key_names_it(grid64, spec, key):
         weight_from_spec(spec, grid64)
 
 
+@pytest.mark.parametrize("spec,key", [
+    ({"kind": "one", "alhpa": 0.5}, "'alhpa'"),
+    ({"kind": "power", "alpha": 0.5, "delta": 1.0}, "'delta'"),
+    ({"kind": "power", "alpha": "0.5"}, "alpha"),
+    ({"kind": "one-sided-power", "alpha": True}, "alpha"),
+    ({"kind": "exp_bmo", "file": 3}, "file"),
+    ({"kind": "exp_bmo", "file": "b.csv", "delta": "1"}, "delta"),
+    ({"kind": ["one"]}, "kind"),
+    ({"kind": "cubic"}, "'cubic'"),
+    (["one"], "JSON object"),
+])
+def test_weight_spec_with_a_wrong_key_or_value_names_it(grid64, spec, key):
+    # a value has the type of its kind's example value, and a key not of its kind is refused
+    with pytest.raises(ParameterError, match=key):
+        weight_from_spec(spec, grid64)
+
+
+def test_weight_spec_integral_alpha_is_its_float(grid64):
+    a, b = (weight_from_spec({"kind": "power", "alpha": alpha}, grid64) for alpha in (1, 1.0))
+    assert np.array_equal(a.array, b.array)
+
+
 def test_mass_table_consistency(rng):
     # the per-generation block sums that ap_constant reads, times the cell
     # volume, are the oracle's cube-by-cube masses on every lattice of the
