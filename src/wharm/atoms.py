@@ -31,10 +31,9 @@ import numpy as np
 
 from .dyadic import DyadicCube, DyadicLattice, weighted_maximal
 from .errors import DecompositionError, ParameterError
-from .grid import FULL, Grid, GridFunction
+from .grid import FULL, Grid, GridFunction, weight_cells
 from .operators import FOURIER, QUADRATURE, apply_scales, free_multipliers, from_spectrum, psi_op, psi_reach, spectrum
 from .squarefn import ConeSpec, TimeGrid, area_function
-from .weights import as_weight
 
 
 _UNASSIGNED = -(10 ** 6)  # assignment level of a cube in no B_k
@@ -94,11 +93,11 @@ def check_atom(atom: Atom, p: float = None, beta: int = None, w=None) -> dict:
 
 
 def _atom_checker(g: Grid, w):
-    """check_atom for atoms on the grid g against the weight w (None: unit
-    weight): the grid points and the weight array are read once, for every
-    atom the returned check(atom, p=None, beta=None) takes."""
+    """check_atom for atoms on the grid g against the weight w, read by
+    grid.weight_cells: the grid points and the weight array are read once,
+    for every atom the returned check(atom, p=None, beta=None) takes."""
     pts = g.points()
-    warr = as_weight(w).array if w is not None else np.ones(g.shape)
+    warr = weight_cells(w, g.shape)
 
     def check(atom: Atom, p: float = None, beta: int = None) -> dict:
         p = atom.p if p is None else p
@@ -322,7 +321,8 @@ def atomic_decompose(
     tg: TimeGrid = None,
     p: float = 2.0,
 ) -> AtomicDecomposition:
-    """Level-set atomic decomposition of f against the weight w.
+    """Level-set atomic decomposition of f against the weight w, read by
+    grid.weight_cells (None is the unit weight).
 
     Atoms are (1,p,0)-atoms supported in 3Qbar; coefficients are 2^k w(Qbar).
     Raises DecompositionError when the square function vanishes identically.
@@ -332,7 +332,7 @@ def atomic_decompose(
         raise ParameterError("atomic decomposition runs on full-space data")
     if any(s != 0 for s in lat.shift_cells):
         raise ParameterError("use the unshifted lattice for the decomposition")
-    w = as_weight(w)
+    warr = weight_cells(w, g.shape)
     tg = tg or TimeGrid.geometric(g)
 
     S = area_function(f, "qt", ConeSpec("free"), tg)
@@ -345,8 +345,6 @@ def atomic_decompose(
     ks = list(range(kmin, kmax + 1))
 
     h_n = g.cell_volume
-
-    warr = w.array
     omega_masks = {k: S.values > 2.0 ** k for k in ks}
 
     # per-generation assignment: the unique k with the B_k sandwich property,
@@ -391,9 +389,9 @@ def atomic_decompose(
     for k in sorted(maximal):
         om = omega_masks[k]
         omega_mass += 2.0 ** k * float(np.sum(warr[om]) * h_n)
-        mt = weighted_maximal(GridFunction(g, om.astype(float)), w.values, lat)
+        mt = weighted_maximal(GridFunction(g, om.astype(float)), warr, lat)
         omega_tilde_mass += 2.0 ** k * float(np.sum(warr[mt.values > 0.5]) * h_n)
-    check = _atom_checker(g, w)
+    check = _atom_checker(g, warr)
     report = {
         "levels": maximal,
         "n_atoms": len(atoms),

@@ -18,28 +18,26 @@ each equal bit for bit to its row's bmo_norm, the stack of one.
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 
 from .dyadic import DyadicLattice, _iter_lattices, haar_generation, split_blocks
 from .errors import DomainError, ParameterError
-from .grid import FULL, GridFunction, extensions
+from .grid import FULL, GridFunction, extensions, weight_cells
 from .operators import apply_scales
 from .squarefn import TimeGrid
-from .weights import Weight, as_weight
 
 CLASSICAL_FLAVORS = ("classical-w", "classical-wr")
 CARLESON_FLAVORS = ("carleson-haar", "carleson-heat-free", "carleson-heat-neumann")
 HALF_FLAVORS = ("unweighted-half", "odd-ext-half", "even-ext-half")
 
 
-def _mean_deviation(v: np.ndarray, wv, r=None) -> np.ndarray:
-    """The (weighted) mean-deviation functional of each block of a block view."""
+def _mean_deviation(v: np.ndarray, wv: np.ndarray, r=None) -> np.ndarray:
+    """The weighted mean-deviation functional of each block of a block view."""
     dev = np.abs(v - v.mean(axis=-1, keepdims=True))
     if r is None:
-        den = v.shape[-1] if wv is None else wv.sum(axis=-1)
-        return dev.sum(axis=-1) / den
+        return dev.sum(axis=-1) / wv.sum(axis=-1)
     return ((dev ** r * wv ** (1.0 - r)).sum(axis=-1) / wv.sum(axis=-1)) ** (1.0 / r)
 
 
@@ -48,18 +46,17 @@ def _row_max(q: np.ndarray) -> np.ndarray:
     return np.max(q, axis=tuple(range(1, q.ndim)), where=~np.isnan(q), initial=0.0)
 
 
-def _classical_sup(values: np.ndarray, warr, lattices, r=None) -> np.ndarray:
-    """sup over cubes of the (weighted) mean-deviation functional, for each
+def _classical_sup(values: np.ndarray, warr: np.ndarray, lattices, r=None) -> np.ndarray:
+    """sup over cubes of the weighted mean-deviation functional, for each
     row of the stack values (S, *grid.shape); warr is the one weight of every
-    row, or None.
+    row (ones for the unweighted norm: a sum of ones is the cell count).
 
     values may contain NaN to mark cells outside the admissible domain;
     cubes touching such cells are skipped.
     """
     best = np.zeros(len(values))
     for lat in _iter_lattices(lattices):
-        weights = repeat(None) if warr is None else lat.generations(warr)
-        for v, wv in zip(lat.generations(values), weights):
+        for v, wv in zip(lat.generations(values), lat.generations(warr)):
             best = np.maximum(best, _row_max(_mean_deviation(v, wv, r)))
     return best
 
@@ -177,24 +174,26 @@ def bmo_norms(values, grid, w, flavor: str, lattices, r: float = 2.0, tg: TimeGr
     even-ext-half   classical BMO of the even extension, weight extended evenly
 
     The rows share every lattice scan and every batched apply, and each row's
-    norm equals its bmo_norm bit for bit.
+    norm equals its bmo_norm bit for bit.  w is read by grid.weight_cells
+    (None is the unit weight); the unweighted flavors check it and ignore it.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[1:] != grid.shape:
         raise DomainError(f"a stack of shape {values.shape} does not hold functions on {grid.shape}")
+    warr = weight_cells(w, grid.shape)
     if flavor == "classical-w":
-        return _classical_sup(values, as_weight(w).array, lattices)
+        return _classical_sup(values, warr, lattices)
     if flavor == "classical-wr":
         if r < 1.0:
             raise ParameterError("classical-wr needs r >= 1")
-        return _classical_sup(values, as_weight(w).array, lattices, r=r)
+        return _classical_sup(values, warr, lattices, r=r)
     if flavor == "carleson-haar":
-        return _carleson_haar(values, grid, as_weight(w).array, lattices)
+        return _carleson_haar(values, grid, warr, lattices)
     if flavor in ("carleson-heat-free", "carleson-heat-neumann"):
         tg = tg or TimeGrid.geometric(grid)
-        return _carleson_heat(values, grid, as_weight(w).array, lattices, tg, neumann=flavor == "carleson-heat-neumann")
+        return _carleson_heat(values, grid, warr, lattices, tg, neumann=flavor == "carleson-heat-neumann")
     if flavor in HALF_FLAVORS:
-        return _half_flavor_norms(values, grid, w, flavor, lattices)
+        return _half_flavor_norms(values, grid, warr, flavor, lattices)
     raise ParameterError(f"unknown BMO flavor {flavor!r}")
 
 
@@ -203,14 +202,15 @@ def bmo_norm(f: GridFunction, w, flavor: str, lattices, r: float = 2.0, tg: Time
     return float(bmo_norms(f.values[None], f.grid, w, flavor, lattices, r=r, tg=tg)[0])
 
 
-def _half_flavor_norms(values: np.ndarray, grid, w, flavor: str, lattices) -> np.ndarray:
-    """Classical BMO of each row's own side alone (a NaN mirror) or of its odd or even extension."""
+def _half_flavor_norms(values: np.ndarray, grid, warr: np.ndarray, flavor: str, lattices) -> np.ndarray:
+    """Classical BMO of each row's own side alone (a NaN mirror) or of its odd
+    or even extension; only the even one reads the weight, extended evenly."""
     if grid.domain == FULL:
         raise DomainError(f"{flavor} expects a half-space function")
     sign = {"unweighted-half": np.nan, "odd-ext-half": -1.0, "even-ext-half": 1.0}[flavor]
-    w = as_weight(w) if flavor == "even-ext-half" else None
-    we = None if w is None else extensions(w.array, w.grid, 1.0)[0]
-    return _classical_sup(extensions(values, grid, sign)[0], we, lattices)
+    if flavor != "even-ext-half":
+        warr = np.ones(grid.shape)
+    return _classical_sup(extensions(values, grid, sign)[0], extensions(warr, grid, 1.0)[0], lattices)
 
 
 def bmo_deltaN_sides_norms(values: np.ndarray, grid, w, lattices, tg: TimeGrid = None):
@@ -220,7 +220,7 @@ def bmo_deltaN_sides_norms(values: np.ndarray, grid, w, lattices, tg: TimeGrid =
     Neumann norm."""
     if grid.domain != FULL:
         raise DomainError("the sides' even extensions are taken of a full-space function")
-    wm, wp = (Weight(GridFunction(grid, side)) for side in extensions(as_weight(w).array, grid, 1.0))
+    wm, wp = extensions(weight_cells(w, grid.shape), grid, 1.0)
     fm, fp = extensions(np.asarray(values, dtype=float), grid, 1.0)
     return (
         bmo_norms(fp, grid, wp, "carleson-heat-free", lattices, tg=tg),
@@ -241,8 +241,8 @@ def john_nirenberg_report(suite, lattices) -> dict:
 
     groups = {}
     for i, (b, w, p, r) in enumerate(suite):
-        if not p > 1.0:
-            raise ParameterError(f"John-Nirenberg needs p > 1, got p = {p!r}")
+        if not 1.0 < p < np.inf:
+            raise ParameterError(f"John-Nirenberg needs p in (1, inf), got p = {p!r}")
         if r < 1.0 or r > p / (p - 1.0) + 1e-12:
             raise ParameterError("John-Nirenberg needs 1 <= r <= p'")
         groups.setdefault((id(w), b.grid, p, r), []).append(i)

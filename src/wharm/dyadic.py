@@ -38,8 +38,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import GridAlignmentError, WeightError
-from .grid import FULL, Grid, GridFunction, cell_values
+from .errors import GridAlignmentError
+from .grid import FULL, Grid, GridFunction, weight_cells
 
 SHIFT_NAMES = {"none": 0, "third": 1, "two_thirds": 2}
 
@@ -352,10 +352,9 @@ def weighted_maximal(g: GridFunction, w, lat: DyadicLattice) -> GridFunction:
     """Dyadic weighted Hardy-Littlewood maximal function over the lattice cubes.
 
     (M_w g)(x) = max over cubes Q containing x of w(Q)^{-1} sum_Q |g| w h^n.
+    w is read by grid.weight_cells.
     """
-    wv = cell_values(w)
-    if np.min(wv) <= 0:
-        raise WeightError("maximal function needs a strictly positive weight")
+    wv = weight_cells(w, g.grid.shape)
     num = np.abs(g.values) * wv
     out = np.zeros(g.grid.shape)
     for k, (nums, ws) in enumerate(zip(lat.generations(num), lat.generations(wv))):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, WeightError
 
 FULL = "full"
 UPPER = "upper"
@@ -142,10 +142,6 @@ class GridFunction:
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
 
-    def integral(self) -> float:
-        """Exact cell sum: the midpoint-rule integral over the domain."""
-        return float(self.values.sum()) * self.grid.cell_volume
-
 
 def constant(grid: Grid, c: float) -> GridFunction:
     return GridFunction(grid, np.full(grid.shape, float(c)))
@@ -159,6 +155,22 @@ def cell_values(x) -> np.ndarray:
     if isinstance(x, GridFunction):
         return x.values
     return np.asarray(x, dtype=float)
+
+
+def weight_cells(w, shape) -> np.ndarray:
+    """The cell array of a weight argument on a grid of this shape, the one
+    rule by which every weighted norm and characteristic reads its weight:
+    None is the unit weight; a Weight, a GridFunction or an array needs one
+    value per cell, in the grid's shape (DomainError), and each value must
+    be positive and finite (WeightError)."""
+    if w is None:
+        return np.ones(shape)
+    cells = cell_values(w)
+    if cells.shape != tuple(shape):
+        raise DomainError(f"a weight of shape {cells.shape} on a grid of shape {tuple(shape)}")
+    if not np.all((cells > 0.0) & np.isfinite(cells)):
+        raise WeightError("a weight must be positive and finite in every cell")
+    return cells
 
 
 def restrict(f: GridFunction, side: str) -> GridFunction:

@@ -33,7 +33,6 @@ from .grid import Grid, GridFunction, checked_config, restrict
 from .operators import commutator, commutator_norms, riesz, weighted_operator_norm
 from .squarefn import TimeGrid
 from .weights import (
-    Weight,
     WeightTriple,
     ap_constant_per_lattice,
     ap_deltaN_constant,
@@ -110,6 +109,9 @@ def _normalized_symbols(grid, lattices, nu, count, seed, norm_fn, max_generation
     drawn = random_haar_sums(lattices[0], rng, count, weight=nu, max_generation=max_generation)
     norms = norm_fn(drawn)
     kept = norms > 0
+    if not kept.any():
+        raise ParameterError(f"max_generation {lattices[0].max_generation} is too shallow: "
+                             f"all {count} symbols drawn on its lattices have norm 0")
     return drawn[kept] / norms[kept].reshape((-1,) + (1,) * grid.dim), int(np.sum(~kept))
 
 
@@ -234,17 +236,19 @@ def run_dirichlet_counterexample(refinements=(64, 256, 1024), halfwidth=1.0, gro
     # refinement factors of 4 keep floor(N/3) odd, so the finest shifted cube
     # straddles the interface at every size and the log divergence is sampled
     # cleanly; growth is normalized per doubling
+    grids = [Grid(1, halfwidth, N) for N in refinements]
+    if any(fine.points_per_axis <= coarse.points_per_axis for coarse, fine in zip(grids, grids[1:])):
+        raise ParameterError(f"refinements must be strictly increasing, got {list(refinements)}")
     rows = []
-    for N in refinements:
-        grid = Grid(1, halfwidth, N)
+    for grid in grids:
+        N = grid.points_per_axis
         lattices = lattice_family(grid)
         gu = grid.with_domain("upper")
         x = gu.axis_coords(0)
         b0 = GridFunction(gu, np.log(x))
         half_norm = bmo_mod.bmo_norm(b0, None, "unweighted-half", lattices)
         odd_norm = bmo_mod.bmo_norm(b0, None, "odd-ext-half", lattices)
-        ones_half = Weight(GridFunction(gu, np.ones(gu.shape)))
-        even_norm = bmo_mod.bmo_norm(b0, ones_half, "even-ext-half", lattices)
+        even_norm = bmo_mod.bmo_norm(b0, None, "even-ext-half", lattices)
         R = riesz("dirichlet", 1)
         val, _ = weighted_operator_norm(commutator(b0, R), gu, None, None, p=2.0, method="svd")
         rows.append(
@@ -310,6 +314,9 @@ def run_bmo_coincidence(dim=1, halfwidth=1.0, points_per_axis=256, max_generatio
         n_wr2 = bmo_mod.bmo_norms(stack, grid, w, "classical-wr", lattices, r=2.0)
         n_neu = bmo_mod.bmo_norms(stack, grid, w, "carleson-heat-neumann", lattices, tg=tg)
         s_p, s_m = bmo_mod.bmo_deltaN_sides_norms(stack, grid, w, lattices, tg=tg)
+        if np.any(s_p + s_m == 0.0):
+            raise ParameterError(f"max_generation {dyadic.max_generation} is too shallow: "
+                                 "a symbol drawn on its lattices has Delta_N sides norm 0")
         for j, i in enumerate(kept):
             heat, haar, wr2, neu = float(n_heat[j]), float(n_haar[j]), float(n_wr2[j]), float(n_neu[j])
             sides = float(s_p[j]) + float(s_m[j])

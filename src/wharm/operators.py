@@ -129,8 +129,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BackendError, DomainError, ParameterError, SizeError, WeightError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, cell_values, extensions
+from .errors import BackendError, DomainError, ParameterError, SizeError
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, extensions, weight_cells
 from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil
 
 DENSE_POINT_CAP = 4096
@@ -155,7 +155,7 @@ QUADRATURE = "quadrature"
 class OperatorHandle:
     """Selector for one operator.
 
-    kind: identity | semigroup | qt | psi | phi | riesz | commutator
+    kind: semigroup | qt | psi | phi | riesz | commutator
     family: free | neumann | dirichlet (for semigroup/qt/riesz)
     t: time/scale parameter; j: Riesz component; beta: phi moment order
     b: symbol of a commutator; inner: the commuted handle (a Riesz one).
@@ -515,8 +515,6 @@ def _operator_maps(op: OperatorHandle, grid: Grid, ts=None):
     T of a commutator is a Riesz transform (parity -1), so [b, T]^T =
     [b, -T^T] is the commutator map of T's M* and makes no negation pass.
     """
-    if op.kind == "identity":
-        return np.copy, np.copy
     if op.kind == "commutator":
         b = op.b.values
         if b.shape != grid.shape:
@@ -582,8 +580,6 @@ def assemble_matrix(op: OperatorHandle, grid: Grid) -> np.ndarray:
     npts = int(np.prod(grid.shape))
     if npts > DENSE_POINT_CAP:
         raise SizeError(f"{npts} points exceed the dense cap {DENSE_POINT_CAP}")
-    if op.kind == "identity":
-        return np.eye(npts)
     if op.kind == "commutator":
         return commutator_matrix(op.b.values, assemble_matrix(op.inner, grid))
     cols = np.empty((npts, npts))
@@ -600,21 +596,6 @@ def commutator_matrix(b: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Dense matrix of [b, M] = b M - M b for the cell values b of a symbol."""
     bv = b.reshape(-1)
     return bv[:, None] * M - M * bv[None, :]
-
-
-def _as_weight_array(w, shape):
-    """The flat cell array of a weight-like argument on a grid of this shape;
-    None is the unit weight.  A raw array needs one value per cell, each
-    positive and finite, as a Weight's has."""
-    size = int(np.prod(shape))
-    if w is None:
-        return np.ones(size)
-    arr = cell_values(w)
-    if arr.size != size:
-        raise DomainError(f"weight of shape {arr.shape} on a grid of shape {tuple(shape)}")
-    if not np.all((arr > 0.0) & np.isfinite(arr)):
-        raise WeightError("weight must be strictly positive and finite")
-    return arr.reshape(-1)
 
 
 def _normalized(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -724,7 +705,7 @@ def _lockstep_norms(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, se
     products with A and A^T that the iteration made.
     """
     npts = int(np.prod(shape))
-    left, right = np.sqrt(lam).reshape(shape), (1.0 / np.sqrt(mu)).reshape(shape)
+    left, right = np.sqrt(lam), 1.0 / np.sqrt(mu)
     start = np.random.default_rng(seed).standard_normal(npts)
     start /= np.linalg.norm(start)
     sigmas, certs = np.zeros(count), []
@@ -771,7 +752,6 @@ def _lockstep_ascent(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, p
     restarts, max_iter, tol = _RESTARTS, _MAX_ITER, _ASCENT_TOL
     npts, total = int(np.prod(shape)), count * restarts
     q, per_row = 1.0 / (p - 1.0), (-1,) + (1,) * len(shape)
-    mu, lam = mu.reshape(shape), lam.reshape(shape)
     starts = np.random.default_rng(seed).standard_normal((restarts, npts)).reshape((restarts,) + shape)
     ratios, steps = np.full(total, -1.0), np.full(total, max_iter)
     converged = np.zeros(total, dtype=bool)
@@ -815,10 +795,13 @@ def _norms(maps, zero: np.ndarray, shape, mu, lam, p: float, method: str, seed: 
     stacks (len(ops), *shape).  The operators flagged in zero are exactly
     zero: norm 0.0 and the zero-operator certificate, no iteration.  The
     others run in lockstep, method "svd" through _lockstep_norms, "ascent"
-    through _lockstep_ascent.
+    through _lockstep_ascent.  p must lie in (1, inf), and mu and lam are
+    read by grid.weight_cells.
     """
+    if not 1.0 < p < np.inf:
+        raise ParameterError(f"p must lie in (1, inf), got p = {p!r}")
     live = np.flatnonzero(~zero)
-    args = (lambda rows: maps(live[rows]), len(live), shape, _as_weight_array(mu, shape), _as_weight_array(lam, shape))
+    args = (lambda rows: maps(live[rows]), len(live), shape, weight_cells(mu, shape), weight_cells(lam, shape))
     if method == "svd":
         norms, certs = _lockstep_norms(*args, seed)
     else:

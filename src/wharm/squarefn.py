@@ -33,7 +33,7 @@ import numpy as np
 
 from .dyadic import DyadicLattice, haar_generation
 from .errors import BackendError, GridAlignmentError, ParameterError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, cell_values, join_sides, restrict
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, join_sides, restrict, weight_cells
 from .operators import apply_scales
 
 
@@ -263,15 +263,11 @@ def hardy_norm(f: GridFunction, flavor, w, tg: TimeGrid = None, lattice: DyadicL
     """||S(f)||_{L^1_w} for the selected square-function flavor.
 
     flavor: "heat-free" | "heat-neumann" | ("classical", beta) | "haar".
-    w: a Weight, a GridFunction or a cell array (grid.cell_values).
+    w: None (the unit weight), a Weight, a GridFunction or a cell array, read
+    by grid.weight_cells: one positive finite value per cell of f's grid, or
+    DomainError for a wrong shape and WeightError for a bad value.
     """
-    if w is None:
-        raise ParameterError("hardy_norm needs a weight")
-    warr = cell_values(w)
-    if warr.shape != f.grid.shape:
-        raise ParameterError(f"weight shape {warr.shape} does not match grid shape {f.grid.shape}")
-    if np.min(warr) <= 0:
-        raise ParameterError("hardy_norm needs a strictly positive weight")
+    warr = weight_cells(w, f.grid.shape)
     if flavor == "haar":
         if lattice is None:
             raise ParameterError("the Haar flavor needs a lattice")

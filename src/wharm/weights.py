@@ -18,15 +18,14 @@ import numpy as np
 
 from .dyadic import _iter_lattices
 from .errors import DomainError, ParameterError, RangeError, WeightError
-from .grid import FULL, Grid, GridFunction, checked_config, extensions, load
+from .grid import Grid, GridFunction, checked_config, extensions, load, weight_cells
 
 
 class Weight:
     """Strictly positive grid function with box masses."""
 
     def __init__(self, values: GridFunction):
-        if np.min(values.values) <= 0.0:
-            raise WeightError("weight must be strictly positive")
+        weight_cells(values, values.grid.shape)
         self.values = values
 
     @property
@@ -37,14 +36,10 @@ class Weight:
     def array(self) -> np.ndarray:
         return self.values.values
 
-    def power(self, s: float = 1.0) -> np.ndarray:
-        """The cell array w^s."""
-        return _finite_power(self.array, s)
-
     def box_mass(self, ranges, s: float = 1.0) -> float:
         """w^s over a non-wrapped cell-index box, as a measure."""
         box = tuple(slice(start, stop) for start, stop in ranges)
-        return float(self.power(s)[box].sum()) * self.grid.cell_volume
+        return float(_finite_power(self.array, s)[box].sum()) * self.grid.cell_volume
 
 
 def _finite_power(arr: np.ndarray, s: float) -> np.ndarray:
@@ -81,14 +76,22 @@ class WeightTriple:
         )
 
 
+def _lattice_cells(w, lattices):
+    """The lattices as a list and w's cells on their grid (grid.weight_cells)."""
+    lats = _iter_lattices(lattices)
+    if not lats:
+        raise ParameterError("a weight characteristic needs at least one lattice")
+    return lats, weight_cells(w, lats[0].grid.shape)
+
+
 def ap_constant(w, p: float, lattices) -> float:
     """Dyadic A^p characteristic: sup of the A^p quotient over all supplied lattices."""
-    if p <= 1.0:
-        raise ParameterError("ap_constant needs p > 1; use a1_constant for p = 1")
-    w = as_weight(w)
-    w1, w2 = w.power(), w.power(-1.0 / (p - 1.0))
+    if not 1.0 < p < math.inf:
+        raise ParameterError(f"ap_constant needs p in (1, inf), got p = {p!r}; use a1_constant for p = 1")
+    lats, w1 = _lattice_cells(w, lattices)
+    w2 = _finite_power(w1, -1.0 / (p - 1.0))
     best = 0.0
-    for lat in _iter_lattices(lattices):
+    for lat in lats:
         for b1, b2 in zip(lat.generations(w1), lat.generations(w2)):
             q = b1.mean(axis=-1) * b2.mean(axis=-1) ** (p - 1.0)
             best = max(best, float(q.max()))
@@ -105,21 +108,20 @@ def ap_constant_per_lattice(w, p: float, lattices) -> list:
 
 def a1_constant(w, lattices) -> float:
     """A^1 characteristic with ess-inf taken as the grid minimum over the cube."""
-    w = as_weight(w)
+    lats, warr = _lattice_cells(w, lattices)
     best = 0.0
-    for lat in _iter_lattices(lattices):
-        for cells in lat.generations(w.array):
+    for lat in lats:
+        for cells in lat.generations(warr):
             best = max(best, float((cells.mean(axis=-1) / cells.min(axis=-1)).max()))
     return best
 
 
 def ap_deltaN_constant(w, p: float, lattices) -> float:
-    """[w_{+,e}]_{A^p} + [w_{-,e}]_{A^p}: the reflection-Neumann weight class."""
-    w = as_weight(w)
-    if w.grid.domain != FULL:
-        raise DomainError("the Neumann A^p class is defined for full-space weights")
-    lower, upper = (Weight(GridFunction(w.grid, side)) for side in extensions(w.array, w.grid, 1.0))
-    return ap_constant(upper, p, lattices) + ap_constant(lower, p, lattices)
+    """[w_{+,e}]_{A^p} + [w_{-,e}]_{A^p}: the reflection-Neumann weight class of
+    a weight on the lattices' full-space grid."""
+    lats, warr = _lattice_cells(w, lattices)
+    lower, upper = extensions(warr, lats[0].grid, 1.0)
+    return ap_constant(upper, p, lats) + ap_constant(lower, p, lats)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +142,8 @@ def box_cell_ranges(grid: Grid, lo, hi):
 
 def ap_quotient_on_box(w, p: float, lo, hi) -> float:
     """The A^p quotient evaluated on one coordinate box (cell sums)."""
-    if p <= 1.0:
-        raise ParameterError("needs p > 1")
+    if not 1.0 < p < math.inf:
+        raise ParameterError(f"needs p in (1, inf), got p = {p!r}")
     w = as_weight(w)
     ranges = box_cell_ranges(w.grid, lo, hi)
     cells = 1

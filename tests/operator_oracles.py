@@ -28,7 +28,7 @@ from scipy.fft import dct, dst, idct, idst
 from scipy.sparse.linalg import LinearOperator, svds
 
 from wharm.errors import DomainError, ParameterError
-from wharm.grid import FULL, GridFunction, extensions
+from wharm.grid import FULL, GridFunction, cell_values, extensions, weight_cells
 from wharm.kernels import (
     HEAT_FAMILIES,
     RIESZ_FAMILIES,
@@ -40,7 +40,7 @@ from wharm.kernels import (
     riesz_free,
     riesz_normalization,
 )
-from wharm.operators import FOURIER, OperatorHandle, _as_weight_array, _free_operator, _operator_maps, _sided_map
+from wharm.operators import FOURIER, OperatorHandle, _free_operator, _operator_maps, _sided_map
 
 
 def qt_op(family, t, backend=FOURIER):
@@ -152,8 +152,8 @@ def linear_operator(op, grid) -> LinearOperator:
 def svds_norm(op, grid, mu=None, lam=None, seed: int = 0) -> float:
     """ARPACK's largest singular value of op weighted from L^2_mu to L^2_lam."""
     M = linear_operator(op, grid)
-    sqrt_lam = np.sqrt(_as_weight_array(lam, grid.shape))
-    inv_sqrt_mu = 1.0 / np.sqrt(_as_weight_array(mu, grid.shape))
+    sqrt_lam = np.sqrt(weight_cells(lam, grid.shape)).reshape(-1)
+    inv_sqrt_mu = 1.0 / np.sqrt(weight_cells(mu, grid.shape)).reshape(-1)
     A = LinearOperator(
         M.shape,
         matvec=lambda x: sqrt_lam * M.matvec(inv_sqrt_mu * x.reshape(-1)),
@@ -177,10 +177,13 @@ def sparse_operator_matrix(coll, grid) -> np.ndarray:
 
 def dense_weighted_norm(M: np.ndarray, mu=None, lam=None) -> float:
     """The largest singular value of diag(lam)^{1/2} M diag(mu)^{-1/2}, by a
-    dense SVD of the matrix M on flattened values."""
-    shape = (M.shape[1],)
-    sqrt_lam = np.sqrt(_as_weight_array(lam, shape))
-    inv_sqrt_mu = 1.0 / np.sqrt(_as_weight_array(mu, shape))
+    dense SVD of the matrix M on flattened values; mu and lam are None (the
+    unit weight) or weights with their cells in any shape."""
+    def flat(w):
+        return np.ones(M.shape[1]) if w is None else np.ravel(cell_values(w))
+
+    sqrt_lam = np.sqrt(flat(lam))
+    inv_sqrt_mu = 1.0 / np.sqrt(flat(mu))
     return float(np.linalg.svd(sqrt_lam[:, None] * M * inv_sqrt_mu[None, :], compute_uv=False)[0])
 
 
@@ -190,7 +193,7 @@ def ascent_norm(op, grid, mu=None, lam=None, p: float = 2.0, seed: int = 0, rest
     method, one restart after another on flattened value vectors."""
     M = linear_operator(op, grid)
     npts = M.shape[0]
-    mu, lam = _as_weight_array(mu, grid.shape), _as_weight_array(lam, grid.shape)
+    mu, lam = weight_cells(mu, grid.shape).reshape(-1), weight_cells(lam, grid.shape).reshape(-1)
 
     def weighted_norm(values, w):
         return float(np.sum(np.abs(values) ** p * w) ** (1.0 / p))

@@ -61,6 +61,17 @@ def test_cli_opnorm(tmp_path, capsys):
     assert out["certificate"]["method"] == "svd"
 
 
+@pytest.mark.parametrize("p", ["1", "0.5", "inf", "nan"])
+def test_cli_opnorm_p_outside_one_to_inf_exits_2(tmp_path, capsys, p):
+    fpath, wpath = _write_inputs(tmp_path)
+    rc = main(["opnorm", "--op", "commutator", "--b", fpath, "--mu", wpath, "--p", p, "--method", "ascent"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    last = captured.err.strip().splitlines()[-1]
+    assert last.startswith("wharm: ParameterError: p must lie in (1, inf)")
+
+
 @pytest.mark.parametrize("op", ["riesz", "commutator"])
 def test_cli_opnorm_without_b_exits_2(op, capsys):
     # b fixes the grid of either op, and is the commutator's symbol
@@ -217,6 +228,9 @@ def test_cli_harness_weight_spec_without_alpha_exits_2(tmp_path, capsys):
     pytest.param("bmo-coincidence", {"symbols": 0}, "symbols", id="zero-count"),
     pytest.param("john-nirenberg", {"seed": -1}, "seed", id="negative-seed"),
     pytest.param("john-nirenberg", {"p": 1.0}, "p = 1.0", id="john-nirenberg-p1"),
+    pytest.param("dirichlet-counterexample", {"refinements": [64, 64]}, "refinements", id="repeated-refinement"),
+    pytest.param("two-weight-commutator", {"max_generation": 1}, "max_generation", id="two-weight-too-shallow"),
+    pytest.param("bmo-coincidence", {"max_generation": 1}, "max_generation", id="bmo-coincidence-too-shallow"),
     pytest.param("bmo-coincidence", {"weights": [{"kind": "one", "alhpa": 0.5}]}, "'alhpa'",
                  id="weight-spec-unknown-key"),
 ])

@@ -172,6 +172,11 @@ BAD_CONFIGS = [
     pytest.param("john-nirenberg", {"r": True}, "^r must be a real number", id="bool-number"),
     pytest.param("riesz-ap", {"alphas": []}, "alphas", id="empty-list"),
     pytest.param("dirichlet-counterexample", {"refinements": 64}, "refinements", id="number-for-list"),
+    pytest.param("dirichlet-counterexample", {"refinements": [64, 64]}, "refinements", id="repeated-refinement"),
+    pytest.param("dirichlet-counterexample", {"refinements": [128, 32]}, "refinements", id="falling-refinements"),
+    # at depth 1 every symbol is constant on each side of x_n = 0: its Delta_N norm is 0
+    pytest.param("two-weight-commutator", {"max_generation": 1}, "max_generation", id="two-weight-too-shallow"),
+    pytest.param("bmo-coincidence", {"max_generation": 1}, "max_generation", id="bmo-coincidence-too-shallow"),
     pytest.param("two-weight-commutator", {"symbols": 0}, "symbols", id="zero-symbols"),
     pytest.param("bmo-coincidence", {"symbols": -3}, "symbols", id="negative-symbols"),
     pytest.param("john-nirenberg", {"instances": 0}, "instances", id="zero-instances"),

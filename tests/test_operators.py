@@ -223,9 +223,11 @@ def test_heaviside_locality_of_sided_operators(rng):
         assert np.max(np.abs(o1.values - o2.values)) <= 1e-12
 
 
-def test_identity_norm_both_methods(grid64, monkeypatch):
+def test_heat_semigroup_norm_both_methods(grid64, monkeypatch):
+    # the free heat multiplier is 1 at xi = 0 and below 1 elsewhere, and a
+    # constant weight cancels: the norm is 1
     w = Weight(constant(grid64, 1.3))
-    op = OperatorHandle("identity")
+    op = semigroup("free", 0.1)
     v1, _ = weighted_operator_norm(op, grid64, w, w, p=2.0, method="svd")
     monkeypatch.setattr(operators, "_RESTARTS", 3)
     v2, cert = weighted_operator_norm(op, grid64, w, w, p=2.0, method="ascent")
@@ -270,6 +272,16 @@ def test_raw_array_weight_is_checked(grid64, bad, error, method):
             weighted_operator_norm(riesz("free", 1), grid64, *pair, method=method)
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, np.inf, np.nan])
+def test_norms_need_a_finite_p_above_one(grid64, p):
+    # p = 1 divided by zero in the ascent, 0.5 and inf gave a number, nan a NaN
+    b = GridFunction(grid64, np.sin(np.pi * grid64.axis_coords(0)))
+    with pytest.raises(ParameterError, match="^p must lie"):
+        weighted_operator_norm(commutator(b, riesz("free", 1)), grid64, p=p, method="ascent")
+    with pytest.raises(ParameterError, match="^p must lie"):
+        commutator_norms(b.values[None], riesz("free", 1), grid64, p=p)
+
+
 def test_ascent_general_p_runs(grid64, rng, monkeypatch):
     op = riesz("free", 1)
     monkeypatch.setattr(operators, "_RESTARTS", 3)
@@ -299,7 +311,7 @@ def test_backend_and_size_errors(grid64):
         apply(OperatorHandle("semigroup", "dirichlet", t=0.1), constant(grid64, 1.0))
     big = Grid(1, 1.0, 8192)
     with pytest.raises(SizeError):
-        assemble_matrix(OperatorHandle("identity"), big)
+        assemble_matrix(semigroup("free", 0.1), big)
 
 
 def test_quadrature_free_semigroup_matches_fourier_interior():
@@ -489,7 +501,7 @@ def test_one_point_norm_is_its_entry():
     g = Grid(1, 1.0, 2, "upper")
     b = GridFunction(g, np.array([3.0]))
     for op in (riesz("neumann", 1), semigroup("dirichlet", 0.1), commutator(b, riesz("dirichlet", 1))):
-        val, cert = weighted_operator_norm(op, g, 4.0, 9.0)
+        val, cert = weighted_operator_norm(op, g, np.array([4.0]), np.array([9.0]))
         assert val == abs(1.5 * assemble_matrix(op, g)[0, 0]) and cert["size"] == 1
 
 

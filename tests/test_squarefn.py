@@ -11,7 +11,7 @@ from tree_oracles import generation_of_scale, slab_times
 from scipy.signal import fftconvolve
 
 from wharm.dyadic import DyadicCube, build_lattice, haar_function, random_haar_sum
-from wharm.errors import ParameterError
+from wharm.errors import DomainError, ParameterError
 from wharm.grid import Grid, GridFunction, constant, extend_even, join_sides, restrict
 from wharm.squarefn import (
     ConeSpec,
@@ -152,12 +152,11 @@ def test_hardy_norm_takes_a_grid_function_weight(tg256, rng):
         assert hardy_norm(f, flavor, w.values, tg=tg) == hardy_norm(f, flavor, w, tg=tg)
 
 
-def test_hardy_norm_rejects_missing_or_misshaped_weight(tg256):
+def test_hardy_norm_reads_none_as_the_unit_weight_and_rejects_a_misshaped_one(tg256):
     g, tg = tg256
-    f = constant(g, 1.0)
-    with pytest.raises(ParameterError):
-        hardy_norm(f, "heat-free", None, tg=tg)
-    with pytest.raises(ParameterError):
+    f = GridFunction(g, np.sin(np.pi * g.axis_coords(0)))
+    assert hardy_norm(f, "heat-free", None, tg=tg) == hardy_norm(f, "heat-free", np.ones(g.shape), tg=tg)
+    with pytest.raises(DomainError):
         hardy_norm(f, "heat-free", np.ones(g.points_per_axis // 2), tg=tg)
 
 

@@ -326,7 +326,7 @@ def test_mass_table_consistency(rng):
         grid = Grid(dim, 1.0, N)
         w = Weight(GridFunction(grid, np.exp(rng.standard_normal(grid.shape))))
         for lat in lattice_family(grid, depth):
-            masses = [cells.sum(axis=-1) * grid.cell_volume for cells in lat.generations(w.power())]
+            masses = [cells.sum(axis=-1) * grid.cell_volume for cells in lat.generations(w.array)]
             for c in lat.cubes:
                 want = cube_mass(w, lat, c)
                 assert abs(masses[c.generation][c.index] - want) <= 1e-12 * want

@@ -73,12 +73,12 @@ def haar_reconstruct(coeffs: dict, lat, base_mean: float) -> GridFunction:
 
 def dyadic_local_bmo(f: GridFunction, lat, q0, w=None) -> float:
     """sup over lattice cubes Q contained in q0 of the mean-deviation functional."""
-    warr = None if w is None else as_weight(w).array
+    warr = np.ones(f.grid.shape) if w is None else as_weight(w).array
     best = 0.0
     for k in range(q0.generation, lat.max_generation + 1):
         depth = k - q0.generation
         inside = tuple(slice(i << depth, (i + 1) << depth) for i in q0.index)
-        wv = None if warr is None else lat.blocks(warr, k)[inside]
+        wv = lat.blocks(warr, k)[inside]
         best = max(best, float(_mean_deviation(lat.blocks(f.values, k)[inside], wv).max()))
     return float(best)
 
@@ -86,7 +86,8 @@ def dyadic_local_bmo(f: GridFunction, lat, q0, w=None) -> float:
 def bmo_deltaN_classical_norm(f: GridFunction, lattices) -> float:
     """Unweighted BMO_{Delta_N}: classical BMO of both even extensions, summed."""
     fm, fp = extensions(f.values[None], f.grid, 1.0)
-    return float(_classical_sup(fp, None, lattices)[0] + _classical_sup(fm, None, lattices)[0])
+    ones = np.ones(f.grid.shape)
+    return float(_classical_sup(fp, ones, lattices)[0] + _classical_sup(fm, ones, lattices)[0])
 
 
 def bmo_good_function(b: GridFunction, w, lat, q0, alpha: float):
