@@ -97,7 +97,7 @@ def _atom_checker(g: Grid, w):
     grid.weight_cells: the grid points and the weight array are read once,
     for every atom the returned check(atom, p=None, beta=None) takes."""
     pts = g.points()
-    warr = weight_cells(w, g.shape)
+    warr = weight_cells(w, g)
 
     def check(atom: Atom, p: float = None, beta: int = None) -> dict:
         p = atom.p if p is None else p
@@ -332,7 +332,7 @@ def atomic_decompose(
         raise ParameterError("atomic decomposition runs on full-space data")
     if any(s != 0 for s in lat.shift_cells):
         raise ParameterError("use the unshifted lattice for the decomposition")
-    warr = weight_cells(w, g.shape)
+    warr = weight_cells(w, g)
     tg = tg or TimeGrid.geometric(g)
 
     S = area_function(f, "qt", ConeSpec("free"), tg)

@@ -180,7 +180,7 @@ def bmo_norms(values, grid, w, flavor: str, lattices, r: float = 2.0, tg: TimeGr
     values = np.asarray(values, dtype=float)
     if values.shape[1:] != grid.shape:
         raise DomainError(f"a stack of shape {values.shape} does not hold functions on {grid.shape}")
-    warr = weight_cells(w, grid.shape)
+    warr = weight_cells(w, grid)
     if flavor == "classical-w":
         return _classical_sup(values, warr, lattices)
     if flavor == "classical-wr":
@@ -220,7 +220,7 @@ def bmo_deltaN_sides_norms(values: np.ndarray, grid, w, lattices, tg: TimeGrid =
     Neumann norm."""
     if grid.domain != FULL:
         raise DomainError("the sides' even extensions are taken of a full-space function")
-    wm, wp = extensions(weight_cells(w, grid.shape), grid, 1.0)
+    wm, wp = extensions(weight_cells(w, grid), grid, 1.0)
     fm, fp = extensions(np.asarray(values, dtype=float), grid, 1.0)
     return (
         bmo_norms(fp, grid, wp, "carleson-heat-free", lattices, tg=tg),

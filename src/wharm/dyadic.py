@@ -354,7 +354,7 @@ def weighted_maximal(g: GridFunction, w, lat: DyadicLattice) -> GridFunction:
     (M_w g)(x) = max over cubes Q containing x of w(Q)^{-1} sum_Q |g| w h^n.
     w is read by grid.weight_cells.
     """
-    wv = weight_cells(w, g.grid.shape)
+    wv = weight_cells(w, g.grid)
     num = np.abs(g.values) * wv
     out = np.zeros(g.grid.shape)
     for k, (nums, ws) in enumerate(zip(lat.generations(num), lat.generations(wv))):

@@ -34,7 +34,8 @@ def checked_config(cfg, defaults: dict, owner: str) -> dict:
     their defaults are defaults: a key owner does not take is refused, and a
     value must have its default's type.  An integer (a None default stands
     for one) is a JSON integer, at least 0 for a seed and 1 for any other; a
-    float is any real number but a bool, and comes back as a float; a list is
+    float is any finite real number but a bool (json.load reads NaN and
+    Infinity), and comes back as a float; a list is
     a nonempty JSON list; a flag is a JSON boolean and a string a string."""
     if not isinstance(cfg, dict):
         raise ParameterError(f"{owner} needs a JSON object, got {cfg!r}")
@@ -51,6 +52,8 @@ def checked_config(cfg, defaults: dict, owner: str) -> dict:
             kind, ok = "a JSON boolean", isinstance(value, bool)
         elif isinstance(default, float):
             kind, ok = "a real number", isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if ok and not math.isfinite(value):
+                kind, ok = "finite", False
         elif isinstance(default, (list, tuple)):
             kind, ok = "a nonempty list", isinstance(value, list) and len(value) > 0
         else:
@@ -157,17 +160,20 @@ def cell_values(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def weight_cells(w, shape) -> np.ndarray:
-    """The cell array of a weight argument on a grid of this shape, the one
-    rule by which every weighted norm and characteristic reads its weight:
-    None is the unit weight; a Weight, a GridFunction or an array needs one
-    value per cell, in the grid's shape (DomainError), and each value must
-    be positive and finite (WeightError)."""
+def weight_cells(w, grid: Grid) -> np.ndarray:
+    """The cell array of a weight argument on grid, the one rule by which
+    every weighted norm and characteristic reads its weight: None is the
+    unit weight; a Weight or a GridFunction must live on grid itself, and an
+    array needs one value per cell, in grid's shape (DomainError); each
+    value must be positive and finite (WeightError)."""
     if w is None:
-        return np.ones(shape)
+        return np.ones(grid.shape)
+    own = getattr(w, "grid", grid)
+    if own != grid:
+        raise DomainError(f"a weight on {own} read on {grid}")
     cells = cell_values(w)
-    if cells.shape != tuple(shape):
-        raise DomainError(f"a weight of shape {cells.shape} on a grid of shape {tuple(shape)}")
+    if cells.shape != grid.shape:
+        raise DomainError(f"a weight of shape {cells.shape} on a grid of shape {grid.shape}")
     if not np.all((cells > 0.0) & np.isfinite(cells)):
         raise WeightError("a weight must be positive and finite in every cell")
     return cells

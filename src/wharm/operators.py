@@ -100,7 +100,8 @@ makes one batched product with every row's [b, T] and one with its
 transpose.  Both new basis vectors are reorthogonalized in full (two passes
 of batched matmul), and a row stops on its own Ritz residual,
 beta_k |e_k^T p_1| <= 1e-13 sigma, or when its Krylov space is the whole
-space; stopped rows leave the batch.  The rows run in near-equal blocks
+space (k = n), tested at every even step k and at k = n; stopped rows leave
+the batch.  The rows run in near-equal blocks
 of at most _BLOCK_CELLS = 8192 cells (rows times points) from _row_blocks,
 each block in bases of its own that start at 32 steps.  The
 certificate of each row keeps the explicit residuals ||A v - sigma u|| and
@@ -624,7 +625,10 @@ def _golub_kahan_block(weighted, count: int, start: np.ndarray):
     basis.  For B_k's top triple (sigma, p, q), u = U_k p and v = V_k q have
     A v = sigma u and ||A^T u - sigma v|| = beta_k |e_k^T p|, so a row stops
     once that is at most _RITZ_TOL sigma, or when its Krylov space is the
-    whole space (k = n).  Stopped rows leave the batch.  The bases (and the
+    whole space (k = n).  The test takes a dense SVD of every active row's
+    B_k, O(k^3), so it runs at even k and at k = n only: a row stops at most
+    one step (two products) later than under a test at every step, and the
+    decompositions halve.  Stopped rows leave the batch.  The bases (and the
     alpha, beta of B_k) start with 32 steps and grow by doubling, copying
     only the steps made; when rows stop, each remaining row's steps move
     down into the freed slots in place and the iteration goes on in the
@@ -654,6 +658,8 @@ def _golub_kahan_block(weighted, count: int, start: np.ndarray):
         beta[:, k] = np.linalg.norm(q, axis=1)
         V[:, k + 1] = _normalized(q, beta[:, k])
         k += 1
+        if k % 2 and k < n:
+            continue
         bidiagonal = np.zeros((len(active), k, k))
         diag = np.arange(k)
         bidiagonal[:, diag, diag] = alpha[:, :k]
@@ -787,12 +793,12 @@ def _lockstep_ascent(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, p
     return np.maximum(ratios[best], 0.0), certs
 
 
-def _norms(maps, zero: np.ndarray, shape, mu, lam, p: float, method: str, seed: int):
+def _norms(maps, zero: np.ndarray, grid: Grid, mu, lam, p: float, method: str, seed: int):
     """||M_i||_{L^p_mu -> L^p_lam} for the operators M_i, i < len(zero), with
     a certificate each: (array of norms, list of certificates).
 
     maps(ops) gives (M, M^T) of the operators ops (an index array) as maps on
-    stacks (len(ops), *shape).  The operators flagged in zero are exactly
+    stacks (len(ops), *grid.shape).  The operators flagged in zero are exactly
     zero: norm 0.0 and the zero-operator certificate, no iteration.  The
     others run in lockstep, method "svd" through _lockstep_norms, "ascent"
     through _lockstep_ascent.  p must lie in (1, inf), and mu and lam are
@@ -801,14 +807,14 @@ def _norms(maps, zero: np.ndarray, shape, mu, lam, p: float, method: str, seed: 
     if not 1.0 < p < np.inf:
         raise ParameterError(f"p must lie in (1, inf), got p = {p!r}")
     live = np.flatnonzero(~zero)
-    args = (lambda rows: maps(live[rows]), len(live), shape, weight_cells(mu, shape), weight_cells(lam, shape))
+    args = (lambda rows: maps(live[rows]), len(live), grid.shape, weight_cells(mu, grid), weight_cells(lam, grid))
     if method == "svd":
         norms, certs = _lockstep_norms(*args, seed)
     else:
         norms, certs = _lockstep_ascent(*args, p, seed)
     out = np.zeros(len(zero))
     out[live] = norms
-    everyone = [{"method": method, "size": int(np.prod(shape)), "zero_operator": True} for _ in zero]
+    everyone = [{"method": method, "size": int(np.prod(grid.shape)), "zero_operator": True} for _ in zero]
     for i, cert in zip(live, certs):
         everyone[i] = cert
     return out, everyone
@@ -842,7 +848,7 @@ def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=No
     def maps(ops):
         return _commutator_map(symbols[ops], forward), _commutator_map(symbols[ops], adjoint)
 
-    return _norms(maps, _constant(symbols), grid.shape, mu, lam, p, "svd" if p == 2.0 else "ascent", seed)
+    return _norms(maps, _constant(symbols), grid, mu, lam, p, "svd" if p == 2.0 else "ascent", seed)
 
 
 def weighted_operator_norm(op: OperatorHandle, grid: Grid, mu=None, lam=None, p: float = 2.0, method: str = "svd",
@@ -865,5 +871,5 @@ def weighted_operator_norm(op: OperatorHandle, grid: Grid, mu=None, lam=None, p:
     if method not in ("svd", "ascent"):
         raise ParameterError(f"unknown method {method!r}")
     zero = _constant(op.b.values[None]) if op.kind == "commutator" else np.zeros(1, dtype=bool)
-    norms, certs = _norms(lambda ops: maps, zero, grid.shape, mu, lam, p, method, seed)
+    norms, certs = _norms(lambda ops: maps, zero, grid, mu, lam, p, method, seed)
     return float(norms[0]), certs[0]

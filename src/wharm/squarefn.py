@@ -265,9 +265,10 @@ def hardy_norm(f: GridFunction, flavor, w, tg: TimeGrid = None, lattice: DyadicL
     flavor: "heat-free" | "heat-neumann" | ("classical", beta) | "haar".
     w: None (the unit weight), a Weight, a GridFunction or a cell array, read
     by grid.weight_cells: one positive finite value per cell of f's grid, or
-    DomainError for a wrong shape and WeightError for a bad value.
+    DomainError for a wrong shape or another grid and WeightError for a bad
+    value.
     """
-    warr = weight_cells(w, f.grid.shape)
+    warr = weight_cells(w, f.grid)
     if flavor == "haar":
         if lattice is None:
             raise ParameterError("the Haar flavor needs a lattice")

@@ -25,7 +25,7 @@ class Weight:
     """Strictly positive grid function with box masses."""
 
     def __init__(self, values: GridFunction):
-        weight_cells(values, values.grid.shape)
+        weight_cells(values, values.grid)
         self.values = values
 
     @property
@@ -81,7 +81,7 @@ def _lattice_cells(w, lattices):
     lats = _iter_lattices(lattices)
     if not lats:
         raise ParameterError("a weight characteristic needs at least one lattice")
-    return lats, weight_cells(w, lats[0].grid.shape)
+    return lats, weight_cells(w, lats[0].grid)
 
 
 def ap_constant(w, p: float, lattices) -> float:

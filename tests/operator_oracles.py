@@ -7,6 +7,10 @@ an iteration independent of the lockstep Golub-Kahan run the library uses.
 dense_weighted_norm is the same norm of a dense matrix by a full SVD, for
 the operators that have no handle (the sparse operators A_S, whose dense
 matrix is sparse_operator_matrix).
+every_step_norm is the Golub-Kahan-Lanczos run for one operator on
+flattened vectors with the stop test at every step, the reference of the
+lockstep run's test at even steps: the same norm, and a step count one
+less or the same.
 ascent_norm is the p-ascent one restart and one vector at a time, the
 reference of the lockstep ascent behind weighted_operator_norm's "ascent"
 method and commutator_norms at p != 2.  qt_neumann is the closed-form
@@ -40,7 +44,7 @@ from wharm.kernels import (
     riesz_free,
     riesz_normalization,
 )
-from wharm.operators import FOURIER, OperatorHandle, _free_operator, _operator_maps, _sided_map
+from wharm.operators import _RITZ_TOL, FOURIER, OperatorHandle, _free_operator, _operator_maps, _sided_map
 
 
 def qt_op(family, t, backend=FOURIER):
@@ -152,8 +156,8 @@ def linear_operator(op, grid) -> LinearOperator:
 def svds_norm(op, grid, mu=None, lam=None, seed: int = 0) -> float:
     """ARPACK's largest singular value of op weighted from L^2_mu to L^2_lam."""
     M = linear_operator(op, grid)
-    sqrt_lam = np.sqrt(weight_cells(lam, grid.shape)).reshape(-1)
-    inv_sqrt_mu = 1.0 / np.sqrt(weight_cells(mu, grid.shape)).reshape(-1)
+    sqrt_lam = np.sqrt(weight_cells(lam, grid)).reshape(-1)
+    inv_sqrt_mu = 1.0 / np.sqrt(weight_cells(mu, grid)).reshape(-1)
     A = LinearOperator(
         M.shape,
         matvec=lambda x: sqrt_lam * M.matvec(inv_sqrt_mu * x.reshape(-1)),
@@ -162,6 +166,40 @@ def svds_norm(op, grid, mu=None, lam=None, seed: int = 0) -> float:
     )
     v0 = np.random.default_rng(seed).standard_normal(M.shape[1])
     return float(svds(A, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
+
+
+def every_step_norm(op, grid, mu=None, lam=None, seed: int = 0):
+    """(sigma, steps): the top singular value of op weighted from L^2_mu to
+    L^2_lam by Golub-Kahan-Lanczos bidiagonalization from the lockstep run's
+    start vector, one vector at a time, and its number of steps.  Both new
+    basis vectors are reorthogonalized (Gram-Schmidt, twice), and after
+    every step k the top triple (s, p, q) of the k x k bidiagonal B_k is
+    tested: the run stops once beta_k |e_k^T p| <= _RITZ_TOL s, or at k = n."""
+    M = linear_operator(op, grid)
+    n = M.shape[0]
+    sqrt_lam = np.sqrt(weight_cells(lam, grid)).reshape(-1)
+    inv_sqrt_mu = 1.0 / np.sqrt(weight_cells(mu, grid)).reshape(-1)
+    v = np.random.default_rng(seed).standard_normal(n)
+    U, V, alpha, beta = [], [v / np.linalg.norm(v)], [], []
+
+    def orthogonal(x, basis):
+        B = np.array(basis)
+        for _ in range(2):
+            x = x - B.T @ (B @ x)
+        return x
+
+    for k in range(1, n + 1):
+        p = sqrt_lam * M.matvec(inv_sqrt_mu * V[-1]) - (beta[-1] * U[-1] if U else 0.0)
+        p = orthogonal(p, U) if U else p
+        alpha.append(np.linalg.norm(p))
+        U.append(p / alpha[-1] if alpha[-1] > 0 else p)
+        q = orthogonal(inv_sqrt_mu * M.rmatvec(sqrt_lam * U[-1]) - alpha[-1] * V[-1], V)
+        beta.append(np.linalg.norm(q))
+        V.append(q / beta[-1] if beta[-1] > 0 else q)
+        P, s, _ = np.linalg.svd(np.diag(alpha) + np.diag(beta[:-1], 1))
+        if beta[-1] * abs(P[-1, 0]) <= _RITZ_TOL * s[0]:
+            break
+    return float(s[0]), k
 
 
 def sparse_operator_matrix(coll, grid) -> np.ndarray:
@@ -193,7 +231,7 @@ def ascent_norm(op, grid, mu=None, lam=None, p: float = 2.0, seed: int = 0, rest
     method, one restart after another on flattened value vectors."""
     M = linear_operator(op, grid)
     npts = M.shape[0]
-    mu, lam = weight_cells(mu, grid.shape).reshape(-1), weight_cells(lam, grid.shape).reshape(-1)
+    mu, lam = weight_cells(mu, grid).reshape(-1), weight_cells(lam, grid).reshape(-1)
 
     def weighted_norm(values, w):
         return float(np.sum(np.abs(values) ** p * w) ** (1.0 / p))

@@ -233,6 +233,10 @@ def test_cli_harness_weight_spec_without_alpha_exits_2(tmp_path, capsys):
     pytest.param("bmo-coincidence", {"max_generation": 1}, "max_generation", id="bmo-coincidence-too-shallow"),
     pytest.param("bmo-coincidence", {"weights": [{"kind": "one", "alhpa": 0.5}]}, "'alhpa'",
                  id="weight-spec-unknown-key"),
+    # json.dump writes NaN and Infinity, and json.load reads them back
+    pytest.param("john-nirenberg", {"r": float("nan")}, "r must be finite, got nan", id="nan-number"),
+    pytest.param("bmo-coincidence", {"weights": [{"kind": "power", "alpha": float("inf")}]},
+                 "alpha must be finite, got inf", id="inf-alpha"),
 ])
 def test_cli_harness_bad_config_exits_2(tmp_path, capsys, name, cfg, key):
     cpath = str(tmp_path / "cfg.json")

@@ -188,6 +188,15 @@ BAD_CONFIGS = [
                  id="pair-without-lambda"),
     pytest.param("bmo-coincidence", {"weights": [{"kind": "power", "alpha": "0.5"}]}, "alpha",
                  id="string-alpha"),
+    # json.load reads NaN, Infinity and -Infinity
+    pytest.param("john-nirenberg", {"r": float("nan")}, "^r must be finite", id="nan-number"),
+    pytest.param("two-weight-commutator", {"band_cap": float("inf")}, "^band_cap must be finite", id="inf-number"),
+    pytest.param("john-nirenberg", {"p": -float("inf")}, "^p must be finite", id="minus-inf-number"),
+    pytest.param("bmo-coincidence", {"weights": [{"kind": "power", "alpha": float("nan")}]}, "^alpha must be finite",
+                 id="nan-alpha"),
+    pytest.param("two-weight-commutator",
+                 {"weight_pairs": [{"mu": {"kind": "exp_bmo", "file": "b.json", "delta": float("inf")},
+                                    "lambda": {"kind": "one"}}]}, "^delta must be finite", id="inf-delta"),
 ]
 
 

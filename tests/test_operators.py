@@ -39,6 +39,7 @@ from wharm.weights import Weight, weight_from_spec
 from operator_oracles import (
     ascent_norm,
     dense_weighted_norm,
+    every_step_norm,
     extend_odd,
     extension_map,
     linear_operator,
@@ -611,6 +612,28 @@ def test_commutator_norms_on_one_cell_and_on_an_exhausted_krylov_space():
     for b, val in zip(symbols, vals):
         want = dense_weighted_norm(commutator_matrix(b, assemble_matrix(R, g)), mu, lam)
         assert abs(val - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("dim,N,domain", [(1, 256, "full"), (1, 256, "upper"), (2, 16, "full")])
+def test_stop_test_at_even_steps_against_the_every_step_oracle(dim, N, domain):
+    # the lockstep run tests its rows at even steps only, so a row stops on
+    # the step the every-step oracle stops on, or on the one after it
+    g = Grid(dim, 1.0, N, domain)
+    rng = np.random.default_rng(dim * N + (domain == "upper"))
+    symbols = rng.standard_normal((8,) + g.shape)
+    symbols[::2] = np.cumsum(symbols[::2], axis=-1)
+    mu, lam = np.exp(0.3 * rng.standard_normal((2,) + g.shape))
+    later = 0
+    for j in range(1, dim + 1):
+        R = riesz("neumann" if domain == "full" else "dirichlet", j)
+        vals, certs = commutator_norms(symbols, R, g, mu, lam, seed=3)
+        for b, val, cert in zip(symbols, vals, certs):
+            want, steps = every_step_norm(commutator(GridFunction(g, b), R), g, mu, lam, seed=3)
+            assert abs(val - want) <= 1e-12 * want
+            assert cert["products"] in (2 * steps, 2 * steps + 2)
+            assert max(cert["residual_left"], cert["residual_right"]) <= 1e-10 * val
+            later += cert["products"] > 2 * steps
+    assert later > 0
 
 
 def test_commutator_norms_are_reproducible():

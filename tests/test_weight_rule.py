@@ -12,7 +12,7 @@ from wharm.errors import DomainError, WeightError
 from wharm.grid import Grid, GridFunction, constant
 from wharm.operators import commutator, commutator_norms, riesz, weighted_operator_norm
 from wharm.squarefn import TimeGrid, hardy_norm
-from wharm.weights import Weight, a1_constant, ap_constant, ap_deltaN_constant
+from wharm.weights import Weight, a1_constant, ap_constant, ap_deltaN_constant, power_weight
 
 GRID = Grid(1, 1.0, 32)
 HALF = GRID.with_domain("upper")
@@ -80,6 +80,19 @@ def test_every_entry_rejects_a_bad_weight_alike(entries, bad):
         except Exception as exc:
             pytest.fail(f"{name} raised {type(exc).__name__}: {exc}")
         pytest.fail(f"{name} took the {bad} weight")
+
+
+def test_every_entry_rejects_a_weight_on_another_grid(entries):
+    # |x|^{1/2} sampled on a box four times wider has the grid's shape but
+    # not its cells: read as this grid's, it gave hardy_norm about twice the
+    # norm in the weight on the grid itself
+    for name, grid, call in entries:
+        w = power_weight(Grid(grid.dim, 4.0 * grid.halfwidth, grid.points_per_axis, grid.domain), 0.5)
+        call(power_weight(grid, 0.5))
+        for other in (w, w.values):
+            with pytest.raises(DomainError, match="read on"):
+                call(other)
+                pytest.fail(f"{name} took a {type(other).__name__} on {other.grid}")
 
 
 def _bits(x):
