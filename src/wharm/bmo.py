@@ -14,15 +14,25 @@ only lattices and generations are looped over.  The scans take a stack of
 functions (S, *grid.shape) in one weight, whose rows ride along the block
 view and the batched applies as a leading axis: bmo_norms gives S norms,
 each equal bit for bit to its row's bmo_norm, the stack of one.
+
+The semigroup Carleson norms make one reduction per Whitney slab (its
+batched apply squared in place, the block sums of all its scales added in
+one call, into one two-period prefix table) and, per lattice, one gather per
+prefix corner from the concatenated tables, by a read-only plan cached per
+lattice geometry (_scan_plan), and one reduction per top generation.  The
+reductions are add.accumulate, which adds in loop order where add.reduce
+sums pairwise along a lone axis: the norms equal per-scale and per-slab loops
+bit for bit.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .dyadic import DyadicLattice, _iter_lattices, haar_generation, split_blocks
+from .dyadic import _iter_lattices, haar_generation, split_blocks
 from .errors import DomainError, ParameterError
 from .grid import FULL, GridFunction, extensions, weight_cells
 from .operators import apply_scales
@@ -90,74 +100,64 @@ def _two_period_prefix(table: np.ndarray, n: int) -> np.ndarray:
     return prefix
 
 
-def _sums_inside(prefix: np.ndarray, lat: DyadicLattice, js) -> list:
-    """For each generation j of js, the sum of a per-cube table of one
-    unshifted generation over the unshifted cubes inside each generation-j
-    cube P of lat, shape lead + (2^j,)*n.  prefix is the table's
-    _two_period_prefix, with the leading axes lead.
-
-    Axis by axis, the cubes inside P form the periodic index range
-    [ceil(s/m), floor((s+M)/m)) for P's first cell s, P's side M and the
-    table's cube side m (all in cells).  The ranges of every P of every j
-    are read at once: each box is summed from the prefix table's 2^n corners,
-    over the outer product of the per-axis ranges, and each j's diagonal
-    block is kept.
-    """
-    N = lat.grid.points_per_axis
-    m = 2 * N // (prefix.shape[-1] - 1)
-    counts = [1 << j for j in js]
-    sides = [lat.cells_per_axis(j) for j in js]
-    ranges = []
-    for shift in lat.shift_cells:
-        start = np.concatenate([(shift + M * np.arange(c)) % N for M, c in zip(sides, counts)])
-        lo = -(-start // m)
-        hi = np.maximum((start + np.repeat(sides, counts)) // m, lo)
-        ranges.append((hi, lo))
-    n = len(ranges)
-    out = 0.0
-    for corner in product((0, 1), repeat=n):
-        # corner[a] = 1 takes the low end on axis a, with sign -1
-        index = (...,) + tuple(r[c].reshape((-1,) + (1,) * (n - 1 - a)) for a, (r, c) in enumerate(zip(ranges, corner)))
-        out = out - prefix[index] if sum(corner) % 2 else out + prefix[index]
-    ends = np.cumsum(counts)
-    return [out[(...,) + (slice(e - c, e),) * n] for e, c in zip(ends, counts)]
+@lru_cache(maxsize=64)
+def _scan_plan(N: int, dim: int, shift_cells: tuple, max_generation: int, slab_generations: tuple) -> tuple:
+    """(corners, counts) of one lattice: counts[j] slabs fit inside its generation-j
+    cubes P, for j = 0, 1, ... while P has 4 cells per axis or more and a slab fits;
+    row c of corners is corner c (product((0, 1), repeat=dim) order) of every box
+    sum, ordered (j, slab, P), as a flat index into the slabs' concatenated tables."""
+    offsets = np.cumsum([0] + [((2 << k) + 1) ** dim for k in slab_generations])
+    parts, counts = [np.zeros((1 << dim, 0), dtype=np.intp)], []
+    for j in range(max_generation + 1):
+        M, fitting = N >> j, [(s, k) for s, k in enumerate(slab_generations) if k >= j]
+        if M < 4 or not fitting:
+            break
+        counts.append(len(fitting))
+        start = (np.array(shift_cells)[:, None] + M * np.arange(1 << j)) % N
+        for s, k in fitting:
+            # per axis, the cubes of side m = N >> k inside P: [ceil(start/m), floor((start+M)/m))
+            lo = -(-start // (N >> k))
+            ends = np.stack([np.maximum((start + M) // (N >> k), lo), lo])
+            boxes = [np.ix_(*ends[list(corner), range(dim)]) for corner in product((0, 1), repeat=dim)]
+            parts.append(offsets[s] + np.stack([np.ravel_multi_index(b, ((2 << k) + 1,) * dim).ravel() for b in boxes]))
+    corners = np.concatenate(parts, axis=1)
+    corners.flags.writeable = False
+    return corners, tuple(counts)
 
 
 def _carleson_heat(values: np.ndarray, grid, warr: np.ndarray, lattices, tg: TimeGrid, neumann: bool) -> np.ndarray:
+    """(sup_P w(P)^{-1} sum_{Q subset P} c_Q)^{1/2} per row, c_Q = int_{Q^} |G_t f|^2 t^n
+    / w(Q) dy dt/t, by one reduction per Whitney slab and the _scan_plan gathers."""
     if grid.domain != FULL:
         raise DomainError("semigroup Carleson norms are evaluated on full-space data")
-    n = grid.dim
+    n, S, lw, h_n = grid.dim, len(values), tg.log_weight, grid.cell_volume
     lats = _iter_lattices(lattices)
     dyadic = next((l for l in lats if all(s == 0 for s in l.shift_cells)), None)
     if dyadic is None:
         # inner sums run over unshifted dyadic cubes (block sums rely on it)
         raise ParameterError("semigroup Carleson norms need the unshifted lattice in the family")
-    lw = tg.log_weight
-    h_n = grid.cell_volume
-
-    # per-generation cube contributions c_Q = int_{Q^} |G_t f|^2 t^n/w(Q) dy dt/t
-    family = "neumann" if neumann else "free"
-    prefixes = []
-    for k, ts in tg.slabs(grid, dyadic.max_generation):
-        acc = np.zeros((len(values),) + (1 << k,) * n)
+    slabs = tg.slabs(grid, dyadic.max_generation)
+    tables = [np.zeros((S, 0))]
+    for k, ts in slabs:
         # one Whitney slab, one octave of scales, every row: one batched apply
-        for t, fields in zip(ts, apply_scales("qt", family, ts, values, grid=grid)):
-            acc += lw * t ** n * dyadic.blocks(fields ** 2, k).sum(axis=-1) * h_n
-        prefixes.append(_two_period_prefix(acc / (dyadic.blocks(warr, k).sum(axis=-1) * h_n), n))
-
-    best = np.zeros(len(values))
+        fields = apply_scales("qt", "neumann" if neumann else "free", ts, values, grid=grid)
+        sums = dyadic.blocks(np.square(fields, out=fields), k).sum(axis=-1)
+        sums *= np.reshape([lw * t ** n for t in ts], (-1,) + (1,) * (sums.ndim - 1))
+        sums *= h_n
+        acc = np.add.accumulate(sums)[-1] / (dyadic.blocks(warr, k).sum(axis=-1) * h_n)
+        tables.append(_two_period_prefix(acc, n).reshape(S, -1))
+    table = np.concatenate(tables, axis=1)
+    best = np.zeros(S)
     for lat in lats:
-        js = [j for j in range(lat.max_generation + 1) if lat.cells_per_axis(j) >= 4]
-        inner = dict.fromkeys(js, 0.0)
-        for prefix in prefixes:
-            # cubes coarser than P never fit inside it
-            fits = [j for j in js if prefix.shape[-1] > 2 << j]
-            if fits:
-                for j, sums in zip(fits, _sums_inside(prefix, lat, fits)):
-                    inner[j] = inner[j] + sums
-        for j, wcells in enumerate(lat.generations(warr)):
-            if j in inner:
-                best = np.maximum(best, _row_max(inner[j] / (wcells.sum(axis=-1) * h_n)))
+        corners, counts = _scan_plan(grid.points_per_axis, n, lat.shift_cells, lat.max_generation,
+                                     tuple(k for k, _ in slabs))
+        sums = table[:, corners[0]]
+        for c, index in enumerate(corners[1:], 1):
+            (np.subtract if bin(c).count("1") % 2 else np.add)(sums, table[:, index], out=sums)
+        tops = np.split(sums, np.cumsum([count << n * j for j, count in enumerate(counts)]), axis=1)
+        for count, top, wcells in zip(counts, tops, lat.generations(warr)):
+            inner = np.add.accumulate(top.reshape(S, count, -1), axis=1)[:, -1]
+            best = np.maximum(best, _row_max(inner / (wcells.sum(axis=-1).reshape(-1) * h_n)))
     return np.sqrt(best)
 
 

@@ -266,6 +266,11 @@ def run_dirichlet_counterexample(refinements=(64, 256, 1024), halfwidth=1.0, gro
         for i in range(len(rows) - 1)
     ]
     comm_vals = [r["commutator_norm"] for r in rows]
+    if not all(v > 0.0 for v in comm_vals):
+        # the commutator norms are ratios' denominators; they vanish when the
+        # grid's frequencies overflow or underflow
+        raise ParameterError(f"halfwidth={halfwidth!r} gives commutator norms {comm_vals}; "
+                             "their variation needs them positive, so take a halfwidth nearer 1")
     half_vals = [r["half_bmo"] for r in rows]
     even_vals = [r["even_extension_bmo"] for r in rows]
     checks = {

@@ -130,7 +130,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BackendError, DomainError, ParameterError, SizeError
+from .errors import BackendError, DomainError, ParameterError, RangeError, SizeError
 from .grid import FULL, LOWER, UPPER, Grid, GridFunction, extensions, weight_cells
 from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil
 
@@ -753,7 +753,9 @@ def _lockstep_ascent(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, p
     (converged; it keeps the earlier ratio), when z vanishes, or after
     max_iter steps.  Each operator keeps the first largest ratio of
     its restarts; its certificate names that restart, its steps and whether
-    it converged.
+    it converged.  A ratio or an iterate norm that is not finite (the power
+    1/(p-1) overflows, or underflows to a zero iterate, as p nears 1) raises
+    RangeError.
     """
     restarts, max_iter, tol = _RESTARTS, _MAX_ITER, _ASCENT_TOL
     npts, total = int(np.prod(shape)), count * restarts
@@ -763,7 +765,10 @@ def _lockstep_ascent(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, p
     converged = np.zeros(total, dtype=bool)
 
     def norm(x, w):
-        return np.sum((np.abs(x) ** p * w).reshape(len(x), npts), axis=1) ** (1.0 / p)
+        out = np.sum((np.abs(x) ** p * w).reshape(len(x), npts), axis=1) ** (1.0 / p)
+        if not np.all(np.isfinite(out)):
+            raise RangeError(f"the p-ascent at p = {p!r} left the floating-point range")
+        return out
 
     for active in _row_blocks(total, npts):
         f = starts[active % restarts]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wharm import harness
-from wharm.errors import ParameterError
+from wharm.errors import ParameterError, RangeError
 
 
 def test_john_nirenberg_experiment():
@@ -100,6 +100,14 @@ def test_two_weight_general_p_is_labeled_lower_bound():
     assert rep["bands"][0]["C"] > 0
 
 
+def test_two_weight_ascent_out_of_range_raises():
+    # p - 1 = 1e-7: the ascent's power (|z| / mu)^(1/(p-1)) overflows; a
+    # report of NaN ratios could not be written
+    cfg = {"points_per_axis": 8, "seed": 0, "p": 1.0000001}
+    with np.errstate(over="ignore", under="ignore"), pytest.raises(RangeError, match="p = 1.0000001"):
+        harness.run("two-weight-commutator", cfg)
+
+
 def test_content_hash_tracks_referenced_files(tmp_path):
     import json as _json
 
@@ -174,6 +182,9 @@ BAD_CONFIGS = [
     pytest.param("dirichlet-counterexample", {"refinements": 64}, "refinements", id="number-for-list"),
     pytest.param("dirichlet-counterexample", {"refinements": [64, 64]}, "refinements", id="repeated-refinement"),
     pytest.param("dirichlet-counterexample", {"refinements": [128, 32]}, "refinements", id="falling-refinements"),
+    # the grid frequencies underflow: every commutator norm is 0
+    pytest.param("dirichlet-counterexample", {"halfwidth": 1e300, "refinements": [8, 16]}, "halfwidth",
+                 id="vanishing-commutator"),
     # at depth 1 every symbol is constant on each side of x_n = 0: its Delta_N norm is 0
     pytest.param("two-weight-commutator", {"max_generation": 1}, "max_generation", id="two-weight-too-shallow"),
     pytest.param("bmo-coincidence", {"max_generation": 1}, "max_generation", id="bmo-coincidence-too-shallow"),

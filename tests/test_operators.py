@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wharm.errors import BackendError, DomainError, ParameterError, SizeError, WeightError
+from wharm.errors import BackendError, DomainError, ParameterError, RangeError, SizeError, WeightError
 from wharm.grid import Grid, GridFunction, constant, extend_even, restrict
 from wharm.kernels import psi_multiplier, psi_stencil
 from wharm import operators
@@ -281,6 +281,15 @@ def test_norms_need_a_finite_p_above_one(grid64, p):
         weighted_operator_norm(commutator(b, riesz("free", 1)), grid64, p=p, method="ascent")
     with pytest.raises(ParameterError, match="^p must lie"):
         commutator_norms(b.values[None], riesz("free", 1), grid64, p=p)
+
+
+def test_ascent_leaving_the_float_range_raises(grid64, monkeypatch):
+    # at p - 1 = 1e-7 the dual step's power 1/(p-1) overflows: an error, not
+    # NaN ratios
+    b = GridFunction(grid64, np.sin(np.pi * grid64.axis_coords(0)))
+    monkeypatch.setattr(operators, "_RESTARTS", 2)
+    with np.errstate(all="ignore"), pytest.raises(RangeError, match="p-ascent"):
+        weighted_operator_norm(commutator(b, riesz("free", 1)), grid64, p=1.0000001, method="ascent")
 
 
 def test_ascent_general_p_runs(grid64, rng, monkeypatch):
