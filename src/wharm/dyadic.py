@@ -22,8 +22,9 @@ the children, and haar_synthesis, its transpose, puts a generation's
 coefficients back on the cells.  Both take leading axes, so a stack of
 functions is one call per generation.  random_haar_sums draws a stack of
 random Haar sums with one normal draw for the whole stack and one synthesis
-per generation; random_haar_sum is its stack of one.  haar_function builds
-one h_Q^eps on the full grid and is the per-cube reference of the tests.
+per generation; random_haar_sum is its stack of one.  No function here
+reads one cube's cells on the full grid: the tests keep that per-cube
+geometry (a cube's cell indices, its mask, one h_Q^eps) as their reference.
 
 All integrals are exact cell sums (midpoint rule), so cube masses and Haar
 coefficients are bit-reproducible.
@@ -109,20 +110,6 @@ class DyadicLattice:
     def measure(self, generation: int) -> float:
         """|Q| of every cube of a generation."""
         return (2.0 * self.grid.halfwidth * 2.0 ** (-generation)) ** self.grid.dim
-
-    def cell_indices(self, cube: DyadicCube):
-        """Per-axis integer index arrays (for np.ix_); wrapped order."""
-        N = self.grid.points_per_axis
-        m = self.cells_per_axis(cube.generation)
-        return tuple(
-            (self.shift_cells[a] + cube.index[a] * m + np.arange(m)) % N
-            for a in range(self.grid.dim)
-        )
-
-    def mask(self, cube: DyadicCube) -> np.ndarray:
-        out = np.zeros(self.grid.shape, dtype=bool)
-        out[np.ix_(*self.cell_indices(cube))] = True
-        return out
 
     def extent(self, cube: DyadicCube):
         """(lo, hi) coordinate arrays for a non-wrapped cube, else None."""
@@ -213,32 +200,6 @@ def lattice_family(grid: Grid, max_generation: int = None):
 
 def signatures(dim: int):
     return [s for s in product((0, 1), repeat=dim) if s != (1,) * dim]
-
-
-def haar_function(lat: DyadicLattice, cube: DyadicCube, sig) -> GridFunction:
-    """h_Q^eps as a grid function (unit L^2 norm under cell sums)."""
-    g = lat.grid
-    m = lat.cells_per_axis(cube.generation)
-    if m < 2:
-        raise GridAlignmentError("cube has a single cell per axis; no Haar function")
-    N = g.points_per_axis
-    vals = np.zeros(g.shape)
-    scale = (m * g.h) ** (-g.dim / 2.0)
-    half = m // 2
-    axis_parts = []
-    for a in range(g.dim):
-        s0 = lat.shift_cells[a] + cube.index[a] * m
-        left = (s0 + np.arange(half)) % N
-        right = (s0 + half + np.arange(half)) % N
-        axis_parts.append((left, right))
-    for halves in product((0, 1), repeat=g.dim):
-        sign = 1.0
-        for a, hlf in enumerate(halves):
-            if sig[a] == 0 and hlf == 1:
-                sign = -sign
-        idx = tuple(axis_parts[a][hlf] for a, hlf in enumerate(halves))
-        vals[np.ix_(*idx)] = sign * scale
-    return GridFunction(g, vals)
 
 
 def _haar_signs(dim: int) -> np.ndarray:

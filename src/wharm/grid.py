@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,10 @@ class Grid:
             raise ParameterError(f"points_per_axis must be a positive even integer, got {self.points_per_axis!r}")
         if not isinstance(self.halfwidth, numbers.Real) or not math.isfinite(self.halfwidth) or self.halfwidth <= 0:
             raise ParameterError(f"halfwidth must be finite and positive, got {self.halfwidth!r}")
+        # the kernels and time scales square h and 2L: both squares must be normal floats
+        h, span = 2.0 * self.halfwidth / self.points_per_axis, 2.0 * self.halfwidth
+        if not (h * h >= sys.float_info.min and span * span <= sys.float_info.max):
+            raise ParameterError(f"halfwidth {self.halfwidth!r} puts h^2 or (2L)^2 outside the normal float range")
         if self.domain not in (FULL, UPPER, LOWER):
             raise ParameterError(f"unknown domain {self.domain!r}")
 

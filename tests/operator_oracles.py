@@ -30,6 +30,7 @@ check_kernel_smoothness samples the size and smoothness bounds of a kernel.
 import numpy as np
 from scipy.fft import dct, dst, idct, idst
 from scipy.sparse.linalg import LinearOperator, svds
+from tree_oracles import mask
 
 from wharm.errors import DomainError, ParameterError
 from wharm.grid import FULL, GridFunction, cell_values, extensions, weight_cells
@@ -208,7 +209,7 @@ def sparse_operator_matrix(coll, grid) -> np.ndarray:
     npts = int(np.prod(grid.shape))
     M = np.zeros((npts, npts))
     for q in coll.cubes:
-        idx = np.nonzero(lat.mask(q).reshape(-1))[0]
+        idx = np.nonzero(mask(lat, q).reshape(-1))[0]
         M[np.ix_(idx, idx)] += 1.0 / len(idx)
     return M
 

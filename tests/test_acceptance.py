@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 from operator_oracles import dense_weighted_norm, reflected_spectral_oracle, sided_kernel_sums, sparse_operator_matrix
-from tree_oracles import bmo_good_function, dyadic_local_bmo, haar_reconstruct, parent
+from tree_oracles import bmo_good_function, cell_count, cell_indices, dyadic_local_bmo, haar_reconstruct, parent
 from weight_oracles import cube_average, doubling_ratio
 
 from wharm import bmo as bmo_mod
@@ -143,7 +143,7 @@ def test_criterion_2_oracles(rng):
     oracle = 0.0
     for lat in lats:
         for cube in lat.cubes:
-            idx = np.ix_(*lat.cell_indices(cube))
+            idx = np.ix_(*cell_indices(lat, cube))
             oracle = max(oracle, w.array[idx].mean() * (w.array[idx] ** -1.0).mean())
     _report(failures, "2.1 A^p constant vs exhaustive scan", abs(impl - oracle) <= 1e-12 * oracle)
 
@@ -158,10 +158,10 @@ def test_criterion_2_oracles(rng):
         for cube in lat.cubes:
             if cube.generation == 0:
                 continue
-            avg = dens.values[np.ix_(*lat.cell_indices(cube))].mean()
+            avg = dens.values[np.ix_(*cell_indices(lat, cube))].mean()
             anc, anc_hit = parent(cube), False
             while anc is not None and anc.generation > 0:
-                if dens.values[np.ix_(*lat.cell_indices(anc))].mean() > alpha * base:
+                if dens.values[np.ix_(*cell_indices(lat, anc))].mean() > alpha * base:
                     anc_hit = True
                     break
                 anc = parent(anc)
@@ -251,7 +251,7 @@ def test_criterion_3_quantitative(rng):
         for R in fam.selected:
             avg = cube_average(w, lat6, R)
             ok &= 2.0 * base < avg <= 2.0 * 2.0 * base * (1 + 1e-12)
-        ok &= fam.total_child_cells(lat6) <= 64 / 2.0 * (1 + 1e-12)
+        ok &= cell_count(lat6, fam.selected) <= 64 / 2.0 * (1 + 1e-12)
     _report(failures, "3.3 good-function and stopping-family bounds", ok, f"worst slack {worst:.3f}")
 
     assert not failures, "; ".join(failures)

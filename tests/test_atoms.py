@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from operator_oracles import qt_op
-from tree_oracles import generation_of_scale, parent, reconstruction
+from tree_oracles import cell_indices, generation_of_scale, haar_function, parent, reconstruction
+from tree_oracles import mask as cube_mask
 from weight_oracles import cube_mass
 
 from wharm import atoms
 from wharm.atoms import Atom, atomic_decompose, calderon_constant, check_atom
-from wharm.dyadic import DyadicCube, build_lattice, haar_function
+from wharm.dyadic import DyadicCube, build_lattice
 from wharm.errors import DecompositionError
 from wharm.grid import Grid, GridFunction, constant
 from wharm.kernels import psi_multiplier
@@ -46,7 +47,7 @@ def test_haar_atom_rescale_report(grid64, lat64):
     assert check_atom(rescaled)["ok"]
     # a deep-generation Haar satisfies the bound outright (|Q| < 1)
     hq = haar_function(lat64, DyadicCube(3, (2,)), (0,))
-    mask_q = lat64.mask(DyadicCube(3, (2,)))
+    mask_q = cube_mask(lat64, DyadicCube(3, (2,)))
     ext = lat64.extent(DyadicCube(3, (2,)))
     atom_q = _atom_from_values(grid64, hq.values, mask_q, (ext[0] + ext[1]) / 2, 0.25)
     assert check_atom(atom_q)["ok"]
@@ -145,7 +146,7 @@ def test_level_set_machinery(rng):
         assert np.all(masks[k + 1] <= masks[k])  # Omega_{k+1} subset Omega_k
     # every cube with the half-mass property lands in exactly one B_k
     for cube in lat.cubes:
-        idx = np.ix_(*lat.cell_indices(cube))
+        idx = np.ix_(*cell_indices(lat, cube))
         wq = w.array[idx].sum()
         ks = [
             k

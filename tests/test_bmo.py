@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_oracles import bmo_deltaN_classical_norm, dyadic_local_bmo
+from tree_oracles import bmo_deltaN_classical_norm, dyadic_local_bmo, haar_function
 from weight_oracles import from_callable
 
 from wharm.bmo import (
@@ -14,7 +14,7 @@ from wharm.bmo import (
     bmo_norms,
     john_nirenberg_report,
 )
-from wharm.dyadic import DyadicCube, haar_function, lattice_family, random_haar_sum
+from wharm.dyadic import DyadicCube, lattice_family, random_haar_sum
 from wharm.errors import DomainError, ParameterError
 from wharm.grid import Grid, GridFunction, constant, restrict
 from wharm.squarefn import TimeGrid

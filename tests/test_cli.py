@@ -231,6 +231,8 @@ def test_cli_harness_weight_spec_without_alpha_exits_2(tmp_path, capsys):
     pytest.param("dirichlet-counterexample", {"refinements": [64, 64]}, "refinements", id="repeated-refinement"),
     pytest.param("dirichlet-counterexample", {"halfwidth": 1e300, "refinements": [8, 16]}, "halfwidth",
                  id="vanishing-commutator"),
+    *[pytest.param(name, {"halfwidth": hw}, "halfwidth", id=f"{name}-halfwidth-{hw:g}")
+      for name in SMALL_CONFIGS for hw in (1e300, 1e-300)],
     pytest.param("two-weight-commutator", {"max_generation": 1}, "max_generation", id="two-weight-too-shallow"),
     pytest.param("bmo-coincidence", {"max_generation": 1}, "max_generation", id="bmo-coincidence-too-shallow"),
     pytest.param("bmo-coincidence", {"weights": [{"kind": "one", "alhpa": 0.5}]}, "'alhpa'",

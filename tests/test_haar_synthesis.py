@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_oracles import haar_reconstruct
+from tree_oracles import cell_indices, haar_function, haar_reconstruct
 from weight_oracles import cube_average
 
 from wharm.dyadic import (
     build_lattice,
-    haar_function,
     haar_generation,
     haar_synthesis,
     random_haar_sum,
@@ -71,7 +70,7 @@ def oracle_square_function(f, lat):
         m = lat.cells_per_axis(cube.generation)
         starts = [s + i * m for s, i in zip(lat.shift_cells, cube.index)]
         if any(s0 + m > N for s0 in starts):
-            acc[np.ix_(*lat.cell_indices(cube))] += e / lat.measure(cube.generation)
+            acc[np.ix_(*cell_indices(lat, cube))] += e / lat.measure(cube.generation)
         else:
             acc[tuple(slice(max(s0 - m // 2, 0), min(s0 + m + m // 2, N)) for s0 in starts)] += (
                 e / lat.measure(cube.generation)

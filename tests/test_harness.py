@@ -185,6 +185,9 @@ BAD_CONFIGS = [
     # the grid frequencies underflow: every commutator norm is 0
     pytest.param("dirichlet-counterexample", {"halfwidth": 1e300, "refinements": [8, 16]}, "halfwidth",
                  id="vanishing-commutator"),
+    # h^2 or (2L)^2 leaves the normal float range
+    *[pytest.param(name, {"halfwidth": hw}, "halfwidth", id=f"{name}-halfwidth-{hw:g}")
+      for name in SMALL_CONFIGS for hw in (1e300, 1e-300)],
     # at depth 1 every symbol is constant on each side of x_n = 0: its Delta_N norm is 0
     pytest.param("two-weight-commutator", {"max_generation": 1}, "max_generation", id="two-weight-too-shallow"),
     pytest.param("bmo-coincidence", {"max_generation": 1}, "max_generation", id="bmo-coincidence-too-shallow"),
@@ -218,6 +221,14 @@ def test_harness_rejects_a_config_it_would_misread(name, cfg, key):
     # constants with L^2 norms
     with pytest.raises(ParameterError, match=key):
         harness.run(name, {**SMALL_CONFIGS[name], **cfg})
+
+
+@pytest.mark.parametrize("halfwidth", [1e150, 1e-150])
+@pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+def test_harness_runs_far_from_unit_halfwidth_to_a_finite_report(name, halfwidth):
+    # well inside the range where h^2 and (2L)^2 stay normal floats
+    # canonical_json refuses NaN and infinities
+    harness.canonical_json(harness.run(name, {**SMALL_CONFIGS[name], "halfwidth": halfwidth}))
 
 
 def test_harness_rejects_a_config_that_is_not_an_object():

@@ -10,11 +10,11 @@ agree to a relative 1e-12, not bit for bit.
 import numpy as np
 import pytest
 from operator_oracles import qt_op
-from tree_oracles import dyadic_local_bmo, parent, slab_times
+from tree_oracles import cell_indices, dyadic_local_bmo, haar_function, mask, parent, slab_times
 
 from wharm.atoms import atomic_decompose
 from wharm.bmo import CARLESON_FLAVORS, CLASSICAL_FLAVORS, HALF_FLAVORS, bmo_norm
-from wharm.dyadic import DyadicCube, haar_function, lattice_family, signatures, weighted_maximal
+from wharm.dyadic import DyadicCube, lattice_family, signatures, weighted_maximal
 from wharm.grid import Grid, GridFunction
 from wharm.operators import apply
 from wharm.sparse import cz_stopping
@@ -35,7 +35,7 @@ def setting(request):
 
 
 def cells(lat, cube):
-    return np.ix_(*lat.cell_indices(cube))
+    return np.ix_(*cell_indices(lat, cube))
 
 
 def close(a, b):
@@ -141,13 +141,13 @@ def test_carleson_heat_matches_oracle(setting, neumann):
             field = apply(qt_op("neumann" if neumann else "free", t), f).values
             total += tg.log_weight * t ** n * np.sum(field[cells(dyadic, q)] ** 2) * h_n
         contrib[q] = total / (w.array[cells(dyadic, q)].sum() * h_n)
-    masks = {q: dyadic.mask(q) for q in dyadic.cubes}
+    masks = {q: mask(dyadic, q) for q in dyadic.cubes}
     best = 0.0
     for lat in fam:
         for top in lat.cubes:
             if lat.cells_per_axis(top.generation) < 4:
                 continue
-            inside = lat.mask(top)
+            inside = mask(lat, top)
             inner = sum(contrib[q] for q, m in masks.items() if not np.any(m & ~inside))
             best = max(best, inner / (w.array[inside].sum() * h_n))
     flavor = "carleson-heat-neumann" if neumann else "carleson-heat-free"
@@ -159,7 +159,7 @@ def test_weighted_maximal_matches_oracle(setting):
     for lat in fam:
         expect = np.zeros(g.shape)
         for cube in lat.cubes:
-            m = lat.mask(cube)
+            m = mask(lat, cube)
             avg = np.sum(np.abs(f.values[m]) * w.array[m]) / np.sum(w.array[m])
             expect[m] = np.maximum(expect[m], avg)
         got = weighted_maximal(f, w, lat).values

@@ -35,3 +35,17 @@ def test_each_workload_runs_a_tiny_pass(workloads, name, tmp_path):
     assert attempts.attempted >= 1
     assert wl.check(wl.digest(attempts.results)) == {}
     assert wl.checks_once().errors == {}
+
+
+def test_hardy_atoms_sparse_digests_match_the_golden(workloads, tmp_path):
+    # one full-size pass at the golden's seed; the sparse collections' digests
+    # (cube counts, eta, Carleson constants, verify, carrier mass, A_S f) must
+    # match perfbench/golden/hardy-atoms-2d.json
+    wl = workloads.WORKLOADS["hardy-atoms-2d"](workloads.DEFAULT_SEED, "full")
+    digests = wl.digest(wl.run_pass(tmp_path).results)
+    golden = wl.golden()
+    kinds = ("build_sparse_from_recursion", "carleson_to_sparse", "sparse_operator_apply")
+    ops = sorted(op for op in golden if op.split(".", 1)[1] in kinds)
+    assert len(ops) == 3 * wl.SIZE["full"]["symbols"]
+    for op in ops:
+        assert workloads.compare(digests.get(op), golden[op], op) is None

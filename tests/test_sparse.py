@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from operator_oracles import dense_weighted_norm, sparse_operator_matrix
-from tree_oracles import bmo_good_function, children, dyadic_local_bmo, parent
+from tree_oracles import (
+    bmo_good_function,
+    carleson_constant_by_cube,
+    cell_count,
+    cell_indices,
+    children,
+    dyadic_local_bmo,
+    generation_means,
+    greedy_by_cube,
+    haar_function,
+    mask,
+    parent,
+    recursion_by_cube,
+    sparse_apply_by_cube,
+    verify_by_cube,
+)
 from weight_oracles import cube_average, cube_mass
 
 from wharm import sparse
@@ -13,7 +29,6 @@ from wharm.dyadic import (
     DyadicCube,
     build_lattice,
     haar_coefficients,
-    haar_function,
     lattice_family,
     random_haar_sum,
 )
@@ -33,7 +48,7 @@ def _cz_stopping_walk(dens, lat, q0, alpha):
     """Oracle for cz_stopping: a stack walk over the children from q0 that
     selects a passing cube and descends below the others.  Returns the
     selected cubes in (generation, index) order, their averages and q0's."""
-    means = sparse._generation_means(np.abs(cell_values(dens)), lat)
+    means = generation_means(np.abs(cell_values(dens)), lat)
 
     def avg(cube):
         return float(means[cube.generation][cube.index])
@@ -81,7 +96,7 @@ def test_stopping_below_deeper_cubes_of_shifted_lattices(dim, N):
     # cz_stopping reads only q0's cells; from q0 at generations 0-3 of every
     # shifted lattice (cubes that wrap around the box included), the
     # selections, their averages and q0's equal the walk on the
-    # _generation_means of the whole density, bit for bit
+    # generation_means of the whole density, bit for bit
     g = Grid(dim, 1.0, N)
     rng = np.random.default_rng(23)
     dens = GridFunction(g, np.exp(1.5 * rng.standard_normal(g.shape)))
@@ -102,7 +117,7 @@ def test_stopping_hand_example(grid64, lat64):
     # w = 1 + 3 on one generation-2 cube: <w>_{Q*} = 4 > 2 <w>_{Q0} = 3.5
     qstar = DyadicCube(2, (1,))
     w = constant(grid64, 1.0)
-    w.values[np.ix_(*lat64.cell_indices(qstar))] += 3.0
+    w.values[np.ix_(*cell_indices(lat64, qstar))] += 3.0
     fam = cz_stopping(w, lat64, Q0, 2.0)
     assert fam.selected == [qstar]
 
@@ -121,25 +136,25 @@ def test_stopping_brute_force_rescan(rng):
         for cube in lat.cubes:
             if cube.generation == 0:
                 continue
-            avg = dens.values[np.ix_(*lat.cell_indices(cube))].mean()
+            avg = dens.values[np.ix_(*cell_indices(lat, cube))].mean()
             anc = parent(cube)
             anc_hit = False
             while anc is not None and anc.generation > 0:
-                if dens.values[np.ix_(*lat.cell_indices(anc))].mean() > alpha * base:
+                if dens.values[np.ix_(*cell_indices(lat, anc))].mean() > alpha * base:
                     anc_hit = True
                     break
                 anc = parent(anc)
             expect = avg > alpha * base and not anc_hit
             assert (cube in sel) == expect
         # mass bound is exact in cell counts
-        assert fam.total_child_cells(lat) <= 64 / alpha * (1 + 1e-12)
+        assert cell_count(lat, fam.selected) <= 64 / alpha * (1 + 1e-12)
 
 
 def test_sparse_from_trivial_rule(grid64, lat64):
     coll = build_sparse_from_recursion(lambda c: [], lat64, Q0, 2.0)
     assert coll.cubes == [Q0]
     assert coll.eta == 0.5
-    assert coll.carriers[Q0].sum() == 64
+    assert coll.carriers[Q0.generation].sum() == 64
     assert coll.verify()
 
 
@@ -191,7 +206,7 @@ FAMILIES = {
 
 def packing_constant(lat, cubes):
     """max over members Q of sum |P| / |Q| over members P whose cells lie in Q's, exactly."""
-    cells = {q: set(np.flatnonzero(lat.mask(q))) for q in cubes}
+    cells = {q: set(np.flatnonzero(mask(lat, q))) for q in cubes}
     return max(
         Fraction(sum(len(cells[p]) for p in cubes if cells[p] <= cells[q]), len(cells[q]))
         for q in cubes
@@ -216,6 +231,109 @@ def test_carleson_to_sparse_iff_packing(data):
         assert coll.verify()
 
 
+def assert_matches_by_cube(coll, lat, cubes, carriers, f):
+    """coll against the per-cube collection (cubes, carriers) at coll.eta, bit
+    for bit: members, Carleson constant, verify, carriers summed per
+    generation, and A_S f with the cubes added in (generation, index) order."""
+    assert coll.cubes == sorted(cubes, key=lambda c: (c.generation, c.index))
+    assert coll.carleson_constant() == carleson_constant_by_cube(lat, cubes)
+    assert coll.verify() == verify_by_cube(lat, cubes, carriers, coll.eta)
+    for k, mass in coll.carriers.items():
+        want = np.zeros(lat.grid.shape)
+        for q in cubes:
+            if q.generation == k:
+                want += carriers[q]
+        assert np.array_equal(mass, want)
+    assert np.array_equal(sparse_operator_apply(coll, f).values, sparse_apply_by_cube(lat, coll.cubes, f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_greedy_fill_matches_the_per_cube_fill(data):
+    # the families of test_carleson_to_sparse_iff_packing, shifted lattices included
+    lat = data.draw(st.sampled_from(FAMILIES[data.draw(st.sampled_from(sorted(FAMILIES)))]))
+    depth = data.draw(st.integers(0, lat.max_generation))
+    pool = [q for q in lat.cubes if q.generation <= depth]
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40, unique=True))
+    eta = data.draw(st.one_of(st.just(float(1 / packing_constant(lat, picks))), st.floats(0.01, 1.0)))
+    f = GridFunction(lat.grid, np.random.default_rng(5).standard_normal(lat.grid.shape))
+    coll, carriers = carleson_to_sparse(lat, picks, eta), greedy_by_cube(lat, picks, eta)
+    assert (coll is None) == (carriers is None)
+    if coll is not None:
+        assert coll.eta == eta
+        assert_matches_by_cube(coll, lat, picks, carriers, f)
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_stopping_collections_match_the_per_cube_code_on_2d_haar_symbols(seed):
+    # the CZ families of the hardy-atoms-2d benchmark workload at this seed:
+    # the recursion and the greedy fill over its cubes
+    g = Grid(2, 1.0, 64)
+    lat = build_lattice(g, 5)
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        f = random_haar_sum(lat, rng, max_generation=4)
+        dens = np.abs(f.values)
+
+        def rule(c):
+            return sparse.cz_stopping(dens, lat, c, 2.0).selected
+
+        coll = build_sparse_from_recursion(rule, lat, lat.cubes[0], 2.0)
+        cubes, carriers = recursion_by_cube(rule, lat, lat.cubes[0], 2.0)
+        assert coll.eta == 0.5
+        assert_matches_by_cube(coll, lat, cubes, carriers, f)
+        back = carleson_to_sparse(lat, coll.cubes, coll.eta)
+        assert back.eta == coll.eta
+        assert_matches_by_cube(back, lat, cubes, greedy_by_cube(lat, cubes, coll.eta), f)
+
+
+def test_carleson_to_sparse_refuses_a_repeated_cube():
+    # a repeated cube would be one member with one carrier, counted twice in the Carleson constant
+    lat = build_lattice(Grid(1, 1.0, 16), 2)
+    with pytest.raises(SparsityError, match=re.escape(f"{Q0} occurs twice")):
+        carleson_to_sparse(lat, [Q0, Q0], 0.5)
+
+
+@pytest.mark.parametrize("cube", [DyadicCube(3, (0,)), DyadicCube(1, (2,)), DyadicCube(1, (-1,)), DyadicCube(1, (0, 0))])
+def test_carleson_to_sparse_refuses_a_cube_off_the_lattice(cube):
+    lat = build_lattice(Grid(1, 1.0, 16), 2)
+    with pytest.raises(SparsityError, match=re.escape(f"{cube} is not a cube of the lattice")):
+        carleson_to_sparse(lat, [Q0, cube], 0.5)
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.5, float("nan")])
+def test_carleson_to_sparse_refuses_eta_outside_zero_one(eta):
+    lat = build_lattice(Grid(1, 1.0, 16), 2)
+    with pytest.raises(ParameterError, match="eta > 0"):
+        carleson_to_sparse(lat, [Q0], eta)
+
+
+def _rule_from(table):
+    return lambda cube: table.get(cube, [])
+
+
+def test_recursion_refuses_a_kid_outside_its_parent():
+    lat = build_lattice(Grid(1, 1.0, 16), 2)
+    q1, stray = DyadicCube(1, (0,)), DyadicCube(2, (3,))
+    with pytest.raises(SparsityError, match=re.escape(f"child {stray} of {q1} is not strictly inside it")):
+        build_sparse_from_recursion(_rule_from({Q0: [q1], q1: [stray]}), lat, Q0, 2.0)
+
+
+def test_recursion_refuses_the_same_kid_twice():
+    lat = build_lattice(Grid(1, 1.0, 16), 2)
+    kid = DyadicCube(2, (0,))
+    with pytest.raises(SparsityError, match=re.escape(f"{kid} occurs twice")):
+        build_sparse_from_recursion(_rule_from({Q0: [kid, kid]}), lat, Q0, 2.0)
+
+
+def test_recursion_refuses_a_cube_reached_from_two_parents():
+    # within budget at alpha = 1.2, but Q(g3,[0]) is a kid of Q0 and of Q(g1,[0])
+    lat = build_lattice(Grid(1, 1.0, 32), 4)
+    q1, q3 = DyadicCube(1, (0,)), DyadicCube(3, (0,))
+    with pytest.raises(SparsityError, match=re.escape(f"{q3} occurs twice")):
+        build_sparse_from_recursion(_rule_from({Q0: [q1, q3], q1: [q3]}), lat, Q0, 1.2)
+
+
 def test_sparse_operator_basic(grid64, lat64, rng):
     coll = build_sparse_from_recursion(lambda c: [], lat64, Q0, 2.0)
     f = GridFunction(grid64, rng.standard_normal(grid64.shape))
@@ -237,7 +355,7 @@ def test_sparse_operator_monotone_linear_positive(grid64, rng):
     assert np.all(ag.values >= -1e-14)
     # A_S f >= <f>_Q on each member for nonnegative f
     for q in coll.cubes:
-        cells = lat.cell_indices(q)[0]
+        cells = cell_indices(lat, q)[0]
         assert np.all(ag.values[cells] >= gpos.values[cells].mean() - 1e-12)
 
 
@@ -268,7 +386,7 @@ def test_good_function_posts(rng):
         a, fam = bmo_good_function(b, w, lat, Q0, 2.0)
         selected_mask = np.zeros(g.shape, dtype=bool)
         for R in fam.selected:
-            idx = np.ix_(*lat.cell_indices(R))
+            idx = np.ix_(*cell_indices(lat, R))
             selected_mask[idx] = True
             assert np.allclose(a.values[idx], b.values[idx].mean(), rtol=0, atol=1e-12)
         assert np.array_equal(a.values[~selected_mask], b.values[~selected_mask])
@@ -279,8 +397,8 @@ def test_good_function_posts(rng):
             inside = any(lat.contains(R, cube) for R in fam.selected)
             if inside:
                 continue
-            mb = b.values[np.ix_(*lat.cell_indices(cube))].mean()
-            ma = a.values[np.ix_(*lat.cell_indices(cube))].mean()
+            mb = b.values[np.ix_(*cell_indices(lat, cube))].mean()
+            ma = a.values[np.ix_(*cell_indices(lat, cube))].mean()
             assert abs(mb - ma) <= 1e-12 * max(1.0, abs(mb))
             if cube.generation < lat.max_generation:
                 for sig in ((0,),):
@@ -341,7 +459,7 @@ def test_pairing_bound(rng):
         if nb == 0:
             continue
         rhs = sum(
-            np.abs(f.values[np.ix_(*lat.cell_indices(q))]).mean() * cube_mass(w, lat, q)
+            np.abs(f.values[np.ix_(*cell_indices(lat, q))]).mean() * cube_mass(w, lat, q)
             for q in coll.cubes
         )
         fitted = max(fitted, lhs / (nb * rhs))
@@ -368,7 +486,7 @@ def test_collection_serialization_fractional():
     blob = coll.to_json()
     assert blob["eta"] == 1.0 / 3.0
     for cube, q in zip(blob["cubes"], coll.cubes):
-        mass = coll.carriers[q].reshape(-1)
+        mass = np.where(mask(lat, q), coll.carriers[q.generation], 0.0).reshape(-1)
         assert 0 < mass.max() < 1
         assert cube["carrier_mass"] == pytest.approx(lat.cells_per_axis(q.generation) / 3.0, rel=1e-12)
         touched = np.zeros(mass.size, dtype=bool)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.fft import irfftn, next_fast_len, rfftn
 from operator_oracles import phi_op, qt_op
-from tree_oracles import generation_of_scale, slab_times
+from tree_oracles import generation_of_scale, haar_function, slab_times
 from scipy.signal import fftconvolve
 
-from wharm.dyadic import DyadicCube, build_lattice, haar_function, random_haar_sum
+from wharm.dyadic import DyadicCube, build_lattice, random_haar_sum
 from wharm.errors import DomainError, ParameterError
 from wharm.grid import Grid, GridFunction, constant, extend_even, join_sides, restrict
 from wharm.squarefn import (

@@ -13,6 +13,15 @@ The library's tests also keep here what only they call: haar_reconstruct
 dyadic_local_bmo and bmo_deltaN_classical_norm, bmo_good_function (the
 Calderon-Zygmund good part of a BMO function) and reconstruction (an atomic
 decomposition summed back).
+
+The per-cube geometry lives here too, for the tests that index one cube of
+the full grid: cell_indices (a cube's wrapped cell indices per axis),
+mask (its cells as a boolean grid) and haar_function (one h_Q^eps on the
+full grid).  So do the per-cube sparse collections that the block view
+replaced, as the reference they are tested against: recursion_by_cube (the
+cubes and carriers of a stopping-time recursion, each carrier its cube minus
+its kids), greedy_by_cube (the greedy Carleson fill, one cube at a time),
+verify_by_cube, carleson_constant_by_cube and sparse_apply_by_cube.
 """
 
 from itertools import product
@@ -21,8 +30,9 @@ import numpy as np
 
 from wharm.bmo import _classical_sup, _mean_deviation
 from wharm.dyadic import DyadicCube, haar_synthesis, signatures
+from wharm.errors import GridAlignmentError
 from wharm.grid import GridFunction, extensions
-from wharm.sparse import _generation_means, cz_stopping
+from wharm.sparse import TOL, cz_stopping
 from wharm.weights import as_weight
 
 
@@ -41,6 +51,59 @@ def parent(cube):
     if cube.generation == 0:
         return None
     return DyadicCube(cube.generation - 1, tuple(i // 2 for i in cube.index))
+
+
+def cell_indices(lat, cube):
+    """Per-axis integer index arrays of cube's cells (for np.ix_); wrapped order."""
+    N = lat.grid.points_per_axis
+    m = lat.cells_per_axis(cube.generation)
+    return tuple(
+        (lat.shift_cells[a] + cube.index[a] * m + np.arange(m)) % N
+        for a in range(lat.grid.dim)
+    )
+
+
+def mask(lat, cube) -> np.ndarray:
+    """The cells of cube as a boolean array of the grid's shape."""
+    out = np.zeros(lat.grid.shape, dtype=bool)
+    out[np.ix_(*cell_indices(lat, cube))] = True
+    return out
+
+
+def cell_count(lat, cubes) -> int:
+    """The number of cells in the cubes, counted with multiplicity."""
+    return sum(lat.cells_per_axis(c.generation) ** lat.grid.dim for c in cubes)
+
+
+def generation_means(arr, lat) -> list:
+    """Cube averages of a cell array, one array per generation of the lattice."""
+    return [cells.mean(axis=-1) for cells in lat.generations(arr)]
+
+
+def haar_function(lat, cube, sig) -> GridFunction:
+    """h_Q^eps as a grid function (unit L^2 norm under cell sums)."""
+    g = lat.grid
+    m = lat.cells_per_axis(cube.generation)
+    if m < 2:
+        raise GridAlignmentError("cube has a single cell per axis; no Haar function")
+    N = g.points_per_axis
+    vals = np.zeros(g.shape)
+    scale = (m * g.h) ** (-g.dim / 2.0)
+    half = m // 2
+    axis_parts = []
+    for a in range(g.dim):
+        s0 = lat.shift_cells[a] + cube.index[a] * m
+        left = (s0 + np.arange(half)) % N
+        right = (s0 + half + np.arange(half)) % N
+        axis_parts.append((left, right))
+    for halves in product((0, 1), repeat=g.dim):
+        sign = 1.0
+        for a, hlf in enumerate(halves):
+            if sig[a] == 0 and hlf == 1:
+                sign = -sign
+        idx = tuple(axis_parts[a][hlf] for a, hlf in enumerate(halves))
+        vals[np.ix_(*idx)] = sign * scale
+    return GridFunction(g, vals)
 
 
 def slab_times(tg, ell: float):
@@ -98,12 +161,12 @@ def bmo_good_function(b: GridFunction, w, lat, q0, alpha: float):
     2 alpha <w>_{Q0} ||b||_{BMO_D(w), D(Q0)}.
     """
     fam = cz_stopping(w, lat, q0, alpha)
-    means = _generation_means(b.values, lat)
+    means = generation_means(b.values, lat)
     vals = np.zeros(b.grid.shape)
-    mask0 = lat.mask(q0)
+    mask0 = mask(lat, q0)
     vals[mask0] = b.values[mask0]
     for R in fam.selected:
-        vals[np.ix_(*lat.cell_indices(R))] = means[R.generation][R.index]
+        vals[np.ix_(*cell_indices(lat, R))] = means[R.generation][R.index]
     return GridFunction(b.grid, vals), fam
 
 
@@ -113,3 +176,66 @@ def reconstruction(dec) -> GridFunction:
     for lam, a in zip(dec.coefficients, dec.atoms):
         vals += lam * a.values.values
     return GridFunction(dec.residual.grid, vals)
+
+
+def recursion_by_cube(children_rule, lat, q0, alpha):
+    """The cubes of build_sparse_from_recursion in (generation, index) order
+    and their carriers {cube: cell array}: each cube minus its kids."""
+    cubes, carriers, stack = [], {}, [q0]
+    while stack:
+        cube = stack.pop()
+        cubes.append(cube)
+        kids = list(children_rule(cube)) if cube.generation < lat.max_generation else []
+        own = mask(lat, cube)
+        for c in kids:
+            own &= ~mask(lat, c)
+        carriers[cube] = own.astype(float)
+        stack.extend(kids)
+    cubes.sort(key=lambda c: (c.generation, c.index))
+    return cubes, carriers
+
+
+def greedy_by_cube(lat, cubes, eta):
+    """The carriers {cube: cell array} of carleson_to_sparse, or None: cube by
+    cube, finest generation first, each takes eta |Q| of the mass left in Q."""
+    free = np.ones(lat.grid.shape)
+    carriers = {}
+    for q in sorted(cubes, key=lambda c: c.generation, reverse=True):
+        cells = np.ix_(*cell_indices(lat, q))
+        left = free[cells]
+        need, have = eta * left.size, left.sum()
+        if need > have * (1 + TOL):
+            return None
+        take = left * (min(1.0, need / have) if have > 0 else 0.0)
+        free[cells] = left - take
+        carriers[q] = np.zeros(lat.grid.shape)
+        carriers[q][cells] = take
+    return carriers
+
+
+def verify_by_cube(lat, cubes, carriers, eta) -> bool:
+    """|E_Q| >= eta |Q|, E_Q inside Q, and no cell claimed more than once."""
+    total = np.zeros(lat.grid.shape)
+    for q in cubes:
+        mass = carriers[q]
+        total += mass
+        if mass.sum() < eta * lat.cells_per_axis(q.generation) ** lat.grid.dim * (1 - TOL):
+            return False
+        if np.any(mass < 0) or np.any(mass[~mask(lat, q)]):
+            return False
+    return bool(np.max(total, initial=0.0) <= 1.0 + TOL)
+
+
+def carleson_constant_by_cube(lat, cubes) -> float:
+    """max over members Q of sum_{P in S, P below Q} |P| / |Q| (exact cell counts)."""
+    return max((cell_count(lat, [p for p in cubes if lat.contains(q, p)]) / cell_count(lat, [q]) for q in cubes),
+               default=0.0)
+
+
+def sparse_apply_by_cube(lat, cubes, f: GridFunction) -> np.ndarray:
+    """sum over the cubes, in their order, of <f>_Q 1_Q."""
+    means = generation_means(f.values, lat)
+    out = np.zeros(f.grid.shape)
+    for q in cubes:
+        out[np.ix_(*cell_indices(lat, q))] += means[q.generation][q.index]
+    return out

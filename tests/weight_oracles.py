@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 
+from tree_oracles import cell_indices
+
 from wharm.errors import DomainError, ParameterError
 from wharm.grid import GridFunction
 from wharm.weights import Weight, as_weight, box_cell_ranges
@@ -24,7 +26,7 @@ def from_callable(grid, fn) -> GridFunction:
 
 def cube_mass(w: Weight, lat, cube, s: float = 1.0) -> float:
     """w^s(Q) = sum over Q of w^s * h^n, read from the cells of Q only."""
-    cells = w.array[np.ix_(*lat.cell_indices(cube))]
+    cells = w.array[np.ix_(*cell_indices(lat, cube))]
     return float((cells if s == 1.0 else cells ** s).sum()) * w.grid.cell_volume
 
 
