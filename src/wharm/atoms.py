@@ -1,6 +1,6 @@
-"""(1,p,beta)-atoms and the level-set atomic decomposition of Hardy-space
-functions driven by the compactly supported reproducing pair
-psi(t sqrt(L)) . t^2 L e^{-t^2 L}.
+"""(1,p,0)-atoms, whose one moment condition is mean zero, and the
+level-set atomic decomposition of Hardy-space functions driven by the
+compactly supported reproducing pair psi(t sqrt(L)) . t^2 L e^{-t^2 L}.
 
 The decomposition follows the level sets Omega_k = {S(f) > 2^k}, their
 maximal-function dilations Omega~_k, and the cube classes
@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, reduce
-from itertools import product
+from functools import cache
 
 import numpy as np
 
@@ -62,86 +61,60 @@ def calderon_constant() -> float:
 
 @dataclass
 class Atom:
-    """Candidate (1,p,beta)-atom supported in a box around a dyadic cube.
+    """Candidate (1,p,0)-atom supported in a box around a dyadic cube.
 
     The support box is the threefold dilate of the cube taken modulo the
     periodic box, so edge atoms keep the kernel mass the periodic backend
-    wraps around; the nominal center and sidelength are carried for the
-    moment tolerances.
+    wraps around.
     """
 
     cube: DyadicCube
     support: np.ndarray
     values: GridFunction
-    center: np.ndarray
-    sidelength: float
-    order: int
     p: float
     weight: object
     level: int = 0
 
 
-def check_atom(atom: Atom, p: float = None, beta: int = None, w=None) -> dict:
+def check_atom(atom: Atom, w=None) -> dict:
     """Pass/fail per atom condition with measured slack.
 
     (1) support inside the declared box (exact mask);
-    (2) moments sum a (x - c)^alpha h^n = 0 for |alpha| <= beta,
-        tolerance 1e-10 ||a||_1 l^|alpha|;
+    (2) mean zero: sum a h^n = 0 within 1e-10 ||a||_1;
     (3) ||a||_{L^p_w} <= w(box)^{1/p - 1} (1 + 1e-9).
     """
-    return _atom_checker(atom.values.grid, atom.weight if w is None else w)(atom, p, beta)
+    return _atom_checker(atom.values.grid, atom.weight if w is None else w)(atom)
 
 
 def _atom_checker(g: Grid, w):
     """check_atom for atoms on the grid g against the weight w, read by
-    grid.weight_cells: the grid points and the weight array are read once,
-    for every atom the returned check(atom, p=None, beta=None) takes."""
-    pts = g.points()
+    grid.weight_cells: the weight array is read once, for every atom the
+    returned check(atom) takes."""
     warr = weight_cells(w, g)
 
-    def check(atom: Atom, p: float = None, beta: int = None) -> dict:
-        p = atom.p if p is None else p
-        beta = atom.order if beta is None else beta
-        vals = atom.values.values
-        mask = atom.support
+    def check(atom: Atom) -> dict:
+        p, vals, mask = atom.p, atom.values.values, atom.support
         support_ok = bool(np.all(vals[~mask] == 0.0))
-
-        center = atom.center
-        ell = atom.sidelength
-        l1 = float(np.sum(np.abs(vals)) * g.cell_volume)
-        moments = []
-        moments_ok = True
-        for alphas in _multi_indices(g.dim, beta):
-            # the monomial has a factor per nonzero exponent only: a factor 1
-            # changes no product
-            factors = [(pts[..., a] - center[a]) ** e for a, e in enumerate(alphas) if e]
-            weighted = vals * reduce(np.multiply, factors) if factors else vals
-            mval = float(np.sum(weighted) * g.cell_volume)
-            tol = 1e-10 * max(l1, 1e-300) * ell ** sum(alphas)
-            ok = abs(mval) <= tol
-            moments_ok &= ok
-            moments.append({"alpha": list(alphas), "value": mval, "tolerance": tol, "ok": ok})
-
+        moment = float(np.sum(vals) * g.cell_volume)
+        tol = 1e-10 * max(float(np.sum(np.abs(vals)) * g.cell_volume), 1e-300)
+        moment_ok = abs(moment) <= tol
         norm = float(np.sum(np.abs(vals) ** p * warr) * g.cell_volume) ** (1.0 / p)
         wq = float(np.sum(warr[mask]) * g.cell_volume)
         bound = wq ** (1.0 / p - 1.0)
         norm_ok = norm <= bound * (1.0 + 1e-9)
         return {
             "support_ok": support_ok,
-            "moments": moments,
-            "moments_ok": bool(moments_ok),
+            "moment": moment,
+            "moment_tolerance": tol,
+            "moment_ok": moment_ok,
             "norm": norm,
             "bound": bound,
             "norm_ok": bool(norm_ok),
             "rescale": bound / norm if norm > 0 else math.inf,
-            "ok": bool(support_ok and moments_ok and norm_ok),
+            "ok": bool(support_ok and moment_ok and norm_ok),
         }
 
     return check
-
-
-def _multi_indices(dim: int, beta: int):
-    return [alpha for alpha in product(range(beta + 1), repeat=dim) if sum(alpha) <= beta]
 
 
 @dataclass
@@ -161,7 +134,7 @@ class AtomicDecomposition:
                     "level": a.level,
                     "cube": {"generation": a.cube.generation, "index": list(a.cube.index)},
                     "support_ok": chk.get("support_ok"),
-                    "moment_slack": max(abs(m["value"]) for m in chk.get("moments", [{"value": 0.0}])),
+                    "moment_slack": abs(chk["moment"]),
                     "norm_over_bound": chk["norm"] / chk["bound"] if chk.get("bound") else None,
                 }
             )
@@ -369,10 +342,7 @@ def atomic_decompose(
         mask = _support_mask(lat, qbar)
         vals = np.where(mask, raw, 0.0)
         clipped += float(np.sum(np.abs(raw - vals)) * h_n)
-        ext = lat.extent(qbar)
-        center = (ext[0] + ext[1]) / 2.0 if ext is not None else np.zeros(g.dim)
-        atoms.append(Atom(qbar, mask, GridFunction(g, vals / lam), center=center,
-                          sidelength=3.0 * lat.sidelength(qbar), order=0, p=p, weight=w, level=k))
+        atoms.append(Atom(qbar, mask, GridFunction(g, vals / lam), p=p, weight=w, level=k))
         lams.append(lam)
 
     recon = np.zeros(g.shape)

@@ -33,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from .dyadic import _iter_lattices, haar_generation, split_blocks
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, RangeError
 from .grid import FULL, GridFunction, extensions, weight_cells
 from .operators import apply_scales
 from .squarefn import TimeGrid
@@ -86,6 +86,8 @@ def _carleson_haar(values: np.ndarray, grid, warr: np.ndarray, lattices) -> np.n
             measure = (lat.cells_per_axis(k) * grid.h) ** n
             subtree = energy * measure / wmass + split_blocks(subtree, 1 << k, n).sum(axis=-1)
             best = np.maximum(best, _row_max(subtree / wmass))
+    if not np.all(np.isfinite(best)):
+        raise RangeError("the Haar Carleson sums left the floating-point range")
     return np.sqrt(best)
 
 
@@ -147,6 +149,9 @@ def _carleson_heat(values: np.ndarray, grid, warr: np.ndarray, lattices, tg: Tim
         acc = np.add.accumulate(sums)[-1] / (dyadic.blocks(warr, k).sum(axis=-1) * h_n)
         tables.append(_two_period_prefix(acc, n).reshape(S, -1))
     table = np.concatenate(tables, axis=1)
+    # an overflow would reach the corner sums as inf - inf = NaN, which _row_max skips
+    if not np.all(np.isfinite(table)):
+        raise RangeError("the semigroup Carleson sums left the floating-point range")
     best = np.zeros(S)
     for lat in lats:
         corners, counts = _scan_plan(grid.points_per_axis, n, lat.shift_cells, lat.max_generation,

@@ -69,7 +69,7 @@ def cmd_opnorm(args) -> int:
         handle = commutator(b, handle)
     mu = _load_weight(args.mu, b.grid) if args.mu else None
     lam = _load_weight(getattr(args, "lambda"), b.grid) if getattr(args, "lambda") else None
-    value, cert = weighted_operator_norm(handle, b.grid, mu, lam, p=args.p, method=args.method, seed=args.seed)
+    value, cert = weighted_operator_norm(handle, b.grid, mu, lam, p=args.p, seed=args.seed)
     print(json.dumps({"norm": value, "certificate": cert}, sort_keys=True))
     return 0
 
@@ -134,7 +134,6 @@ def main(argv=None) -> int:
     p.add_argument("--mu")
     p.add_argument("--lambda", dest="lambda")
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--method", default="svd", choices=["svd", "ascent"])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_opnorm)
 

@@ -24,7 +24,8 @@ functions is one call per generation.  random_haar_sums draws a stack of
 random Haar sums with one normal draw for the whole stack and one synthesis
 per generation; random_haar_sum is its stack of one.  No function here
 reads one cube's cells on the full grid: the tests keep that per-cube
-geometry (a cube's cell indices, its mask, one h_Q^eps) as their reference.
+geometry (a cube's cell indices, side, coordinate box and mask, one
+h_Q^eps) as their reference.
 
 All integrals are exact cell sums (midpoint rule), so cube masses and Haar
 coefficients are bit-reproducible.
@@ -104,24 +105,9 @@ class DyadicLattice:
     def cells_per_axis(self, generation: int) -> int:
         return self.grid.points_per_axis >> generation
 
-    def sidelength(self, cube: DyadicCube) -> float:
-        return 2.0 * self.grid.halfwidth * 2.0 ** (-cube.generation)
-
     def measure(self, generation: int) -> float:
         """|Q| of every cube of a generation."""
         return (2.0 * self.grid.halfwidth * 2.0 ** (-generation)) ** self.grid.dim
-
-    def extent(self, cube: DyadicCube):
-        """(lo, hi) coordinate arrays for a non-wrapped cube, else None."""
-        N = self.grid.points_per_axis
-        m = self.cells_per_axis(cube.generation)
-        starts = [(s + i * m) % N for s, i in zip(self.shift_cells, cube.index)]
-        if any(start + m > N for start in starts):
-            return None
-        L, h = self.grid.halfwidth, self.grid.h
-        lo = np.array([-L + start * h for start in starts])
-        hi = np.array([-L + (start + m) * h for start in starts])
-        return lo, hi
 
     # -- tree --------------------------------------------------------------
     def contains(self, outer: DyadicCube, inner: DyadicCube) -> bool:

@@ -99,14 +99,14 @@ def write_report(report: dict, out_path: str, csv_path: str = None) -> None:
                     writer.writerow({k: r.get(k, "") for k in keys})
 
 
-def _normalized_symbols(grid, lattices, nu, count, seed, norm_fn, max_generation=4):
+def _normalized_symbols(grid, lattices, nu, count, seed, norm_fn):
     """Random Haar sums with coefficients scaled by sqrt|Q| <nu>_Q, normalized:
     (stack of the symbols of nonzero norm, number skipped).  The symbols are
     one random_haar_sums stack on lattices[0], the stream of one
-    random_haar_sum call per symbol; norm_fn takes the whole stack and
-    returns one norm per row."""
+    random_haar_sum call per symbol, drawn to generation 4; norm_fn takes the
+    whole stack and returns one norm per row."""
     rng = np.random.default_rng(seed)
-    drawn = random_haar_sums(lattices[0], rng, count, weight=nu, max_generation=max_generation)
+    drawn = random_haar_sums(lattices[0], rng, count, weight=nu, max_generation=4)
     norms = norm_fn(drawn)
     kept = norms > 0
     if not kept.any():
@@ -129,9 +129,6 @@ def run_two_weight_commutator(dim=1, halfwidth=1.0, points_per_axis=256, max_gen
     grid = Grid(dim, halfwidth, points_per_axis)
     lattices = lattice_family(grid, max_generation)
     tg = TimeGrid.geometric(grid)
-    # p = 2 gets the top singular value; other p are opt-in ascent runs whose
-    # norms are certified lower bounds only, and the report says so
-    method = "svd" if p == 2.0 else "ascent"
 
     # half-space variant: the operators act on the upper half grid directly
     base = grid.with_domain("upper") if half_space else grid
@@ -157,7 +154,8 @@ def run_two_weight_commutator(dim=1, halfwidth=1.0, points_per_axis=256, max_gen
         bv = drawn[..., grid.points_per_axis // 2:] if half_space else drawn
         totals = np.zeros(len(drawn))
         for R in transforms:
-            totals += commutator_norms(bv, R, base, muv, lamv, seed=seed, p=p)[0]
+            norms, certs = commutator_norms(bv, R, base, muv, lamv, seed=seed, p=p)
+            totals += norms
         ratios = [float(t) for t in totals]
         lo, hi = (min(ratios), max(ratios)) if ratios else (0.0, 0.0)
         bands.append({"pair": pair, "c": lo, "C": hi, "spread": hi / lo if lo > 0 else None,
@@ -165,6 +163,9 @@ def run_two_weight_commutator(dim=1, halfwidth=1.0, points_per_axis=256, max_gen
         for i, r in enumerate(ratios):
             rows.append({"pair": canonical_json(pair), "symbol": i, "ratio": r})
     ok = all(b["spread"] is not None and b["spread"] <= band_cap for b in bands)
+    # p = 2 gets top singular values; the ascent's norms at other p are
+    # certified lower bounds only, and the report says so
+    method = certs[0]["method"]
     return {
         "norm_method": method,
         "norms_are_lower_bounds": method == "ascent",
@@ -191,7 +192,7 @@ def run_riesz_ap_characterization(dim=1, halfwidth=1.0, points_per_axis=256, max
     for alpha in alphas:
         w = weight_from_spec({"kind": "power", "alpha": alpha}, grid)
         apn = ap_deltaN_constant(w, p, lattices)
-        val, _ = weighted_operator_norm(R, grid, w, w, p=2.0, method="svd")
+        val, _ = weighted_operator_norm(R, grid, w, w)
         rows.append(
             {
                 "alpha": alpha,
@@ -212,7 +213,7 @@ def run_riesz_ap_characterization(dim=1, halfwidth=1.0, points_per_axis=256, max
     boxes = [8.0, 16.0, 32.0, 64.0]
     quotients = [ap_quotient_on_box(w_os_wide, p, [-a] * wide.dim, [a] * wide.dim) for a in boxes]
     ap_os = ap_deltaN_constant(w_os, p, lattices)
-    norm_os, _ = weighted_operator_norm(R, grid, w_os, w_os, p=2.0, method="svd")
+    norm_os, _ = weighted_operator_norm(R, grid, w_os, w_os)
     contrast = {
         "boxes": boxes,
         "classical_quotients": quotients,
@@ -250,7 +251,7 @@ def run_dirichlet_counterexample(refinements=(64, 256, 1024), halfwidth=1.0, gro
         odd_norm = bmo_mod.bmo_norm(b0, None, "odd-ext-half", lattices)
         even_norm = bmo_mod.bmo_norm(b0, None, "even-ext-half", lattices)
         R = riesz("dirichlet", 1)
-        val, _ = weighted_operator_norm(commutator(b0, R), gu, None, None, p=2.0, method="svd")
+        val, _ = weighted_operator_norm(commutator(b0, R), gu)
         rows.append(
             {
                 "N": N,
@@ -285,7 +286,7 @@ def run_dirichlet_counterexample(refinements=(64, 256, 1024), halfwidth=1.0, gro
     # flat control symbol
     gridc = Grid(1, halfwidth, refinements[0]).with_domain("upper")
     control = GridFunction(gridc, np.ones(gridc.shape))
-    ctrl_val, _ = weighted_operator_norm(commutator(control, R), gridc, None, None, p=2.0, method="svd")
+    ctrl_val, _ = weighted_operator_norm(commutator(control, R), gridc)
     checks["constant_control_commutator"] = ctrl_val
     ok = checks["odd_growth_ok"] and checks["half_bmo_stable"] and checks["commutator_ok"]
     return {

@@ -108,13 +108,14 @@ certificate of each row keeps the explicit residuals ||A v - sigma u|| and
 ||A^T u - sigma v|| and the number of products.  Other p take Boyd's power
 method for l^p norms (Boyd, 1974), whose ratios are certified lower bounds,
 in the same lockstep over operators times _RESTARTS random restarts
-(_lockstep_ascent).  Both norm entries go through _norms, which gives each
-exactly zero operator (a commutator with a constant symbol) norm 0.0
+(_lockstep_ascent).  Both norm entries go through _norms, the one place
+where p picks the algorithm (svd at p = 2, ascent otherwise), which gives
+each exactly zero operator (a commutator with a constant symbol) norm 0.0
 without iteration and runs the others in lockstep: commutator_norms over a
-stack of symbols, svd at p = 2 and ascent otherwise, and
-weighted_operator_norm on one operator handle, never a matrix, by its
-"svd" or "ascent" method.  So no norm assembles a matrix and none has a
-size cap.  assemble_matrix and commutator_matrix (capped at DENSE_POINT_CAP
+stack of symbols, whose maps _commutator_maps builds, and
+weighted_operator_norm on one handle (a commutator's is commutator_norms on
+a stack of one), never a matrix.  So no norm assembles a matrix and none has
+a size cap.  assemble_matrix and commutator_matrix (capped at DENSE_POINT_CAP
 points) are the dense reference of the tests, which also keep scipy's
 ARPACK svds and the per-restart ascent as independent iterative oracles.
 
@@ -512,18 +513,30 @@ def _maps(op: OperatorHandle, grid: Grid, ts=None):
 def _operator_maps(op: OperatorHandle, grid: Grid, ts=None):
     """(forward, transpose): op and its exact transpose on grid's value arrays,
     both with leading batch axes allowed.  With ts (the scale kinds only) both
-    return op's field at every t of ts along a new leading axis.  The inner
-    T of a commutator is a Riesz transform (parity -1), so [b, T]^T =
-    [b, -T^T] is the commutator map of T's M* and makes no negation pass.
+    return op's field at every t of ts along a new leading axis.  A
+    commutator is row 0 of _commutator_maps on its symbol alone.
     """
     if op.kind == "commutator":
-        b = op.b.values
-        if b.shape != grid.shape:
-            raise DomainError("commutator symbol and argument live on different grids")
-        forward, adjoint, _ = _maps(op.inner, grid)
-        return _commutator_map(b, forward), _commutator_map(b, adjoint)
+        return _commutator_maps(op.b.values[None], op.inner, grid)(0)
     forward, adjoint, parity = _maps(op, grid, ts)
     return forward, (adjoint if parity > 0 else lambda u: -adjoint(u))
+
+
+def _commutator_maps(symbols: np.ndarray, inner: OperatorHandle, grid: Grid):
+    """maps(rows): ([b, T], [b, T]^T) of the rows (an index array or one
+    index) of symbols, a stack (S, *grid.shape), for the Riesz handle T =
+    inner.  T has parity -1, so [b, T]^T = [b, -T^T] is the commutator map
+    of T's M* and makes no negation pass."""
+    if symbols.shape[1:] != grid.shape:
+        raise DomainError("commutator symbols and argument live on different grids")
+    if inner.kind != "riesz":
+        raise ParameterError("commutator inner handle must be a Riesz transform")
+    forward, adjoint, _ = _maps(inner, grid)
+
+    def maps(rows):
+        return _commutator_map(symbols[rows], forward), _commutator_map(symbols[rows], adjoint)
+
+    return maps
 
 
 def _commutator_map(b: np.ndarray, inner):
@@ -798,19 +811,21 @@ def _lockstep_ascent(maps, count: int, shape, mu: np.ndarray, lam: np.ndarray, p
     return np.maximum(ratios[best], 0.0), certs
 
 
-def _norms(maps, zero: np.ndarray, grid: Grid, mu, lam, p: float, method: str, seed: int):
+def _norms(maps, zero: np.ndarray, grid: Grid, mu, lam, p: float, seed: int):
     """||M_i||_{L^p_mu -> L^p_lam} for the operators M_i, i < len(zero), with
     a certificate each: (array of norms, list of certificates).
 
     maps(ops) gives (M, M^T) of the operators ops (an index array) as maps on
     stacks (len(ops), *grid.shape).  The operators flagged in zero are exactly
     zero: norm 0.0 and the zero-operator certificate, no iteration.  The
-    others run in lockstep, method "svd" through _lockstep_norms, "ascent"
-    through _lockstep_ascent.  p must lie in (1, inf), and mu and lam are
-    read by grid.weight_cells.
+    others run in lockstep, and p picks how: at p = 2 top singular values by
+    _lockstep_norms (method "svd"), at any other p certified lower bounds by
+    _lockstep_ascent (method "ascent").  p must lie in (1, inf), and mu and
+    lam are read by grid.weight_cells.
     """
     if not 1.0 < p < np.inf:
         raise ParameterError(f"p must lie in (1, inf), got p = {p!r}")
+    method = "svd" if p == 2.0 else "ascent"
     live = np.flatnonzero(~zero)
     args = (lambda rows: maps(live[rows]), len(live), grid.shape, weight_cells(mu, grid), weight_cells(lam, grid))
     if method == "svd":
@@ -844,37 +859,25 @@ def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=No
     constant symbol gives the zero operator: norm exactly 0.0, no iteration.
     """
     symbols = np.asarray(symbols, dtype=float)
-    if symbols.shape[1:] != grid.shape:
-        raise DomainError("commutator symbols and argument live on different grids")
-    if inner.kind != "riesz":
-        raise ParameterError("commutator inner handle must be a Riesz transform")
-    forward, adjoint, _ = _maps(inner, grid)
-
-    def maps(ops):
-        return _commutator_map(symbols[ops], forward), _commutator_map(symbols[ops], adjoint)
-
-    return _norms(maps, _constant(symbols), grid, mu, lam, p, "svd" if p == 2.0 else "ascent", seed)
+    return _norms(_commutator_maps(symbols, inner, grid), _constant(symbols), grid, mu, lam, p, seed)
 
 
-def weighted_operator_norm(op: OperatorHandle, grid: Grid, mu=None, lam=None, p: float = 2.0, method: str = "svd",
-                           seed: int = 0):
+def weighted_operator_norm(op: OperatorHandle, grid: Grid, mu=None, lam=None, p: float = 2.0, seed: int = 0):
     """Discrete L^p_mu -> L^p_lam operator norm with a certificate.
 
     op is an operator handle M on grid's value arrays, applied matrix-free
-    through _operator_maps.  method "svd" (p = 2 only): the largest singular
-    value of diag(lam)^{1/2} M diag(mu)^{-1/2} to machine precision, by the
-    Golub-Kahan-Lanczos run behind commutator_norms on one row.  method
-    "ascent": Boyd's power method on the p-duality map from _RESTARTS random
-    starts, the lockstep ascent behind commutator_norms at p != 2 on one
-    operator; the value returned is a certified lower bound on the discrete
-    norm.  Both use only products with M and M^T.  A commutator with a
-    constant symbol is exactly zero and has norm 0.0.
+    through _operator_maps, and p picks the algorithm (_norms).  At p = 2:
+    the largest singular value of diag(lam)^{1/2} M diag(mu)^{-1/2} to
+    machine precision, by the Golub-Kahan-Lanczos run behind
+    commutator_norms on one row.  At any other p: Boyd's power method on the
+    p-duality map from _RESTARTS random starts, a certified lower bound on
+    the discrete norm.  Both use only products with M and M^T.  A commutator
+    handle is commutator_norms on a stack of its one symbol, so a constant
+    symbol gives norm 0.0.
     """
-    maps = _operator_maps(op, grid)
-    if method == "svd" and p != 2.0:
-        raise ParameterError('method "svd" needs p = 2')
-    if method not in ("svd", "ascent"):
-        raise ParameterError(f"unknown method {method!r}")
-    zero = _constant(op.b.values[None]) if op.kind == "commutator" else np.zeros(1, dtype=bool)
-    norms, certs = _norms(lambda ops: maps, zero, grid, mu, lam, p, method, seed)
+    if op.kind == "commutator":
+        norms, certs = commutator_norms(op.b.values[None], op.inner, grid, mu, lam, seed=seed, p=p)
+    else:
+        maps = _operator_maps(op, grid)
+        norms, certs = _norms(lambda ops: maps, np.zeros(1, dtype=bool), grid, mu, lam, p, seed)
     return float(norms[0]), certs[0]

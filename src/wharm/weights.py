@@ -160,7 +160,7 @@ def ap_quotient_on_box(w, p: float, lo, hi) -> float:
 # ---------------------------------------------------------------------------
 # exp / log bridge
 
-def exp_log_bridge(b: GridFunction, delta: float, p: float = 2.0) -> Weight:
+def exp_log_bridge(b: GridFunction, delta: float) -> Weight:
     """e^{delta b} as a weight (the BMO -> A^p direction of the bridge)."""
     if delta <= 0:
         raise ParameterError("delta must be positive")

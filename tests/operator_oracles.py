@@ -12,8 +12,8 @@ flattened vectors with the stop test at every step, the reference of the
 lockstep run's test at even steps: the same norm, and a step count one
 less or the same.
 ascent_norm is the p-ascent one restart and one vector at a time, the
-reference of the lockstep ascent behind weighted_operator_norm's "ascent"
-method and commutator_norms at p != 2.  qt_neumann is the closed-form
+reference of the lockstep ascent behind weighted_operator_norm and
+commutator_norms at p != 2.  qt_neumann is the closed-form
 kernel of the Neumann qt operator, from the free kernel by reflection.
 
 Two independent oracles of the Neumann/Dirichlet reflection path:

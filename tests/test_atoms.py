@@ -22,34 +22,33 @@ def _unit_weight(g):
     return Weight(constant(g, 1.0))
 
 
-def _atom_from_values(g, vals, mask, center, ell, p=2.0, w=None):
-    return Atom(DyadicCube(0, (0,) * g.dim), mask, GridFunction(g, vals), np.asarray(center, dtype=float), ell, 0, p, w or _unit_weight(g))
+def _atom_from_values(g, vals, mask, p=2.0, w=None):
+    return Atom(DyadicCube(0, (0,) * g.dim), mask, GridFunction(g, vals), p, w or _unit_weight(g))
 
 
 def test_zero_function_is_vacuous_atom(grid64):
     mask = np.zeros(grid64.shape, dtype=bool)
     mask[10:20] = True
-    rep = check_atom(_atom_from_values(grid64, np.zeros(grid64.shape), mask, [0.0], 0.5))
+    rep = check_atom(_atom_from_values(grid64, np.zeros(grid64.shape), mask))
     assert rep["ok"]
 
 
 def test_haar_atom_rescale_report(grid64, lat64):
-    # unit Haar on the base cube: zero moments; L^2 norm 1 vs bound |Q0|^{-1/2}
+    # unit Haar on the base cube: mean zero; L^2 norm 1 vs bound |Q0|^{-1/2}
     # = 2^{-1/2} < 1, so condition (3) fails until rescaled by the reported factor
     h0 = haar_function(lat64, DyadicCube(0, (0,)), (0,))
     mask = np.ones(grid64.shape, dtype=bool)
-    atom = _atom_from_values(grid64, h0.values, mask, [0.0], 2.0)
+    atom = _atom_from_values(grid64, h0.values, mask)
     rep = check_atom(atom)
-    assert rep["moments_ok"]
+    assert rep["moment_ok"]
     assert not rep["norm_ok"]
     assert abs(rep["rescale"] - 2.0 ** -0.5) <= 1e-12
-    rescaled = _atom_from_values(grid64, h0.values * rep["rescale"], mask, [0.0], 2.0)
+    rescaled = _atom_from_values(grid64, h0.values * rep["rescale"], mask)
     assert check_atom(rescaled)["ok"]
     # a deep-generation Haar satisfies the bound outright (|Q| < 1)
     hq = haar_function(lat64, DyadicCube(3, (2,)), (0,))
     mask_q = cube_mask(lat64, DyadicCube(3, (2,)))
-    ext = lat64.extent(DyadicCube(3, (2,)))
-    atom_q = _atom_from_values(grid64, hq.values, mask_q, (ext[0] + ext[1]) / 2, 0.25)
+    atom_q = _atom_from_values(grid64, hq.values, mask_q)
     assert check_atom(atom_q)["ok"]
 
 
@@ -57,9 +56,9 @@ def test_nonzero_mean_fails_condition_two(grid64):
     mask = np.zeros(grid64.shape, dtype=bool)
     mask[4:12] = True
     vals = np.where(mask, 1.0, 0.0)
-    rep = check_atom(_atom_from_values(grid64, vals, mask, [-0.8], 8 * grid64.h))
-    assert not rep["moments_ok"]
-    assert rep["moments"][0]["value"] > 0
+    rep = check_atom(_atom_from_values(grid64, vals, mask))
+    assert not rep["moment_ok"]
+    assert rep["moment"] > rep["moment_tolerance"] > 0
 
 
 def test_support_violation_detected(grid64):
@@ -68,7 +67,7 @@ def test_support_violation_detected(grid64):
     vals = np.zeros(grid64.shape)
     vals[20] = 1.0
     vals[5] = -1.0
-    rep = check_atom(_atom_from_values(grid64, vals, mask, [-0.8], 8 * grid64.h))
+    rep = check_atom(_atom_from_values(grid64, vals, mask))
     assert not rep["support_ok"]
 
 
@@ -104,7 +103,7 @@ def test_decompose_smooth_packets(rng):
         assert all(c["support_ok"] for c in rep["atom_checks"])
         for atom, chk in zip(dec.atoms, rep["atom_checks"]):
             l1 = np.sum(np.abs(atom.values.values)) * g.cell_volume
-            assert abs(chk["moments"][0]["value"]) <= 1e-10 * max(l1, 1e-300)
+            assert abs(chk["moment"]) <= 1e-10 * max(l1, 1e-300)
         fitted = max(fitted, rep["fitted_coefficient_constant"])
         # reconstruction identity is exact by construction
         rec = reconstruction(dec)
@@ -308,15 +307,11 @@ def _assert_report_close(got, want):
     each vanishes up to round-off, which moves with the order of summation,
     so it is held within 1e-5 of its tolerance (worst measured 1.7e-6)."""
 
-    def moments(report):
-        return [m for c in report["atom_checks"] for m in c["moments"]]
-
     def without_moment_values(report):
-        checks = [{**c, "moments": [{**m, "value": 0.0} for m in c["moments"]]} for c in report["atom_checks"]]
-        return {**report, "atom_checks": checks}
+        return {**report, "atom_checks": [{**c, "moment": 0.0} for c in report["atom_checks"]]}
 
-    for m, n in zip(moments(got), moments(want), strict=True):
-        assert abs(m["value"] - n["value"]) <= 1e-5 * n["tolerance"], "moment"
+    for m, n in zip(got["atom_checks"], want["atom_checks"], strict=True):
+        assert abs(m["moment"] - n["moment"]) <= 1e-5 * n["moment_tolerance"], "moment"
     _assert_close(without_moment_values(got), without_moment_values(want), "report")
 
 

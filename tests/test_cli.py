@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_harness import SMALL_CONFIGS
+from test_harness import CARLESON_OUT_OF_RANGE, SMALL_CONFIGS
 from wharm import harness as harness_mod
 from wharm.bmo import bmo_norm
 from wharm.cli import main
@@ -53,7 +53,7 @@ def test_cli_opnorm(tmp_path, capsys):
     fpath, wpath = _write_inputs(tmp_path)
     rc = main([
         "opnorm", "--op", "commutator", "--family", "neumann", "--j", "1",
-        "--b", fpath, "--mu", wpath, "--lambda", wpath, "--p", "2", "--method", "svd",
+        "--b", fpath, "--mu", wpath, "--lambda", wpath, "--p", "2",
     ])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
@@ -61,10 +61,28 @@ def test_cli_opnorm(tmp_path, capsys):
     assert out["certificate"]["method"] == "svd"
 
 
+def test_cli_opnorm_p3_prints_an_ascent_lower_bound(tmp_path, capsys):
+    # p alone picks the algorithm: p != 2 runs the ascent with no other flag
+    fpath, wpath = _write_inputs(tmp_path)
+    rc = main(["opnorm", "--op", "commutator", "--b", fpath, "--mu", wpath, "--lambda", wpath, "--p", "3"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["norm"] > 0
+    assert out["certificate"]["method"] == "ascent"
+
+
+def test_cli_opnorm_has_no_method_flag(tmp_path, capsys):
+    fpath, _ = _write_inputs(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["opnorm", "--op", "riesz", "--b", fpath, "--method", "svd"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("p", ["1", "0.5", "inf", "nan"])
 def test_cli_opnorm_p_outside_one_to_inf_exits_2(tmp_path, capsys, p):
     fpath, wpath = _write_inputs(tmp_path)
-    rc = main(["opnorm", "--op", "commutator", "--b", fpath, "--mu", wpath, "--p", p, "--method", "ascent"])
+    rc = main(["opnorm", "--op", "commutator", "--b", fpath, "--mu", wpath, "--p", p])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
@@ -252,6 +270,20 @@ def test_cli_harness_bad_config_exits_2(tmp_path, capsys, name, cfg, key):
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
     assert last.startswith("wharm: ParameterError: ") and key in last
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("name,halfwidth", CARLESON_OUT_OF_RANGE)
+def test_cli_harness_carleson_out_of_range_exits_2(tmp_path, capsys, name, halfwidth):
+    cpath = str(tmp_path / "cfg.json")
+    with open(cpath, "w") as fh:
+        json.dump({**SMALL_CONFIGS[name], "halfwidth": halfwidth}, fh)
+    with np.errstate(all="ignore"):
+        rc = main(["harness", "run", name, "--config", cpath, "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("wharm: RangeError: ")
     assert not (tmp_path / "r.json").exists()
 
 

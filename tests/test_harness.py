@@ -3,6 +3,7 @@ import pytest
 
 from wharm import harness
 from wharm.errors import ParameterError, RangeError
+from wharm.operators import commutator_norms
 
 
 def test_john_nirenberg_experiment():
@@ -98,6 +99,25 @@ def test_two_weight_general_p_is_labeled_lower_bound():
     assert rep["norm_method"] == "ascent"
     assert rep["norms_are_lower_bounds"] is True
     assert rep["bands"][0]["C"] > 0
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_two_weight_norm_method_is_the_certificates(p, monkeypatch):
+    # the report names the method of the certificates its norms came with
+    methods = []
+
+    def recording(*args, **kwargs):
+        norms, certs = commutator_norms(*args, **kwargs)
+        methods.extend(cert["method"] for cert in certs)
+        return norms, certs
+
+    monkeypatch.setattr(harness, "commutator_norms", recording)
+    pair = {"mu": {"kind": "one"}, "lambda": {"kind": "one"}}
+    cfg = {**SMALL_CONFIGS["two-weight-commutator"], "p": p, "weight_pairs": [pair]}
+    rep = harness.run("two-weight-commutator", cfg)
+    assert methods and set(methods) == {rep["norm_method"]}
+    assert rep["norm_method"] == ("svd" if p == 2.0 else "ascent")
+    assert rep["norms_are_lower_bounds"] is (p != 2.0)
 
 
 def test_two_weight_ascent_out_of_range_raises():
@@ -223,12 +243,28 @@ def test_harness_rejects_a_config_it_would_misread(name, cfg, key):
         harness.run(name, {**SMALL_CONFIGS[name], **cfg})
 
 
-@pytest.mark.parametrize("halfwidth", [1e150, 1e-150])
-@pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+# h^2 and (2L)^2 stay normal floats, yet the Carleson sums overflow: at 1e150
+# the semigroup sums' t^n weights, at 6e153 the Haar sums' energy |Q|
+CARLESON_OUT_OF_RANGE = [
+    pytest.param("two-weight-commutator", 1e150, id="two-weight-commutator-1e+150"),
+    pytest.param("bmo-coincidence", 6e153, id="bmo-coincidence-6e+153"),
+]
+
+
+@pytest.mark.parametrize("name,halfwidth", [(name, hw) for name in sorted(SMALL_CONFIGS) for hw in (1e150, 1e-150)
+                                            if (name, hw) != ("two-weight-commutator", 1e150)])
 def test_harness_runs_far_from_unit_halfwidth_to_a_finite_report(name, halfwidth):
     # well inside the range where h^2 and (2L)^2 stay normal floats
     # canonical_json refuses NaN and infinities
     harness.canonical_json(harness.run(name, {**SMALL_CONFIGS[name], "halfwidth": halfwidth}))
+
+
+@pytest.mark.parametrize("name,halfwidth", CARLESON_OUT_OF_RANGE)
+def test_carleson_sums_out_of_range_raise(name, halfwidth):
+    # an error, not bands c = C = 0.0 (inf - inf = NaN, skipped as a cube
+    # outside the domain) or a report canonical_json cannot write
+    with np.errstate(all="ignore"), pytest.raises(RangeError, match="Carleson sums left the floating-point range"):
+        harness.run(name, {**SMALL_CONFIGS[name], "halfwidth": halfwidth})
 
 
 def test_harness_rejects_a_config_that_is_not_an_object():

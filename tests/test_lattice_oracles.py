@@ -10,7 +10,7 @@ agree to a relative 1e-12, not bit for bit.
 import numpy as np
 import pytest
 from operator_oracles import qt_op
-from tree_oracles import cell_indices, dyadic_local_bmo, haar_function, mask, parent, slab_times
+from tree_oracles import cell_indices, dyadic_local_bmo, haar_function, mask, parent, sidelength, slab_times
 
 from wharm.atoms import atomic_decompose
 from wharm.bmo import CARLESON_FLAVORS, CLASSICAL_FLAVORS, HALF_FLAVORS, bmo_norm
@@ -137,7 +137,7 @@ def test_carleson_heat_matches_oracle(setting, neumann):
     contrib = {}
     for q in dyadic.cubes:
         total = 0.0
-        for t in slab_times(tg, dyadic.sidelength(q)):
+        for t in slab_times(tg, sidelength(dyadic, q)):
             field = apply(qt_op("neumann" if neumann else "free", t), f).values
             total += tg.log_weight * t ** n * np.sum(field[cells(dyadic, q)] ** 2) * h_n
         contrib[q] = total / (w.array[cells(dyadic, q)].sum() * h_n)

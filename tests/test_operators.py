@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wharm.errors import BackendError, DomainError, ParameterError, RangeError, SizeError, WeightError
-from wharm.grid import Grid, GridFunction, constant, extend_even, restrict
+from wharm.grid import Grid, GridFunction, constant, extend_even, restrict, weight_cells
 from wharm.kernels import psi_multiplier, psi_stencil
 from wharm import operators
 from wharm.operators import (
@@ -185,9 +185,16 @@ def test_commutator_apply_is_b_Tf_minus_T_bf(dim, N, backend, family, domain, j)
 
 
 def test_commutator_symbol_on_another_grid_is_rejected(grid64):
+    # one builder checks the symbols and the inner handle for every entry
     b = constant(Grid(1, 1.0, 32), 1.0)
     with pytest.raises(DomainError):
         apply(commutator(b, riesz("free", 1)), constant(grid64, 1.0))
+    with pytest.raises(DomainError):
+        weighted_operator_norm(commutator(b, riesz("free", 1)), grid64)
+    with pytest.raises(DomainError):
+        commutator_norms(b.values[None], riesz("free", 1), grid64)
+    with pytest.raises(ParameterError, match="Riesz"):
+        commutator_norms(np.ones((1,) + grid64.shape), semigroup("free", 0.1), grid64)
 
 
 def test_backend_agreement_halves_under_refinement():
@@ -224,14 +231,23 @@ def test_heaviside_locality_of_sided_operators(rng):
         assert np.max(np.abs(o1.values - o2.values)) <= 1e-12
 
 
+def _ascent_at_p2(op, g, mu=None, lam=None, seed=0):
+    """The lockstep p-ascent on one operator at p = 2, where the norm entries
+    take the svd: an independent iterative check of the svd."""
+    maps = _operator_maps(op, g)
+    norms, certs = operators._lockstep_ascent(lambda ops: maps, 1, g.shape, weight_cells(mu, g),
+                                              weight_cells(lam, g), 2.0, seed)
+    return float(norms[0]), certs[0]
+
+
 def test_heat_semigroup_norm_both_methods(grid64, monkeypatch):
     # the free heat multiplier is 1 at xi = 0 and below 1 elsewhere, and a
     # constant weight cancels: the norm is 1
     w = Weight(constant(grid64, 1.3))
     op = semigroup("free", 0.1)
-    v1, _ = weighted_operator_norm(op, grid64, w, w, p=2.0, method="svd")
+    v1, _ = weighted_operator_norm(op, grid64, w, w, p=2.0)
     monkeypatch.setattr(operators, "_RESTARTS", 3)
-    v2, cert = weighted_operator_norm(op, grid64, w, w, p=2.0, method="ascent")
+    v2, cert = _ascent_at_p2(op, grid64, w, w)
     assert abs(v1 - 1.0) <= 1e-12
     assert abs(v2 - 1.0) <= 1e-9
     assert cert["method"] == "ascent"
@@ -239,7 +255,7 @@ def test_heat_semigroup_norm_both_methods(grid64, monkeypatch):
 
 def test_hilbert_norm_is_one():
     g = Grid(1, 1.0, 256)
-    val, _ = weighted_operator_norm(riesz("free", 1), g, None, None, p=2.0, method="svd")
+    val, _ = weighted_operator_norm(riesz("free", 1), g, None, None, p=2.0)
     assert abs(val - 1.0) <= 1e-6
 
 
@@ -249,8 +265,8 @@ def test_ascent_vs_svd_on_commutators(rng):
         op = commutator(GridFunction(g, rng.standard_normal(g.shape)), riesz("free", 1))
         mu = np.exp(0.3 * rng.standard_normal(g.shape))
         lam = np.exp(0.3 * rng.standard_normal(g.shape))
-        sv, _ = weighted_operator_norm(op, g, mu, lam, p=2.0, method="svd")
-        av, _ = weighted_operator_norm(op, g, mu, lam, p=2.0, method="ascent", seed=i)
+        sv, _ = weighted_operator_norm(op, g, mu, lam, p=2.0)
+        av, _ = _ascent_at_p2(op, g, mu, lam, seed=i)
         assert av <= sv + 1e-9
         assert av >= 0.95 * sv
 
@@ -264,13 +280,13 @@ def test_ascent_vs_svd_on_commutators(rng):
     (lambda g: np.ones((g.points_per_axis, 2)), DomainError),
     (lambda g: np.float64(2.0), DomainError),
 ], ids=["zero", "negative", "nan", "inf", "short", "extra-axis", "scalar"])
-@pytest.mark.parametrize("method", ["svd", "ascent"])
-def test_raw_array_weight_is_checked(grid64, bad, error, method):
+@pytest.mark.parametrize("p", [2.0, 3.0], ids=["svd", "ascent"])
+def test_raw_array_weight_is_checked(grid64, bad, error, p):
     # a raw array reaches the norms unchecked by Weight, so the norms check it
     mu = bad(grid64)
     for pair in ((mu, None), (None, mu)):
         with pytest.raises(error):
-            weighted_operator_norm(riesz("free", 1), grid64, *pair, method=method)
+            weighted_operator_norm(riesz("free", 1), grid64, *pair, p=p)
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, np.inf, np.nan])
@@ -278,7 +294,7 @@ def test_norms_need_a_finite_p_above_one(grid64, p):
     # p = 1 divided by zero in the ascent, 0.5 and inf gave a number, nan a NaN
     b = GridFunction(grid64, np.sin(np.pi * grid64.axis_coords(0)))
     with pytest.raises(ParameterError, match="^p must lie"):
-        weighted_operator_norm(commutator(b, riesz("free", 1)), grid64, p=p, method="ascent")
+        weighted_operator_norm(commutator(b, riesz("free", 1)), grid64, p=p)
     with pytest.raises(ParameterError, match="^p must lie"):
         commutator_norms(b.values[None], riesz("free", 1), grid64, p=p)
 
@@ -289,16 +305,15 @@ def test_ascent_leaving_the_float_range_raises(grid64, monkeypatch):
     b = GridFunction(grid64, np.sin(np.pi * grid64.axis_coords(0)))
     monkeypatch.setattr(operators, "_RESTARTS", 2)
     with np.errstate(all="ignore"), pytest.raises(RangeError, match="p-ascent"):
-        weighted_operator_norm(commutator(b, riesz("free", 1)), grid64, p=1.0000001, method="ascent")
+        weighted_operator_norm(commutator(b, riesz("free", 1)), grid64, p=1.0000001)
 
 
 def test_ascent_general_p_runs(grid64, rng, monkeypatch):
     op = riesz("free", 1)
     monkeypatch.setattr(operators, "_RESTARTS", 3)
-    val, cert = weighted_operator_norm(op, grid64, None, None, p=3.0, method="ascent")
-    assert val > 0
-    with pytest.raises(ParameterError, match="svd"):
-        weighted_operator_norm(op, grid64, None, None, p=3.0, method="svd")
+    val, cert = weighted_operator_norm(op, grid64, None, None, p=3.0)
+    # p alone picks the algorithm: at p != 2 the ascent's lower bound
+    assert val > 0 and cert["method"] == "ascent" and cert["restarts"] == 3
 
 
 def test_phi_and_psi_ops_run(grid64, rng):
@@ -339,7 +354,7 @@ def test_weighted_norm_2d_dense(rng):
     g = Grid(2, 1.0, 16)
     op = riesz("neumann", 2, backend="fourier")
     w = Weight(constant(g, 1.0))
-    val, _ = weighted_operator_norm(op, g, w, w, p=2.0, method="svd")
+    val, _ = weighted_operator_norm(op, g, w, w, p=2.0)
     assert 0 < val <= 1.5  # contraction up to reflection bookkeeping
 
 
@@ -501,9 +516,9 @@ def test_constant_symbol_norm_is_exactly_zero():
     for g in (Grid(1, 1.0, 64), Grid(1, 1.0, 64, "upper"), Grid(2, 1.0, 16)):
         family = "dirichlet" if g.domain == "upper" else "neumann"
         op = commutator(constant(g, 2.5), riesz(family, g.dim))
-        for method in ("svd", "ascent"):
-            val, cert = weighted_operator_norm(op, g, method=method)
-            assert val == 0.0 and cert["zero_operator"] is True
+        for p, method in ((2.0, "svd"), (3.0, "ascent")):
+            val, cert = weighted_operator_norm(op, g, p=p)
+            assert val == 0.0 and cert == {"method": method, "size": int(np.prod(g.shape)), "zero_operator": True}
 
 
 def test_one_point_norm_is_its_entry():
@@ -645,6 +660,20 @@ def test_stop_test_at_even_steps_against_the_every_step_oracle(dim, N, domain):
     assert later > 0
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_commutator_handle_norm_is_the_stack_of_one(p, monkeypatch):
+    # a commutator handle's norm is commutator_norms on its symbol alone: the
+    # same value and certificate, a constant symbol's zero operator included
+    monkeypatch.setattr(operators, "_RESTARTS", 3)
+    g, symbols, mu, lam, R = _ascent_case(1, 64, "full")
+    for b in symbols[:2]:
+        alone = weighted_operator_norm(commutator(GridFunction(g, b), R), g, mu, lam, p=p, seed=2)
+        vals, certs = commutator_norms(b[None], R, g, mu, lam, seed=2, p=p)
+        assert alone == (float(vals[0]), certs[0])
+        assert certs[0]["method"] == ("svd" if p == 2.0 else "ascent")
+    assert alone[1]["zero_operator"] is True
+
+
 def test_commutator_norms_are_reproducible():
     g = Grid(2, 1.0, 16)
     rng = np.random.default_rng(6)
@@ -676,7 +705,7 @@ def test_ascent_matches_the_per_restart_oracle(dim, N, domain, p):
     for i in (0, 2):
         op = commutator(GridFunction(g, symbols[i]), R)
         want, want_cert = ascent_norm(op, g, mu, lam, p=p, seed=4)
-        alone, alone_cert = weighted_operator_norm(op, g, mu, lam, p=p, method="ascent", seed=4)
+        alone, alone_cert = weighted_operator_norm(op, g, mu, lam, p=p, seed=4)
         assert want > 0 and want_cert["converged"]
         assert abs(vals[i] - want) <= 1e-12 * want and abs(alone - want) <= 1e-12 * want
         assert certs[i] == alone_cert == want_cert
@@ -689,7 +718,7 @@ def test_ascent_cut_off_and_zero_operator_match_the_oracle(monkeypatch):
         for restarts, max_iter in ((3, 3), (10, 1), (2, 0)):
             monkeypatch.setattr(operators, "_RESTARTS", restarts)
             monkeypatch.setattr(operators, "_MAX_ITER", max_iter)
-            got = weighted_operator_norm(op, g, mu, lam, p=3.0, method="ascent", seed=1)
+            got = weighted_operator_norm(op, g, mu, lam, p=3.0, seed=1)
             want = ascent_norm(op, g, mu, lam, p=3.0, seed=1, restarts=restarts, max_iter=max_iter)
             if b[0] == b[1]:
                 assert got == (0.0, {"method": "ascent", "size": 64, "zero_operator": True})

@@ -4,7 +4,10 @@ perfbench/ calls the public wharm names (harness.run, grid.extend_even,
 grid.restrict, squarefn.ConeSpec, ...) through module attributes, so a
 library change that drops one fails only when the benchmark runs.  Here each
 workload is built at its tiny size, in this process, runs one pass and its
-once-per-run checks, and nothing may raise or fail a check.
+once-per-run checks, and nothing may raise or fail a check.  One full-size
+pass at the golden's seed then holds the digests that perfbench/golden
+records for the sparse collections and the norm paths (read only, within
+the benchmark's own workloads.compare).
 """
 
 import signal
@@ -49,3 +52,18 @@ def test_hardy_atoms_sparse_digests_match_the_golden(workloads, tmp_path):
     assert len(ops) == 3 * wl.SIZE["full"]["symbols"]
     for op in ops:
         assert workloads.compare(digests.get(op), golden[op], op) is None
+
+
+@pytest.mark.parametrize("name", ["shipped-1d", "two-weight-2d"])
+def test_norm_workload_digests_match_the_golden(workloads, name, tmp_path):
+    # one full-size pass at the golden's seed: every report of the norm paths
+    # (shipped configs and the 2D two-weight run) must match
+    # perfbench/golden/<name>.json, as the benchmark checks each pass
+    wl = workloads.WORKLOADS[name](workloads.DEFAULT_SEED, "full")
+    attempts = wl.run_pass(tmp_path)
+    assert attempts.errors == {}
+    digests = wl.digest(attempts.results)
+    golden = wl.golden()
+    assert golden
+    for op, want in golden.items():
+        assert workloads.compare(digests.get(op), want, op) is None

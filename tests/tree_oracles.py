@@ -16,6 +16,7 @@ decomposition summed back).
 
 The per-cube geometry lives here too, for the tests that index one cube of
 the full grid: cell_indices (a cube's wrapped cell indices per axis),
+sidelength and extent (its side and, unless it wraps, its coordinate box),
 mask (its cells as a boolean grid) and haar_function (one h_Q^eps on the
 full grid).  So do the per-cube sparse collections that the block view
 replaced, as the reference they are tested against: recursion_by_cube (the
@@ -61,6 +62,24 @@ def cell_indices(lat, cube):
         (lat.shift_cells[a] + cube.index[a] * m + np.arange(m)) % N
         for a in range(lat.grid.dim)
     )
+
+
+def sidelength(lat, cube) -> float:
+    """The side length of cube."""
+    return 2.0 * lat.grid.halfwidth * 2.0 ** (-cube.generation)
+
+
+def extent(lat, cube):
+    """(lo, hi) coordinate arrays of cube when its cells do not wrap, else None."""
+    N = lat.grid.points_per_axis
+    m = lat.cells_per_axis(cube.generation)
+    starts = [(s + i * m) % N for s, i in zip(lat.shift_cells, cube.index)]
+    if any(start + m > N for start in starts):
+        return None
+    L, h = lat.grid.halfwidth, lat.grid.h
+    lo = np.array([-L + start * h for start in starts])
+    hi = np.array([-L + (start + m) * h for start in starts])
+    return lo, hi
 
 
 def mask(lat, cube) -> np.ndarray:
