@@ -28,9 +28,9 @@ from functools import cache
 
 import numpy as np
 
-from .dyadic import DyadicCube, DyadicLattice, weighted_maximal
+from .dyadic import DyadicCube, DyadicLattice, lattices_on, weighted_maximal
 from .errors import DecompositionError, ParameterError
-from .grid import FULL, Grid, GridFunction, weight_cells
+from .grid import Grid, GridFunction, weight_cells
 from .operators import FOURIER, QUADRATURE, apply_scales, free_multipliers, from_spectrum, psi_op, psi_reach, spectrum
 from .squarefn import ConeSpec, TimeGrid, area_function
 
@@ -295,14 +295,14 @@ def atomic_decompose(
     p: float = 2.0,
 ) -> AtomicDecomposition:
     """Level-set atomic decomposition of f against the weight w, read by
-    grid.weight_cells (None is the unit weight).
+    grid.weight_cells (None is the unit weight), over the unshifted lattice
+    lat on f's grid (dyadic.lattices_on).
 
     Atoms are (1,p,0)-atoms supported in 3Qbar; coefficients are 2^k w(Qbar).
     Raises DecompositionError when the square function vanishes identically.
     """
     g = f.grid
-    if g.domain != FULL:
-        raise ParameterError("atomic decomposition runs on full-space data")
+    lattices_on(lat, g, one=True)
     if any(s != 0 for s in lat.shift_cells):
         raise ParameterError("use the unshifted lattice for the decomposition")
     warr = weight_cells(w, g)

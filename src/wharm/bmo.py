@@ -6,7 +6,9 @@ Carleson boxes follow the Whitney convention Q^ = Q x (l(Q)/2, l(Q)], so the
 boxes of the dyadic cubes below a top cube P tile P x (0, l(P)] exactly.
 Suprema over P run over every cube of the supplied lattice family with
 l(P) >= 4h (each such P holds a full Whitney slab above the time grid);
-inner sums always run over the unshifted dyadic cubes contained in P.
+inner sums always run over the unshifted dyadic cubes contained in P.  The
+family is read once per call by dyadic.lattices_on, on the function's grid
+(on its full grid for the half flavors, which scan an extension).
 
 Every scan works on the lattice block view (dyadic.DyadicLattice.blocks),
 one generation at a time: a generation's cubes are reduced together and
@@ -32,9 +34,9 @@ from itertools import product
 
 import numpy as np
 
-from .dyadic import _iter_lattices, haar_generation, split_blocks
+from .dyadic import haar_generation, lattices_on, split_blocks
 from .errors import DomainError, ParameterError, RangeError
-from .grid import FULL, GridFunction, extensions, weight_cells
+from .grid import FULL, GridFunction, checked_p, extensions, weight_cells
 from .operators import apply_scales
 from .squarefn import TimeGrid
 
@@ -56,7 +58,7 @@ def _row_max(q: np.ndarray) -> np.ndarray:
     return np.max(q, axis=tuple(range(1, q.ndim)), where=~np.isnan(q), initial=0.0)
 
 
-def _classical_sup(values: np.ndarray, warr: np.ndarray, lattices, r=None) -> np.ndarray:
+def _classical_sup(values: np.ndarray, warr: np.ndarray, lats: list, r=None) -> np.ndarray:
     """sup over cubes of the weighted mean-deviation functional, for each
     row of the stack values (S, *grid.shape); warr is the one weight of every
     row (ones for the unweighted norm: a sum of ones is the cell count).
@@ -65,16 +67,16 @@ def _classical_sup(values: np.ndarray, warr: np.ndarray, lattices, r=None) -> np
     cubes touching such cells are skipped.
     """
     best = np.zeros(len(values))
-    for lat in _iter_lattices(lattices):
+    for lat in lats:
         for v, wv in zip(lat.generations(values), lat.generations(warr)):
             best = np.maximum(best, _row_max(_mean_deviation(v, wv, r)))
     return best
 
 
-def _carleson_haar(values: np.ndarray, grid, warr: np.ndarray, lattices) -> np.ndarray:
+def _carleson_haar(values: np.ndarray, grid, warr: np.ndarray, lats: list) -> np.ndarray:
     best = np.zeros(len(values))
     n = grid.dim
-    for lat in _iter_lattices(lattices):
+    for lat in lats:
         wmasses = [cells.sum(axis=-1) * grid.cell_volume for cells in lat.generations(warr)]
         # subtree[Q] = sum over Q' <= Q of the Haar energy of Q' |Q'| / w(Q'),
         # built from the finest generation (no Haar functions) up by summing
@@ -127,13 +129,10 @@ def _scan_plan(N: int, dim: int, shift_cells: tuple, max_generation: int, slab_g
     return corners, tuple(counts)
 
 
-def _carleson_heat(values: np.ndarray, grid, warr: np.ndarray, lattices, tg: TimeGrid, neumann: bool) -> np.ndarray:
+def _carleson_heat(values: np.ndarray, grid, warr: np.ndarray, lats: list, tg: TimeGrid, neumann: bool) -> np.ndarray:
     """(sup_P w(P)^{-1} sum_{Q subset P} c_Q)^{1/2} per row, c_Q = int_{Q^} |G_t f|^2 t^n
     / w(Q) dy dt/t, by one reduction per Whitney slab and the _scan_plan gathers."""
-    if grid.domain != FULL:
-        raise DomainError("semigroup Carleson norms are evaluated on full-space data")
     n, S, lw, h_n = grid.dim, len(values), tg.log_weight, grid.cell_volume
-    lats = _iter_lattices(lattices)
     dyadic = next((l for l in lats if all(s == 0 for s in l.shift_cells)), None)
     if dyadic is None:
         # inner sums run over unshifted dyadic cubes (block sums rely on it)
@@ -181,24 +180,27 @@ def bmo_norms(values, grid, w, flavor: str, lattices, r: float = 2.0, tg: TimeGr
     The rows share every lattice scan and every batched apply, and each row's
     norm equals its bmo_norm bit for bit.  w is read by grid.weight_cells
     (None is the unit weight); the unweighted flavors check it and ignore it.
+    The lattices are read by dyadic.lattices_on on grid itself, or on its
+    full grid for the half flavors, whose functions are extended to it.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[1:] != grid.shape:
         raise DomainError(f"a stack of shape {values.shape} does not hold functions on {grid.shape}")
     warr = weight_cells(w, grid)
+    lats = lattices_on(lattices, grid.with_domain(FULL) if flavor in HALF_FLAVORS else grid)
     if flavor == "classical-w":
-        return _classical_sup(values, warr, lattices)
+        return _classical_sup(values, warr, lats)
     if flavor == "classical-wr":
         if r < 1.0:
             raise ParameterError("classical-wr needs r >= 1")
-        return _classical_sup(values, warr, lattices, r=r)
+        return _classical_sup(values, warr, lats, r=r)
     if flavor == "carleson-haar":
-        return _carleson_haar(values, grid, warr, lattices)
+        return _carleson_haar(values, grid, warr, lats)
     if flavor in ("carleson-heat-free", "carleson-heat-neumann"):
         tg = tg or TimeGrid.geometric(grid)
-        return _carleson_heat(values, grid, warr, lattices, tg, neumann=flavor == "carleson-heat-neumann")
+        return _carleson_heat(values, grid, warr, lats, tg, neumann=flavor == "carleson-heat-neumann")
     if flavor in HALF_FLAVORS:
-        return _half_flavor_norms(values, grid, warr, flavor, lattices)
+        return _half_flavor_norms(values, grid, warr, flavor, lats)
     raise ParameterError(f"unknown BMO flavor {flavor!r}")
 
 
@@ -207,7 +209,7 @@ def bmo_norm(f: GridFunction, w, flavor: str, lattices, r: float = 2.0, tg: Time
     return float(bmo_norms(f.values[None], f.grid, w, flavor, lattices, r=r, tg=tg)[0])
 
 
-def _half_flavor_norms(values: np.ndarray, grid, warr: np.ndarray, flavor: str, lattices) -> np.ndarray:
+def _half_flavor_norms(values: np.ndarray, grid, warr: np.ndarray, flavor: str, lats: list) -> np.ndarray:
     """Classical BMO of each row's own side alone (a NaN mirror) or of its odd
     or even extension; only the even one reads the weight, extended evenly."""
     if grid.domain == FULL:
@@ -215,7 +217,7 @@ def _half_flavor_norms(values: np.ndarray, grid, warr: np.ndarray, flavor: str, 
     sign = {"unweighted-half": np.nan, "odd-ext-half": -1.0, "even-ext-half": 1.0}[flavor]
     if flavor != "even-ext-half":
         warr = np.ones(grid.shape)
-    return _classical_sup(extensions(values, grid, sign)[0], extensions(warr, grid, 1.0)[0], lattices)
+    return _classical_sup(extensions(values, grid, sign)[0], extensions(warr, grid, 1.0)[0], lats)
 
 
 def bmo_deltaN_sides_norms(values: np.ndarray, grid, w, lattices, tg: TimeGrid = None):
@@ -233,44 +235,34 @@ def bmo_deltaN_sides_norms(values: np.ndarray, grid, w, lattices, tg: TimeGrid =
     )
 
 
-def john_nirenberg_report(suite, lattices) -> dict:
-    """rho = ||b||_{w,r} / ||b||_w per instance plus the A^p-based predictor.
+def john_nirenberg_report(symbols, grid, weights, p: float, r: float, lattices) -> dict:
+    """rho = ||b||_{w,r} / ||b||_w for every row b of the stack symbols, of
+    shape (S, *grid.shape), in the weight w = weights[i % len(weights)] of its
+    row i, plus the A^p-based predictor.
 
     Asserts rho >= 1 (Hoelder, exact for cell sums) and reports the fitted
-    constant max rho / [w]_{A^p}^{max(1, 1/(p-1))}.  Instances that share a
-    weight object, p, r and grid are one stack: their norms come from one
-    batched scan per flavor and [w]_{A^p} is computed once.  The rows keep
-    the order of the suite.
+    constant max rho / [w]_{A^p}^{max(1, 1/(p-1))}.  Each weight's rows are
+    one stack: their norms come from one batched scan per flavor and [w]_{A^p}
+    is computed once.  The rows keep the order of symbols.
     """
     from .weights import ap_constant
 
-    groups = {}
-    for i, (b, w, p, r) in enumerate(suite):
-        if not 1.0 < p < np.inf:
-            raise ParameterError(f"John-Nirenberg needs p in (1, inf), got p = {p!r}")
-        if r < 1.0 or r > p / (p - 1.0) + 1e-12:
-            raise ParameterError("John-Nirenberg needs 1 <= r <= p'")
-        groups.setdefault((id(w), b.grid, p, r), []).append(i)
-    norms = {}
-    for (_, grid, p, r), members in groups.items():
-        w = suite[members[0]][1]
-        stack = np.stack([suite[i][0].values for i in members])
+    checked_p(p)
+    if not 1.0 <= r <= p / (p - 1.0) + 1e-12:
+        raise ParameterError("John-Nirenberg needs 1 <= r <= p'")
+    if not weights:
+        raise ParameterError("John-Nirenberg needs at least one weight")
+    symbols, count = np.asarray(symbols, dtype=float), len(weights)
+    rows = [{"skipped": "constant symbol"} for _ in symbols]
+    for j, w in enumerate(weights):
+        stack = symbols[j::count]
         nw = bmo_norms(stack, grid, w, "classical-w", lattices)
         nwr = bmo_norms(stack, grid, w, "classical-wr", lattices, r=r)
         apw = ap_constant(w, p, lattices) if np.any(nw != 0.0) else None
-        norms.update((i, (float(a), float(b), apw)) for i, a, b in zip(members, nw, nwr))
-
-    rows = []
-    fitted = 0.0
-    for i, (_, _, p, r) in enumerate(suite):
-        nw, nwr, apw = norms[i]
-        if nw == 0.0:
-            rows.append({"skipped": "constant symbol"})
-            continue
-        rho = nwr / nw
-        predictor = apw ** max(1.0, 1.0 / (p - 1.0))
-        rows.append({"rho": rho, "ap": apw, "predictor": predictor, "p": p, "r": r})
-        fitted = max(fitted, rho / predictor)
-        if rho < 1.0 - 1e-12:
-            raise AssertionError(f"John-Nirenberg ordering violated: rho={rho}")
+        for i, a, b in zip(range(j, len(symbols), count), nw.tolist(), nwr.tolist()):
+            if a != 0.0:
+                rows[i] = {"rho": b / a, "ap": apw, "predictor": apw ** max(1.0, 1.0 / (p - 1.0)), "p": p, "r": r}
+                if b / a < 1.0 - 1e-12:
+                    raise AssertionError(f"John-Nirenberg ordering violated: rho={b / a}")
+    fitted = max((row["rho"] / row["predictor"] for row in rows if "rho" in row), default=0.0)
     return {"rows": rows, "fitted_C": fitted}

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bmo as bmo_mod
 from . import harness as harness_mod
-from .dyadic import lattice_family
+from .dyadic import build_lattice, lattice_family
 from .errors import WharmError
 from .grid import load, save_csv
 from .operators import OperatorHandle, apply as op_apply, commutator, riesz, weighted_operator_norm
@@ -94,7 +94,7 @@ def cmd_squarefn(args) -> int:
     tg = TimeGrid.geometric(f.grid, t_min=args.tmin, t_max=args.tmax)
     flavor = args.flavor if not args.flavor.startswith("classical") else ("classical", int(args.flavor[-1]))
     if args.flavor == "haar":
-        lat = lattice_family(f.grid, int(np.log2(f.grid.points_per_axis)))[0]
+        lat = build_lattice(f.grid, int(np.log2(f.grid.points_per_axis)))
         value = hardy_norm(f, "haar", w, lattice=lat)
     else:
         value = hardy_norm(f, flavor, w, tg=tg)

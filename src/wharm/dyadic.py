@@ -27,6 +27,10 @@ reads one cube's cells on the full grid: the tests keep that per-cube
 geometry (a cube's cell indices, side, coordinate box and mask, one
 h_Q^eps) as their reference.
 
+lattices_on is the one rule by which an entry reads a lattice argument: one
+lattice or a nonempty family, each lattice on the entry's own grid, so that
+a lattice of another grid never cuts a function's cells (GridAlignmentError).
+
 All integrals are exact cell sums (midpoint rule), so cube masses and Haar
 coefficients are bit-reproducible.
 """
@@ -40,7 +44,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import GridAlignmentError
+from .errors import GridAlignmentError, ParameterError
 from .grid import FULL, Grid, GridFunction, weight_cells
 
 SHIFT_NAMES = {"none": 0, "third": 1, "two_thirds": 2}
@@ -157,11 +161,21 @@ def build_lattice(grid: Grid, max_generation: int, shift=None) -> DyadicLattice:
     return DyadicLattice(grid, max_generation, shift)
 
 
-def _iter_lattices(lattices) -> list:
-    """One lattice or an iterable of lattices, as a list."""
-    if isinstance(lattices, DyadicLattice):
-        return [lattices]
-    return list(lattices)
+def lattices_on(lattices, grid: Grid = None, one: bool = False) -> list:
+    """The lattice argument of an entry as a list, the one rule by which every
+    entry reads its lattices: one DyadicLattice or, unless one is set, a
+    nonempty iterable of them (ParameterError), each on grid itself, by
+    default the first lattice's grid (GridAlignmentError naming both grids).
+    The lattices are not copied."""
+    lats = [lattices] if isinstance(lattices, DyadicLattice) else [] if one else list(lattices)
+    if not lats or not all(isinstance(lat, DyadicLattice) for lat in lats):
+        raise ParameterError(f"needs {'one DyadicLattice' if one else 'one or more DyadicLattices'}, "
+                             f"got {lattices!r:.60}")
+    grid = grid or lats[0].grid
+    for lat in lats:
+        if lat.grid != grid:
+            raise GridAlignmentError(f"a lattice on {lat.grid} read on {grid}")
+    return lats
 
 
 def lattice_family(grid: Grid, max_generation: int = None):
@@ -173,10 +187,8 @@ def lattice_family(grid: Grid, max_generation: int = None):
     """
     if max_generation is None:
         max_generation = int(np.log2(grid.points_per_axis)) - 1
-    fams = []
-    for labels in product(("none", "third", "two_thirds"), repeat=grid.dim):
-        fams.append(DyadicLattice(grid, max_generation, labels))
-    return fams
+    return [DyadicLattice(grid, max_generation, labels)
+            for labels in product(("none", "third", "two_thirds"), repeat=grid.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +223,8 @@ def haar_generation(values: np.ndarray, lat: DyadicLattice, k: int) -> np.ndarra
 
 def haar_coefficients(f: GridFunction, lat: DyadicLattice) -> dict:
     """All <f, h_Q^eps> by exact cell sums; keys (cube, signature)."""
-    g = f.grid
-    if g is not lat.grid and g != lat.grid:
-        raise GridAlignmentError("grid function and lattice live on different grids")
-    if g.domain != FULL:
-        raise GridAlignmentError("Haar coefficients need a full-space function")
-    sigs = signatures(g.dim)
+    lattices_on(lat, f.grid, one=True)
+    sigs = signatures(f.grid.dim)
     coeffs = {}
     for k in range(lat.max_generation):
         c = haar_generation(f.values, lat, k)
@@ -262,14 +270,15 @@ def random_haar_sums(lat: DyadicLattice, rng, count: int, weight=None, max_gener
     max_generation, as a stack of shape (count, *grid.shape).
 
     Each coefficient is a standard normal times sqrt|Q| <weight>_Q (times
-    sqrt|Q| without a weight); weight is a Weight or anything else with a
-    cell array .array.  All coefficients are one draw with a row per sum,
+    sqrt|Q| without a weight); weight is read on the lattice's grid by
+    grid.weight_cells.  All coefficients are one draw with a row per sum,
     in the order (generation, cube index, signature): the stream of count
     successive random_haar_sum calls, which leaves rng in the same state.
     Each generation's std is computed once, and one haar_synthesis call per
     generation serves the whole stack.
     """
     g = lat.grid
+    wcells = None if weight is None else weight_cells(weight, g)
     top = lat.max_generation if max_generation is None else min(max_generation, lat.max_generation)
     shapes = [(1 << k,) * g.dim + (len(signatures(g.dim)),) for k in range(top)]
     sizes = [math.prod(shape) for shape in shapes]
@@ -278,9 +287,9 @@ def random_haar_sums(lat: DyadicLattice, rng, count: int, weight=None, max_gener
     for k, (shape, drawn) in enumerate(zip(shapes, draws)):
         measure = lat.measure(k)
         std = np.sqrt(measure)
-        if weight is not None:
+        if wcells is not None:
             # <weight>_Q = weight(Q) / |Q| from the block sums
-            std = std * (lat.blocks(weight.array, k).sum(axis=-1) * g.cell_volume / measure)[..., None]
+            std = std * (lat.blocks(wcells, k).sum(axis=-1) * g.cell_volume / measure)[..., None]
         haar_synthesis(drawn.reshape((count,) + shape) * std, lat, k, vals)
     return vals
 
@@ -299,8 +308,9 @@ def weighted_maximal(g: GridFunction, w, lat: DyadicLattice) -> GridFunction:
     """Dyadic weighted Hardy-Littlewood maximal function over the lattice cubes.
 
     (M_w g)(x) = max over cubes Q containing x of w(Q)^{-1} sum_Q |g| w h^n.
-    w is read by grid.weight_cells.
+    w is read by grid.weight_cells and lat by lattices_on.
     """
+    lattices_on(lat, g.grid, one=True)
     wv = weight_cells(w, g.grid)
     num = np.abs(g.values) * wv
     out = np.zeros(g.grid.shape)

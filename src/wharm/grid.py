@@ -65,6 +65,14 @@ def checked_config(cfg, defaults: dict, owner: str) -> dict:
     return checked
 
 
+def checked_p(p) -> float:
+    """p itself when it is a real number in (1, inf), the one rule for the
+    exponent p of every norm, characteristic and report; else ParameterError."""
+    if not (isinstance(p, numbers.Real) and 1.0 < p < math.inf):
+        raise ParameterError(f"p must lie in (1, inf), got p = {p!r}")
+    return p
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform cell-centered grid over [-L, L]^n, optionally one half-space.

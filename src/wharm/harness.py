@@ -363,13 +363,11 @@ def run_john_nirenberg(dim=1, halfwidth=1.0, points_per_axis=256, max_generation
     """Thin wrapper over the BMO module's John-Nirenberg report."""
     grid = Grid(dim, halfwidth, points_per_axis)
     lattices = lattice_family(grid, max_generation)
-    dyadic = lattices[0]
     rng = np.random.default_rng(seed)
-    # one Weight per spec: the report batches the instances that share one
+    # instance i takes weight i % len(weights); the report batches each weight's instances
     ws = [weight_from_spec(spec, grid) for spec in weights]
-    symbols = random_haar_sums(dyadic, rng, instances, max_generation=3)
-    suite = [(GridFunction(grid, b), ws[i % len(ws)], p, r) for i, b in enumerate(symbols)]
-    rep = bmo_mod.john_nirenberg_report(suite, lattices)
+    symbols = random_haar_sums(lattices[0], rng, instances, max_generation=3)
+    rep = bmo_mod.john_nirenberg_report(symbols, grid, ws, p, r, lattices)
     rhos = [row["rho"] for row in rep["rows"] if "rho" in row]
     return {
         "tolerances": {"rho_floor": 1.0},

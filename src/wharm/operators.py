@@ -132,7 +132,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BackendError, DomainError, ParameterError, RangeError, SizeError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, extensions, weight_cells
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, checked_p, extensions, weight_cells
 from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil
 
 DENSE_POINT_CAP = 4096
@@ -820,12 +820,10 @@ def _norms(maps, zero: np.ndarray, grid: Grid, mu, lam, p: float, seed: int):
     zero: norm 0.0 and the zero-operator certificate, no iteration.  The
     others run in lockstep, and p picks how: at p = 2 top singular values by
     _lockstep_norms (method "svd"), at any other p certified lower bounds by
-    _lockstep_ascent (method "ascent").  p must lie in (1, inf), and mu and
-    lam are read by grid.weight_cells.
+    _lockstep_ascent (method "ascent").  p is read by grid.checked_p, and mu
+    and lam by grid.weight_cells.
     """
-    if not 1.0 < p < np.inf:
-        raise ParameterError(f"p must lie in (1, inf), got p = {p!r}")
-    method = "svd" if p == 2.0 else "ascent"
+    method = "svd" if checked_p(p) == 2.0 else "ascent"
     live = np.flatnonzero(~zero)
     args = (lambda rows: maps(live[rows]), len(live), grid.shape, weight_cells(mu, grid), weight_cells(lam, grid))
     if method == "svd":

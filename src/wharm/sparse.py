@@ -16,7 +16,9 @@ members[k] flags the generation-k members, and carriers[k] holds all of
 their carriers in one cell array (cubes of one generation are disjoint).
 The checks, the Carleson constant, the sparse operator and the greedy fill
 read whole generations of block sums; only a stopping-time recursion's
-children rule and to_json go cube by cube.
+children rule and to_json go cube by cube.  The lattice is a collection's
+only grid; the sparse operator and cz_stopping hold it to the grid of their
+function or density (dyadic.lattices_on).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCube, DyadicLattice, split_blocks
+from .dyadic import DyadicCube, DyadicLattice, lattices_on, split_blocks
 from .errors import ParameterError, SparsityError
 from .grid import GridFunction, cell_values
 
@@ -53,12 +55,15 @@ def cz_stopping(dens, lat: DyadicLattice, q0: DyadicCube, alpha: float) -> Stopp
     cuts them (means equal the block means of the whole density bit for bit),
     coarsest first, with a mask of the cubes with a passing ancestor below
     q0; each generation's passing cubes outside the mask are selected, in
-    (generation, index) order.
+    (generation, index) order.  dens holds one finite value per cell of lat's
+    grid (DomainError), and a GridFunction lives on that grid (lattices_on).
     """
     if alpha <= 1.0:
         raise ParameterError("cz_stopping needs alpha > 1")
+    lattices_on(lat, getattr(dens, "grid", None), one=True)
+    density = np.abs(GridFunction(lat.grid, cell_values(dens)).values)
     dim, m = lat.grid.dim, lat.cells_per_axis(q0.generation)
-    block = lat.blocks(np.abs(cell_values(dens)), q0.generation)[q0.index].reshape((m,) * dim)
+    block = lat.blocks(density, q0.generation)[q0.index].reshape((m,) * dim)
     base = float(block.mean())
     selected, averages, cells = [], {}, 0
     covered = np.full((1,) * dim, not base > 0)
@@ -187,7 +192,9 @@ def build_sparse_from_recursion(children_rule, lat: DyadicLattice, q0: DyadicCub
 
 
 def sparse_operator_apply(coll: SparseCollection, f: GridFunction) -> GridFunction:
-    """A_S f = sum over members of <f>_Q 1_Q, coarsest generation first."""
+    """A_S f = sum over members of <f>_Q 1_Q, coarsest generation first; the
+    collection's lattice lives on f's grid (lattices_on)."""
+    lattices_on(coll.lattice, f.grid, one=True)
     lat, out = coll.lattice, np.zeros(f.grid.shape)
     for k, cells in enumerate(lat.generations(f.values)):
         out += lat.spread(np.where(coll.members[k], cells.mean(axis=-1), 0.0), k)

@@ -31,8 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import DyadicLattice, haar_generation
-from .errors import BackendError, GridAlignmentError, ParameterError
+from .dyadic import DyadicLattice, haar_generation, lattices_on
+from .errors import BackendError, ParameterError
 from .grid import FULL, LOWER, UPPER, Grid, GridFunction, join_sides, restrict, weight_cells
 from .operators import apply_scales
 
@@ -239,8 +239,7 @@ def haar_square_function(f: GridFunction, lat: DyadicLattice) -> GridFunction:
     itself instead.
     """
     g = f.grid
-    if g != lat.grid:
-        raise GridAlignmentError("grid function and lattice live on different grids")
+    lattices_on(lat, g, one=True)
     N = g.points_per_axis
     cells = np.arange(N)[:, None]
     acc = np.zeros(g.shape)
@@ -266,12 +265,10 @@ def hardy_norm(f: GridFunction, flavor, w, tg: TimeGrid = None, lattice: DyadicL
     w: None (the unit weight), a Weight, a GridFunction or a cell array, read
     by grid.weight_cells: one positive finite value per cell of f's grid, or
     DomainError for a wrong shape or another grid and WeightError for a bad
-    value.
+    value.  lattice: the Haar flavor's one lattice, on f's grid (lattices_on).
     """
     warr = weight_cells(w, f.grid)
     if flavor == "haar":
-        if lattice is None:
-            raise ParameterError("the Haar flavor needs a lattice")
         S = haar_square_function(f, lattice)
     else:
         if tg is None:

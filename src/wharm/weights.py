@@ -11,14 +11,13 @@ masses over cell-aligned boxes coincide with the continuum integrals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import _iter_lattices
+from .dyadic import lattices_on
 from .errors import DomainError, ParameterError, RangeError, WeightError
-from .grid import Grid, GridFunction, checked_config, extensions, load, weight_cells
+from .grid import Grid, GridFunction, checked_config, checked_p, extensions, load, weight_cells
 
 
 class Weight:
@@ -59,36 +58,27 @@ def as_weight(w) -> Weight:
 
 @dataclass
 class WeightTriple:
-    """Bloom setup: mu, lambda in A^p and nu = mu^{1/p} lambda^{-1/p}."""
+    """Bloom setup: mu, lambda in A^p and nu = mu^{1/p} lambda^{-1/p}, all on
+    mu's grid; lambda is read there by grid.weight_cells."""
 
     mu: Weight
     lam: Weight
     p: float
 
     def __post_init__(self):
-        if not (1.0 < self.p < math.inf):
-            raise ParameterError("p must lie in (1, inf)")
-        self.nu = Weight(
-            GridFunction(
-                self.mu.grid,
-                self.mu.array ** (1.0 / self.p) * self.lam.array ** (-1.0 / self.p),
-            )
-        )
-
-
-def _lattice_cells(w, lattices):
-    """The lattices as a list and w's cells on their grid (grid.weight_cells)."""
-    lats = _iter_lattices(lattices)
-    if not lats:
-        raise ParameterError("a weight characteristic needs at least one lattice")
-    return lats, weight_cells(w, lats[0].grid)
+        p, grid = checked_p(self.p), self.mu.grid
+        mu, lam = weight_cells(self.mu, grid), weight_cells(self.lam, grid)
+        self.nu = Weight(GridFunction(grid, mu ** (1.0 / p) * lam ** (-1.0 / p)))
 
 
 def ap_constant(w, p: float, lattices) -> float:
-    """Dyadic A^p characteristic: sup of the A^p quotient over all supplied lattices."""
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"ap_constant needs p in (1, inf), got p = {p!r}; use a1_constant for p = 1")
-    lats, w1 = _lattice_cells(w, lattices)
+    """Dyadic A^p characteristic: sup of the A^p quotient over all supplied
+    lattices; p = 1 is a1_constant.  The characteristics take no grid: the
+    lattices are held to the first one's grid (dyadic.lattices_on) and w is
+    read there (grid.weight_cells)."""
+    checked_p(p)
+    lats = lattices_on(lattices)
+    w1 = weight_cells(w, lats[0].grid)
     w2 = _finite_power(w1, -1.0 / (p - 1.0))
     best = 0.0
     for lat in lats:
@@ -100,15 +90,13 @@ def ap_constant(w, p: float, lattices) -> float:
 
 def ap_constant_per_lattice(w, p: float, lattices) -> list:
     """[w]_{A^p} computed lattice by lattice (for reports)."""
-    return [
-        {"shift": list(lat.shift_labels), "ap": ap_constant(w, p, [lat])}
-        for lat in _iter_lattices(lattices)
-    ]
+    return [{"shift": list(lat.shift_labels), "ap": ap_constant(w, p, [lat])} for lat in lattices_on(lattices)]
 
 
 def a1_constant(w, lattices) -> float:
     """A^1 characteristic with ess-inf taken as the grid minimum over the cube."""
-    lats, warr = _lattice_cells(w, lattices)
+    lats = lattices_on(lattices)
+    warr = weight_cells(w, lats[0].grid)
     best = 0.0
     for lat in lats:
         for cells in lat.generations(warr):
@@ -119,7 +107,8 @@ def a1_constant(w, lattices) -> float:
 def ap_deltaN_constant(w, p: float, lattices) -> float:
     """[w_{+,e}]_{A^p} + [w_{-,e}]_{A^p}: the reflection-Neumann weight class of
     a weight on the lattices' full-space grid."""
-    lats, warr = _lattice_cells(w, lattices)
+    lats = lattices_on(lattices)
+    warr = weight_cells(w, lats[0].grid)
     lower, upper = extensions(warr, lats[0].grid, 1.0)
     return ap_constant(upper, p, lats) + ap_constant(lower, p, lats)
 
@@ -142,8 +131,7 @@ def box_cell_ranges(grid: Grid, lo, hi):
 
 def ap_quotient_on_box(w, p: float, lo, hi) -> float:
     """The A^p quotient evaluated on one coordinate box (cell sums)."""
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"needs p in (1, inf), got p = {p!r}")
+    checked_p(p)
     w = as_weight(w)
     ranges = box_cell_ranges(w.grid, lo, hi)
     cells = 1

@@ -14,7 +14,7 @@ from wharm.bmo import (
     bmo_norms,
     john_nirenberg_report,
 )
-from wharm.dyadic import DyadicCube, lattice_family, random_haar_sum
+from wharm.dyadic import DyadicCube, lattice_family, random_haar_sum, random_haar_sums
 from wharm.errors import DomainError, ParameterError
 from wharm.grid import Grid, GridFunction, constant, restrict
 from wharm.squarefn import TimeGrid
@@ -137,33 +137,29 @@ def test_john_nirenberg_report(rng):
     g = Grid(1, 1.0, 64)
     lats = lattice_family(g, 5)
     lat = lats[0]
-    suite = []
-    for i in range(20):
-        w = Weight(GridFunction(g, np.exp(0.4 * rng.standard_normal(g.shape))))
-        b = random_haar_sum(lat, rng, max_generation=3)
-        suite.append((b, w, 2.0, 2.0))
-    # mix p = 2 (predictor exponent 1) and p = 1.5 (exponent 1/(p-1) = 2)
-    for i in range(6):
-        w = Weight(GridFunction(g, np.exp(0.4 * rng.standard_normal(g.shape))))
-        b = random_haar_sum(lat, rng, max_generation=3)
-        suite.append((b, w, 1.5, 2.0))
-    rep = john_nirenberg_report(suite, lats)
-    assert np.isfinite(rep["fitted_C"])
-    for row in rep["rows"]:
-        if "rho" in row:
-            assert row["rho"] >= 1.0 - 1e-12
+    # p = 2 (predictor exponent 1) and p = 1.5 (exponent 1/(p-1) = 2), one
+    # weight per symbol
+    for count, p in ((20, 2.0), (6, 1.5)):
+        ws = [Weight(GridFunction(g, np.exp(0.4 * rng.standard_normal(g.shape)))) for _ in range(count)]
+        symbols = random_haar_sums(lat, rng, count, max_generation=3)
+        rep = john_nirenberg_report(symbols, g, ws, p, 2.0, lats)
+        assert np.isfinite(rep["fitted_C"])
+        assert len(rep["rows"]) == count
+        for row in rep["rows"]:
+            if "rho" in row:
+                assert row["rho"] >= 1.0 - 1e-12 and row["p"] == p
     # unweighted special case: rho is the classical L^2/L^1 deviation ratio
     b = random_haar_sum(lat, rng, max_generation=3)
-    rep1 = john_nirenberg_report([(b, _w_one(g), 2.0, 2.0)], lats)
+    rep1 = john_nirenberg_report(b.values[None], g, [_w_one(g)], 2.0, 2.0, lats)
     assert 1.0 - 1e-12 <= rep1["rows"][0]["rho"] < 10.0
     # constant symbols are skipped, not crashed on
-    rep2 = john_nirenberg_report([(constant(g, 1.0), _w_one(g), 2.0, 2.0)], lats)
+    rep2 = john_nirenberg_report(np.ones((1,) + g.shape), g, [_w_one(g)], 2.0, 2.0, lats)
     assert rep2["rows"][0].get("skipped")
 
 
 def test_john_nirenberg_r_range_check(grid64, family64):
     with pytest.raises(ParameterError):
-        john_nirenberg_report([(constant(grid64, 1.0), _w_one(grid64), 2.0, 3.0)], family64)
+        john_nirenberg_report(np.ones((1,) + grid64.shape), grid64, [_w_one(grid64)], 2.0, 3.0, family64)
 
 
 def test_odd_extension_strict_inclusion():

@@ -8,8 +8,9 @@ from test_harness import CARLESON_OUT_OF_RANGE, SMALL_CONFIGS
 from wharm import harness as harness_mod
 from wharm.bmo import bmo_norm
 from wharm.cli import main
-from wharm.dyadic import lattice_family
+from wharm.dyadic import build_lattice, lattice_family
 from wharm.grid import Grid, GridFunction, load_csv, save_csv
+from wharm.squarefn import hardy_norm
 from wharm.weights import weight_from_spec
 
 
@@ -217,6 +218,35 @@ def test_cli_bmo_weight_file_on_another_grid_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("wharm: DomainError: ")
+
+
+@pytest.mark.parametrize("argv", [
+    # full-space flavors scanned the half grid's 32 cells with a 64-cell grid's cubes
+    ["bmo", "--flavor", "classical-w"],
+    ["bmo", "--flavor", "carleson-haar"],
+    ["squarefn", "--flavor", "haar", "--weight"],
+], ids=["bmo-classical-w", "bmo-carleson-haar", "squarefn-haar"])
+def test_cli_half_space_input_to_a_full_space_lattice_exits_2(tmp_path, capsys, argv):
+    gu = Grid(1, 1.0, 64).with_domain("upper")
+    fpath, wpath = str(tmp_path / "b0.csv"), str(tmp_path / "one.json")
+    save_csv(GridFunction(gu, np.log(gu.axis_coords(0))), fpath)
+    with open(wpath, "w") as fh:
+        json.dump({"kind": "one"}, fh)
+    rc = main(argv + ([wpath] if argv[-1] == "--weight" else []) + ["--input", fpath])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("wharm: GridAlignmentError: ")
+
+
+def test_cli_squarefn_haar_reads_one_lattice(tmp_path, capsys):
+    fpath, wpath = _write_inputs(tmp_path)
+    f = load_csv(fpath)
+    rc = main(["squarefn", "--flavor", "haar", "--input", fpath, "--weight", wpath])
+    assert rc == 0
+    lat = build_lattice(f.grid, 6)
+    w = weight_from_spec({"kind": "power", "alpha": 0.25}, f.grid)
+    assert json.loads(capsys.readouterr().out)["hardy_norm"] == hardy_norm(f, "haar", w, lattice=lat)
 
 
 def test_cli_harness_weight_spec_without_alpha_exits_2(tmp_path, capsys):

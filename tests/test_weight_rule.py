@@ -12,7 +12,7 @@ from wharm.errors import DomainError, WeightError
 from wharm.grid import Grid, GridFunction, constant
 from wharm.operators import commutator, commutator_norms, riesz, weighted_operator_norm
 from wharm.squarefn import TimeGrid, hardy_norm
-from wharm.weights import Weight, a1_constant, ap_constant, ap_deltaN_constant, power_weight
+from wharm.weights import Weight, WeightTriple, a1_constant, ap_constant, ap_deltaN_constant, power_weight
 
 GRID = Grid(1, 1.0, 32)
 HALF = GRID.with_domain("upper")
@@ -113,3 +113,22 @@ def _bits(x):
 def test_none_is_the_unit_weight_bit_for_bit(entries):
     for name, grid, call in entries:
         assert _bits(call(None)) == _bits(call(np.ones(grid.shape))), name
+
+
+def test_random_haar_sums_reads_its_weight_on_the_lattice_grid():
+    # a power weight sampled on a box four times wider has the lattice grid's
+    # shape: read as its cells, it moved the draw by as much as the draw's maximum
+    lat = lattice_family(GRID, 4)[0]
+    own = random_haar_sums(lat, np.random.default_rng(5), 3, weight=power_weight(GRID, 0.5))
+    assert np.array_equal(own, random_haar_sums(lat, np.random.default_rng(5), 3, weight=power_weight(GRID, 0.5).array))
+    with pytest.raises(DomainError, match="read on"):
+        random_haar_sums(lat, np.random.default_rng(5), 3, weight=power_weight(Grid(1, 4.0, 32), 0.5))
+
+
+def test_weight_triple_reads_lambda_on_the_grid_of_mu():
+    # a lambda from a box four times wider moved nu by up to 29%, labelled with mu's grid
+    mu = power_weight(GRID, 0.25)
+    nu = WeightTriple(mu, power_weight(GRID, 0.5), 2.0).nu
+    assert np.array_equal(nu.array, mu.array ** 0.5 * power_weight(GRID, 0.5).array ** -0.5)
+    with pytest.raises(DomainError, match="read on"):
+        WeightTriple(mu, power_weight(Grid(1, 4.0, 32), 0.5), 2.0)
