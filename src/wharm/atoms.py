@@ -18,13 +18,19 @@ The time integral is truncated to the supplied TimeGrid, so the multiplier
 sum reconstructs only the frequency band the grid resolves; the residual
 field carries everything else explicitly (the mean, the unresolved band,
 pieces over cubes that never enter any B_k, and mass clipped outside 3Qbar).
+
+A decomposition holds each atom on its support box 3Qbar only (AtomRecord),
+and its atoms sequence builds the full-grid Atom on access; the atom checks
+run on the box.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,43 +89,71 @@ def check_atom(atom: Atom, w=None) -> dict:
     (2) mean zero: sum a h^n = 0 within 1e-10 ||a||_1;
     (3) ||a||_{L^p_w} <= w(box)^{1/p - 1} (1 + 1e-9).
     """
-    return _atom_checker(atom.values.grid, atom.weight if w is None else w)(atom)
+    g = atom.values.grid
+    warr = weight_cells(atom.weight if w is None else w, g)
+    return _check_cells(atom.p, atom.values.values, atom.support, warr, g.cell_volume)
 
 
-def _atom_checker(g: Grid, w):
-    """check_atom for atoms on the grid g against the weight w, read by
-    grid.weight_cells: the weight array is read once, for every atom the
-    returned check(atom) takes."""
-    warr = weight_cells(w, g)
+def _check_cells(p: float, vals: np.ndarray, mask: np.ndarray, warr: np.ndarray, cell_volume: float) -> dict:
+    """check_atom on cell arrays: the atom's values, its support mask and the
+    weight's cells, all of one shape (the full grid, or an atom's support box
+    with an all-true mask)."""
+    support_ok = bool(np.all(vals[~mask] == 0.0))
+    moment = float(np.sum(vals) * cell_volume)
+    tol = 1e-10 * max(float(np.sum(np.abs(vals)) * cell_volume), 1e-300)
+    moment_ok = abs(moment) <= tol
+    norm = float(np.sum(np.abs(vals) ** p * warr) * cell_volume) ** (1.0 / p)
+    wq = float(np.sum(warr[mask]) * cell_volume)
+    bound = wq ** (1.0 / p - 1.0)
+    norm_ok = norm <= bound * (1.0 + 1e-9)
+    return {
+        "support_ok": support_ok,
+        "moment": moment,
+        "moment_tolerance": tol,
+        "moment_ok": moment_ok,
+        "norm": norm,
+        "bound": bound,
+        "norm_ok": bool(norm_ok),
+        "rescale": bound / norm if norm > 0 else math.inf,
+        "ok": bool(support_ok and moment_ok and norm_ok),
+    }
 
-    def check(atom: Atom) -> dict:
-        p, vals, mask = atom.p, atom.values.values, atom.support
-        support_ok = bool(np.all(vals[~mask] == 0.0))
-        moment = float(np.sum(vals) * g.cell_volume)
-        tol = 1e-10 * max(float(np.sum(np.abs(vals)) * g.cell_volume), 1e-300)
-        moment_ok = abs(moment) <= tol
-        norm = float(np.sum(np.abs(vals) ** p * warr) * g.cell_volume) ** (1.0 / p)
-        wq = float(np.sum(warr[mask]) * g.cell_volume)
-        bound = wq ** (1.0 / p - 1.0)
-        norm_ok = norm <= bound * (1.0 + 1e-9)
-        return {
-            "support_ok": support_ok,
-            "moment": moment,
-            "moment_tolerance": tol,
-            "moment_ok": moment_ok,
-            "norm": norm,
-            "bound": bound,
-            "norm_ok": bool(norm_ok),
-            "rescale": bound / norm if norm > 0 else math.inf,
-            "ok": bool(support_ok and moment_ok and norm_ok),
-        }
 
-    return check
+class AtomRecord(NamedTuple):
+    """One atom on its support box: the cube Qbar, the level k, the box (one
+    cell index array per axis, increasing) and the atom's values on the box."""
+
+    cube: DyadicCube
+    level: int
+    box: tuple
+    local: np.ndarray
+
+
+class AtomSequence(Sequence):
+    """The atoms of a decomposition, read-only.  Each is held on its support
+    box (AtomRecord); item i is built as the full-grid Atom on access."""
+
+    def __init__(self, grid: Grid, records: list, p: float, weight):
+        self.grid, self.records, self.p, self.weight = grid, records, p, weight
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        cube, level, box, local = self.records[i]
+        support = np.zeros(self.grid.shape, dtype=bool)
+        values = np.zeros(self.grid.shape)
+        cells = np.ix_(*box)
+        support[cells] = True
+        values[cells] = local
+        return Atom(cube, support, GridFunction(self.grid, values), self.p, self.weight, level)
 
 
 @dataclass
 class AtomicDecomposition:
-    atoms: list
+    atoms: AtomSequence
     coefficients: list
     residual: GridFunction
     report: dict = field(default_factory=dict)
@@ -127,7 +161,7 @@ class AtomicDecomposition:
     def to_json(self) -> dict:
         """Coefficients, cube ids, and per-atom validity slack."""
         atoms = []
-        for lam, a, chk in zip(self.coefficients, self.atoms, self.report.get("atom_checks", [])):
+        for lam, a, chk in zip(self.coefficients, self.atoms.records, self.report.get("atom_checks", [])):
             atoms.append(
                 {
                     "coefficient": lam,
@@ -142,17 +176,15 @@ class AtomicDecomposition:
         return {"atoms": atoms, "summary": summary}
 
 
-def _support_mask(lat: DyadicLattice, cube: DyadicCube) -> np.ndarray:
-    """3Qbar taken modulo the periodic box (unshifted lattice cubes): the outer
-    product of one cell mask per axis."""
+def _support_box(lat: DyadicLattice, cube: DyadicCube) -> tuple:
+    """3Qbar taken modulo the periodic box (unshifted lattice cubes): one
+    increasing cell index array per axis, every cell where 3m >= N.  Increasing,
+    so the box reads its cells in the grid's C order, as a full-grid mask does."""
     N = lat.grid.points_per_axis
     m = lat.cells_per_axis(cube.generation)
-    mask = None
-    for i in cube.index:
-        axis = np.zeros(N, dtype=bool)
-        axis[(i * m - m + np.arange(3 * m)) % N] = True
-        mask = axis if mask is None else np.logical_and.outer(mask, axis)
-    return mask
+    if 3 * m >= N:
+        return (np.arange(N),) * len(cube.index)
+    return tuple(np.sort((i * m - m + np.arange(3 * m)) % N) for i in cube.index)
 
 
 def _cube_ids(lat: DyadicLattice, k: int) -> np.ndarray:
@@ -333,21 +365,21 @@ def atomic_decompose(
     maximal = _maximal_counts(lat, assignment, owners)
     pieces, unassigned = _whitney_pieces(f, lat, tg, assignment, owners)
 
-    atoms = []
-    lams = []
-    clipped = 0.0
-    for k, owner in sorted(pieces):
-        qbar, raw = _cube_of(lat, owner), pieces[(k, owner)]
-        lam = 2.0 ** k * (float(masses[qbar.generation][qbar.index]) * h_n)
-        mask = _support_mask(lat, qbar)
-        vals = np.where(mask, raw, 0.0)
-        clipped += float(np.sum(np.abs(raw - vals)) * h_n)
-        atoms.append(Atom(qbar, mask, GridFunction(g, vals / lam), p=p, weight=w, level=k))
-        lams.append(lam)
-
+    # each piece is fresh: its box values are copied out and the box zeroed in
+    # place, leaving the mass clipped outside 3Qbar
+    records, lams, clipped = [], [], 0.0
     recon = np.zeros(g.shape)
-    for lam, a in zip(lams, atoms):
-        recon += lam * a.values.values
+    for k, owner in sorted(pieces):
+        qbar, raw = _cube_of(lat, owner), pieces.pop((k, owner))
+        lam = 2.0 ** k * (float(masses[qbar.generation][qbar.index]) * h_n)
+        box = _support_box(lat, qbar)
+        cells = np.ix_(*box)
+        local = raw[cells] / lam
+        raw[cells] = 0.0
+        clipped += float(np.sum(np.abs(raw)) * h_n)
+        recon[cells] += lam * local
+        records.append(AtomRecord(qbar, k, box, local))
+        lams.append(lam)
     residual = GridFunction(g, f.values - recon)
 
     s_l1w = float(np.sum(S.values * warr) * h_n)
@@ -361,10 +393,9 @@ def atomic_decompose(
         omega_mass += 2.0 ** k * float(np.sum(warr[om]) * h_n)
         mt = weighted_maximal(GridFunction(g, om.astype(float)), warr, lat)
         omega_tilde_mass += 2.0 ** k * float(np.sum(warr[mt.values > 0.5]) * h_n)
-    check = _atom_checker(g, warr)
     report = {
         "levels": maximal,
-        "n_atoms": len(atoms),
+        "n_atoms": len(records),
         "coefficient_sum": float(np.sum(np.abs(lams))),
         "omega_mass_sum": omega_mass,
         "omega_tilde_mass_sum": omega_tilde_mass,
@@ -374,6 +405,8 @@ def atomic_decompose(
         "input_l1w": f_l1w,
         "clipped_mass": clipped,
         "unassigned_l1": float(np.sum(np.abs(unassigned)) * h_n),
-        "atom_checks": [check(a) for a in atoms],
+        "atom_checks": [
+            _check_cells(p, r.local, np.ones(r.local.shape, dtype=bool), warr[np.ix_(*r.box)], h_n) for r in records
+        ],
     }
-    return AtomicDecomposition(atoms, lams, residual, report)
+    return AtomicDecomposition(AtomSequence(g, records, p, w), lams, residual, report)

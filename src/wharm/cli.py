@@ -91,13 +91,13 @@ def cmd_bmo(args) -> int:
 def cmd_squarefn(args) -> int:
     f = load(args.input)
     w = _load_weight(args.weight, f.grid)
-    tg = TimeGrid.geometric(f.grid, t_min=args.tmin, t_max=args.tmax)
     flavor = args.flavor if not args.flavor.startswith("classical") else ("classical", int(args.flavor[-1]))
     if args.flavor == "haar":
+        # the Haar square function reads no time grid, so --tmin/--tmax are not checked
         lat = build_lattice(f.grid, int(np.log2(f.grid.points_per_axis)))
         value = hardy_norm(f, "haar", w, lattice=lat)
     else:
-        value = hardy_norm(f, flavor, w, tg=tg)
+        value = hardy_norm(f, flavor, w, tg=TimeGrid.geometric(f.grid, t_min=args.tmin, t_max=args.tmax))
     print(json.dumps({"flavor": args.flavor, "hardy_norm": value}, sort_keys=True))
     return 0
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bmo as bmo_mod
 from .dyadic import lattice_family, random_haar_sums
-from .errors import ParameterError
+from .errors import ParameterError, RangeError
 from .grid import Grid, GridFunction, checked_config, restrict
 from .operators import commutator, commutator_norms, riesz, weighted_operator_norm
 from .squarefn import TimeGrid
@@ -380,12 +380,20 @@ def run_john_nirenberg(dim=1, halfwidth=1.0, points_per_axis=256, max_generation
 
 
 def run(name: str, cfg: dict) -> dict:
-    """The report of experiment name on cfg, which echoes the config as given."""
+    """The report of experiment name on cfg, which echoes the config as given.
+
+    A Python float error the experiment raises (OverflowError,
+    ZeroDivisionError, FloatingPointError) leaves it as a RangeError that
+    names the experiment."""
     if name not in EXPERIMENTS:
         raise ParameterError(f"unknown experiment {name!r}; have {sorted(EXPERIMENTS)}")
     t0 = time.perf_counter()
     params = inspect.signature(EXPERIMENTS[name]).parameters
-    report = EXPERIMENTS[name](**checked_config(cfg, {key: p.default for key, p in params.items()}, name))
+    checked = checked_config(cfg, {key: p.default for key, p in params.items()}, name)
+    try:
+        report = EXPERIMENTS[name](**checked)
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+        raise RangeError(f"experiment {name} left the floating-point range: {type(exc).__name__}: {exc}") from exc
     report.update(experiment=name, config=cfg, input_hash=content_hash(cfg))
     report.setdefault("schema_version", 1)
     # wall-clock stays in the log so identical config + seed reproduces the

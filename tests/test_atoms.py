@@ -3,19 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from operator_oracles import qt_op
-from tree_oracles import cell_indices, generation_of_scale, haar_function, parent, reconstruction
+from tree_oracles import cell_indices, full_grid_atoms, generation_of_scale, haar_function, parent, reconstruction
 from tree_oracles import mask as cube_mask
 from weight_oracles import cube_mass
 
 from wharm import atoms
 from wharm.atoms import Atom, atomic_decompose, calderon_constant, check_atom
-from wharm.dyadic import DyadicCube, build_lattice
+from wharm.dyadic import DyadicCube, build_lattice, random_haar_sum
 from wharm.errors import DecompositionError
 from wharm.grid import Grid, GridFunction, constant
 from wharm.kernels import psi_multiplier
 from wharm.operators import apply, psi_op, spectrum
 from wharm.squarefn import ConeSpec, TimeGrid, area_function
-from wharm.weights import Weight
+from wharm.weights import Weight, weight_from_spec
 
 
 def _unit_weight(g):
@@ -514,3 +514,98 @@ def test_owner_skips_a_parent_outside_the_level():
     owners, counts = _assert_owners_match_the_climb(lat, assignment)
     assert atoms._cube_of(lat, int(owners[2][0])) == DyadicCube(0, (0,))
     assert counts == {0: 1, 1: 2}
+
+
+def _hardy_atoms_2d(seed):
+    """(lattice, time grid, [(f, w)]) of the hardy-atoms-2d benchmark workload:
+    a 64^2 grid to generation 5, the geometric time grid, and six random Haar
+    sums to generation 4 under the weights one, one-sided power 1/2 and
+    power 1/4 in turn."""
+    g = Grid(2, 1.0, 64)
+    lat = build_lattice(g, 5)
+    specs = ({"kind": "one"}, {"kind": "one-sided-power", "alpha": 0.5}, {"kind": "power", "alpha": 0.25})
+    weights = [weight_from_spec(spec, g) for spec in specs]
+    rng = np.random.default_rng(seed)
+    return lat, TimeGrid.geometric(g), [(random_haar_sum(lat, rng, max_generation=4), weights[i % 3]) for i in range(6)]
+
+
+def _decompose_with_oracle(f, w, lat, tg, monkeypatch):
+    """atomic_decompose(f, w, lat, tg) and full_grid_atoms on the same Whitney
+    pieces (copied: the decomposition clears each piece's box in place)."""
+    recorded, pieces = [], atoms._whitney_pieces
+
+    def recording(*args):
+        out = pieces(*args)
+        recorded.append({key: v.copy() for key, v in out[0].items()})
+        return out
+
+    monkeypatch.setattr(atoms, "_whitney_pieces", recording)
+    dec = atomic_decompose(f, w, lat, tg)
+    monkeypatch.setattr(atoms, "_whitney_pieces", pieces)
+    return dec, full_grid_atoms(f, w, lat, recorded.pop(), dec.report)
+
+
+def _assert_same_atom(got, want):
+    assert (got.cube, got.level, got.p, got.weight) == (want.cube, want.level, want.p, want.weight)
+    assert got.support.dtype == want.support.dtype and np.array_equal(got.support, want.support)
+    assert got.values.grid == want.values.grid and got.values.values.tobytes() == want.values.values.tobytes()
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_box_atoms_match_the_full_grid_oracle(seed, monkeypatch):
+    # every number but the atom checks is the same bits; the checks sum the box
+    # instead of the full grid, so they move by round-off only
+    lat, tg, symbols = _hardy_atoms_2d(seed)
+    for f, w in symbols:
+        dec, (want_atoms, want_lams, want_residual, want_report) = _decompose_with_oracle(f, w, lat, tg, monkeypatch)
+        assert dec.coefficients == want_lams
+        assert dec.residual.values.tobytes() == want_residual.values.tobytes()
+        assert dec.to_json()["summary"] == {k: v for k, v in want_report.items() if k != "atom_checks"}
+        assert len(dec.atoms) == len(want_atoms)
+        for got, want in zip(dec.atoms, want_atoms):
+            _assert_same_atom(got, want)
+        for got, want in zip(dec.report["atom_checks"], want_report["atom_checks"], strict=True):
+            assert [got[k] for k in ("support_ok", "moment_ok", "norm_ok", "ok")] == [
+                want[k] for k in ("support_ok", "moment_ok", "norm_ok", "ok")
+            ]
+        _assert_report_close(dec.report, want_report)
+
+
+def test_decomposition_holds_its_atoms_on_their_boxes(monkeypatch):
+    lat, tg, symbols = _hardy_atoms_2d(7)
+    N = lat.grid.points_per_axis
+    for f, w in symbols:
+        dec, (want, lams, _, _) = _decompose_with_oracle(f, w, lat, tg, monkeypatch)
+        # records and residual against full-grid float values plus bool masks
+        records = dec.atoms.records
+        held = dec.residual.values.nbytes + sum(r.local.nbytes + sum(b.nbytes for b in r.box) for r in records)
+        assert held <= 0.15 * len(records) * N ** 2 * 9
+        # the sequence reads as the list of full-grid atoms did
+        n = len(dec.atoms)
+        assert n == len(want) == dec.report["n_atoms"] > 6
+        for i in (0, n // 2, -1):
+            _assert_same_atom(dec.atoms[i], want[i])
+            assert check_atom(dec.atoms[i]) == check_atom(want[i])
+        for sl in (slice(2, 7), slice(None, None, -3), slice(n, None)):
+            got = dec.atoms[sl]
+            assert isinstance(got, list) and len(got) == len(want[sl])
+            for a, b in zip(got, want[sl]):
+                _assert_same_atom(a, b)
+        for a, b in zip(iter(dec.atoms), want, strict=True):
+            _assert_same_atom(a, b)
+        with pytest.raises(IndexError):
+            dec.atoms[n]
+        with pytest.raises(TypeError):
+            dec.atoms[0] = want[0]
+        checks = dec.report["atom_checks"]
+        assert dec.to_json()["atoms"] == [
+            {
+                "coefficient": lam,
+                "level": a.level,
+                "cube": {"generation": a.cube.generation, "index": list(a.cube.index)},
+                "support_ok": c["support_ok"],
+                "moment_slack": abs(c["moment"]),
+                "norm_over_bound": c["norm"] / c["bound"],
+            }
+            for lam, a, c in zip(lams, want, checks, strict=True)
+        ]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_harness import CARLESON_OUT_OF_RANGE, SMALL_CONFIGS
+from test_harness import CARLESON_OUT_OF_RANGE, FLOAT_OVERFLOW, SMALL_CONFIGS
 from wharm import harness as harness_mod
 from wharm.bmo import bmo_norm
 from wharm.cli import main
@@ -249,6 +249,20 @@ def test_cli_squarefn_haar_reads_one_lattice(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["hardy_norm"] == hardy_norm(f, "haar", w, lattice=lat)
 
 
+def test_cli_squarefn_haar_reads_no_time_grid(tmp_path, capsys):
+    # t_min below the cell width is refused by the flavors that read the time grid only
+    fpath, wpath = _write_inputs(tmp_path)
+    argv = ["squarefn", "--input", fpath, "--weight", wpath]
+    assert main(argv + ["--flavor", "haar"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--flavor", "haar", "--tmin", "1e-9"]) == 0
+    assert json.loads(capsys.readouterr().out) == plain
+    assert main(argv + ["--flavor", "heat-free", "--tmin", "1e-9"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("wharm: ParameterError: t_min=1e-09 below the cell width")
+
+
 def test_cli_harness_weight_spec_without_alpha_exits_2(tmp_path, capsys):
     cfg = {
         "points_per_axis": 64, "symbols": 2, "seed": 0, "max_generation": 4,
@@ -346,3 +360,16 @@ def test_cli_file_error_exits_2(tmp_path, capsys, argv, error):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert err.strip().startswith(f"wharm: {error}: ")
+
+
+@pytest.mark.parametrize("name,cfg", FLOAT_OVERFLOW)
+def test_cli_harness_float_overflow_exits_2(tmp_path, capsys, name, cfg):
+    cpath = str(tmp_path / "cfg.json")
+    with open(cpath, "w") as fh:
+        json.dump(cfg, fh)
+    rc = main(["harness", "run", name, "--config", cpath, "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith(f"wharm: RangeError: experiment {name} left the floating-point")
+    assert not (tmp_path / "r.json").exists()

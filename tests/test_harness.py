@@ -267,6 +267,22 @@ def test_carleson_sums_out_of_range_raise(name, halfwidth):
         harness.run(name, {**SMALL_CONFIGS[name], "halfwidth": halfwidth})
 
 
+# the Python float power A_p^max(1, 1/(p-1)) of the predictor overflows
+FLOAT_OVERFLOW = [
+    pytest.param("john-nirenberg", {"points_per_axis": 32, "halfwidth": 1e10, "p": 1.001, "seed": 43},
+                 id="john-nirenberg-1d-p1.001"),
+    pytest.param("john-nirenberg", {"points_per_axis": 16, "dim": 2, "halfwidth": 1e150, "p": 1.1, "seed": 92},
+                 id="john-nirenberg-2d-1e+150"),
+]
+
+
+@pytest.mark.parametrize("name,cfg", FLOAT_OVERFLOW)
+def test_float_error_in_an_experiment_is_a_range_error(name, cfg):
+    with pytest.raises(RangeError, match=f"experiment {name} left the floating-point range: OverflowError") as info:
+        harness.run(name, cfg)
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
 def test_harness_rejects_a_config_that_is_not_an_object():
     with pytest.raises(ParameterError, match="JSON object"):
         harness.run("riesz-ap", [["points_per_axis", 32]])

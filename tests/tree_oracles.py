@@ -12,7 +12,10 @@ The library's tests also keep here what only they call: haar_reconstruct
 (a Haar expansion back to values, one synthesis per generation),
 dyadic_local_bmo and bmo_deltaN_classical_norm, bmo_good_function (the
 Calderon-Zygmund good part of a BMO function) and reconstruction (an atomic
-decomposition summed back).
+decomposition summed back).  full_grid_atoms builds a decomposition's atoms
+as the library did before it held them on their support boxes: each atom a
+full-grid array and a full-grid support mask (support_mask, 3Qbar modulo the
+periodic box), checked on the full grid.
 
 The per-cube geometry lives here too, for the tests that index one cube of
 the full grid: cell_indices (a cube's wrapped cell indices per axis),
@@ -29,10 +32,11 @@ from itertools import product
 
 import numpy as np
 
+from wharm.atoms import Atom, _cube_of, check_atom
 from wharm.bmo import _classical_sup, _mean_deviation
 from wharm.dyadic import DyadicCube, haar_synthesis, signatures
 from wharm.errors import GridAlignmentError
-from wharm.grid import GridFunction, extensions
+from wharm.grid import GridFunction, extensions, weight_cells
 from wharm.sparse import TOL, cz_stopping
 from wharm.weights import as_weight
 
@@ -195,6 +199,51 @@ def reconstruction(dec) -> GridFunction:
     for lam, a in zip(dec.coefficients, dec.atoms):
         vals += lam * a.values.values
     return GridFunction(dec.residual.grid, vals)
+
+
+def support_mask(lat, cube) -> np.ndarray:
+    """3Qbar taken modulo the periodic box (unshifted lattice cubes): the outer
+    product of one cell mask per axis."""
+    N = lat.grid.points_per_axis
+    m = lat.cells_per_axis(cube.generation)
+    out = None
+    for i in cube.index:
+        axis = np.zeros(N, dtype=bool)
+        axis[(i * m - m + np.arange(3 * m)) % N] = True
+        out = axis if out is None else np.logical_and.outer(out, axis)
+    return out
+
+
+def full_grid_atoms(f: GridFunction, w, lat, pieces: dict, report: dict, p: float = 2.0):
+    """(atoms, coefficients, residual, report) of atomic_decompose from its
+    Whitney pieces {(k, id of Qbar): field} (_whitney_pieces' first output)
+    and its report, each atom built on the full grid: the piece kept on
+    support_mask, divided by 2^k w(Qbar), and checked by check_atom.  The
+    report's entries that read the atoms are rebuilt; the others are kept."""
+    g = f.grid
+    warr, h_n = weight_cells(w, g), g.cell_volume
+    atoms, lams, clipped = [], [], 0.0
+    for k, owner in sorted(pieces):
+        qbar, raw = _cube_of(lat, owner), pieces[(k, owner)]
+        lam = 2.0 ** k * (float(lat.blocks(warr, qbar.generation).sum(axis=-1)[qbar.index]) * h_n)
+        keep = support_mask(lat, qbar)
+        vals = np.where(keep, raw, 0.0)
+        clipped += float(np.sum(np.abs(raw - vals)) * h_n)
+        atoms.append(Atom(qbar, keep, GridFunction(g, vals / lam), p=p, weight=w, level=k))
+        lams.append(lam)
+    recon = np.zeros(g.shape)
+    for lam, a in zip(lams, atoms):
+        recon += lam * a.values.values
+    residual = GridFunction(g, f.values - recon)
+    report = {
+        **report,
+        "n_atoms": len(atoms),
+        "coefficient_sum": float(np.sum(np.abs(lams))),
+        "residual_l1w": float(np.sum(np.abs(residual.values) * warr) * h_n),
+        "clipped_mass": clipped,
+        "atom_checks": [check_atom(a) for a in atoms],
+    }
+    return atoms, lams, residual, report
 
 
 def recursion_by_cube(children_rule, lat, q0, alpha):
