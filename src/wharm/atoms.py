@@ -82,15 +82,16 @@ class Atom:
     level: int = 0
 
 
-def check_atom(atom: Atom, w=None) -> dict:
+def check_atom(atom: Atom) -> dict:
     """Pass/fail per atom condition with measured slack.
 
     (1) support inside the declared box (exact mask);
     (2) mean zero: sum a h^n = 0 within 1e-10 ||a||_1;
-    (3) ||a||_{L^p_w} <= w(box)^{1/p - 1} (1 + 1e-9).
+    (3) ||a||_{L^p_w} <= w(box)^{1/p - 1} (1 + 1e-9), w the atom's weight,
+    read by grid.weight_cells.
     """
     g = atom.values.grid
-    warr = weight_cells(atom.weight if w is None else w, g)
+    warr = weight_cells(atom.weight, g)
     return _check_cells(atom.p, atom.values.values, atom.support, warr, g.cell_volume)
 
 

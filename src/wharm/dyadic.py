@@ -88,10 +88,13 @@ class DyadicLattice:
         self.grid = grid
         self.max_generation = max_generation
         if shift is None:
-            shift = ("none",) * grid.dim
+            shift = "none"
         if isinstance(shift, str):
             shift = (shift,) * grid.dim
-        self.shift_labels = tuple(shift)
+        labels = tuple(shift) if isinstance(shift, (tuple, list)) else ()
+        if len(labels) != grid.dim or not all(isinstance(s, str) and s in SHIFT_NAMES for s in labels):
+            raise ParameterError(f"shift is one label or {grid.dim} labels of {list(SHIFT_NAMES)}, got {shift!r}")
+        self.shift_labels = labels
         self.shift_cells = tuple(
             SHIFT_NAMES[s] * (N // 3) for s in self.shift_labels
         )
@@ -157,7 +160,8 @@ class DyadicLattice:
 
 
 def build_lattice(grid: Grid, max_generation: int, shift=None) -> DyadicLattice:
-    """Build the complete dyadic tree; shift in {none, third, two_thirds} per axis."""
+    """Build the complete dyadic tree; shift is one label of {none, third,
+    two_thirds} for every axis, or one per axis (ParameterError otherwise)."""
     return DyadicLattice(grid, max_generation, shift)
 
 

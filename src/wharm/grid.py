@@ -164,10 +164,8 @@ def constant(grid: Grid, c: float) -> GridFunction:
 
 
 def cell_values(x) -> np.ndarray:
-    """The cell array of a weight-like argument: a Weight's .array, a
-    GridFunction's .values, anything else as a float array."""
-    if hasattr(x, "array"):
-        return x.array
+    """The cell array of a weight-like argument: a GridFunction's .values,
+    anything else as a float array."""
     if isinstance(x, GridFunction):
         return x.values
     return np.asarray(x, dtype=float)
@@ -176,7 +174,7 @@ def cell_values(x) -> np.ndarray:
 def weight_cells(w, grid: Grid) -> np.ndarray:
     """The cell array of a weight argument on grid, the one rule by which
     every weighted norm and characteristic reads its weight: None is the
-    unit weight; a Weight or a GridFunction must live on grid itself, and an
+    unit weight; a GridFunction must live on grid itself, and an
     array needs one value per cell, in grid's shape (DomainError); each
     value must be positive and finite (WeightError)."""
     if w is None:
@@ -259,9 +257,16 @@ def load_csv(path: str) -> GridFunction:
         meta = fh.readline().strip()
         if not meta.startswith("#"):
             raise DomainError("missing grid metadata line in CSV")
-        kv = dict(tok.split("=", 1) for tok in meta[1:].split())
+        tokens = meta[1:].split()
+        loose = [tok for tok in tokens if "=" not in tok]
+        if loose:
+            raise DomainError(f"CSV metadata token {loose[0]!r} is not key=value")
+        kv = dict(tok.split("=", 1) for tok in tokens)
         fh.readline()  # column header
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"CSV rows must hold numbers only: {exc}") from None
     missing = [key for key in ("dim", "halfwidth", "points_per_axis", "domain") if key not in kv]
     if missing:
         raise DomainError(f"CSV metadata misses {', '.join(missing)}")

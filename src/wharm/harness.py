@@ -32,13 +32,7 @@ from .errors import ParameterError, RangeError
 from .grid import Grid, GridFunction, checked_config, restrict
 from .operators import commutator, commutator_norms, riesz, weighted_operator_norm
 from .squarefn import TimeGrid
-from .weights import (
-    WeightTriple,
-    ap_constant_per_lattice,
-    ap_deltaN_constant,
-    ap_quotient_on_box,
-    weight_from_spec,
-)
+from .weights import ap_constant_per_lattice, ap_deltaN_constant, ap_quotient_on_box, bloom_weight, weight_from_spec
 
 log = logging.getLogger("wharm.harness")
 
@@ -141,10 +135,9 @@ def run_two_weight_commutator(dim=1, halfwidth=1.0, points_per_axis=256, max_gen
             raise ParameterError(f"a weight pair holds the keys mu and lambda, got {pair!r}")
         mu = weight_from_spec(pair["mu"], grid)
         lam = weight_from_spec(pair["lambda"], grid)
-        triple = WeightTriple(mu, lam, p)
-        nu = triple.nu
+        nu = bloom_weight(mu, lam, p)
         # the weights the norms read: their upper halves in the half-space variant
-        muv, lamv = (restrict(v.values, "upper") if half_space else v for v in (mu, lam))
+        muv, lamv = (restrict(v, "upper") if half_space else v for v in (mu, lam))
 
         def bmo_nu(stack):
             return bmo_mod.bmo_norms(stack, grid, nu, "carleson-heat-neumann", lattices, tg=tg)

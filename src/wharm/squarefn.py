@@ -262,7 +262,7 @@ def hardy_norm(f: GridFunction, flavor, w, tg: TimeGrid = None, lattice: DyadicL
     """||S(f)||_{L^1_w} for the selected square-function flavor.
 
     flavor: "heat-free" | "heat-neumann" | ("classical", beta) | "haar".
-    w: None (the unit weight), a Weight, a GridFunction or a cell array, read
+    w: None (the unit weight), a GridFunction or a cell array, read
     by grid.weight_cells: one positive finite value per cell of f's grid, or
     DomainError for a wrong shape or another grid and WeightError for a bad
     value.  lattice: the Haar flavor's one lattice, on f's grid (lattices_on).

@@ -1,5 +1,11 @@
 """Muckenhoupt weight classes: classical A^p, the reflection-Neumann class,
-Bloom triples, exp/log bridge.
+the Bloom weight, exp/log bridge.
+
+A weight is a positive function on a grid: a GridFunction, a cell array or
+None (the unit weight), and every entry reads it through grid.weight_cells.
+The factories return GridFunctions that rule has checked.  The box quotient,
+log_weight and bloom_weight place their result on the weight's own grid, so
+they take a GridFunction (mu's, for bloom_weight) and nothing else.
 
 Cube masses w(Q) are exact cell sums.  The lattice scans take them one
 generation at a time from the block view of the lattice (every cube's sum
@@ -11,8 +17,6 @@ masses over cell-aligned boxes coincide with the continuum integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dyadic import lattices_on
@@ -20,25 +24,18 @@ from .errors import DomainError, ParameterError, RangeError, WeightError
 from .grid import Grid, GridFunction, checked_config, checked_p, extensions, load, weight_cells
 
 
-class Weight:
-    """Strictly positive grid function with box masses."""
+def _checked(w: GridFunction) -> GridFunction:
+    """w itself, once grid.weight_cells has found it a weight."""
+    weight_cells(w, w.grid)
+    return w
 
-    def __init__(self, values: GridFunction):
-        weight_cells(values, values.grid)
-        self.values = values
 
-    @property
-    def grid(self) -> Grid:
-        return self.values.grid
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.values.values
-
-    def box_mass(self, ranges, s: float = 1.0) -> float:
-        """w^s over a non-wrapped cell-index box, as a measure."""
-        box = tuple(slice(start, stop) for start, stop in ranges)
-        return float(_finite_power(self.array, s)[box].sum()) * self.grid.cell_volume
+def _own_cells(w, entry: str):
+    """(cells, grid) of a weight that must carry its own grid."""
+    if not isinstance(w, GridFunction):
+        raise WeightError(f"{entry} places its result on the weight's own grid: "
+                          f"it takes a GridFunction, and a {type(w).__name__} carries no grid")
+    return weight_cells(w, w.grid), w.grid
 
 
 def _finite_power(arr: np.ndarray, s: float) -> np.ndarray:
@@ -48,27 +45,12 @@ def _finite_power(arr: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def as_weight(w) -> Weight:
-    if isinstance(w, Weight):
-        return w
-    if isinstance(w, GridFunction):
-        return Weight(w)
-    raise WeightError(f"cannot interpret {type(w)} as a weight")
-
-
-@dataclass
-class WeightTriple:
-    """Bloom setup: mu, lambda in A^p and nu = mu^{1/p} lambda^{-1/p}, all on
+def bloom_weight(mu, lam, p: float) -> GridFunction:
+    """The Bloom weight nu = mu^{1/p} lambda^{-1/p} of mu, lambda in A^p, on
     mu's grid; lambda is read there by grid.weight_cells."""
-
-    mu: Weight
-    lam: Weight
-    p: float
-
-    def __post_init__(self):
-        p, grid = checked_p(self.p), self.mu.grid
-        mu, lam = weight_cells(self.mu, grid), weight_cells(self.lam, grid)
-        self.nu = Weight(GridFunction(grid, mu ** (1.0 / p) * lam ** (-1.0 / p)))
+    p = checked_p(p)
+    mu, grid = _own_cells(mu, "bloom_weight")
+    return GridFunction(grid, mu ** (1.0 / p) * weight_cells(lam, grid) ** (-1.0 / p))
 
 
 def ap_constant(w, p: float, lattices) -> float:
@@ -130,38 +112,40 @@ def box_cell_ranges(grid: Grid, lo, hi):
 
 
 def ap_quotient_on_box(w, p: float, lo, hi) -> float:
-    """The A^p quotient evaluated on one coordinate box (cell sums)."""
+    """The A^p quotient evaluated on one coordinate box (cell sums) of the
+    grid of w, a GridFunction."""
     checked_p(p)
-    w = as_weight(w)
-    ranges = box_cell_ranges(w.grid, lo, hi)
+    warr, grid = _own_cells(w, "ap_quotient_on_box")
+    ranges = box_cell_ranges(grid, lo, hi)
     cells = 1
     for st, sp in ranges:
         if sp <= st:
             raise DomainError("box contains no grid cells")
         cells *= sp - st
-    vol = cells * w.grid.cell_volume
-    m1 = w.box_mass(ranges) / vol
-    m2 = w.box_mass(ranges, -1.0 / (p - 1.0)) / vol
+    box = tuple(slice(st, sp) for st, sp in ranges)
+    vol = cells * grid.cell_volume
+    m1 = float(warr[box].sum()) * grid.cell_volume / vol
+    m2 = float(_finite_power(warr, -1.0 / (p - 1.0))[box].sum()) * grid.cell_volume / vol
     return m1 * m2 ** (p - 1.0)
 
 
 # ---------------------------------------------------------------------------
 # exp / log bridge
 
-def exp_log_bridge(b: GridFunction, delta: float) -> Weight:
+def exp_log_bridge(b: GridFunction, delta: float) -> GridFunction:
     """e^{delta b} as a weight (the BMO -> A^p direction of the bridge)."""
     if delta <= 0:
         raise ParameterError("delta must be positive")
     z = delta * b.values
     if np.max(z) > 700.0:
         raise RangeError(f"exp overflow at delta={delta}")
-    return Weight(GridFunction(b.grid, np.exp(z)))
+    return _checked(GridFunction(b.grid, np.exp(z)))
 
 
 def log_weight(w) -> GridFunction:
-    """log w (the A^p -> BMO direction of the bridge)."""
-    w = as_weight(w)
-    return GridFunction(w.grid, np.log(w.array))
+    """log w of a GridFunction weight w (the A^p -> BMO direction of the bridge)."""
+    warr, grid = _own_cells(w, "log_weight")
+    return GridFunction(grid, np.log(warr))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +162,7 @@ def _cell_average_profile(grid: Grid, axis: int, antiderivative):
     return vals.reshape(shape)
 
 
-def power_weight(grid: Grid, alpha: float) -> Weight:
+def power_weight(grid: Grid, alpha: float) -> GridFunction:
     """|x|^alpha: exact cell averages in n = 1, cell-center samples in n = 2."""
     if alpha <= -1:
         raise ParameterError("power weight needs alpha > -1 for local integrability")
@@ -191,10 +175,10 @@ def power_weight(grid: Grid, alpha: float) -> Weight:
         pts = grid.points()
         r = np.sqrt(np.sum(pts ** 2, axis=-1))
         vals = r ** alpha
-    return Weight(GridFunction(grid, vals))
+    return _checked(GridFunction(grid, vals))
 
 
-def one_sided_power_weight(grid: Grid, alpha: float) -> Weight:
+def one_sided_power_weight(grid: Grid, alpha: float) -> GridFunction:
     """x_n^alpha on x_n > 0, constant 1 on x_n < 0 (exact cell averages in x_n)."""
     if alpha <= -1:
         raise ParameterError("needs alpha > -1")
@@ -207,10 +191,10 @@ def one_sided_power_weight(grid: Grid, alpha: float) -> Weight:
 
     prof = _cell_average_profile(grid, grid.dim - 1, F)
     vals = prof * np.ones(grid.shape)
-    return Weight(GridFunction(grid, vals))
+    return _checked(GridFunction(grid, vals))
 
 
-def weight_from_spec(spec: dict, grid: Grid) -> Weight:
+def weight_from_spec(spec: dict, grid: Grid) -> GridFunction:
     """Config-driven weights: {kind: one|power|one-sided-power|grid|exp_bmo, ...}.
 
     A grid or exp_bmo file must hold a function on grid itself.  A key its
@@ -237,11 +221,11 @@ def weight_from_spec(spec: dict, grid: Grid) -> Weight:
         return f
 
     if kind == "one":
-        return Weight(GridFunction(grid, np.ones(grid.shape)))
+        return _checked(GridFunction(grid, np.ones(grid.shape)))
     if kind == "power":
         return power_weight(grid, value("alpha"))
     if kind in ("one-sided-power", "prop33"):
         return one_sided_power_weight(grid, value("alpha"))
     if kind == "grid":
-        return Weight(loaded())
+        return _checked(loaded())
     return exp_log_bridge(loaded(), spec.get("delta", 1.0))

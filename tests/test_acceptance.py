@@ -23,7 +23,7 @@ from wharm.kernels import heat_free, qt_free
 from wharm.operators import OperatorHandle, apply, commutator, riesz
 from wharm.sparse import build_sparse_from_recursion, carleson_to_sparse, cz_stopping
 from wharm.squarefn import ConeSpec, TimeGrid, area_function
-from wharm.weights import Weight, ap_constant, ap_quotient_on_box, one_sided_power_weight, power_weight
+from wharm.weights import ap_constant, ap_quotient_on_box, one_sided_power_weight, power_weight
 
 Q0_1D = DyadicCube(0, (0,))
 
@@ -138,13 +138,13 @@ def test_criterion_2_oracles(rng):
 
     g = Grid(1, 1.0, 64)
     lats = lattice_family(g, 5)
-    w = Weight(GridFunction(g, np.exp(0.7 * rng.standard_normal(g.shape))))
+    w = GridFunction(g, np.exp(0.7 * rng.standard_normal(g.shape)))
     impl = ap_constant(w, 2.0, lats)
     oracle = 0.0
     for lat in lats:
         for cube in lat.cubes:
             idx = np.ix_(*cell_indices(lat, cube))
-            oracle = max(oracle, w.array[idx].mean() * (w.array[idx] ** -1.0).mean())
+            oracle = max(oracle, w.values[idx].mean() * (w.values[idx] ** -1.0).mean())
     _report(failures, "2.1 A^p constant vs exhaustive scan", abs(impl - oracle) <= 1e-12 * oracle)
 
     lat = lats[0]
@@ -213,7 +213,7 @@ def test_criterion_3_quantitative(rng):
 
     rho_ok, fitted = True, 0.0
     for i in range(200):
-        w = Weight(GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape))))
+        w = GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape)))
         b = random_haar_sum(lat, rng, max_generation=3)
         n1 = bmo_mod.bmo_norm(b, w, "classical-w", lats)
         if n1 == 0:
@@ -229,7 +229,7 @@ def test_criterion_3_quantitative(rng):
     for i in range(50):
         dens = GridFunction(g, np.exp(rng.uniform(0.5, 1.5) * rng.standard_normal(g.shape)))
         coll = build_sparse_from_recursion(lambda c: cz_stopping(dens, lat6, c, 2.0).selected, lat6, Q0_1D, 2.0)
-        w = Weight(GridFunction(g, np.exp(0.6 * rng.standard_normal(g.shape))))
+        w = GridFunction(g, np.exp(0.6 * rng.standard_normal(g.shape)))
         M = sparse_operator_matrix(coll, g)
         val = dense_weighted_norm(M, w, w)
         fitted = max(fitted, val * coll.eta / ap_constant(w, 2.0, [lat6]))
@@ -239,7 +239,7 @@ def test_criterion_3_quantitative(rng):
     worst = 0.0
     for i in range(50):
         b = random_haar_sum(lat6, rng, max_generation=4)
-        w = Weight(GridFunction(g, np.exp(0.8 * rng.standard_normal(g.shape))))
+        w = GridFunction(g, np.exp(0.8 * rng.standard_normal(g.shape)))
         a, fam = bmo_good_function(b, w, lat6, Q0_1D, 2.0)
         na = dyadic_local_bmo(a, lat6, Q0_1D)
         nb = dyadic_local_bmo(b, lat6, Q0_1D, w=w)
@@ -321,7 +321,7 @@ def test_criterion_5_counterexamples():
     boxes = [8.0, 16.0, 32.0, 64.0]
     qs = [ap_quotient_on_box(w_os, 2.0, [-a], [a]) for a in boxes]
     up = power_weight(gw, 0.5)
-    lo = Weight(constant(gw, 1.0))
+    lo = constant(gw, 1.0)
     qn = [
         ap_quotient_on_box(up, 2.0, [-a], [a]) + ap_quotient_on_box(lo, 2.0, [-a], [a])
         for a in boxes

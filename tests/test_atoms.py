@@ -15,11 +15,11 @@ from wharm.grid import Grid, GridFunction, constant
 from wharm.kernels import psi_multiplier
 from wharm.operators import apply, psi_op, spectrum
 from wharm.squarefn import ConeSpec, TimeGrid, area_function
-from wharm.weights import Weight, weight_from_spec
+from wharm.weights import weight_from_spec
 
 
 def _unit_weight(g):
-    return Weight(constant(g, 1.0))
+    return constant(g, 1.0)
 
 
 def _atom_from_values(g, vals, mask, p=2.0, w=None):
@@ -134,7 +134,7 @@ def test_level_set_machinery(rng):
 
     g = Grid(1, 1.0, 64)
     lat = build_lattice(g, 6)
-    w = Weight(GridFunction(g, np.exp(0.3 * rng.standard_normal(g.shape))))
+    w = GridFunction(g, np.exp(0.3 * rng.standard_normal(g.shape)))
     f = _packet(g, rng, count=2)
     tg = TimeGrid.geometric(g, t_min=g.h, t_max=2.0, steps_per_octave=8)
     S = area_function(f, "qt", ConeSpec("free"), tg)
@@ -146,17 +146,17 @@ def test_level_set_machinery(rng):
     # every cube with the half-mass property lands in exactly one B_k
     for cube in lat.cubes:
         idx = np.ix_(*cell_indices(lat, cube))
-        wq = w.array[idx].sum()
+        wq = w.values[idx].sum()
         ks = [
             k
             for k in range(kmin, kmax + 1)
-            if w.array[idx][masks[k][idx]].sum() > wq / 2.0
-            and w.array[idx][masks[k + 1][idx]].sum() <= wq / 2.0
+            if w.values[idx][masks[k][idx]].sum() > wq / 2.0
+            and w.values[idx][masks[k + 1][idx]].sum() <= wq / 2.0
         ]
         hits = sum(
             1
             for k in range(kmin, kmax + 1)
-            if w.array[idx][masks[k][idx]].sum() > wq / 2.0
+            if w.values[idx][masks[k][idx]].sum() > wq / 2.0
         )
         assert len(ks) == (1 if hits > 0 else 0)
 
@@ -322,7 +322,7 @@ def test_batched_pieces_match_the_per_bucket_oracle(dim, N, max_gen, psi_backend
     rng = np.random.default_rng(41 + dim)
     v = rng.standard_normal(g.shape) * np.exp(-np.sum(g.points() ** 2, axis=-1) / 0.2)
     f = GridFunction(g, v - v.mean())
-    w = Weight(GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape))))
+    w = GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape)))
     tg = TimeGrid.geometric(g, t_min=g.h, t_max=2.0 if dim == 1 else 1.0, steps_per_octave=6)
     keys = []
     labels = atoms._bucket_labels

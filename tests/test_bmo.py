@@ -18,13 +18,13 @@ from wharm.dyadic import DyadicCube, lattice_family, random_haar_sum, random_haa
 from wharm.errors import DomainError, ParameterError
 from wharm.grid import Grid, GridFunction, constant, restrict
 from wharm.squarefn import TimeGrid
-from wharm.weights import Weight, ap_constant, power_weight
+from wharm.weights import ap_constant, power_weight
 
 ALL_FLAVORS = ["classical-w", "classical-wr", "carleson-haar", "carleson-heat-free", "carleson-heat-neumann"]
 
 
 def _w_one(grid):
-    return Weight(constant(grid, 1.0))
+    return constant(grid, 1.0)
 
 
 def test_constants_have_zero_norm(grid64, family64):
@@ -46,7 +46,7 @@ def test_single_haar_hand_value(grid64, lat64):
 
 
 def test_john_nirenberg_ordering(rng, grid64, family64):
-    w = Weight(GridFunction(grid64, np.exp(0.5 * rng.standard_normal(grid64.shape))))
+    w = GridFunction(grid64, np.exp(0.5 * rng.standard_normal(grid64.shape)))
     lat = family64[0]
     for _ in range(5):
         b = random_haar_sum(lat, rng, max_generation=3)
@@ -74,7 +74,7 @@ def test_carleson_haar_equals_wr2_band(rng):
     g = Grid(1, 1.0, 128)
     lats = lattice_family(g, 6)
     lat = lats[0]
-    for wspec in (Weight(constant(g, 1.0)), power_weight(g, 0.25)):
+    for wspec in (constant(g, 1.0), power_weight(g, 0.25)):
         apw = ap_constant(wspec, 2.0, lats)
         ratios = []
         for _ in range(8):
@@ -140,7 +140,7 @@ def test_john_nirenberg_report(rng):
     # p = 2 (predictor exponent 1) and p = 1.5 (exponent 1/(p-1) = 2), one
     # weight per symbol
     for count, p in ((20, 2.0), (6, 1.5)):
-        ws = [Weight(GridFunction(g, np.exp(0.4 * rng.standard_normal(g.shape)))) for _ in range(count)]
+        ws = [GridFunction(g, np.exp(0.4 * rng.standard_normal(g.shape))) for _ in range(count)]
         symbols = random_haar_sums(lat, rng, count, max_generation=3)
         rep = john_nirenberg_report(symbols, g, ws, p, 2.0, lats)
         assert np.isfinite(rep["fitted_C"])
@@ -181,7 +181,7 @@ def test_odd_extension_strict_inclusion():
 def test_even_ext_flavor(rng, grid64, family64):
     gu = grid64.with_domain("upper")
     f = GridFunction(gu, rng.standard_normal(gu.shape))
-    w = Weight(constant(gu, 1.0))
+    w = constant(gu, 1.0)
     val = bmo_norm(f, w, "even-ext-half", family64)
     assert val > 0
     with pytest.raises(DomainError):
@@ -209,7 +209,7 @@ def test_carleson_heat_2d_smoke(rng):
     g = Grid(2, 1.0, 16)
     lats = lattice_family(g, 3)
     lat = lats[0]
-    w = Weight(constant(g, 1.0))
+    w = constant(g, 1.0)
     tg = TimeGrid.geometric(g, t_min=2 * g.h, t_max=1.0, steps_per_octave=4)
     b = random_haar_sum(lat, rng, max_generation=2)
     n_free = bmo_norm(b, w, "carleson-heat-free", lats, tg=tg)
@@ -248,7 +248,7 @@ def test_bmo_norms_of_a_stack_equal_the_per_row_loop(data):
     values = rng.standard_normal((data.draw(st.integers(1, 4)),) + gf.shape)
     if data.draw(st.booleans()):
         values[0] = 1.5
-    w = Weight(GridFunction(gf, np.exp(0.5 * rng.standard_normal(gf.shape))))
+    w = GridFunction(gf, np.exp(0.5 * rng.standard_normal(gf.shape)))
     r = data.draw(st.floats(1.0, 3.0))
     tg = TimeGrid.geometric(g)
     got = bmo_norms(values, gf, w, flavor, lats, r=r, tg=tg)

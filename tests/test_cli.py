@@ -125,6 +125,20 @@ def test_cli_toolkit_error_exits_2(tmp_path, capsys):
     assert err.strip().splitlines()[-1].startswith("wharm: DomainError: ")
 
 
+@pytest.mark.parametrize("meta,row", [
+    ("# dim=1 junk halfwidth=1.0 points_per_axis=4 domain=full", "2,3"),
+    ("# dim=1 halfwidth=1.0 points_per_axis=4 domain=full", "2,x"),
+], ids=["token-without-equals", "non-numeric-cell"])
+def test_cli_malformed_csv_exits_2_with_one_line(tmp_path, capsys, meta, row):
+    # both ended in a raw ValueError traceback and exit 1
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join([meta, "i0,value", "0,1", "1,2", row, "3,4"]) + "\n")
+    rc = main(["bmo", "--flavor", "classical-w", "--input", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("wharm: DomainError: ")
+
+
 def test_cli_riesz_component_outside_dimension_exits_2(tmp_path, capsys):
     # R_2 does not exist on 1D data
     fpath, _ = _write_inputs(tmp_path)

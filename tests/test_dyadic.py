@@ -13,9 +13,9 @@ from wharm.dyadic import (
     signatures,
     weighted_maximal,
 )
-from wharm.errors import GridAlignmentError, WeightError
+from wharm.errors import GridAlignmentError, ParameterError, WeightError
 from wharm.grid import Grid, GridFunction, constant
-from wharm.weights import Weight, one_sided_power_weight
+from wharm.weights import one_sided_power_weight
 
 
 def test_lattice_counts():
@@ -36,6 +36,18 @@ def test_cubes_are_built_on_first_use_in_generation_order():
 def test_shifted_lattice_count_matches():
     g = Grid(1, 1.0, 12)
     assert len(build_lattice(g, 2, "third").cubes) == len(build_lattice(g, 2).cubes)
+
+
+def test_shift_is_one_label_or_one_per_axis():
+    # a one-label tuple on a 2D grid was rolled onto both axes and labelled
+    # ["third"] while holding the ("third", "third") lattice; an unknown label
+    # raised a raw KeyError and three labels a raw ValueError
+    g = Grid(2, 1.0, 16)
+    assert build_lattice(g, 3, "third").shift_labels == ("third", "third")
+    assert build_lattice(g, 3, ["none", "third"]).shift_cells == (0, 5)
+    for shift in (("third",), "bogus", ("none", "bogus"), ("third", "none", "none"), 1):
+        with pytest.raises(ParameterError, match="shift"):
+            build_lattice(g, 3, shift)
 
 
 def test_alignment_error():
@@ -124,14 +136,14 @@ def test_nestedness_including_shifted():
 
 
 def test_maximal_constant(grid64, lat64):
-    w = Weight(constant(grid64, 1.0))
+    w = constant(grid64, 1.0)
     m = weighted_maximal(constant(grid64, -3.0), w, lat64)
     assert np.allclose(m.values, 3.0, rtol=0, atol=1e-14)
 
 
 def test_maximal_indicator(grid64, lat64):
     # g = 1_Q for a generation-1 cube: M g = 1 on Q, >= |Q|/|Q0| elsewhere
-    w = Weight(constant(grid64, 1.0))
+    w = constant(grid64, 1.0)
     q = DyadicCube(1, (0,))
     ind = GridFunction(grid64, mask(lat64, q).astype(float))
     m = weighted_maximal(ind, w, lat64)
@@ -144,7 +156,7 @@ def test_maximal_brute_force_oracle(rng):
     g = Grid(1, 1.0, 32)
     lat = build_lattice(g, 5)
     gfun = GridFunction(g, rng.standard_normal(g.shape))
-    w = Weight(GridFunction(g, np.exp(rng.standard_normal(g.shape))))
+    w = GridFunction(g, np.exp(rng.standard_normal(g.shape)))
     m = weighted_maximal(gfun, w, lat)
     # oracle: per point, loop over every cube containing it
     for i in range(0, 32, 3):
@@ -152,8 +164,8 @@ def test_maximal_brute_force_oracle(rng):
         for cube in lat.cubes:
             cells = cell_indices(lat, cube)[0]
             if i in cells:
-                num = np.sum(np.abs(gfun.values[cells]) * w.array[cells])
-                den = np.sum(w.array[cells])
+                num = np.sum(np.abs(gfun.values[cells]) * w.values[cells])
+                den = np.sum(w.values[cells])
                 best = max(best, num / den)
         assert abs(m.values[i] - best) <= 1e-12 * best
 
@@ -162,11 +174,11 @@ def test_maximal_dominates_cube_averages(rng):
     g = Grid(1, 1.0, 32)
     lat = build_lattice(g, 4)
     gfun = GridFunction(g, rng.standard_normal(g.shape))
-    w = Weight(GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape))))
+    w = GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape)))
     m = weighted_maximal(gfun, w, lat)
     for cube in lat.cubes:
         cells = cell_indices(lat, cube)[0]
-        avg = np.sum(gfun.values[cells] * w.array[cells]) / np.sum(w.array[cells])
+        avg = np.sum(gfun.values[cells] * w.values[cells]) / np.sum(w.values[cells])
         assert np.all(m.values[cells] >= abs(avg) - 1e-12)
 
 
@@ -196,7 +208,7 @@ def test_weighted_bmo_coefficient_bound(rng):
     lat = build_lattice(g, 5)
     for _ in range(10):
         b = random_haar_sum(lat, rng, max_generation=3)
-        w = Weight(GridFunction(g, np.exp(0.6 * rng.standard_normal(g.shape))))
+        w = GridFunction(g, np.exp(0.6 * rng.standard_normal(g.shape)))
         norm = bmo_norm(b, w, "classical-w", [lat])
         if norm == 0:
             continue

@@ -27,7 +27,6 @@ from wharm.dyadic import (
 from wharm.errors import GridAlignmentError
 from wharm.grid import Grid, GridFunction
 from wharm.squarefn import haar_square_function
-from wharm.weights import Weight
 
 REL = 1e-12
 
@@ -84,7 +83,7 @@ def close(a, b):
 
 def weight_on(g, seed):
     rng = np.random.default_rng(seed)
-    return Weight(GridFunction(g, np.exp(0.7 * rng.standard_normal(g.shape))))
+    return GridFunction(g, np.exp(0.7 * rng.standard_normal(g.shape)))
 
 
 SUM_CASES = [

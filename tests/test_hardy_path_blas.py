@@ -14,7 +14,6 @@ from wharm.atoms import atomic_decompose
 from wharm.dyadic import build_lattice
 from wharm.grid import Grid, GridFunction
 from wharm.squarefn import ConeSpec, TimeGrid, area_function, g_star
-from wharm.weights import Weight
 
 
 def test_hardy_path_calls_no_blas_product(monkeypatch):
@@ -22,7 +21,7 @@ def test_hardy_path_calls_no_blas_product(monkeypatch):
     rng = np.random.default_rng(29)
     v = rng.standard_normal(g.shape) * np.exp(-np.sum(g.points() ** 2, axis=-1) / 0.2)
     f = GridFunction(g, v - v.mean())
-    w = Weight(GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape))))
+    w = GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape)))
     tg = TimeGrid.geometric(g)
 
     def refuse(*args, **kwargs):

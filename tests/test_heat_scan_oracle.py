@@ -17,7 +17,6 @@ from wharm.dyadic import build_lattice, lattice_family
 from wharm.grid import Grid, GridFunction
 from wharm.operators import apply_scales
 from wharm.squarefn import TimeGrid
-from wharm.weights import Weight
 
 
 def sums_inside(prefix, lat, js):
@@ -79,7 +78,7 @@ def oracle_carleson_heat(values, grid, warr, lats, tg, neumann):
 def stack(grid, rows, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((rows,) + grid.shape)
-    w = Weight(GridFunction(grid, np.exp(0.7 * rng.standard_normal(grid.shape))))
+    w = GridFunction(grid, np.exp(0.7 * rng.standard_normal(grid.shape)))
     return values, w
 
 
@@ -87,7 +86,7 @@ def assert_oracle(values, grid, w, lats, tg):
     for neumann in (False, True):
         flavor = "carleson-heat-neumann" if neumann else "carleson-heat-free"
         got = bmo_norms(values, grid, w, flavor, lats, tg=tg)
-        want = oracle_carleson_heat(values, grid, w.array, lats, tg, neumann)
+        want = oracle_carleson_heat(values, grid, w.values, lats, tg, neumann)
         assert got.tolist() == want.tolist(), flavor
 
 

@@ -19,7 +19,7 @@ from wharm.grid import Grid, GridFunction
 from wharm.operators import apply
 from wharm.sparse import cz_stopping
 from wharm.squarefn import TimeGrid
-from wharm.weights import Weight, a1_constant, ap_constant
+from wharm.weights import a1_constant, ap_constant
 
 REL = 1e-12
 
@@ -30,7 +30,7 @@ def setting(request):
     rng = np.random.default_rng(31 + dim)
     g = Grid(dim, 1.0, N)
     f = GridFunction(g, rng.standard_normal(g.shape))
-    w = Weight(GridFunction(g, np.exp(0.8 * rng.standard_normal(g.shape))))
+    w = GridFunction(g, np.exp(0.8 * rng.standard_normal(g.shape)))
     return g, lattice_family(g, max_gen), f, w
 
 
@@ -61,10 +61,10 @@ def oracle_classical(values, warr, lats, r=None):
 
 def test_classical_flavors_match_oracle(setting):
     g, fam, f, w = setting
-    assert close(bmo_norm(f, w, "classical-w", fam), oracle_classical(f.values, w.array, fam))
+    assert close(bmo_norm(f, w, "classical-w", fam), oracle_classical(f.values, w.values, fam))
     for r in (1.0, 1.5, 2.0):
         got = bmo_norm(f, w, "classical-wr", fam, r=r)
-        assert close(got, oracle_classical(f.values, w.array, fam, r=r))
+        assert close(got, oracle_classical(f.values, w.values, fam, r=r))
 
 
 def test_unweighted_half_skips_cubes_across_the_interface(setting):
@@ -83,7 +83,7 @@ def test_ap_and_a1_match_oracle(setting):
     ap_best = a1_best = 0.0
     for lat in fam:
         for cube in lat.cubes:
-            v = w.array[cells(lat, cube)]
+            v = w.values[cells(lat, cube)]
             ap_best = max(ap_best, v.mean() * np.mean(v ** -0.5) ** 2.0)
             a1_best = max(a1_best, v.mean() / v.min())
     assert close(ap_constant(w, 3.0, fam), ap_best)
@@ -100,7 +100,7 @@ def test_dyadic_local_bmo_matches_oracle(setting):
                 if not lat.contains(q0, cube):
                     continue
                 v = f.values[cells(lat, cube)]
-                den = w.array[cells(lat, cube)].sum() if weighted else v.size
+                den = w.values[cells(lat, cube)].sum() if weighted else v.size
                 best = max(best, np.abs(v - v.mean()).sum() / den)
             got = dyadic_local_bmo(f, lat, q0, w if weighted else None)
             assert close(got, best)
@@ -118,10 +118,10 @@ def test_carleson_haar_matches_oracle(setting):
                 for sig in signatures(g.dim):
                     c = np.sum(f.values * haar_function(lat, cube, sig).values) * h_n
                     energy += c * c
-            contrib[cube] = energy * lat.measure(cube.generation) / (w.array[cells(lat, cube)].sum() * h_n)
+            contrib[cube] = energy * lat.measure(cube.generation) / (w.values[cells(lat, cube)].sum() * h_n)
         for top in lat.cubes:
             inner = sum(v for q, v in contrib.items() if lat.contains(top, q))
-            best = max(best, inner / (w.array[cells(lat, top)].sum() * h_n))
+            best = max(best, inner / (w.values[cells(lat, top)].sum() * h_n))
     assert close(bmo_norm(f, w, "carleson-haar", fam), np.sqrt(best))
 
 
@@ -140,7 +140,7 @@ def test_carleson_heat_matches_oracle(setting, neumann):
         for t in slab_times(tg, sidelength(dyadic, q)):
             field = apply(qt_op("neumann" if neumann else "free", t), f).values
             total += tg.log_weight * t ** n * np.sum(field[cells(dyadic, q)] ** 2) * h_n
-        contrib[q] = total / (w.array[cells(dyadic, q)].sum() * h_n)
+        contrib[q] = total / (w.values[cells(dyadic, q)].sum() * h_n)
     masks = {q: mask(dyadic, q) for q in dyadic.cubes}
     best = 0.0
     for lat in fam:
@@ -149,7 +149,7 @@ def test_carleson_heat_matches_oracle(setting, neumann):
                 continue
             inside = mask(lat, top)
             inner = sum(contrib[q] for q, m in masks.items() if not np.any(m & ~inside))
-            best = max(best, inner / (w.array[inside].sum() * h_n))
+            best = max(best, inner / (w.values[inside].sum() * h_n))
     flavor = "carleson-heat-neumann" if neumann else "carleson-heat-free"
     assert close(bmo_norm(f, w, flavor, fam, tg=tg), np.sqrt(best))
 
@@ -160,7 +160,7 @@ def test_weighted_maximal_matches_oracle(setting):
         expect = np.zeros(g.shape)
         for cube in lat.cubes:
             m = mask(lat, cube)
-            avg = np.sum(np.abs(f.values[m]) * w.array[m]) / np.sum(w.array[m])
+            avg = np.sum(np.abs(f.values[m]) * w.values[m]) / np.sum(w.values[m])
             expect[m] = np.maximum(expect[m], avg)
         got = weighted_maximal(f, w, lat).values
         assert np.all(np.abs(got - expect) <= REL * expect)
@@ -173,7 +173,7 @@ def test_cz_stopping_matches_oracle(setting):
         for q0 in (DyadicCube(0, (0,) * g.dim), DyadicCube(1, (1,) * g.dim)):
             for alpha in (1.3, 2.0):
                 fam_q0 = cz_stopping(w, lat, q0, alpha)
-                base = w.array[cells(lat, q0)].mean()
+                base = w.values[cells(lat, q0)].mean()
                 assert close(fam_q0.parent_average, base)
                 # a strict subcube of q0 is selected iff its average passes
                 # alpha * base and no strict ancestor below q0 passes
@@ -184,13 +184,13 @@ def test_cz_stopping_matches_oracle(setting):
                     anc = parent(cube)
                     hit = False
                     while anc != q0:
-                        hit = hit or w.array[cells(lat, anc)].mean() > alpha * base
+                        hit = hit or w.values[cells(lat, anc)].mean() > alpha * base
                         anc = parent(anc)
-                    if not hit and w.array[cells(lat, cube)].mean() > alpha * base:
+                    if not hit and w.values[cells(lat, cube)].mean() > alpha * base:
                         expect.append(cube)
                 assert fam_q0.selected == expect  # both in (generation, index) order
                 for cube in expect:
-                    assert close(fam_q0.averages[cube], w.array[cells(lat, cube)].mean())
+                    assert close(fam_q0.averages[cube], w.values[cells(lat, cube)].mean())
                 selected += len(expect)
     assert selected > 0
 
@@ -206,11 +206,11 @@ def test_lattice_scans_accept_read_only_inputs(setting):
     # itself; a scan that wrote through it would raise here
     g, fam, f, w = setting
     fro = GridFunction(g, _read_only(f.values))
-    wro = Weight(GridFunction(g, _read_only(w.array)))
+    wro = GridFunction(g, _read_only(w.values))
     half = g.points_per_axis // 2
     gu = g.with_domain("upper")
-    f_up, w_up = GridFunction(gu, f.values[..., half:]), Weight(GridFunction(gu, w.array[..., half:]))
-    fro_up, wro_up = GridFunction(gu, _read_only(f_up.values)), Weight(GridFunction(gu, _read_only(w_up.array)))
+    f_up, w_up = GridFunction(gu, f.values[..., half:]), GridFunction(gu, w.values[..., half:])
+    fro_up, wro_up = GridFunction(gu, _read_only(f_up.values)), GridFunction(gu, _read_only(w_up.values))
     assert ap_constant(wro, 2.0, fam) == ap_constant(w, 2.0, fam)
     for flavor in CLASSICAL_FLAVORS + CARLESON_FLAVORS:
         assert bmo_norm(fro, wro, flavor, fam) == bmo_norm(f, w, flavor, fam), flavor

@@ -34,7 +34,7 @@ from wharm.operators import (
     semigroup,
     weighted_operator_norm,
 )
-from wharm.weights import Weight, weight_from_spec
+from wharm.weights import weight_from_spec
 
 from operator_oracles import (
     ascent_norm,
@@ -243,7 +243,7 @@ def _ascent_at_p2(op, g, mu=None, lam=None, seed=0):
 def test_heat_semigroup_norm_both_methods(grid64, monkeypatch):
     # the free heat multiplier is 1 at xi = 0 and below 1 elsewhere, and a
     # constant weight cancels: the norm is 1
-    w = Weight(constant(grid64, 1.3))
+    w = constant(grid64, 1.3)
     op = semigroup("free", 0.1)
     v1, _ = weighted_operator_norm(op, grid64, w, w, p=2.0)
     monkeypatch.setattr(operators, "_RESTARTS", 3)
@@ -282,7 +282,7 @@ def test_ascent_vs_svd_on_commutators(rng):
 ], ids=["zero", "negative", "nan", "inf", "short", "extra-axis", "scalar"])
 @pytest.mark.parametrize("p", [2.0, 3.0], ids=["svd", "ascent"])
 def test_raw_array_weight_is_checked(grid64, bad, error, p):
-    # a raw array reaches the norms unchecked by Weight, so the norms check it
+    # a raw array reaches the norms unchecked by any weight factory, so the norms check it
     mu = bad(grid64)
     for pair in ((mu, None), (None, mu)):
         with pytest.raises(error):
@@ -353,7 +353,7 @@ def test_quadrature_free_semigroup_matches_fourier_interior():
 def test_weighted_norm_2d_dense(rng):
     g = Grid(2, 1.0, 16)
     op = riesz("neumann", 2, backend="fourier")
-    w = Weight(constant(g, 1.0))
+    w = constant(g, 1.0)
     val, _ = weighted_operator_norm(op, g, w, w, p=2.0)
     assert 0 < val <= 1.5  # contraction up to reflection bookkeeping
 
@@ -493,7 +493,7 @@ def test_svds_norm_matches_dense_svd(dim, N, pair):
     g = Grid(dim, 1.0, N)
     b = GridFunction(g, np.random.default_rng(dim * N + pair).standard_normal(g.shape))
     mu, lam = (weight_from_spec(spec, g) for spec in SHIPPED_PAIRS[pair])
-    sqrt_lam, inv_sqrt_mu = np.sqrt(lam.array.reshape(-1)), 1.0 / np.sqrt(mu.array.reshape(-1))
+    sqrt_lam, inv_sqrt_mu = np.sqrt(lam.values.reshape(-1)), 1.0 / np.sqrt(mu.values.reshape(-1))
     for j in range(1, dim + 1):
         M = commutator_matrix(b.values, _dense_neumann_riesz(dim, N, j))
         dense = sqrt_lam[:, None] * M * inv_sqrt_mu[None, :]

@@ -39,7 +39,7 @@ from wharm.sparse import (
     carleson_to_sparse,
     sparse_operator_apply,
 )
-from wharm.weights import Weight, ap_constant
+from wharm.weights import ap_constant
 
 Q0 = DyadicCube(0, (0,))
 
@@ -370,7 +370,7 @@ def test_sparse_operator_weighted_bound(rng):
         coll = build_sparse_from_recursion(
             lambda c: cz_stopping(dens, lat, c, 2.0).selected, lat, Q0, 2.0
         )
-        w = Weight(GridFunction(g, np.exp(0.6 * rng.standard_normal(g.shape))))
+        w = GridFunction(g, np.exp(0.6 * rng.standard_normal(g.shape)))
         M = sparse_operator_matrix(coll, g)
         val = dense_weighted_norm(M, w, w)
         fitted = max(fitted, val * coll.eta / ap_constant(w, 2.0, lats))
@@ -382,7 +382,7 @@ def test_good_function_posts(rng):
     lat = build_lattice(g, 6)
     for i in range(20):
         b = random_haar_sum(lat, rng, max_generation=4)
-        w = Weight(GridFunction(g, np.exp(0.8 * rng.standard_normal(g.shape))))
+        w = GridFunction(g, np.exp(0.8 * rng.standard_normal(g.shape)))
         a, fam = bmo_good_function(b, w, lat, Q0, 2.0)
         selected_mask = np.zeros(g.shape, dtype=bool)
         for R in fam.selected:
@@ -411,7 +411,7 @@ def test_good_function_bmo_bound(rng):
     lat = build_lattice(g, 6)
     for i in range(20):
         b = random_haar_sum(lat, rng, max_generation=4)
-        w = Weight(GridFunction(g, np.exp(0.8 * rng.standard_normal(g.shape))))
+        w = GridFunction(g, np.exp(0.8 * rng.standard_normal(g.shape)))
         a, fam = bmo_good_function(b, w, lat, Q0, 2.0)
         na = dyadic_local_bmo(a, lat, Q0)
         nb = dyadic_local_bmo(b, lat, Q0, w=w)
@@ -422,13 +422,13 @@ def test_good_function_bmo_bound(rng):
 def test_good_function_trivial_cases(grid64, lat64, rng):
     # huge alpha: empty family, a = b on Q0
     b = random_haar_sum(lat64, rng, max_generation=3)
-    w = Weight(GridFunction(grid64, np.exp(0.2 * rng.standard_normal(grid64.shape))))
+    w = GridFunction(grid64, np.exp(0.2 * rng.standard_normal(grid64.shape)))
     a, fam = bmo_good_function(b, w, lat64, Q0, 1e6)
     assert fam.selected == []
     assert np.array_equal(a.values, b.values)
     # flat weight never selects: a = b for a Haar symbol too
     h = haar_function(lat64, Q0, (0,))
-    a2, fam2 = bmo_good_function(h, Weight(constant(grid64, 1.0)), lat64, Q0, 2.0)
+    a2, fam2 = bmo_good_function(h, constant(grid64, 1.0), lat64, Q0, 2.0)
     assert fam2.selected == []
     assert np.array_equal(a2.values, h.values)
 
@@ -441,7 +441,7 @@ def test_pairing_bound(rng):
     for i in range(10):
         b = random_haar_sum(lat, rng, max_generation=4)
         f = GridFunction(g, rng.standard_normal(g.shape))
-        w = Weight(GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape))))
+        w = GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape)))
         cb = haar_coefficients(b, lat)
         cf = haar_coefficients(f, lat)
         lhs = sum(abs(cb[k]) * abs(cf[k]) for k in cb)

@@ -24,7 +24,7 @@ from wharm.squarefn import (
     haar_square_function,
     hardy_norm,
 )
-from wharm.weights import Weight, power_weight
+from wharm.weights import power_weight
 
 
 @pytest.fixture
@@ -127,20 +127,20 @@ def test_gstar_weighted_bound_fitted(rng):
     g = Grid(1, 1.0, 128)
     tg = TimeGrid.geometric(g, t_min=2 * g.h, t_max=1.0)
     w = power_weight(g, 0.25)
-    wc = Weight(GridFunction(g, w.array ** (-1.0)))  # conjugate at p = 2
+    wc = GridFunction(g, w.values ** (-1.0))  # conjugate at p = 2
     fitted = 0.0
     for _ in range(5):
         h = GridFunction(g, rng.standard_normal(g.shape))
         Gs = g_star(h, "qt", 4, tg)
-        num = np.sum(Gs.values ** 2 * wc.array) ** 0.5
-        den = np.sum(h.values ** 2 * wc.array) ** 0.5
+        num = np.sum(Gs.values ** 2 * wc.values) ** 0.5
+        den = np.sum(h.values ** 2 * wc.values) ** 0.5
         fitted = max(fitted, num / den)
     assert np.isfinite(fitted) and fitted <= 8.0
 
 
 def test_hardy_norm_zero(tg256):
     g, tg = tg256
-    w = Weight(constant(g, 1.0))
+    w = constant(g, 1.0)
     assert hardy_norm(constant(g, 0.0), "heat-free", w, tg=tg) == 0.0
 
 
@@ -165,7 +165,7 @@ def test_hardy_flavor_band(rng):
     g = Grid(1, 1.0, 256)
     tg = TimeGrid.geometric(g, t_min=2 * g.h, t_max=1.0)
     lat = build_lattice(g, 8)
-    w = Weight(constant(g, 1.0))
+    w = constant(g, 1.0)
     ratios = []
     for _ in range(12):
         b = random_haar_sum(lat, rng, max_generation=4)
@@ -180,7 +180,7 @@ def test_hardy_neumann_sidewise_band(tg256, rng):
     # makes the ratio land in [sqrt(1/2), 1] exactly
     g, tg = tg256
     f = GridFunction(g, rng.standard_normal(g.shape))
-    w = Weight(constant(g, 1.0))
+    w = constant(g, 1.0)
     n_neu = hardy_norm(f, "heat-neumann", w, tg=tg)
     h = g.h
     up = g.points()[..., 0] > 0
@@ -202,7 +202,7 @@ def test_haar_square_function_constant_detection(grid64, lat64):
 
 
 def test_haar_hardy_norm_runs(grid64, lat64, rng):
-    w = Weight(constant(grid64, 1.0))
+    w = constant(grid64, 1.0)
     b = random_haar_sum(lat64, rng, max_generation=3)
     val = hardy_norm(b, "haar", w, lattice=lat64)
     assert val > 0
@@ -554,7 +554,7 @@ def test_norm_converges_in_time_resolution(rng):
     g = Grid(1, 1.0, 128)
     lat = build_lattice(g, 6)
     b = random_haar_sum(lat, rng, max_generation=3)
-    w = Weight(constant(g, 1.0))
+    w = constant(g, 1.0)
     vals = []
     for M in (8, 16):
         tg = TimeGrid.geometric(g, t_min=2 * g.h, t_max=1.0, steps_per_octave=M)
@@ -580,5 +580,5 @@ def test_gstar_and_hardy_2d(rng):
     S = area_function(f, "qt", ConeSpec("free"), tg)
     Gs = g_star(f, "qt", 6, tg)
     assert np.all(Gs.values >= 2.0 ** -3.0 * S.values * (1 - 1e-6))
-    w = Weight(constant(g, 1.0))
+    w = constant(g, 1.0)
     assert hardy_norm(f, "heat-neumann", w, tg=tg) > 0

@@ -4,18 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from tree_oracles import bmo_deltaN_classical_norm, cell_indices
-from weight_oracles import ap_cube_quotient, conjugate_weight, cube_average, cube_mass, doubling_ratio, lam_conjugate
+from weight_oracles import ap_cube_quotient, conjugate_weight, cube_average, cube_mass, doubling_ratio
 
 from wharm.dyadic import build_lattice, lattice_family
 from wharm.errors import DomainError, ParameterError, RangeError, WeightError
 from wharm.grid import Grid, GridFunction, constant
 from wharm.weights import (
-    Weight,
-    WeightTriple,
     a1_constant,
     ap_constant,
     ap_deltaN_constant,
     ap_quotient_on_box,
+    bloom_weight,
     exp_log_bridge,
     log_weight,
     power_weight,
@@ -29,7 +28,7 @@ GOLDEN_AP_SQRT = 1.3268407394018105
 
 
 def test_ap_of_one_is_one(family64, grid64):
-    w = Weight(constant(grid64, 1.0))
+    w = constant(grid64, 1.0)
     for p in (1.5, 2.0, 3.0):
         assert abs(ap_constant(w, p, family64) - 1.0) <= 1e-14
 
@@ -44,14 +43,14 @@ def test_ap_golden_value_and_oracle():
     for lat in lats:
         for cube in lat.cubes:
             idx = np.ix_(*cell_indices(lat, cube))
-            best = max(best, w.array[idx].mean() * (w.array[idx] ** -1.0).mean())
+            best = max(best, w.values[idx].mean() * (w.values[idx] ** -1.0).mean())
     assert abs(val - best) <= 1e-12 * best
     assert abs(val - GOLDEN_AP_SQRT) <= 1e-12
 
 
 def test_ap_always_at_least_one(rng, family64, grid64):
     for _ in range(10):
-        w = Weight(GridFunction(grid64, np.exp(rng.standard_normal(grid64.shape))))
+        w = GridFunction(grid64, np.exp(rng.standard_normal(grid64.shape)))
         for p in (1.5, 2.0):
             assert ap_constant(w, p, family64) >= 1.0 - 1e-12
 
@@ -69,7 +68,7 @@ def test_ap_and_a1_constants_are_at_least_one(data):
     # |log w| <= 200 (p - 1) keeps w^{-1/(p-1)} and its cube sums finite
     spread = min(3.0, 200.0 * (p - 1.0))
     logs = data.draw(arrays(np.float64, g.shape, elements=st.floats(-1.0, 1.0)))
-    w = Weight(GridFunction(g, np.exp(spread * logs)))
+    w = GridFunction(g, np.exp(spread * logs))
     assert ap_constant(w, p, lats) >= 1.0 - 1e-12
     assert a1_constant(w, lats) >= 1.0 - 1e-12
 
@@ -86,7 +85,7 @@ def test_one_sided_power_quotient_growth():
 
 
 def test_ap_deltaN_of_one_is_two(family64, grid64):
-    w = Weight(constant(grid64, 1.0))
+    w = constant(grid64, 1.0)
     assert abs(ap_deltaN_constant(w, 2.0, family64) - 2.0) <= 1e-14
 
 
@@ -97,7 +96,7 @@ def test_one_sided_power_deltaN_finite_while_classical_grows():
     apn = ap_deltaN_constant(w, 2.0, lats)
     # deltaN quotient is stable across the same growing boxes (5% band)
     up = power_weight(g, 0.5)  # = w_{+,e}, exact cell averages
-    lo = Weight(constant(g, 1.0))  # = w_{-,e}
+    lo = constant(g, 1.0)  # = w_{-,e}
 
     def deltaN_quotient(a):
         return ap_quotient_on_box(up, 2.0, [-a], [a]) + ap_quotient_on_box(lo, 2.0, [-a], [a])
@@ -117,10 +116,10 @@ def test_classical_weight_in_deltaN_class(family64, grid64):
 
 
 def test_doubling_of_lebesgue(grid64):
-    w = Weight(constant(grid64, 1.0))
+    w = constant(grid64, 1.0)
     assert abs(doubling_ratio(w, [-0.25], [0.25]) - 2.0) <= 1e-14
     g2 = Grid(2, 1.0, 16)
-    w2 = Weight(constant(g2, 1.0))
+    w2 = constant(g2, 1.0)
     assert abs(doubling_ratio(w2, [-0.25, -0.25], [0.25, 0.25]) - 4.0) <= 1e-14
 
 
@@ -141,7 +140,7 @@ def test_nondoubling_closed_form_oracle():
 
 
 def test_doubling_out_of_box_raises(grid64):
-    w = Weight(constant(grid64, 1.0))
+    w = constant(grid64, 1.0)
     with pytest.raises(DomainError):
         doubling_ratio(w, [0.5], [0.9])  # 2Q sticks out
 
@@ -152,7 +151,7 @@ def test_bounded_ap_implies_bounded_doubling(rng):
     g = Grid(1, 1.0, 128)
     lats = lattice_family(g, 5)
     for _ in range(5):
-        w = Weight(GridFunction(g, np.exp(0.4 * rng.standard_normal(g.shape))))
+        w = GridFunction(g, np.exp(0.4 * rng.standard_normal(g.shape)))
         if ap_constant(w, 2.0, lats) > 10.0:
             continue
         ratios = []
@@ -165,7 +164,7 @@ def test_bounded_ap_implies_bounded_doubling(rng):
 
 def test_conjugate_weight_cube_identity(rng, grid64):
     lat = build_lattice(grid64, 4)
-    w = Weight(GridFunction(grid64, np.exp(rng.standard_normal(grid64.shape))))
+    w = GridFunction(grid64, np.exp(rng.standard_normal(grid64.shape)))
     for p in (1.5, 2.0, 3.0):
         pp = p / (p - 1.0)
         wc = conjugate_weight(w, p)
@@ -185,36 +184,37 @@ def test_bloom_chain(rng):
     lat = build_lattice(g, 5)
     fitted = 0.0
     for _ in range(10):
-        mu = Weight(GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape))))
-        lam = Weight(GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape))))
-        tr = WeightTriple(mu, lam, 2.0)
-        lamc = lam_conjugate(tr)
+        mu = GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape)))
+        lam = GridFunction(g, np.exp(0.5 * rng.standard_normal(g.shape)))
+        nu = bloom_weight(mu, lam, 2.0)
+        lamc = conjugate_weight(lam, 2.0)
         for cube in lat.cubes:
-            lhs = cube_average(tr.mu, lat, cube) ** 0.5 * cube_average(lamc, lat, cube) ** 0.5
-            rhs = cube_average(tr.nu, lat, cube)
+            lhs = cube_average(mu, lat, cube) ** 0.5 * cube_average(lamc, lat, cube) ** 0.5
+            rhs = cube_average(nu, lat, cube)
             fitted = max(fitted, lhs / rhs)
     assert np.isfinite(fitted)
     assert fitted <= 8.0  # single fitted constant across the suite
 
 
-def test_weight_triple_nu_values(rng, grid64):
-    mu = Weight(GridFunction(grid64, np.exp(rng.standard_normal(grid64.shape))))
-    lam = Weight(GridFunction(grid64, np.exp(rng.standard_normal(grid64.shape))))
-    tr = WeightTriple(mu, lam, 2.5)
-    expect = mu.array ** (1 / 2.5) * lam.array ** (-1 / 2.5)
-    assert np.max(np.abs(tr.nu.array - expect) / expect) <= 1e-14
+def test_bloom_weight_values(rng, grid64):
+    mu = GridFunction(grid64, np.exp(rng.standard_normal(grid64.shape)))
+    lam = GridFunction(grid64, np.exp(rng.standard_normal(grid64.shape)))
+    nu = bloom_weight(mu, lam, 2.5)
+    expect = mu.values ** (1 / 2.5) * lam.values ** (-1 / 2.5)
+    assert nu.grid == grid64
+    assert np.max(np.abs(nu.values - expect) / expect) <= 1e-14
 
 
 def test_exp_log_bridge_trivial(family64, grid64):
     w = exp_log_bridge(constant(grid64, 0.0), 1.0)
-    assert np.all(w.array == 1.0)
+    assert np.all(w.values == 1.0)
     assert abs(ap_deltaN_constant(w, 2.0, family64) - 2.0) <= 1e-14
 
 
 def test_exp_log_round_trip(grid64):
     w = one_sided_power_weight(grid64, 0.5)
     back = exp_log_bridge(log_weight(w), 1.0)
-    assert np.max(np.abs(back.array - w.array) / w.array) <= 1e-12
+    assert np.max(np.abs(back.values - w.values) / w.values) <= 1e-12
 
 
 def test_exp_log_bisection_curve(rng):
@@ -240,11 +240,11 @@ def test_exp_log_bisection_curve(rng):
 
 
 def test_parameter_errors(grid64, family64):
-    w = Weight(constant(grid64, 1.0))
+    w = constant(grid64, 1.0)
     with pytest.raises(ParameterError):
         ap_constant(w, 1.0, family64)
     with pytest.raises(WeightError):
-        Weight(constant(grid64, 0.0))
+        ap_constant(constant(grid64, 0.0), 2.0, family64)
     with pytest.raises(ParameterError):
         exp_log_bridge(constant(grid64, 1.0), -0.5)
     with pytest.raises(RangeError):
@@ -252,23 +252,23 @@ def test_parameter_errors(grid64, family64):
 
 
 def test_a1_constant(grid64, family64):
-    w = Weight(constant(grid64, 2.0))
+    w = constant(grid64, 2.0)
     assert abs(a1_constant(w, family64) - 1.0) <= 1e-14
     w2 = power_weight(grid64, -0.5)  # |x|^{-1/2} is A^1
     assert a1_constant(w2, family64) < 10.0
 
 
 def test_weight_from_spec(grid64, tmp_path, rng):
-    assert np.all(weight_from_spec({"kind": "one"}, grid64).array == 1.0)
-    assert weight_from_spec({"kind": "power", "alpha": 0.5}, grid64).array.min() > 0
-    assert weight_from_spec({"kind": "one-sided-power", "alpha": 0.5}, grid64).array.min() > 0
-    assert weight_from_spec({"kind": "prop33", "alpha": 0.5}, grid64).array.min() > 0
+    assert np.all(weight_from_spec({"kind": "one"}, grid64).values == 1.0)
+    assert weight_from_spec({"kind": "power", "alpha": 0.5}, grid64).values.min() > 0
+    assert weight_from_spec({"kind": "one-sided-power", "alpha": 0.5}, grid64).values.min() > 0
+    assert weight_from_spec({"kind": "prop33", "alpha": 0.5}, grid64).values.min() > 0
     from wharm.grid import save_csv
 
     f = GridFunction(grid64, np.exp(rng.standard_normal(grid64.shape)))
     path = str(tmp_path / "w.csv")
     save_csv(f, path)
-    assert np.array_equal(weight_from_spec({"kind": "grid", "file": path}, grid64).array, f.values)
+    assert np.array_equal(weight_from_spec({"kind": "grid", "file": path}, grid64).values, f.values)
     with pytest.raises(ParameterError):
         weight_from_spec({"kind": "nope"}, grid64)
 
@@ -315,7 +315,7 @@ def test_weight_spec_with_a_wrong_key_or_value_names_it(grid64, spec, key):
 
 def test_weight_spec_integral_alpha_is_its_float(grid64):
     a, b = (weight_from_spec({"kind": "power", "alpha": alpha}, grid64) for alpha in (1, 1.0))
-    assert np.array_equal(a.array, b.array)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_mass_table_consistency(rng):
@@ -324,9 +324,9 @@ def test_mass_table_consistency(rng):
     # family, the shifted ones wrapping around the grid
     for dim, N, depth in ((1, 64, 4), (2, 16, 3)):
         grid = Grid(dim, 1.0, N)
-        w = Weight(GridFunction(grid, np.exp(rng.standard_normal(grid.shape))))
+        w = GridFunction(grid, np.exp(rng.standard_normal(grid.shape)))
         for lat in lattice_family(grid, depth):
-            masses = [cells.sum(axis=-1) * grid.cell_volume for cells in lat.generations(w.array)]
+            masses = [cells.sum(axis=-1) * grid.cell_volume for cells in lat.generations(w.values)]
             for c in lat.cubes:
                 want = cube_mass(w, lat, c)
                 assert abs(masses[c.generation][c.index] - want) <= 1e-12 * want
@@ -339,4 +339,4 @@ def test_exp_bmo_weight_kind(tmp_path, rng, grid64):
     path = str(tmp_path / "b.csv")
     save_csv(b, path)
     w = weight_from_spec({"kind": "exp_bmo", "file": path, "delta": 0.7}, grid64)
-    assert np.max(np.abs(w.array - np.exp(0.7 * b.values))) <= 1e-15
+    assert np.max(np.abs(w.values - np.exp(0.7 * b.values))) <= 1e-15

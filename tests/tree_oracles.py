@@ -38,7 +38,6 @@ from wharm.dyadic import DyadicCube, haar_synthesis, signatures
 from wharm.errors import GridAlignmentError
 from wharm.grid import GridFunction, extensions, weight_cells
 from wharm.sparse import TOL, cz_stopping
-from wharm.weights import as_weight
 
 
 def children(lat, cube):
@@ -159,7 +158,7 @@ def haar_reconstruct(coeffs: dict, lat, base_mean: float) -> GridFunction:
 
 def dyadic_local_bmo(f: GridFunction, lat, q0, w=None) -> float:
     """sup over lattice cubes Q contained in q0 of the mean-deviation functional."""
-    warr = np.ones(f.grid.shape) if w is None else as_weight(w).array
+    warr = np.ones(f.grid.shape) if w is None else w.values
     best = 0.0
     for k in range(q0.generation, lat.max_generation + 1):
         depth = k - q0.generation
