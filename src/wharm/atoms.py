@@ -20,8 +20,11 @@ field carries everything else explicitly (the mean, the unresolved band,
 pieces over cubes that never enter any B_k, and mass clipped outside 3Qbar).
 
 A decomposition holds each atom on its support box 3Qbar only (AtomRecord),
-and its atoms sequence builds the full-grid Atom on access; the atom checks
-run on the box.
+and its atoms sequence builds the full-grid Atom on access.  The level sets
+Omega_k are one boolean stack and the Whitney pieces one stack of rows; the
+atoms whose Qbar share a generation share a box size, so each generation is
+cut, zeroed and checked at once, and only the sums across atoms run atom
+by atom, in sorted (k, id) order.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import DyadicCube, DyadicLattice, lattices_on, weighted_maximal
+from .dyadic import DyadicCube, DyadicLattice, lattices_on, maximal_cells
 from .errors import DecompositionError, ParameterError
 from .grid import Grid, GridFunction, weight_cells
 from .operators import FOURIER, QUADRATURE, apply_scales, free_multipliers, from_spectrum, psi_op, psi_reach, spectrum
@@ -92,32 +95,30 @@ def check_atom(atom: Atom) -> dict:
     """
     g = atom.values.grid
     warr = weight_cells(atom.weight, g)
-    return _check_cells(atom.p, atom.values.values, atom.support, warr, g.cell_volume)
+    return _check_cells(atom.p, atom.values.values[None], atom.support[None], warr[None], g.cell_volume)[0]
 
 
-def _check_cells(p: float, vals: np.ndarray, mask: np.ndarray, warr: np.ndarray, cell_volume: float) -> dict:
-    """check_atom on cell arrays: the atom's values, its support mask and the
-    weight's cells, all of one shape (the full grid, or an atom's support box
-    with an all-true mask)."""
-    support_ok = bool(np.all(vals[~mask] == 0.0))
-    moment = float(np.sum(vals) * cell_volume)
-    tol = 1e-10 * max(float(np.sum(np.abs(vals)) * cell_volume), 1e-300)
-    moment_ok = abs(moment) <= tol
-    norm = float(np.sum(np.abs(vals) ** p * warr) * cell_volume) ** (1.0 / p)
-    wq = float(np.sum(warr[mask]) * cell_volume)
-    bound = wq ** (1.0 / p - 1.0)
-    norm_ok = norm <= bound * (1.0 + 1e-9)
-    return {
-        "support_ok": support_ok,
-        "moment": moment,
-        "moment_tolerance": tol,
-        "moment_ok": moment_ok,
-        "norm": norm,
-        "bound": bound,
-        "norm_ok": bool(norm_ok),
-        "rescale": bound / norm if norm > 0 else math.inf,
-        "ok": bool(support_ok and moment_ok and norm_ok),
-    }
+def _check_cells(p: float, vals: np.ndarray, mask: np.ndarray, warr: np.ndarray, cell_volume: float) -> list:
+    """check_atom on a stack of atoms, one dict per row: their values, support
+    masks and weight cells, all of one shape (A, *cells), each mask holding
+    as many cells (the full grid, or the support boxes with all-true masks).
+    Every sum runs over one row as it would alone; the powers are Python
+    float powers."""
+    rows, axes = len(vals), tuple(range(1, vals.ndim))
+    support = (vals[~mask] == 0.0).reshape(rows, -1).all(axis=1).tolist()
+    moments = (np.sum(vals, axis=axes) * cell_volume).tolist()
+    l1 = (np.sum(np.abs(vals), axis=axes) * cell_volume).tolist()
+    powers = (np.sum(np.abs(vals) ** p * warr, axis=axes) * cell_volume).tolist()
+    masses = (warr[mask].reshape(rows, -1).sum(axis=1) * cell_volume).tolist()
+    checks = []
+    for support_ok, moment, mass_l1, power, wq in zip(support, moments, l1, powers, masses):
+        tol = 1e-10 * max(mass_l1, 1e-300)
+        norm, bound = power ** (1.0 / p), wq ** (1.0 / p - 1.0)
+        moment_ok, norm_ok = abs(moment) <= tol, norm <= bound * (1.0 + 1e-9)
+        checks.append(dict(support_ok=support_ok, moment=moment, moment_tolerance=tol, moment_ok=moment_ok, norm=norm,
+                           bound=bound, norm_ok=norm_ok, rescale=bound / norm if norm > 0 else math.inf,
+                           ok=support_ok and moment_ok and norm_ok))
+    return checks
 
 
 class AtomRecord(NamedTuple):
@@ -177,29 +178,11 @@ class AtomicDecomposition:
         return {"atoms": atoms, "summary": summary}
 
 
-def _support_box(lat: DyadicLattice, cube: DyadicCube) -> tuple:
-    """3Qbar taken modulo the periodic box (unshifted lattice cubes): one
-    increasing cell index array per axis, every cell where 3m >= N.  Increasing,
-    so the box reads its cells in the grid's C order, as a full-grid mask does."""
-    N = lat.grid.points_per_axis
-    m = lat.cells_per_axis(cube.generation)
-    if 3 * m >= N:
-        return (np.arange(N),) * len(cube.index)
-    return tuple(np.sort((i * m - m + np.arange(3 * m)) % N) for i in cube.index)
-
-
 def _cube_ids(lat: DyadicLattice, k: int) -> np.ndarray:
     """Ids of the generation-k cubes, on the cube index axes: 2^(n k) plus the
     C-order position, so ids sort as (generation, index) do."""
     n = lat.grid.dim
     return (1 << (n * k)) + np.arange(1 << (n * k)).reshape((1 << k,) * n)
-
-
-def _cube_of(lat: DyadicLattice, cube_id: int) -> DyadicCube:
-    """The cube of a _cube_ids id."""
-    n = lat.grid.dim
-    k = (cube_id.bit_length() - 1) // n
-    return DyadicCube(k, tuple(int(i) for i in np.unravel_index(cube_id - (1 << (n * k)), (1 << k,) * n)))
 
 
 def _owners(lat: DyadicLattice, assignment: dict) -> dict:
@@ -269,20 +252,23 @@ def _masked_transform(masks: np.ndarray, g: Grid):
 
 def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignment, owners):
     """Whitney pieces of the reproducing formula, bucketed under (k, id of
-    Qbar), and the unassigned remainder.
+    Qbar), as (keys, pieces): the buckets in row order, None for the cubes in
+    no B_k (the unassigned remainder), and the stack of shape
+    (len(keys), *grid.shape) holding each bucket's piece.
 
     The scales of one Whitney slab share one generation's buckets, so a piece
     is summed in the spectral domain: piece = irfft(sum_t m_t rfft(1_key u_t))
     with u_t the qt fields of one apply_scales and m_t the psi multipliers.
     Every bucket owns one row of a spectrum array, numbered in order of first
-    appearance.  _BUCKET_SLICE buckets at a time, at each scale of the slab
-    their masked copies of u_t take one real transform (_masked_transform,
-    on the grid rows they hold) and are added onto their rows; the rows are
-    inverted _BUCKET_SLICE at a time at the end, so the stacked temporaries
-    stay bounded.  psi is the quadrature stencil in 1D and the Fourier
-    multiplier in 2D.  The stencil has compact support, so there each piece
-    is zeroed outside the cells its slabs reach (psi_reach): the clipped
-    mass holds no round-off.
+    appearance.  _BUCKET_SLICE buckets at a time, their rows are gathered
+    once per slab, each scale's masked copies of u_t take one real transform
+    (_masked_transform, on the grid rows they hold) added onto them in
+    place, and the rows are scattered back once.  They are inverted into the
+    stack _BUCKET_SLICE at a time, so the temporaries stay bounded, and the
+    stack takes the spectrum array's own buffer.  psi is the quadrature
+    stencil in 1D and the Fourier multiplier in 2D.  The stencil has compact
+    support, so there each piece is zeroed outside the cells its slabs reach
+    (psi_reach): the clipped mass holds no round-off.
     """
     g = f.grid
     psi_backend = QUADRATURE if g.dim == 1 else FOURIER
@@ -305,19 +291,22 @@ def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignmen
         # every row still sums in increasing order
         for lo in range(0, len(rows), _BUCKET_SLICE):
             batch_rows, transform = rows[lo:lo + _BUCKET_SLICE], _masked_transform(masks[lo:lo + _BUCKET_SLICE], g)
+            rows_sum = spectra[batch_rows]
             for m, u in zip(psi, fields):
                 batch = transform(u)
                 batch *= m
-                spectra[batch_rows] += batch
+                rows_sum += batch
+            spectra[batch_rows] = rows_sum
     weight = tg.log_weight * calderon_constant()
-    pieces = {}
-    keys = list(row)
-    for lo in range(0, len(keys), _BUCKET_SLICE):
-        values = from_spectrum(spectra[lo:lo + _BUCKET_SLICE], g)
-        for i, (key, v) in enumerate(zip(keys[lo:], values), lo):
-            pieces[key] = weight * (np.where(reach[i], v, 0.0) if reach is not None else v)
-    unassigned = pieces.pop(None, np.zeros(g.shape))
-    return pieces, unassigned
+    # a batch's piece rows end before the spectrum rows not yet inverted begin
+    pieces = spectra.view(float).reshape(-1)[:len(row) * math.prod(g.shape)].reshape((len(row),) + g.shape)
+    for lo in range(0, len(row), _BUCKET_SLICE):
+        block = pieces[lo:lo + _BUCKET_SLICE]
+        block[...] = from_spectrum(spectra[lo:lo + _BUCKET_SLICE], g)
+        if reach is not None:
+            block[~reach[lo:lo + _BUCKET_SLICE]] = 0.0
+        block *= weight
+    return list(row), pieces
 
 
 def atomic_decompose(
@@ -350,50 +339,66 @@ def atomic_decompose(
     kmax = int(np.ceil(np.log2(smax)))
     ks = list(range(kmin, kmax + 1))
 
-    h_n = g.cell_volume
-    omega_masks = {k: S.values > 2.0 ** k for k in ks}
+    h_n, n, N = g.cell_volume, g.dim, g.points_per_axis
+    omega = S.values > np.array([2.0 ** k for k in ks]).reshape((-1,) + (1,) * n)
 
     # per-generation assignment: the unique k with the B_k sandwich property,
     # the number of levels whose Omega_k holds more than half of w(Q)
     assignment, masses = {}, {}
     for k_gen, _ in tg.slabs(g, lat.max_generation):
         wq = lat.blocks(warr, k_gen).sum(axis=-1)
-        count = sum(lat.blocks(warr * omega_masks[k], k_gen).sum(axis=-1) > wq / 2.0 for k in ks)
+        count = np.count_nonzero(lat.blocks(warr * omega, k_gen).sum(axis=-1) > wq / 2.0, axis=0)
         assignment[k_gen] = np.where(count > 0, kmin - 1 + count, _UNASSIGNED)
         masses[k_gen] = wq
 
     owners = _owners(lat, assignment)
     maximal = _maximal_counts(lat, assignment, owners)
-    pieces, unassigned = _whitney_pieces(f, lat, tg, assignment, owners)
+    keys, pieces = _whitney_pieces(f, lat, tg, assignment, owners)
 
-    # each piece is fresh: its box values are copied out and the box zeroed in
-    # place, leaving the mass clipped outside 3Qbar
-    records, lams, clipped = [], [], 0.0
+    # the atoms in sorted (k, id of Qbar) order.  The boxes of one generation
+    # of Qbar share their size, so each generation's box values are gathered
+    # from the pieces at once, the boxes zeroed in place (what is left is the
+    # mass clipped outside 3Qbar) and its atoms checked as one stack
+    found = sorted((key, r) for r, key in enumerate(keys) if key is not None)
+    level, ids, rows = np.array([(k, q, r) for (k, q), r in found], dtype=int).reshape(-1, 3).T
+    gens = np.array([(q.bit_length() - 1) // n for q in ids.tolist()], dtype=int)
+    records, lams, checks, terms = ([None] * len(found) for _ in range(4))
+    for k_gen in np.unique(gens).tolist():
+        at = np.flatnonzero(gens == k_gen)
+        index = np.unravel_index(ids[at] - (1 << n * k_gen), (1 << k_gen,) * n)
+        lam = np.array([2.0 ** k * x for k, x in zip(level[at].tolist(), (masses[k_gen][index] * h_n).tolist())])
+        # 3Qbar modulo the periodic box, increasing along each axis (so in the
+        # grid's C order): N consecutive cells where 3m >= N are the whole axis
+        m, shape = lat.cells_per_axis(k_gen), (len(at),) + (1,) * n
+        box = tuple(np.sort((i[:, None] * m - m + np.arange(min(3 * m, N))) % N, axis=1) for i in index)
+        cells = tuple(b.reshape(shape[:a + 1] + (-1,) + shape[a + 2:]) for a, b in enumerate(box))
+        in_pieces = (rows[at].reshape(shape),) + cells
+        local = pieces[in_pieces] / lam.reshape(shape)
+        pieces[in_pieces] = 0.0
+        scaled = lam.reshape(shape) * local
+        stacked = _check_cells(p, local, np.ones(local.shape, dtype=bool), warr[cells], h_n)
+        for j, (i, cube_index) in enumerate(zip(at.tolist(), zip(*(x.tolist() for x in index)))):
+            records[i] = AtomRecord(DyadicCube(k_gen, cube_index), found[i][0][0], tuple(b[j] for b in box), local[j])
+            lams[i], checks[i], terms[i] = float(lam[j]), stacked[j], (tuple(c[j] for c in cells), scaled[j])
+    # the pieces are spent: their absolute values give each row's clipped mass
+    outside = (np.abs(pieces, out=pieces).sum(axis=tuple(range(1, n + 1))) * h_n).tolist()
+    clipped = 0.0
     recon = np.zeros(g.shape)
-    for k, owner in sorted(pieces):
-        qbar, raw = _cube_of(lat, owner), pieces.pop((k, owner))
-        lam = 2.0 ** k * (float(masses[qbar.generation][qbar.index]) * h_n)
-        box = _support_box(lat, qbar)
-        cells = np.ix_(*box)
-        local = raw[cells] / lam
-        raw[cells] = 0.0
-        clipped += float(np.sum(np.abs(raw)) * h_n)
-        recon[cells] += lam * local
-        records.append(AtomRecord(qbar, k, box, local))
-        lams.append(lam)
+    for r, (where, term) in zip(rows.tolist(), terms):
+        clipped += outside[r]
+        recon[where] += term
     residual = GridFunction(g, f.values - recon)
 
     s_l1w = float(np.sum(S.values * warr) * h_n)
     f_l1w = float(np.sum(np.abs(f.values) * warr) * h_n)
     # coefficient chain: sum_k 2^k w(Qbar) <= C sum_k 2^k w(Omega~_k)
     #                                      <= C' sum_k 2^k w(Omega_k) <= C'' ||S f||_{L^1_w}
-    omega_mass = 0.0
-    omega_tilde_mass = 0.0
-    for k in sorted(maximal):
-        om = omega_masks[k]
+    tops = sorted(maximal)
+    top_rows = np.array(tops, dtype=int) - kmin
+    omega_mass = omega_tilde_mass = 0.0
+    for k, om, mt in zip(tops, omega[top_rows], maximal_cells(warr * omega[top_rows], warr, lat) > 0.5):
         omega_mass += 2.0 ** k * float(np.sum(warr[om]) * h_n)
-        mt = weighted_maximal(GridFunction(g, om.astype(float)), warr, lat)
-        omega_tilde_mass += 2.0 ** k * float(np.sum(warr[mt.values > 0.5]) * h_n)
+        omega_tilde_mass += 2.0 ** k * float(np.sum(warr[mt]) * h_n)
     report = {
         "levels": maximal,
         "n_atoms": len(records),
@@ -405,9 +410,7 @@ def atomic_decompose(
         "residual_l1w": float(np.sum(np.abs(residual.values) * warr) * h_n),
         "input_l1w": f_l1w,
         "clipped_mass": clipped,
-        "unassigned_l1": float(np.sum(np.abs(unassigned)) * h_n),
-        "atom_checks": [
-            _check_cells(p, r.local, np.ones(r.local.shape, dtype=bool), warr[np.ix_(*r.box)], h_n) for r in records
-        ],
+        "unassigned_l1": outside[keys.index(None)] if None in keys else 0.0,
+        "atom_checks": checks,
     }
     return AtomicDecomposition(AtomSequence(g, records, p, w), lams, residual, report)

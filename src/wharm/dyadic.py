@@ -38,6 +38,7 @@ coefficients are bit-reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -81,6 +82,8 @@ class DyadicLattice:
         if grid.domain != FULL:
             raise GridAlignmentError("lattices are built over full-space grids")
         N = grid.points_per_axis
+        if not isinstance(max_generation, numbers.Integral) or isinstance(max_generation, bool):
+            raise ParameterError(f"max_generation must be an integer, got {max_generation!r}")
         if max_generation < 0 or N % (1 << max_generation) != 0:
             raise GridAlignmentError(
                 f"2^{max_generation} must divide points_per_axis={N}"
@@ -316,8 +319,13 @@ def weighted_maximal(g: GridFunction, w, lat: DyadicLattice) -> GridFunction:
     """
     lattices_on(lat, g.grid, one=True)
     wv = weight_cells(w, g.grid)
-    num = np.abs(g.values) * wv
-    out = np.zeros(g.grid.shape)
+    return GridFunction(g.grid, maximal_cells(np.abs(g.values) * wv, wv, lat))
+
+
+def maximal_cells(num: np.ndarray, wv: np.ndarray, lat: DyadicLattice) -> np.ndarray:
+    """weighted_maximal on cell arrays, num = |g| wv for the weight's cells wv;
+    leading axes of num (a stack of functions) ride along, each row as alone."""
+    out = np.zeros(num.shape)
     for k, (nums, ws) in enumerate(zip(lat.generations(num), lat.generations(wv))):
         out = np.maximum(out, lat.spread(nums.sum(axis=-1) / ws.sum(axis=-1), k))
-    return GridFunction(g.grid, out)
+    return out

@@ -175,14 +175,18 @@ def weight_cells(w, grid: Grid) -> np.ndarray:
     """The cell array of a weight argument on grid, the one rule by which
     every weighted norm and characteristic reads its weight: None is the
     unit weight; a GridFunction must live on grid itself, and an
-    array needs one value per cell, in grid's shape (DomainError); each
-    value must be positive and finite (WeightError)."""
+    array needs one value per cell, in grid's shape (DomainError); what
+    is no float array, and a value that is not positive and finite, is
+    refused (WeightError)."""
     if w is None:
         return np.ones(grid.shape)
     own = getattr(w, "grid", grid)
     if own != grid:
         raise DomainError(f"a weight on {own} read on {grid}")
-    cells = cell_values(w)
+    try:
+        cells = cell_values(w)
+    except (TypeError, ValueError):
+        raise WeightError(f"cannot read a {type(w).__name__} as a weight") from None
     if cells.shape != grid.shape:
         raise DomainError(f"a weight of shape {cells.shape} on a grid of shape {grid.shape}")
     if not np.all((cells > 0.0) & np.isfinite(cells)):

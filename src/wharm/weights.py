@@ -99,12 +99,15 @@ def ap_deltaN_constant(w, p: float, lattices) -> float:
 # coordinate boxes (not necessarily lattice cubes)
 
 def box_cell_ranges(grid: Grid, lo, hi):
-    """Per-axis [start, stop) cell-index ranges of centers inside the box."""
+    """Per-axis [start, stop) cell-index ranges of centers inside the box,
+    which must lie within the grid's cells (DomainError)."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    ranges = []
+    ranges, edge = [], grid.h / 2.0 + 1e-12 * grid.halfwidth
     for a in range(grid.dim):
         c = grid.axis_coords(a)
+        if not (lo[a] >= c[0] - edge and hi[a] <= c[-1] + edge):
+            raise DomainError(f"the box [{lo[a]}, {hi[a]}] on axis {a} reaches outside the grid")
         start = int(np.searchsorted(c, lo[a]))
         stop = int(np.searchsorted(c, hi[a]))
         ranges.append((start, stop))

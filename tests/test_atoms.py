@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from operator_oracles import qt_op
-from tree_oracles import cell_indices, full_grid_atoms, generation_of_scale, haar_function, parent, reconstruction
+from tree_oracles import cell_indices, cube_of, full_grid_atoms, generation_of_scale, haar_function, parent, reconstruction
 from tree_oracles import mask as cube_mask
 from weight_oracles import cube_mass
 
@@ -279,6 +279,19 @@ def _per_bucket_pieces(f, lat, tg, assignment, owners):
     return pieces, unassigned
 
 
+def _as_rows(pieces, unassigned):
+    """The (keys, stack) of atoms._whitney_pieces from a dict of pieces and
+    the unassigned remainder, which is the row of the key None."""
+    return list(pieces) + [None], np.stack(list(pieces.values()) + [unassigned])
+
+
+def _by_key(whitney):
+    """atoms._whitney_pieces' (keys, stack) as ({(k, id of Qbar): piece},
+    the unassigned remainder or None)."""
+    pieces = dict(zip(*whitney))
+    return pieces, pieces.pop(None, None)
+
+
 def _assert_close(a, b, where):
     if isinstance(a, dict):
         assert a.keys() == b.keys(), where
@@ -335,7 +348,7 @@ def test_batched_pieces_match_the_per_bucket_oracle(dim, N, max_gen, psi_backend
     got = atomic_decompose(f, w, lat, tg)
     # a generation with more buckets than one psi batch holds, so the slicing is run
     assert max(map(len, keys)) > atoms._BUCKET_SLICE
-    monkeypatch.setattr(atoms, "_whitney_pieces", _per_bucket_pieces)
+    monkeypatch.setattr(atoms, "_whitney_pieces", lambda *args: _as_rows(*_per_bucket_pieces(*args)))
     want = atomic_decompose(f, w, lat, tg)
     _assert_close(got.coefficients, want.coefficients, "coefficients")
     _assert_field_close(got.residual.values, want.residual.values, "residual")
@@ -364,7 +377,7 @@ def test_unassigned_cubes_ride_in_the_psi_batches(dim, N, max_gen, psi_backend):
         even = np.indices((1 << k,) * dim).sum(axis=0) % 2 == 0
         assignment[k] = np.where(even, 0, atoms._UNASSIGNED)
         owners[k] = np.where(even, atoms._cube_ids(lat, k), -1)
-    got_pieces, got_rest = atoms._whitney_pieces(f, lat, tg, assignment, owners)
+    got_pieces, got_rest = _by_key(atoms._whitney_pieces(f, lat, tg, assignment, owners))
     want_pieces, want_rest = _per_bucket_pieces(f, lat, tg, assignment, owners)
     assert np.any(want_rest)
     _assert_field_close(got_rest, want_rest, "unassigned")
@@ -406,9 +419,9 @@ def test_whitney_pieces_are_bit_identical_to_the_full_transform(monkeypatch):
         means = lat.blocks(S, k).mean(axis=-1)
         assignment[k] = np.where(means >= np.median(means), np.floor(np.log2(means)).astype(int), atoms._UNASSIGNED)
     owners = atoms._owners(lat, assignment)
-    got, got_rest = atoms._whitney_pieces(f, lat, tg, assignment, owners)
+    got, got_rest = _by_key(atoms._whitney_pieces(f, lat, tg, assignment, owners))
     monkeypatch.setattr(atoms, "_masked_transform", lambda masks, g: lambda u: spectrum(np.where(masks, u, 0.0), g))
-    want, want_rest = atoms._whitney_pieces(f, lat, tg, assignment, owners)
+    want, want_rest = _by_key(atoms._whitney_pieces(f, lat, tg, assignment, owners))
     assert len(want) > atoms._BUCKET_SLICE and got.keys() == want.keys()
     assert np.any(want_rest) and np.array_equal(got_rest, want_rest)
     assert all(np.array_equal(got[key], want[key]) for key in want)
@@ -463,16 +476,16 @@ def _assert_owners_match_the_climb(lat, assignment):
         ids = atoms._cube_ids(lat, k_gen)
         for idx in np.ndindex(levels.shape):
             cube, k = DyadicCube(k_gen, idx), int(levels[idx])
-            assert atoms._cube_of(lat, int(ids[idx])) == cube
+            assert cube_of(lat, int(ids[idx])) == cube
             if k <= atoms._UNASSIGNED:
                 assert owners[k_gen][idx] == -1
                 continue
-            owner = atoms._cube_of(lat, int(owners[k_gen][idx]))
+            owner = cube_of(lat, int(owners[k_gen][idx]))
             assert owner == cube_bucket[(k, cube)]
             assert (owner == cube) == (cube in maximal[k])
         keys, labels = atoms._bucket_labels(lat, k_gen, levels, owners[k_gen])
         want = _climb_bucket_keys(levels, k_gen, cube_bucket)
-        assert [None if key is None else (key[0], atoms._cube_of(lat, key[1])) for key in keys] == want
+        assert [None if key is None else (key[0], cube_of(lat, key[1])) for key in keys] == want
         # every cell carries its cube's bucket
         for idx in np.ndindex(levels.shape):
             cell = tuple(i * lat.cells_per_axis(k_gen) for i in idx)
@@ -512,7 +525,7 @@ def test_owner_skips_a_parent_outside_the_level():
     lat = build_lattice(Grid(1, 1.0, 8), 3)
     assignment = {0: np.array([0]), 1: np.array([1, U]), 2: np.array([0, U, 1, U])}
     owners, counts = _assert_owners_match_the_climb(lat, assignment)
-    assert atoms._cube_of(lat, int(owners[2][0])) == DyadicCube(0, (0,))
+    assert cube_of(lat, int(owners[2][0])) == DyadicCube(0, (0,))
     assert counts == {0: 1, 1: 2}
 
 
@@ -535,9 +548,9 @@ def _decompose_with_oracle(f, w, lat, tg, monkeypatch):
     recorded, pieces = [], atoms._whitney_pieces
 
     def recording(*args):
-        out = pieces(*args)
-        recorded.append({key: v.copy() for key, v in out[0].items()})
-        return out
+        keys, stack = pieces(*args)
+        recorded.append({key: v.copy() for key, v in zip(keys, stack) if key is not None})
+        return keys, stack
 
     monkeypatch.setattr(atoms, "_whitney_pieces", recording)
     dec = atomic_decompose(f, w, lat, tg)

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import numpy as np
@@ -48,6 +49,18 @@ def test_shift_is_one_label_or_one_per_axis():
     for shift in (("third",), "bogus", ("none", "bogus"), ("third", "none", "none"), 1):
         with pytest.raises(ParameterError, match="shift"):
             build_lattice(g, 3, shift)
+
+
+def test_max_generation_is_an_integer():
+    # True built a 3-cube lattice of generation True, and 2.5 raised a raw
+    # TypeError from 1 << 2.5
+    g = Grid(1, 1.0, 16)
+    for bad in (True, False, 2.5, 2.0, "2", None, np.float64(2.0)):
+        with pytest.raises(ParameterError, match="max_generation"):
+            build_lattice(g, bad)
+    # an integer read from JSON and a numpy integer build the same lattice
+    assert build_lattice(g, json.loads("2")).cubes == build_lattice(g, np.int64(2)).cubes
+    assert len(build_lattice(g, np.int32(2)).cubes) == 7
 
 
 def test_alignment_error():

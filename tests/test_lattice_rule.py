@@ -39,6 +39,7 @@ TG = TimeGrid.geometric(GRID)
 OWN_GRID = {
     "dyadic.haar_generation": "reads a cell array in the shape of the lattice's own grid",
     "dyadic.haar_synthesis": "writes a cell array in the shape of the lattice's own grid",
+    "dyadic.maximal_cells": "reads cell arrays in the shape of the lattice's own grid",
     "dyadic.random_haar_sums": "draws on the lattice's grid and reads its weight there (grid.weight_cells)",
     "dyadic.random_haar_sum": "draws on the lattice's grid and reads its weight there (grid.weight_cells)",
     "sparse.SparseCollection": "a collection lives on its lattice",

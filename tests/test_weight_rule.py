@@ -120,6 +120,15 @@ def entries():
     return calls
 
 
+@pytest.mark.parametrize("other", [{"kind": "one"}, "one", [1.0, "x"]], ids=["spec", "str", "mixed"])
+def test_every_entry_refuses_what_is_no_float_array(entries, other):
+    # a weight spec passed for its weight raised a raw TypeError, a string a
+    # raw ValueError
+    for name, _, call in entries:
+        with pytest.raises(WeightError, match=f"cannot read a {type(other).__name__} as a weight"):
+            call(other)
+
+
 @pytest.mark.parametrize("bad", list(BAD))
 def test_every_entry_rejects_a_bad_weight_alike(entries, bad):
     make, error = BAD[bad]

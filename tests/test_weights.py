@@ -84,6 +84,23 @@ def test_one_sided_power_quotient_growth():
     assert qs[-1] / qs[0] > 1.5
 
 
+def test_quotient_box_must_lie_within_the_grid():
+    # [-5, 5] on a grid of halfwidth 1 was clipped to the grid and returned
+    # the whole grid's quotient, 1.21259791332209
+    g = Grid(1, 1.0, 16)
+    w = power_weight(g, 0.5)
+    whole = ap_quotient_on_box(w, 2.0, [-1.0], [1.0])
+    assert whole == 1.21259791332209
+    for lo, hi in ((-5.0, 5.0), (-1.0, 1.01), (-1.01, 0.5), (np.nan, 0.5)):
+        with pytest.raises(DomainError, match="reaches outside the grid"):
+            ap_quotient_on_box(w, 2.0, [lo], [hi])
+    # a box equal to the grid's extent stays valid, in 2D and on a wide grid
+    wide = Grid(2, 64.0, 64)
+    assert ap_quotient_on_box(constant(wide, 2.0), 2.0, [-64.0, -64.0], [64.0, 64.0]) == 1.0
+    with pytest.raises(DomainError, match="axis 1"):
+        ap_quotient_on_box(constant(wide, 2.0), 2.0, [-64.0, -64.0], [64.0, 65.0])
+
+
 def test_ap_deltaN_of_one_is_two(family64, grid64):
     w = constant(grid64, 1.0)
     assert abs(ap_deltaN_constant(w, 2.0, family64) - 2.0) <= 1e-14

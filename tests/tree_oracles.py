@@ -15,7 +15,12 @@ Calderon-Zygmund good part of a BMO function) and reconstruction (an atomic
 decomposition summed back).  full_grid_atoms builds a decomposition's atoms
 as the library did before it held them on their support boxes: each atom a
 full-grid array and a full-grid support mask (support_mask, 3Qbar modulo the
-periodic box), checked on the full grid.
+periodic box), checked on the full grid.  box_atoms_by_atom cuts them onto
+their boxes one atom at a time, as the library did before it cut and checked
+a generation of atoms at once: cube_of reads an atom's cube from its id,
+support_box its box, and check_cells is the scalar atom check on one atom's
+cells.  omega_sums_by_level takes the level sets' masses one level at a
+time, each Omega~_k from its own weighted_maximal.
 
 The per-cube geometry lives here too, for the tests that index one cube of
 the full grid: cell_indices (a cube's wrapped cell indices per axis),
@@ -28,13 +33,14 @@ its kids), greedy_by_cube (the greedy Carleson fill, one cube at a time),
 verify_by_cube, carleson_constant_by_cube and sparse_apply_by_cube.
 """
 
+import math
 from itertools import product
 
 import numpy as np
 
-from wharm.atoms import Atom, _cube_of, check_atom
+from wharm.atoms import Atom, AtomRecord, check_atom
 from wharm.bmo import _classical_sup, _mean_deviation
-from wharm.dyadic import DyadicCube, haar_synthesis, signatures
+from wharm.dyadic import DyadicCube, haar_synthesis, signatures, weighted_maximal
 from wharm.errors import GridAlignmentError
 from wharm.grid import GridFunction, extensions, weight_cells
 from wharm.sparse import TOL, cz_stopping
@@ -223,7 +229,7 @@ def full_grid_atoms(f: GridFunction, w, lat, pieces: dict, report: dict, p: floa
     warr, h_n = weight_cells(w, g), g.cell_volume
     atoms, lams, clipped = [], [], 0.0
     for k, owner in sorted(pieces):
-        qbar, raw = _cube_of(lat, owner), pieces[(k, owner)]
+        qbar, raw = cube_of(lat, owner), pieces[(k, owner)]
         lam = 2.0 ** k * (float(lat.blocks(warr, qbar.generation).sum(axis=-1)[qbar.index]) * h_n)
         keep = support_mask(lat, qbar)
         vals = np.where(keep, raw, 0.0)
@@ -243,6 +249,93 @@ def full_grid_atoms(f: GridFunction, w, lat, pieces: dict, report: dict, p: floa
         "atom_checks": [check_atom(a) for a in atoms],
     }
     return atoms, lams, residual, report
+
+
+def cube_of(lat, cube_id: int) -> DyadicCube:
+    """The cube of an atoms._cube_ids id: 2^(n k) plus the C-order position."""
+    n = lat.grid.dim
+    k = (cube_id.bit_length() - 1) // n
+    return DyadicCube(k, tuple(int(i) for i in np.unravel_index(cube_id - (1 << (n * k)), (1 << k,) * n)))
+
+
+def support_box(lat, cube) -> tuple:
+    """3Qbar taken modulo the periodic box (unshifted lattice cubes): one
+    increasing cell index array per axis, every cell where 3m >= N."""
+    N = lat.grid.points_per_axis
+    m = lat.cells_per_axis(cube.generation)
+    if 3 * m >= N:
+        return (np.arange(N),) * len(cube.index)
+    return tuple(np.sort((i * m - m + np.arange(3 * m)) % N) for i in cube.index)
+
+
+def check_cells(p: float, vals, mask, warr, cell_volume: float) -> dict:
+    """check_atom on one atom's cell arrays, all of one shape."""
+    support_ok = bool(np.all(vals[~mask] == 0.0))
+    moment = float(np.sum(vals) * cell_volume)
+    tol = 1e-10 * max(float(np.sum(np.abs(vals)) * cell_volume), 1e-300)
+    moment_ok = abs(moment) <= tol
+    norm = float(np.sum(np.abs(vals) ** p * warr) * cell_volume) ** (1.0 / p)
+    wq = float(np.sum(warr[mask]) * cell_volume)
+    bound = wq ** (1.0 / p - 1.0)
+    norm_ok = norm <= bound * (1.0 + 1e-9)
+    return {
+        "support_ok": support_ok,
+        "moment": moment,
+        "moment_tolerance": tol,
+        "moment_ok": moment_ok,
+        "norm": norm,
+        "bound": bound,
+        "norm_ok": bool(norm_ok),
+        "rescale": bound / norm if norm > 0 else math.inf,
+        "ok": bool(support_ok and moment_ok and norm_ok),
+    }
+
+
+def box_atoms_by_atom(f: GridFunction, w, lat, pieces: dict, p: float = 2.0):
+    """(records, coefficients, residual, report entries) of atomic_decompose
+    from its Whitney pieces {(k, id of Qbar) or None: field}, one atom at a
+    time in sorted (k, id) order: the piece's box values copied out and
+    divided by 2^k w(Qbar), the box zeroed in a copy of the piece, whose
+    absolute sum is the clipped mass, the atom's term added onto the
+    reconstruction and the atom checked on its box by check_cells."""
+    g = f.grid
+    warr, h_n = weight_cells(w, g), g.cell_volume
+    records, lams, checks, clipped = [], [], [], 0.0
+    recon = np.zeros(g.shape)
+    for k, owner in sorted(key for key in pieces if key is not None):
+        qbar, raw = cube_of(lat, owner), pieces[(k, owner)].copy()
+        lam = 2.0 ** k * (float(lat.blocks(warr, qbar.generation).sum(axis=-1)[qbar.index]) * h_n)
+        box = support_box(lat, qbar)
+        cells = np.ix_(*box)
+        local = raw[cells] / lam
+        raw[cells] = 0.0
+        clipped += float(np.sum(np.abs(raw)) * h_n)
+        recon[cells] += lam * local
+        records.append(AtomRecord(qbar, k, box, local))
+        lams.append(lam)
+        checks.append(check_cells(p, local, np.ones(local.shape, dtype=bool), warr[cells], h_n))
+    unassigned = pieces.get(None, np.zeros(g.shape))
+    report = {
+        "n_atoms": len(records),
+        "clipped_mass": clipped,
+        "unassigned_l1": float(np.sum(np.abs(unassigned)) * h_n),
+        "atom_checks": checks,
+    }
+    return records, lams, GridFunction(g, f.values - recon), report
+
+
+def omega_sums_by_level(S: GridFunction, w, lat, levels) -> tuple:
+    """(sum_k 2^k w(Omega_k), sum_k 2^k w(Omega~_k)) over levels, Omega_k =
+    {S > 2^k} and Omega~_k = {M_w 1_{Omega_k} > 1/2}, one level at a time."""
+    g = S.grid
+    warr, h_n = weight_cells(w, g), g.cell_volume
+    omega_mass = omega_tilde_mass = 0.0
+    for k in levels:
+        om = S.values > 2.0 ** k
+        omega_mass += 2.0 ** k * float(np.sum(warr[om]) * h_n)
+        mt = weighted_maximal(GridFunction(g, om.astype(float)), warr, lat)
+        omega_tilde_mass += 2.0 ** k * float(np.sum(warr[mt.values > 0.5]) * h_n)
+    return omega_mass, omega_tilde_mass
 
 
 def recursion_by_cube(children_rule, lat, q0, alpha):
