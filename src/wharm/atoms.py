@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dyadic import DyadicCube, DyadicLattice, lattices_on, maximal_cells
-from .errors import DecompositionError, ParameterError
-from .grid import Grid, GridFunction, weight_cells
+from .errors import DecompositionError, DomainError, ParameterError
+from .grid import Grid, GridFunction, checked_p, weight_cells
 from .operators import FOURIER, QUADRATURE, apply_scales, free_multipliers, from_spectrum, psi_op, psi_reach, spectrum
 from .squarefn import ConeSpec, TimeGrid, area_function
 
@@ -91,11 +91,14 @@ def check_atom(atom: Atom) -> dict:
     (1) support inside the declared box (exact mask);
     (2) mean zero: sum a h^n = 0 within 1e-10 ||a||_1;
     (3) ||a||_{L^p_w} <= w(box)^{1/p - 1} (1 + 1e-9), w the atom's weight,
-    read by grid.weight_cells.
+    read by grid.weight_cells, and p by grid.checked_p.
+    The support must be a boolean array of the grid's shape (DomainError).
     """
-    g = atom.values.grid
+    g, support = atom.values.grid, atom.support
+    if not (isinstance(support, np.ndarray) and support.dtype == bool and support.shape == g.shape):
+        raise DomainError(f"an atom's support must be a boolean array of shape {g.shape}, got {support!r:.60}")
     warr = weight_cells(atom.weight, g)
-    return _check_cells(atom.p, atom.values.values[None], atom.support[None], warr[None], g.cell_volume)[0]
+    return _check_cells(checked_p(atom.p), atom.values.values[None], support[None], warr[None], g.cell_volume)[0]
 
 
 def _check_cells(p: float, vals: np.ndarray, mask: np.ndarray, warr: np.ndarray, cell_volume: float) -> list:
@@ -309,24 +312,21 @@ def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignmen
     return list(row), pieces
 
 
-def atomic_decompose(
-    f: GridFunction,
-    w,
-    lat: DyadicLattice,
-    tg: TimeGrid = None,
-    p: float = 2.0,
-) -> AtomicDecomposition:
+def atomic_decompose(f: GridFunction, w, lat: DyadicLattice, tg: TimeGrid = None,
+                     p: float = 2.0) -> AtomicDecomposition:
     """Level-set atomic decomposition of f against the weight w, read by
     grid.weight_cells (None is the unit weight), over the unshifted lattice
     lat on f's grid (dyadic.lattices_on).
 
-    Atoms are (1,p,0)-atoms supported in 3Qbar; coefficients are 2^k w(Qbar).
-    Raises DecompositionError when the square function vanishes identically.
+    Atoms are (1,p,0)-atoms supported in 3Qbar, p read by grid.checked_p;
+    coefficients are 2^k w(Qbar).  Raises DecompositionError when the square
+    function vanishes identically.
     """
     g = f.grid
     lattices_on(lat, g, one=True)
     if any(s != 0 for s in lat.shift_cells):
         raise ParameterError("use the unshifted lattice for the decomposition")
+    checked_p(p)
     warr = weight_cells(w, g)
     tg = tg or TimeGrid.geometric(g)
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .dyadic import haar_generation, lattices_on, split_blocks
 from .errors import DomainError, ParameterError, RangeError
-from .grid import FULL, GridFunction, checked_p, extensions, weight_cells
+from .grid import FULL, GridFunction, checked_p, extensions, function_cells, weight_cells
 from .operators import apply_scales
 from .squarefn import TimeGrid
 
@@ -167,7 +167,8 @@ def _carleson_heat(values: np.ndarray, grid, warr: np.ndarray, lats: list, tg: T
 
 def bmo_norms(values, grid, w, flavor: str, lattices, r: float = 2.0, tg: TimeGrid = None) -> np.ndarray:
     """BMO-type norms of every row of a stack of functions on grid, values of
-    shape (S, *grid.shape), in one weight w: an array of S norms.
+    shape (S, *grid.shape) read by grid.function_cells, in one weight w: an
+    array of S norms.
 
     classical-w     sup_Q w(Q)^{-1} int_Q |f - <f>_Q|
     classical-wr    (sup_Q w(Q)^{-1} int_Q |f - <f>_Q|^r w^{1-r})^{1/r}
@@ -183,9 +184,7 @@ def bmo_norms(values, grid, w, flavor: str, lattices, r: float = 2.0, tg: TimeGr
     The lattices are read by dyadic.lattices_on on grid itself, or on its
     full grid for the half flavors, whose functions are extended to it.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape[1:] != grid.shape:
-        raise DomainError(f"a stack of shape {values.shape} does not hold functions on {grid.shape}")
+    values = function_cells(values, grid, stack=True)
     warr = weight_cells(w, grid)
     lats = lattices_on(lattices, grid.with_domain(FULL) if flavor in HALF_FLAVORS else grid)
     if flavor == "classical-w":
@@ -224,21 +223,19 @@ def bmo_deltaN_sides_norms(values: np.ndarray, grid, w, lattices, tg: TimeGrid =
     """For each row of a stack of full-space functions, ||f_{+,e}|| and
     ||f_{-,e}|| in the free-Laplacian Carleson norm with the matching
     even-extended weights, as two arrays; their sum is equivalent to the
-    Neumann norm."""
+    Neumann norm.  The stack is read by grid.function_cells."""
     if grid.domain != FULL:
         raise DomainError("the sides' even extensions are taken of a full-space function")
     wm, wp = extensions(weight_cells(w, grid), grid, 1.0)
-    fm, fp = extensions(np.asarray(values, dtype=float), grid, 1.0)
-    return (
-        bmo_norms(fp, grid, wp, "carleson-heat-free", lattices, tg=tg),
-        bmo_norms(fm, grid, wm, "carleson-heat-free", lattices, tg=tg),
-    )
+    fm, fp = extensions(function_cells(values, grid, stack=True), grid, 1.0)
+    return (bmo_norms(fp, grid, wp, "carleson-heat-free", lattices, tg=tg),
+            bmo_norms(fm, grid, wm, "carleson-heat-free", lattices, tg=tg))
 
 
 def john_nirenberg_report(symbols, grid, weights, p: float, r: float, lattices) -> dict:
     """rho = ||b||_{w,r} / ||b||_w for every row b of the stack symbols, of
-    shape (S, *grid.shape), in the weight w = weights[i % len(weights)] of its
-    row i, plus the A^p-based predictor.
+    shape (S, *grid.shape) read by grid.function_cells, in the weight
+    w = weights[i % len(weights)] of its row i, plus the A^p-based predictor.
 
     Asserts rho >= 1 (Hoelder, exact for cell sums) and reports the fitted
     constant max rho / [w]_{A^p}^{max(1, 1/(p-1))}.  Each weight's rows are
@@ -252,7 +249,7 @@ def john_nirenberg_report(symbols, grid, weights, p: float, r: float, lattices) 
         raise ParameterError("John-Nirenberg needs 1 <= r <= p'")
     if not weights:
         raise ParameterError("John-Nirenberg needs at least one weight")
-    symbols, count = np.asarray(symbols, dtype=float), len(weights)
+    symbols, count = function_cells(symbols, grid, stack=True), len(weights)
     rows = [{"skipped": "constant symbol"} for _ in symbols]
     for j, w in enumerate(weights):
         stack = symbols[j::count]

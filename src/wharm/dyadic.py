@@ -38,7 +38,6 @@ coefficients are bit-reproducible.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -46,7 +45,7 @@ from itertools import product
 import numpy as np
 
 from .errors import GridAlignmentError, ParameterError
-from .grid import FULL, Grid, GridFunction, weight_cells
+from .grid import FULL, Grid, GridFunction, is_integer, weight_cells
 
 SHIFT_NAMES = {"none": 0, "third": 1, "two_thirds": 2}
 
@@ -82,12 +81,10 @@ class DyadicLattice:
         if grid.domain != FULL:
             raise GridAlignmentError("lattices are built over full-space grids")
         N = grid.points_per_axis
-        if not isinstance(max_generation, numbers.Integral) or isinstance(max_generation, bool):
+        if not is_integer(max_generation):
             raise ParameterError(f"max_generation must be an integer, got {max_generation!r}")
         if max_generation < 0 or N % (1 << max_generation) != 0:
-            raise GridAlignmentError(
-                f"2^{max_generation} must divide points_per_axis={N}"
-            )
+            raise GridAlignmentError(f"2^{max_generation} must divide points_per_axis={N}")
         self.grid = grid
         self.max_generation = max_generation
         if shift is None:
@@ -98,9 +95,7 @@ class DyadicLattice:
         if len(labels) != grid.dim or not all(isinstance(s, str) and s in SHIFT_NAMES for s in labels):
             raise ParameterError(f"shift is one label or {grid.dim} labels of {list(SHIFT_NAMES)}, got {shift!r}")
         self.shift_labels = labels
-        self.shift_cells = tuple(
-            SHIFT_NAMES[s] * (N // 3) for s in self.shift_labels
-        )
+        self.shift_cells = tuple(SHIFT_NAMES[s] * (N // 3) for s in self.shift_labels)
 
     @cached_property
     def cubes(self) -> list:

@@ -7,6 +7,9 @@ x -> (x', -x_n) are exact index operations (the last axis is x_n).
 One primitive, extensions, builds every extension across x_n = 0: those of
 the sides a grid holds, in storage order (Grid.sides), in one buffer, which
 the quadrature reflections and the Delta_N objects of bmo and weights read.
+Entries read function values by one rule, function_cells (one function or
+a stack of them, finite, on the entry's grid), and weights by another,
+weight_cells (None or positive cells).
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ UPPER = "upper"
 LOWER = "lower"
 
 
-def _is_int(x) -> bool:
+def is_integer(x) -> bool:
+    """x is an integer and no bool, the test of every integer argument."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
@@ -46,9 +50,9 @@ def checked_config(cfg, defaults: dict, owner: str) -> dict:
     checked = {}
     for key, value in cfg.items():
         default = defaults[key]
-        if default is None or _is_int(default):
+        if default is None or is_integer(default):
             low = 0 if key == "seed" else 1
-            kind, ok = f"an integer >= {low}", _is_int(value) and value >= low
+            kind, ok = f"an integer >= {low}", is_integer(value) and value >= low
         elif isinstance(default, bool):
             kind, ok = "a JSON boolean", isinstance(value, bool)
         elif isinstance(default, float):
@@ -88,9 +92,9 @@ class Grid:
 
     def __post_init__(self):
         # the sizes may come from a file: a float 8.0 or a nan must not pass
-        if not _is_int(self.dim) or self.dim not in (1, 2):
+        if not is_integer(self.dim) or self.dim not in (1, 2):
             raise ParameterError(f"dim must be 1 or 2, got {self.dim!r}")
-        if not _is_int(self.points_per_axis) or self.points_per_axis % 2 != 0 or self.points_per_axis <= 0:
+        if not is_integer(self.points_per_axis) or self.points_per_axis % 2 != 0 or self.points_per_axis <= 0:
             raise ParameterError(f"points_per_axis must be a positive even integer, got {self.points_per_axis!r}")
         if not isinstance(self.halfwidth, numbers.Real) or not math.isfinite(self.halfwidth) or self.halfwidth <= 0:
             raise ParameterError(f"halfwidth must be finite and positive, got {self.halfwidth!r}")
@@ -147,13 +151,7 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise DomainError(
-                f"values shape {self.values.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("grid function contains non-finite values")
+        self.values = function_cells(self.values, self.grid)
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
@@ -163,35 +161,43 @@ def constant(grid: Grid, c: float) -> GridFunction:
     return GridFunction(grid, np.full(grid.shape, float(c)))
 
 
-def cell_values(x) -> np.ndarray:
-    """The cell array of a weight-like argument: a GridFunction's .values,
-    anything else as a float array."""
+def function_cells(x, grid: Grid, stack: bool = False) -> np.ndarray:
+    """The cell array of a function argument on grid, the one rule by which
+    every entry reads function values: a GridFunction on grid itself, or what
+    np.asarray reads as a float array of grid's shape; with stack, a stack of
+    functions, one leading axis (S, *grid.shape).  A function on another grid
+    or where a stack is due, what is no float array, a wrong shape and a
+    non-finite cell are refused (DomainError)."""
     if isinstance(x, GridFunction):
-        return x.values
-    return np.asarray(x, dtype=float)
+        if stack or x.grid != grid:
+            raise DomainError(f"a function on {x.grid} read {'as a stack ' * stack}on {grid}")
+        x = x.values
+    try:
+        cells = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"cannot read a {type(x).__name__} as function values") from None
+    if cells.shape[stack:] != grid.shape:
+        raise DomainError(f"values of shape {cells.shape} read {'as a stack ' * stack}on a grid of shape {grid.shape}")
+    if not np.all(np.isfinite(cells)):
+        raise DomainError("function values must be finite in every cell")
+    return cells
 
 
 def weight_cells(w, grid: Grid) -> np.ndarray:
     """The cell array of a weight argument on grid, the one rule by which
     every weighted norm and characteristic reads its weight: None is the
-    unit weight; a GridFunction must live on grid itself, and an
-    array needs one value per cell, in grid's shape (DomainError); what
-    is no float array, and a value that is not positive and finite, is
-    refused (WeightError)."""
+    unit weight; what is no float array, and a value that is not positive
+    and finite, is refused (WeightError); else w is a function on grid, read
+    by function_cells (DomainError for another grid or a wrong shape)."""
     if w is None:
         return np.ones(grid.shape)
-    own = getattr(w, "grid", grid)
-    if own != grid:
-        raise DomainError(f"a weight on {own} read on {grid}")
     try:
-        cells = cell_values(w)
+        cells = np.asarray(w.values if isinstance(w, GridFunction) else w, dtype=float)
     except (TypeError, ValueError):
         raise WeightError(f"cannot read a {type(w).__name__} as a weight") from None
-    if cells.shape != grid.shape:
-        raise DomainError(f"a weight of shape {cells.shape} on a grid of shape {grid.shape}")
     if not np.all((cells > 0.0) & np.isfinite(cells)):
         raise WeightError("a weight must be positive and finite in every cell")
-    return cells
+    return function_cells(w, grid)
 
 
 def restrict(f: GridFunction, side: str) -> GridFunction:

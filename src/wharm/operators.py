@@ -132,7 +132,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BackendError, DomainError, ParameterError, RangeError, SizeError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, checked_p, extensions, weight_cells
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, checked_p, extensions, function_cells, weight_cells
 from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil
 
 DENSE_POINT_CAP = 4096
@@ -517,18 +517,16 @@ def _operator_maps(op: OperatorHandle, grid: Grid, ts=None):
     commutator is row 0 of _commutator_maps on its symbol alone.
     """
     if op.kind == "commutator":
-        return _commutator_maps(op.b.values[None], op.inner, grid)(0)
+        return _commutator_maps(function_cells(op.b, grid)[None], op.inner, grid)(0)
     forward, adjoint, parity = _maps(op, grid, ts)
     return forward, (adjoint if parity > 0 else lambda u: -adjoint(u))
 
 
 def _commutator_maps(symbols: np.ndarray, inner: OperatorHandle, grid: Grid):
     """maps(rows): ([b, T], [b, T]^T) of the rows (an index array or one
-    index) of symbols, a stack (S, *grid.shape), for the Riesz handle T =
-    inner.  T has parity -1, so [b, T]^T = [b, -T^T] is the commutator map
-    of T's M* and makes no negation pass."""
-    if symbols.shape[1:] != grid.shape:
-        raise DomainError("commutator symbols and argument live on different grids")
+    index) of symbols, a stack (S, *grid.shape) that grid.function_cells has
+    read, for the Riesz handle T = inner.  T has parity -1, so [b, T]^T =
+    [b, -T^T] is the commutator map of T's M* and makes no negation pass."""
     if inner.kind != "riesz":
         raise ParameterError("commutator inner handle must be a Riesz transform")
     forward, adjoint, _ = _maps(inner, grid)
@@ -570,7 +568,8 @@ def apply_scales(kind: str, family: str, ts, f, beta: int = 0, grid: Grid = None
     apply(OperatorHandle(kind, family, t=ts[i], beta=beta), f) on the
     Fourier backend: f, or its sides gathered at half length, is transformed once and
     every t's multiplier is one stack under one batched inverse transform.
-    With grid, f is a stack of values (S, *grid.shape) and the fields have
+    With grid, f is a stack of values (S, *grid.shape), read by
+    grid.function_cells, and the fields have
     shape (len(ts), S, *grid.shape); each row equals its own call bit for bit.
     The stack holds len(ts) complex half spectra and real fields, so callers
     pass one octave of scales at a time.
@@ -582,7 +581,7 @@ def apply_scales(kind: str, family: str, ts, f, beta: int = 0, grid: Grid = None
         raise ParameterError(f"{kind} needs a nonempty 1D list of finite scales t > 0")
     # the handle checks the family; the scales themselves come from ts
     op = OperatorHandle(kind, family, t=float(ts[0]), beta=beta)
-    values, grid = (f.values, f.grid) if grid is None else (f, grid)
+    values, grid = (f.values, f.grid) if grid is None else (function_cells(f, grid, stack=True), grid)
     return _operator_maps(op, grid, ts)[0](values)
 
 
@@ -595,7 +594,7 @@ def assemble_matrix(op: OperatorHandle, grid: Grid) -> np.ndarray:
     if npts > DENSE_POINT_CAP:
         raise SizeError(f"{npts} points exceed the dense cap {DENSE_POINT_CAP}")
     if op.kind == "commutator":
-        return commutator_matrix(op.b.values, assemble_matrix(op.inner, grid))
+        return commutator_matrix(function_cells(op.b, grid), assemble_matrix(op.inner, grid))
     cols = np.empty((npts, npts))
     basis = np.zeros(grid.shape)
     flat = basis.reshape(-1)
@@ -838,17 +837,10 @@ def _norms(maps, zero: np.ndarray, grid: Grid, mu, lam, p: float, seed: int):
     return out, everyone
 
 
-def _constant(symbols: np.ndarray) -> np.ndarray:
-    """Which rows of a stack of symbols are constant, so that their
-    commutators are exactly zero."""
-    flat = symbols.reshape(len(symbols), -1)
-    return np.all(flat == flat[:, :1], axis=1)
-
-
 def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=None, seed: int = 0, p: float = 2.0):
     """||[b, T]||_{L^p_mu -> L^p_lam} for every row b of symbols, a stack of
-    shape (S, *grid.shape), and the Riesz handle T = inner: (array of S norms,
-    list of S certificates).
+    shape (S, *grid.shape) read by grid.function_cells, and the Riesz handle
+    T = inner: (array of S norms, list of S certificates).
 
     At p = 2 the norms are top singular values by lockstep Golub-Kahan-Lanczos
     bidiagonalization (_lockstep_norms), at any other p certified lower bounds
@@ -856,8 +848,11 @@ def commutator_norms(symbols, inner: OperatorHandle, grid: Grid, mu=None, lam=No
     one batched commutator product per step serves every row of a block.  A
     constant symbol gives the zero operator: norm exactly 0.0, no iteration.
     """
-    symbols = np.asarray(symbols, dtype=float)
-    return _norms(_commutator_maps(symbols, inner, grid), _constant(symbols), grid, mu, lam, p, seed)
+    symbols = function_cells(symbols, grid, stack=True)
+    flat = symbols.reshape(len(symbols), -1)
+    # the rows of constant symbols, whose commutators are exactly zero
+    constant = np.all(flat == flat[:, :1], axis=1)
+    return _norms(_commutator_maps(symbols, inner, grid), constant, grid, mu, lam, p, seed)
 
 
 def weighted_operator_norm(op: OperatorHandle, grid: Grid, mu=None, lam=None, p: float = 2.0, seed: int = 0):
@@ -870,11 +865,11 @@ def weighted_operator_norm(op: OperatorHandle, grid: Grid, mu=None, lam=None, p:
     commutator_norms on one row.  At any other p: Boyd's power method on the
     p-duality map from _RESTARTS random starts, a certified lower bound on
     the discrete norm.  Both use only products with M and M^T.  A commutator
-    handle is commutator_norms on a stack of its one symbol, so a constant
-    symbol gives norm 0.0.
+    handle is commutator_norms on a stack of its one symbol, read on grid,
+    so a constant symbol gives norm 0.0.
     """
     if op.kind == "commutator":
-        norms, certs = commutator_norms(op.b.values[None], op.inner, grid, mu, lam, seed=seed, p=p)
+        norms, certs = commutator_norms(function_cells(op.b, grid)[None], op.inner, grid, mu, lam, seed=seed, p=p)
     else:
         maps = _operator_maps(op, grid)
         norms, certs = _norms(lambda ops: maps, np.zeros(1, dtype=bool), grid, mu, lam, p, seed)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dyadic import DyadicCube, DyadicLattice, lattices_on, split_blocks
 from .errors import ParameterError, SparsityError
-from .grid import GridFunction, cell_values
+from .grid import GridFunction, function_cells
 
 # relative tolerance of carrier masses against eta |Q| and of cell totals against 1
 TOL = 1e-9
@@ -55,13 +55,13 @@ def cz_stopping(dens, lat: DyadicLattice, q0: DyadicCube, alpha: float) -> Stopp
     cuts them (means equal the block means of the whole density bit for bit),
     coarsest first, with a mask of the cubes with a passing ancestor below
     q0; each generation's passing cubes outside the mask are selected, in
-    (generation, index) order.  dens holds one finite value per cell of lat's
-    grid (DomainError), and a GridFunction lives on that grid (lattices_on).
+    (generation, index) order.  dens is read on lat's grid by
+    grid.function_cells, and a GridFunction lives on that grid (lattices_on).
     """
     if alpha <= 1.0:
         raise ParameterError("cz_stopping needs alpha > 1")
     lattices_on(lat, getattr(dens, "grid", None), one=True)
-    density = np.abs(GridFunction(lat.grid, cell_values(dens)).values)
+    density = np.abs(function_cells(dens, lat.grid))
     dim, m = lat.grid.dim, lat.cells_per_axis(q0.generation)
     block = lat.blocks(density, q0.generation)[q0.index].reshape((m,) * dim)
     base = float(block.mean())

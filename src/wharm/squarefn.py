@@ -33,7 +33,7 @@ import numpy as np
 
 from .dyadic import DyadicLattice, haar_generation, lattices_on
 from .errors import BackendError, ParameterError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, join_sides, restrict, weight_cells
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, is_integer, join_sides, restrict, weight_cells
 from .operators import apply_scales
 
 
@@ -182,10 +182,13 @@ def _cone_integral(f: GridFunction, e, tg: TimeGrid, sums) -> GridFunction:
 
 
 def _generator(generator):
-    """(kind, beta) of a square-function generator: "qt" or ("phi", beta)."""
+    """(kind, beta) of a square-function generator: "qt" or ("phi", beta),
+    beta an integer >= 0."""
     if generator == "qt":
         return "qt", 0
-    if isinstance(generator, tuple) and generator[0] == "phi":
+    if isinstance(generator, tuple) and generator[:1] == ("phi",):
+        if not (len(generator) == 2 and is_integer(generator[1]) and generator[1] >= 0):
+            raise ParameterError(f"phi and classical take one integer order beta >= 0, got {generator[1:]!r}")
         return "phi", int(generator[1])
     raise ParameterError(f"unknown square-function generator {generator!r}")
 
@@ -218,11 +221,14 @@ def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> G
 
 
 def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) -> GridFunction:
-    """g*-type maximal square function with weight (t/(t+|x-y|))^lambda_exponent."""
+    """g*-type maximal square function with weight (t/(t+|x-y|))^lambda_exponent,
+    lambda_exponent an integer >= 1."""
     g = h_fn.grid
     if g.domain != FULL:
         raise BackendError("g* is evaluated on full-space data")
     kind, beta = _generator(generator)
+    if not (is_integer(lambda_exponent) and lambda_exponent >= 1):
+        raise ParameterError(f"the g* exponent lambda must be an integer >= 1, got {lambda_exponent!r}")
 
     def sums(u, ts, weights):
         return _radial_sums(apply_scales(kind, "free", ts, u, beta=beta) ** 2, g, ts, weights, int(lambda_exponent))
@@ -261,7 +267,8 @@ def haar_square_function(f: GridFunction, lat: DyadicLattice) -> GridFunction:
 def hardy_norm(f: GridFunction, flavor, w, tg: TimeGrid = None, lattice: DyadicLattice = None) -> float:
     """||S(f)||_{L^1_w} for the selected square-function flavor.
 
-    flavor: "heat-free" | "heat-neumann" | ("classical", beta) | "haar".
+    flavor: "heat-free" | "heat-neumann" | ("classical", beta) | "haar", beta
+    an integer >= 0.
     w: None (the unit weight), a GridFunction or a cell array, read
     by grid.weight_cells: one positive finite value per cell of f's grid, or
     DomainError for a wrong shape or another grid and WeightError for a bad
@@ -277,8 +284,8 @@ def hardy_norm(f: GridFunction, flavor, w, tg: TimeGrid = None, lattice: DyadicL
             S = area_function(f, "qt", ConeSpec("free"), tg)
         elif flavor == "heat-neumann":
             S = area_function(f, "qt", ConeSpec("neumann"), tg)
-        elif isinstance(flavor, tuple) and flavor[0] == "classical":
-            S = area_function(f, ("phi", int(flavor[1])), ConeSpec("free"), tg)
+        elif isinstance(flavor, tuple) and flavor[:1] == ("classical",):
+            S = area_function(f, ("phi",) + flavor[1:], ConeSpec("free"), tg)
         else:
             raise ParameterError(f"unknown hardy flavor {flavor!r}")
     return float(np.sum(S.values * warr) * f.grid.cell_volume)

@@ -33,7 +33,7 @@ from scipy.sparse.linalg import LinearOperator, svds
 from tree_oracles import mask
 
 from wharm.errors import DomainError, ParameterError
-from wharm.grid import FULL, GridFunction, cell_values, extensions, weight_cells
+from wharm.grid import FULL, GridFunction, extensions, weight_cells
 from wharm.kernels import (
     HEAT_FAMILIES,
     RIESZ_FAMILIES,
@@ -219,7 +219,7 @@ def dense_weighted_norm(M: np.ndarray, mu=None, lam=None) -> float:
     dense SVD of the matrix M on flattened values; mu and lam are None (the
     unit weight) or weights with their cells in any shape."""
     def flat(w):
-        return np.ones(M.shape[1]) if w is None else np.ravel(cell_values(w))
+        return np.ones(M.shape[1]) if w is None else np.ravel(getattr(w, "values", w))
 
     sqrt_lam = np.sqrt(flat(lam))
     inv_sqrt_mu = 1.0 / np.sqrt(flat(mu))

@@ -10,7 +10,7 @@ from weight_oracles import cube_mass
 from wharm import atoms
 from wharm.atoms import Atom, atomic_decompose, calderon_constant, check_atom
 from wharm.dyadic import DyadicCube, build_lattice, random_haar_sum
-from wharm.errors import DecompositionError
+from wharm.errors import DecompositionError, DomainError
 from wharm.grid import Grid, GridFunction, constant
 from wharm.kernels import psi_multiplier
 from wharm.operators import apply, psi_op, spectrum
@@ -69,6 +69,21 @@ def test_support_violation_detected(grid64):
     vals[5] = -1.0
     rep = check_atom(_atom_from_values(grid64, vals, mask))
     assert not rep["support_ok"]
+
+
+@pytest.mark.parametrize("support", ["int", "float", "short", "2d"])
+def test_check_atom_refuses_a_support_that_is_no_boolean_mask_of_the_grid(grid64, support):
+    # an integer 0/1 mask was read as fancy indices and gave a wrong bound or
+    # a raw IndexError; a float mask ended in a raw TypeError
+    mask = np.zeros(grid64.shape, dtype=bool)
+    mask[:32] = True
+    vals = np.where(mask, 1.0, 0.0)
+    vals[16:32] = -1.0
+    assert check_atom(_atom_from_values(grid64, vals, mask))["ok"]
+    bad = {"int": mask.astype(int), "float": mask.astype(float), "short": mask[:48],
+           "2d": np.ones(grid64.shape * 2, dtype=bool)}[support]
+    with pytest.raises(DomainError, match="boolean array"):
+        check_atom(_atom_from_values(grid64, vals, bad))
 
 
 def test_decompose_zero_raises(grid64):

@@ -33,7 +33,7 @@ from wharm.dyadic import (
     random_haar_sum,
 )
 from wharm.errors import ParameterError, SparsityError
-from wharm.grid import Grid, GridFunction, cell_values, constant
+from wharm.grid import Grid, GridFunction, constant, function_cells
 from wharm.sparse import (
     build_sparse_from_recursion,
     carleson_to_sparse,
@@ -48,7 +48,7 @@ def _cz_stopping_walk(dens, lat, q0, alpha):
     """Oracle for cz_stopping: a stack walk over the children from q0 that
     selects a passing cube and descends below the others.  Returns the
     selected cubes in (generation, index) order, their averages and q0's."""
-    means = generation_means(np.abs(cell_values(dens)), lat)
+    means = generation_means(np.abs(function_cells(dens, lat.grid)), lat)
 
     def avg(cube):
         return float(means[cube.generation][cube.index])

@@ -582,3 +582,25 @@ def test_gstar_and_hardy_2d(rng):
     assert np.all(Gs.values >= 2.0 ** -3.0 * S.values * (1 - 1e-6))
     w = constant(g, 1.0)
     assert hardy_norm(f, "heat-neumann", w, tg=tg) > 0
+
+
+@pytest.mark.parametrize("beta", [1.7, True, -3, None], ids=["1.7", "True", "-3", "missing"])
+def test_a_classical_order_is_an_integer_at_least_zero(tg256, rng, beta):
+    # 1.7 and True gave the beta = 1 norm, -3 a misleading non-finite error
+    # and a missing order a raw IndexError
+    g, tg = tg256
+    f = GridFunction(g, rng.standard_normal(g.shape))
+    flavor = ("classical",) if beta is None else ("classical", beta)
+    with pytest.raises(ParameterError, match="integer order beta"):
+        hardy_norm(f, flavor, None, tg=tg)
+    assert hardy_norm(f, ("classical", np.int64(1)), None, tg=tg) == hardy_norm(f, ("classical", 1), None, tg=tg)
+
+
+@pytest.mark.parametrize("lam", [2.9, 0.5, 0, True], ids=["2.9", "0.5", "0", "True"])
+def test_a_g_star_exponent_is_an_integer_at_least_one(tg256, rng, lam):
+    # 2.9 computed lambda = 2 and 0.5 lambda = 0
+    g, tg = tg256
+    f = GridFunction(g, rng.standard_normal(g.shape))
+    with pytest.raises(ParameterError, match="exponent lambda"):
+        g_star(f, "qt", lam, tg)
+    assert np.array_equal(g_star(f, "qt", np.int64(2), tg).values, g_star(f, "qt", 2, tg).values)
