@@ -36,7 +36,7 @@ import numpy as np
 
 from .dyadic import haar_generation, lattices_on, split_blocks
 from .errors import DomainError, ParameterError, RangeError
-from .grid import FULL, GridFunction, checked_p, extensions, function_cells, weight_cells
+from .grid import FULL, GridFunction, checked_p, extensions, function_cells, scalar, weight_cells
 from .operators import apply_scales
 from .squarefn import TimeGrid
 
@@ -46,11 +46,17 @@ HALF_FLAVORS = ("unweighted-half", "odd-ext-half", "even-ext-half")
 
 
 def _mean_deviation(v: np.ndarray, wv: np.ndarray, r=None) -> np.ndarray:
-    """The weighted mean-deviation functional of each block of a block view."""
+    """The weighted mean-deviation functional of each block of a block view;
+    RangeError when a large r overflows a power (whose inf * 0 is a NaN that
+    _row_max would skip as a cube outside the domain)."""
     dev = np.abs(v - v.mean(axis=-1, keepdims=True))
     if r is None:
         return dev.sum(axis=-1) / wv.sum(axis=-1)
-    return ((dev ** r * wv ** (1.0 - r)).sum(axis=-1) / wv.sum(axis=-1)) ** (1.0 / r)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return ((dev ** r * wv ** (1.0 - r)).sum(axis=-1) / wv.sum(axis=-1)) ** (1.0 / r)
+    except FloatingPointError:
+        raise RangeError(f"the mean deviations at r = {r!r} left the floating-point range") from None
 
 
 def _row_max(q: np.ndarray) -> np.ndarray:
@@ -180,18 +186,17 @@ def bmo_norms(values, grid, w, flavor: str, lattices, r: float = 2.0, tg: TimeGr
 
     The rows share every lattice scan and every batched apply, and each row's
     norm equals its bmo_norm bit for bit.  w is read by grid.weight_cells
-    (None is the unit weight); the unweighted flavors check it and ignore it.
+    (None is the unit weight) and r (>= 1) by grid.scalar; the flavors that
+    do not use them check them and ignore them.
     The lattices are read by dyadic.lattices_on on grid itself, or on its
     full grid for the half flavors, whose functions are extended to it.
     """
-    values = function_cells(values, grid, stack=True)
+    values, r = function_cells(values, grid, stack=True), scalar("r", r, 1)
     warr = weight_cells(w, grid)
     lats = lattices_on(lattices, grid.with_domain(FULL) if flavor in HALF_FLAVORS else grid)
     if flavor == "classical-w":
         return _classical_sup(values, warr, lats)
     if flavor == "classical-wr":
-        if r < 1.0:
-            raise ParameterError("classical-wr needs r >= 1")
         return _classical_sup(values, warr, lats, r=r)
     if flavor == "carleson-haar":
         return _carleson_haar(values, grid, warr, lats)
@@ -244,9 +249,8 @@ def john_nirenberg_report(symbols, grid, weights, p: float, r: float, lattices) 
     """
     from .weights import ap_constant
 
-    checked_p(p)
-    if not 1.0 <= r <= p / (p - 1.0) + 1e-12:
-        raise ParameterError("John-Nirenberg needs 1 <= r <= p'")
+    # r may reach p' up to its rounding
+    scalar("r", r, 1, checked_p(p) / (p - 1.0) + 1e-12)
     if not weights:
         raise ParameterError("John-Nirenberg needs at least one weight")
     symbols, count = function_cells(symbols, grid, stack=True), len(weights)

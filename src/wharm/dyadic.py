@@ -45,7 +45,7 @@ from itertools import product
 import numpy as np
 
 from .errors import GridAlignmentError, ParameterError
-from .grid import FULL, Grid, GridFunction, is_integer, weight_cells
+from .grid import FULL, Grid, GridFunction, scalar, weight_cells
 
 SHIFT_NAMES = {"none": 0, "third": 1, "two_thirds": 2}
 
@@ -81,9 +81,8 @@ class DyadicLattice:
         if grid.domain != FULL:
             raise GridAlignmentError("lattices are built over full-space grids")
         N = grid.points_per_axis
-        if not is_integer(max_generation):
-            raise ParameterError(f"max_generation must be an integer, got {max_generation!r}")
-        if max_generation < 0 or N % (1 << max_generation) != 0:
+        # a generation past N's bit length divides nothing: no huge shift is built
+        if scalar("max_generation", max_generation, 0, integer=True) > int(N).bit_length() or N % (1 << max_generation):
             raise GridAlignmentError(f"2^{max_generation} must divide points_per_axis={N}")
         self.grid = grid
         self.max_generation = max_generation
@@ -273,7 +272,8 @@ def random_haar_sums(lat: DyadicLattice, rng, count: int, weight=None, max_gener
 
     Each coefficient is a standard normal times sqrt|Q| <weight>_Q (times
     sqrt|Q| without a weight); weight is read on the lattice's grid by
-    grid.weight_cells.  All coefficients are one draw with a row per sum,
+    grid.weight_cells, and count (>= 0) and max_generation (None or >= 0)
+    by grid.scalar.  All coefficients are one draw with a row per sum,
     in the order (generation, cube index, signature): the stream of count
     successive random_haar_sum calls, which leaves rng in the same state.
     Each generation's std is computed once, and one haar_synthesis call per
@@ -281,7 +281,9 @@ def random_haar_sums(lat: DyadicLattice, rng, count: int, weight=None, max_gener
     """
     g = lat.grid
     wcells = None if weight is None else weight_cells(weight, g)
-    top = lat.max_generation if max_generation is None else min(max_generation, lat.max_generation)
+    scalar("count", count, 0, integer=True)
+    top = lat.max_generation if max_generation is None else min(
+        scalar("max_generation", max_generation, 0, integer=True), lat.max_generation)
     shapes = [(1 << k,) * g.dim + (len(signatures(g.dim)),) for k in range(top)]
     sizes = [math.prod(shape) for shape in shapes]
     draws = np.split(rng.standard_normal((count, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)

@@ -8,8 +8,9 @@ One primitive, extensions, builds every extension across x_n = 0: those of
 the sides a grid holds, in storage order (Grid.sides), in one buffer, which
 the quadrature reflections and the Delta_N objects of bmo and weights read.
 Entries read function values by one rule, function_cells (one function or
-a stack of them, finite, on the entry's grid), and weights by another,
-weight_cells (None or positive cells).
+a stack of them, finite, on the entry's grid), weights by another,
+weight_cells (None or positive cells), and every real or integer parameter
+by a third, scalar (finite, no bool, inside the entry's bounds).
 """
 
 from __future__ import annotations
@@ -29,19 +30,29 @@ UPPER = "upper"
 LOWER = "lower"
 
 
-def is_integer(x) -> bool:
-    """x is an integer and no bool, the test of every integer argument."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+def scalar(name: str, x, low=-math.inf, high=math.inf, strict: bool = False, integer: bool = False):
+    """x itself when it is an admissible value of the parameter name, the one
+    rule by which every entry reads a real or integer argument: a real number
+    a float holds (no NaN, no inf, no integer past the largest float), or with
+    integer a Python or numpy integer, never a bool, with low <= x <= high
+    (low < x when strict).  Else ParameterError naming the parameter, its
+    bounds and x."""
+    if not isinstance(x, numbers.Integral if integer else numbers.Real) or isinstance(x, bool):
+        raise ParameterError(f"{name} must be {'an integer' if integer else 'a real number'}, got {name} = {x!r}")
+    if not ((low < x if strict else low <= x) and x <= high and (integer or abs(x) <= sys.float_info.max)):
+        bounds = f"lie in {'(' if strict else '['}{low}, {high}{']' if high < math.inf else ')'}"
+        raise ParameterError(f"{name} must {'be finite' if -low == high == math.inf else bounds}, got {name} = {x!r}")
+    return x
 
 
 def checked_config(cfg, defaults: dict, owner: str) -> dict:
     """The values of a config file's object cfg for owner, whose keys and
     their defaults are defaults: a key owner does not take is refused, and a
     value must have its default's type.  An integer (a None default stands
-    for one) is a JSON integer, at least 0 for a seed and 1 for any other; a
-    float is any finite real number but a bool (json.load reads NaN and
-    Infinity), and comes back as a float; a list is
-    a nonempty JSON list; a flag is a JSON boolean and a string a string."""
+    for one) is read by scalar, at least 0 for a seed and 1 for any other; a
+    float is any real number scalar reads (json.load reads NaN and Infinity),
+    and comes back as a float; a list is a nonempty JSON list; a flag is a
+    JSON boolean and a string a string."""
     if not isinstance(cfg, dict):
         raise ParameterError(f"{owner} needs a JSON object, got {cfg!r}")
     unknown = ", ".join(repr(key) for key in sorted(set(cfg) - set(defaults)))
@@ -50,31 +61,24 @@ def checked_config(cfg, defaults: dict, owner: str) -> dict:
     checked = {}
     for key, value in cfg.items():
         default = defaults[key]
-        if default is None or is_integer(default):
-            low = 0 if key == "seed" else 1
-            kind, ok = f"an integer >= {low}", is_integer(value) and value >= low
-        elif isinstance(default, bool):
-            kind, ok = "a JSON boolean", isinstance(value, bool)
+        if default is None or type(default) is int:
+            value = scalar(key, value, 0 if key == "seed" else 1, integer=True)
         elif isinstance(default, float):
-            kind, ok = "a real number", isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if ok and not math.isfinite(value):
-                kind, ok = "finite", False
-        elif isinstance(default, (list, tuple)):
-            kind, ok = "a nonempty list", isinstance(value, list) and len(value) > 0
-        else:
-            kind, ok = "a string", isinstance(value, str)
-        if not ok:
-            raise ParameterError(f"{key} must be {kind}, got {value!r}")
-        checked[key] = float(value) if isinstance(default, float) else value
+            value = float(scalar(key, value))
+        elif isinstance(default, bool) and not isinstance(value, bool):
+            raise ParameterError(f"{key} must be a JSON boolean, got {value!r}")
+        elif isinstance(default, (list, tuple)) and not (isinstance(value, list) and len(value) > 0):
+            raise ParameterError(f"{key} must be a nonempty list, got {value!r}")
+        elif isinstance(default, str) and not isinstance(value, str):
+            raise ParameterError(f"{key} must be a string, got {value!r}")
+        checked[key] = value
     return checked
 
 
 def checked_p(p) -> float:
     """p itself when it is a real number in (1, inf), the one rule for the
-    exponent p of every norm, characteristic and report; else ParameterError."""
-    if not (isinstance(p, numbers.Real) and 1.0 < p < math.inf):
-        raise ParameterError(f"p must lie in (1, inf), got p = {p!r}")
-    return p
+    exponent p of every norm, characteristic and report: scalar at p > 1."""
+    return scalar("p", p, 1, strict=True)
 
 
 @dataclass(frozen=True)
@@ -92,12 +96,10 @@ class Grid:
 
     def __post_init__(self):
         # the sizes may come from a file: a float 8.0 or a nan must not pass
-        if not is_integer(self.dim) or self.dim not in (1, 2):
-            raise ParameterError(f"dim must be 1 or 2, got {self.dim!r}")
-        if not is_integer(self.points_per_axis) or self.points_per_axis % 2 != 0 or self.points_per_axis <= 0:
-            raise ParameterError(f"points_per_axis must be a positive even integer, got {self.points_per_axis!r}")
-        if not isinstance(self.halfwidth, numbers.Real) or not math.isfinite(self.halfwidth) or self.halfwidth <= 0:
-            raise ParameterError(f"halfwidth must be finite and positive, got {self.halfwidth!r}")
+        scalar("dim", self.dim, 1, 2, integer=True)
+        if scalar("points_per_axis", self.points_per_axis, 2, integer=True) % 2 != 0:
+            raise ParameterError(f"points_per_axis must be even, got {self.points_per_axis!r}")
+        scalar("halfwidth", self.halfwidth, 0, strict=True)
         # the kernels and time scales square h and 2L: both squares must be normal floats
         h, span = 2.0 * self.halfwidth / self.points_per_axis, 2.0 * self.halfwidth
         if not (h * h >= sys.float_info.min and span * span <= sys.float_info.max):

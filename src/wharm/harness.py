@@ -29,7 +29,7 @@ import numpy as np
 from . import bmo as bmo_mod
 from .dyadic import lattice_family, random_haar_sums
 from .errors import ParameterError, RangeError
-from .grid import Grid, GridFunction, checked_config, restrict
+from .grid import Grid, GridFunction, checked_config, restrict, scalar
 from .operators import commutator, commutator_norms, riesz, weighted_operator_norm
 from .squarefn import TimeGrid
 from .weights import ap_constant_per_lattice, ap_deltaN_constant, ap_quotient_on_box, bloom_weight, weight_from_spec
@@ -175,9 +175,8 @@ def run_riesz_ap_characterization(dim=1, halfwidth=1.0, points_per_axis=256, max
     """Co-divergence of ||R_{N,l}||_{L^2_w} and the Neumann A^2 characteristic.
 
     The Riesz norms are top singular values, so the experiment runs at p = 2
-    only: any other p would pair A^p constants with L^2 norms."""
-    if p != 2.0:
-        raise ParameterError(f"riesz-ap computes its Riesz norms at p = 2 only, got p = {p!r}")
+    only (grid.scalar): any other p would pair A^p constants with L^2 norms."""
+    scalar("p", p, 2.0, 2.0)
     grid = Grid(dim, halfwidth, points_per_axis)
     lattices = lattice_family(grid, max_generation)
     R = riesz("neumann", grid.dim)

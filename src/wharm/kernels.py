@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SingularityError
+from .grid import scalar
 
 HEAT_FAMILIES = ("heat-free", "heat-neumann", "heat-dirichlet")
 RIESZ_FAMILIES = ("riesz-free", "riesz-neumann", "riesz-dirichlet")
@@ -33,7 +34,7 @@ def riesz_normalization(n: int) -> float:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family selector; t for heat/qt families, j for Riesz components."""
+    """Kernel family selector; t > 0 for heat/qt families, j in 1..dim for Riesz (grid.scalar)."""
 
     family: str
     dim: int
@@ -41,12 +42,11 @@ class KernelSpec:
     j: int = None
 
     def __post_init__(self):
+        scalar("dim", self.dim, 1, 2, integer=True)
         if self.family in HEAT_FAMILIES or self.family == "qt":
-            if self.t is None or self.t <= 0:
-                raise ParameterError(f"{self.family} needs t > 0")
+            scalar("t", self.t, 0, strict=True)
         if self.family in RIESZ_FAMILIES:
-            if self.j is None or not (1 <= self.j <= self.dim):
-                raise ParameterError(f"{self.family} needs 1 <= j <= {self.dim}")
+            scalar("j", self.j, 1, self.dim, integer=True)
         if self.family not in HEAT_FAMILIES + RIESZ_FAMILIES + ("qt",):
             raise ParameterError(f"unknown kernel family {self.family!r}")
 
@@ -134,8 +134,7 @@ def psi_stencil(t: float, h: float) -> np.ndarray:
     per-cell averages keep the compact support (radius t + h/2) and the
     exact zero total mass.
     """
-    if t <= 0:
-        raise ParameterError("t must be positive")
+    scalar("t", t, 0, strict=True)
     radius = int(math.ceil((t + 0.5 * h) / h))
     edges = (np.arange(-radius, radius + 1)[:, None] + np.array([[-0.5, 0.5]])) * h
 

@@ -132,7 +132,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BackendError, DomainError, ParameterError, RangeError, SizeError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, checked_p, extensions, function_cells, weight_cells
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, checked_p, extensions, function_cells, scalar, weight_cells
 from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil
 
 DENSE_POINT_CAP = 4096
@@ -159,7 +159,7 @@ class OperatorHandle:
 
     kind: semigroup | qt | psi | phi | riesz | commutator
     family: free | neumann | dirichlet (for semigroup/qt/riesz)
-    t: time/scale parameter; j: Riesz component; beta: phi moment order
+    t > 0: time/scale; j >= 1: Riesz component; beta >= 0: phi order (grid.scalar)
     b: symbol of a commutator; inner: the commuted handle (a Riesz one).
     """
 
@@ -173,14 +173,13 @@ class OperatorHandle:
     inner: object = None
 
     def __post_init__(self):
-        if self.kind in ("semigroup", "qt", "psi", "phi") and (self.t is None or not 0 < self.t < np.inf):
-            raise ParameterError(f"{self.kind} needs a finite t > 0, got {self.t!r}")
-        if self.kind == "riesz" and self.j is None:
-            raise ParameterError("riesz needs a component index j")
-        if self.kind == "commutator" and (self.b is None or self.inner is None):
-            raise ParameterError("commutator needs b and an inner handle")
-        if self.kind == "commutator" and self.inner.kind != "riesz":
-            raise ParameterError("commutator inner handle must be a Riesz transform")
+        if self.kind in ("semigroup", "qt", "psi", "phi"):
+            scalar("t", self.t, 0, strict=True)
+        if self.kind == "riesz":
+            scalar("j", self.j, 1, integer=True)
+        scalar("beta", self.beta, 0, integer=True)
+        if self.kind == "commutator" and (self.b is None or getattr(self.inner, "kind", None) != "riesz"):
+            raise ParameterError("commutator needs b and a Riesz inner handle")
         if self.backend not in (FOURIER, QUADRATURE):
             raise BackendError(f"unknown backend {self.backend!r}")
         if self.kind in ("psi", "phi") and self.family != "free":
@@ -310,9 +309,10 @@ def _scales(op: OperatorHandle, grid: Grid, ts) -> tuple:
     """The scales of op's multiplier stack as a cache key: the floats of ts
     (default op.t alone), None for Riesz, whose component must lie in
     1..grid.dim."""
-    if op.kind == "riesz" and not 1 <= op.j <= grid.dim:
-        raise ParameterError(f"Riesz component j = {op.j} outside 1..{grid.dim}")
-    return None if op.kind == "riesz" else tuple(float(t) for t in ([op.t] if ts is None else ts))
+    if op.kind == "riesz":
+        scalar("j", op.j, 1, grid.dim, integer=True)
+        return None
+    return tuple(float(t) for t in ([op.t] if ts is None else ts))
 
 
 def _kernel_table(op: OperatorHandle, grid: Grid) -> np.ndarray:
@@ -819,10 +819,11 @@ def _norms(maps, zero: np.ndarray, grid: Grid, mu, lam, p: float, seed: int):
     zero: norm 0.0 and the zero-operator certificate, no iteration.  The
     others run in lockstep, and p picks how: at p = 2 top singular values by
     _lockstep_norms (method "svd"), at any other p certified lower bounds by
-    _lockstep_ascent (method "ascent").  p is read by grid.checked_p, and mu
-    and lam by grid.weight_cells.
+    _lockstep_ascent (method "ascent").  p is read by grid.checked_p, seed
+    (>= 0) by grid.scalar, and mu and lam by grid.weight_cells.
     """
     method = "svd" if checked_p(p) == 2.0 else "ascent"
+    scalar("seed", seed, 0, integer=True)
     live = np.flatnonzero(~zero)
     args = (lambda rows: maps(live[rows]), len(live), grid.shape, weight_cells(mu, grid), weight_cells(lam, grid))
     if method == "svd":

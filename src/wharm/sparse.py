@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicCube, DyadicLattice, lattices_on, split_blocks
-from .errors import ParameterError, SparsityError
-from .grid import GridFunction, function_cells
+from .errors import SparsityError
+from .grid import GridFunction, function_cells, scalar
 
 # relative tolerance of carrier masses against eta |Q| and of cell totals against 1
 TOL = 1e-9
@@ -56,11 +56,12 @@ def cz_stopping(dens, lat: DyadicLattice, q0: DyadicCube, alpha: float) -> Stopp
     coarsest first, with a mask of the cubes with a passing ancestor below
     q0; each generation's passing cubes outside the mask are selected, in
     (generation, index) order.  dens is read on lat's grid by
-    grid.function_cells, and a GridFunction lives on that grid (lattices_on).
+    grid.function_cells, and a GridFunction lives on that grid (lattices_on);
+    alpha > 1 is read by grid.scalar, and q0 is a cube of lat (SparsityError).
     """
-    if alpha <= 1.0:
-        raise ParameterError("cz_stopping needs alpha > 1")
+    scalar("alpha", alpha, 1, strict=True)
     lattices_on(lat, getattr(dens, "grid", None), one=True)
+    _flag(None, lat, q0)
     density = np.abs(function_cells(dens, lat.grid))
     dim, m = lat.grid.dim, lat.cells_per_axis(q0.generation)
     block = lat.blocks(density, q0.generation)[q0.index].reshape((m,) * dim)
@@ -87,15 +88,17 @@ def cz_stopping(dens, lat: DyadicLattice, q0: DyadicCube, alpha: float) -> Stopp
     return StoppingFamily(q0, alpha, selected, base, averages)
 
 
-def _flag(members: dict, lat: DyadicLattice, cube: DyadicCube) -> None:
-    """Mark cube a member; SparsityError when it is no cube of lat or a member already."""
+def _flag(members, lat: DyadicLattice, cube: DyadicCube) -> None:
+    """Mark cube a member of members (None marks nothing); SparsityError when
+    it is no cube of lat or a member already."""
     k, index = cube.generation, tuple(cube.index)
     if not (0 <= k <= lat.max_generation and len(index) == lat.grid.dim
             and all(0 <= i < 1 << k for i in index)):
         raise SparsityError(f"{cube} is not a cube of the lattice")
-    if members[k][index]:
-        raise SparsityError(f"{cube} occurs twice in the collection")
-    members[k][index] = True
+    if members is not None:
+        if members[k][index]:
+            raise SparsityError(f"{cube} occurs twice in the collection")
+        members[k][index] = True
 
 
 @dataclass
@@ -166,10 +169,9 @@ def build_sparse_from_recursion(children_rule, lat: DyadicLattice, q0: DyadicCub
     cube with total measure at most |cube|/alpha; a kid outside its parent,
     a cube reached twice or a kid set over budget raises SparsityError
     naming the offender.  Each cell is carried by the finest member holding
-    it: the member minus its kids.
+    it: the member minus its kids.  alpha > 1 is read by grid.scalar.
     """
-    if alpha <= 1.0:
-        raise ParameterError("needs alpha > 1")
+    scalar("alpha", alpha, 1, strict=True)
     dim = lat.grid.dim
     members = {k: np.zeros((1 << k,) * dim, dtype=bool) for k in range(lat.max_generation + 1)}
     _flag(members, lat, q0)
@@ -211,10 +213,10 @@ def carleson_to_sparse(lat: DyadicLattice, cubes, eta: float):
     eta |P|: the fill succeeds exactly when the family is (1/eta)-Carleson.
     Carriers are fractional cell masses, the granularity the equivalence
     needs (whole-cell carriers need not exist at eta = 1/Lambda).  A cube
-    listed twice, or not of lat, raises SparsityError.
+    listed twice, or not of lat, raises SparsityError; eta in (0, 1] is read
+    by grid.scalar.
     """
-    if not eta > 0:
-        raise ParameterError(f"carleson_to_sparse needs eta > 0, got {eta!r}")
+    scalar("eta", eta, 0, 1, strict=True)
     members = {k: np.zeros((1 << k,) * lat.grid.dim, dtype=bool) for k in range(lat.max_generation + 1)}
     for q in cubes:
         _flag(members, lat, q)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dyadic import DyadicLattice, haar_generation, lattices_on
 from .errors import BackendError, ParameterError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, is_integer, join_sides, restrict, weight_cells
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, join_sides, restrict, scalar, weight_cells
 from .operators import apply_scales
 
 
@@ -56,7 +56,7 @@ class TimeGrid:
     """Geometric scales t_m = t_min 2^{m/M}; dt/t weight is ln(2)/M.
 
     t_values must be finite, strictly positive and strictly increasing, and
-    M = steps_per_octave a whole number >= 1.
+    M = steps_per_octave an integer >= 1 (grid.scalar).
     """
 
     t_values: np.ndarray
@@ -70,10 +70,8 @@ class TimeGrid:
             raise ParameterError("time-grid scales must be finite and strictly positive")
         if np.any(np.diff(ts) <= 0):
             raise ParameterError("time-grid scales must be strictly increasing")
-        M = self.steps_per_octave
-        if M != int(M) or M < 1:
-            raise ParameterError(f"steps_per_octave={M} must be a whole number >= 1")
-        self.t_values, self.steps_per_octave = ts, int(M)
+        self.t_values = ts
+        self.steps_per_octave = int(scalar("steps_per_octave", self.steps_per_octave, 1, integer=True))
 
     @property
     def log_weight(self) -> float:
@@ -100,16 +98,11 @@ class TimeGrid:
 
     @classmethod
     def geometric(cls, grid: Grid, t_min=None, t_max=None, steps_per_octave: int = 8):
+        """Scales t_min 2^(m/M) up to t_max, h <= t_min < t_max <= 2L read by grid.scalar."""
         h, L = grid.h, grid.halfwidth
-        t_min = 2.0 * h if t_min is None else float(t_min)
-        t_max = L if t_max is None else float(t_max)
-        if t_min < h:
-            raise ParameterError(f"t_min={t_min} below the cell width {h}")
-        if t_max > 2.0 * L:
-            raise ParameterError(f"t_max={t_max} above the box size {2 * L}")
-        if t_min >= t_max:
-            raise ParameterError(f"t_min={t_min} must lie below t_max={t_max}")
-        M = steps_per_octave
+        t_min = float(scalar("t_min", 2.0 * h if t_min is None else t_min, h, 2.0 * L))
+        t_max = float(scalar("t_max", L if t_max is None else t_max, t_min, 2.0 * L, strict=True))
+        M = scalar("steps_per_octave", steps_per_octave, 1, integer=True)
         m_max = int(np.floor(M * np.log2(t_max / t_min) + 1e-12))
         ts = t_min * 2.0 ** (np.arange(m_max + 1) / M)
         return cls(ts, M)
@@ -183,13 +176,13 @@ def _cone_integral(f: GridFunction, e, tg: TimeGrid, sums) -> GridFunction:
 
 def _generator(generator):
     """(kind, beta) of a square-function generator: "qt" or ("phi", beta),
-    beta an integer >= 0."""
+    beta an integer >= 0 (grid.scalar)."""
     if generator == "qt":
         return "qt", 0
     if isinstance(generator, tuple) and generator[:1] == ("phi",):
-        if not (len(generator) == 2 and is_integer(generator[1]) and generator[1] >= 0):
-            raise ParameterError(f"phi and classical take one integer order beta >= 0, got {generator[1:]!r}")
-        return "phi", int(generator[1])
+        if len(generator) != 2:
+            raise ParameterError(f"beta must be the one order of phi and classical, got {generator[1:]!r}")
+        return "phi", int(scalar("beta", generator[1], 0, integer=True))
     raise ParameterError(f"unknown square-function generator {generator!r}")
 
 
@@ -222,13 +215,12 @@ def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> G
 
 def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) -> GridFunction:
     """g*-type maximal square function with weight (t/(t+|x-y|))^lambda_exponent,
-    lambda_exponent an integer >= 1."""
+    lambda_exponent an integer >= 1 (grid.scalar)."""
     g = h_fn.grid
     if g.domain != FULL:
         raise BackendError("g* is evaluated on full-space data")
     kind, beta = _generator(generator)
-    if not (is_integer(lambda_exponent) and lambda_exponent >= 1):
-        raise ParameterError(f"the g* exponent lambda must be an integer >= 1, got {lambda_exponent!r}")
+    scalar("lambda_exponent", lambda_exponent, 1, integer=True)
 
     def sums(u, ts, weights):
         return _radial_sums(apply_scales(kind, "free", ts, u, beta=beta) ** 2, g, ts, weights, int(lambda_exponent))

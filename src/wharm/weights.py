@@ -21,7 +21,7 @@ import numpy as np
 
 from .dyadic import lattices_on
 from .errors import DomainError, ParameterError, RangeError, WeightError
-from .grid import Grid, GridFunction, checked_config, checked_p, extensions, load, weight_cells
+from .grid import Grid, GridFunction, checked_config, checked_p, extensions, load, scalar, weight_cells
 
 
 def _checked(w: GridFunction) -> GridFunction:
@@ -136,10 +136,8 @@ def ap_quotient_on_box(w, p: float, lo, hi) -> float:
 # exp / log bridge
 
 def exp_log_bridge(b: GridFunction, delta: float) -> GridFunction:
-    """e^{delta b} as a weight (the BMO -> A^p direction of the bridge)."""
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
-    z = delta * b.values
+    """e^{delta b}, delta > 0 (grid.scalar), as a weight (the BMO -> A^p direction of the bridge)."""
+    z = scalar("delta", delta, 0, strict=True) * b.values
     if np.max(z) > 700.0:
         raise RangeError(f"exp overflow at delta={delta}")
     return _checked(GridFunction(b.grid, np.exp(z)))
@@ -166,9 +164,9 @@ def _cell_average_profile(grid: Grid, axis: int, antiderivative):
 
 
 def power_weight(grid: Grid, alpha: float) -> GridFunction:
-    """|x|^alpha: exact cell averages in n = 1, cell-center samples in n = 2."""
-    if alpha <= -1:
-        raise ParameterError("power weight needs alpha > -1 for local integrability")
+    """|x|^alpha, alpha > -1 for local integrability (grid.scalar): exact cell averages in n = 1,
+    cell-center samples in n = 2."""
+    scalar("alpha", alpha, -1, strict=True)
     if grid.dim == 1:
         def F(x):
             return np.sign(x) * np.abs(x) ** (alpha + 1.0) / (alpha + 1.0)
@@ -182,9 +180,8 @@ def power_weight(grid: Grid, alpha: float) -> GridFunction:
 
 
 def one_sided_power_weight(grid: Grid, alpha: float) -> GridFunction:
-    """x_n^alpha on x_n > 0, constant 1 on x_n < 0 (exact cell averages in x_n)."""
-    if alpha <= -1:
-        raise ParameterError("needs alpha > -1")
+    """x_n^alpha on x_n > 0, alpha > -1 (grid.scalar), 1 on x_n < 0 (exact cell averages in x_n)."""
+    scalar("alpha", alpha, -1, strict=True)
 
     def F(x):
         out = np.array(x, dtype=float)

@@ -15,7 +15,7 @@ from wharm.bmo import (
     john_nirenberg_report,
 )
 from wharm.dyadic import DyadicCube, lattice_family, random_haar_sum, random_haar_sums
-from wharm.errors import DomainError, ParameterError
+from wharm.errors import DomainError, ParameterError, RangeError
 from wharm.grid import Grid, GridFunction, constant, restrict
 from wharm.squarefn import TimeGrid
 from wharm.weights import ap_constant, power_weight
@@ -160,6 +160,17 @@ def test_john_nirenberg_report(rng):
 def test_john_nirenberg_r_range_check(grid64, family64):
     with pytest.raises(ParameterError):
         john_nirenberg_report(np.ones((1,) + grid64.shape), grid64, [_w_one(grid64)], 2.0, 3.0, family64)
+
+
+@pytest.mark.parametrize("r", [1e30, 1e300])
+def test_classical_wr_overflow_raises(r):
+    # the norms read inf, weighted or not
+    g = Grid(1, 1.0, 64)
+    lats = lattice_family(g, 4)
+    stack = 10.0 * random_haar_sums(lats[0], np.random.default_rng(0), 2, max_generation=3)
+    for w in (None, power_weight(g, 0.5)):
+        with pytest.raises(RangeError, match="left the floating-point range"):
+            bmo_norms(stack, g, w, "classical-wr", lats, r=r)
 
 
 def test_odd_extension_strict_inclusion():

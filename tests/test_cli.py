@@ -1,13 +1,17 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_harness import CARLESON_OUT_OF_RANGE, FLOAT_OVERFLOW, SMALL_CONFIGS
 from wharm import harness as harness_mod
 from wharm.bmo import bmo_norm
-from wharm.cli import main
+from wharm.cli import KERNEL_CHOICES, main
 from wharm.dyadic import build_lattice, lattice_family
 from wharm.grid import Grid, GridFunction, load_csv, save_csv
 from wharm.squarefn import hardy_norm
@@ -274,7 +278,7 @@ def test_cli_squarefn_haar_reads_no_time_grid(tmp_path, capsys):
     assert main(argv + ["--flavor", "heat-free", "--tmin", "1e-9"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.strip().splitlines()[-1].startswith("wharm: ParameterError: t_min=1e-09 below the cell width")
+    assert err.strip().splitlines()[-1].startswith("wharm: ParameterError: t_min must lie in [0.03125, 2.0], got t_min = 1e-09")
 
 
 def test_cli_harness_weight_spec_without_alpha_exits_2(tmp_path, capsys):
@@ -314,9 +318,9 @@ def test_cli_harness_weight_spec_without_alpha_exits_2(tmp_path, capsys):
     pytest.param("bmo-coincidence", {"weights": [{"kind": "one", "alhpa": 0.5}]}, "'alhpa'",
                  id="weight-spec-unknown-key"),
     # json.dump writes NaN and Infinity, and json.load reads them back
-    pytest.param("john-nirenberg", {"r": float("nan")}, "r must be finite, got nan", id="nan-number"),
+    pytest.param("john-nirenberg", {"r": float("nan")}, "r must be finite, got r = nan", id="nan-number"),
     pytest.param("bmo-coincidence", {"weights": [{"kind": "power", "alpha": float("inf")}]},
-                 "alpha must be finite, got inf", id="inf-alpha"),
+                 "alpha must be finite, got alpha = inf", id="inf-alpha"),
 ])
 def test_cli_harness_bad_config_exits_2(tmp_path, capsys, name, cfg, key):
     cpath = str(tmp_path / "cfg.json")
@@ -387,3 +391,81 @@ def test_cli_harness_float_overflow_exits_2(tmp_path, capsys, name, cfg):
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith(f"wharm: RangeError: experiment {name} left the floating-point")
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv,line", [
+    # a raw ValueError traceback and exit 1
+    (["opnorm", "--op", "riesz", "--b", "{f}", "--seed", "-1"],
+     "wharm: ParameterError: seed must lie in [0, inf), got seed = -1"),
+    (["squarefn", "--flavor", "heat-free", "--input", "{f}", "--weight", "{w}", "--tmin", "nan"],
+     "wharm: ParameterError: t_min must lie in [0.03125, 2.0], got t_min = nan"),
+    # printed the norm 0.0 and exit 0
+    (["bmo", "--flavor", "classical-wr", "--input", "{f}", "--r", "nan"],
+     "wharm: ParameterError: r must lie in [1, inf), got r = nan"),
+], ids=["opnorm-negative-seed", "squarefn-nan-tmin", "bmo-nan-r"])
+def test_cli_bad_scalar_flag_exits_2_with_one_line(tmp_path, capsys, argv, line):
+    fpath, wpath = _write_inputs(tmp_path)
+    assert main([a.format(f=fpath, w=wpath) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.strip().splitlines() == [line]
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """(b, w, config dir): a 16-point function, a power weight and a folder for configs."""
+    tmp = tmp_path_factory.mktemp("cli")
+    g = Grid(1, 1.0, 16)
+    save_csv(GridFunction(g, np.random.default_rng(1).standard_normal(g.shape)), str(tmp / "b.csv"))
+    (tmp / "w.json").write_text(json.dumps({"kind": "power", "alpha": 0.25}))
+    return str(tmp / "b.csv"), str(tmp / "w.json"), tmp
+
+
+# any float argparse or json reads, the edges of the ranges and past them
+NUMBERS = st.one_of(st.floats(), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 1e-300, 1e300]))
+INTEGERS = st.one_of(st.integers(-2, 6), st.integers())
+# {command: (argv with {b} and {w} for the input files, choices, {numeric flag: values})}
+CLI_FLAGS = {
+    "apply": (["--input", "{b}", "--out", "{out}"], {"--kernel": KERNEL_CHOICES}, {"--t": NUMBERS}),
+    "opnorm": (["--b", "{b}", "--mu", "{w}"], {"--op": ["riesz", "commutator"], "--family": ["free", "neumann"]},
+               {"--j": INTEGERS, "--p": NUMBERS, "--seed": INTEGERS}),
+    "bmo": (["--input", "{b}", "--weight", "{w}"], {"--flavor": ["classical-w", "classical-wr", "carleson-haar",
+                                                                 "carleson-heat-free"]},
+            {"--r": NUMBERS, "--max-generation": INTEGERS}),
+    "squarefn": (["--input", "{b}", "--weight", "{w}"], {"--flavor": ["heat-free", "heat-neumann", "classical-1"]},
+                 {"--tmin": NUMBERS, "--tmax": NUMBERS}),
+}
+# harness reads its numbers from a config: those that do not size the run
+CONFIG_NUMBERS = {"john-nirenberg": ["p", "r", "seed", "halfwidth"], "riesz-ap": ["halfwidth"],
+                  "two-weight-commutator": ["band_cap", "seed", "halfwidth"],
+                  "dirichlet-counterexample": ["growth_floor", "commutator_variation_cap", "halfwidth"]}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_numeric_flags_give_finite_json_or_exit_2(cli_inputs, data):
+    b, w, tmp = cli_inputs
+    command = data.draw(st.sampled_from([*CLI_FLAGS, "harness"]))
+    if command == "harness":
+        name = data.draw(st.sampled_from(sorted(CONFIG_NUMBERS)))
+        keys = data.draw(st.sets(st.sampled_from(CONFIG_NUMBERS[name]), min_size=1))
+        cfg = {**SMALL_CONFIGS[name], **{key: data.draw(INTEGERS if key == "seed" else NUMBERS) for key in keys}}
+        (tmp / "cfg.json").write_text(json.dumps(cfg))
+        argv = ["harness", "run", name, "--config", str(tmp / "cfg.json"), "--out", str(tmp / "r.json")]
+    else:
+        fixed, choices, flags = CLI_FLAGS[command]
+        argv = [command] + [a.format(b=b, w=w, out=str(tmp / "o.csv")) for a in fixed]
+        argv += [x for flag, values in choices.items() for x in (flag, data.draw(st.sampled_from(values)))]
+        # flag=value, or argparse reads -inf as a flag
+        argv += [f"{flag}={data.draw(values)}" for flag, values in flags.items() if data.draw(st.booleans())]
+    out, err = io.StringIO(), io.StringIO()
+    # the out-of-range runs warn before they raise
+    with redirect_stdout(out), redirect_stderr(err), np.errstate(all="ignore"):
+        rc = main(argv)
+    if rc == 2:
+        assert err.getvalue().strip().splitlines()[-1].startswith("wharm: "), argv
+        return
+    # a harness report that fails its test exits 1; a number JSON cannot hold fails
+    assert rc in ((0, 1) if command == "harness" else (0,)), argv
+    text = (tmp / "r.json").read_text() if command == "harness" else out.getvalue()
+    if command != "apply":  # apply writes a GridFunction, whose cells are finite
+        json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in the output of {argv}"))

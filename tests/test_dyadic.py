@@ -69,6 +69,16 @@ def test_alignment_error():
         build_lattice(g, 3)  # 8 does not divide 12
 
 
+@pytest.mark.parametrize("N", [16, np.int64(16)], ids=["int", "numpy-int"])
+def test_a_generation_past_the_grid_is_an_alignment_error(N):
+    # 2^(10^30) is never built: the generation is compared to N's bit length first
+    g = Grid(1, 1.0, N)
+    assert len(build_lattice(g, 4).cubes) == 31
+    for k in (5, 64, 10 ** 30):
+        with pytest.raises(GridAlignmentError, match=f"2\\^{k} must divide"):
+            build_lattice(g, k)
+
+
 def test_haar_orthonormality():
     g = Grid(1, 1.0, 16)
     lat = build_lattice(g, 4)

@@ -1,8 +1,10 @@
 """One function rule (grid.function_cells) behind every entry that reads
 function values: one function, or a stack of them along one leading axis, on
 the entry's own grid.  The same bad argument gives the same error everywhere.
-Guards walk the public callables of every wharm module, so that an entry
-taking function values, or an exponent p, cannot miss its rule."""
+One scalar rule (grid.scalar) behind every real or integer parameter: finite,
+no bool, inside the bounds its entry states.  Guards walk the public
+callables of every wharm module, so that an entry taking function values,
+or a scalar, cannot miss its rule."""
 
 import importlib
 import inspect
@@ -14,17 +16,19 @@ import pytest
 
 import wharm
 from wharm.atoms import atomic_decompose, check_atom
-from wharm.bmo import CARLESON_FLAVORS, CLASSICAL_FLAVORS, HALF_FLAVORS, bmo_deltaN_sides_norms, bmo_norms
+from wharm.bmo import CARLESON_FLAVORS, CLASSICAL_FLAVORS, HALF_FLAVORS, bmo_deltaN_sides_norms, bmo_norm, bmo_norms
 from wharm.bmo import john_nirenberg_report
-from wharm.dyadic import DyadicCube, lattice_family, random_haar_sums
+from wharm.dyadic import DyadicCube, DyadicLattice, build_lattice, lattice_family, random_haar_sum, random_haar_sums
 from wharm.errors import DomainError, GridAlignmentError, ParameterError
-from wharm.grid import Grid, GridFunction, checked_p, constant
-from wharm.harness import run_john_nirenberg, run_riesz_ap_characterization, run_two_weight_commutator
-from wharm.operators import apply, apply_scales, assemble_matrix, commutator, commutator_norms, riesz
-from wharm.operators import weighted_operator_norm
-from wharm.sparse import cz_stopping
-from wharm.squarefn import TimeGrid
+from wharm.grid import Grid, GridFunction, checked_p, constant, scalar
+from wharm.harness import EXPERIMENTS, run
+from wharm.kernels import KernelSpec, psi_stencil
+from wharm.operators import OperatorHandle, apply, apply_scales, assemble_matrix, commutator, commutator_norms
+from wharm.operators import psi_op, riesz, semigroup, weighted_operator_norm
+from wharm.sparse import build_sparse_from_recursion, carleson_to_sparse, cz_stopping
+from wharm.squarefn import ConeSpec, TimeGrid, area_function, g_star
 from wharm.weights import ap_constant, ap_constant_per_lattice, ap_deltaN_constant, ap_quotient_on_box, bloom_weight
+from wharm.weights import exp_log_bridge, one_sided_power_weight, power_weight
 
 GRID = Grid(1, 1.0, 32)
 HALF = GRID.with_domain("upper")
@@ -153,36 +157,129 @@ def test_the_symbol_of_a_commutator_is_read_on_the_operator_grid():
         apply(commutator(wide, R), F)
 
 
-# entries that read an exponent p: (name, call(p))
-P_ENTRIES = [
-    ("checked_p", checked_p),
-    ("atomic_decompose", lambda p: atomic_decompose(F, None, LATS[0], TG, p=p)),
-    ("check_atom", lambda p: check_atom(replace(atomic_decompose(F, None, LATS[0], TG).atoms[0], p=p))),
-    ("john_nirenberg_report", lambda p: john_nirenberg_report(STACK, GRID, [None], p, 1.0, LATS)),
-    ("commutator_norms", lambda p: commutator_norms(STACK, R, GRID, p=p)),
-    ("weighted_operator_norm", lambda p: weighted_operator_norm(R, GRID, p=p)),
-    ("bloom_weight", lambda p: bloom_weight(constant(GRID, 1.0), None, p)),
-    ("ap_constant", lambda p: ap_constant(None, p, LATS)),
-    ("ap_constant_per_lattice", lambda p: ap_constant_per_lattice(None, p, LATS)),
-    ("ap_deltaN_constant", lambda p: ap_deltaN_constant(None, p, LATS)),
-    ("ap_quotient_on_box", lambda p: ap_quotient_on_box(constant(GRID, 1.0), p, [-0.5], [0.5])),
-    ("run_two_weight_commutator", lambda p: run_two_weight_commutator(points_per_axis=32, symbols=2, p=p)),
-    ("run_riesz_ap_characterization", lambda p: run_riesz_ap_characterization(points_per_axis=32, p=p)),
-    ("run_john_nirenberg", lambda p: run_john_nirenberg(points_per_axis=32, instances=3, p=p)),
-]
+def _run(experiment, key):
+    """call(x): harness.run of experiment on the config {key: x}, as a config file gives it."""
+    return lambda x: run(experiment, {key: x})
 
 
-# riesz-ap takes p = 2 alone, since its Riesz norms are L^2 norms
-P_MESSAGES = {"run_riesz_ap_characterization": "p = 2 only"}
+P_OUT = [1, 0.5, 0, -1]
+Q0 = DyadicCube(0, (0,))
 
-
-@pytest.mark.parametrize("p", [1, 0.5, 0, -1, np.inf, np.nan], ids=["1", "0.5", "0", "-1", "inf", "nan"])
-@pytest.mark.parametrize("name, call", P_ENTRIES, ids=[e[0] for e in P_ENTRIES])
-def test_every_p_entry_refuses_a_p_outside_one_to_infinity(name, call, p):
+# entries that read a scalar parameter: {"callable.parameter": (call(x), values out of its range)}
+SCALAR_ENTRIES = {
+    "scalar.x": (lambda x: scalar("x", x, 0, 1), [-1, 2]),
+    "checked_p.p": (checked_p, P_OUT),
+    "Grid.dim": (lambda x: Grid(x, 1.0, 32), [0, 3]),
+    "Grid.halfwidth": (lambda x: Grid(1, x, 32), [0.0, -1.0]),
+    "Grid.points_per_axis": (lambda x: Grid(1, 1.0, x), [0, -2]),
+    "DyadicLattice.max_generation": (lambda x: DyadicLattice(GRID, x), [-1]),
+    "build_lattice.max_generation": (lambda x: build_lattice(GRID, x), [-1]),
+    "lattice_family.max_generation": (lambda x: lattice_family(GRID, x), [-1]),
+    "random_haar_sums.count": (lambda x: random_haar_sums(LATS[0], np.random.default_rng(0), x), [-1]),
+    "random_haar_sums.max_generation": (
+        lambda x: random_haar_sums(LATS[0], np.random.default_rng(0), 2, max_generation=x), [-3]),
+    "random_haar_sum.max_generation": (
+        lambda x: random_haar_sum(LATS[0], np.random.default_rng(0), max_generation=x), [-3]),
+    "OperatorHandle.t": (lambda x: OperatorHandle("qt", t=x), [0.0, -0.1]),
+    # a Riesz component is at least 1 on the handle and at most dim where it acts
+    "OperatorHandle.j": (lambda x: apply(OperatorHandle("riesz", j=x), F), [0, 2]),
+    "OperatorHandle.beta": (lambda x: OperatorHandle("phi", t=0.1, beta=x), [-3]),
+    "semigroup.t": (lambda x: semigroup("free", x), [0.0]),
+    "psi_op.t": (psi_op, [0.0]),
+    "riesz.j": (lambda x: apply(riesz("free", x), F), [0, 2]),
+    "apply_scales.beta": (lambda x: apply_scales("phi", "free", [0.1], F, beta=x), [-3]),
+    "commutator_norms.p": (lambda x: commutator_norms(STACK, R, GRID, p=x), P_OUT),
+    "commutator_norms.seed": (lambda x: commutator_norms(STACK, R, GRID, seed=x), [-1]),
+    "weighted_operator_norm.p": (lambda x: weighted_operator_norm(R, GRID, p=x), P_OUT),
+    "weighted_operator_norm.seed": (lambda x: weighted_operator_norm(R, GRID, seed=x), [-1]),
+    "KernelSpec.dim": (lambda x: KernelSpec("heat-free", x, t=0.1), [0, 3]),
+    "KernelSpec.t": (lambda x: KernelSpec("heat-free", 1, t=x), [0.0, -1.0]),
+    "KernelSpec.j": (lambda x: KernelSpec("riesz-free", 1, j=x), [0, 2]),
+    "psi_stencil.t": (lambda x: psi_stencil(x, GRID.h), [0.0]),
+    "TimeGrid.steps_per_octave": (lambda x: TimeGrid([0.1, 0.2], x), [0]),
+    "TimeGrid.geometric.t_min": (lambda x: TimeGrid.geometric(GRID, t_min=x), [GRID.h / 2, 3.0]),
+    "TimeGrid.geometric.t_max": (lambda x: TimeGrid.geometric(GRID, t_max=x), [2 * GRID.h, 2.5]),
+    "TimeGrid.geometric.steps_per_octave": (lambda x: TimeGrid.geometric(GRID, steps_per_octave=x), [0]),
+    "area_function.beta": (lambda x: area_function(F, ("phi", x), ConeSpec(), TG), [-3]),
+    "g_star.lambda_exponent": (lambda x: g_star(F, "qt", x, TG), [0]),
+    "bmo_norms.r": (lambda x: bmo_norms(STACK, GRID, None, "classical-wr", LATS, r=x), [0.5]),
+    "bmo_norm.r": (lambda x: bmo_norm(F, None, "classical-wr", LATS, r=x), [0.5]),
+    "john_nirenberg_report.p": (lambda x: john_nirenberg_report(STACK, GRID, [None], x, 1.0, LATS), P_OUT),
+    "john_nirenberg_report.r": (lambda x: john_nirenberg_report(STACK, GRID, [None], 2.0, x, LATS), [0.5, 3.0]),
+    "cz_stopping.alpha": (lambda x: cz_stopping(STACK[0], LATS[0], Q0, x), [1.0, 0.5]),
+    "build_sparse_from_recursion.alpha": (lambda x: build_sparse_from_recursion(lambda c: [], LATS[0], Q0, x), [1]),
+    "carleson_to_sparse.eta": (lambda x: carleson_to_sparse(LATS[0], [Q0], x), [0.0, 1.5]),
+    "power_weight.alpha": (lambda x: power_weight(GRID, x), [-1.0, -2.0]),
+    "one_sided_power_weight.alpha": (lambda x: one_sided_power_weight(GRID, x), [-1.0]),
+    "exp_log_bridge.delta": (lambda x: exp_log_bridge(F, x), [0.0]),
+    "atomic_decompose.p": (lambda x: atomic_decompose(F, None, LATS[0], TG, p=x), P_OUT),
     # the atoms read p on their own: p = -1 passed 4 of 5 atoms, p = nan ran
     # and p = 0 ended in a raw ZeroDivisionError
-    with pytest.raises(ParameterError, match=P_MESSAGES.get(name, "p must lie in")):
-        call(p)
+    "check_atom.p": (lambda x: check_atom(replace(atomic_decompose(F, None, LATS[0], TG).atoms[0], p=x)), P_OUT),
+    "bloom_weight.p": (lambda x: bloom_weight(constant(GRID, 1.0), None, x), P_OUT),
+    "ap_constant.p": (lambda x: ap_constant(None, x, LATS), P_OUT),
+    "ap_constant_per_lattice.p": (lambda x: ap_constant_per_lattice(None, x, LATS), P_OUT),
+    "ap_deltaN_constant.p": (lambda x: ap_deltaN_constant(None, x, LATS), P_OUT),
+    "ap_quotient_on_box.p": (lambda x: ap_quotient_on_box(constant(GRID, 1.0), x, [-0.5], [0.5]), P_OUT),
+}
+
+# an experiment's scalars are read from its config through harness.run: the
+# values out of range of each key; a tolerance of a report's pass test may
+# be any finite real, and riesz-ap takes p = 2 alone (its Riesz norms are L^2 norms)
+CONFIG_OUT = {"dim": [0, 3], "halfwidth": [0.0, -1.0], "points_per_axis": [0], "max_generation": [0],
+              "p": [1.0, 0.5], "r": [0.5, 3.0], "symbols": [0], "instances": [0], "seed": [-1],
+              "band_cap": [], "growth_floor": [], "commutator_variation_cap": []}
+EXPERIMENT_NAMES = {fn.__name__: name for name, fn in EXPERIMENTS.items()}
+
+
+# parameters that are scalars whatever their annotation
+SCALAR_NAMES = {"p", "r", "t", "j", "beta", "alpha", "eta", "delta", "seed", "count", "max_generation", "t_min",
+                "t_max", "steps_per_octave", "lambda_exponent", "dim", "halfwidth", "points_per_axis"}
+
+
+def _is_scalar(key, parameter) -> bool:
+    """parameter is a scalar: its name says so, it is annotated int or float, or its default is a number."""
+    annotation = getattr(parameter.annotation, "__forward_arg__", parameter.annotation)
+    default = parameter.default
+    number = isinstance(default, (int, float)) and not isinstance(default, bool)
+    return key in SCALAR_NAMES or annotation in ("int", "float") or number
+
+
+for _fn, _name in EXPERIMENT_NAMES.items():
+    for _key, _parameter in inspect.signature(EXPERIMENTS[_name]).parameters.items():
+        if _is_scalar(_key, _parameter):
+            SCALAR_ENTRIES[f"{_fn}.{_key}"] = (_run(_name, _key), CONFIG_OUT[_key])
+SCALAR_ENTRIES["run_riesz_ap_characterization.p"] = (_run("riesz-ap", "p"), [1.0, 3.0])
+
+# every entry refuses these, and each value out of its range
+BAD_SCALARS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "True": True, "str": "2"}
+SCALAR_CASES = [(entry, value) for entry, (_, out) in SCALAR_ENTRIES.items()
+                for value in list(BAD_SCALARS.values()) + out]
+
+
+@pytest.mark.parametrize("entry, value", SCALAR_CASES, ids=[f"{e}-{v!r}" for e, v in SCALAR_CASES])
+def test_every_scalar_entry_refuses_a_bad_value(entry, value):
+    # r = nan gave classical-wr norms 0.0 and r = inf 1.0, alpha = nan ended
+    # in a bare AssertionError and a negative seed in a raw ValueError; the
+    # message is the rule's, so no entry decides on its own
+    parameter = entry.rsplit(".", 1)[1]
+    with pytest.raises(ParameterError, match=f"^{parameter} must (be|lie)") as info:
+        SCALAR_ENTRIES[entry][0](value)
+    assert f", got {parameter} = " in str(info.value)
+
+
+@pytest.mark.parametrize("x", [2, np.int64(2), 2.0, np.float64(2.5), 10 ** 400], ids=repr)
+def test_the_scalar_rule_returns_its_argument(x):
+    integer = isinstance(x, (int, np.integer))
+    assert scalar("x", x, 1, integer=integer) is x
+
+
+def test_a_real_past_the_float_range_is_refused():
+    # a config's integer 10**400 for a float key ended in a raw OverflowError from float()
+    with pytest.raises(ParameterError, match="must be finite"):
+        scalar("x", 10 ** 400)
+    with pytest.raises(ParameterError, match="^halfwidth must be finite"):
+        run("riesz-ap", {"halfwidth": 10 ** 400})
 
 
 def _public_callables():
@@ -213,10 +310,30 @@ FUNCTION_EXEMPT = {
 }
 FUNCTION_PARAMETERS = {"values", "symbols", "dens"}
 
-# public callables with a parameter named p that are no entry of the p rule
-P_EXEMPT = {
-    "Atom": "an atom's p is read by check_atom, an entry",
-    "AtomSequence": "it hands the p that atomic_decompose read on to the atoms it builds",
+# public scalar parameters that are no entry of the scalar rule
+SCALAR_EXEMPT = {
+    "scalar.low": "the rule's own bounds, which each entry states",
+    "scalar.high": "the rule's own bounds, which each entry states",
+    "Atom.p": "an atom's p is read by check_atom, an entry",
+    "AtomSequence.p": "it hands the p that atomic_decompose read on to the atoms it builds",
+    "Atom.level": "the level set of an atom, which atomic_decompose numbers",
+    "AtomRecord.level": "the level set of an atom, which atomic_decompose numbers",
+    "DyadicCube.generation": "a cube's label: an entry taking a cube checks that it is a cube of its lattice",
+    "StoppingFamily.alpha": "a result: cz_stopping read alpha",
+    "StoppingFamily.parent_average": "a result, computed by cz_stopping",
+    "SparseCollection.eta": "a result: carleson_to_sparse or build_sparse_from_recursion read it",
+    "constant.c": "a function value, read by grid.function_cells",
+    "extensions.sign": "a building block: its callers pass 1, -1 or nan",
+    "split_blocks.count": "a building block: its callers cut by their lattice's generations",
+    "split_blocks.dim": "a building block: its callers cut by their grid's dim",
+    "signatures.dim": "a building block: its callers pass their grid's dim",
+    "haar_generation.k": "a building block: its callers run over their lattice's generations",
+    "haar_synthesis.k": "a building block: its callers run over their lattice's generations",
+    "riesz_normalization.n": "a building block of eval_kernel, whose KernelSpec reads dim",
+    "heat_free.t": "a building block of eval_kernel, whose KernelSpec reads t",
+    "qt_free.t": "a building block of eval_kernel, whose KernelSpec reads t",
+    "riesz_free.j": "a building block of eval_kernel, whose KernelSpec reads j",
+    "psi_stencil.h": "the cell width of a Grid, which the Grid checked",
 }
 
 
@@ -229,10 +346,10 @@ def test_every_public_callable_taking_function_values_is_an_entry():
     assert not idle, f"exempt but take no function values: {idle}"
 
 
-def test_every_public_callable_taking_p_is_an_entry():
+def test_every_public_scalar_parameter_is_an_entry():
     # atomic_decompose took p outside the rule, and nothing noticed
-    entries = {name for name, _ in P_ENTRIES}
-    takers = _takers({"p"})
-    loose = sorted(takers - entries - set(P_EXEMPT))
-    assert not loose, f"these take p, but are no entry here and not exempt: {loose}"
-    assert not set(P_EXEMPT) - takers, f"exempt but take no p: {sorted(set(P_EXEMPT) - takers)}"
+    found = {f"{name}.{key}" for name, obj in _public_callables().items()
+             for key, parameter in inspect.signature(obj).parameters.items() if _is_scalar(key, parameter)}
+    loose = sorted(found - set(SCALAR_ENTRIES) - set(SCALAR_EXEMPT))
+    assert not loose, f"these are scalar parameters, but no entry here and not exempt: {loose}"
+    assert not set(SCALAR_EXEMPT) - found, f"exempt but no scalar parameter: {sorted(set(SCALAR_EXEMPT) - found)}"

@@ -301,10 +301,10 @@ def test_carleson_to_sparse_refuses_a_cube_off_the_lattice(cube):
         carleson_to_sparse(lat, [Q0, cube], 0.5)
 
 
-@pytest.mark.parametrize("eta", [0.0, -0.5, float("nan")])
+@pytest.mark.parametrize("eta", [0.0, -0.5, float("nan"), 1.5])
 def test_carleson_to_sparse_refuses_eta_outside_zero_one(eta):
     lat = build_lattice(Grid(1, 1.0, 16), 2)
-    with pytest.raises(ParameterError, match="eta > 0"):
+    with pytest.raises(ParameterError, match=r"^eta must lie in \(0, 1\]"):
         carleson_to_sparse(lat, [Q0], eta)
 
 
@@ -499,3 +499,16 @@ def test_collection_serialization_fractional():
 def test_stopping_alpha_validation(grid64, lat64):
     with pytest.raises(ParameterError):
         cz_stopping(constant(grid64, 1.0), lat64, Q0, 1.0)
+
+
+# on a max-generation-4 lattice these raised a raw IndexError, selected
+# nothing, selected the off-lattice Q(g4,[-2]) and raised a raw ValueError
+@pytest.mark.parametrize("cube", [DyadicCube(2, (7,)), DyadicCube(6, (0,)), DyadicCube(1, (-1,)),
+                                  DyadicCube(1, (0, 0))])
+def test_stopping_refuses_a_q0_off_the_lattice(cube):
+    grid = Grid(1, 1.0, 64)
+    dens = GridFunction(grid, np.where(np.arange(64) == 57, 5.0, 0.1))
+    lat = build_lattice(grid, 4)
+    assert cz_stopping(dens, lat, DyadicCube(1, (1,)), 4.0).selected == [DyadicCube(4, (14,))]
+    with pytest.raises(SparsityError, match=re.escape(f"{cube} is not a cube of the lattice")):
+        sparse.cz_stopping(dens, lat, cube, 4.0)
