@@ -197,7 +197,12 @@ def bmo_norms(values, grid, w, flavor: str, lattices, r: float = 2.0, tg: TimeGr
     if flavor == "classical-w":
         return _classical_sup(values, warr, lats)
     if flavor == "classical-wr":
-        return _classical_sup(values, warr, lats, r=r)
+        best = _classical_sup(values, warr, lats, r=r)
+        # a non-constant row deviates on the generation-0 cube: a zero sup is underflow
+        flat = values.reshape(len(values), int(np.prod(grid.shape)))
+        if np.any((best == 0) & np.any(flat != flat[:, :1], axis=1)):
+            raise RangeError(f"the mean deviations at r = {r!r} underflow to 0")
+        return best
     if flavor == "carleson-haar":
         return _carleson_haar(values, grid, warr, lats)
     if flavor in ("carleson-heat-free", "carleson-heat-neumann"):

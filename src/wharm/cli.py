@@ -39,18 +39,12 @@ def _load_weight(path: str, grid):
 
 
 def _handle_from_kernel(name: str, t, backend: str) -> OperatorHandle:
-    if name.startswith("riesz"):
-        parts = name.split("-")
-        family, j = parts[1], int(parts[2])
-        return riesz(family, j, backend=backend)
-    if name.startswith("heat"):
-        family = name.split("-", 1)[1]
-        return OperatorHandle("semigroup", family, t=t, backend=backend)
-    if name == "qt":
-        return OperatorHandle("qt", "free", t=t, backend=backend)
-    if name == "psi":
-        return OperatorHandle("psi", t=t, backend=backend)
-    raise SystemExit(f"unknown kernel {name}")
+    """The handle of a KERNEL_CHOICES name: kind[-family][-j], heat for the semigroup."""
+    kind, _, rest = name.partition("-")
+    if kind == "riesz":
+        family, j = rest.split("-")
+        return riesz(family, int(j), backend=backend)
+    return OperatorHandle("semigroup" if kind == "heat" else kind, rest or "free", t=t, backend=backend)
 
 
 def cmd_apply(args) -> int:

@@ -9,8 +9,9 @@ the sides a grid holds, in storage order (Grid.sides), in one buffer, which
 the quadrature reflections and the Delta_N objects of bmo and weights read.
 Entries read function values by one rule, function_cells (one function or
 a stack of them, finite, on the entry's grid), weights by another,
-weight_cells (None or positive cells), and every real or integer parameter
-by a third, scalar (finite, no bool, inside the entry's bounds).
+weight_cells (None or positive cells), every real or integer parameter by
+a third, scalar (finite, no bool, inside the entry's bounds), and every
+array of scales by scale_array (nonempty, 1D, finite and positive).
 """
 
 from __future__ import annotations
@@ -43,6 +44,20 @@ def scalar(name: str, x, low=-math.inf, high=math.inf, strict: bool = False, int
         bounds = f"lie in {'(' if strict else '['}{low}, {high}{']' if high < math.inf else ')'}"
         raise ParameterError(f"{name} must {'be finite' if -low == high == math.inf else bounds}, got {name} = {x!r}")
     return x
+
+
+def scale_array(name: str, x) -> np.ndarray:
+    """x as a float array when it is an admissible array of scales, the one
+    rule by which apply_scales and TimeGrid read theirs: a nonempty 1D array
+    of real numbers (no bool, no string), each finite and > 0.  Else
+    ParameterError naming the parameter."""
+    try:
+        ts = np.asarray(x)
+    except ValueError:  # a ragged nesting, refused as an object array is
+        ts = np.asarray(None)
+    if ts.dtype.kind not in "iuf" or ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts) & (ts > 0)):
+        raise ParameterError(f"{name} must be a nonempty 1D array of finite reals > 0")
+    return ts.astype(float)
 
 
 def checked_config(cfg, defaults: dict, owner: str) -> dict:

@@ -1,6 +1,8 @@
-"""Closed-form kernels: heat kernels for the free/Neumann/Dirichlet Laplacians,
-their Riesz kernels, the q_t generator of the vertical square function, and
-the compactly supported reproducing multiplier psi.
+"""Closed-form kernels of the free Laplacian: the heat kernel, the Riesz
+kernels, the q_t generator of the vertical square function, and the
+compactly supported reproducing multiplier psi.  The quadrature backend of
+operators tabulates the free kernels; the Neumann and Dirichlet operators
+reflect the free ones there, so no sided kernel lives here.
 
 Sign convention: the Riesz transform is d/dx_j applied to the inverse square
 root of the positive Laplacian, so the free kernel is
@@ -16,50 +18,16 @@ locked below by a finite-difference test against the heat kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SingularityError
+from .errors import SingularityError
 from .grid import scalar
-
-HEAT_FAMILIES = ("heat-free", "heat-neumann", "heat-dirichlet")
-RIESZ_FAMILIES = ("riesz-free", "riesz-neumann", "riesz-dirichlet")
 
 
 def riesz_normalization(n: int) -> float:
     """C_n = Gamma((n+1)/2) / pi^((n+1)/2)."""
     return math.gamma((n + 1) / 2.0) / math.pi ** ((n + 1) / 2.0)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel family selector; t > 0 for heat/qt families, j in 1..dim for Riesz (grid.scalar)."""
-
-    family: str
-    dim: int
-    t: float = None
-    j: int = None
-
-    def __post_init__(self):
-        scalar("dim", self.dim, 1, 2, integer=True)
-        if self.family in HEAT_FAMILIES or self.family == "qt":
-            scalar("t", self.t, 0, strict=True)
-        if self.family in RIESZ_FAMILIES:
-            scalar("j", self.j, 1, self.dim, integer=True)
-        if self.family not in HEAT_FAMILIES + RIESZ_FAMILIES + ("qt",):
-            raise ParameterError(f"unknown kernel family {self.family!r}")
-
-
-def reflect_point(pts):
-    out = np.array(pts, dtype=float, copy=True)
-    out[..., -1] = -out[..., -1]
-    return out
-
-
-def heaviside_same_side(x, y):
-    """H(x_n y_n) with H(0) = 1; cell-centered grids never hit 0."""
-    return np.where(x[..., -1] * y[..., -1] >= 0, 1.0, 0.0)
 
 
 def heat_free(x, y, t, n):
@@ -79,36 +47,6 @@ def riesz_free(x, y, j, n):
     if np.any(r2 == 0):
         raise SingularityError("Riesz kernel evaluated at x = y")
     return -riesz_normalization(n) * d[..., j - 1] * r2 ** (-(n + 1) / 2.0)
-
-
-def eval_kernel(spec: KernelSpec, x, y):
-    """Evaluate the kernel at point arrays of shape (..., dim)."""
-    n = spec.dim
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if spec.family == "heat-free":
-        return heat_free(x, y, spec.t, n)
-    if spec.family == "qt":
-        return qt_free(x, y, spec.t, n)
-    if spec.family == "heat-neumann":
-        return heaviside_same_side(x, y) * (
-            heat_free(x, y, spec.t, n) + heat_free(x, reflect_point(y), spec.t, n)
-        )
-    if spec.family == "heat-dirichlet":
-        return heaviside_same_side(x, y) * (
-            heat_free(x, y, spec.t, n) - heat_free(x, reflect_point(y), spec.t, n)
-        )
-    if spec.family == "riesz-free":
-        return riesz_free(x, y, spec.j, n)
-    if spec.family in ("riesz-neumann", "riesz-dirichlet"):
-        sign = 1.0 if spec.family == "riesz-neumann" else -1.0
-        H = heaviside_same_side(x, y)
-        # the reflected summand is finite for same-side pairs; mask the
-        # opposite side before evaluating so no spurious singularity fires
-        free = np.where(H > 0, riesz_free(x, y, spec.j, n), 0.0)
-        refl = np.where(H > 0, riesz_free(x, reflect_point(y), spec.j, n), 0.0)
-        return H * (free + sign * refl)
-    raise ParameterError(spec.family)
 
 
 def psi_multiplier(s):
@@ -137,9 +75,6 @@ def psi_stencil(t: float, h: float) -> np.ndarray:
     scalar("t", t, 0, strict=True)
     radius = int(math.ceil((t + 0.5 * h) / h))
     edges = (np.arange(-radius, radius + 1)[:, None] + np.array([[-0.5, 0.5]])) * h
-
-    def ramp(u, c):
-        return np.clip(u, -c, c)
-
-    ints = (ramp(edges, t / 2.0) - 0.5 * ramp(edges, t)) / t
+    # the ramps clip(u, -c, c) integrate the two indicators from 0 to u
+    ints = (np.clip(edges, -t / 2.0, t / 2.0) - 0.5 * np.clip(edges, -t, t)) / t
     return (ints[:, 1] - ints[:, 0]) / h

@@ -1,6 +1,8 @@
 """Discretized operators on grid functions: heat semigroups, the vertical
 generator t^2 L e^{-t^2 L}, the reproducing multiplier psi(t sqrt(L)),
-Riesz transforms, commutators, and weighted operator norms.
+Riesz transforms, commutators, and weighted operator norms.  An
+OperatorHandle is the one description of an operator, checked whole when it
+is built, so the maps below check only what depends on the grid.
 
 Every free-Laplacian operator is one map on full-grid value arrays
 (_free_operator), in one of two backends:
@@ -132,8 +134,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BackendError, DomainError, ParameterError, RangeError, SizeError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, checked_p, extensions, function_cells, scalar, weight_cells
-from .kernels import KernelSpec, eval_kernel, psi_multiplier, psi_stencil
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, checked_p, extensions, function_cells, scalar, scale_array
+from .grid import weight_cells
+from .kernels import heat_free, psi_multiplier, psi_stencil, qt_free, riesz_free
 
 DENSE_POINT_CAP = 4096
 # a lockstep block of rows holds at most this many cells (rows times points),
@@ -151,16 +154,22 @@ _RESTARTS, _MAX_ITER, _ASCENT_TOL = 10, 500, 1e-8
 
 FOURIER = "fourier"
 QUADRATURE = "quadrature"
+SCALE_KINDS = ("semigroup", "qt", "psi", "phi")
+KINDS = SCALE_KINDS + ("riesz", "commutator")
+LAPLACIANS = ("free", "neumann", "dirichlet")
 
 
 @dataclass(frozen=True)
 class OperatorHandle:
-    """Selector for one operator.
+    """The one description of an operator, checked whole when it is built.
 
     kind: semigroup | qt | psi | phi | riesz | commutator
-    family: free | neumann | dirichlet (for semigroup/qt/riesz)
+    family: free | neumann | dirichlet (psi and phi: free only)
     t > 0: time/scale; j >= 1: Riesz component; beta >= 0: phi order (grid.scalar)
+    backend: fourier | quadrature (phi: fourier only)
     b: symbol of a commutator; inner: the commuted handle (a Riesz one).
+    A bad kind or family raises ParameterError, and a bad backend or a
+    combination that no backend computes BackendError, here and nowhere later.
     """
 
     kind: str
@@ -173,17 +182,23 @@ class OperatorHandle:
     inner: object = None
 
     def __post_init__(self):
-        if self.kind in ("semigroup", "qt", "psi", "phi"):
+        for name, choices in (("kind", KINDS), ("family", LAPLACIANS), ("backend", (FOURIER, QUADRATURE))):
+            value = getattr(self, name)
+            # a string first: a list or an array is refused, not hashed by a cache later
+            if not (isinstance(value, str) and value in choices):
+                error = BackendError if name == "backend" else ParameterError
+                raise error(f"{name} must be one of {', '.join(choices)}, got {name} = {value!r}")
+        if self.kind in SCALE_KINDS or self.t is not None:
             scalar("t", self.t, 0, strict=True)
-        if self.kind == "riesz":
+        if self.kind == "riesz" or self.j is not None:
             scalar("j", self.j, 1, integer=True)
         scalar("beta", self.beta, 0, integer=True)
         if self.kind == "commutator" and (self.b is None or getattr(self.inner, "kind", None) != "riesz"):
             raise ParameterError("commutator needs b and a Riesz inner handle")
-        if self.backend not in (FOURIER, QUADRATURE):
-            raise BackendError(f"unknown backend {self.backend!r}")
         if self.kind in ("psi", "phi") and self.family != "free":
             raise BackendError(f"{self.kind} is only wired for the free Laplacian")
+        if self.kind == "phi" and self.backend == QUADRATURE:
+            raise BackendError("phi has no quadrature rule")
 
 
 def semigroup(family, t, backend=FOURIER):
@@ -256,7 +271,8 @@ def psi_reach(mask: np.ndarray, ts, grid: Grid) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _multiplier_stack(kind: str, j, beta: int, grid: Grid, ts, backend: str) -> np.ndarray:
     """Read-only half-spectrum multipliers of kind's free operator on grid, one
-    per t of ts along a leading axis (a stack of one for Riesz, ts None)."""
+    per t of ts along a leading axis (a stack of one for Riesz, ts None).
+    RangeError names kind and t when a scale's multiplier is not finite."""
     if kind == "psi" and backend == QUADRATURE:
         # circular convolution with the periodized stencil: keeps the compact
         # support (mod the box) and the exact zero total mass, and stays
@@ -281,18 +297,21 @@ def _multiplier_stack(kind: str, j, beta: int, grid: Grid, ts, backend: str) -> 
         xi2 = sum(x ** 2 for x in _xi_grids(grid))
         # one scale is a stack of one, so apply and apply_scales share the arithmetic
         t = np.reshape(ts, (-1,) + (1,) * grid.dim)
-        if kind == "semigroup":
-            m = np.exp(-t * xi2)
-        elif kind == "qt":
-            t2 = t ** 2
-            m = t2 * xi2 * np.exp(-t2 * xi2)
-        elif kind == "psi":
-            m = psi_multiplier(t * np.sqrt(xi2))
-        elif kind == "phi":
-            s = t * np.sqrt(xi2)
-            m = s ** (1 + beta) * np.exp(-(s ** 2) / 2.0)
-        else:
-            raise BackendError(f"no multiplier for kind {kind!r}")
+        # a huge t overflows a multiplier (inf * 0 is NaN): checked below, not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind == "semigroup":
+                m = np.exp(-t * xi2)
+            elif kind == "qt":
+                t2 = t ** 2
+                m = t2 * xi2 * np.exp(-t2 * xi2)
+            elif kind == "psi":
+                m = psi_multiplier(t * np.sqrt(xi2))
+            else:
+                s = t * np.sqrt(xi2)
+                m = s ** (1 + beta) * np.exp(-(s ** 2) / 2.0)
+        finite = np.isfinite(m).reshape(len(m), -1).all(axis=1)
+        if not finite.all():
+            raise RangeError(f"the {kind} multiplier at t = {ts[np.argmin(finite)]!r} is not finite")
     m.flags.writeable = False
     return m
 
@@ -308,7 +327,9 @@ def free_multipliers(op: OperatorHandle, grid: Grid, ts=None) -> np.ndarray:
 def _scales(op: OperatorHandle, grid: Grid, ts) -> tuple:
     """The scales of op's multiplier stack as a cache key: the floats of ts
     (default op.t alone), None for Riesz, whose component must lie in
-    1..grid.dim."""
+    1..grid.dim.  A commutator has no stack of its own."""
+    if op.kind == "commutator":
+        raise BackendError("a commutator has no multiplier; its Riesz handle has")
     if op.kind == "riesz":
         scalar("j", op.j, 1, grid.dim, integer=True)
         return None
@@ -316,21 +337,18 @@ def _scales(op: OperatorHandle, grid: Grid, ts) -> tuple:
 
 
 def _kernel_table(op: OperatorHandle, grid: Grid) -> np.ndarray:
-    """Free kernel at every cell offset of the box, shape (2N-1,)*n.
-
-    The diagonal cell of a Riesz kernel stays 0, its principal value.
-    """
-    family = {"semigroup": "heat-free", "qt": "qt", "riesz": "riesz-free"}.get(op.kind)
-    if family is None:
-        raise BackendError(f"no quadrature rule for kind {op.kind!r}")
+    """The free kernel of op's kind (semigroup, qt or Riesz) at every cell
+    offset of the box, shape (2N-1,)*n, its Riesz diagonal cell 0 (the
+    principal value); _scales, the Fourier path's rule, reads j."""
+    _scales(op, grid, None)
     N, n = grid.points_per_axis, grid.dim
     axis = np.arange(-(N - 1), N) * grid.h
     offsets = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1)
     table = np.zeros(offsets.shape[:-1])
     # every cell but the singular diagonal one of a Riesz kernel
     finite = np.any(offsets != 0, axis=-1) | (op.kind != "riesz")
-    spec = KernelSpec(family, n, t=op.t, j=op.j)
-    table[finite] = eval_kernel(spec, offsets[finite], np.zeros(n))
+    kernel, parameter = {"semigroup": (heat_free, op.t), "qt": (qt_free, op.t), "riesz": (riesz_free, op.j)}[op.kind]
+    table[finite] = kernel(offsets[finite], np.zeros(n), parameter, n)
     return table
 
 
@@ -494,8 +512,6 @@ def _maps(op: OperatorHandle, grid: Grid, ts=None):
             raise BackendError("free-Laplacian operators act on full-space data")
         free = _free_operator(op, grid, ts)
         return free, free, parity
-    if op.family not in ("neumann", "dirichlet"):
-        raise BackendError(f"cannot dispatch {op}")
     if op.family == "dirichlet" and grid.domain == FULL:
         raise DomainError("the Dirichlet Laplacian lives on a half-space")
     sign = 1.0 if op.family == "neumann" else -1.0
@@ -558,9 +574,6 @@ def apply(op: OperatorHandle, f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, _operator_maps(op, f.grid)[0](f.values))
 
 
-SCALE_KINDS = ("semigroup", "qt", "psi", "phi")
-
-
 def apply_scales(kind: str, family: str, ts, f, beta: int = 0, grid: Grid = None) -> np.ndarray:
     """G_t f at every scale t of ts, as one array of shape (len(ts), *f.grid.shape).
 
@@ -576,9 +589,7 @@ def apply_scales(kind: str, family: str, ts, f, beta: int = 0, grid: Grid = None
     """
     if kind not in SCALE_KINDS:
         raise ParameterError(f"apply_scales takes a scale kind {SCALE_KINDS}, not {kind!r}")
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts) & (ts > 0)):
-        raise ParameterError(f"{kind} needs a nonempty 1D list of finite scales t > 0")
+    ts = scale_array("ts", ts)
     # the handle checks the family; the scales themselves come from ts
     op = OperatorHandle(kind, family, t=float(ts[0]), beta=beta)
     values, grid = (f.values, f.grid) if grid is None else (function_cells(f, grid, stack=True), grid)

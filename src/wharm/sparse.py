@@ -90,10 +90,11 @@ def cz_stopping(dens, lat: DyadicLattice, q0: DyadicCube, alpha: float) -> Stopp
 
 def _flag(members, lat: DyadicLattice, cube: DyadicCube) -> None:
     """Mark cube a member of members (None marks nothing); SparsityError when
-    it is no cube of lat or a member already."""
+    it is no cube of lat (an integer generation and index inside it) or a
+    member already."""
     k, index = cube.generation, tuple(cube.index)
-    if not (0 <= k <= lat.max_generation and len(index) == lat.grid.dim
-            and all(0 <= i < 1 << k for i in index)):
+    if not (np.asarray((k,) + index).dtype.kind in "iu" and 0 <= k <= lat.max_generation
+            and len(index) == lat.grid.dim and all(0 <= i < 1 << k for i in index)):
         raise SparsityError(f"{cube} is not a cube of the lattice")
     if members is not None:
         if members[k][index]:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dyadic import DyadicLattice, haar_generation, lattices_on
 from .errors import BackendError, ParameterError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, join_sides, restrict, scalar, weight_cells
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, join_sides, restrict, scalar, scale_array, weight_cells
 from .operators import apply_scales
 
 
@@ -55,19 +55,15 @@ class ConeSpec:
 class TimeGrid:
     """Geometric scales t_m = t_min 2^{m/M}; dt/t weight is ln(2)/M.
 
-    t_values must be finite, strictly positive and strictly increasing, and
-    M = steps_per_octave an integer >= 1 (grid.scalar).
+    t_values are read by grid.scale_array and must be strictly increasing,
+    and M = steps_per_octave is an integer >= 1 (grid.scalar).
     """
 
     t_values: np.ndarray
     steps_per_octave: int
 
     def __post_init__(self):
-        ts = np.asarray(self.t_values, dtype=float)
-        if ts.ndim != 1 or ts.size == 0:
-            raise ParameterError("a time grid needs a nonempty 1D array of scales")
-        if not np.all(np.isfinite(ts) & (ts > 0)):
-            raise ParameterError("time-grid scales must be finite and strictly positive")
+        ts = scale_array("t_values", self.t_values)
         if np.any(np.diff(ts) <= 0):
             raise ParameterError("time-grid scales must be strictly increasing")
         self.t_values = ts

@@ -1,4 +1,11 @@
-"""scipy oracles for the matrix-free operators and norms of wharm.operators.
+"""scipy oracles for the matrix-free operators and norms of wharm.operators,
+and the closed-form kernels of the Neumann and Dirichlet Laplacians.
+
+KernelSpec selects one of seven kernel families (heat and Riesz, each free,
+Neumann or Dirichlet, and qt) and eval_kernel evaluates it at point arrays:
+the free kernels of wharm.kernels, and the same-side kernels
+H(x_n y_n) [K(x - y) + s K(x - y~)] (reflect_point, heaviside_same_side), the
+reference of the reflection path, which the library never tabulates.
 
 linear_operator wraps an operator handle's exact (forward, transpose) maps as
 a scipy LinearOperator on flattened value vectors, and svds_norm takes the top
@@ -27,25 +34,81 @@ replaced; extend_odd is the odd extension of a grid function.
 check_kernel_smoothness samples the size and smoothness bounds of a kernel.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.fft import dct, dst, idct, idst
 from scipy.sparse.linalg import LinearOperator, svds
 from tree_oracles import mask
 
 from wharm.errors import DomainError, ParameterError
-from wharm.grid import FULL, GridFunction, extensions, weight_cells
-from wharm.kernels import (
-    HEAT_FAMILIES,
-    RIESZ_FAMILIES,
-    KernelSpec,
-    eval_kernel,
-    heaviside_same_side,
-    qt_free,
-    reflect_point,
-    riesz_free,
-    riesz_normalization,
-)
+from wharm.grid import FULL, GridFunction, extensions, scalar, weight_cells
+from wharm.kernels import heat_free, qt_free, riesz_free, riesz_normalization
 from wharm.operators import _RITZ_TOL, FOURIER, OperatorHandle, _free_operator, _operator_maps, _sided_map
+
+HEAT_FAMILIES = ("heat-free", "heat-neumann", "heat-dirichlet")
+RIESZ_FAMILIES = ("riesz-free", "riesz-neumann", "riesz-dirichlet")
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """Kernel family selector; t > 0 for heat/qt families, j in 1..dim for Riesz (grid.scalar)."""
+
+    family: str
+    dim: int
+    t: float = None
+    j: int = None
+
+    def __post_init__(self):
+        scalar("dim", self.dim, 1, 2, integer=True)
+        if self.family in HEAT_FAMILIES or self.family == "qt":
+            scalar("t", self.t, 0, strict=True)
+        if self.family in RIESZ_FAMILIES:
+            scalar("j", self.j, 1, self.dim, integer=True)
+        if self.family not in HEAT_FAMILIES + RIESZ_FAMILIES + ("qt",):
+            raise ParameterError(f"unknown kernel family {self.family!r}")
+
+
+def reflect_point(pts):
+    out = np.array(pts, dtype=float, copy=True)
+    out[..., -1] = -out[..., -1]
+    return out
+
+
+def heaviside_same_side(x, y):
+    """H(x_n y_n) with H(0) = 1; cell-centered grids never hit 0."""
+    return np.where(x[..., -1] * y[..., -1] >= 0, 1.0, 0.0)
+
+
+def eval_kernel(spec: KernelSpec, x, y):
+    """Evaluate the kernel at point arrays of shape (..., dim): a free kernel
+    of wharm.kernels, or a closed-form same-side Neumann or Dirichlet one."""
+    n = spec.dim
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if spec.family == "heat-free":
+        return heat_free(x, y, spec.t, n)
+    if spec.family == "qt":
+        return qt_free(x, y, spec.t, n)
+    if spec.family == "heat-neumann":
+        return heaviside_same_side(x, y) * (
+            heat_free(x, y, spec.t, n) + heat_free(x, reflect_point(y), spec.t, n)
+        )
+    if spec.family == "heat-dirichlet":
+        return heaviside_same_side(x, y) * (
+            heat_free(x, y, spec.t, n) - heat_free(x, reflect_point(y), spec.t, n)
+        )
+    if spec.family == "riesz-free":
+        return riesz_free(x, y, spec.j, n)
+    if spec.family in ("riesz-neumann", "riesz-dirichlet"):
+        sign = 1.0 if spec.family == "riesz-neumann" else -1.0
+        H = heaviside_same_side(x, y)
+        # the reflected summand is finite for same-side pairs; mask the
+        # opposite side before evaluating so no spurious singularity fires
+        free = np.where(H > 0, riesz_free(x, y, spec.j, n), 0.0)
+        refl = np.where(H > 0, riesz_free(x, reflect_point(y), spec.j, n), 0.0)
+        return H * (free + sign * refl)
+    raise ParameterError(spec.family)
 
 
 def qt_op(family, t, backend=FOURIER):

@@ -173,6 +173,19 @@ def test_classical_wr_overflow_raises(r):
             bmo_norms(stack, g, w, "classical-wr", lats, r=r)
 
 
+def test_classical_wr_underflow_raises():
+    # at r = 1000 the powers of these deviations underflow and the norms read
+    # [0., 0.] with no error; r = 400 stays a number
+    g = Grid(1, 1.0, 64)
+    lats = lattice_family(g, 4)
+    stack = 0.1 * random_haar_sums(lats[0], np.random.default_rng(0), 2, max_generation=3)
+    assert np.all(bmo_norms(stack, g, None, "classical-wr", lats, r=400.0) > 0.2)
+    with pytest.raises(RangeError, match="r = 1000.0 underflow"):
+        bmo_norms(stack, g, None, "classical-wr", lats, r=1000.0)
+    # a constant row has no deviation to underflow
+    assert bmo_norms(np.zeros((1, 64)), g, None, "classical-wr", lats, r=1000.0)[0] == 0.0
+
+
 def test_odd_extension_strict_inclusion():
     # log(x_n): bounded half-space BMO, exploding odd-extension BMO
     vals = {}

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -408,6 +409,21 @@ def test_cli_bad_scalar_flag_exits_2_with_one_line(tmp_path, capsys, argv, line)
     assert main([a.format(f=fpath, w=wpath) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.strip().splitlines() == [line]
+
+
+@pytest.mark.parametrize("kernel,t", [("qt", "1e300"), ("psi", "1.7976931348623157e308")])
+def test_cli_apply_with_an_overflowing_multiplier_exits_2_naming_t(tmp_path, capsys, kernel, t):
+    # numpy RuntimeWarnings, then a DomainError about the output cells that
+    # named neither t nor the multiplier
+    fpath, _ = _write_inputs(tmp_path)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["apply", "--kernel", kernel, "--input", fpath, f"--t={t}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1 and not out.exists()
+    assert lines[0] == f"wharm: RangeError: the {kernel} multiplier at t = {float(t)!r} is not finite"
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,8 @@
 function values: one function, or a stack of them along one leading axis, on
 the entry's own grid.  The same bad argument gives the same error everywhere.
 One scalar rule (grid.scalar) behind every real or integer parameter: finite,
-no bool, inside the bounds its entry states.  Guards walk the public
+no bool, inside the bounds its entry states, and one (grid.scale_array)
+behind every array of scales.  Guards walk the public
 callables of every wharm module, so that an entry taking function values,
 or a scalar, cannot miss its rule."""
 
@@ -22,7 +23,7 @@ from wharm.dyadic import DyadicCube, DyadicLattice, build_lattice, lattice_famil
 from wharm.errors import DomainError, GridAlignmentError, ParameterError
 from wharm.grid import Grid, GridFunction, checked_p, constant, scalar
 from wharm.harness import EXPERIMENTS, run
-from wharm.kernels import KernelSpec, psi_stencil
+from wharm.kernels import psi_stencil
 from wharm.operators import OperatorHandle, apply, apply_scales, assemble_matrix, commutator, commutator_norms
 from wharm.operators import psi_op, riesz, semigroup, weighted_operator_norm
 from wharm.sparse import build_sparse_from_recursion, carleson_to_sparse, cz_stopping
@@ -192,9 +193,6 @@ SCALAR_ENTRIES = {
     "commutator_norms.seed": (lambda x: commutator_norms(STACK, R, GRID, seed=x), [-1]),
     "weighted_operator_norm.p": (lambda x: weighted_operator_norm(R, GRID, p=x), P_OUT),
     "weighted_operator_norm.seed": (lambda x: weighted_operator_norm(R, GRID, seed=x), [-1]),
-    "KernelSpec.dim": (lambda x: KernelSpec("heat-free", x, t=0.1), [0, 3]),
-    "KernelSpec.t": (lambda x: KernelSpec("heat-free", 1, t=x), [0.0, -1.0]),
-    "KernelSpec.j": (lambda x: KernelSpec("riesz-free", 1, j=x), [0, 2]),
     "psi_stencil.t": (lambda x: psi_stencil(x, GRID.h), [0.0]),
     "TimeGrid.steps_per_octave": (lambda x: TimeGrid([0.1, 0.2], x), [0]),
     "TimeGrid.geometric.t_min": (lambda x: TimeGrid.geometric(GRID, t_min=x), [GRID.h / 2, 3.0]),
@@ -282,6 +280,22 @@ def test_a_real_past_the_float_range_is_refused():
         run("riesz-ap", {"halfwidth": 10 ** 400})
 
 
+# one rule (grid.scale_array) reads an array of scales: "ab" ended in a raw
+# ValueError and a dict in a raw TypeError at both entries, a ragged list in
+# a raw ValueError, and True and "0.1" were read as the scales 1.0 and 0.1
+SCALE_ENTRIES = {"TimeGrid.t_values": lambda x: TimeGrid(x, 8),
+                 "apply_scales.ts": lambda x: apply_scales("qt", "free", x, F)}
+BAD_SCALES = ["ab", {"t": 0.1}, [True], ["0.1"], [[0.1], [0.1, 0.2]], [], [[0.1, 0.2]], [0.1, np.nan], [0.0]]
+
+
+@pytest.mark.parametrize("ts", BAD_SCALES, ids=repr)
+@pytest.mark.parametrize("entry", SCALE_ENTRIES)
+def test_every_array_of_scales_is_read_by_one_rule(entry, ts):
+    name = entry.rsplit(".", 1)[1]
+    with pytest.raises(ParameterError, match=f"^{name} must be a nonempty 1D array of finite reals > 0$"):
+        SCALE_ENTRIES[entry](ts)
+
+
 def _public_callables():
     """{name: callable} of every public function and class a wharm module
     defines, its exception types aside."""
@@ -329,10 +343,10 @@ SCALAR_EXEMPT = {
     "signatures.dim": "a building block: its callers pass their grid's dim",
     "haar_generation.k": "a building block: its callers run over their lattice's generations",
     "haar_synthesis.k": "a building block: its callers run over their lattice's generations",
-    "riesz_normalization.n": "a building block of eval_kernel, whose KernelSpec reads dim",
-    "heat_free.t": "a building block of eval_kernel, whose KernelSpec reads t",
-    "qt_free.t": "a building block of eval_kernel, whose KernelSpec reads t",
-    "riesz_free.j": "a building block of eval_kernel, whose KernelSpec reads j",
+    "riesz_normalization.n": "a building block of riesz_free, whose callers pass their grid's dim",
+    "heat_free.t": "a building block of the quadrature kernel table, whose OperatorHandle read t",
+    "qt_free.t": "a building block of the quadrature kernel table, whose OperatorHandle read t",
+    "riesz_free.j": "a building block of the quadrature kernel table, whose OperatorHandle and _scales read j",
     "psi_stencil.h": "the cell width of a Grid, which the Grid checked",
 }
 

@@ -5,18 +5,9 @@ import pytest
 
 from wharm.errors import ParameterError, SingularityError
 from wharm.grid import Grid
-from wharm.kernels import (
-    KernelSpec,
-    eval_kernel,
-    heat_free,
-    psi_multiplier,
-    psi_stencil,
-    qt_free,
-    reflect_point,
-    riesz_normalization,
-)
+from wharm.kernels import heat_free, psi_multiplier, psi_stencil, qt_free, riesz_normalization
 
-from operator_oracles import check_kernel_smoothness, qt_neumann
+from operator_oracles import KernelSpec, check_kernel_smoothness, eval_kernel, qt_neumann, reflect_point
 
 
 def test_heat_free_peak_value():

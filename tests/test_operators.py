@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -348,6 +349,52 @@ def test_quadrature_free_semigroup_matches_fourier_interior():
     b = apply(semigroup("free", 0.001, backend="quadrature"), f)
     mid = slice(64, 192)
     assert np.max(np.abs(a.values[mid] - b.values[mid])) <= 1e-6
+
+
+def _alias(kind, tau, g):
+    """The largest alias sum of the free kernel of kind at time tau on the DFT
+    frequencies xi of g: max over xi of sum_{k != 0} K^(xi + 2 pi k / h),
+    with K^(eta) = e^{-tau |eta|^2} (semigroup, tau = t) or
+    tau |eta|^2 e^{-tau |eta|^2} (qt, tau = t^2).  Shifts with |k_i| > 2
+    add below e^{-25 pi^2 tau / h^2} and are left out."""
+    xi = 2.0 * np.pi * np.fft.fftfreq(g.points_per_axis, d=g.h)
+    e2 = (xi[:, None] + 2.0 * np.pi / g.h * np.arange(-2, 3)) ** 2  # (xi, k) per axis
+    r2 = e2 if g.dim == 1 else e2[:, :, None, None] + e2[None, None]
+    m = np.exp(-tau * r2) * (tau * r2 if kind == "qt" else 1.0)
+    m[(slice(None), 2) * g.dim] = 0.0  # the k = 0 term is the Fourier backend's own
+    return float(np.max(m.sum(axis=tuple(range(1, 2 * g.dim, 2)))))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fourier_and_quadrature_agree_on_smooth_data(data):
+    # f is a smooth bump inside |x_i| <= 0.25.  The quadrature backend's
+    # midpoint sums over the box equal the circular convolution with the
+    # periodized sampled kernel, up to the images of f shifted by 2L, which
+    # lie at least 1.25 from the compared cells |x_i| <= 0.5 (below e^{-33}
+    # at tau <= 3 h^2).  By Poisson summation that convolution has the
+    # multiplier sum_k K^(xi + 2 pi k / h), and the Fourier backend keeps
+    # k = 0 alone, so by Parseval the two differ by at most
+    # _alias(kind, tau, g) ||f||_2 (l^2 over cells), sqrt(2) times that for
+    # Neumann, whose each side acts on an extension of at most twice the
+    # energy.  At tau = 2 h^2 the alias is about e^{-2 pi^2} = 3e-9.  Round-off
+    # takes 1e-13 ||f||_2 of slack.  Riesz is left out: its kernel decays like
+    # 1/|x|^n, so the torus and the box differ at O(1) for it.
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    g = Grid(dim, 1.0, 64 if dim == 1 else 32)
+    kind = data.draw(st.sampled_from(["semigroup", "qt"]), label="kind")
+    family = data.draw(st.sampled_from(["free", "neumann"]), label="family")
+    tau = data.draw(st.floats(2.0, 3.0), label="tau / h^2") * g.h ** 2
+    t = tau if kind == "semigroup" else np.sqrt(tau)
+    center = np.array([data.draw(st.floats(-0.1, 0.1), label="center") for _ in range(dim)])
+    u2 = ((g.points() - center) / data.draw(st.floats(0.05, 0.15), label="width")) ** 2
+    bump = np.exp(-1.0 / (1.0 - np.where(u2 < 1.0, u2, 0.0))) * (u2 < 1.0)
+    f = GridFunction(g, data.draw(st.floats(0.5, 2.0), label="amplitude") * np.prod(bump, axis=-1))
+    fourier = apply(OperatorHandle(kind, family, t=t), f).values
+    quadrature = apply(OperatorHandle(kind, family, t=t, backend=QUADRATURE), f).values
+    middle = np.all(np.abs(g.points()) <= 0.5, axis=-1)
+    tol = (np.sqrt(2.0) * _alias(kind, tau, g) + 1e-13) * np.linalg.norm(f.values)
+    assert np.max(np.abs(fourier - quadrature)[middle]) <= tol
 
 
 def test_weighted_norm_2d_dense(rng):
@@ -894,6 +941,38 @@ def test_handle_rejects_a_scale_that_is_not_finite_and_positive(kind, t):
     # caught at the handle, not later as a field of non-finite values
     with pytest.raises(ParameterError, match=r"^t must lie in \(0, inf\)"):
         OperatorHandle(kind, t=t)
+
+
+@pytest.mark.parametrize("fields", [{"kind": "foo"}, {"kind": None}, {"kind": ["qt"]},
+                                    {"kind": "qt", "family": "neuman"}], ids=repr)
+def test_handle_refuses_a_kind_or_family_outside_its_choices(fields):
+    # OperatorHandle(None, t=0.1) was built, a typo ended in "BackendError:
+    # cannot dispatch" at the apply and a list kind in a raw TypeError from
+    # the multiplier cache; now each fails where the handle is built
+    name = "family" if "family" in fields else "kind"
+    with pytest.raises(ParameterError, match=f"^{name} must be one of "):
+        OperatorHandle(**{"t": 0.1, **fields})
+
+
+def test_handle_refuses_what_no_backend_computes(grid64):
+    with pytest.raises(BackendError, match="phi has no quadrature rule"):
+        OperatorHandle("phi", t=0.1, backend=QUADRATURE)
+    with pytest.raises(BackendError, match="^backend must be one of "):
+        OperatorHandle("qt", t=0.1, backend=["fourier"])
+    # a commutator's multipliers are its Riesz handle's: a raw TypeError before
+    with pytest.raises(BackendError, match="a commutator has no multiplier"):
+        free_multipliers(commutator(constant(grid64, 1.0), riesz("free", 1)), grid64)
+
+
+@pytest.mark.parametrize("kind,t", [("qt", 1e300), ("psi", 1.7976931348623157e308),
+                                    ("phi", 1.7976931348623157e308)])
+def test_an_overflowing_multiplier_is_a_range_error(grid64, kind, t):
+    # numpy warned and the apply ended in a DomainError about its output cells
+    with np.errstate(all="raise"), pytest.raises(RangeError, match=re.escape(f"the {kind} multiplier at t = {t!r}")):
+        apply(OperatorHandle(kind, t=t), constant(grid64, 1.0))
+    # a finite stack is still built, and the scales of one stack are named
+    with pytest.raises(RangeError, match=re.escape(f"at t = {t!r}")):
+        apply_scales(kind, "free", [0.1, t], constant(grid64, 1.0))
 
 
 def test_apply_scales_takes_scale_kinds_only(grid64):

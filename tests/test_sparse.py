@@ -512,3 +512,17 @@ def test_stopping_refuses_a_q0_off_the_lattice(cube):
     assert cz_stopping(dens, lat, DyadicCube(1, (1,)), 4.0).selected == [DyadicCube(4, (14,))]
     with pytest.raises(SparsityError, match=re.escape(f"{cube} is not a cube of the lattice")):
         sparse.cz_stopping(dens, lat, cube, 4.0)
+
+
+def test_a_cube_whose_generation_or_index_is_no_integer_is_refused():
+    # a float generation ended in a raw TypeError from 1 << k, a float index
+    # in a raw IndexError from the member flags
+    grid = Grid(1, 1.0, 16)
+    lat = build_lattice(grid, 3)
+    dens = constant(grid, 1.0)
+    with pytest.raises(SparsityError, match="is not a cube of the lattice"):
+        cz_stopping(dens, lat, DyadicCube(1.0, (0,)), 2.0)
+    with pytest.raises(SparsityError, match="is not a cube of the lattice"):
+        carleson_to_sparse(lat, [DyadicCube(1.0, (0,))], 0.5)
+    with pytest.raises(SparsityError, match="is not a cube of the lattice"):
+        carleson_to_sparse(lat, [DyadicCube(1, (0.0,))], 0.5)
