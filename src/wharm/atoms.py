@@ -41,7 +41,7 @@ from .dyadic import DyadicCube, DyadicLattice, lattices_on, maximal_cells
 from .errors import DecompositionError, DomainError, ParameterError
 from .grid import Grid, GridFunction, checked_p, weight_cells
 from .operators import FOURIER, QUADRATURE, apply_scales, free_multipliers, from_spectrum, psi_op, psi_reach, spectrum
-from .squarefn import ConeSpec, TimeGrid, area_function
+from .squarefn import ConeSpec, TimeGrid, area_function, time_grid
 
 
 _UNASSIGNED = -(10 ** 6)  # assignment level of a cube in no B_k
@@ -328,7 +328,7 @@ def atomic_decompose(f: GridFunction, w, lat: DyadicLattice, tg: TimeGrid = None
         raise ParameterError("use the unshifted lattice for the decomposition")
     checked_p(p)
     warr = weight_cells(w, g)
-    tg = tg or TimeGrid.geometric(g)
+    tg = time_grid(tg, g)
 
     S = area_function(f, "qt", ConeSpec("free"), tg)
     smax = float(np.max(S.values))

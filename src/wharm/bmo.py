@@ -36,9 +36,9 @@ import numpy as np
 
 from .dyadic import haar_generation, lattices_on, split_blocks
 from .errors import DomainError, ParameterError, RangeError
-from .grid import FULL, GridFunction, checked_p, extensions, function_cells, scalar, weight_cells
+from .grid import FULL, GridFunction, checked_p, choice, extensions, function_cells, scalar, weight_cells
 from .operators import apply_scales
-from .squarefn import TimeGrid
+from .squarefn import TimeGrid, time_grid
 
 CLASSICAL_FLAVORS = ("classical-w", "classical-wr")
 CARLESON_FLAVORS = ("carleson-haar", "carleson-heat-free", "carleson-heat-neumann")
@@ -193,6 +193,7 @@ def bmo_norms(values, grid, w, flavor: str, lattices, r: float = 2.0, tg: TimeGr
     """
     values, r = function_cells(values, grid, stack=True), scalar("r", r, 1)
     warr = weight_cells(w, grid)
+    choice("flavor", flavor, CLASSICAL_FLAVORS + CARLESON_FLAVORS + HALF_FLAVORS)
     lats = lattices_on(lattices, grid.with_domain(FULL) if flavor in HALF_FLAVORS else grid)
     if flavor == "classical-w":
         return _classical_sup(values, warr, lats)
@@ -206,11 +207,8 @@ def bmo_norms(values, grid, w, flavor: str, lattices, r: float = 2.0, tg: TimeGr
     if flavor == "carleson-haar":
         return _carleson_haar(values, grid, warr, lats)
     if flavor in ("carleson-heat-free", "carleson-heat-neumann"):
-        tg = tg or TimeGrid.geometric(grid)
-        return _carleson_heat(values, grid, warr, lats, tg, neumann=flavor == "carleson-heat-neumann")
-    if flavor in HALF_FLAVORS:
-        return _half_flavor_norms(values, grid, warr, flavor, lats)
-    raise ParameterError(f"unknown BMO flavor {flavor!r}")
+        return _carleson_heat(values, grid, warr, lats, time_grid(tg, grid), neumann=flavor == "carleson-heat-neumann")
+    return _half_flavor_norms(values, grid, warr, flavor, lats)
 
 
 def bmo_norm(f: GridFunction, w, flavor: str, lattices, r: float = 2.0, tg: TimeGrid = None) -> float:

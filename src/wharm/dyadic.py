@@ -45,7 +45,7 @@ from itertools import product
 import numpy as np
 
 from .errors import GridAlignmentError, ParameterError
-from .grid import FULL, Grid, GridFunction, scalar, weight_cells
+from .grid import FULL, Grid, GridFunction, choice, scalar, weight_cells
 
 SHIFT_NAMES = {"none": 0, "third": 1, "two_thirds": 2}
 
@@ -86,14 +86,10 @@ class DyadicLattice:
             raise GridAlignmentError(f"2^{max_generation} must divide points_per_axis={N}")
         self.grid = grid
         self.max_generation = max_generation
-        if shift is None:
-            shift = "none"
-        if isinstance(shift, str):
-            shift = (shift,) * grid.dim
-        labels = tuple(shift) if isinstance(shift, (tuple, list)) else ()
-        if len(labels) != grid.dim or not all(isinstance(s, str) and s in SHIFT_NAMES for s in labels):
-            raise ParameterError(f"shift is one label or {grid.dim} labels of {list(SHIFT_NAMES)}, got {shift!r}")
-        self.shift_labels = labels
+        labels = shift if isinstance(shift, (tuple, list)) else ("none" if shift is None else shift,) * grid.dim
+        if len(labels) != grid.dim:
+            raise ParameterError(f"shift is one label or {grid.dim} labels, got {shift!r}")
+        self.shift_labels = tuple(choice("shift", s, SHIFT_NAMES) for s in labels)
         self.shift_cells = tuple(SHIFT_NAMES[s] * (N // 3) for s in self.shift_labels)
 
     @cached_property

@@ -10,8 +10,9 @@ the quadrature reflections and the Delta_N objects of bmo and weights read.
 Entries read function values by one rule, function_cells (one function or
 a stack of them, finite, on the entry's grid), weights by another,
 weight_cells (None or positive cells), every real or integer parameter by
-a third, scalar (finite, no bool, inside the entry's bounds), and every
-array of scales by scale_array (nonempty, 1D, finite and positive).
+a third, scalar (finite, no bool, inside the entry's bounds), every array
+of scales by scale_array (nonempty, 1D, finite and positive), and every
+named choice by choice (a string among the entry's names).
 """
 
 from __future__ import annotations
@@ -43,6 +44,16 @@ def scalar(name: str, x, low=-math.inf, high=math.inf, strict: bool = False, int
     if not ((low < x if strict else low <= x) and x <= high and (integer or abs(x) <= sys.float_info.max)):
         bounds = f"lie in {'(' if strict else '['}{low}, {high}{']' if high < math.inf else ')'}"
         raise ParameterError(f"{name} must {'be finite' if -low == high == math.inf else bounds}, got {name} = {x!r}")
+    return x
+
+
+def choice(name: str, x, choices, error=ParameterError):
+    """x itself when it is a str among choices, the one rule by which every
+    entry reads a kind, family, backend, flavor, generator, domain, side,
+    shift label or experiment name, so that no list or array reaches a test
+    or a cache key.  Else error naming the parameter, its choices and x."""
+    if not (isinstance(x, str) and x in choices):
+        raise error(f"{name} must be one of {', '.join(choices)}, got {name} = {x!r}")
     return x
 
 
@@ -119,8 +130,7 @@ class Grid:
         h, span = 2.0 * self.halfwidth / self.points_per_axis, 2.0 * self.halfwidth
         if not (h * h >= sys.float_info.min and span * span <= sys.float_info.max):
             raise ParameterError(f"halfwidth {self.halfwidth!r} puts h^2 or (2L)^2 outside the normal float range")
-        if self.domain not in (FULL, UPPER, LOWER):
-            raise ParameterError(f"unknown domain {self.domain!r}")
+        choice("domain", self.domain, (FULL, UPPER, LOWER))
 
     @property
     def h(self) -> float:
@@ -221,8 +231,7 @@ def restrict(f: GridFunction, side: str) -> GridFunction:
     """Restriction of a full-space function to one half-space (bit-exact copy)."""
     if f.grid.domain != FULL:
         raise DomainError("restrict expects a full-space grid function")
-    if side not in (UPPER, LOWER):
-        raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
+    choice("side", side, (UPPER, LOWER))
     N = f.grid.points_per_axis
     half = N // 2
     sl = slice(half, None) if side == UPPER else slice(None, half)

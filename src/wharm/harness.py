@@ -29,7 +29,7 @@ import numpy as np
 from . import bmo as bmo_mod
 from .dyadic import lattice_family, random_haar_sums
 from .errors import ParameterError, RangeError
-from .grid import Grid, GridFunction, checked_config, restrict, scalar
+from .grid import Grid, GridFunction, checked_config, choice, restrict, scalar
 from .operators import commutator, commutator_norms, riesz, weighted_operator_norm
 from .squarefn import TimeGrid
 from .weights import ap_constant_per_lattice, ap_deltaN_constant, ap_quotient_on_box, bloom_weight, weight_from_spec
@@ -377,8 +377,7 @@ def run(name: str, cfg: dict) -> dict:
     A Python float error the experiment raises (OverflowError,
     ZeroDivisionError, FloatingPointError) leaves it as a RangeError that
     names the experiment."""
-    if name not in EXPERIMENTS:
-        raise ParameterError(f"unknown experiment {name!r}; have {sorted(EXPERIMENTS)}")
+    choice("name", name, EXPERIMENTS)
     t0 = time.perf_counter()
     params = inspect.signature(EXPERIMENTS[name]).parameters
     checked = checked_config(cfg, {key: p.default for key, p in params.items()}, name)

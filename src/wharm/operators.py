@@ -134,8 +134,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BackendError, DomainError, ParameterError, RangeError, SizeError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, checked_p, extensions, function_cells, scalar, scale_array
-from .grid import weight_cells
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, checked_p, choice, extensions, function_cells, scalar
+from .grid import scale_array, weight_cells
 from .kernels import heat_free, psi_multiplier, psi_stencil, qt_free, riesz_free
 
 DENSE_POINT_CAP = 4096
@@ -182,12 +182,9 @@ class OperatorHandle:
     inner: object = None
 
     def __post_init__(self):
-        for name, choices in (("kind", KINDS), ("family", LAPLACIANS), ("backend", (FOURIER, QUADRATURE))):
-            value = getattr(self, name)
-            # a string first: a list or an array is refused, not hashed by a cache later
-            if not (isinstance(value, str) and value in choices):
-                error = BackendError if name == "backend" else ParameterError
-                raise error(f"{name} must be one of {', '.join(choices)}, got {name} = {value!r}")
+        choice("kind", self.kind, KINDS)
+        choice("family", self.family, LAPLACIANS)
+        choice("backend", self.backend, (FOURIER, QUADRATURE), BackendError)
         if self.kind in SCALE_KINDS or self.t is not None:
             scalar("t", self.t, 0, strict=True)
         if self.kind == "riesz" or self.j is not None:
@@ -255,8 +252,8 @@ def psi_reach(mask: np.ndarray, ts, grid: Grid) -> np.ndarray:
     """The cells that the quadrature psi at the scales ts reaches from the
     cells of mask (n = 1, last axis, mod the box): mask dilated by the largest
     stencil radius.  The exact psi fields vanish outside it; the transforms
-    leave round-off there, which the callers zero."""
-    st = psi_stencil(max(ts), grid.h)
+    leave round-off there, which the callers zero; a scale past 4L is refused."""
+    st = psi_stencil(scalar("t", max(ts), 0, 4.0 * grid.halfwidth, strict=True), grid.h)
     r = int(np.max(np.abs(np.flatnonzero(st) - (len(st) - 1) // 2)))
     N = grid.points_per_axis
     if 2 * r + 1 >= N:
@@ -279,6 +276,8 @@ def _multiplier_stack(kind: str, j, beta: int, grid: Grid, ts, backend: str) -> 
         # consistent with the periodic Fourier model
         if grid.dim != 1:
             raise BackendError("the psi quadrature stencil is implemented in n = 1 only")
+        # a stencil spans 2t/h cells: a scale past 4L, twice the widest TimeGrid scale, is refused unbuilt
+        scalar("t", max(ts), 0, 4.0 * grid.halfwidth, strict=True)
         m = np.stack([_psi_stencil_spectrum(t, grid) for t in ts])
     elif kind == "riesz":
         mesh = _xi_grids(grid)
@@ -587,8 +586,7 @@ def apply_scales(kind: str, family: str, ts, f, beta: int = 0, grid: Grid = None
     The stack holds len(ts) complex half spectra and real fields, so callers
     pass one octave of scales at a time.
     """
-    if kind not in SCALE_KINDS:
-        raise ParameterError(f"apply_scales takes a scale kind {SCALE_KINDS}, not {kind!r}")
+    choice("kind", kind, SCALE_KINDS)
     ts = scale_array("ts", ts)
     # the handle checks the family; the scales themselves come from ts
     op = OperatorHandle(kind, family, t=float(ts[0]), beta=beta)

@@ -33,7 +33,8 @@ import numpy as np
 
 from .dyadic import DyadicLattice, haar_generation, lattices_on
 from .errors import BackendError, ParameterError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, join_sides, restrict, scalar, scale_array, weight_cells
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, choice, join_sides, restrict, scalar, scale_array
+from .grid import weight_cells
 from .operators import apply_scales
 
 
@@ -47,8 +48,7 @@ class ConeSpec:
     kind: str = "free"
 
     def __post_init__(self):
-        if self.kind not in ("free", "neumann"):
-            raise ParameterError(f"unknown cone kind {self.kind!r}")
+        choice("kind", self.kind, ("free", "neumann"))
 
 
 @dataclass
@@ -102,6 +102,16 @@ class TimeGrid:
         m_max = int(np.floor(M * np.log2(t_max / t_min) + 1e-12))
         ts = t_min * 2.0 ** (np.arange(m_max + 1) / M)
         return cls(ts, M)
+
+
+def time_grid(tg, grid: Grid = None) -> TimeGrid:
+    """tg itself when it is a TimeGrid, the one rule for time grid arguments;
+    with grid (where tg may default) None gives TimeGrid.geometric(grid)."""
+    if tg is None and grid is not None:
+        return TimeGrid.geometric(grid)
+    if not isinstance(tg, TimeGrid):
+        raise ParameterError(f"tg must be a TimeGrid{'' if grid is None else ' or None'}, got tg = {tg!r}")
+    return tg
 
 
 @lru_cache(maxsize=32)
@@ -170,16 +180,15 @@ def _cone_integral(f: GridFunction, e, tg: TimeGrid, sums) -> GridFunction:
     return GridFunction(g, np.ldexp(np.sqrt(np.maximum(acc, 0.0)), e))
 
 
-def _generator(generator):
-    """(kind, beta) of a square-function generator: "qt" or ("phi", beta),
-    beta an integer >= 0 (grid.scalar)."""
-    if generator == "qt":
-        return "qt", 0
-    if isinstance(generator, tuple) and generator[:1] == ("phi",):
-        if len(generator) != 2:
-            raise ParameterError(f"beta must be the one order of phi and classical, got {generator[1:]!r}")
-        return "phi", int(scalar("beta", generator[1], 0, integer=True))
-    raise ParameterError(f"unknown square-function generator {generator!r}")
+def _named(parameter: str, x, choices: tuple) -> tuple:
+    """(name, beta) of a generator or Hardy flavor x: a name of choices alone
+    (beta 0) or the last one, which takes an order, as (name, beta); grid.choice
+    reads the name and grid.scalar beta, an integer >= 0."""
+    name, *order = x if isinstance(x, tuple) and x else (x,)
+    ordered = choice(parameter, name, choices) == choices[-1]
+    if isinstance(x, tuple) != ordered or len(order) != ordered:
+        raise ParameterError(f"beta must be the one order of {choices[-1]}, as ({choices[-1]!r}, beta), got {x!r}")
+    return name, int(scalar("beta", order[0], 0, integer=True)) if ordered else 0
 
 
 def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> GridFunction:
@@ -187,9 +196,9 @@ def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> G
     g = f.grid
     if g.domain != FULL:
         raise BackendError("area functions are evaluated on full-space data")
-    if cone.kind == "neumann" and not (generator == "qt"):
+    kind, beta = _named("generator", generator, ("qt", "phi"))
+    if cone.kind == "neumann" and kind != "qt":
         raise ParameterError("the Neumann cone is wired for the heat generator only")
-    kind, beta = _generator(generator)
     if cone.kind == "free":
         e = _exponent(f.values)
     else:
@@ -206,7 +215,7 @@ def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> G
         upper = _radial_sums(join_sides(fields, 0.0, g), g, ts, weights)
         return join_sides(upper, _radial_sums(join_sides(0.0, fields, g), g, ts, weights), g)
 
-    return _cone_integral(f, e, tg, sums)
+    return _cone_integral(f, e, time_grid(tg), sums)
 
 
 def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) -> GridFunction:
@@ -215,13 +224,13 @@ def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) ->
     g = h_fn.grid
     if g.domain != FULL:
         raise BackendError("g* is evaluated on full-space data")
-    kind, beta = _generator(generator)
+    kind, beta = _named("generator", generator, ("qt", "phi"))
     scalar("lambda_exponent", lambda_exponent, 1, integer=True)
 
     def sums(u, ts, weights):
         return _radial_sums(apply_scales(kind, "free", ts, u, beta=beta) ** 2, g, ts, weights, int(lambda_exponent))
 
-    return _cone_integral(h_fn, _exponent(h_fn.values), tg, sums)
+    return _cone_integral(h_fn, _exponent(h_fn.values), time_grid(tg), sums)
 
 
 def haar_square_function(f: GridFunction, lat: DyadicLattice) -> GridFunction:
@@ -263,17 +272,10 @@ def hardy_norm(f: GridFunction, flavor, w, tg: TimeGrid = None, lattice: DyadicL
     value.  lattice: the Haar flavor's one lattice, on f's grid (lattices_on).
     """
     warr = weight_cells(w, f.grid)
-    if flavor == "haar":
+    name, beta = _named("flavor", flavor, ("heat-free", "heat-neumann", "haar", "classical"))
+    if name == "haar":
         S = haar_square_function(f, lattice)
     else:
-        if tg is None:
-            tg = TimeGrid.geometric(f.grid)
-        if flavor == "heat-free":
-            S = area_function(f, "qt", ConeSpec("free"), tg)
-        elif flavor == "heat-neumann":
-            S = area_function(f, "qt", ConeSpec("neumann"), tg)
-        elif isinstance(flavor, tuple) and flavor[:1] == ("classical",):
-            S = area_function(f, ("phi",) + flavor[1:], ConeSpec("free"), tg)
-        else:
-            raise ParameterError(f"unknown hardy flavor {flavor!r}")
+        cone = ConeSpec("neumann" if name == "heat-neumann" else "free")
+        S = area_function(f, ("phi", beta) if name == "classical" else "qt", cone, time_grid(tg, f.grid))
     return float(np.sum(S.values * warr) * f.grid.cell_volume)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dyadic import lattices_on
 from .errors import DomainError, ParameterError, RangeError, WeightError
-from .grid import Grid, GridFunction, checked_config, checked_p, extensions, load, scalar, weight_cells
+from .grid import Grid, GridFunction, checked_config, checked_p, choice, extensions, load, scalar, weight_cells
 
 
 def _checked(w: GridFunction) -> GridFunction:
@@ -202,11 +202,9 @@ def weight_from_spec(spec: dict, grid: Grid) -> GridFunction:
     asks of the example value beside its key."""
     if not isinstance(spec, dict):
         raise ParameterError(f"a weight spec is a JSON object, got {spec!r}")
-    kind = spec.get("kind", "one")
     takes = {"one": {}, "power": {"alpha": 0.0}, "one-sided-power": {"alpha": 0.0}, "prop33": {"alpha": 0.0},
              "grid": {"file": ""}, "exp_bmo": {"file": "", "delta": 1.0}}
-    if not isinstance(kind, str) or kind not in takes:
-        raise ParameterError(f"unknown weight kind {kind!r}")
+    kind = choice("kind", spec.get("kind", "one"), takes)
     spec = checked_config(spec, {"kind": "", **takes[kind]}, f"weight kind {kind!r}")
 
     def value(key):

@@ -156,6 +156,17 @@ def test_cli_riesz_component_outside_dimension_exits_2(tmp_path, capsys):
         assert err.strip().splitlines()[-1].startswith("wharm: ParameterError: ")
 
 
+def test_cli_psi_quadrature_scale_past_the_box_exits_2(tmp_path, capsys):
+    # t = 8 on L = 1 built a stencil of 2t/h cells and printed a number; a
+    # larger t allocated gigabytes first, and t = 1e300 ended in a raw ValueError
+    fpath, _ = _write_inputs(tmp_path)
+    args = ["apply", "--kernel", "psi", "--backend", "quadrature", "--input", fpath, "--out", str(tmp_path / "o.csv")]
+    assert main(args + ["--t", "4"]) == 0
+    assert main(args + ["--t", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1] == "wharm: ParameterError: t must lie in (0, 4.0], got t = 8.0"
+
+
 def test_cli_harness(tmp_path, capsys):
     cfg = {"points_per_axis": 64, "instances": 4, "max_generation": 4, "seed": 0}
     cpath = str(tmp_path / "cfg.json")

@@ -3,13 +3,16 @@ function values: one function, or a stack of them along one leading axis, on
 the entry's own grid.  The same bad argument gives the same error everywhere.
 One scalar rule (grid.scalar) behind every real or integer parameter: finite,
 no bool, inside the bounds its entry states, and one (grid.scale_array)
-behind every array of scales.  Guards walk the public
-callables of every wharm module, so that an entry taking function values,
-or a scalar, cannot miss its rule."""
+behind every array of scales.  One choice rule (grid.choice) behind every
+named choice: a str among the entry's names.  One rule (squarefn.time_grid)
+behind every time grid argument.  Guards walk the public callables of every
+wharm module, so that an entry taking function values, a scalar or a name
+cannot miss its rule."""
 
 import importlib
 import inspect
 import pkgutil
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,16 +23,16 @@ from wharm.atoms import atomic_decompose, check_atom
 from wharm.bmo import CARLESON_FLAVORS, CLASSICAL_FLAVORS, HALF_FLAVORS, bmo_deltaN_sides_norms, bmo_norm, bmo_norms
 from wharm.bmo import john_nirenberg_report
 from wharm.dyadic import DyadicCube, DyadicLattice, build_lattice, lattice_family, random_haar_sum, random_haar_sums
-from wharm.errors import DomainError, GridAlignmentError, ParameterError
-from wharm.grid import Grid, GridFunction, checked_p, constant, scalar
+from wharm.errors import BackendError, DomainError, GridAlignmentError, ParameterError, WharmError
+from wharm.grid import Grid, GridFunction, checked_p, choice, constant, restrict, scalar
 from wharm.harness import EXPERIMENTS, run
 from wharm.kernels import psi_stencil
 from wharm.operators import OperatorHandle, apply, apply_scales, assemble_matrix, commutator, commutator_norms
-from wharm.operators import psi_op, riesz, semigroup, weighted_operator_norm
+from wharm.operators import psi_op, psi_reach, riesz, semigroup, weighted_operator_norm
 from wharm.sparse import build_sparse_from_recursion, carleson_to_sparse, cz_stopping
-from wharm.squarefn import ConeSpec, TimeGrid, area_function, g_star
+from wharm.squarefn import ConeSpec, TimeGrid, area_function, g_star, hardy_norm, time_grid
 from wharm.weights import ap_constant, ap_constant_per_lattice, ap_deltaN_constant, ap_quotient_on_box, bloom_weight
-from wharm.weights import exp_log_bridge, one_sided_power_weight, power_weight
+from wharm.weights import exp_log_bridge, one_sided_power_weight, power_weight, weight_from_spec
 
 GRID = Grid(1, 1.0, 32)
 HALF = GRID.with_domain("upper")
@@ -367,3 +370,166 @@ def test_every_public_scalar_parameter_is_an_entry():
     loose = sorted(found - set(SCALAR_ENTRIES) - set(SCALAR_EXEMPT))
     assert not loose, f"these are scalar parameters, but no entry here and not exempt: {loose}"
     assert not set(SCALAR_EXEMPT) - found, f"exempt but no scalar parameter: {sorted(set(SCALAR_EXEMPT) - found)}"
+
+
+# entries that read a name: {"callable.parameter": (call(x), a name it takes)}
+CHOICE_ENTRIES = {
+    "choice.x": (lambda x: choice("x", x, ("a", "b")), "a"),
+    "OperatorHandle.kind": (lambda x: OperatorHandle(x, t=0.1), "qt"),
+    "OperatorHandle.family": (lambda x: OperatorHandle("qt", x, t=0.1), "neumann"),
+    "OperatorHandle.backend": (lambda x: OperatorHandle("qt", t=0.1, backend=x), "quadrature"),
+    "semigroup.family": (lambda x: semigroup(x, 0.1), "free"),
+    "semigroup.backend": (lambda x: semigroup("free", 0.1, backend=x), "fourier"),
+    "psi_op.backend": (lambda x: psi_op(0.1, backend=x), "quadrature"),
+    "riesz.family": (lambda x: riesz(x, 1), "dirichlet"),
+    "riesz.backend": (lambda x: riesz("free", 1, backend=x), "fourier"),
+    "apply_scales.kind": (lambda x: apply_scales(x, "free", [0.1], F), "qt"),
+    "apply_scales.family": (lambda x: apply_scales("qt", x, [0.1], F), "free"),
+    "Grid.domain": (lambda x: Grid(1, 1.0, 8, x), "upper"),
+    "restrict.side": (lambda x: restrict(F, x), "lower"),
+    "DyadicLattice.shift": (lambda x: DyadicLattice(GRID, 3, x), "third"),
+    "build_lattice.shift": (lambda x: build_lattice(GRID, 3, x), "two_thirds"),
+    "ConeSpec.kind": (ConeSpec, "neumann"),
+    "area_function.generator": (lambda x: area_function(F, x, ConeSpec(), TG), "qt"),
+    "g_star.generator": (lambda x: g_star(F, x, 2, TG), "qt"),
+    "hardy_norm.flavor": (lambda x: hardy_norm(F, x, None, TG, LATS[0]), "haar"),
+    "bmo_norms.flavor": (lambda x: bmo_norms(STACK, GRID, None, x, LATS), "classical-w"),
+    "bmo_norm.flavor": (lambda x: bmo_norm(F, None, x, LATS), "carleson-haar"),
+    # the kind of a weight is a key of its spec
+    "weight_from_spec.kind": (lambda x: weight_from_spec({"kind": x}, GRID), "one"),
+    "run.name": (lambda x: run(x, {}), "riesz-ap"),
+}
+# entries whose default None is a name: a lattice's shift is "none" by default
+NONE_IS_A_NAME = {"DyadicLattice.shift", "build_lattice.shift"}
+
+# public parameters named as a choice that are no entry of the choice rule
+CHOICE_EXEMPT = {
+    "choice.name": "the rule's own label of the parameter it reads",
+    "scalar.name": "a label: the parameter its message names",
+    "scale_array.name": "a label: the parameter its message names",
+    "experiment.name": "it registers an experiment under its name, which run reads",
+}
+CHOICE_PARAMETERS = {"kind", "family", "backend", "flavor", "generator", "domain", "side", "shift", "name"}
+
+
+def _bad_names(entry, valid):
+    """The values every entry refuses: none is a str among its names."""
+    bad = {"bogus": "bogus", "None": None, "list": ["x"], "two-array": np.array(["x", "y"]),
+           "one-array": np.array([valid])}
+    return {key: value for key, value in bad.items() if not (value is None and entry in NONE_IS_A_NAME)}
+
+
+CHOICE_CASES = [(entry, key, value) for entry, (_, valid) in CHOICE_ENTRIES.items()
+                for key, value in _bad_names(entry, valid).items()]
+
+
+@pytest.mark.parametrize("entry, bad, value", CHOICE_CASES, ids=[f"{e}-{b}" for e, b, _ in CHOICE_CASES])
+def test_every_choice_entry_refuses_a_bad_name(entry, bad, value):
+    # an array domain built a Grid that a cache then could not hash, an array
+    # side, BMO or Hardy flavor or generator ended in numpy's ambiguous truth
+    # value, a list experiment name in a raw TypeError, and a one-element
+    # array Hardy flavor gave a norm; the message is the rule's everywhere
+    parameter = entry.rsplit(".", 1)[1]
+    error = BackendError if parameter == "backend" else ParameterError
+    with pytest.raises(error, match=f"^{parameter} must be one of ") as info:
+        CHOICE_ENTRIES[entry][0](value)
+    assert f", got {parameter} = " in str(info.value)
+
+
+@pytest.mark.parametrize("entry", [e for e in CHOICE_ENTRIES if e != "run.name"])
+def test_every_choice_entry_takes_its_name(entry):
+    call, valid = CHOICE_ENTRIES[entry]
+    call(valid)
+
+
+def test_the_choice_rule_returns_its_argument():
+    name = "".join(["fu", "ll"])  # equal to "full", not the same object
+    assert choice("domain", name, ("full", "upper")) is name
+
+
+def test_every_public_choice_parameter_is_an_entry():
+    found = {f"{name}.{key}" for name, obj in _public_callables().items()
+             for key in inspect.signature(obj).parameters if key in CHOICE_PARAMETERS}
+    loose = sorted(found - set(CHOICE_ENTRIES) - set(CHOICE_EXEMPT))
+    assert not loose, f"these are named choices, but no entry here and not exempt: {loose}"
+    assert not set(CHOICE_EXEMPT) - found, f"exempt but no choice parameter: {sorted(set(CHOICE_EXEMPT) - found)}"
+
+
+# entries that read a time grid: {name: (call(tg), whether None is the default)}
+TIME_GRID_ENTRIES = {
+    "bmo_norms": (lambda tg: bmo_norms(STACK, GRID, None, "carleson-heat-neumann", LATS, tg=tg), True),
+    "bmo_norm": (lambda tg: bmo_norm(F, None, "carleson-heat-free", LATS, tg=tg), True),
+    "bmo_deltaN_sides_norms": (lambda tg: bmo_deltaN_sides_norms(STACK, GRID, None, LATS, tg=tg), True),
+    "hardy_norm": (lambda tg: hardy_norm(F, ("classical", 1), None, tg=tg), True),
+    "atomic_decompose": (lambda tg: atomic_decompose(F, None, LATS[0], tg=tg), True),
+    "area_function": (lambda tg: area_function(F, "qt", ConeSpec(), tg), False),
+    "g_star": (lambda tg: g_star(F, "qt", 2, tg), False),
+    "time_grid": (time_grid, False),
+}
+TIME_GRID_CASES = [(entry, tg) for entry, (_, default) in TIME_GRID_ENTRIES.items()
+                   for tg in ["x", 5, 0, TG.t_values] + ([] if default else [None])]
+
+
+@pytest.mark.parametrize("entry, tg", TIME_GRID_CASES, ids=[f"{e}-{t!r:.8}" for e, t in TIME_GRID_CASES])
+def test_every_time_grid_entry_refuses_what_is_no_time_grid(entry, tg):
+    # tg = "x" and tg = 5 ended in a raw AttributeError, and tg = 0 was taken
+    # as the default grid by `tg or TimeGrid.geometric(...)`
+    with pytest.raises(ParameterError, match="^tg must be a TimeGrid"):
+        TIME_GRID_ENTRIES[entry][0](tg)
+
+
+def test_every_public_time_grid_parameter_is_an_entry():
+    takers = {name for name, obj in _public_callables().items() if "tg" in inspect.signature(obj).parameters}
+    assert takers == set(TIME_GRID_ENTRIES)
+
+
+@pytest.mark.parametrize("t", [1e300, 1e7], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda t: apply(psi_op(t, backend="quadrature"), constant(GRID, 1.0)),
+    lambda t: psi_reach(np.ones(GRID.shape, dtype=bool), [0.1, t], GRID),
+], ids=["apply", "psi_reach"])
+def test_a_quadrature_psi_scale_past_the_box_is_refused_unbuilt(call, t):
+    # t = 1e300 ended in a raw ValueError from numpy and t = 1e7 built a
+    # stencil of 2t/h cells, gigabytes, first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=r"^t must lie in \(0, 4.0\], got t = "):
+            call(t)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_quadrature_psi_scale_up_to_the_box_is_computed():
+    # every TimeGrid scale is at most 2L up to rounding; 4L is the bound itself
+    for t in (2.0 * GRID.halfwidth, 4.0 * GRID.halfwidth):
+        assert np.all(np.isfinite(apply(psi_op(t, backend="quadrature"), F).values))
+
+
+# calls that ended in a raw Python or numpy error, or gave a number
+PROBES = {
+    "array-domain": lambda: Grid(1, 1.0, 8, np.array("full")),
+    "list-experiment": lambda: run(["riesz-ap"], {}),
+    "array-side": lambda: restrict(F, np.array(["upper", "lower"])),
+    "array-bmo-flavor": lambda: bmo_norm(F, None, np.array(["classical-w", "x"]), LATS),
+    "array-hardy-flavor": lambda: hardy_norm(F, np.array(["haar", "x"]), None),
+    "array-generator": lambda: area_function(F, np.array(["qt", "qt"]), ConeSpec("free"), TG),
+    "one-array-hardy-flavor": lambda: hardy_norm(F, np.array(["heat-free"]), None),
+    "str-tg-bmo": lambda: bmo_norm(F, None, "carleson-heat-free", LATS, tg="x"),
+    "str-tg-hardy": lambda: hardy_norm(F, "heat-free", None, tg="x"),
+    "int-tg-atoms": lambda: atomic_decompose(F, None, LATS[0], tg=5),
+    "zero-tg-bmo": lambda: bmo_norms(STACK, GRID, None, "carleson-heat-free", LATS, tg=0),
+}
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_a_probed_call_raises_a_toolkit_error(probe):
+    with pytest.raises(WharmError):
+        PROBES[probe]()
+
+
+@pytest.mark.parametrize("flavor", [("heat-free",), ("heat-free", 1), "classical", ("classical",), ("classical", 1, 2),
+                                    ()], ids=repr)
+def test_a_hardy_flavor_takes_an_order_only_when_classical(flavor):
+    with pytest.raises(ParameterError):
+        hardy_norm(F, flavor, None, TG)
