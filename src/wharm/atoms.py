@@ -253,11 +253,11 @@ def _masked_transform(masks: np.ndarray, g: Grid):
     return transform
 
 
-def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignment, owners):
-    """Whitney pieces of the reproducing formula, bucketed under (k, id of
-    Qbar), as (keys, pieces): the buckets in row order, None for the cubes in
-    no B_k (the unassigned remainder), and the stack of shape
-    (len(keys), *grid.shape) holding each bucket's piece.
+def _whitney_pieces(f: GridFunction, lat: DyadicLattice, slabs: list, log_weight: float, assignment, owners):
+    """Whitney pieces of the reproducing formula over slabs of dt/t weight
+    log_weight (TimeGrid.slabs), bucketed under (k, id of Qbar), as (keys,
+    pieces): the buckets in row order, None for the cubes in no B_k (the
+    unassigned remainder), and the stack (len(keys), *grid.shape) of pieces.
 
     The scales of one Whitney slab share one generation's buckets, so a piece
     is summed in the spectral domain: piece = irfft(sum_t m_t rfft(1_key u_t))
@@ -275,16 +275,16 @@ def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignmen
     """
     g = f.grid
     psi_backend = QUADRATURE if g.dim == 1 else FOURIER
-    slabs, row = [], {}
+    plan, row = [], {}
     # finest slab first: every piece's spectrum sums its scales in increasing order
-    for k_gen, ts in reversed(tg.slabs(g, lat.max_generation)):
+    for k_gen, ts in reversed(slabs):
         keys, labels = _bucket_labels(lat, k_gen, assignment[k_gen], owners[k_gen])
-        slabs.append((ts, [row.setdefault(key, len(row)) for key in keys], labels))
+        plan.append((ts, [row.setdefault(key, len(row)) for key in keys], labels))
     half = g.shape[:-1] + (g.points_per_axis // 2 + 1,)
     # -0.0 + x is x bit for bit, so a row's first term lands unchanged
     spectra = np.full((len(row),) + half, complex(-0.0, -0.0))
     reach = np.zeros((len(row),) + g.shape, dtype=bool) if psi_backend == QUADRATURE else None
-    for ts, rows, labels in slabs:
+    for ts, rows, labels in plan:
         masks = labels == np.arange(len(rows)).reshape((-1,) + (1,) * g.dim)
         psi = free_multipliers(psi_op(ts[0], backend=psi_backend), g, ts)
         if reach is not None:
@@ -300,7 +300,7 @@ def _whitney_pieces(f: GridFunction, lat: DyadicLattice, tg: TimeGrid, assignmen
                 batch *= m
                 rows_sum += batch
             spectra[batch_rows] = rows_sum
-    weight = tg.log_weight * calderon_constant()
+    weight = log_weight * calderon_constant()
     # a batch's piece rows end before the spectrum rows not yet inverted begin
     pieces = spectra.view(float).reshape(-1)[:len(row) * math.prod(g.shape)].reshape((len(row),) + g.shape)
     for lo in range(0, len(row), _BUCKET_SLICE):
@@ -316,7 +316,7 @@ def atomic_decompose(f: GridFunction, w, lat: DyadicLattice, tg: TimeGrid = None
                      p: float = 2.0) -> AtomicDecomposition:
     """Level-set atomic decomposition of f against the weight w, read by
     grid.weight_cells (None is the unit weight), over the unshifted lattice
-    lat on f's grid (dyadic.lattices_on).
+    lat on f's grid (dyadic.lattices_on) and the scales of tg on it (time_grid).
 
     Atoms are (1,p,0)-atoms supported in 3Qbar, p read by grid.checked_p;
     coefficients are 2^k w(Qbar).  Raises DecompositionError when the square
@@ -329,6 +329,7 @@ def atomic_decompose(f: GridFunction, w, lat: DyadicLattice, tg: TimeGrid = None
     checked_p(p)
     warr = weight_cells(w, g)
     tg = time_grid(tg, g)
+    slabs = tg.slabs(lat.max_generation)
 
     S = area_function(f, "qt", ConeSpec("free"), tg)
     smax = float(np.max(S.values))
@@ -345,7 +346,7 @@ def atomic_decompose(f: GridFunction, w, lat: DyadicLattice, tg: TimeGrid = None
     # per-generation assignment: the unique k with the B_k sandwich property,
     # the number of levels whose Omega_k holds more than half of w(Q)
     assignment, masses = {}, {}
-    for k_gen, _ in tg.slabs(g, lat.max_generation):
+    for k_gen, _ in slabs:
         wq = lat.blocks(warr, k_gen).sum(axis=-1)
         count = np.count_nonzero(lat.blocks(warr * omega, k_gen).sum(axis=-1) > wq / 2.0, axis=0)
         assignment[k_gen] = np.where(count > 0, kmin - 1 + count, _UNASSIGNED)
@@ -353,7 +354,7 @@ def atomic_decompose(f: GridFunction, w, lat: DyadicLattice, tg: TimeGrid = None
 
     owners = _owners(lat, assignment)
     maximal = _maximal_counts(lat, assignment, owners)
-    keys, pieces = _whitney_pieces(f, lat, tg, assignment, owners)
+    keys, pieces = _whitney_pieces(f, lat, slabs, tg.log_weight, assignment, owners)
 
     # the atoms in sorted (k, id of Qbar) order.  The boxes of one generation
     # of Qbar share their size, so each generation's box values are gathered

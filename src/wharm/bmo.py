@@ -143,7 +143,7 @@ def _carleson_heat(values: np.ndarray, grid, warr: np.ndarray, lats: list, tg: T
     if dyadic is None:
         # inner sums run over unshifted dyadic cubes (block sums rely on it)
         raise ParameterError("semigroup Carleson norms need the unshifted lattice in the family")
-    slabs = tg.slabs(grid, dyadic.max_generation)
+    slabs = tg.slabs(dyadic.max_generation)
     tables = [np.zeros((S, 0))]
     for k, ts in slabs:
         # one Whitney slab, one octave of scales, every row: one batched apply

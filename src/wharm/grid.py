@@ -59,7 +59,7 @@ def choice(name: str, x, choices, error=ParameterError):
 
 def scale_array(name: str, x) -> np.ndarray:
     """x as a float array when it is an admissible array of scales, the one
-    rule by which apply_scales and TimeGrid read theirs: a nonempty 1D array
+    rule by which apply_scales reads its scales: a nonempty 1D array
     of real numbers (no bool, no string), each finite and > 0.  Else
     ParameterError naming the parameter."""
     try:

@@ -31,7 +31,6 @@ from .dyadic import lattice_family, random_haar_sums
 from .errors import ParameterError, RangeError
 from .grid import Grid, GridFunction, checked_config, choice, restrict, scalar
 from .operators import commutator, commutator_norms, riesz, weighted_operator_norm
-from .squarefn import TimeGrid
 from .weights import ap_constant_per_lattice, ap_deltaN_constant, ap_quotient_on_box, bloom_weight, weight_from_spec
 
 log = logging.getLogger("wharm.harness")
@@ -122,7 +121,6 @@ def run_two_weight_commutator(dim=1, halfwidth=1.0, points_per_axis=256, max_gen
     """Theorem-level band: ||[b, R_{N,l}]||_{mu->lambda} against ||b||_{BMO_{Delta_N, nu}}."""
     grid = Grid(dim, halfwidth, points_per_axis)
     lattices = lattice_family(grid, max_generation)
-    tg = TimeGrid.geometric(grid)
 
     # half-space variant: the operators act on the upper half grid directly
     base = grid.with_domain("upper") if half_space else grid
@@ -140,7 +138,7 @@ def run_two_weight_commutator(dim=1, halfwidth=1.0, points_per_axis=256, max_gen
         muv, lamv = (restrict(v, "upper") if half_space else v for v in (mu, lam))
 
         def bmo_nu(stack):
-            return bmo_mod.bmo_norms(stack, grid, nu, "carleson-heat-neumann", lattices, tg=tg)
+            return bmo_mod.bmo_norms(stack, grid, nu, "carleson-heat-neumann", lattices)
 
         drawn, skipped = _normalized_symbols(grid, lattices, nu, symbols, seed, bmo_nu)
         # symbols carry unit BMO norm, so the measured norm is the ratio itself
@@ -297,7 +295,6 @@ def run_bmo_coincidence(dim=1, halfwidth=1.0, points_per_axis=256, max_generatio
     grid = Grid(dim, halfwidth, points_per_axis)
     lattices = lattice_family(grid, max_generation)
     dyadic = lattices[0]
-    tg = TimeGrid.geometric(grid)
     rng = np.random.default_rng(seed)
     pair_ratios = {"classical_vs_heat": [], "haar_vs_wr2": [], "neumann_vs_sides": []}
     rows = []
@@ -307,11 +304,11 @@ def run_bmo_coincidence(dim=1, halfwidth=1.0, points_per_axis=256, max_generatio
         n_cl = bmo_mod.bmo_norms(drawn, grid, w, "classical-w", lattices)
         kept = np.flatnonzero(n_cl != 0.0)
         stack = drawn[kept]
-        n_heat = bmo_mod.bmo_norms(stack, grid, w, "carleson-heat-free", lattices, tg=tg)
+        n_heat = bmo_mod.bmo_norms(stack, grid, w, "carleson-heat-free", lattices)
         n_haar = bmo_mod.bmo_norms(stack, grid, w, "carleson-haar", dyadic)
         n_wr2 = bmo_mod.bmo_norms(stack, grid, w, "classical-wr", lattices, r=2.0)
-        n_neu = bmo_mod.bmo_norms(stack, grid, w, "carleson-heat-neumann", lattices, tg=tg)
-        s_p, s_m = bmo_mod.bmo_deltaN_sides_norms(stack, grid, w, lattices, tg=tg)
+        n_neu = bmo_mod.bmo_norms(stack, grid, w, "carleson-heat-neumann", lattices)
+        s_p, s_m = bmo_mod.bmo_deltaN_sides_norms(stack, grid, w, lattices)
         if np.any(s_p + s_m == 0.0):
             raise ParameterError(f"max_generation {dyadic.max_generation} is too shallow: "
                                  "a symbol drawn on its lattices has Delta_N sides norm 0")

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import SingularityError
-from .grid import scalar
+from .grid import Grid, scalar
 
 
 def riesz_normalization(n: int) -> float:
@@ -65,14 +65,16 @@ def psi_multiplier(s):
     return out if out.shape else float(out)
 
 
-def psi_stencil(t: float, h: float) -> np.ndarray:
+def psi_stencil(t: float, grid: Grid) -> np.ndarray:
     """Exact cell-averaged convolution stencil of the psi kernel in n = 1.
 
     The continuum kernel is g_t(u) = (1/t)(1_{|u|<=t/2} - 1/2 1_{|u|<=t});
-    per-cell averages keep the compact support (radius t + h/2) and the
-    exact zero total mass.
+    averages over grid's cells keep the compact support (radius t + h/2) and
+    the exact zero total mass.  The stencil spans 2t/h cells, so t is read by
+    grid.scalar at 0 < t <= 4L (twice the widest TimeGrid scale) first.
     """
-    scalar("t", t, 0, strict=True)
+    scalar("t", t, 0, 4.0 * grid.halfwidth, strict=True)
+    h = grid.h
     radius = int(math.ceil((t + 0.5 * h) / h))
     edges = (np.arange(-radius, radius + 1)[:, None] + np.array([[-0.5, 0.5]])) * h
     # the ramps clip(u, -c, c) integrate the two indicators from 0 to u

@@ -241,7 +241,7 @@ def _psi_stencil_spectrum(t: float, grid: Grid) -> np.ndarray:
     """Half-spectrum multiplier of the circular convolution with the
     periodized cell-averaged psi stencil (n = 1)."""
     h, N = grid.h, grid.points_per_axis
-    st = psi_stencil(t, h)
+    st = psi_stencil(t, grid)
     r = (len(st) - 1) // 2
     kper = np.zeros(N)
     np.add.at(kper, np.arange(-r, r + 1) % N, st)
@@ -252,8 +252,8 @@ def psi_reach(mask: np.ndarray, ts, grid: Grid) -> np.ndarray:
     """The cells that the quadrature psi at the scales ts reaches from the
     cells of mask (n = 1, last axis, mod the box): mask dilated by the largest
     stencil radius.  The exact psi fields vanish outside it; the transforms
-    leave round-off there, which the callers zero; a scale past 4L is refused."""
-    st = psi_stencil(scalar("t", max(ts), 0, 4.0 * grid.halfwidth, strict=True), grid.h)
+    leave round-off there, which the callers zero; psi_stencil refuses t > 4L."""
+    st = psi_stencil(max(ts), grid)
     r = int(np.max(np.abs(np.flatnonzero(st) - (len(st) - 1) // 2)))
     N = grid.points_per_axis
     if 2 * r + 1 >= N:
@@ -276,8 +276,6 @@ def _multiplier_stack(kind: str, j, beta: int, grid: Grid, ts, backend: str) -> 
         # consistent with the periodic Fourier model
         if grid.dim != 1:
             raise BackendError("the psi quadrature stencil is implemented in n = 1 only")
-        # a stencil spans 2t/h cells: a scale past 4L, twice the widest TimeGrid scale, is refused unbuilt
-        scalar("t", max(ts), 0, 4.0 * grid.halfwidth, strict=True)
         m = np.stack([_psi_stencil_spectrum(t, grid) for t in ts])
     elif kind == "riesz":
         mesh = _xi_grids(grid)
@@ -542,8 +540,8 @@ def _commutator_maps(symbols: np.ndarray, inner: OperatorHandle, grid: Grid):
     index) of symbols, a stack (S, *grid.shape) that grid.function_cells has
     read, for the Riesz handle T = inner.  T has parity -1, so [b, T]^T =
     [b, -T^T] is the commutator map of T's M* and makes no negation pass."""
-    if inner.kind != "riesz":
-        raise ParameterError("commutator inner handle must be a Riesz transform")
+    if not (isinstance(inner, OperatorHandle) and inner.kind == "riesz"):
+        raise ParameterError(f"commutator inner handle must be a Riesz transform, got inner = {inner!r:.60}")
     forward, adjoint, _ = _maps(inner, grid)
 
     def maps(rows):

@@ -32,8 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import DyadicLattice, haar_generation, lattices_on
-from .errors import BackendError, ParameterError
-from .grid import FULL, LOWER, UPPER, Grid, GridFunction, choice, join_sides, restrict, scalar, scale_array
+from .errors import BackendError, GridAlignmentError, ParameterError
+from .grid import FULL, LOWER, UPPER, Grid, GridFunction, choice, join_sides, restrict, scalar
 from .grid import weight_cells
 from .operators import apply_scales
 
@@ -51,23 +51,15 @@ class ConeSpec:
         choice("kind", self.kind, ("free", "neumann"))
 
 
-@dataclass
 class TimeGrid:
-    """Geometric scales t_m = t_min 2^{m/M}; dt/t weight is ln(2)/M.
+    """Geometric scales t_m = t_min 2^{m/M} of the grid they were built on;
+    dt/t weight is ln(2)/M, M = steps_per_octave.  geometric is the one
+    constructor, so every time grid holds its grid and its scales lie in
+    [h, 2L] of it: time_grid holds it to an entry's grid, and slabs reads
+    the grid's L."""
 
-    t_values are read by grid.scale_array and must be strictly increasing,
-    and M = steps_per_octave is an integer >= 1 (grid.scalar).
-    """
-
-    t_values: np.ndarray
-    steps_per_octave: int
-
-    def __post_init__(self):
-        ts = scale_array("t_values", self.t_values)
-        if np.any(np.diff(ts) <= 0):
-            raise ParameterError("time-grid scales must be strictly increasing")
-        self.t_values = ts
-        self.steps_per_octave = int(scalar("steps_per_octave", self.steps_per_octave, 1, integer=True))
+    def __init__(self, *args, **kwargs):
+        raise ParameterError("a TimeGrid is built by TimeGrid.geometric(grid, t_min, t_max, steps_per_octave)")
 
     @property
     def log_weight(self) -> float:
@@ -78,39 +70,46 @@ class TimeGrid:
         M = self.steps_per_octave
         return [self.t_values[i:i + M] for i in range(0, len(self.t_values), M)]
 
-    def slabs(self, grid: Grid, max_generation: int) -> list:
+    def slabs(self, max_generation: int) -> list:
         """[(k, scales)]: the scales in the Whitney slab (l/2, l] of the
         generation-k cubes, l = 2L 2^-k, for each k <= max_generation whose
         slab holds any, coarsest first.  Both bounds take 1e-12 l of slack
         upward, so a scale at a slab edge up to rounding goes to the finer
-        cubes, whose upper edge it is."""
+        cubes, whose upper edge it is.  ParameterError when no slab holds one."""
         ts, out = self.t_values, []
         for k in range(max_generation + 1):
-            ell = 2.0 * grid.halfwidth * 2.0 ** (-k)
+            ell = 2.0 * self.grid.halfwidth * 2.0 ** (-k)
             scales = ts[(ts > ell / 2.0 + 1e-12 * ell) & (ts <= ell * (1.0 + 1e-12))]
             if scales.size:
                 out.append((k, scales))
+        if not out:
+            raise ParameterError(f"no scale of the time grid [{ts[0]}, {ts[-1]}] lies in a Whitney slab "
+                                 f"of the generations 0..{max_generation}")
         return out
 
     @classmethod
     def geometric(cls, grid: Grid, t_min=None, t_max=None, steps_per_octave: int = 8):
-        """Scales t_min 2^(m/M) up to t_max, h <= t_min < t_max <= 2L read by grid.scalar."""
+        """Scales t_min 2^(m/M) up to t_max on grid, h <= t_min < t_max <= 2L read by grid.scalar."""
         h, L = grid.h, grid.halfwidth
         t_min = float(scalar("t_min", 2.0 * h if t_min is None else t_min, h, 2.0 * L))
         t_max = float(scalar("t_max", L if t_max is None else t_max, t_min, 2.0 * L, strict=True))
-        M = scalar("steps_per_octave", steps_per_octave, 1, integer=True)
+        M = int(scalar("steps_per_octave", steps_per_octave, 1, integer=True))
         m_max = int(np.floor(M * np.log2(t_max / t_min) + 1e-12))
-        ts = t_min * 2.0 ** (np.arange(m_max + 1) / M)
-        return cls(ts, M)
+        tg = object.__new__(cls)
+        tg.grid, tg.t_values, tg.steps_per_octave = grid, t_min * 2.0 ** (np.arange(m_max + 1) / M), M
+        return tg
 
 
-def time_grid(tg, grid: Grid = None) -> TimeGrid:
-    """tg itself when it is a TimeGrid, the one rule for time grid arguments;
-    with grid (where tg may default) None gives TimeGrid.geometric(grid)."""
-    if tg is None and grid is not None:
+def time_grid(tg, grid: Grid) -> TimeGrid:
+    """The time grid of an entry on grid, the one rule for tg arguments: None
+    gives TimeGrid.geometric(grid), else a TimeGrid (ParameterError) built on
+    grid itself (GridAlignmentError naming both grids)."""
+    if tg is None:
         return TimeGrid.geometric(grid)
     if not isinstance(tg, TimeGrid):
-        raise ParameterError(f"tg must be a TimeGrid{'' if grid is None else ' or None'}, got tg = {tg!r}")
+        raise ParameterError(f"tg must be a TimeGrid or None, got tg = {tg!r}")
+    if tg.grid != grid:
+        raise GridAlignmentError(f"a time grid on {tg.grid} read on {grid}")
     return tg
 
 
@@ -191,12 +190,14 @@ def _named(parameter: str, x, choices: tuple) -> tuple:
     return name, int(scalar("beta", order[0], 0, integer=True)) if ordered else 0
 
 
-def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> GridFunction:
-    """S(f)(x) = (sum_m ln2/M t_m^{-n} int_{|x-y|<t_m, cone} |G_{t_m} f|^2 dy)^{1/2}."""
+def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid = None) -> GridFunction:
+    """S(f)(x) = (sum_m ln2/M t_m^{-n} int_{|x-y|<t_m, cone} |G_{t_m} f|^2 dy)^{1/2}, t_m of tg (time_grid)."""
     g = f.grid
     if g.domain != FULL:
         raise BackendError("area functions are evaluated on full-space data")
     kind, beta = _named("generator", generator, ("qt", "phi"))
+    if not isinstance(cone, ConeSpec):
+        raise ParameterError(f"cone must be a ConeSpec, got cone = {cone!r}")
     if cone.kind == "neumann" and kind != "qt":
         raise ParameterError("the Neumann cone is wired for the heat generator only")
     if cone.kind == "free":
@@ -215,12 +216,12 @@ def area_function(f: GridFunction, generator, cone: ConeSpec, tg: TimeGrid) -> G
         upper = _radial_sums(join_sides(fields, 0.0, g), g, ts, weights)
         return join_sides(upper, _radial_sums(join_sides(0.0, fields, g), g, ts, weights), g)
 
-    return _cone_integral(f, e, time_grid(tg), sums)
+    return _cone_integral(f, e, time_grid(tg, g), sums)
 
 
-def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) -> GridFunction:
+def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid = None) -> GridFunction:
     """g*-type maximal square function with weight (t/(t+|x-y|))^lambda_exponent,
-    lambda_exponent an integer >= 1 (grid.scalar)."""
+    lambda_exponent an integer >= 1 (grid.scalar), on the scales of tg (time_grid)."""
     g = h_fn.grid
     if g.domain != FULL:
         raise BackendError("g* is evaluated on full-space data")
@@ -230,7 +231,7 @@ def g_star(h_fn: GridFunction, generator, lambda_exponent: int, tg: TimeGrid) ->
     def sums(u, ts, weights):
         return _radial_sums(apply_scales(kind, "free", ts, u, beta=beta) ** 2, g, ts, weights, int(lambda_exponent))
 
-    return _cone_integral(h_fn, _exponent(h_fn.values), time_grid(tg), sums)
+    return _cone_integral(h_fn, _exponent(h_fn.values), time_grid(tg, g), sums)
 
 
 def haar_square_function(f: GridFunction, lat: DyadicLattice) -> GridFunction:
@@ -277,5 +278,5 @@ def hardy_norm(f: GridFunction, flavor, w, tg: TimeGrid = None, lattice: DyadicL
         S = haar_square_function(f, lattice)
     else:
         cone = ConeSpec("neumann" if name == "heat-neumann" else "free")
-        S = area_function(f, ("phi", beta) if name == "classical" else "qt", cone, time_grid(tg, f.grid))
+        S = area_function(f, ("phi", beta) if name == "classical" else "qt", cone, tg)
     return float(np.sum(S.values * warr) * f.grid.cell_volume)

@@ -363,7 +363,8 @@ def test_batched_pieces_match_the_per_bucket_oracle(dim, N, max_gen, psi_backend
     got = atomic_decompose(f, w, lat, tg)
     # a generation with more buckets than one psi batch holds, so the slicing is run
     assert max(map(len, keys)) > atoms._BUCKET_SLICE
-    monkeypatch.setattr(atoms, "_whitney_pieces", lambda *args: _as_rows(*_per_bucket_pieces(*args)))
+    monkeypatch.setattr(atoms, "_whitney_pieces",
+                        lambda f, lat, slabs, lw, *rest: _as_rows(*_per_bucket_pieces(f, lat, tg, *rest)))
     want = atomic_decompose(f, w, lat, tg)
     _assert_close(got.coefficients, want.coefficients, "coefficients")
     _assert_field_close(got.residual.values, want.residual.values, "residual")
@@ -392,7 +393,7 @@ def test_unassigned_cubes_ride_in_the_psi_batches(dim, N, max_gen, psi_backend):
         even = np.indices((1 << k,) * dim).sum(axis=0) % 2 == 0
         assignment[k] = np.where(even, 0, atoms._UNASSIGNED)
         owners[k] = np.where(even, atoms._cube_ids(lat, k), -1)
-    got_pieces, got_rest = _by_key(atoms._whitney_pieces(f, lat, tg, assignment, owners))
+    got_pieces, got_rest = _by_key(atoms._whitney_pieces(f, lat, tg.slabs(max_gen), tg.log_weight, assignment, owners))
     want_pieces, want_rest = _per_bucket_pieces(f, lat, tg, assignment, owners)
     assert np.any(want_rest)
     _assert_field_close(got_rest, want_rest, "unassigned")
@@ -434,9 +435,10 @@ def test_whitney_pieces_are_bit_identical_to_the_full_transform(monkeypatch):
         means = lat.blocks(S, k).mean(axis=-1)
         assignment[k] = np.where(means >= np.median(means), np.floor(np.log2(means)).astype(int), atoms._UNASSIGNED)
     owners = atoms._owners(lat, assignment)
-    got, got_rest = _by_key(atoms._whitney_pieces(f, lat, tg, assignment, owners))
+    slabs = tg.slabs(lat.max_generation)
+    got, got_rest = _by_key(atoms._whitney_pieces(f, lat, slabs, tg.log_weight, assignment, owners))
     monkeypatch.setattr(atoms, "_masked_transform", lambda masks, g: lambda u: spectrum(np.where(masks, u, 0.0), g))
-    want, want_rest = _by_key(atoms._whitney_pieces(f, lat, tg, assignment, owners))
+    want, want_rest = _by_key(atoms._whitney_pieces(f, lat, slabs, tg.log_weight, assignment, owners))
     assert len(want) > atoms._BUCKET_SLICE and got.keys() == want.keys()
     assert np.any(want_rest) and np.array_equal(got_rest, want_rest)
     assert all(np.array_equal(got[key], want[key]) for key in want)

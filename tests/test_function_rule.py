@@ -5,9 +5,9 @@ One scalar rule (grid.scalar) behind every real or integer parameter: finite,
 no bool, inside the bounds its entry states, and one (grid.scale_array)
 behind every array of scales.  One choice rule (grid.choice) behind every
 named choice: a str among the entry's names.  One rule (squarefn.time_grid)
-behind every time grid argument.  Guards walk the public callables of every
-wharm module, so that an entry taking function values, a scalar or a name
-cannot miss its rule."""
+behind every time grid argument: None or a TimeGrid of the entry's own grid.
+Guards walk the public callables of every wharm module, so that an entry
+taking function values, a scalar or a name cannot miss its rule."""
 
 import importlib
 import inspect
@@ -196,8 +196,8 @@ SCALAR_ENTRIES = {
     "commutator_norms.seed": (lambda x: commutator_norms(STACK, R, GRID, seed=x), [-1]),
     "weighted_operator_norm.p": (lambda x: weighted_operator_norm(R, GRID, p=x), P_OUT),
     "weighted_operator_norm.seed": (lambda x: weighted_operator_norm(R, GRID, seed=x), [-1]),
-    "psi_stencil.t": (lambda x: psi_stencil(x, GRID.h), [0.0]),
-    "TimeGrid.steps_per_octave": (lambda x: TimeGrid([0.1, 0.2], x), [0]),
+    # the stencil spans 2t/h cells: past 4L it is refused unbuilt
+    "psi_stencil.t": (lambda x: psi_stencil(x, GRID), [0.0, 4.5]),
     "TimeGrid.geometric.t_min": (lambda x: TimeGrid.geometric(GRID, t_min=x), [GRID.h / 2, 3.0]),
     "TimeGrid.geometric.t_max": (lambda x: TimeGrid.geometric(GRID, t_max=x), [2 * GRID.h, 2.5]),
     "TimeGrid.geometric.steps_per_octave": (lambda x: TimeGrid.geometric(GRID, steps_per_octave=x), [0]),
@@ -286,8 +286,7 @@ def test_a_real_past_the_float_range_is_refused():
 # one rule (grid.scale_array) reads an array of scales: "ab" ended in a raw
 # ValueError and a dict in a raw TypeError at both entries, a ragged list in
 # a raw ValueError, and True and "0.1" were read as the scales 1.0 and 0.1
-SCALE_ENTRIES = {"TimeGrid.t_values": lambda x: TimeGrid(x, 8),
-                 "apply_scales.ts": lambda x: apply_scales("qt", "free", x, F)}
+SCALE_ENTRIES = {"apply_scales.ts": lambda x: apply_scales("qt", "free", x, F)}
 BAD_SCALES = ["ab", {"t": 0.1}, [True], ["0.1"], [[0.1], [0.1, 0.2]], [], [[0.1, 0.2]], [0.1, np.nan], [0.0]]
 
 
@@ -350,7 +349,6 @@ SCALAR_EXEMPT = {
     "heat_free.t": "a building block of the quadrature kernel table, whose OperatorHandle read t",
     "qt_free.t": "a building block of the quadrature kernel table, whose OperatorHandle read t",
     "riesz_free.j": "a building block of the quadrature kernel table, whose OperatorHandle and _scales read j",
-    "psi_stencil.h": "the cell width of a Grid, which the Grid checked",
 }
 
 
@@ -455,19 +453,20 @@ def test_every_public_choice_parameter_is_an_entry():
     assert not set(CHOICE_EXEMPT) - found, f"exempt but no choice parameter: {sorted(set(CHOICE_EXEMPT) - found)}"
 
 
-# entries that read a time grid: {name: (call(tg), whether None is the default)}
+# entries that read a time grid, each on GRID, where None is the default: {name: call(tg)}
 TIME_GRID_ENTRIES = {
-    "bmo_norms": (lambda tg: bmo_norms(STACK, GRID, None, "carleson-heat-neumann", LATS, tg=tg), True),
-    "bmo_norm": (lambda tg: bmo_norm(F, None, "carleson-heat-free", LATS, tg=tg), True),
-    "bmo_deltaN_sides_norms": (lambda tg: bmo_deltaN_sides_norms(STACK, GRID, None, LATS, tg=tg), True),
-    "hardy_norm": (lambda tg: hardy_norm(F, ("classical", 1), None, tg=tg), True),
-    "atomic_decompose": (lambda tg: atomic_decompose(F, None, LATS[0], tg=tg), True),
-    "area_function": (lambda tg: area_function(F, "qt", ConeSpec(), tg), False),
-    "g_star": (lambda tg: g_star(F, "qt", 2, tg), False),
-    "time_grid": (time_grid, False),
+    "bmo_norms": lambda tg: bmo_norms(STACK, GRID, None, "carleson-heat-neumann", LATS, tg=tg),
+    "bmo_norm": lambda tg: bmo_norm(F, None, "carleson-heat-free", LATS, tg=tg),
+    "bmo_deltaN_sides_norms": lambda tg: bmo_deltaN_sides_norms(STACK, GRID, None, LATS, tg=tg),
+    "hardy_norm": lambda tg: hardy_norm(F, ("classical", 1), None, tg=tg),
+    "atomic_decompose": lambda tg: atomic_decompose(F, None, LATS[0], tg=tg),
+    "area_function": lambda tg: area_function(F, "qt", ConeSpec(), tg),
+    "g_star": lambda tg: g_star(F, "qt", 2, tg),
+    "time_grid": lambda tg: time_grid(tg, GRID),
 }
-TIME_GRID_CASES = [(entry, tg) for entry, (_, default) in TIME_GRID_ENTRIES.items()
-                   for tg in ["x", 5, 0, TG.t_values] + ([] if default else [None])]
+TIME_GRID_CASES = [(entry, tg) for entry in TIME_GRID_ENTRIES for tg in ["x", 5, 0, TG.t_values]]
+# grids of other cells: one of GRID's shape on a wider box, and a finer one
+OTHER_GRIDS = {"wider": _wider(GRID), "finer": Grid(1, 1.0, 64)}
 
 
 @pytest.mark.parametrize("entry, tg", TIME_GRID_CASES, ids=[f"{e}-{t!r:.8}" for e, t in TIME_GRID_CASES])
@@ -475,7 +474,23 @@ def test_every_time_grid_entry_refuses_what_is_no_time_grid(entry, tg):
     # tg = "x" and tg = 5 ended in a raw AttributeError, and tg = 0 was taken
     # as the default grid by `tg or TimeGrid.geometric(...)`
     with pytest.raises(ParameterError, match="^tg must be a TimeGrid"):
-        TIME_GRID_ENTRIES[entry][0](tg)
+        TIME_GRID_ENTRIES[entry](tg)
+
+
+@pytest.mark.parametrize("other", OTHER_GRIDS)
+@pytest.mark.parametrize("entry", TIME_GRID_ENTRIES)
+def test_every_time_grid_entry_refuses_a_time_grid_of_another_grid(entry, other):
+    # a time grid's scales mean something against its own grid's h and L
+    # alone: one of another grid gave another number with no error
+    with pytest.raises(GridAlignmentError) as info:
+        TIME_GRID_ENTRIES[entry](TimeGrid.geometric(OTHER_GRIDS[other]))
+    assert str(info.value) == f"a time grid on {OTHER_GRIDS[other]} read on {GRID}"
+
+
+@pytest.mark.parametrize("entry", ["area_function", "g_star"])
+def test_a_square_function_takes_the_default_time_grid_of_its_grid(entry):
+    # None was refused here while every other entry took it as the default
+    assert np.array_equal(TIME_GRID_ENTRIES[entry](None).values, TIME_GRID_ENTRIES[entry](TG).values)
 
 
 def test_every_public_time_grid_parameter_is_an_entry():
@@ -487,10 +502,12 @@ def test_every_public_time_grid_parameter_is_an_entry():
 @pytest.mark.parametrize("call", [
     lambda t: apply(psi_op(t, backend="quadrature"), constant(GRID, 1.0)),
     lambda t: psi_reach(np.ones(GRID.shape, dtype=bool), [0.1, t], GRID),
-], ids=["apply", "psi_reach"])
+    lambda t: psi_stencil(t, GRID),
+], ids=["apply", "psi_reach", "psi_stencil"])
 def test_a_quadrature_psi_scale_past_the_box_is_refused_unbuilt(call, t):
     # t = 1e300 ended in a raw ValueError from numpy and t = 1e7 built a
-    # stencil of 2t/h cells, gigabytes, first
+    # stencil of 2t/h cells, gigabytes, first (psi_stencil itself, which
+    # knew no grid, kept doing so after its callers had bounded t)
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match=r"^t must lie in \(0, 4.0\], got t = "):
@@ -519,6 +536,9 @@ PROBES = {
     "str-tg-hardy": lambda: hardy_norm(F, "heat-free", None, tg="x"),
     "int-tg-atoms": lambda: atomic_decompose(F, None, LATS[0], tg=5),
     "zero-tg-bmo": lambda: bmo_norms(STACK, GRID, None, "carleson-heat-free", LATS, tg=0),
+    # a cone or an inner handle of the wrong type ended in a raw AttributeError
+    "str-cone": lambda: area_function(F, "qt", "free", TG),
+    "str-inner": lambda: commutator_norms(np.ones((1, 32)), "riesz", GRID),
 }
 
 

@@ -53,7 +53,7 @@ def oracle_carleson_heat(values, grid, warr, lats, tg, neumann):
     n, h_n, lw = grid.dim, grid.cell_volume, tg.log_weight
     dyadic = next(lat for lat in lats if not any(lat.shift_cells))
     prefixes = []
-    for k, ts in tg.slabs(grid, dyadic.max_generation):
+    for k, ts in tg.slabs(dyadic.max_generation):
         acc = np.zeros((len(values),) + (1 << k,) * n)
         for t, fields in zip(ts, apply_scales("qt", "neumann" if neumann else "free", ts, values, grid=grid)):
             acc += lw * t ** n * dyadic.blocks(fields ** 2, k).sum(axis=-1) * h_n
@@ -114,7 +114,7 @@ def test_coarse_slabs_fit_under_few_tops(dim, N):
     g = Grid(dim, 1.0, N)
     values, w = stack(g, 3, 11)
     tg = TimeGrid.geometric(g, t_min=0.3, t_max=1.0)
-    assert [k for k, _ in tg.slabs(g, 3)] == [1, 2]
+    assert [k for k, _ in tg.slabs(3)] == [1, 2]
     family = lattice_family(g, 3)
     assert_oracle(values, g, w, [family[0], family[-1]], tg)
 
@@ -141,7 +141,7 @@ def test_a_lone_axis_adds_its_scales_in_loop_order(dim, N):
     # that cube's own contribution
     g = Grid(dim, 1.0, N)
     tg = TimeGrid.geometric(g, t_max=2.0)
-    assert [(k, ts.size) for k, ts in tg.slabs(g, 0)] == [(0, 8)]
+    assert [(k, ts.size) for k, ts in tg.slabs(0)] == [(0, 8)]
     for seed in range(12):
         values, w = stack(g, 1, seed)
         assert_oracle(values, g, w, [build_lattice(g, 0)], tg)
@@ -152,5 +152,5 @@ def test_nine_slabs_under_the_coarsest_top():
     g = Grid(1, 1.0, 512)
     values, w = stack(g, 1, 5)
     tg = TimeGrid.geometric(g, t_max=2.0)
-    assert len(tg.slabs(g, 8)) == 9
+    assert len(tg.slabs(8)) == 9
     assert_oracle(values, g, w, lattice_family(g), tg)

@@ -90,9 +90,10 @@ def test_psi_multiplier_values():
 
 
 def test_psi_stencil_properties():
-    h = 1.0 / 64
+    g = Grid(1, 1.0, 128)
+    h = g.h
     for t in (0.05, 0.11, 0.4):
-        st = psi_stencil(t, h)
+        st = psi_stencil(t, g)
         assert abs(np.sum(st) * h) <= 1e-15  # exact zero total mass
         r = (len(st) - 1) // 2
         offsets = np.arange(-r, r + 1) * h

@@ -1062,7 +1062,7 @@ def test_psi_stencil_multiplier_matches_the_complex_circular_convolution(grid64,
     # the quadrature psi is a half-spectrum multiplier rfft(kper) h of the
     # periodized stencil; the oracle is the complex circular convolution
     N, h = grid64.points_per_axis, grid64.h
-    st = psi_stencil(t, h)
+    st = psi_stencil(t, grid64)
     r = (len(st) - 1) // 2
     kper = np.zeros(N)
     np.add.at(kper, np.arange(-r, r + 1) % N, st)
@@ -1077,7 +1077,7 @@ def test_psi_reach_is_the_stencil_dilation(grid64, rng, t):
     # brute force: the union of the mask's cells shifted by every offset up to
     # the stencil's outermost nonzero entry, mod the box
     N = grid64.points_per_axis
-    st = psi_stencil(t, grid64.h)
+    st = psi_stencil(t, grid64)
     outer = np.max(np.abs(np.flatnonzero(st) - (len(st) - 1) // 2))
     mask = rng.random((5, N)) < 0.08
     mask[0] = False
@@ -1096,7 +1096,7 @@ def test_quadrature_psi_vanishes_exactly_beyond_its_stencil(grid64, rng, t):
     v[0, 10:14] = rng.standard_normal(4)
     v[1, [0, 40]] = 1.0
     got = _operator_maps(psi_op(t, backend=QUADRATURE), grid64)[0](v)
-    st = psi_stencil(t, grid64.h)
+    st = psi_stencil(t, grid64)
     r = (len(st) - 1) // 2
     kper = np.zeros(grid64.points_per_axis)
     np.add.at(kper, np.arange(-r, r + 1) % grid64.points_per_axis, st)

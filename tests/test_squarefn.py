@@ -10,8 +10,10 @@ from operator_oracles import phi_op, qt_op
 from tree_oracles import generation_of_scale, haar_function, slab_times
 from scipy.signal import fftconvolve
 
-from wharm.dyadic import DyadicCube, build_lattice, random_haar_sum
-from wharm.errors import DomainError, ParameterError
+from wharm.atoms import atomic_decompose
+from wharm.bmo import bmo_norm
+from wharm.dyadic import DyadicCube, build_lattice, lattice_family, random_haar_sum, random_haar_sums
+from wharm.errors import DomainError, GridAlignmentError, ParameterError
 from wharm.grid import Grid, GridFunction, constant, extend_even, join_sides, restrict
 from wharm.squarefn import (
     ConeSpec,
@@ -223,24 +225,74 @@ def test_time_grid_validation(grid64):
 
 
 @pytest.mark.parametrize(
-    "t_values,steps",
+    "bounds",
     [
-        pytest.param([], 8, id="empty"),
-        pytest.param([0.1, np.nan], 8, id="nan"),
-        pytest.param([0.1, np.inf], 8, id="inf"),
-        pytest.param([0.0, 0.1], 8, id="zero"),
-        pytest.param([-0.1, 0.1], 8, id="negative"),
-        pytest.param([0.2, 0.1], 8, id="decreasing"),
-        pytest.param([0.1, 0.1], 8, id="repeated"),
-        pytest.param([[0.1, 0.2]], 8, id="not-1d"),
-        pytest.param([0.1, 0.2], 0, id="no-steps"),
-        pytest.param([0.1, 0.2], -2, id="negative-steps"),
-        pytest.param([0.1, 0.2], 2.5, id="fractional-steps"),
+        pytest.param({"t_min": np.nan}, id="nan"),
+        pytest.param({"t_max": np.inf}, id="inf"),
+        pytest.param({"t_min": 0.0}, id="zero"),
+        pytest.param({"t_min": -0.1}, id="negative"),
+        pytest.param({"t_min": 1e-6}, id="below-h"),
+        pytest.param({"t_min": 100.0}, id="past-2L"),
+        pytest.param({"t_max": 100.0}, id="t_max-past-2L"),
+        pytest.param({"t_min": 0.2, "t_max": 0.1}, id="decreasing"),
+        pytest.param({"t_min": 0.1, "t_max": 0.1}, id="repeated"),
+        pytest.param({"t_min": [0.1, 0.2]}, id="array"),
+        pytest.param({"steps_per_octave": 0}, id="no-steps"),
+        pytest.param({"steps_per_octave": -2}, id="negative-steps"),
+        pytest.param({"steps_per_octave": 2.5}, id="fractional-steps"),
     ],
 )
-def test_time_grid_rejects_bad_scales(t_values, steps):
+def test_time_grid_rejects_bad_bounds(grid64, bounds):
+    # geometric is the one constructor: its bounds keep every scale finite,
+    # increasing and in [h, 2L] of its grid
     with pytest.raises(ParameterError):
-        TimeGrid(np.array(t_values, dtype=float), steps)
+        TimeGrid.geometric(grid64, **bounds)
+
+
+@pytest.mark.parametrize("t_values", [[0.1, 0.2], [100.0], [1e-6]], ids=repr)
+def test_a_time_grid_of_scales_alone_is_refused(t_values):
+    # TimeGrid(t_values, steps_per_octave) held no grid: scales of 100 or
+    # 1e-6 on a unit box gave heat Carleson and Hardy norms of 0.0
+    with pytest.raises(ParameterError, match=r"^a TimeGrid is built by TimeGrid\.geometric"):
+        TimeGrid(np.array(t_values), 1)
+
+
+def _probe(g):
+    return GridFunction(g, random_haar_sums(lattice_family(g, 4)[0], np.random.default_rng(0), 1, max_generation=3)[0])
+
+
+def _carleson(f, tg):
+    return bmo_norm(f, None, "carleson-heat-free", lattice_family(f.grid, 4), tg=tg)
+
+
+def _hardy(f, tg):
+    return hardy_norm(f, "heat-free", None, tg)
+
+
+@pytest.mark.parametrize("grid, other, call", [
+    (Grid(1, 10.0, 64), Grid(1, 1.0, 64), _carleson),
+    (Grid(1, 10.0, 64), Grid(1, 1.0, 64), _hardy),
+    (Grid(1, 1.0, 64), Grid(1, 1.0, 256), _hardy),
+], ids=["carleson-wider", "hardy-wider", "hardy-finer"])
+def test_a_time_grid_of_another_grid_gives_no_number(grid, other, call):
+    # each gave another number with no error: 0.2428 for 0.3857, 4.670 for
+    # 6.880 and 0.7556 for 0.6880
+    f = _probe(grid)
+    assert call(f, TimeGrid.geometric(grid)) == call(f, None)
+    with pytest.raises(GridAlignmentError, match="^a time grid on Grid"):
+        call(f, TimeGrid.geometric(other))
+
+
+def test_a_time_grid_with_no_scale_in_a_slab_is_refused():
+    # scales in [h, 2h] lie in no Whitney slab of generations 0..4 on 64
+    # cells: the heat Carleson norm was 0.0 and the decomposition ended in
+    # a raw ValueError
+    g = Grid(1, 1.0, 64)
+    f, tg = _probe(g), TimeGrid.geometric(g, t_min=g.h, t_max=2 * g.h)
+    with pytest.raises(ParameterError, match=r"^no scale of the time grid \[0.03125, 0.0625\] .* generations 0\.\.4$"):
+        bmo_norm(f, None, "carleson-heat-free", lattice_family(g, 4), tg=tg)
+    with pytest.raises(ParameterError, match=r"generations 0\.\.1$"):
+        atomic_decompose(f, None, build_lattice(g, 1), tg)
 
 
 def test_empty_time_grid_no_longer_gives_zero_square_function(grid64):
@@ -265,7 +317,7 @@ def test_slabs_match_both_per_scale_rules(dim, steps):
         g = Grid(dim, L, N)
         top = int(np.log2(N))
         tg = TimeGrid.geometric(g, t_min=cells * g.h, t_max=2.0 * L, steps_per_octave=steps)
-        slabs = tg.slabs(g, top)
+        slabs = tg.slabs(top)
         per_cube = [(k, slab_times(tg, 2.0 * L * 2.0 ** -k)) for k in range(top + 1)]
         assert [k for k, _ in slabs] == [k for k, ts in per_cube if ts.size]
         assert all(np.array_equal(ts, dict(per_cube)[k]) for k, ts in slabs)
